@@ -88,7 +88,7 @@ def _tail_kops(runner: ShardedExperimentRunner) -> float:
     """Throughput over the second half of the run (completions with
     t >= t_end/2).  The splits land early; the tail window measures the
     plane *after* it adapted, which is the recovery claim."""
-    t_end = runner._elapsed_at_done
+    t_end = runner.elapsed_s
     t_mid = t_end / 2.0
     late = sum(1 for router in runner.routers
                for (_i, _req, _res, t) in router.log if t >= t_mid)

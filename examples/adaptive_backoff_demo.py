@@ -87,8 +87,8 @@ def main():
         print(f"{t * 1e3:7.1f}   {phase:>9}   {bar} ({offloads}/{total})")
 
     print(f"\nheartbeats delivered: {fm.heartbeats_seen}, "
-          f"busy observations: {session.busy_observations}, "
-          f"back-off extensions: {session.backoff_extensions}")
+          f"busy observations: {session.policy.busy_observations}, "
+          f"back-off extensions: {session.policy.backoff_extensions}")
     print("offloading concentrates inside the saturated window and "
           "drains away once\nthe heartbeats show the server recovered — "
           "Algorithm 1 in action.")

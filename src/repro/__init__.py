@@ -66,7 +66,6 @@ from .shard import (
     ShardMap,
     ShardedExperimentRunner,
     partition_str,
-    run_sharded_experiment,
 )
 from .server import (
     CostModel,
@@ -120,7 +119,6 @@ __all__ = [
     "ShardMap",
     "ShardedExperimentRunner",
     "partition_str",
-    "run_sharded_experiment",
     "CostModel",
     "FastMessagingServer",
     "HeartbeatService",

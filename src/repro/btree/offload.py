@@ -324,11 +324,10 @@ class KvBanditSession:
 
     def __init__(self, sim, fm, engine, stats, epsilon=0.1, alpha=0.3,
                  rng=None):
-        from ..client.bandit import BanditSession
+        from ..runtime.policy import BanditPolicy
         # Compose rather than subclass: reuse the arm-selection machinery
         # with KV dispatch.
-        self._bandit = BanditSession(sim, fm, engine, stats,
-                                     epsilon=epsilon, alpha=alpha, rng=rng)
+        self._bandit = BanditPolicy(epsilon=epsilon, alpha=alpha, rng=rng)
         self.sim = sim
         self.fm = fm
         self.engine = engine

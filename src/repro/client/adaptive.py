@@ -4,10 +4,10 @@ The decision rule itself lives in
 :class:`~repro.runtime.policy.Algorithm1Policy` (see its docstring for
 the back-off algorithm) and the execution skeleton in
 :class:`~repro.runtime.session.PolicySession`; this module keeps the
-historical :class:`CatfishSession` facade — same constructor, same
-attribute surface (``r_busy``/``r_off``/counters are forwarded to the
-policy), same trace component — so tests, subclasses (B+tree, cuckoo)
-and dashboards are unaffected by the runtime-layer refactor.
+:class:`CatfishSession` constructor and trace component that the
+B+tree / cuckoo subclasses and the chaos harness build on.  The
+Algorithm 1 state and counters (``r_busy`` / ``r_off`` / ...) live on
+``session.policy``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from ..obs.registry import MetricsRegistry
 from ..runtime.policy import AdaptiveParams, Algorithm1Policy
 from ..runtime.session import PolicySession
 from ..sim.kernel import Simulator
@@ -30,18 +29,6 @@ from .resilience import CircuitBreaker
 most_recent_utilization = most_recent
 
 __all__ = ["AdaptiveParams", "CatfishSession", "most_recent_utilization"]
-
-#: Attributes forwarded to the wrapped :class:`Algorithm1Policy`: the
-#: Algorithm 1 state, its tunables and the introspection counters.
-_POLICY_ATTRS = frozenset({
-    "params", "rng", "pred_util", "stale_after_missing",
-    "r_busy", "r_off", "_t0", "_last_seq", "_missing_streak",
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-})
-
 
 class CatfishSession(PolicySession):
     """Adaptive per-request scheme selection (Algorithm 1)."""
@@ -74,25 +61,3 @@ class CatfishSession(PolicySession):
         )
         super().__init__(sim, fm, engine, stats, policy,
                          tracer=tracer, breaker=breaker)
-
-    # Forward the Algorithm 1 state so pre-refactor call sites (tests
-    # seed ``rng``/``_t0``, metrics read the counters) keep working.
-
-    def __getattr__(self, name):
-        policy = self.__dict__.get("policy")
-        if policy is not None and name in _POLICY_ATTRS:
-            return getattr(policy, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name, value):
-        if name in _POLICY_ATTRS and "policy" in self.__dict__:
-            setattr(self.policy, name, value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "adaptive") -> None:
-        """Adopt the Algorithm 1 counters into ``registry``."""
-        super().register_metrics(registry, prefix=prefix)

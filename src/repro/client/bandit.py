@@ -6,8 +6,9 @@ learning ("a recent study which uses machine learning methods to select
 the best configuration at the runtime") as the fix.
 
 The ε-greedy learner itself lives in
-:class:`~repro.runtime.policy.BanditPolicy`; this module keeps the
-historical :class:`BanditSession` facade on top of the generic
+:class:`~repro.runtime.policy.BanditPolicy` (arm state and counters are
+read as ``session.policy.*``); this module keeps the
+:class:`BanditSession` constructor on top of the generic
 :class:`~repro.runtime.session.PolicySession` — which is how the bandit
 gained tracer, metrics and circuit-breaker support for free, on the
 sharded runner too (it previously lacked all three).
@@ -35,13 +36,6 @@ __all__ = [
     "LatencyEstimate",
 ]
 
-#: Attributes forwarded to the wrapped :class:`BanditPolicy`: the arm
-#: state and the introspection counters.
-_POLICY_ATTRS = frozenset({
-    "epsilon", "rng", "estimates", "explorations", "mode_counts",
-    "offload_failovers", "breaker_demotions",
-})
-
 
 class BanditSession(PolicySession):
     """ε-greedy latency bandit over the two access methods."""
@@ -63,25 +57,3 @@ class BanditSession(PolicySession):
         policy = BanditPolicy(epsilon=epsilon, alpha=alpha, rng=rng)
         super().__init__(sim, fm, engine, stats, policy,
                          tracer=tracer, breaker=breaker)
-
-    def _choose_mode(self) -> str:
-        """Expose arm selection for composers (cf. KvBanditSession)."""
-        return self.policy._choose_mode()
-
-    # Forward the learner state so pre-refactor call sites (tests read
-    # ``estimates``/``mode_counts``, composers drive ``_choose_mode``)
-    # keep working.
-
-    def __getattr__(self, name):
-        policy = self.__dict__.get("policy")
-        if policy is not None and name in _POLICY_ATTRS:
-            return getattr(policy, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name, value):
-        if name in _POLICY_ATTRS and "policy" in self.__dict__:
-            setattr(self.policy, name, value)
-        else:
-            object.__setattr__(self, name, value)

@@ -1,40 +1,27 @@
-"""Assemble and run one experiment: server + N clients + fabric.
+"""Run one closed-loop experiment: N synchronous clients on a deployment.
 
-This is the reproduction's equivalent of the paper's test driver: it
-builds the R-tree server on the chosen fabric, connects ``n_clients``
-independent clients running the chosen scheme, lets every client issue its
-request stream back-to-back (each client is synchronous, as in the paper),
-and aggregates throughput/latency/utilization into a :class:`RunResult`.
+This is the reproduction's equivalent of the paper's test driver: on the
+cluster a :class:`~repro.cluster.deployment.Deployment` assembled, it
+connects ``n_clients`` independent clients running the chosen scheme,
+lets every client issue its request stream back-to-back (each client is
+synchronous, as in the paper), and aggregates throughput / latency /
+utilization into a :class:`RunResult`.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List
 
-from ..client.adaptive import CatfishSession
-from ..client.bandit import BanditSession
 from ..client.base import OP_SEARCH, ClientStats, Request
-from ..client.base import CLIENT_COUNTER_FIELDS
 from ..faults.injector import FaultInjector
 from ..hw.host import Host
-from ..net.fabric import profile_by_name
-from ..obs import (
-    NULL_TRACER,
-    LatencyView,
-    MetricsRegistry,
-    Tracer,
-    snapshot_document,
-)
-from ..runtime.factory import SessionFactory
-from ..runtime.stack import ServerStack
+from ..obs import LatencyView, snapshot_document
 from ..sim.kernel import Simulator, all_of
-from ..sim.rng import RngRegistry
-from ..rtree import batch as _scan_kernel
-from ..workloads.datasets import uniform_dataset
 from ..workloads.mixes import batch_runs, make_workload
 from .config import ExperimentConfig
+from .deployment import Deployment
 from .results import RunResult, merge_client_stats
-from .schemes import TRANSPORT_TCP, scheme_spec
+from .schemes import scheme_spec
 
 
 def _client_driver(
@@ -87,177 +74,58 @@ def _client_driver(
             stats.search_latency.record(elapsed)
 
 
-#: Algorithm 1 introspection counters aggregated cluster-wide.
-ADAPTIVE_AGGREGATE_FIELDS = (
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-)
+class ClosedLoopRunner:
+    """Drives one :class:`~repro.cluster.deployment.Deployment` with
+    ``n_clients`` synchronous clients until every stream is exhausted.
 
-
-def register_session_aggregates(metrics: MetricsRegistry,
-                                sessions) -> None:
-    """Sum per-session client counters into cluster-wide pull gauges.
-
-    Shared by the single-server and sharded runners so every scheme's
-    client-side counters (offload engine, Algorithm 1, bandit) land in
-    the metrics document regardless of deployment shape.
+    The two public runners differ only in the endpoint kind they ask the
+    deployment for (``routed``) and in the attribute surface they expose;
+    construction, execution and result collection live here once.
     """
-    from ..runtime.policy import FAST_MESSAGING, OFFLOADING
 
-    engines = [e for e in (getattr(s, "engine", None) for s in sessions)
-               if e is not None]
-    if engines:
-        for field in ("meta_reads", "stale_root_detections",
-                      "chunks_fetched"):
-            metrics.expose(
-                f"offload.{field}",
-                lambda f=field: sum(int(getattr(e, f)) for e in engines),
-            )
-    caches = [e.cache for e in engines
-              if getattr(e, "cache", None) is not None]
-    if caches:
-        for field in ("hits", "misses", "invalidations", "coalesced_reads",
-                      "stores", "evictions", "hint_flushes"):
-            metrics.expose(
-                f"cache.{field}",
-                lambda f=field: sum(int(getattr(c, f)) for c in caches),
-            )
-        metrics.expose("cache.resident_nodes",
-                       lambda: sum(len(c) for c in caches))
-    adaptive = [s for s in sessions if isinstance(s, CatfishSession)]
-    if adaptive:
-        for field in ADAPTIVE_AGGREGATE_FIELDS:
-            metrics.expose(
-                f"adaptive.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in adaptive),
-            )
-    bandits = [s for s in sessions if isinstance(s, BanditSession)]
-    if bandits:
-        for field in ("offload_failovers", "breaker_demotions"):
-            metrics.expose(
-                f"bandit.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in bandits),
-            )
-        metrics.expose("bandit.explorations",
-                       lambda: sum(int(s.explorations) for s in bandits))
-        metrics.expose(
-            "bandit.mode_fm",
-            lambda: sum(s.mode_counts[FAST_MESSAGING] for s in bandits),
-        )
-        metrics.expose(
-            "bandit.mode_offload",
-            lambda: sum(s.mode_counts[OFFLOADING] for s in bandits),
-        )
+    #: Plain sessions against one server, or scatter-gather routers.
+    routed = False
 
-
-class ExperimentRunner:
-    """Builds the cluster for a config and runs it to completion."""
-
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig,
+                 record_results: bool = False):
         self.config = config
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.metrics = MetricsRegistry()
-        self.tracer = (
-            Tracer(self.sim, max_events=config.trace_max_events,
-                   components=config.trace_components)
-            if config.trace else NULL_TRACER
+        self.deployment = deployment = Deployment(
+            config, routed=self.routed, record_results=record_results,
         )
-        self.spec = scheme_spec(config.scheme)
-        self.profile = profile_by_name(config.fabric)
-        if self.spec.transport != TRANSPORT_TCP and not self.profile.rdma:
-            raise ValueError(
-                f"scheme {config.scheme!r} needs an RDMA fabric, "
-                f"got {config.fabric!r}"
-            )
-
-        self.injector = None
-        if config.fault_plan:
-            self.injector = FaultInjector(
-                self.sim, config.fault_plan,
-                rng=self.rngs.stream("faults"),
-            )
-
-        items = config.dataset
-        if items is None:
-            items = uniform_dataset(config.dataset_size, seed=config.seed)
-        self.stack = ServerStack(
-            self.sim, self.profile, self.spec, config, self.rngs, items,
-        )
-        if self.injector is not None:
-            self.stack.attach_injector(self.injector)
-        # Historical attribute surface (notebooks, tests, _collect).
-        self.network = self.stack.network
-        self.server_host = self.stack.host
-        self.server = self.stack.server
-        self.tcp_server = self.stack.tcp_server
-        self.fm_server = self.stack.fm_server
-        self.heartbeats = self.stack.heartbeats
-
-        self.factory = SessionFactory(
-            self.sim, self.spec, config, self.tracer,
-        )
-        self.client_stats: List[ClientStats] = []
-        self.sessions = []
+        self.sim = deployment.sim
+        self.rngs = deployment.rngs
+        self.metrics = deployment.metrics
+        self.tracer = deployment.tracer
+        self.profile = deployment.profile
+        self.injector = deployment.injector
+        self.factory = deployment.factory
+        self.client_stats = deployment.client_stats
+        #: Simulated time at which the last client finished (throughput
+        #: is taken over this, not over any background settling after).
+        self.elapsed_s = 0.0
         self._drivers = []
         self._timeline: List[tuple] = []
         self._build_clients()
-        if self.injector is not None:
-            # Started after the clients exist so WorkerCrash faults see
-            # every connection; storm targets re-resolve the root per
-            # window so splits are tolerated.
-            self.injector.start(
-                fm_server=self.fm_server,
-                storm_targets=lambda: [self.server.tree.root],
-            )
-        if self.heartbeats is not None:
-            self.heartbeats.start()
-        self._register_metrics()
+        deployment.start()
+        deployment.register_metrics()
         if config.collect_timeline:
+            self._register_series()
             self.sim.process(self._timeline_sampler(), name="timeline")
 
-    def _register_metrics(self) -> None:
-        """Hook every component into the metrics registry.
-
-        Server-side objects register their own counters; client-side
-        counters are per-session, so the cluster aggregates them into
-        pull gauges summed over all clients.
-        """
-        m = self.metrics
-        self.stack.register_metrics(m)
-        if self.injector is not None:
-            self.injector.register_metrics(m)
-
-        # Which scan kernel the whole run (server tree + offload views)
-        # is using: 1 = numpy broadcasts, 0 = the pure-Python fallback.
-        m.expose(
-            "rtree.scan_kernel_numpy",
-            lambda: 1 if _scan_kernel.kernel_name() == "numpy" else 0,
-        )
-
+    def _register_series(self) -> None:
+        alive = lambda: any(d.is_alive for d in self._drivers)
         stats_list = self.client_stats
-        for field in CLIENT_COUNTER_FIELDS:
-            m.expose(
-                f"client.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in stats_list),
-            )
-        register_session_aggregates(m, self.sessions)
-
-        if self.config.collect_timeline:
-            alive = lambda: any(d.is_alive for d in self._drivers)
-            m.sampler(
-                self.sim, "series.cpu_utilization",
-                lambda: self.server_host.cpu.tracker.window_utilization(
-                    reset=False),
-                interval=self.config.heartbeat_interval, while_fn=alive,
-            )
-            m.sampler(
-                self.sim, "series.requests_completed",
-                lambda: sum(int(s.requests_sent) for s in stats_list),
-                interval=self.config.heartbeat_interval, while_fn=alive,
-            )
+        interval = self.config.heartbeat_interval
+        self.metrics.sampler(
+            self.sim, "series.cpu_utilization",
+            self.deployment.window_cpu_utilization,
+            interval=interval, while_fn=alive,
+        )
+        self.metrics.sampler(
+            self.sim, "series.requests_completed",
+            lambda: sum(int(s.requests_sent) for s in stats_list),
+            interval=interval, while_fn=alive,
+        )
 
     def _timeline_sampler(self) -> Generator:
         """Sample (t, cpu_util, window offload fraction) periodically."""
@@ -276,7 +144,7 @@ class ExperimentRunner:
                         if window_total else 0.0)
             self._timeline.append(
                 (self.sim.now,
-                 self.server_host.cpu.tracker.window_utilization(reset=False),
+                 self.deployment.window_cpu_utilization(),
                  fraction)
             )
             prev_offload, prev_total = offload, total
@@ -293,41 +161,52 @@ class ExperimentRunner:
             queries=config.queries,
         )
         for client_id in range(config.n_clients):
-            host = Host(
-                self.sim,
-                f"client-{client_id}",
-                self.profile,
-                cores=config.client_cores,
-            )
+            name = f"client-{client_id}"
+            host = Host(self.sim, name, self.profile,
+                        cores=config.client_cores)
             stats = ClientStats()
-            session = self.factory.build(
-                client_id, self.stack, host, stats,
-                self.rngs.fork(f"client-{client_id}"),
-            )
-            rng = self.rngs.fork(f"client-{client_id}").stream("workload")
+            endpoint = self.deployment.endpoint(client_id, host, stats, name)
+            # The workload stream is the same for every deployment
+            # shape: the routed-vs-single oracle comparison depends on
+            # this line not diverging.
+            rng = self.rngs.fork(name).stream("workload")
             requests = workload_fn(client_id, rng)
-            driver = self.sim.process(
-                _client_driver(self.sim, session, requests, stats,
+            self._drivers.append(self.sim.process(
+                _client_driver(self.sim, endpoint, requests, stats,
                                injector=self.injector,
                                client_id=client_id,
                                batch_queries=config.batch_queries),
-                name=f"client-{client_id}",
-            )
-            self.client_stats.append(stats)
-            self.sessions.append(session)
-            self._drivers.append(driver)
+                name=name,
+            ))
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self) -> RunResult:
-        """Run until every client finished its request stream."""
-        done = all_of(self.sim, self._drivers)
-        self.sim.run_until_triggered(done)
-        return self._collect()
+    def drive(self, limit: float = float("inf")) -> None:
+        """Run until every client finished its request stream.
 
-    def _collect(self) -> RunResult:
-        config = self.config
-        elapsed = self.sim.now
+        Raises :class:`~repro.sim.kernel.SimulationError` if simulated
+        time passes ``limit`` first (the chaos scenarios turn a wedge
+        into a failed invariant that way).
+        """
+        try:
+            self.sim.run_until_triggered(
+                all_of(self.sim, self._drivers), limit=limit)
+        finally:
+            self.elapsed_s = self.sim.now
+
+    def run(self) -> RunResult:
+        """Drive to completion, settle background work, collect."""
+        self.drive()
+        self.deployment.settle()
+        return self.collect()
+
+    def _extra(self) -> dict:
+        """``RunResult.extra`` payload (excluded from fingerprints)."""
+        return {}
+
+    def collect(self) -> RunResult:
+        config, deployment = self.config, self.deployment
+        elapsed = self.elapsed_s
         merged = merge_client_stats(self.client_stats)
         total = int(merged.requests_sent)
         throughput_kops = (total / elapsed / 1e3) if elapsed > 0 else 0.0
@@ -342,7 +221,7 @@ class ExperimentRunner:
             LatencyView(merged.search_latency, scale=to_us, unit="us",
                         loop="closed"),
         )
-        result = RunResult(
+        return RunResult(
             scheme=config.scheme,
             fabric=config.fabric,
             n_clients=config.n_clients,
@@ -358,23 +237,17 @@ class ExperimentRunner:
                 if merged.search_latency.count
                 else float("nan")
             ),
-            server_cpu_utilization=self.server_host.cpu.utilization(),
-            server_bandwidth_gbps=self.network.server_bandwidth_gbps(),
-            server_bandwidth_utilization=(
-                self.network.server_bandwidth_gbps() * 1e9
-                / self.profile.bandwidth_bps
-            ),
+            server_cpu_utilization=deployment.mean_cpu_utilization(),
+            server_bandwidth_gbps=deployment.total_bandwidth_gbps(),
+            server_bandwidth_utilization=deployment.bandwidth_utilization(),
             offload_fraction=merged.offload_fraction,
             torn_retries=int(merged.torn_retries),
             search_restarts=int(merged.search_restarts),
-            heartbeats_sent=(
-                int(self.heartbeats.beats_sent) if self.heartbeats else 0
-            ),
-            heartbeats_dropped=(
-                int(self.heartbeats.beats_dropped) if self.heartbeats else 0
-            ),
-            searches_served_by_server=self.server.searches_served,
-            inserts_served=self.server.inserts_served,
+            heartbeats_sent=deployment.heartbeats_sent(),
+            heartbeats_dropped=deployment.heartbeats_dropped(),
+            searches_served_by_server=deployment.searches_served(),
+            inserts_served=deployment.inserts_served(),
+            extra=self._extra(),
             timeline=list(self._timeline),
             metrics=snapshot_document(
                 self.metrics,
@@ -383,6 +256,7 @@ class ExperimentRunner:
                     "scheme": config.scheme,
                     "fabric": config.fabric,
                     "n_clients": config.n_clients,
+                    "n_shards": deployment.n_shards,
                     "requests_per_client": config.requests_per_client,
                     "workload": config.workload_kind,
                     "seed": config.seed,
@@ -391,7 +265,16 @@ class ExperimentRunner:
                 },
             ),
         )
-        return result
+
+
+class ExperimentRunner(ClosedLoopRunner):
+    """One server, ``n_clients`` plain sessions against it."""
+
+    def __init__(self, config: ExperimentConfig):
+        super().__init__(config)
+        self.stack = self.deployment.stacks[0]
+        self.server = self.stack.server
+        self.sessions = self.deployment.endpoints
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -404,10 +287,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     if config.traffic is not None:
         # Open-loop traffic replaces the closed-loop client drivers
         # entirely; the traffic harness handles sharding itself.
-        from ..traffic.harness import run_traffic_experiment
-        return run_traffic_experiment(config)
+        from ..traffic.harness import run_traffic
+        return run_traffic(config).to_run_result()
     n_shards = config.n_shards or scheme_spec(config.scheme).shards
     if n_shards > 1:
-        from ..shard.deploy import run_sharded_experiment
-        return run_sharded_experiment(config)
+        from ..shard.deploy import ShardedExperimentRunner
+        return ShardedExperimentRunner(config).run()
     return ExperimentRunner(config).run()

@@ -1,0 +1,453 @@
+"""The one assembler: a simulated Catfish cluster, ready to be driven.
+
+A :class:`Deployment` is the only place (outside the chaos harness's
+hand-built ``faults.scenarios._Cluster`` and the B+tree/cuckoo
+``kv_builder``) where a simulator, RNG registry, metrics registry,
+tracer, dataset, partition / live shard map, fault injector, K >= 1
+:class:`~repro.runtime.stack.ServerStack` s and a
+:class:`~repro.runtime.factory.SessionFactory` are constructed.  The
+runners on top of it are *drivers*: the closed-loop
+:class:`~repro.cluster.builder.ClosedLoopRunner` (one synchronous
+process per client) and the open-loop
+:class:`~repro.traffic.harness.TrafficRunner` (aggregates -> mux ->
+shared endpoints).  They ask for endpoints, start the deployment, drive
+it, settle it and read its summaries; they build nothing themselves.
+
+Whether an endpoint is *plain* or *routed* is the runner's call, not a
+user option:
+
+* plain — one stack named ``server`` on the root RNG registry, and
+  :meth:`endpoint` returns a bare session against it;
+* routed — K stacks named ``shard{k}-server`` on ``rngs.shard(k)``, and
+  :meth:`endpoint` returns a
+  :class:`~repro.shard.router.ScatterGatherRouter` over one session per
+  stack (for any K >= 1: a K=1 router is the oracle case the shard
+  tests keep green).
+
+Determinism contract: the dataset, every RNG stream name
+(``scheduler`` / ``faults`` on the stack's registry, ``retry`` /
+``backoff`` / ``bandit`` on ``fork(salt)`` of it) and the start order
+(injector, heartbeats, rebalancer) are those of the pre-``Deployment``
+builders, so every golden fingerprint is unchanged.
+
+``repro.shard`` builds on the cluster layer (``shard.rebalance`` reads
+``cluster.config``), so its modules are imported where a routed
+deployment first needs them, not at module level.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
+from ..faults.injector import FaultInjector
+from ..faults.plan import ShardLoss
+from ..hw.host import Host
+from ..net.fabric import profile_by_name
+from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..rtree import batch as _scan_kernel
+from ..runtime.factory import SessionFactory
+from ..runtime.policy import (
+    FAST_MESSAGING,
+    OFFLOADING,
+    Algorithm1Policy,
+    BanditPolicy,
+)
+from ..runtime.stack import ServerStack
+from ..sim.kernel import Simulator
+from ..sim.rng import RngRegistry
+from ..workloads.datasets import uniform_dataset
+from .config import ExperimentConfig
+from .schemes import TRANSPORT_TCP, scheme_spec
+
+#: Algorithm 1 introspection counters aggregated cluster-wide.
+ADAPTIVE_AGGREGATE_FIELDS = (
+    "busy_observations", "backoff_extensions",
+    "heartbeats_consumed", "heartbeats_missing",
+    "decisions_offload", "decisions_fm",
+    "stale_resets", "offload_failovers",
+)
+
+
+class _ShardHeartbeatHook:
+    """Per-shard heartbeat suppression hook.
+
+    A lost shard's heartbeat must go silent (the machine is gone), while
+    global :class:`~repro.faults.plan.HeartbeatBlackout` windows keep
+    applying to every shard — this hook composes the two on behalf of one
+    shard's :class:`~repro.server.heartbeat.HeartbeatService`.
+    """
+
+    def __init__(self, sim: Simulator, shard_id: int,
+                 loss_windows, injector: FaultInjector):
+        self.sim = sim
+        self.shard_id = shard_id
+        self.loss_windows = [
+            w for w in loss_windows
+            if not w.shard_ids or shard_id in w.shard_ids
+        ]
+        self.injector = injector
+
+    def heartbeat_suppressed(self) -> bool:
+        now = self.sim.now
+        for window in self.loss_windows:
+            if window.active(now):
+                self.injector.beats_blacked_out += 1
+                return True
+        return self.injector.heartbeat_suppressed()
+
+
+def register_session_aggregates(metrics: MetricsRegistry,
+                                sessions) -> None:
+    """Sum per-session client counters into cluster-wide pull gauges.
+
+    ``sessions`` are the per-server leaf sessions (a router contributes
+    one per shard), so every scheme's client-side counters (offload
+    engine, node cache, Algorithm 1, bandit) land in the metrics
+    document under the same names regardless of deployment shape.
+    """
+    engines = [e for e in (getattr(s, "engine", None) for s in sessions)
+               if e is not None]
+    if engines:
+        for field in ("meta_reads", "stale_root_detections",
+                      "chunks_fetched"):
+            metrics.expose(
+                f"offload.{field}",
+                lambda f=field: sum(int(getattr(e, f)) for e in engines),
+            )
+    caches = [e.cache for e in engines
+              if getattr(e, "cache", None) is not None]
+    if caches:
+        for field in ("hits", "misses", "invalidations", "coalesced_reads",
+                      "stores", "evictions", "hint_flushes"):
+            metrics.expose(
+                f"cache.{field}",
+                lambda f=field: sum(int(getattr(c, f)) for c in caches),
+            )
+        metrics.expose("cache.resident_nodes",
+                       lambda: sum(len(c) for c in caches))
+    policies = [p for p in (getattr(s, "policy", None) for s in sessions)
+                if p is not None]
+    adaptive = [p for p in policies if type(p) is Algorithm1Policy]
+    if adaptive:
+        for field in ADAPTIVE_AGGREGATE_FIELDS:
+            metrics.expose(
+                f"adaptive.{field}",
+                lambda f=field: sum(int(getattr(p, f)) for p in adaptive),
+            )
+    bandits = [p for p in policies if type(p) is BanditPolicy]
+    if bandits:
+        for field in ("offload_failovers", "breaker_demotions",
+                      "explorations"):
+            metrics.expose(
+                f"bandit.{field}",
+                lambda f=field: sum(int(getattr(p, f)) for p in bandits),
+            )
+        metrics.expose(
+            "bandit.mode_fm",
+            lambda: sum(p.mode_counts[FAST_MESSAGING] for p in bandits),
+        )
+        metrics.expose(
+            "bandit.mode_offload",
+            lambda: sum(p.mode_counts[OFFLOADING] for p in bandits),
+        )
+
+
+class Deployment:
+    """Sim + stacks + injector + session factory for one config."""
+
+    def __init__(self, config: ExperimentConfig, routed: bool,
+                 record_results: bool = False):
+        self.config = config
+        self.routed = routed
+        self.spec = scheme_spec(config.scheme)
+        self.profile = profile_by_name(config.fabric)
+        if self.spec.transport != TRANSPORT_TCP and not self.profile.rdma:
+            raise ValueError(
+                f"scheme {config.scheme!r} needs an RDMA fabric, "
+                f"got {config.fabric!r}"
+            )
+        if routed and self.spec.transport == TRANSPORT_TCP:
+            raise ValueError(
+                f"scheme {config.scheme!r} is TCP-based; sharding needs an "
+                "RDMA scheme (fast-messaging rings per shard)"
+            )
+        self.n_shards = (config.n_shards or self.spec.shards) if routed else 1
+
+        self.sim = Simulator()
+        self.rngs = RngRegistry(config.seed)
+        self.metrics = MetricsRegistry()
+        self.tracer = (
+            Tracer(self.sim, max_events=config.trace_max_events,
+                   components=config.trace_components)
+            if config.trace else NULL_TRACER
+        )
+
+        # One dataset derivation for every shape: the union of the shard
+        # slices is bit-identical to the unsharded dataset, which is what
+        # makes the single tree a valid oracle for routed runs.
+        items = config.dataset
+        if items is None:
+            items = uniform_dataset(config.dataset_size, seed=config.seed)
+        #: Kept on a routed deployment only, where the oracle checks
+        #: rebuild the single tree from it; a plain deployment's items
+        #: live on in its one tree and the list is garbage after that.
+        self.dataset = items if routed else None
+
+        self.injector: Optional[FaultInjector] = None
+        if config.fault_plan:
+            self.injector = FaultInjector(
+                self.sim, config.fault_plan,
+                rng=self.rngs.stream("faults"),
+            )
+
+        self.partition = None
+        self.rebalance_cfg = None
+        #: Elastic shard plane (PR 10): when rebalancing is on, every
+        #: router shares ONE live epoch-versioned map that a
+        #: RebalanceController revises in the background; otherwise each
+        #: router keeps its own static copy (the PR 4 behaviour all
+        #: golden fingerprints are pinned on).
+        self.live_map = None
+        self.rebalancer = None
+        self.rebalance_stats = None
+        if routed:
+            from ..shard.partition import partition_str
+            self.partition = partition_str(items, self.n_shards)
+            rb = config.rebalance
+            if rb is not None and rb.enabled:
+                self.rebalance_cfg = rb
+                self.live_map = self.partition.shard_map.copy()
+            # All shard-side randomness comes from ``rngs.shard(k)`` — a
+            # function of (seed, shard id) only — so changing the shard
+            # count never perturbs another shard's streams.
+            self.stacks: List[ServerStack] = [
+                ServerStack(
+                    self.sim, self.profile, self.spec, config,
+                    self.rngs.shard(shard_id), list(slice_items),
+                    name=f"shard{shard_id}-server",
+                )
+                for shard_id, slice_items
+                in enumerate(self.partition.assignments)
+            ]
+        else:
+            self.stacks = [ServerStack(
+                self.sim, self.profile, self.spec, config, self.rngs, items,
+            )]
+        if self.injector is not None:
+            loss_windows = config.fault_plan.of_type(ShardLoss)
+            for shard_id, stack in enumerate(self.stacks):
+                stack.attach_injector(
+                    self.injector,
+                    heartbeat_hook=_ShardHeartbeatHook(
+                        self.sim, shard_id, loss_windows, self.injector,
+                    ) if routed else None,
+                )
+
+        self.factory = SessionFactory(
+            self.sim, self.spec, config, self.tracer,
+        )
+        self._record_results = record_results
+        #: One entry per :meth:`endpoint` call, in call order.
+        self.endpoints: List = []
+        self.client_stats: List[ClientStats] = []
+
+    # -- endpoints ---------------------------------------------------------
+
+    def endpoint(self, index: int, host: Host, stats: ClientStats,
+                 salt: str):
+        """What one driver issues requests through.
+
+        Plain: a session against the one stack, drawing from
+        ``rngs.fork(salt)``.  Routed: a scatter-gather router over one
+        session per stack, each drawing from ``rngs.shard(k).fork(salt)``
+        — shard-derived, so adding shards never perturbs the retry /
+        back-off draws against existing shards.  Sessions are
+        per-*stack*, so they survive every shard-map revision: the map
+        decides which of them a query visits, tile reassignments never
+        rebuild a session.
+        """
+        if self.routed:
+            from ..shard.partition import ShardMap
+            from ..shard.router import ScatterGatherRouter
+            sessions = [
+                self.factory.build(index, stack, host, stats,
+                                   self.rngs.shard(k).fork(salt))
+                for k, stack in enumerate(self.stacks)
+            ]
+            # Static plane: each router gets its own map copy —
+            # note_insert is client-local routing state, like a real
+            # client cache.  Under rebalancing every router shares the
+            # ONE live map and routes reads across epoch cuts
+            # (re-scatter + dedup = exactly-once).
+            shard_map = (
+                self.live_map if self.live_map is not None
+                else ShardMap(list(self.partition.shard_map))
+            )
+            endpoint = ScatterGatherRouter(
+                self.sim, shard_map, sessions, stats,
+                breaker_params=self.config.breaker,
+                record=self._record_results,
+                epoch_aware=self.live_map is not None,
+            )
+        else:
+            endpoint = self.factory.build(
+                index, self.stacks[0], host, stats, self.rngs.fork(salt),
+            )
+        self.endpoints.append(endpoint)
+        self.client_stats.append(stats)
+        return endpoint
+
+    def leaf_sessions(self) -> List:
+        """Every per-server session, through the routers if routed."""
+        if self.routed:
+            return [s for router in self.endpoints for s in router.sessions]
+        return list(self.endpoints)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> None:
+        """Start the background machinery, once every endpoint exists.
+
+        Order is part of the determinism contract: injector (so
+        WorkerCrash faults see every connection; storm targets
+        re-resolve the roots per window so splits are tolerated), then
+        heartbeats (after the clients subscribed), then the rebalancer.
+        """
+        if self.injector is not None:
+            self.injector.start(
+                fm_server=None if self.routed else self.stacks[0].fm_server,
+                storm_targets=lambda: [s.server.tree.root
+                                       for s in self.stacks],
+                shard_fm_servers=([s.fm_server for s in self.stacks]
+                                  if self.routed else None),
+            )
+        for stack in self.stacks:
+            stack.start_heartbeats()
+        if self.rebalance_cfg is not None:
+            from ..shard.rebalance import RebalanceController
+            self.rebalancer = RebalanceController(
+                self.sim, self.live_map, self.stacks, self.rebalance_cfg,
+            )
+            self.rebalance_stats = self.rebalancer.stats
+            self.rebalancer.start()
+
+    def settle(self) -> None:
+        """Let an in-flight migration finish after the drivers are done.
+
+        Foreground accounting is the driver's and is frozen before this
+        is called; this only runs the controller's remaining
+        copy/drain/delete work so no run ends with an item transiently
+        on two shards (the conservation checks depend on that).  A
+        deployment without a rebalancer has nothing to settle.
+        """
+        if self.rebalancer is None:
+            return
+        self.rebalancer.stop()
+        step = max(self.rebalance_cfg.interval, self.rebalance_cfg.drain_s)
+        for _ in range(10_000):
+            if not self.rebalancer.active_migrations:
+                return
+            self.sim.run(until=self.sim.now + step)
+        raise RuntimeError("rebalancer failed to settle")
+
+    # -- cluster-wide summaries --------------------------------------------
+
+    def mean_cpu_utilization(self) -> float:
+        return (sum(s.host.cpu.utilization() for s in self.stacks)
+                / len(self.stacks))
+
+    def window_cpu_utilization(self) -> float:
+        """Mean CPU utilization over the current heartbeat window."""
+        return (sum(s.host.cpu.tracker.window_utilization(reset=False)
+                    for s in self.stacks) / len(self.stacks))
+
+    def total_bandwidth_gbps(self) -> float:
+        return sum(s.network.server_bandwidth_gbps() for s in self.stacks)
+
+    def bandwidth_utilization(self) -> float:
+        return (self.total_bandwidth_gbps() * 1e9
+                / (self.profile.bandwidth_bps * len(self.stacks)))
+
+    def searches_served(self) -> int:
+        return sum(int(s.server.searches_served) for s in self.stacks)
+
+    def inserts_served(self) -> int:
+        return sum(int(s.server.inserts_served) for s in self.stacks)
+
+    def heartbeats_sent(self) -> int:
+        return sum(int(s.heartbeats.beats_sent) for s in self.stacks
+                   if s.heartbeats is not None)
+
+    def heartbeats_dropped(self) -> int:
+        return sum(int(s.heartbeats.beats_dropped) for s in self.stacks
+                   if s.heartbeats is not None)
+
+    def requests_shed(self) -> int:
+        """Requests the servers' overload guards dropped."""
+        return sum(int(s.fm_server.requests_shed) for s in self.stacks
+                   if s.fm_server is not None)
+
+    def initial_occupancy(self) -> List[int]:
+        """Items per shard at partition time (before any routed write)."""
+        return [len(slice_items)
+                for slice_items in self.partition.assignments]
+
+    def shard_occupancy(self) -> List[int]:
+        """Items per stack right now (exact leaf walk per stack)."""
+        return [stack.items_held() for stack in self.stacks]
+
+    # -- metrics -----------------------------------------------------------
+
+    def register_metrics(self) -> None:
+        """Hook every component into the metrics registry (after
+        :meth:`start`, so the rebalancer's counters exist).
+
+        Server-side objects register their own counters; client-side
+        counters are per-endpoint, so they are aggregated into pull
+        gauges summed over all endpoints.  Every name is the same for a
+        closed-loop and an open-loop run of the same config.
+        """
+        m = self.metrics
+        if self.routed:
+            m.expose("shard.n_shards", lambda: self.n_shards)
+            for shard_id, stack in enumerate(self.stacks):
+                stack.register_metrics(m, label=f"shard{shard_id}")
+            # Cluster-wide aggregates keep the single-server names, so
+            # dashboards and the compare harness read both layouts.
+            m.expose("server.searches_served", self.searches_served)
+            m.expose("server.inserts_served", self.inserts_served)
+            m.expose("server.cpu_utilization", self.mean_cpu_utilization)
+            m.expose("net.server_bandwidth_gbps", self.total_bandwidth_gbps)
+            router_stats = [r.router_stats for r in self.endpoints]
+            fields = (router_stats[0].FIELDS
+                      + router_stats[0].REBALANCE_FIELDS)
+            for field in fields:
+                m.expose(
+                    f"router.{field}",
+                    lambda f=field: sum(int(getattr(r, f))
+                                        for r in router_stats),
+                )
+            if self.rebalance_stats is not None:
+                self.rebalance_stats.register_into(m)
+                m.expose("shard.map_epoch", lambda: self.live_map.epoch)
+                m.expose("shard.tiles", lambda: len(self.live_map.tiles))
+        else:
+            self.stacks[0].register_metrics(m)
+        if self.injector is not None:
+            self.injector.register_metrics(m)
+
+        # Which scan kernel the whole run (server trees + offload views)
+        # is using: 1 = numpy broadcasts, 0 = the pure-Python fallback.
+        m.expose(
+            "rtree.scan_kernel_numpy",
+            lambda: 1 if _scan_kernel.kernel_name() == "numpy" else 0,
+        )
+
+        stats_list = self.client_stats
+        for field in CLIENT_COUNTER_FIELDS:
+            m.expose(
+                f"client.{field}",
+                lambda f=field: sum(int(getattr(s, f)) for s in stats_list),
+            )
+        register_session_aggregates(m, self.leaf_sessions())

@@ -280,8 +280,8 @@ class _CuckooBandit:
     """Latency bandit over cuckoo GETs."""
 
     def __init__(self, sim, fm, engine, stats, rng=None):
-        from ..client.bandit import BanditSession
-        self._bandit = BanditSession(sim, fm, engine, stats, rng=rng)
+        from ..runtime.policy import BanditPolicy
+        self._bandit = BanditPolicy(rng=rng)
         self.sim = sim
         self.fm = fm
         self.engine = engine

@@ -32,6 +32,7 @@ the same seed — that property is itself under test (``repro chaos`` and
 from __future__ import annotations
 
 import hashlib
+import importlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -142,7 +143,10 @@ class ChaosScenario:
 
     name: str
     summary: str
-    build_plan: Callable[[ChaosConfig], FaultPlan]
+    #: The injector's plan on the single-server ``_Cluster``; None for a
+    #: scenario with its own ``runner`` (which plans its own faults, or
+    #: whose workload *is* the fault).
+    build_plan: Optional[Callable[[ChaosConfig], FaultPlan]] = None
     #: ChaosConfig overrides this scenario needs, as (field, value).
     tweaks: Tuple[Tuple[str, object], ...] = ()
     #: Injection counters (keys of ``_FIRED_COUNTERS``) that must be > 0.
@@ -200,50 +204,15 @@ def _slow_client_plan(cfg: ChaosConfig) -> FaultPlan:
     ))
 
 
-def _shard_loss_plan(cfg: ChaosConfig) -> FaultPlan:
-    from ..shard.chaos import shard_loss_plan
-    return shard_loss_plan(cfg)
-
-
-def _shard_loss_runner(cfg: ChaosConfig) -> "ScenarioReport":
-    # Imported lazily: repro.shard builds on the cluster layer, which
-    # imports repro.faults — a module-level import would be a cycle.
-    from ..shard.chaos import run_shard_loss
-    return run_shard_loss(cfg)
-
-
-def _rebalance_fault_plan(cfg: ChaosConfig) -> FaultPlan:
-    from ..shard.chaos import rebalance_fault_plan
-    return rebalance_fault_plan(cfg)
-
-
-def _rebalance_under_fault_runner(cfg: ChaosConfig) -> "ScenarioReport":
-    # Lazy import for the same cycle reason as the shard-loss runner.
-    from ..shard.chaos import run_rebalance_under_fault
-    return run_rebalance_under_fault(cfg)
-
-
-def _racing_writes_plan(cfg: ChaosConfig) -> FaultPlan:
-    # The workload races the migration windows; no injector faults.
-    return FaultPlan(())
-
-
-def _racing_writes_runner(cfg: ChaosConfig) -> "ScenarioReport":
-    from ..shard.chaos import run_migration_racing_writes
-    return run_migration_racing_writes(cfg)
-
-
-def _flash_crowd_plan(cfg: ChaosConfig) -> FaultPlan:
-    # The workload *is* the fault: the arrival rate spikes inside the
-    # fault window.  No injector faults are planned.
-    return FaultPlan(())
-
-
-def _flash_crowd_runner(cfg: ChaosConfig) -> "ScenarioReport":
-    # Lazy for the same reason as the shard runner: the traffic harness
-    # builds on the cluster layer, which imports repro.faults.
-    from ..traffic.chaos import run_flash_crowd
-    return run_flash_crowd(cfg)
+def _deferred(module: str, name: str) -> Callable[[ChaosConfig],
+                                                    "ScenarioReport"]:
+    """A custom harness imported on first use: ``repro.shard`` and
+    ``repro.traffic`` build on the cluster layer, which imports
+    ``repro.faults`` — a module-level import here would be a cycle."""
+    def run(cfg: ChaosConfig) -> "ScenarioReport":
+        runner = getattr(importlib.import_module(module, __package__), name)
+        return runner(cfg)
+    return run
 
 
 def _combo_plan(cfg: ChaosConfig) -> FaultPlan:
@@ -314,7 +283,6 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "shard-loss",
             "one shard of a 4-shard cluster fail-stops; router degrades "
             "to partial results",
-            _shard_loss_plan,
             # The total retry budget (attempts x per-attempt deadline)
             # must exhaust *inside* the outage, or every request to the
             # dead shard blocks until the restart drain answers it and
@@ -323,13 +291,12 @@ SCENARIOS: Dict[str, ChaosScenario] = {
                 ("retry", RetryPolicy(deadline_s=0.15e-3, max_attempts=2,
                                       backoff_base_s=20e-6)),
             ),
-            runner=_shard_loss_runner,
+            runner=_deferred("..shard.chaos", "run_shard_loss"),
         ),
         ChaosScenario(
             "flash-crowd",
             "open-loop arrival spike; mux watermark and the server "
             "overload guard shed, then recover",
-            _flash_crowd_plan,
             # A per-attempt deadline a saturated session blows (service
             # rounds across the mux's contended sessions exceed it)
             # while an uncontended base-rate request never does — that
@@ -348,21 +315,19 @@ SCENARIOS: Dict[str, ChaosScenario] = {
                 ("dataset_size", 1000),
                 ("max_entries", 64),
             ),
-            runner=_flash_crowd_runner,
+            runner=_deferred("..traffic.chaos", "run_flash_crowd"),
         ),
         ChaosScenario(
             "rebalance-under-fault",
             "skewed reads drive tile splits + live migration on a lossy "
             "link; the epoch-cut protocol must stay exactly-once",
-            _rebalance_fault_plan,
-            runner=_rebalance_under_fault_runner,
+            runner=_deferred("..shard.chaos", "run_rebalance_under_fault"),
         ),
         ChaosScenario(
             "migration-racing-writes",
             "hybrid writes race live migration windows; conservation "
             "(no lost or duplicated item) must hold after settling",
-            _racing_writes_plan,
-            runner=_racing_writes_runner,
+            runner=_deferred("..shard.chaos", "run_migration_racing_writes"),
         ),
         ChaosScenario(
             "chaos-combo",
@@ -479,7 +444,7 @@ _FIRED_COUNTERS: Dict[str, Callable[[_Cluster], int]] = {
     "requests-shed": lambda c: int(c.fm_server.requests_shed),
     "breaker-trips": lambda c: sum(int(b.trips) for b in c.breakers),
     "failovers": lambda c: sum(
-        int(s.offload_failovers) for s in c.sessions
+        int(s.policy.offload_failovers) for s in c.sessions
     ),
     "duplicates-suppressed": lambda c: sum(
         int(s.duplicates_suppressed) for s in c.stats
@@ -543,15 +508,100 @@ class ScenarioReport:
         return lines
 
 
+# -- the scaffold every scenario runner shares --------------------------------
+#
+# The single-server harness below and the deployment-driven scenarios in
+# ``repro.shard.chaos`` / ``repro.traffic.chaos`` all run to a limit,
+# sum the same client counters, judge recovery the same way and digest
+# their records the same way; only the records and invariants differ.
+
+def run_to_limit(sim: Simulator, drive: Callable[[float], object],
+                 cfg: ChaosConfig) -> bool:
+    """``drive(limit)`` up to the scenario's time ceiling, then let the
+    grace period drain late/suppressed segments.  False when the drivers
+    were still running at the ceiling (a wedge fails, it does not hang).
+    """
+    finished = True
+    try:
+        drive(cfg.time_limit)
+    except SimulationError:
+        finished = False
+    sim.run(until=sim.now + cfg.grace_s)
+    return finished
+
+
+def client_totals(stats_list) -> Dict[str, int]:
+    """The client-side totals of a :class:`ScenarioReport`, summed over
+    every endpoint's :class:`~repro.client.base.ClientStats`."""
+    return {
+        "retries": sum(int(s.request_retries) for s in stats_list),
+        "duplicates_suppressed": sum(
+            int(s.duplicates_suppressed) for s in stats_list
+        ),
+        "unexpected_messages": sum(
+            int(s.unexpected_messages) for s in stats_list
+        ),
+    }
+
+
+def completion_rates(done_times: List[float], fault_start: float,
+                     recovered_at: float) -> Tuple[float, float]:
+    """Completions per second before ``fault_start`` and from
+    ``recovered_at`` to the last completion (0.0 without a sample)."""
+    times = sorted(done_times)
+    pre = [t for t in times if t < fault_start]
+    post = [t for t in times if t >= recovered_at]
+    pre_rate = len(pre) / fault_start if pre else 0.0
+    post_span = (times[-1] - recovered_at) if post else 0.0
+    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
+    return pre_rate, post_rate
+
+
+def finished_check(finished: bool, now: float,
+                   limit: float) -> Tuple[str, bool, str]:
+    return (
+        "finished-in-time", finished,
+        f"drivers {'finished' if finished else 'still running'} at "
+        f"t={now * 1e3:.3f}ms (limit {limit * 1e3:.0f}ms)",
+    )
+
+
+def recovery_check(cfg: ChaosConfig, pre_rate: float, post_rate: float,
+                   vacuous_ok: bool = True) -> Tuple[str, bool, str]:
+    """``post_rate >= recovery_floor * pre_rate``.  Without a sample on
+    both sides the check is vacuous: that passes for an injected fault
+    (the run may simply be shorter than the window) but not where the
+    workload itself is the fault and both phases must have been seen.
+    """
+    if pre_rate > 0.0 and post_rate > 0.0:
+        recovered = post_rate >= cfg.recovery_floor * pre_rate
+        detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
+                  f"{pre_rate / 1e3:.0f} kops "
+                  f"(floor {cfg.recovery_floor:.0%})")
+    else:
+        recovered = vacuous_ok
+        detail = "vacuous (no pre- or post-fault sample)"
+    return ("throughput-recovered", recovered, detail)
+
+
+def record_fingerprint(header: str, lines, counters) -> str:
+    """The replay digest: a header, one line per record (in the
+    caller's canonical order), then ``(name, value)`` counter pairs."""
+    digest = hashlib.sha256()
+    digest.update(f"{header}\n".encode())
+    for line in lines:
+        digest.update(f"{line}\n".encode())
+    for key, value in counters:
+        digest.update(f"{key}={value}\n".encode())
+    return digest.hexdigest()[:16]
+
+
 def _invariants(cfg: ChaosConfig, scenario: ChaosScenario,
                 report: ScenarioReport, finished: bool,
                 cluster: _Cluster) -> List[Tuple[str, bool, str]]:
-    checks: List[Tuple[str, bool, str]] = []
-    checks.append((
-        "finished-in-time", finished,
-        f"drivers {'finished' if finished else 'still running'} at "
-        f"t={report.end_time * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)",
-    ))
+    checks: List[Tuple[str, bool, str]] = [
+        finished_check(finished, report.end_time, cfg.time_limit),
+    ]
     checks.append((
         "completed", report.completed == report.issued,
         f"{report.completed}/{report.issued} requests "
@@ -572,14 +622,7 @@ def _invariants(cfg: ChaosConfig, scenario: ChaosScenario,
         "bounded-retries", report.retries <= retry_budget,
         f"{report.retries} retries <= budget {retry_budget}",
     ))
-    if report.pre_rate > 0.0 and report.post_rate > 0.0:
-        recovered = report.post_rate >= cfg.recovery_floor * report.pre_rate
-        detail = (f"post {report.post_rate / 1e3:.0f} kops vs pre "
-                  f"{report.pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = True, "vacuous (no pre- or post-fault sample)"
-    checks.append(("throughput-recovered", recovered, detail))
+    checks.append(recovery_check(cfg, report.pre_rate, report.post_rate))
     for key in scenario.fired_checks:
         value = _FIRED_COUNTERS[key](cluster)
         checks.append((
@@ -636,13 +679,12 @@ def run_scenario(name: str, seed: int = 0,
 
     drivers = [sim.process(driver(i), name=f"chaos-driver-{i}")
                for i in range(cfg.n_clients)]
-    finished = True
-    try:
-        sim.run_until_triggered(all_of(sim, drivers),
-                                limit=cfg.time_limit)
-    except SimulationError:
-        finished = False
-    sim.run(until=sim.now + cfg.grace_s)
+    finished = run_to_limit(
+        sim,
+        lambda limit: sim.run_until_triggered(all_of(sim, drivers),
+                                              limit=limit),
+        cfg,
+    )
 
     # The workload is read-only (and write storms only toggle versions),
     # so the tree is still the ground truth for every query.
@@ -655,12 +697,9 @@ def run_scenario(name: str, seed: int = 0,
         if ids != expected:
             mismatches += 1
 
-    times = sorted(t for _c, _i, t, _ids in records)
-    pre = [t for t in times if t < cfg.fault_start]
-    post = [t for t in times if t >= cfg.fault_end]
-    pre_rate = len(pre) / cfg.fault_start if pre else 0.0
-    post_span = (times[-1] - cfg.fault_end) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
+    pre_rate, post_rate = completion_rates(
+        [t for _c, _i, t, _ids in records], cfg.fault_start, cfg.fault_end,
+    )
 
     timeouts = sum(1 for _c, _i, kind in errors if kind == "timeout")
     report = ScenarioReport(
@@ -671,32 +710,22 @@ def run_scenario(name: str, seed: int = 0,
         timeouts=timeouts,
         offload_errors=len(errors) - timeouts,
         mismatches=mismatches,
-        retries=sum(int(s.request_retries) for s in cluster.stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in cluster.stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in cluster.stats
-        ),
         pre_rate=pre_rate,
         post_rate=post_rate,
         end_time=sim.now,
         counters={key: reader(cluster)
                   for key, reader in _FIRED_COUNTERS.items()},
+        **client_totals(cluster.stats),
     )
     report.invariants = _invariants(cfg, scenario, report, finished,
                                     cluster)
 
-    digest = hashlib.sha256()
-    digest.update(f"{name}:{cfg.seed}\n".encode())
-    for client_id, index, t, ids in sorted(records):
-        digest.update(
-            f"{client_id},{index},{t:.15e},{len(ids)},"
-            f"{sum(ids)}\n".encode()
-        )
-    for client_id, index, kind in sorted(errors):
-        digest.update(f"err,{client_id},{index},{kind}\n".encode())
-    for key, value in report.counters.items():
-        digest.update(f"{key}={value}\n".encode())
-    report._fingerprint = digest.hexdigest()[:16]
+    report._fingerprint = record_fingerprint(
+        f"{name}:{cfg.seed}",
+        [f"{client_id},{index},{t:.15e},{len(ids)},{sum(ids)}"
+         for client_id, index, t, ids in sorted(records)]
+        + [f"err,{client_id},{index},{kind}"
+           for client_id, index, kind in sorted(errors)],
+        report.counters.items(),
+    )
     return report

@@ -6,8 +6,8 @@ client-side assembly (connection, retrying FM session, heartbeat
 subscription, offload engine, scheme dispatch) — and drifted: the bandit
 scheme never gained tracer/breaker support and raised "not supported
 sharded".  :class:`SessionFactory` is now the only place a session is
-built; the cluster builder, the sharded deployer and the scatter-gather
-router all consume it.
+built; :class:`~repro.cluster.deployment.Deployment` owns the one
+instance and calls it once per plain endpoint, K times per routed one.
 
 Determinism contract: the factory draws from exactly the stream names the
 old builders used — ``retry`` / ``backoff`` / ``bandit`` on the caller's
@@ -133,26 +133,3 @@ class SessionFactory:
                 breaker=self._breaker(),
             )
         raise ValueError(f"unknown path policy {policy!r}")
-
-    def build_shard_sessions(
-        self,
-        client_id: int,
-        stacks,
-        host: Host,
-        stats: ClientStats,
-        rng_for_shard,
-    ) -> list:
-        """One session per shard stack for a scatter-gather client.
-
-        ``rng_for_shard(k)`` must return the client's registry against
-        shard ``k`` (``rngs.shard(k).fork(f"client-{i}")`` in the
-        deployers) — shard-derived, so adding shards never perturbs the
-        retry/back-off draws against existing shards.  Sessions are
-        per-*stack*, so they survive every shard-map revision: the map
-        decides which of them a query visits, tile reassignments never
-        rebuild a session.
-        """
-        return [
-            self.build(client_id, stack, host, stats, rng_for_shard(k))
-            for k, stack in enumerate(stacks)
-        ]

@@ -4,16 +4,16 @@ A :class:`ServerStack` assembles everything one Catfish server needs —
 host + scheduler, star network, R*-tree over its data slice, the
 transport front-end (TCP server or fast-messaging worker pool per the
 scheme), the heartbeat service and the overload guard — exactly once.
-:class:`~repro.cluster.builder.ExperimentRunner` builds one;
-:class:`~repro.shard.deploy.ShardedExperimentRunner` builds K.  Before
-this layer existed the two runners duplicated the whole construction
-(and drifted); RDMAvisor's argument for a single service layer hiding
-RDMA deployment detail is exactly this class.
+:class:`~repro.cluster.deployment.Deployment` builds one for a plain
+deployment and K for a routed one.  Before this layer existed the
+runners duplicated the whole construction (and drifted); RDMAvisor's
+argument for a single service layer hiding RDMA deployment detail is
+exactly this class.
 
 Determinism contract: all stochastic construction (the scheduler noise)
-draws from the *caller's* registry — the single-server runner passes its
-root registry, the sharded runner passes ``rngs.shard(k)`` — so stream
-names and draw order are unchanged from the pre-refactor builders.
+draws from the *caller's* registry — a plain deployment passes its root
+registry, a routed one passes ``rngs.shard(k)`` — so stream names and
+draw order are unchanged from the pre-refactor builders.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .router import (
     ScatterGatherRouter,
     merge_search_replies,
 )
-from .deploy import ShardedExperimentRunner, run_sharded_experiment
+from .deploy import ShardedExperimentRunner
 
 __all__ = [
     "OFFLOAD_ERROR",
@@ -47,6 +47,5 @@ __all__ = [
     "TileEntry",
     "merge_search_replies",
     "partition_str",
-    "run_sharded_experiment",
     "tile_contains",
 ]

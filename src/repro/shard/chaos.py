@@ -30,16 +30,23 @@ Two further scenarios stress the *elastic* plane (PR 10):
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..client.base import OP_INSERT, READ_OPS
 from ..cluster.config import ExperimentConfig, RebalanceConfig
 from ..faults.plan import BOTH, FaultPlan, LinkFault, ShardLoss
-from ..faults.scenarios import ChaosConfig, ScenarioReport
+from ..faults.scenarios import (
+    ChaosConfig,
+    ScenarioReport,
+    client_totals,
+    completion_rates,
+    finished_check,
+    record_fingerprint,
+    recovery_check,
+    run_to_limit,
+)
 from ..rtree.bulk import bulk_load
-from ..sim.kernel import SimulationError, all_of
 from .deploy import ShardedExperimentRunner
 from .rebalance import RebalanceStats
 from .router import RouterStats
@@ -48,180 +55,6 @@ from .verify import result_consistent, result_consistent_rebalance
 #: The scenario's fixed topology: 4 shards, shard 1 lost for the window.
 N_SHARDS = 4
 LOST_SHARDS = (1,)
-
-
-def shard_loss_plan(cfg: ChaosConfig) -> FaultPlan:
-    return FaultPlan((
-        ShardLoss(cfg.fault_start, cfg.fault_end, shard_ids=LOST_SHARDS),
-    ))
-
-
-def _experiment_config(cfg: ChaosConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheme="catfish-sharded",
-        fabric="ib-100g",
-        n_clients=cfg.n_clients,
-        requests_per_client=cfg.requests_per_client,
-        workload_kind="mixed",
-        scale=str(cfg.query_scale),
-        dataset_size=cfg.dataset_size,
-        max_entries=cfg.max_entries,
-        server_cores=cfg.server_cores,
-        adaptive=cfg.adaptive,
-        heartbeat_interval=cfg.heartbeat_interval,
-        seed=cfg.seed,
-        fault_plan=shard_loss_plan(cfg),
-        retry=cfg.retry,
-        breaker=cfg.breaker,
-        stale_after_missing=cfg.stale_after_missing,
-        max_queue_depth=cfg.max_queue_depth,
-        n_shards=N_SHARDS,
-    )
-
-
-def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
-    """Run the scenario under ``cfg``; returns its report (failures are
-    data, like every other chaos scenario)."""
-    runner = ShardedExperimentRunner(_experiment_config(cfg),
-                                     record_results=True)
-    sim = runner.sim
-    finished = True
-    try:
-        sim.run_until_triggered(all_of(sim, runner._drivers),
-                                limit=cfg.time_limit)
-    except SimulationError:
-        finished = False
-    sim.run(until=sim.now + cfg.grace_s)
-
-    # Read-only workload: both the single bulk-loaded tree and the
-    # per-shard trees are pure ground truth for every query.
-    global_tree = bulk_load(runner.dataset, max_entries=cfg.max_entries)
-
-    records: List[Tuple[int, int, float, str, bool]] = []
-    complete_mismatches = 0
-    degraded_mismatches = 0
-    degraded_total = 0
-    degraded_in_window = 0
-    duplicates_dropped = 0
-    for client_id, router in enumerate(runner.routers):
-        for index, request, result, t in router.log:
-            duplicates_dropped += result.duplicates_dropped
-            if not result.complete:
-                degraded_total += 1
-                if cfg.fault_start <= t < cfg.fault_end + cfg.grace_s:
-                    degraded_in_window += 1
-            if not result_consistent(runner, global_tree, request, result):
-                if result.complete:
-                    complete_mismatches += 1
-                else:
-                    degraded_mismatches += 1
-            records.append((client_id, index, t,
-                            request.op, result.complete))
-
-    issued = cfg.total_requests
-    completed = len(records)
-    times = sorted(t for _c, _i, t, _op, _ok in records)
-    pre = [t for t in times if t < cfg.fault_start]
-    post = [t for t in times if t >= cfg.fault_end]
-    pre_rate = len(pre) / cfg.fault_start if pre else 0.0
-    post_span = (times[-1] - cfg.fault_end) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
-
-    def _router_sum(field: str) -> int:
-        return sum(int(getattr(r, field)) for r in runner.router_stats)
-
-    counters: Dict[str, int] = {
-        "shards-lost": int(runner.injector.shards_lost),
-        "shards-restored": int(runner.injector.shards_restored),
-        "workers-crashed": int(runner.injector.workers_crashed),
-        "workers-restarted": int(runner.injector.workers_restarted),
-        "beats-blacked-out": int(runner.injector.beats_blacked_out),
-    }
-    for field in RouterStats.FIELDS:
-        counters[field.replace("_", "-")] = _router_sum(field)
-
-    report = ScenarioReport(
-        name="shard-loss",
-        seed=cfg.seed,
-        issued=issued,
-        completed=completed,
-        timeouts=_router_sum("shard_timeouts"),
-        offload_errors=_router_sum("shard_offload_errors"),
-        mismatches=complete_mismatches + degraded_mismatches,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
-        pre_rate=pre_rate,
-        post_rate=post_rate,
-        end_time=sim.now,
-        counters=counters,
-    )
-
-    checks: List[Tuple[str, bool, str]] = []
-    checks.append((
-        "finished-in-time", finished,
-        f"drivers {'finished' if finished else 'still running'} at "
-        f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)",
-    ))
-    checks.append((
-        "completed", completed == issued,
-        f"{completed}/{issued} requests returned a PartialResult "
-        f"({degraded_total} degraded)",
-    ))
-    checks.append((
-        "complete-results-exact", complete_mismatches == 0,
-        f"{complete_mismatches} complete results disagreed with the "
-        f"single-tree oracle",
-    ))
-    checks.append((
-        "degraded-results-correct", degraded_mismatches == 0,
-        f"{degraded_mismatches} of {degraded_total} degraded results "
-        f"disagreed with their surviving shards' oracle",
-    ))
-    checks.append((
-        "exactly-once",
-        duplicates_dropped == 0 and report.unexpected_messages == 0,
-        f"{duplicates_dropped} duplicate ids reached the merge, "
-        f"{report.unexpected_messages} unattributable messages "
-        f"({report.duplicates_suppressed} late answers suppressed)",
-    ))
-    checks.append((
-        "partials-observed", degraded_in_window > 0,
-        f"{degraded_in_window} degraded results during the outage "
-        f"(loss must be client-visible, not silently absorbed)",
-    ))
-    if pre_rate > 0.0 and post_rate > 0.0:
-        recovered = post_rate >= cfg.recovery_floor * pre_rate
-        detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
-                  f"{pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = True, "vacuous (no pre- or post-fault sample)"
-    checks.append(("throughput-recovered", recovered, detail))
-    for key in ("shards-lost", "shards-restored", "workers-crashed"):
-        checks.append((
-            f"fault-fired:{key}", counters[key] > 0,
-            f"counter = {counters[key]}",
-        ))
-    report.invariants = checks
-
-    digest = hashlib.sha256()
-    digest.update(f"shard-loss:{cfg.seed}:{N_SHARDS}\n".encode())
-    for client_id, index, t, op, complete in sorted(records):
-        digest.update(
-            f"{client_id},{index},{t:.15e},{op},{int(complete)}\n".encode()
-        )
-    for key in sorted(counters):
-        digest.update(f"{key}={counters[key]}\n".encode())
-    report._fingerprint = digest.hexdigest()[:16]
-    return report
-
-
-# -- the elastic-plane scenarios ---------------------------------------------
 
 #: Aggressive controller tuning shared by both rebalance scenarios: the
 #: chaos runs are short (a few ms simulated), so the controller must
@@ -234,6 +67,16 @@ REBALANCE_TUNING = RebalanceConfig(
     drain_s=0.05e-3,
 )
 
+#: One fingerprintable record per routed request:
+#: (client id, request index, finish time, op, complete?).
+Record = Tuple[int, int, float, str, bool]
+
+
+def shard_loss_plan(cfg: ChaosConfig) -> FaultPlan:
+    return FaultPlan((
+        ShardLoss(cfg.fault_start, cfg.fault_end, shard_ids=LOST_SHARDS),
+    ))
+
 
 def rebalance_fault_plan(cfg: ChaosConfig) -> FaultPlan:
     return FaultPlan((
@@ -242,8 +85,10 @@ def rebalance_fault_plan(cfg: ChaosConfig) -> FaultPlan:
     ))
 
 
-def _rebalance_experiment_config(cfg: ChaosConfig, workload: str,
-                                 fault_plan) -> ExperimentConfig:
+def _experiment_config(cfg: ChaosConfig, workload: str,
+                       fault_plan: Optional[FaultPlan],
+                       rebalance: Optional[RebalanceConfig] = None,
+                       ) -> ExperimentConfig:
     return ExperimentConfig(
         scheme="catfish-sharded",
         fabric="ib-100g",
@@ -263,48 +108,47 @@ def _rebalance_experiment_config(cfg: ChaosConfig, workload: str,
         stale_after_missing=cfg.stale_after_missing,
         max_queue_depth=cfg.max_queue_depth,
         n_shards=N_SHARDS,
-        rebalance=REBALANCE_TUNING,
+        rebalance=rebalance,
     )
 
 
-def _run_rebalance_cluster(name: str, cfg: ChaosConfig, workload: str,
-                           fault_plan):
-    """Shared run harness: build, drive to completion, settle migrations.
+# -- what the three scenarios share ------------------------------------------
 
-    Returns ``(runner, finished, records)`` where ``records`` is the
-    fingerprintable per-request log shared by both scenarios.
+def _run_cluster(cfg: ChaosConfig, workload: str,
+                 fault_plan: Optional[FaultPlan],
+                 rebalance: Optional[RebalanceConfig] = None):
+    """Build, drive to the limit plus grace, settle migrations.
+
+    Returns ``(runner, finished, records)``.
     """
     runner = ShardedExperimentRunner(
-        _rebalance_experiment_config(cfg, workload, fault_plan),
+        _experiment_config(cfg, workload, fault_plan, rebalance),
         record_results=True,
     )
-    sim = runner.sim
-    finished = True
-    try:
-        sim.run_until_triggered(all_of(sim, runner._drivers),
-                                limit=cfg.time_limit)
-    except SimulationError:
-        finished = False
-    sim.run(until=sim.now + cfg.grace_s)
-    runner._elapsed_at_done = sim.now
-    if runner.rebalancer is not None:
-        runner._settle_rebalancer()
-    records: List[Tuple[int, int, float, str, bool]] = []
-    for client_id, router in enumerate(runner.routers):
-        for index, request, result, t in router.log:
-            records.append((client_id, index, t,
-                            request.op, result.complete))
+    finished = run_to_limit(runner.sim, runner.drive, cfg)
+    runner.deployment.settle()
+    records: List[Record] = [
+        (client_id, index, t, request.op, result.complete)
+        for client_id, router in enumerate(runner.routers)
+        for index, request, result, t in router.log
+    ]
     return runner, finished, records
+
+
+def _router_counters(runner, fields) -> Dict[str, int]:
+    return {
+        field.replace("_", "-"): sum(int(getattr(r, field))
+                                     for r in runner.router_stats)
+        for field in fields
+    }
 
 
 def _rebalance_counters(runner) -> Dict[str, int]:
     counters: Dict[str, int] = {}
     if runner.injector is not None:
         counters["packets-dropped"] = int(runner.injector.packets_dropped)
-    for field in RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS:
-        counters[field.replace("_", "-")] = sum(
-            int(getattr(r, field)) for r in runner.router_stats
-        )
+    counters.update(_router_counters(
+        runner, RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS))
     for field in RebalanceStats.FIELDS:
         counters["rebalance-" + field.replace("_", "-")] = int(
             getattr(runner.rebalance_stats, field)
@@ -314,115 +158,180 @@ def _rebalance_counters(runner) -> Dict[str, int]:
     return counters
 
 
-def _fingerprint(report: ScenarioReport, name: str, cfg: ChaosConfig,
-                 records, counters: Dict[str, int]) -> None:
-    digest = hashlib.sha256()
-    digest.update(f"{name}:{cfg.seed}:{N_SHARDS}\n".encode())
-    for client_id, index, t, op, complete in sorted(records):
-        digest.update(
-            f"{client_id},{index},{t:.15e},{op},{int(complete)}\n".encode()
-        )
-    for key in sorted(counters):
-        digest.update(f"{key}={counters[key]}\n".encode())
-    report._fingerprint = digest.hexdigest()[:16]
+def _check_reads(runner, cfg: ChaosConfig, consistent):
+    """Oracle-check every logged result with ``consistent``.
 
-
-def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
-    """Skewed reads drive splits + migrations while the link drops 30%."""
-    runner, finished, records = _run_rebalance_cluster(
-        "rebalance-under-fault", cfg, "search-skewed",
-        rebalance_fault_plan(cfg),
-    )
-    sim = runner.sim
-    global_tree = bulk_load(runner.dataset, max_entries=cfg.max_entries)
-
-    complete_mismatches = 0
-    degraded_mismatches = 0
-    degraded_total = 0
-    duplicates_dropped = 0
+    Returns ``(complete mismatches, degraded mismatches, degraded
+    results, duplicate ids that reached a merge)``.  The workloads are
+    read-only, so a single bulk-loaded tree is ground truth throughout.
+    """
+    tree = bulk_load(runner.dataset, max_entries=cfg.max_entries)
+    complete_bad = degraded_bad = degraded = duplicates = 0
     for router in runner.routers:
         for _index, request, result, _t in router.log:
-            duplicates_dropped += result.duplicates_dropped
+            duplicates += result.duplicates_dropped
             if not result.complete:
-                degraded_total += 1
-            if not result_consistent_rebalance(runner, global_tree,
-                                               request, result):
+                degraded += 1
+            if not consistent(runner, tree, request, result):
                 if result.complete:
-                    complete_mismatches += 1
+                    complete_bad += 1
                 else:
-                    degraded_mismatches += 1
+                    degraded_bad += 1
+    return complete_bad, degraded_bad, degraded, duplicates
 
-    counters = _rebalance_counters(runner)
-    stats = runner.rebalance_stats
-    issued = cfg.total_requests
-    completed = len(records)
-    report = ScenarioReport(
-        name="rebalance-under-fault",
+
+def _report(name: str, cfg: ChaosConfig, runner, records: List[Record],
+            counters: Dict[str, int], mismatches: int,
+            rates: Tuple[float, float] = (0.0, 0.0)) -> ScenarioReport:
+    return ScenarioReport(
+        name=name,
         seed=cfg.seed,
-        issued=issued,
-        completed=completed,
+        issued=cfg.total_requests,
+        completed=len(records),
         timeouts=counters["shard-timeouts"],
         offload_errors=counters["shard-offload-errors"],
-        mismatches=complete_mismatches + degraded_mismatches,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
-        pre_rate=0.0,
-        post_rate=0.0,
-        end_time=sim.now,
+        mismatches=mismatches,
+        pre_rate=rates[0],
+        post_rate=rates[1],
+        end_time=runner.sim.now,
         counters=counters,
+        **client_totals(runner.client_stats),
     )
 
+
+def _seal(report: ScenarioReport, cfg: ChaosConfig, records: List[Record],
+          checks: List[Tuple[str, bool, str]]) -> ScenarioReport:
+    report.invariants = checks
+    report._fingerprint = record_fingerprint(
+        f"{report.name}:{cfg.seed}:{N_SHARDS}",
+        [f"{client_id},{index},{t:.15e},{op},{int(complete)}"
+         for client_id, index, t, op, complete in sorted(records)],
+        sorted(report.counters.items()),
+    )
+    return report
+
+
+def _elastic_plane_checks(runner) -> List[Tuple[str, bool, str]]:
+    """Both rebalance scenarios: migrations ran to completion and the
+    live map survived every revision structurally intact."""
+    stats = runner.rebalance_stats
     try:
         runner.live_map.check_invariants()
         invariants_hold, invariant_detail = True, "tiles disjoint + covering"
     except ValueError as exc:
         invariants_hold, invariant_detail = False, str(exc)
-    occupancy = runner.shard_occupancy()
-    checks: List[Tuple[str, bool, str]] = [
-        ("finished-in-time", finished,
-         f"drivers {'finished' if finished else 'still running'} at "
-         f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)"),
-        ("completed", completed == issued,
-         f"{completed}/{issued} requests returned a result "
-         f"({degraded_total} degraded)"),
-        ("complete-results-exact", complete_mismatches == 0,
-         f"{complete_mismatches} complete results disagreed with the "
-         f"single-tree oracle (migration must be invisible)"),
-        ("degraded-results-sound", degraded_mismatches == 0,
-         f"{degraded_mismatches} of {degraded_total} degraded results "
-         f"were unsound (invented ids / bad ordering)"),
-        ("splits-fired", int(stats.splits) > 0,
-         f"{int(stats.splits)} tile splits"),
+    return [
         ("migrations-completed",
          int(stats.migrations_completed) > 0
          and not runner.rebalancer.active_migrations,
          f"{int(stats.migrations_completed)} migrations completed, "
          f"{int(stats.items_migrated)} items moved"),
+        ("map-invariants", invariants_hold, invariant_detail),
+    ]
+
+
+# -- shard loss ----------------------------------------------------------------
+
+def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
+    """Run the scenario under ``cfg``; returns its report (failures are
+    data, like every other chaos scenario)."""
+    runner, finished, records = _run_cluster(
+        cfg, "mixed", shard_loss_plan(cfg))
+    complete_bad, degraded_bad, degraded_total, duplicates_dropped = \
+        _check_reads(runner, cfg, result_consistent)
+    degraded_in_window = sum(
+        1 for _c, _i, t, _op, complete in records
+        if not complete
+        and cfg.fault_start <= t < cfg.fault_end + cfg.grace_s
+    )
+
+    injector = runner.injector
+    counters: Dict[str, int] = {
+        "shards-lost": int(injector.shards_lost),
+        "shards-restored": int(injector.shards_restored),
+        "workers-crashed": int(injector.workers_crashed),
+        "workers-restarted": int(injector.workers_restarted),
+        "beats-blacked-out": int(injector.beats_blacked_out),
+    }
+    counters.update(_router_counters(runner, RouterStats.FIELDS))
+    report = _report(
+        "shard-loss", cfg, runner, records, counters,
+        complete_bad + degraded_bad,
+        completion_rates([t for _c, _i, t, _op, _ok in records],
+                         cfg.fault_start, cfg.fault_end),
+    )
+
+    checks: List[Tuple[str, bool, str]] = [
+        finished_check(finished, runner.sim.now, cfg.time_limit),
+        ("completed", report.completed == report.issued,
+         f"{report.completed}/{report.issued} requests returned a "
+         f"PartialResult ({degraded_total} degraded)"),
+        ("complete-results-exact", complete_bad == 0,
+         f"{complete_bad} complete results disagreed with the "
+         f"single-tree oracle"),
+        ("degraded-results-correct", degraded_bad == 0,
+         f"{degraded_bad} of {degraded_total} degraded results "
+         f"disagreed with their surviving shards' oracle"),
+        ("exactly-once",
+         duplicates_dropped == 0 and report.unexpected_messages == 0,
+         f"{duplicates_dropped} duplicate ids reached the merge, "
+         f"{report.unexpected_messages} unattributable messages "
+         f"({report.duplicates_suppressed} late answers suppressed)"),
+        ("partials-observed", degraded_in_window > 0,
+         f"{degraded_in_window} degraded results during the outage "
+         f"(loss must be client-visible, not silently absorbed)"),
+        recovery_check(cfg, report.pre_rate, report.post_rate),
+    ]
+    for key in ("shards-lost", "shards-restored", "workers-crashed"):
+        checks.append((
+            f"fault-fired:{key}", counters[key] > 0,
+            f"counter = {counters[key]}",
+        ))
+    return _seal(report, cfg, records, checks)
+
+
+# -- the elastic-plane scenarios ---------------------------------------------
+
+def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
+    """Skewed reads drive splits + migrations while the link drops 30%."""
+    runner, finished, records = _run_cluster(
+        cfg, "search-skewed", rebalance_fault_plan(cfg), REBALANCE_TUNING)
+    complete_bad, degraded_bad, degraded_total, _duplicates = \
+        _check_reads(runner, cfg, result_consistent_rebalance)
+
+    counters = _rebalance_counters(runner)
+    report = _report("rebalance-under-fault", cfg, runner, records,
+                     counters, complete_bad + degraded_bad)
+    splits = int(runner.rebalance_stats.splits)
+    occupancy = runner.shard_occupancy()
+    dropped = counters.get("packets-dropped", 0)
+    migrations, map_invariants = _elastic_plane_checks(runner)
+    return _seal(report, cfg, records, [
+        finished_check(finished, runner.sim.now, cfg.time_limit),
+        ("completed", report.completed == report.issued,
+         f"{report.completed}/{report.issued} requests returned a result "
+         f"({degraded_total} degraded)"),
+        ("complete-results-exact", complete_bad == 0,
+         f"{complete_bad} complete results disagreed with the "
+         f"single-tree oracle (migration must be invisible)"),
+        ("degraded-results-sound", degraded_bad == 0,
+         f"{degraded_bad} of {degraded_total} degraded results "
+         f"were unsound (invented ids / bad ordering)"),
+        ("splits-fired", splits > 0, f"{splits} tile splits"),
+        migrations,
         ("items-conserved", sum(occupancy) == cfg.dataset_size,
          f"final occupancy {occupancy} sums to {sum(occupancy)} "
          f"(dataset {cfg.dataset_size})"),
-        ("map-invariants", invariants_hold, invariant_detail),
-        ("fault-fired:packets-dropped",
-         counters.get("packets-dropped", 0) > 0,
-         f"counter = {counters.get('packets-dropped', 0)}"),
-    ]
-    report.invariants = checks
-    _fingerprint(report, "rebalance-under-fault", cfg, records, counters)
-    return report
+        map_invariants,
+        ("fault-fired:packets-dropped", dropped > 0,
+         f"counter = {dropped}"),
+    ])
 
 
 def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
     """Hybrid writes race the migration copy/cut-over/drain windows."""
-    runner, finished, records = _run_rebalance_cluster(
-        "migration-racing-writes", cfg, "hybrid", None,
-    )
-    sim = runner.sim
-    stats = runner.rebalance_stats
+    runner, finished, records = _run_cluster(
+        cfg, "hybrid", None, REBALANCE_TUNING)
     windows = runner.rebalancer.migration_windows
 
     acked_inserts: List[int] = []
@@ -477,45 +386,14 @@ def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
     counters = _rebalance_counters(runner)
     counters["acked-inserts"] = len(acked_inserts)
     counters["inserts-in-migration-window"] = inserts_in_window
-    issued = cfg.total_requests
-    completed = len(records)
-    report = ScenarioReport(
-        name="migration-racing-writes",
-        seed=cfg.seed,
-        issued=issued,
-        completed=completed,
-        timeouts=counters["shard-timeouts"],
-        offload_errors=counters["shard-offload-errors"],
-        mismatches=0 if conserved else 1,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
-        pre_rate=0.0,
-        post_rate=0.0,
-        end_time=sim.now,
-        counters=counters,
-    )
-
-    try:
-        runner.live_map.check_invariants()
-        invariants_hold, invariant_detail = True, "tiles disjoint + covering"
-    except ValueError as exc:
-        invariants_hold, invariant_detail = False, str(exc)
-    checks: List[Tuple[str, bool, str]] = [
-        ("finished-in-time", finished,
-         f"drivers {'finished' if finished else 'still running'} at "
-         f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)"),
-        ("completed", completed == issued,
-         f"{completed}/{issued} requests returned a result"),
-        ("migrations-completed",
-         int(stats.migrations_completed) > 0
-         and not runner.rebalancer.active_migrations,
-         f"{int(stats.migrations_completed)} migrations completed, "
-         f"{int(stats.items_migrated)} items moved"),
+    report = _report("migration-racing-writes", cfg, runner, records,
+                     counters, 0 if conserved else 1)
+    migrations, map_invariants = _elastic_plane_checks(runner)
+    return _seal(report, cfg, records, [
+        finished_check(finished, runner.sim.now, cfg.time_limit),
+        ("completed", report.completed == report.issued,
+         f"{report.completed}/{report.issued} requests returned a result"),
+        migrations,
         ("writes-raced-migration", inserts_in_window > 0,
          f"{inserts_in_window} of {len(acked_inserts)} acked inserts "
          f"landed inside a migration window"),
@@ -526,8 +404,5 @@ def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
          f"{'exact' if conserved else 'MISMATCH'}"),
         ("reads-exactly-once", duplicate_read_ids == 0,
          f"{duplicate_read_ids} duplicate ids delivered to clients"),
-        ("map-invariants", invariants_hold, invariant_detail),
-    ]
-    report.invariants = checks
-    _fingerprint(report, "migration-racing-writes", cfg, records, counters)
-    return report
+        map_invariants,
+    ])

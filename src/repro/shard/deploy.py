@@ -1,12 +1,14 @@
-"""Build and run a sharded Catfish cluster: K servers, routed clients.
+"""Run a sharded Catfish cluster: K servers, routed closed-loop clients.
 
-Mirrors :class:`~repro.cluster.builder.ExperimentRunner` but instantiates
-K fully independent Catfish servers — each with its own host, star
-network, R*-tree over its partition slice, fast-messaging worker pool and
-heartbeat service — on one shared simulator.  Every client opens one
-session *per shard* (so each shard's heartbeat independently drives that
-client's Algorithm 1 back-off state for that shard) and issues its
-requests through a :class:`~repro.shard.router.ScatterGatherRouter`.
+The closed-loop driver of
+:class:`~repro.cluster.builder.ClosedLoopRunner` over a *routed*
+:class:`~repro.cluster.deployment.Deployment`: K fully independent
+Catfish servers — each with its own host, star network, R*-tree over its
+partition slice, fast-messaging worker pool and heartbeat service — on
+one shared simulator.  Every client opens one session *per shard* (so
+each shard's heartbeat independently drives that client's Algorithm 1
+back-off state for that shard) and issues its requests through a
+:class:`~repro.shard.router.ScatterGatherRouter`.
 
 Determinism contract: the dataset and each client's workload stream are
 derived exactly as in the single-server runner (same seed → same items,
@@ -18,333 +20,44 @@ sharded run is comparable against the single-server oracle.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
-
-from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
-from ..cluster.builder import _client_driver, register_session_aggregates
+from ..cluster.builder import ClosedLoopRunner
 from ..cluster.config import ExperimentConfig
-from ..cluster.results import RunResult, merge_client_stats
-from ..cluster.schemes import TRANSPORT_TCP, scheme_spec
-from ..faults.injector import FaultInjector
-from ..faults.plan import ShardLoss
-from ..hw.host import Host
-from ..net.fabric import profile_by_name
-from ..obs import NULL_TRACER, LatencyView, MetricsRegistry, Tracer, \
-    snapshot_document
-from ..runtime.factory import SessionFactory
-from ..runtime.stack import ServerStack
-from ..sim.kernel import Simulator, all_of
-from ..sim.rng import RngRegistry
-from ..workloads.datasets import uniform_dataset
-from ..workloads.mixes import make_workload
-from .partition import Partition, ShardMap, partition_str
-from .rebalance import RebalanceController, RebalanceStats
-from .router import RouterStats, ScatterGatherRouter
 
 
-class _ShardHeartbeatHook:
-    """Per-shard heartbeat suppression hook.
+class ShardedExperimentRunner(ClosedLoopRunner):
+    """K >= 1 shard servers, ``n_clients`` scatter-gather routers."""
 
-    A lost shard's heartbeat must go silent (the machine is gone), while
-    global :class:`~repro.faults.plan.HeartbeatBlackout` windows keep
-    applying to every shard — this hook composes the two on behalf of one
-    shard's :class:`~repro.server.heartbeat.HeartbeatService`.
-    """
-
-    def __init__(self, sim: Simulator, shard_id: int,
-                 loss_windows, injector: FaultInjector):
-        self.sim = sim
-        self.shard_id = shard_id
-        self.loss_windows = [
-            w for w in loss_windows
-            if not w.shard_ids or shard_id in w.shard_ids
-        ]
-        self.injector = injector
-
-    def heartbeat_suppressed(self) -> bool:
-        now = self.sim.now
-        for window in self.loss_windows:
-            if window.active(now):
-                self.injector.beats_blacked_out += 1
-                return True
-        return self.injector.heartbeat_suppressed()
-
-
-class ShardedExperimentRunner:
-    """Builds a K-shard cluster for a config and runs it to completion."""
+    routed = True
 
     def __init__(self, config: ExperimentConfig,
                  record_results: bool = False):
-        self.config = config
-        self.spec = scheme_spec(config.scheme)
-        if self.spec.transport == TRANSPORT_TCP:
-            raise ValueError(
-                f"scheme {config.scheme!r} is TCP-based; sharding needs an "
-                "RDMA scheme (fast-messaging rings per shard)"
-            )
-        self.n_shards = config.n_shards or self.spec.shards
-        if self.n_shards < 1:
-            raise ValueError(f"need >= 1 shard, got {self.n_shards}")
-        self.profile = profile_by_name(config.fabric)
-        if not self.profile.rdma:
-            raise ValueError(
-                f"sharded cluster needs an RDMA fabric, got {config.fabric!r}"
-            )
-
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.metrics = MetricsRegistry()
-        self.tracer = (
-            Tracer(self.sim, max_events=config.trace_max_events,
-                   components=config.trace_components)
-            if config.trace else NULL_TRACER
-        )
-
-        # Same dataset derivation as the single-server runner: the union
-        # of the shard slices is bit-identical to the unsharded dataset,
-        # which is what makes the single tree a valid oracle.
-        items = config.dataset
-        if items is None:
-            items = uniform_dataset(config.dataset_size, seed=config.seed)
-        self.dataset = items
-        self.partition: Partition = partition_str(items, self.n_shards)
-
-        # Elastic shard plane (PR 10): when rebalancing is on, every
-        # client routes through ONE shared live map (epoch-versioned) and
-        # a RebalanceController revises it in the background; otherwise
-        # each client keeps its own static copy (the PR 4 behaviour all
-        # golden fingerprints are pinned on).
-        rb = config.rebalance
-        self.rebalance_cfg = rb if (rb is not None and rb.enabled) else None
-        self.live_map: Optional[ShardMap] = (
-            self.partition.shard_map.copy()
-            if self.rebalance_cfg is not None else None
-        )
-        self.rebalancer: Optional[RebalanceController] = None
-        self.rebalance_stats: Optional[RebalanceStats] = None
-
-        self.injector: Optional[FaultInjector] = None
-        if config.fault_plan:
-            self.injector = FaultInjector(
-                self.sim, config.fault_plan,
-                rng=self.rngs.stream("faults"),
-            )
-
-        #: One full Catfish stack per shard — the same
-        #: :class:`~repro.runtime.stack.ServerStack` the single-server
-        #: runner builds, instantiated K times on one simulator.  All
-        #: shard-side randomness comes from ``rngs.shard(k)``.
-        self.shards: List[ServerStack] = [
-            ServerStack(
-                self.sim, self.profile, self.spec, config,
-                self.rngs.shard(shard_id), list(slice_items),
-                name=f"shard{shard_id}-server",
-            )
-            for shard_id, slice_items in enumerate(self.partition.assignments)
-        ]
-        if self.injector is not None:
-            loss_windows = config.fault_plan.of_type(ShardLoss)
-            for shard_id, shard in enumerate(self.shards):
-                shard.attach_injector(
-                    self.injector,
-                    heartbeat_hook=_ShardHeartbeatHook(
-                        self.sim, shard_id, loss_windows, self.injector,
-                    ),
-                )
-
-        self.factory = SessionFactory(
-            self.sim, self.spec, config, self.tracer,
-        )
-        self.client_stats: List[ClientStats] = []
-        self.router_stats: List[RouterStats] = []
-        self.routers: List[ScatterGatherRouter] = []
+        super().__init__(config, record_results=record_results)
+        deployment = self.deployment
+        self.n_shards = deployment.n_shards
+        self.dataset = deployment.dataset
+        self.partition = deployment.partition
+        self.shards = deployment.stacks
+        self.routers = deployment.endpoints
+        self.router_stats = [r.router_stats for r in self.routers]
         #: ``sessions[client_id][shard_id]`` — the per-shard sub-sessions.
-        self.sessions: List[List] = []
-        self._drivers = []
-        self._record_results = record_results
-        self._build_clients()
-
-        if self.injector is not None:
-            self.injector.start(
-                storm_targets=lambda: [s.server.tree.root
-                                       for s in self.shards],
-                shard_fm_servers=[s.fm_server for s in self.shards],
-            )
-        for shard in self.shards:
-            shard.start_heartbeats()
-        if self.rebalance_cfg is not None:
-            self.rebalance_stats = RebalanceStats()
-            self.rebalancer = RebalanceController(
-                self.sim, self.live_map, self.shards,
-                self.rebalance_cfg, stats=self.rebalance_stats,
-            )
-            self.rebalancer.start()
-        self._register_metrics()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_clients(self) -> None:
-        config = self.config
-        workload_fn = make_workload(
-            config.workload_kind,
-            scale_spec=config.scale,
-            n_requests=config.requests_per_client,
-            insert_fraction=config.insert_fraction,
-            queries=config.queries,
-        )
-        for client_id in range(config.n_clients):
-            host = Host(
-                self.sim,
-                f"client-{client_id}",
-                self.profile,
-                cores=config.client_cores,
-            )
-            stats = ClientStats()
-            router_stats = RouterStats()
-            # Per-shard sessions come from the shared SessionFactory —
-            # the same assembly path as the single-server runner.  The
-            # client-side RNGs are shard-derived (``(seed, shard_id)``
-            # then per-client forks), so adding shards never perturbs
-            # the retry/back-off draws against existing shards.
-            # Static plane: each client gets its own map copy —
-            # note_insert is client-local routing state, like a real
-            # client cache.  Under rebalancing every client shares the
-            # ONE live map the controller revises, and routes reads
-            # across epoch cuts (re-scatter + dedup = exactly-once).
-            shard_map = (
-                self.live_map if self.live_map is not None
-                else ShardMap(list(self.partition.shard_map))
-            )
-            router = ScatterGatherRouter.from_factory(
-                self.factory,
-                client_id,
-                self.shards,
-                host,
-                stats,
-                lambda k, i=client_id: self.rngs.shard(k).fork(f"client-{i}"),
-                shard_map,
-                router_stats=router_stats,
-                breaker_params=config.breaker,
-                record=self._record_results,
-                epoch_aware=self.live_map is not None,
-            )
-            shard_sessions = router.sessions
-            # Workload stream identical to the single-server runner: the
-            # oracle comparison depends on this line not diverging.
-            rng = self.rngs.fork(f"client-{client_id}").stream("workload")
-            requests = workload_fn(client_id, rng)
-            driver = self.sim.process(
-                _client_driver(self.sim, router, requests, stats,
-                               injector=self.injector,
-                               client_id=client_id),
-                name=f"client-{client_id}",
-            )
-            self.client_stats.append(stats)
-            self.router_stats.append(router_stats)
-            self.routers.append(router)
-            self.sessions.append(shard_sessions)
-            self._drivers.append(driver)
-
-    def _register_metrics(self) -> None:
-        m = self.metrics
-        m.expose("shard.n_shards", lambda: self.n_shards)
-        for shard_id, shard in enumerate(self.shards):
-            shard.register_metrics(m, label=f"shard{shard_id}")
-        if self.injector is not None:
-            self.injector.register_metrics(m)
-
-        # Cluster-wide aggregates keep the single-server metric names, so
-        # dashboards and the compare harness read both layouts.
-        m.expose("server.searches_served",
-                 lambda: sum(int(s.server.searches_served)
-                             for s in self.shards))
-        m.expose("server.inserts_served",
-                 lambda: sum(int(s.server.inserts_served)
-                             for s in self.shards))
-        m.expose("server.cpu_utilization", self._mean_cpu_utilization)
-        m.expose("net.server_bandwidth_gbps", self._total_bandwidth_gbps)
-
-        stats_list = self.client_stats
-        for field in CLIENT_COUNTER_FIELDS:
-            m.expose(
-                f"client.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in stats_list),
-            )
-        router_stats = self.router_stats
-        for field in RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS:
-            m.expose(
-                f"router.{field}",
-                lambda f=field: sum(int(getattr(r, f))
-                                    for r in router_stats),
-            )
-        if self.rebalance_stats is not None:
-            self.rebalance_stats.register_into(m)
-            m.expose("shard.map_epoch", lambda: self.live_map.epoch)
-            m.expose("shard.tiles", lambda: len(self.live_map.tiles))
-        # Client-side policy counters (offload engine / Algorithm 1 /
-        # bandit), summed over every client's per-shard sessions — the
-        # same names the single-server runner exposes.
-        register_session_aggregates(
-            m, [s for per_client in self.sessions for s in per_client],
-        )
-
-    # -- occupancy ---------------------------------------------------------
-
-    def initial_occupancy(self) -> List[int]:
-        """Items per shard at partition time (before any routed write)."""
-        return [len(slice_items)
-                for slice_items in self.partition.assignments]
-
-    def shard_occupancy(self) -> List[int]:
-        """Items per shard right now (exact leaf walk per stack)."""
-        return [stack.items_held() for stack in self.shards]
-
-    def _mean_cpu_utilization(self) -> float:
-        return (sum(s.host.cpu.utilization() for s in self.shards)
-                / len(self.shards))
-
-    def _total_bandwidth_gbps(self) -> float:
-        return sum(s.network.server_bandwidth_gbps() for s in self.shards)
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Run until every client finished its request stream."""
-        done = all_of(self.sim, self._drivers)
-        self.sim.run_until_triggered(done)
-        self._elapsed_at_done = self.sim.now
-        if self.rebalancer is not None:
-            self._settle_rebalancer()
-        return self._collect()
-
-    def _settle_rebalancer(self) -> None:
-        """Let an in-flight migration finish after the drivers are done.
-
-        Foreground accounting (elapsed, throughput) is frozen at
-        ``_elapsed_at_done``; this only runs the controller's remaining
-        copy/drain/delete work so no run ends with an item transiently on
-        two shards (the conservation checks depend on that).
-        """
-        self.rebalancer.stop()
-        step = max(self.rebalance_cfg.interval, self.rebalance_cfg.drain_s)
-        for _ in range(10_000):
-            if not self.rebalancer.active_migrations:
-                break
-            self.sim.run(until=self.sim.now + step)
-        else:
-            raise RuntimeError("rebalancer failed to settle")
+        self.sessions = [r.sessions for r in self.routers]
+        self.live_map = deployment.live_map
+        self.rebalancer = deployment.rebalancer
+        self.rebalance_stats = deployment.rebalance_stats
+        self.initial_occupancy = deployment.initial_occupancy
+        self.shard_occupancy = deployment.shard_occupancy
 
     def _extra(self) -> dict:
-        """RunResult.extra payload (excluded from result fingerprints, so
-        the occupancy report is safe to grow)."""
+        """The shard-plane report: router totals, per-shard occupancy
+        and, on an elastic plane, the controller's counters."""
+        def routed(field: str) -> float:
+            return float(sum(int(getattr(r, field))
+                             for r in self.router_stats))
+
         extra = {
             "n_shards": float(self.n_shards),
-            "partial_results": float(sum(
-                int(r.partial_results) for r in self.router_stats
-            )),
-            "shards_pruned": float(sum(
-                int(r.shards_pruned) for r in self.router_stats
-            )),
+            "partial_results": routed("partial_results"),
+            "shards_pruned": routed("shards_pruned"),
         }
         for shard_id, held in enumerate(self.shard_occupancy()):
             extra[f"shard{shard_id}_items"] = float(held)
@@ -352,92 +65,7 @@ class ShardedExperimentRunner:
             for name, value in self.rebalance_stats.snapshot().items():
                 extra[f"rebalance_{name}"] = float(value)
             extra["map_epoch"] = float(self.live_map.epoch)
-            extra["epoch_rescatters"] = float(sum(
-                int(r.epoch_rescatters) for r in self.router_stats
-            ))
-            extra["rescattered_subqueries"] = float(sum(
-                int(r.rescattered_subqueries) for r in self.router_stats
-            ))
+            extra["epoch_rescatters"] = routed("epoch_rescatters")
+            extra["rescattered_subqueries"] = routed(
+                "rescattered_subqueries")
         return extra
-
-    def _collect(self) -> RunResult:
-        config = self.config
-        elapsed = getattr(self, "_elapsed_at_done", self.sim.now)
-        merged = merge_client_stats(self.client_stats)
-        total = int(merged.requests_sent)
-        throughput_kops = (total / elapsed / 1e3) if elapsed > 0 else 0.0
-        to_us = 1e6
-        self.metrics.adopt(
-            "client.latency_us",
-            LatencyView(merged.latency, scale=to_us, unit="us",
-                        loop="closed"),
-        )
-        self.metrics.adopt(
-            "client.search_latency_us",
-            LatencyView(merged.search_latency, scale=to_us, unit="us",
-                        loop="closed"),
-        )
-        heartbeats_sent = sum(
-            int(s.heartbeats.beats_sent)
-            for s in self.shards if s.heartbeats is not None
-        )
-        heartbeats_dropped = sum(
-            int(s.heartbeats.beats_dropped)
-            for s in self.shards if s.heartbeats is not None
-        )
-        total_bandwidth = self._total_bandwidth_gbps()
-        return RunResult(
-            scheme=config.scheme,
-            fabric=config.fabric,
-            n_clients=config.n_clients,
-            total_requests=total,
-            elapsed_s=elapsed,
-            throughput_kops=throughput_kops,
-            mean_latency_us=merged.latency.mean * to_us,
-            p50_latency_us=merged.latency.percentile(50) * to_us,
-            p99_latency_us=merged.latency.percentile(99) * to_us,
-            p999_latency_us=merged.latency.percentile(99.9) * to_us,
-            mean_search_latency_us=(
-                merged.search_latency.mean * to_us
-                if merged.search_latency.count
-                else float("nan")
-            ),
-            server_cpu_utilization=self._mean_cpu_utilization(),
-            server_bandwidth_gbps=total_bandwidth,
-            server_bandwidth_utilization=(
-                total_bandwidth * 1e9
-                / (self.profile.bandwidth_bps * self.n_shards)
-            ),
-            offload_fraction=merged.offload_fraction,
-            torn_retries=int(merged.torn_retries),
-            search_restarts=int(merged.search_restarts),
-            heartbeats_sent=heartbeats_sent,
-            heartbeats_dropped=heartbeats_dropped,
-            searches_served_by_server=sum(
-                int(s.server.searches_served) for s in self.shards
-            ),
-            inserts_served=sum(
-                int(s.server.inserts_served) for s in self.shards
-            ),
-            extra=self._extra(),
-            metrics=snapshot_document(
-                self.metrics,
-                tracer=self.tracer if config.trace else None,
-                meta={
-                    "scheme": config.scheme,
-                    "fabric": config.fabric,
-                    "n_clients": config.n_clients,
-                    "n_shards": self.n_shards,
-                    "requests_per_client": config.requests_per_client,
-                    "workload": config.workload_kind,
-                    "seed": config.seed,
-                    "elapsed_s": elapsed,
-                    "throughput_kops": throughput_kops,
-                },
-            ),
-        )
-
-
-def run_sharded_experiment(config: ExperimentConfig) -> RunResult:
-    """Convenience wrapper: build, run, collect."""
-    return ShardedExperimentRunner(config).run()

@@ -83,8 +83,8 @@ class RebalanceController:
     """Watches per-shard load and drives split/merge/migration.
 
     ``stacks[k]`` is shard ``k``'s :class:`~repro.runtime.stack.ServerStack`
-    and ``shard_map`` is the *live* map every router shares (the sharded
-    deployers hand out one authoritative map when rebalancing is on).
+    and ``shard_map`` is the *live* map every router shares (a routed
+    deployment hands out one authoritative map when rebalancing is on).
     """
 
     def __init__(self, sim: Simulator, shard_map: ShardMap, stacks: List,
@@ -120,7 +120,7 @@ class RebalanceController:
 
     def stop(self) -> None:
         """Start no further cycles.  A migration already in flight keeps
-        running to completion (the deployers settle on it after the
+        running to completion (``Deployment.settle`` waits on it after the
         foreground drivers finish, so no run ends mid-copy)."""
         self._stopped = True
 
@@ -356,7 +356,7 @@ class RebalanceController:
         # serializing the control loop on them would freeze further
         # splits for the whole cleanup (observed: tens of milliseconds
         # at one core).  The migration window stays open until the
-        # cleanup finishes, so the deployers' settle loop still
+        # cleanup finishes, so ``Deployment.settle`` still
         # guarantees no run ends with an item on two shards.  Cleanups
         # from successive migrations cannot collide: each deletes only
         # items whose centres lie in its own (disjoint) migrated tile.

@@ -200,38 +200,6 @@ class ScatterGatherRouter:
         #: degrades to a best-effort answer instead of livelocking).
         self.max_rescatter_rounds = max_rescatter_rounds
 
-    @classmethod
-    def from_factory(
-        cls,
-        factory,
-        client_id: int,
-        stacks,
-        host,
-        stats: ClientStats,
-        rng_for_shard,
-        shard_map: ShardMap,
-        router_stats: Optional[RouterStats] = None,
-        breaker_params: Optional[BreakerParams] = None,
-        record: bool = False,
-        epoch_aware: bool = False,
-    ) -> "ScatterGatherRouter":
-        """Build one client's router with per-shard sessions from the
-        shared :class:`~repro.runtime.factory.SessionFactory`.
-
-        ``rng_for_shard(k)`` returns the client's RNG registry against
-        shard ``k`` (``rngs.shard(k).fork(f"client-{i}")`` in the
-        deployer) — shard-derived so adding shards never perturbs the
-        retry/back-off draws against existing shards.
-        """
-        sessions = factory.build_shard_sessions(
-            client_id, stacks, host, stats, rng_for_shard,
-        )
-        return cls(
-            factory.sim, shard_map, sessions, stats,
-            router_stats=router_stats, breaker_params=breaker_params,
-            record=record, epoch_aware=epoch_aware,
-        )
-
     # -- scatter target selection ------------------------------------------
 
     def _read_targets(self, request: Request) -> List[int]:

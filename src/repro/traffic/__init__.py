@@ -40,7 +40,6 @@ __all__ = [
     "make_rate_fn",
     "rate_sweep",
     "run_traffic",
-    "run_traffic_experiment",
 ]
 
 _LAZY = {
@@ -49,7 +48,6 @@ _LAZY = {
     "TrafficRunner": "harness",
     "rate_sweep": "harness",
     "run_traffic": "harness",
-    "run_traffic_experiment": "harness",
 }
 
 

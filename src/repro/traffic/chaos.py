@@ -24,14 +24,21 @@ replay (asserted in the chaos suite).
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Tuple
 
 from ..cluster.config import ExperimentConfig
-from ..faults.scenarios import ChaosConfig, ScenarioReport
+from ..faults.scenarios import (
+    ChaosConfig,
+    ScenarioReport,
+    client_totals,
+    completion_rates,
+    finished_check,
+    record_fingerprint,
+    recovery_check,
+)
 from ..sim.kernel import SimulationError
 from .config import TrafficConfig
-from .harness import TrafficRunner
+from .harness import DRAIN_GRACE_S, TrafficRunner
 from .mux import OK
 
 #: Total offered base load — well under the deployment's service
@@ -53,7 +60,6 @@ USERS_PER_AGGREGATE = 4096
 SESSIONS = 12
 QUEUE_WATERMARK = 32
 WINDOW = 64
-
 
 
 def flash_crowd_config(cfg: ChaosConfig) -> ExperimentConfig:
@@ -99,7 +105,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         result = runner.run()
     except SimulationError:
         finished = False
-        result = runner._collect()
+        result = runner.collect()
 
     sim = runner.sim
     mux = runner.mux
@@ -131,12 +137,9 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         if ids != expected:
             mismatches += 1
 
-    done_times = sorted(j.t_done for j in jobs if j.status == OK)
-    pre = [t for t in done_times if t < spike_start]
-    post = [t for t in done_times if t >= recover_at]
-    pre_rate = len(pre) / spike_start if pre else 0.0
-    post_span = (done_times[-1] - recover_at) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
+    pre_rate, post_rate = completion_rates(
+        [j.t_done for j in jobs if j.status == OK], spike_start, recover_at,
+    )
 
     spike_span = spike_end - spike_start
     base_span = duration - spike_span
@@ -146,6 +149,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
                           - arrivals_in(spike_start, spike_end)) / base_span
                          if base_span > 0 else 0.0)
 
+    totals = client_totals(runner.session_stats)
     report = ScenarioReport(
         name="flash-crowd",
         seed=cfg.seed,
@@ -154,14 +158,10 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         timeouts=result.failed,
         offload_errors=0,
         mismatches=mismatches,
-        retries=sum(int(s.request_retries) for s in runner.session_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.session_stats),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.session_stats),
         pre_rate=pre_rate,
         post_rate=post_rate,
         end_time=sim.now,
+        **totals,
         counters={
             "arrivals": result.arrivals,
             "completed": result.completed,
@@ -170,17 +170,13 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
             "shed-watermark": result.shed_watermark,
             "shed-admission": result.shed_admission,
             "server-requests-shed": result.server_shed,
-            "retries": sum(
-                int(s.request_retries) for s in runner.session_stats),
+            "retries": totals["retries"],
         },
     )
 
-    checks: List[Tuple[str, bool, str]] = []
-    checks.append((
-        "finished-in-time", finished,
-        f"{'drained' if finished else 'wedged'} at "
-        f"t={sim.now * 1e3:.3f}ms",
-    ))
+    checks: List[Tuple[str, bool, str]] = [
+        finished_check(finished, sim.now, duration + DRAIN_GRACE_S),
+    ]
     accounted = (result.completed + result.failed
                  + result.shed_client_total)
     checks.append((
@@ -221,30 +217,22 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         f"t={recover_at * 1e3:.2f}ms (drain margin "
         f"{RECOVERY_MARGIN_S * 1e6:.0f}us)",
     ))
-    if pre_rate > 0.0 and post_rate > 0.0:
-        recovered = post_rate >= cfg.recovery_floor * pre_rate
-        detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
-                  f"{pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = False, (
-            f"missing sample (pre={len(pre)}, post={len(post)})")
-    checks.append(("throughput-recovered", recovered, detail))
+    # The workload itself is the fault here, so both phases must have
+    # been observed: a missing sample fails instead of passing vacuously.
+    checks.append(recovery_check(cfg, pre_rate, post_rate,
+                                 vacuous_ok=False))
     report.invariants = checks
 
-    digest = hashlib.sha256()
-    digest.update(f"flash-crowd:{cfg.seed}\n".encode())
+    lines = []
     for job in sorted(jobs, key=lambda j: (j.aggregate_id, j.seq)):
         ids = (tuple(sorted(d for _r, d in job.results))
                if job.status == OK else ())
-        digest.update(
+        lines.append(
             f"{job.aggregate_id},{job.seq},{job.user_id},{job.status},"
             f"{job.t_arrival:.15e},{job.t_done:.15e},"
-            f"{len(ids)},{sum(ids)}\n".encode()
+            f"{len(ids)},{sum(ids)}"
         )
-    for t in client_sheds:
-        digest.update(f"shed,{t:.15e}\n".encode())
-    for key, value in report.counters.items():
-        digest.update(f"{key}={value}\n".encode())
-    report._fingerprint = digest.hexdigest()[:16]
+    lines.extend(f"shed,{t:.15e}" for t in client_sheds)
+    report._fingerprint = record_fingerprint(
+        f"flash-crowd:{cfg.seed}", lines, report.counters.items())
     return report

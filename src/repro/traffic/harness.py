@@ -1,7 +1,7 @@
 """The latency-under-load harness: open-loop traffic against a cluster.
 
-Builds the same :class:`~repro.runtime.stack.ServerStack` (single) or
-K-stack sharded deployment the closed-loop runners build, but replaces
+Drives the same :class:`~repro.cluster.deployment.Deployment` the
+closed-loop runners drive (plain at K=1, routed at K>1), but replaces
 the per-client synchronous drivers with:
 
     aggregates (open-loop arrivals, bounded windows)
@@ -24,22 +24,17 @@ counts, and a whole run replays exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..client.base import ClientStats
 from ..cluster.config import ExperimentConfig
-from ..cluster.results import RunResult
+from ..cluster.deployment import Deployment
+from ..cluster.results import RunResult, merge_client_stats
 from ..cluster.schemes import TRANSPORT_TCP, scheme_spec
 from ..hw.host import Host
-from ..net.fabric import profile_by_name
-from ..obs import NULL_TRACER, LatencyView, MetricsRegistry, \
-    snapshot_document
-from ..runtime.factory import SessionFactory
-from ..runtime.stack import ServerStack
-from ..sim.kernel import Simulator, all_of
+from ..obs import LatencyView, snapshot_document
+from ..sim.kernel import all_of
 from ..sim.monitor import LatencyRecorder
-from ..sim.rng import RngRegistry
-from ..workloads.datasets import uniform_dataset
 from ..workloads.scales import scale_generator
 from .aggregate import AggregateClient
 from .arrivals import aggregate_generator
@@ -83,6 +78,11 @@ class TrafficResult:
     sojourn_p999_us: float
 
     server_cpu_utilization: float
+    server_bandwidth_gbps: float = 0.0
+    server_bandwidth_utilization: float = 0.0
+    offload_fraction: float = 0.0
+    torn_retries: int = 0
+    search_restarts: int = 0
     per_tenant: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict = field(default_factory=dict)
 
@@ -118,11 +118,11 @@ class TrafficResult:
             p999_latency_us=self.sojourn_p999_us,
             mean_search_latency_us=self.sojourn_mean_us,
             server_cpu_utilization=self.server_cpu_utilization,
-            server_bandwidth_gbps=0.0,
-            server_bandwidth_utilization=0.0,
-            offload_fraction=0.0,
-            torn_retries=0,
-            search_restarts=0,
+            server_bandwidth_gbps=self.server_bandwidth_gbps,
+            server_bandwidth_utilization=self.server_bandwidth_utilization,
+            offload_fraction=self.offload_fraction,
+            torn_retries=self.torn_retries,
+            search_restarts=self.search_restarts,
             extra={
                 "completed": float(self.completed),
                 "failed": float(self.failed),
@@ -136,103 +136,40 @@ class TrafficResult:
 
 
 class TrafficRunner:
-    """Builds one open-loop deployment for a config and runs it."""
+    """Drives one deployment with open-loop arrivals through a mux."""
 
     def __init__(self, config: ExperimentConfig, record: bool = False):
         if config.traffic is None:
             raise ValueError("config.traffic must be set for TrafficRunner")
-        self.config = config
-        self.traffic: TrafficConfig = config.traffic
-        self.spec = scheme_spec(config.scheme)
-        if self.spec.transport == TRANSPORT_TCP:
+        spec = scheme_spec(config.scheme)
+        if spec.transport == TRANSPORT_TCP:
             raise ValueError(
                 "the traffic layer multiplexes fast-messaging/offload "
                 f"sessions; scheme {config.scheme!r} is TCP-based"
             )
-        self.profile = profile_by_name(config.fabric)
-        self.n_shards = config.n_shards or self.spec.shards
+        self.config = config
+        self.traffic: TrafficConfig = config.traffic
+        self.deployment = deployment = Deployment(
+            config, routed=(config.n_shards or spec.shards) > 1,
+        )
+        self.n_shards = deployment.n_shards
+        self.sim = deployment.sim
+        self.rngs = deployment.rngs
+        self.metrics = deployment.metrics
+        self.profile = deployment.profile
+        self.stacks = deployment.stacks
 
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.metrics = MetricsRegistry()
-
-        items = config.dataset
-        if items is None:
-            items = uniform_dataset(config.dataset_size, seed=config.seed)
-        self.dataset = items
-
-        self.factory = SessionFactory(self.sim, self.spec, config,
-                                      NULL_TRACER)
-        self.session_stats: List[ClientStats] = []
-        self.sessions = []
-        self.rebalancer = None
-        self.rebalance_stats = None
-        self.live_map = None
-        if self.n_shards > 1:
-            from ..shard.partition import ShardMap, partition_str
-            from ..shard.router import ScatterGatherRouter
-            self.partition = partition_str(items, self.n_shards)
-            # Elastic plane under open-loop traffic: all mux sessions
-            # share the one live map the controller revises (same
-            # contract as the closed-loop sharded deployer).
-            rb = config.rebalance
-            self.rebalance_cfg = rb if (rb is not None and rb.enabled) \
-                else None
-            if self.rebalance_cfg is not None:
-                self.live_map = self.partition.shard_map.copy()
-            self.stacks = [
-                ServerStack(
-                    self.sim, self.profile, self.spec, config,
-                    self.rngs.shard(shard_id), list(slice_items),
-                    name=f"shard{shard_id}-server",
-                )
-                for shard_id, slice_items
-                in enumerate(self.partition.assignments)
-            ]
-            for i in range(self.traffic.sessions):
-                host = Host(self.sim, f"mux-{i}", self.profile,
-                            cores=config.client_cores)
-                stats = ClientStats()
-                router = ScatterGatherRouter.from_factory(
-                    self.factory, i, self.stacks, host, stats,
-                    lambda k, i=i: self.rngs.shard(k).fork(
-                        f"traffic-session-{i}"),
-                    (self.live_map if self.live_map is not None
-                     else ShardMap(list(self.partition.shard_map))),
-                    breaker_params=config.breaker,
-                    epoch_aware=self.live_map is not None,
-                )
-                self.session_stats.append(stats)
-                self.sessions.append(router)
-            if self.rebalance_cfg is not None:
-                from ..shard.rebalance import (
-                    RebalanceController,
-                    RebalanceStats,
-                )
-                self.rebalance_stats = RebalanceStats()
-                self.rebalancer = RebalanceController(
-                    self.sim, self.live_map, self.stacks,
-                    self.rebalance_cfg, stats=self.rebalance_stats,
-                )
-                self.rebalancer.start()
-        else:
-            self.partition = None
-            self.stacks = [ServerStack(
-                self.sim, self.profile, self.spec, config, self.rngs,
-                items,
-            )]
-            for i in range(self.traffic.sessions):
-                host = Host(self.sim, f"mux-{i}", self.profile,
-                            cores=config.client_cores)
-                stats = ClientStats()
-                session = self.factory.build(
-                    i, self.stacks[0], host, stats,
-                    self.rngs.fork(f"traffic-session-{i}"),
-                )
-                self.session_stats.append(stats)
-                self.sessions.append(session)
-        for stack in self.stacks:
-            stack.start_heartbeats()
+        #: The mux's shared endpoints: plain sessions at K=1, routers
+        #: (all sharing the one live map when rebalancing) at K>1.
+        self.sessions = deployment.endpoints
+        self.session_stats = deployment.client_stats
+        for i in range(self.traffic.sessions):
+            host = Host(self.sim, f"mux-{i}", self.profile,
+                        cores=config.client_cores)
+            deployment.endpoint(i, host, ClientStats(),
+                                f"traffic-session-{i}")
+        deployment.start()
+        self.rebalance_stats = deployment.rebalance_stats
 
         bucket = None
         if self.traffic.admit_rate is not None:
@@ -268,26 +205,17 @@ class TrafficRunner:
                 tenant_sojourn=self.tenant_sojourn,
                 hotspots=hotspots,
             ))
+        deployment.register_metrics()
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        m = self.metrics
-        for k, stack in enumerate(self.stacks):
-            stack.register_metrics(
-                m, label=f"shard{k}" if self.n_shards > 1 else None)
-        self.mux.register_metrics(m)
-        if self.rebalance_stats is not None:
-            self.rebalance_stats.register_into(m)
-            m.expose("shard.map_epoch", lambda: self.live_map.epoch)
-            m.expose("shard.tiles", lambda: len(self.live_map.tiles))
-        m.expose("traffic.arrivals",
-                 lambda: sum(a.arrivals for a in self.aggregates))
-        m.expose("traffic.shed_window",
-                 lambda: sum(a.shed_window for a in self.aggregates))
-        m.expose("traffic.users_touched",
-                 lambda: sum(a.users_touched for a in self.aggregates))
-        m.expose("traffic.in_flight",
-                 lambda: sum(a.in_flight for a in self.aggregates))
+        self.mux.register_metrics(self.metrics)
+        for name in ("arrivals", "shed_window", "users_touched",
+                     "in_flight"):
+            self.metrics.expose(
+                f"traffic.{name}",
+                lambda n=name: sum(getattr(a, n) for a in self.aggregates),
+            )
 
     # -- execution ---------------------------------------------------------
 
@@ -303,23 +231,15 @@ class TrafficRunner:
         self.mux.close()
         sim.run_until_triggered(all_of(sim, self.mux.dispatchers),
                                 limit=limit)
-        if self.rebalancer is not None:
-            # Finish any in-flight migration so no deployment ends with
-            # an item transiently on two shards (foreground accounting
-            # below only reads per-request records, so this is free).
-            self.rebalancer.stop()
-            step = max(self.rebalance_cfg.interval,
-                       self.rebalance_cfg.drain_s)
-            for _ in range(10_000):
-                if not self.rebalancer.active_migrations:
-                    break
-                sim.run(until=sim.now + step)
-            else:
-                raise RuntimeError("rebalancer failed to settle")
-        return self._collect()
+        # Foreground accounting below only reads per-request records,
+        # so settling an in-flight migration first is free.
+        self.deployment.settle()
+        return self.collect()
 
-    def _collect(self) -> TrafficResult:
+    def collect(self) -> TrafficResult:
+        """The result as of now (also valid for a run cut short)."""
         config, traffic = self.config, self.traffic
+        deployment = self.deployment
         to_us = 1e6
         self.metrics.adopt(
             "traffic.sojourn_us",
@@ -332,13 +252,7 @@ class TrafficRunner:
             )
         arrivals = sum(a.arrivals for a in self.aggregates)
         shed_window = sum(a.shed_window for a in self.aggregates)
-        server_shed = sum(
-            int(s.fm_server.requests_shed) for s in self.stacks
-            if s.fm_server is not None
-        )
-        cpu = sum(
-            s.host.cpu.utilization() for s in self.stacks
-        ) / len(self.stacks)
+        merged = merge_client_stats(self.session_stats)
         per_tenant = {
             name: {
                 "count": float(rec.count),
@@ -349,6 +263,7 @@ class TrafficRunner:
         }
         doc = snapshot_document(
             self.metrics,
+            tracer=deployment.tracer if config.trace else None,
             meta={
                 "scheme": config.scheme,
                 "fabric": config.fabric,
@@ -379,7 +294,7 @@ class TrafficRunner:
             shed_window=shed_window,
             shed_watermark=self.mux.shed_watermark,
             shed_admission=self.mux.shed_admission,
-            server_shed=server_shed,
+            server_shed=deployment.requests_shed(),
             users_total=traffic.total_users,
             users_touched=sum(a.users_touched for a in self.aggregates),
             sojourn_mean_us=self.sojourn.mean * to_us,
@@ -387,7 +302,12 @@ class TrafficRunner:
             sojourn_p95_us=self.sojourn.percentile(95) * to_us,
             sojourn_p99_us=self.sojourn.percentile(99) * to_us,
             sojourn_p999_us=self.sojourn.percentile(99.9) * to_us,
-            server_cpu_utilization=cpu,
+            server_cpu_utilization=deployment.mean_cpu_utilization(),
+            server_bandwidth_gbps=deployment.total_bandwidth_gbps(),
+            server_bandwidth_utilization=deployment.bandwidth_utilization(),
+            offload_fraction=merged.offload_fraction,
+            torn_retries=int(merged.torn_retries),
+            search_restarts=int(merged.search_restarts),
             per_tenant=per_tenant,
             metrics=doc,
         )
@@ -399,24 +319,13 @@ def run_traffic(config: ExperimentConfig,
     return TrafficRunner(config, record=record).run()
 
 
-def run_traffic_experiment(config: ExperimentConfig) -> RunResult:
-    """The :func:`~repro.cluster.builder.run_experiment` dispatch target."""
-    return run_traffic(config).to_run_result()
-
-
 def rate_sweep(config: ExperimentConfig,
                rates: List[float]) -> List[TrafficResult]:
     """One fresh deployment per offered rate (identical otherwise)."""
     if config.traffic is None:
         raise ValueError("config.traffic must be set for a rate sweep")
-    results = []
-    for rate in rates:
-        point = replace(config.traffic, rate=rate)
-        results.append(run_traffic(replace_config(config, point)))
-    return results
-
-
-def replace_config(config: ExperimentConfig,
-                   traffic: TrafficConfig) -> ExperimentConfig:
-    """A copy of ``config`` with a different traffic block."""
-    return replace(config, traffic=traffic)
+    return [
+        run_traffic(replace(config,
+                            traffic=replace(config.traffic, rate=rate)))
+        for rate in rates
+    ]

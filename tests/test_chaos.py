@@ -75,13 +75,6 @@ class TestDeterministicReplay:
         # The workloads differ, so the outcome digest must differ.
         assert a.fingerprint() != b.fingerprint()
 
-    def test_flash_crowd_fingerprint_pinned(self):
-        # The scenario pins its own deployment shape via tweaks, so the
-        # digest is stable even under the FAST sizing overrides.
-        report = run_scenario("flash-crowd", **FAST)
-        assert report.ok, report.failures
-        assert report.fingerprint() == "95d90656ca53e494"
-
     def test_config_object_and_kwargs_agree(self):
         via_kwargs = run_scenario("slow-client", seed=5, **FAST)
         via_config = run_scenario("slow-client", seed=5,

@@ -114,15 +114,15 @@ class TestDecision:
         sim, fm, engine, session = make_session()
         drive(sim, session, 20)  # nothing ever arrives
         assert len(engine.calls) == 0
-        assert session.heartbeats_missing > 0
-        assert session.heartbeats_consumed == 0
+        assert session.policy.heartbeats_missing > 0
+        assert session.policy.heartbeats_consumed == 0
 
     def test_busy_heartbeat_triggers_offload_window(self):
         sim, fm, engine, session = make_session(seed=3)
         feed(sim, fm.mailbox, 0.99, until=1.0)
         drive(sim, session, 30)
         assert len(engine.calls) > 0
-        assert session.busy_observations > 0
+        assert session.policy.busy_observations > 0
 
     def test_not_busy_heartbeat_keeps_fast_messaging(self):
         sim, fm, engine, session = make_session()
@@ -144,7 +144,7 @@ class TestDecision:
         sim, fm, engine, session = make_session(params, seed=5)
         feed(sim, fm.mailbox, 1.0, until=1.0)
         drive(sim, session, 60)
-        assert session.backoff_extensions > 0
+        assert session.policy.backoff_extensions > 0
         # most requests end up offloaded under sustained saturation
         assert len(engine.calls) > 30
 
@@ -161,7 +161,7 @@ class TestDecision:
 
         sim.process(feeder())
         drive(sim, session, 40)
-        assert session.r_busy == 0
+        assert session.policy.r_busy == 0
         # Tail requests go back to fast messaging.
         assert fm.calls
 
@@ -219,39 +219,39 @@ class TestAlgorithmEdgeCases:
     @staticmethod
     def _force_inv_elapsed(session):
         # Make `now - t0 > Inv` true without running the event loop.
-        session._t0 = -10.0 * session.params.Inv
+        session.policy._t0 = -10.0 * session.policy.params.Inv
 
     def test_utilization_exactly_at_threshold_is_not_busy(self):
         """The busy test is strictly `U > T`; a reading of exactly T must
         not open an offload window."""
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
-        beat(fm.mailbox, session.params.T)
+        beat(fm.mailbox, session.policy.params.T)
         assert session._decide() is False
-        assert session.r_busy == 0
-        assert session.busy_observations == 0
+        assert session.policy.r_busy == 0
+        assert session.policy.busy_observations == 0
         # ... but the heartbeat itself was consumed (it was fresh).
-        assert session.heartbeats_consumed == 1
+        assert session.policy.heartbeats_consumed == 1
 
     def test_just_above_threshold_is_busy(self):
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
-        beat(fm.mailbox, session.params.T + 1e-9)
+        beat(fm.mailbox, session.policy.params.T + 1e-9)
         session._decide()
-        assert session.r_busy == 1
+        assert session.policy.r_busy == 1
 
     def test_backoff_window_within_documented_bounds(self):
         """The k-th consecutive busy draw lands in [(k-1)*N, k*N)."""
         params = AdaptiveParams(N=8, T=0.95, Inv=1e-3)
         sim, fm, engine, session = make_session(params)
-        session.rng = _MaxDrawRng()
+        session.policy.rng = _MaxDrawRng()
         for expected_r_busy in (1, 2, 3, 4):
             self._force_inv_elapsed(session)
             beat(fm.mailbox, 1.0)
             offloaded = session._decide()
-            assert session.r_busy == expected_r_busy
+            assert session.policy.r_busy == expected_r_busy
             # _decide drained one unit before returning; undo it.
-            drawn = session.r_off + (1 if offloaded else 0)
+            drawn = session.policy.r_off + (1 if offloaded else 0)
             lo = (expected_r_busy - 1) * params.N
             hi = expected_r_busy * params.N
             assert lo <= drawn < hi
@@ -262,11 +262,11 @@ class TestAlgorithmEdgeCases:
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 1.0)
         session._decide()
-        assert session.r_busy == 1
+        assert session.policy.r_busy == 1
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 0.3)
         session._decide()
-        assert session.r_busy == 0
+        assert session.policy.r_busy == 0
 
     def test_fresh_zero_utilization_heartbeat_is_consumed(self):
         """The seq-based fix: a genuine heartbeat reporting exactly 0.0
@@ -275,13 +275,13 @@ class TestAlgorithmEdgeCases:
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 0.0)
         assert session._decide() is False
-        assert session.heartbeats_consumed == 1
-        assert session.heartbeats_missing == 0
+        assert session.policy.heartbeats_consumed == 1
+        assert session.policy.heartbeats_missing == 0
         # Consuming advanced the Inv clock: the next decide within Inv
         # does not consume again.
         beat(fm.mailbox, 1.0)
         assert session._decide() is False
-        assert session.heartbeats_consumed == 1
+        assert session.policy.heartbeats_consumed == 1
 
     def test_duplicate_seq_reads_as_missing(self):
         """A replayed heartbeat (same seq) must not be consumed twice —
@@ -290,17 +290,17 @@ class TestAlgorithmEdgeCases:
         self._force_inv_elapsed(session)
         fm.mailbox.deliver(Heartbeat(0.99, seq=1))
         session._decide()
-        assert session.heartbeats_consumed == 1
+        assert session.policy.heartbeats_consumed == 1
         self._force_inv_elapsed(session)
         fm.mailbox.deliver(Heartbeat(0.99, seq=1))  # replay, not fresh
-        budget_before = session.r_off
+        budget_before = session.policy.r_off
         session._decide()
-        assert session.heartbeats_consumed == 1
-        assert session.heartbeats_missing == 1
+        assert session.policy.heartbeats_consumed == 1
+        assert session.policy.heartbeats_missing == 1
         # Missing heartbeat resets the busy streak; any remaining budget
         # drains without extension.
-        assert session.r_busy == 0
-        assert session.r_off == max(budget_before - 1, 0)
+        assert session.policy.r_busy == 0
+        assert session.policy.r_off == max(budget_before - 1, 0)
 
     def test_missing_heartbeat_never_offloads_without_budget(self):
         """With no budget left, missing heartbeats mean fast messaging
@@ -309,7 +309,7 @@ class TestAlgorithmEdgeCases:
         for _ in range(50):
             self._force_inv_elapsed(session)
             assert session._decide() is False
-        assert session.heartbeats_missing == 50
+        assert session.policy.heartbeats_missing == 50
 
 
 class TestHeartbeatIntegration:

@@ -130,8 +130,8 @@ class TestBanditUnit:
         session = BanditSession(sim, fm, engine, ClientStats(),
                                 epsilon=0.1, rng=random.Random(1))
         self._drive(session, sim, 200)
-        assert session.mode_counts[OFFLOADING] > \
-            session.mode_counts[FAST_MESSAGING] * 3
+        assert session.policy.mode_counts[OFFLOADING] > \
+            session.policy.mode_counts[FAST_MESSAGING] * 3
 
     def test_converges_to_fm_when_fm_faster(self):
         sim = Simulator()
@@ -140,8 +140,8 @@ class TestBanditUnit:
         session = BanditSession(sim, fm, engine, ClientStats(),
                                 epsilon=0.1, rng=random.Random(2))
         self._drive(session, sim, 200)
-        assert session.mode_counts[FAST_MESSAGING] > \
-            session.mode_counts[OFFLOADING] * 3
+        assert session.policy.mode_counts[FAST_MESSAGING] > \
+            session.policy.mode_counts[OFFLOADING] * 3
 
     def test_explores_both_arms(self):
         sim = Simulator()
@@ -150,9 +150,9 @@ class TestBanditUnit:
         session = BanditSession(sim, fm, engine, ClientStats(),
                                 epsilon=0.3, rng=random.Random(3))
         self._drive(session, sim, 100)
-        assert session.mode_counts[FAST_MESSAGING] > 0
-        assert session.mode_counts[OFFLOADING] > 0
-        assert session.explorations > 0
+        assert session.policy.mode_counts[FAST_MESSAGING] > 0
+        assert session.policy.mode_counts[OFFLOADING] > 0
+        assert session.policy.explorations > 0
 
     def test_adapts_when_latencies_flip(self):
         sim = Simulator()
@@ -164,10 +164,10 @@ class TestBanditUnit:
         self._drive(session, sim, 150)
         # flip the world: fm becomes slow
         fm.latency, engine.latency = 100e-6, 10e-6
-        before = dict(session.mode_counts)
+        before = dict(session.policy.mode_counts)
         self._drive(session, sim, 300)
-        offload_delta = session.mode_counts[OFFLOADING] - before[OFFLOADING]
-        fm_delta = session.mode_counts[FAST_MESSAGING] - before[FAST_MESSAGING]
+        offload_delta = session.policy.mode_counts[OFFLOADING] - before[OFFLOADING]
+        fm_delta = session.policy.mode_counts[FAST_MESSAGING] - before[FAST_MESSAGING]
         assert offload_delta > fm_delta
 
     def test_writes_bypass_the_bandit(self):

@@ -382,7 +382,7 @@ class TestOffloadBreaker:
         # Every request completed despite the storm: failover served them.
         assert len(done) == 80
         assert int(breaker.trips) >= 1
-        assert int(session.offload_failovers) >= 3
+        assert int(session.policy.offload_failovers) >= 3
         # While OPEN, requests were short-circuited straight to FM.
         assert int(breaker.short_circuits) >= 1
         # After the storm a half-open probe succeeded and closed it.
@@ -404,16 +404,16 @@ class TestStaleHeartbeats:
             params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
             stale_after_missing=2,
         )
-        session.r_busy = 1
-        session.r_off = 5
-        session._t0 = -1.0  # force the Inv-elapsed branch
+        session.policy.r_busy = 1
+        session.policy.r_off = 5
+        session.policy._t0 = -1.0  # force the Inv-elapsed branch
 
         assert session._decide() is True   # 1st miss: budget still drains
-        assert session.r_off == 4
+        assert session.policy.r_off == 4
         assert session._decide() is False  # 2nd miss: budget cancelled
-        assert session.r_off == 0 and session.r_busy == 0
-        assert int(session.stale_resets) == 1
-        assert int(session.heartbeats_missing) == 2
+        assert session.policy.r_off == 0 and session.policy.r_busy == 0
+        assert int(session.policy.stale_resets) == 1
+        assert int(session.policy.heartbeats_missing) == 2
 
     def test_fresh_heartbeat_resets_streak(self):
         sim = Simulator()
@@ -423,14 +423,14 @@ class TestStaleHeartbeats:
             params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
             stale_after_missing=2,
         )
-        session._t0 = -1.0
-        session.r_off = 3
+        session.policy._t0 = -1.0
+        session.policy.r_off = 3
         assert session._decide() is True   # miss #1
         from repro.msg import Heartbeat
         fm.mailbox.deliver(Heartbeat(utilization=0.0, seq=7))
-        session._t0 = -1.0
+        session.policy._t0 = -1.0
         assert session._decide() is True   # fresh: streak cleared
-        assert session._missing_streak == 0
-        session._t0 = -1.0
+        assert session.policy._missing_streak == 0
+        session.policy._t0 = -1.0
         assert session._decide() is True   # miss #1 again, no reset
-        assert int(session.stale_resets) == 0
+        assert int(session.policy.stale_resets) == 0

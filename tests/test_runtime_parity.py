@@ -1,13 +1,16 @@
 """Runtime-layer parity: goldens, builder shape, and policy wiring.
 
-The runtime refactor (ServerStack / PathPolicy / SessionFactory) carries
-a hard determinism contract: RNG stream names and draw order are
-preserved, so every scheme must reproduce the result fingerprints and
-chaos fingerprints captured *before* the refactor, bit-identically.
-The GOLDEN_* values below are those pre-refactor captures — do not
-regenerate them to make a failing test pass; a mismatch means the
-simulation's behaviour changed.
+The runtime refactor (ServerStack / PathPolicy / SessionFactory) and the
+one-``Deployment`` refactor after it carry a hard determinism contract:
+RNG stream names and draw order are preserved, so every scheme must
+reproduce the result fingerprints and chaos fingerprints captured
+*before* them, bit-identically.  The GOLDEN_* values below are those
+captures — do not regenerate them to make a failing test pass; a
+mismatch means the simulation's behaviour changed.
 """
+
+import ast
+import pathlib
 
 import pytest
 
@@ -18,9 +21,10 @@ from repro.client.predictors import most_recent
 from repro.client.resilience import BreakerParams
 from repro.cluster.builder import ExperimentRunner, run_experiment
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.deployment import Deployment
 from repro.cluster.results import result_fingerprint
 from repro.cluster.schemes import SCHEMES
-from repro.faults import run_scenario
+from repro.faults import SCENARIOS, run_scenario
 from repro.runtime import (
     Algorithm1Policy,
     AlwaysFmPolicy,
@@ -30,6 +34,8 @@ from repro.runtime import (
     SessionFactory,
 )
 from repro.shard.deploy import ShardedExperimentRunner
+from repro.traffic.config import TrafficConfig
+from repro.traffic.harness import TrafficRunner
 
 # -- golden fingerprints (captured at the pre-refactor seed commit) -------
 
@@ -50,23 +56,31 @@ GOLDEN_RUNS = {
     "tcp": "0521d1b31a63d5d7",
 }
 
+#: Every chaos scenario's pin: name -> (requests per client the pin was
+#: captured at, fingerprint).  The other sizing is common to all:
+#: 2 clients over 1000 items at seed 0.
 GOLDEN_CHAOS = {
-    "chaos-combo": "a0c84b80ec25e8f1",
-    "heartbeat-blackout": "e06962d2a3fdfced",
-    "latency-spike": "6a7ee3635da91eb9",
-    "link-loss": "747980c21edbc87f",
-    "nic-read-stall": "94e7e04486194253",
-    "overload-shed": "93047475084e5fef",
-    "shard-loss": "c09891cfab5165d1",
-    "slow-client": "7cac61784274a673",
-    "worker-crash": "0782a818682ac5c4",
+    "chaos-combo": (150, "a0c84b80ec25e8f1"),
+    # The scenario pins its own deployment shape through its tweaks, so
+    # this digest is independent of the sizing overrides.
+    "flash-crowd": (150, "95d90656ca53e494"),
+    "heartbeat-blackout": (150, "e06962d2a3fdfced"),
+    "latency-spike": (150, "6a7ee3635da91eb9"),
+    "link-loss": (150, "747980c21edbc87f"),
+    "migration-racing-writes": (120, "b4222c4c38b1bacc"),
+    "nic-read-stall": (150, "94e7e04486194253"),
+    "overload-shed": (150, "93047475084e5fef"),
+    "rebalance-under-fault": (120, "4da09f454ef412f4"),
+    "shard-loss": (150, "c09891cfab5165d1"),
+    "slow-client": (150, "7cac61784274a673"),
+    "worker-crash": (150, "0782a818682ac5c4"),
     # Updated when _read_valid stopped sleeping a full backoff *after*
     # its final failed attempt (the caller restarts or fails immediately,
     # so the trailing sleep was pure added latency).  Write storms are
     # the one scenario that exhausts read retries, so only this
     # fingerprint moved; verified by restoring the trailing sleep and
     # recovering the previous digest 6718b501b19046ed exactly.
-    "write-storm": "1e7d20f012474512",
+    "write-storm": (150, "1e7d20f012474512"),
 }
 
 #: Scheme offload mode → expected (session type, policy type).
@@ -105,11 +119,18 @@ def test_hybrid_workload_fingerprint_matches_golden(scheme):
     assert result_fingerprint(result) == GOLDEN_RUNS[scheme + "+hybrid"]
 
 
+def test_every_chaos_scenario_is_pinned():
+    assert sorted(GOLDEN_CHAOS) == sorted(SCENARIOS)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CHAOS))
 def test_chaos_fingerprint_matches_pre_refactor_golden(name):
+    requests_per_client, fingerprint = GOLDEN_CHAOS[name]
     report = run_scenario(name, seed=0, n_clients=2,
-                          requests_per_client=150, dataset_size=1000)
-    assert report.fingerprint() == GOLDEN_CHAOS[name]
+                          requests_per_client=requests_per_client,
+                          dataset_size=1000)
+    assert report.ok, report.failures
+    assert report.fingerprint() == fingerprint
 
 
 def test_back_to_back_runs_are_deterministic():
@@ -159,12 +180,67 @@ def test_tcp_builder_produces_tcp_sessions():
     assert all(type(s) is TcpSession for s in runner.sessions)
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = SRC.parents[1]
+
+#: Constructors only the one assembler may call.
+ASSEMBLY_CALLS = ("Simulator", "ServerStack", "FaultInjector",
+                  "RebalanceController", "partition_str", "SessionFactory")
+
+
+def _python_files(*roots):
+    for root in roots:
+        yield from sorted(pathlib.Path(root).rglob("*.py"))
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+
+
 def test_duplicated_assembly_paths_are_gone():
-    # The acceptance criterion: exactly one session-assembly path.
-    assert not hasattr(ExperimentRunner, "_build_session")
-    assert not hasattr(ShardedExperimentRunner, "_build_shard_session")
-    assert isinstance(ExperimentRunner(tiny_config("catfish")).factory,
-                      SessionFactory)
+    # One assembler: the three runners hold the same Deployment type...
+    traffic = TrafficConfig(rate=1e4, duration_s=1e-4, sessions=1)
+    runners = [
+        ExperimentRunner(tiny_config("catfish")),
+        ShardedExperimentRunner(tiny_config("catfish", n_shards=2)),
+        TrafficRunner(tiny_config("catfish", traffic=traffic)),
+    ]
+    for runner in runners:
+        assert type(runner.deployment) is Deployment
+        assert isinstance(runner.deployment.factory, SessionFactory)
+
+    # ...which is the only module in the assembly layers that calls a
+    # cluster constructor (kv_builder is the B+tree/cuckoo extension's
+    # own deployment, out of scope by decision — see ROADMAP).
+    callers = {name: set() for name in ASSEMBLY_CALLS}
+    layers = [SRC / pkg for pkg in ("cluster", "shard", "traffic", "runtime")]
+    for path in _python_files(*layers):
+        if path.name == "kv_builder.py":
+            continue
+        for name in _called_names(ast.parse(path.read_text())):
+            if name in callers:
+                callers[name].add(path.relative_to(SRC).as_posix())
+    assert callers == {name: {"cluster/deployment.py"}
+                       for name in ASSEMBLY_CALLS}
+
+    # ...and nothing reaches into a runner's underscore attributes from
+    # outside (the runners' own modules say ``self._x``, never
+    # ``runner._x``; everything that holds one calls it ``runner``).
+    offenders = []
+    for path in _python_files(SRC, REPO / "benchmarks", REPO / "examples",
+                              REPO / "tests"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "runner"):
+                offenders.append(f"{path}:{node.lineno} .{node.attr}")
+    assert not offenders, offenders
 
 
 def test_adaptive_sessions_share_stream_names_across_deployments():

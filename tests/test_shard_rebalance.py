@@ -1,5 +1,6 @@
-"""The elastic shard plane: controller units, end-to-end rebalancing
-runs, and the two fingerprint-pinned chaos scenarios.
+"""The elastic shard plane: controller units and end-to-end
+rebalancing runs.  (Its two chaos scenarios are pinned with every other
+scenario in ``tests/test_runtime_parity.GOLDEN_CHAOS``.)
 
 The end-to-end runs use a quadrant-concentrated fixed query set so one
 shard starts hot and the controller has something real to do; they are
@@ -11,14 +12,10 @@ import random
 import pytest
 
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
-from repro.faults import run_scenario
 from repro.rtree.geometry import Rect
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.shard.rebalance import RebalanceController, RebalanceStats
 from repro.shard.verify import verify_routed_results
-
-#: Matches tests/test_chaos.py: same structure, ~4x faster.
-FAST = dict(n_clients=2, requests_per_client=120, dataset_size=1000)
 
 #: Aggressive-but-damped tuning the end-to-end tests run under.
 TUNING = RebalanceConfig(interval=0.3e-3, split_ratio=1.5,
@@ -172,14 +169,3 @@ class TestEndToEnd:
         assert a.extra == b.extra
         assert a.throughput_kops == b.throughput_kops
         assert first.live_map.epoch == second.live_map.epoch
-
-
-@pytest.mark.parametrize("name,fingerprint", [
-    ("rebalance-under-fault", "4da09f454ef412f4"),
-    ("migration-racing-writes", "b4222c4c38b1bacc"),
-])
-class TestChaosScenarios:
-    def test_green_and_pinned_at_fast_size(self, name, fingerprint):
-        report = run_scenario(name, **FAST)
-        assert report.ok, report.failures
-        assert report.fingerprint() == fingerprint

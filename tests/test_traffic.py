@@ -1,5 +1,6 @@
 """repro.traffic: arrival determinism, admission control, conservation,
-open-loop tail metrics, and the flash-crowd chaos fingerprint.
+open-loop tail metrics, and the flash-crowd chaos scenario (its
+fingerprint is pinned in ``tests/test_runtime_parity.GOLDEN_CHAOS``).
 
 The determinism tests pin the layer's core contract: arrival schedules
 are a pure function of (seed, stream names, rate shape) — independent of
@@ -8,9 +9,11 @@ tenant mix, shard count, and everything downstream of the generator.
 
 import pytest
 
+from repro.client.node_cache import NodeCacheConfig
 from repro.cluster.builder import run_experiment
 from repro.cluster.config import ExperimentConfig
 from repro.faults import run_scenario
+from repro.faults.plan import BOTH, FaultPlan, LinkFault
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.traffic import (
@@ -31,13 +34,6 @@ from repro.traffic.mux import (
 )
 
 ALL_KINDS = ("poisson", "diurnal", "flash-crowd")
-
-#: The flash-crowd chaos scenario's outcome digest at seed 0.  The
-#: scenario pins its own deployment (see the tweaks in
-#: repro.faults.scenarios), so this replays bit-identically regardless
-#: of ChaosConfig sizing overrides.
-FLASH_CROWD_FINGERPRINT = "95d90656ca53e494"
-
 
 def _traffic(**kw) -> TrafficConfig:
     base = dict(
@@ -162,6 +158,13 @@ class TestConfigValidation:
         config = _config()
         config.scheme = "tcp"
         with pytest.raises(ValueError):
+            TrafficRunner(config)
+
+    def test_rdma_scheme_rejects_non_rdma_fabric(self):
+        # The same refusal the closed-loop runners give.
+        config = _config()
+        config.scheme, config.fabric = "catfish", "eth-1g"
+        with pytest.raises(ValueError, match="needs an RDMA fabric"):
             TrafficRunner(config)
 
 
@@ -295,11 +298,63 @@ class TestHarness:
         assert len(finished) == len(runner.mux.finished_jobs)
 
 
+class TestSharedDeployment:
+    """The open-loop runner drives the same Deployment the closed-loop
+    runners drive, so faults, tracing and the metrics document agree."""
+
+    def test_fault_plan_is_injected(self):
+        calm = run_traffic(_config())
+        config = _config()
+        config.fault_plan = FaultPlan((
+            LinkFault(0.0, config.traffic.duration_s, direction=BOTH,
+                      loss_prob=0.5, retransmit_delay_s=30e-6),
+        ))
+        runner = TrafficRunner(config)
+        lossy = runner.run()
+        assert runner.deployment.injector.packets_dropped > 0
+        assert lossy.metrics["metrics"]["faults.packets_dropped"][
+            "value"] > 0
+        assert lossy.sojourn_p99_us > calm.sojourn_p99_us
+
+    def test_trace_is_collected(self):
+        config = _config()
+        config.scheme, config.trace = "catfish", True
+        result = run_traffic(config)
+        assert result.metrics["trace"]["total_events"] > 0
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_metric_names_match_the_closed_loop_document(self, n_shards):
+        shape = dict(scheme="catfish", dataset_size=500, seed=3,
+                     n_shards=n_shards, node_cache=NodeCacheConfig())
+        closed = run_experiment(ExperimentConfig(
+            n_clients=2, requests_per_client=5, **shape))
+        opened = run_traffic(ExperimentConfig(traffic=_traffic(), **shape))
+
+        def shared(document):
+            return {name for name in document["metrics"]
+                    if not name.startswith("traffic.")
+                    and "latency" not in name}
+
+        names = shared(opened.metrics)
+        assert names == shared(closed.metrics)
+        for prefix in ("client.", "adaptive.", "offload.", "cache.",
+                       "rtree.scan_kernel_numpy"):
+            assert any(name.startswith(prefix) for name in names), prefix
+
+    def test_run_result_projection_reports_the_offload_path(self):
+        config = _config()
+        config.scheme = "rdma-offloading"
+        run = run_experiment(config)
+        assert run.offload_fraction == 1.0
+        assert run.server_bandwidth_gbps > 0.0
+        assert 0.0 < run.server_bandwidth_utilization <= 1.0
+        assert run.torn_retries == 0 and run.search_restarts == 0
+
+
 class TestFlashCrowdScenario:
-    def test_green_and_fingerprint_pinned(self):
+    def test_green_with_every_guard_checked(self):
         report = run_scenario("flash-crowd", seed=0)
         assert report.ok, report.failures
-        assert report.fingerprint() == FLASH_CROWD_FINGERPRINT
         names = [n for n, _ok, _d in report.invariants]
         assert "fault-fired:client-shed" in names
         assert "fault-fired:server-shed" in names
