@@ -10,6 +10,7 @@ mismatch means the simulation's behaviour changed.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
@@ -22,6 +23,7 @@ from repro.client.resilience import BreakerParams
 from repro.cluster.builder import ExperimentRunner, run_experiment
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.deployment import Deployment
+from repro.cluster.kv_builder import KvExperimentConfig, run_kv_experiment
 from repro.cluster.results import result_fingerprint
 from repro.cluster.schemes import SCHEMES
 from repro.faults import SCENARIOS, run_scenario
@@ -83,6 +85,21 @@ GOLDEN_CHAOS = {
     "write-storm": (150, "1e7d20f012474512"),
 }
 
+#: The §VI extension's pins: (index, scheme) -> fingerprint, captured
+#: while ``kv_builder`` still hand-built its own cluster.  The two
+#: served-op counters are masked: that builder reported them as hard 0,
+#: the shared assembler reports the KV service's real counts.
+GOLDEN_KV = {
+    ("btree", "fast-messaging"): "77bab29ce3b44e36",
+    ("btree", "rdma-offloading"): "9c1c751d30880370",
+    ("btree", "catfish"): "52574c51a374b0f0",
+    ("btree", "catfish-bandit"): "e7e9b6cdb416c050",
+    ("cuckoo", "fast-messaging"): "a9393e3c6c29ea05",
+    ("cuckoo", "rdma-offloading"): "0f181bcfc491917e",
+    ("cuckoo", "catfish"): "f1404d0e7a4cfd45",
+    ("cuckoo", "catfish-bandit"): "e4a051afcb428692",
+}
+
 #: Scheme offload mode → expected (session type, policy type).
 EXPECTED_SHAPE = {
     "never": (PolicySession, AlwaysFmPolicy),
@@ -131,6 +148,19 @@ def test_chaos_fingerprint_matches_pre_refactor_golden(name):
                           dataset_size=1000)
     assert report.ok, report.failures
     assert report.fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize("index,scheme", sorted(GOLDEN_KV))
+def test_kv_fingerprint_matches_pre_fold_golden(index, scheme):
+    mix = (dict(get_fraction=0.6, scan_fraction=0.3)
+           if index == "btree" else {})
+    result = run_kv_experiment(KvExperimentConfig(
+        index=index, scheme=scheme, n_clients=4, requests_per_client=40,
+        n_keys=3000, server_cores=4, heartbeat_interval=0.2e-3, seed=2,
+        **mix))
+    masked = dataclasses.replace(result, searches_served_by_server=0,
+                                 inserts_served=0)
+    assert result_fingerprint(masked) == GOLDEN_KV[index, scheme]
 
 
 def test_back_to_back_runs_are_deterministic():
