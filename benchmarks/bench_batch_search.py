@@ -24,15 +24,95 @@ Usable both ways::
 from __future__ import annotations
 
 import sys
+import time
+from typing import Dict
 
 from repro import ExperimentConfig, run_experiment
-from repro.perfbench import bench_search_visits, bench_search_visits_batched
-from repro.rtree import forced_kernel, kernel_name
+from repro.rtree import Rect, bulk_load, forced_kernel, kernel_name
+from repro.rtree.batch import BatchSearchEngine
+from repro.sim.rng import RngRegistry
+from repro.workloads import uniform_dataset
 
 #: Batched visits/s must beat sequential by at least this factor.
 VISITS_SPEEDUP_FLOOR = 2.0
 #: Batched end-to-end throughput must beat sequential by this factor.
 E2E_SPEEDUP_FLOOR = 1.2
+
+
+#: Queries per shared-frontier group in the batched search stage.  The
+#: amortization factor is bounded by (group size x visits-per-query) /
+#: tree size, so the group must be deep enough for queries to overlap;
+#: 4096 over the 40k-item tree revisits each hot node ~25x fewer times
+#: than sequential search does.
+BATCH_GROUP_SIZE = 4096
+
+
+def _tree_and_queries(dataset_size: int, n_queries: int):
+    """One bulk-loaded tree and a fixed stream of mid-size queries (a
+    few leaf nodes per search)."""
+    tree = bulk_load(uniform_dataset(dataset_size, seed=0))
+    rng = RngRegistry(0).stream("perf-search")
+    side = 0.02
+    queries = []
+    for _ in range(n_queries):
+        cx = rng.uniform(side, 1.0 - side)
+        cy = rng.uniform(side, 1.0 - side)
+        queries.append(Rect(cx - side / 2, cy - side / 2,
+                            cx + side / 2, cy + side / 2))
+    return tree, queries
+
+
+def bench_search_visits(dataset_size: int, n_queries: int,
+                        repeats: int = 1) -> Dict[str, float]:
+    """Range scans over a bulk-loaded tree (the server's scan kernel);
+    best-of-``repeats`` wall."""
+    tree, queries = _tree_and_queries(dataset_size, n_queries)
+    wall = None
+    for _ in range(max(1, repeats)):
+        visits = 0
+        matches = 0
+        start = time.perf_counter()
+        for query in queries:
+            result = tree.search(query)
+            visits += result.nodes_visited
+            matches += result.count
+        elapsed = time.perf_counter() - start
+        wall = elapsed if wall is None else min(wall, elapsed)
+    return {"queries": n_queries, "visits": visits, "matches": matches,
+            "wall_s": wall, "visits_per_s": visits / wall}
+
+
+def bench_search_visits_batched(dataset_size: int, n_queries: int,
+                                repeats: int = 1,
+                                batch_size: int = BATCH_GROUP_SIZE
+                                ) -> Dict[str, float]:
+    """The same scans through the cross-query batch engine.
+
+    Identical tree, identical query stream, identical per-query results
+    (asserted by the callers); ``visits`` counts the same per-query node
+    visits as the sequential stage, so visits/s is directly comparable —
+    the batch engine's whole advantage is doing those visits as shared
+    (Q x E) matrix evaluations, each tree node scanned once per group.
+    """
+    tree, queries = _tree_and_queries(dataset_size, n_queries)
+    groups = [queries[i:i + batch_size]
+              for i in range(0, len(queries), batch_size)]
+    wall = None
+    for _ in range(max(1, repeats)):
+        engine = BatchSearchEngine(tree)
+        visits = 0
+        matches = 0
+        start = time.perf_counter()
+        for group in groups:
+            for result in engine.search_batch(group):
+                visits += result.nodes_visited
+                matches += result.count
+        elapsed = time.perf_counter() - start
+        wall = elapsed if wall is None else min(wall, elapsed)
+    return {"queries": n_queries, "batch_size": batch_size,
+            "visits": visits, "matches": matches,
+            "shared_visits": engine.shared_visits,
+            "wall_s": wall, "visits_per_s": visits / wall}
 
 
 def run_engine_stage(smoke: bool = False) -> dict:

@@ -13,22 +13,14 @@ import random
 
 from conftest import print_figure
 
-from repro import AdaptiveParams
-from repro.btree import (
-    BTreeOffloadEngine,
-    BTreeService,
-    KvCatfishSession,
-    KvFmSession,
-    KvOffloadSession,
-    KvRequest,
-    OP_GET,
-)
+from repro.btree import BTreeOffloadEngine, BTreeService
 from repro.client import ClientStats
+from repro.cluster import KvExperimentConfig, run_kv_experiment
 from repro.cuckoo import CuckooOffloadEngine, CuckooService
 from repro.hw import Host
 from repro.net import IB_100G, Network
-from repro.server import EVENT, FastMessagingServer, HeartbeatService
-from repro.sim import Simulator, all_of
+from repro.server import EVENT, FastMessagingServer
+from repro.sim import Simulator
 
 
 def _offload_profile(structure, n_items=20_000, n_ops=200):
@@ -55,7 +47,7 @@ def _offload_profile(structure, n_items=20_000, n_ops=200):
         conn = fm_server.open_connection(Host(sim, "c", IB_100G, cores=2))
         stats = ClientStats()
         engine = CuckooOffloadEngine(sim, conn.client_end,
-                                     service.descriptor(),
+                                     service.offload_descriptor(),
                                      service.costs, stats)
         reads = lambda: engine.buckets_fetched
 
@@ -99,67 +91,20 @@ def test_offload_profiles(benchmark):
 
 
 def _btree_cluster(scheme, n_clients=24, n_ops=120, n_items=20_000):
-    sim = Simulator()
-    net = Network(sim, IB_100G)
-    server_host = Host(sim, "server", IB_100G, cores=4)
-    net.attach_server(server_host)
-    rng = random.Random(2)
-    keys = rng.sample(range(10**6), n_items)
-    service = BTreeService(sim, server_host, [(k, k + 1) for k in keys])
-    fm_server = FastMessagingServer(sim, service, net, mode=EVENT)
-    heartbeats = HeartbeatService(
-        sim, server_host.cpu.window_utilization, interval=0.2e-3
-    )
-
-    all_stats = []
-    drivers = []
-    for i in range(n_clients):
-        host = Host(sim, f"c{i}", IB_100G, cores=2)
-        conn = fm_server.open_connection(host)
-        stats = ClientStats()
-        fm = KvFmSession(sim, conn, i, stats)
-        heartbeats.subscribe(conn.response_ring,
-                             lambda hb, c=conn: c.server_post_response(hb))
-        engine = BTreeOffloadEngine(sim, conn.client_end,
-                                    service.offload_descriptor(),
-                                    service.costs, stats)
-        if scheme == "fast-messaging":
-            session = fm
-        elif scheme == "offload":
-            session = KvOffloadSession(engine, fm, stats)
-        else:
-            session = KvCatfishSession(
-                sim, fm, engine, stats,
-                params=AdaptiveParams(N=8, T=0.95, Inv=0.2e-3),
-                rng=random.Random(100 + i),
-            )
-        crng = random.Random(200 + i)
-
-        def driver(session=session, crng=crng, stats=stats):
-            for _ in range(n_ops):
-                t0 = sim.now
-                yield from session.execute(
-                    KvRequest(OP_GET, key=crng.choice(keys)))
-                stats.latency.record(sim.now - t0)
-                stats.requests_sent += 1
-
-        drivers.append(sim.process(driver()))
-        all_stats.append(stats)
-    heartbeats.start()
-    sim.run_until_triggered(all_of(sim, drivers))
-    total = sum(s.requests_sent for s in all_stats)
-    kops = total / sim.now / 1e3
-    mean_us = (sum(sum(s.latency.samples) for s in all_stats)
-               / total * 1e6)
-    offloaded = sum(s.offloaded_requests for s in all_stats)
-    return {"kops": kops, "mean_us": mean_us,
-            "offload": offloaded / total}
+    result = run_kv_experiment(KvExperimentConfig(
+        index="btree", scheme=scheme, get_fraction=1.0, zipf_s=0.0,
+        n_clients=n_clients, requests_per_client=n_ops, n_keys=n_items,
+        server_cores=4, heartbeat_interval=0.2e-3, seed=2,
+    ))
+    return {"kops": result.throughput_kops,
+            "mean_us": result.mean_latency_us,
+            "offload": result.offload_fraction}
 
 
 def test_btree_catfish_beats_baselines(benchmark):
     def run():
         return {s: _btree_cluster(s)
-                for s in ("fast-messaging", "offload", "catfish")}
+                for s in ("fast-messaging", "rdma-offloading", "catfish")}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [

@@ -10,7 +10,6 @@ window — the catfish turning its body as the water changes.
 
 from repro.client import (
     AdaptiveParams,
-    CatfishSession,
     ClientStats,
     OffloadEngine,
     Request,
@@ -19,6 +18,7 @@ from repro.client.fm_client import FmSession
 from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer, HeartbeatService, RTreeServer
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
@@ -44,9 +44,10 @@ def main():
                          lambda hb: conn.server_post_response(hb))
     engine = OffloadEngine(sim, conn.client_end,
                            server.offload_descriptor(), server.costs, stats)
-    session = CatfishSession(
+    session = PolicySession(
         sim, fm, engine, stats,
-        params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+        Algorithm1Policy(sim, fm.mailbox,
+                         params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3)),
     )
     heartbeats.start()
 

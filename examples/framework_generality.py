@@ -3,8 +3,9 @@
 
 "Catfish is a framework for accessing link-based data structures over
 RDMA, such as B+tree and Cuckoo hashing, and R-tree."  This example runs
-all three behind the *same* ring buffers, verbs layer and Algorithm 1
-client, and contrasts their offloading profiles:
+all three behind the *same* ring buffers, verbs layer and client session
+(one ``PolicySession``; each index brings only its wire codec and its
+offload engine), and contrasts their offloading profiles:
 
 * R-tree search   — a few RTTs, wide fan-out (multi-issue shines);
 * B+tree get      — height RTTs down one path; scans go level-wise;
@@ -20,11 +21,12 @@ from repro.btree import (
     KvRequest,
     OP_GET,
 )
-from repro.client import ClientStats, OffloadEngine
+from repro.client import ClientStats, FmSession, OffloadEngine, Request
 from repro.cuckoo import CuckooOffloadEngine, CuckooService
 from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import AlwaysOffloadPolicy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
@@ -55,41 +57,39 @@ def run_structure(name):
     stats = ClientStats()
 
     if name == "r-tree":
+        fm = FmSession(sim, conn, 0, stats)
         engine = OffloadEngine(sim, conn.client_end,
                                service.offload_descriptor(),
                                service.costs, stats)
 
-        def one_op():
+        def next_request():
             x = rng.random() * 0.99
-            result = yield from engine.search(
-                Rect(x, x, min(x + 0.002, 1.0), min(x + 0.002, 1.0)))
-            return result
+            return Request("search", Rect(x, x, min(x + 0.002, 1.0),
+                                          min(x + 0.002, 1.0)))
         reads_done = lambda: engine.chunks_fetched + engine.meta_reads
     elif name == "b+tree":
+        fm = KvFmSession(sim, conn, 0, stats)
         engine = BTreeOffloadEngine(sim, conn.client_end,
                                     service.offload_descriptor(),
                                     service.costs, stats)
-
-        def one_op():
-            result = yield from engine.get(rng.choice(keys))
-            return result
+        next_request = lambda: KvRequest(OP_GET, key=rng.choice(keys))
         reads_done = lambda: engine.chunks_fetched + engine.meta_reads
     else:
+        fm = KvFmSession(sim, conn, 0, stats)
         engine = CuckooOffloadEngine(sim, conn.client_end,
-                                     service.descriptor(),
+                                     service.offload_descriptor(),
                                      service.costs, stats)
-
-        def one_op():
-            result = yield from engine.get(rng.choice(keys))
-            return result
+        next_request = lambda: KvRequest(OP_GET, key=rng.choice(keys))
         reads_done = lambda: engine.buckets_fetched
 
+    # The same session class for all three: only fm and engine differ.
+    session = PolicySession(sim, fm, engine, stats, AlwaysOffloadPolicy())
     n_ops = 300
 
     def client():
         t0 = sim.now
         for _ in range(n_ops):
-            yield from one_op()
+            yield from session.execute(next_request())
         return (sim.now - t0) / n_ops
 
     p = sim.process(client())

@@ -36,11 +36,9 @@ Quickstart::
 
 from .client import (
     AdaptiveParams,
-    CatfishSession,
     ClientStats,
     FmSession,
     OffloadEngine,
-    OffloadSession,
     Request,
     TcpSession,
 )
@@ -93,11 +91,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdaptiveParams",
-    "CatfishSession",
     "ClientStats",
     "FmSession",
     "OffloadEngine",
-    "OffloadSession",
     "Request",
     "TcpSession",
     "ExperimentConfig",

@@ -14,10 +14,7 @@ from .offload import (
     OP_PUT,
     OP_SCAN,
     BTreeOffloadEngine,
-    KvBanditSession,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
     KvRequest,
 )
 from .service import (
@@ -41,10 +38,7 @@ __all__ = [
     "OP_PUT",
     "OP_SCAN",
     "BTreeOffloadEngine",
-    "KvBanditSession",
-    "KvCatfishSession",
     "KvFmSession",
-    "KvOffloadSession",
     "KvRequest",
     "BNodeSnapshot",
     "BTreeService",

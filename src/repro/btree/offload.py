@@ -1,20 +1,22 @@
 """Client-side B+tree access over the Catfish framework.
 
 * :class:`KvFmSession` — get/put/delete/scan through the ring buffer
-  (reuses the generic receiver of :class:`FmSession`);
+  (the generic :class:`FmSession` with the KV wire codec);
 * :class:`BTreeOffloadEngine` — one-sided traversal: point lookups walk
   root→leaf with validated chunk reads; range scans multi-issue all the
   leaves the parent points into the range (the B+tree analogue of the
-  R-tree's multi-issue);
-* :class:`KvCatfishSession` — Algorithm 1 unchanged, with B+tree reads as
-  the offloadable operations.
+  R-tree's multi-issue).
+
+Path selection is not here: a
+:class:`~repro.runtime.session.PolicySession` over these two runs
+Algorithm 1 (or any other policy) unchanged, with gets and scans as the
+offloadable operations.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
-from ..client.adaptive import CatfishSession
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
 from ..client.offload_client import OffloadError
@@ -23,7 +25,6 @@ from ..msg.codec import (
     KvGetRequest,
     KvPutRequest,
     KvScanRequest,
-    ResponseSegment,
 )
 from ..server.costs import CostModel
 from ..sim.kernel import Simulator
@@ -65,34 +66,25 @@ class KvRequest:
 class KvFmSession(FmSession):
     """Fast messaging for KV requests (same rings, different codec)."""
 
-    def execute(self, request: KvRequest) -> Generator:
-        self.stats.fast_messaging_requests += 1
+    read_ops = (OP_GET, OP_SCAN)
+
+    def _make_wire(self, request: KvRequest):
         req_id = self._ids.next_id()
         if request.op == OP_GET:
-            wire = KvGetRequest(req_id, request.key)
-        elif request.op == OP_PUT:
-            wire = KvPutRequest(req_id, request.key, request.value)
-        elif request.op == OP_KV_DELETE:
-            wire = KvDeleteRequest(req_id, request.key)
-        else:
-            wire = KvScanRequest(req_id, request.lo, request.hi,
-                                 request.max_results)
-        yield from self.conn.request_ring.reserve(wire)
-        yield self.conn.client_post_request(wire)
-        results: List[Tuple[int, int]] = []
-        while True:
-            segment: ResponseSegment = yield self._segments.get()
-            if segment.req_id != wire.req_id:
-                raise RuntimeError("out-of-order response on a sync client")
-            results.extend(segment.results)
-            if segment.last:
-                break
-        self.stats.results_received += len(results)
-        return results
+            return KvGetRequest(req_id, request.key)
+        if request.op == OP_PUT:
+            return KvPutRequest(req_id, request.key, request.value)
+        if request.op == OP_KV_DELETE:
+            return KvDeleteRequest(req_id, request.key)
+        return KvScanRequest(req_id, request.lo, request.hi,
+                             request.max_results)
 
 
 class BTreeOffloadEngine:
     """One-sided B+tree traversal with validation and restarts."""
+
+    #: Counters summed over all clients into the ``offload.*`` metrics.
+    counter_fields = ("meta_reads", "chunks_fetched")
 
     def __init__(
         self,
@@ -163,6 +155,12 @@ class BTreeOffloadEngine:
         return None
 
     # -- operations -------------------------------------------------------------
+
+    def read(self, request: KvRequest) -> Generator:
+        """Serve one read request (get / scan) one-sidedly."""
+        if request.op == OP_GET:
+            return self.get(request.key)
+        return self.scan(request.lo, request.hi, request.max_results)
 
     def get(self, key: int) -> Generator:
         """Point lookup; returns [(key, value)] or []."""
@@ -301,79 +299,3 @@ class BTreeOffloadEngine:
                 failed = True
             views[index] = view
         return None if failed else views
-
-
-class KvCatfishSession(CatfishSession):
-    """Algorithm 1 over B+tree operations — unchanged back-off logic."""
-
-    def _is_offloadable(self, request: KvRequest) -> bool:
-        return request.op in (OP_GET, OP_SCAN)
-
-    def _offload(self, request: KvRequest) -> Generator:
-        if request.op == OP_GET:
-            result = yield from self.engine.get(request.key)
-        else:
-            result = yield from self.engine.scan(
-                request.lo, request.hi, request.max_results
-            )
-        return result
-
-
-class KvBanditSession:
-    """ε-greedy latency bandit over B+tree reads (cf. client.bandit)."""
-
-    def __init__(self, sim, fm, engine, stats, epsilon=0.1, alpha=0.3,
-                 rng=None):
-        from ..runtime.policy import BanditPolicy
-        # Compose rather than subclass: reuse the arm-selection machinery
-        # with KV dispatch.
-        self._bandit = BanditPolicy(epsilon=epsilon, alpha=alpha, rng=rng)
-        self.sim = sim
-        self.fm = fm
-        self.engine = engine
-        self.stats = stats
-
-    @property
-    def mode_counts(self):
-        return self._bandit.mode_counts
-
-    def execute(self, request: KvRequest) -> Generator:
-        from ..client.bandit import OFFLOADING
-        if request.op not in (OP_GET, OP_SCAN):
-            result = yield from self.fm.execute(request)
-            return result
-        mode = self._bandit._choose_mode()
-        self._bandit.mode_counts[mode] += 1
-        start = self.sim.now
-        if mode == OFFLOADING:
-            if request.op == OP_GET:
-                result = yield from self.engine.get(request.key)
-            else:
-                result = yield from self.engine.scan(
-                    request.lo, request.hi, request.max_results)
-        else:
-            result = yield from self.fm.execute(request)
-        self._bandit.estimates[mode].update(self.sim.now - start)
-        return result
-
-
-class KvOffloadSession:
-    """Always-offload reads (the FaRM-style baseline for KV)."""
-
-    def __init__(self, engine: BTreeOffloadEngine, fm: KvFmSession,
-                 stats: ClientStats):
-        self.engine = engine
-        self.fm = fm
-        self.stats = stats
-
-    def execute(self, request: KvRequest) -> Generator:
-        if request.op == OP_GET:
-            result = yield from self.engine.get(request.key)
-            return result
-        if request.op == OP_SCAN:
-            result = yield from self.engine.scan(
-                request.lo, request.hi, request.max_results
-            )
-            return result
-        result = yield from self.fm.execute(request)
-        return result

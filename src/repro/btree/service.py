@@ -1,10 +1,11 @@
 """Server-side B+tree service: registered chunks, execution, dispatch.
 
 Plugs into the *same* fast-messaging / TCP machinery as the R-tree server
-(both expose ``host``, ``costs``, ``service_inflation`` and
-``handle_request``) — this is the paper's §VI framework claim made
-concrete: nothing in ``repro.server.fast_messaging`` or the adaptive
-client knows which index lives behind the ring buffer.
+(all services expose ``host``, ``costs``, ``service_inflation``,
+``handle_request``, ``offload_descriptor`` and the served-work counters)
+— this is the paper's §VI framework claim made concrete: nothing in
+``repro.server.fast_messaging``, the client session or its path policies
+knows which index lives behind the ring buffer.
 """
 
 from __future__ import annotations
@@ -315,3 +316,16 @@ class BTreeService:
 
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()
+
+    # -- the served-work counters every service reports ------------------------
+
+    @property
+    def searches_served(self) -> int:
+        return self.gets_served + self.scans_served
+
+    @property
+    def inserts_served(self) -> int:
+        return self.puts_served
+
+    def items_held(self) -> int:
+        return self.tree.size

@@ -19,7 +19,6 @@ from .cluster.config import ExperimentConfig
 from .cluster.results import RunResult
 from .cluster.schemes import SCHEMES
 from .net.fabric import PROFILES
-from .perfbench import DEFAULT_OUT, DEFAULT_REPEATS, SCALE_PARAMS
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -173,10 +172,15 @@ def _config_with_fabric(args, scheme, fabric) -> ExperimentConfig:
 
 def cmd_kv(args) -> int:
     from .cluster.kv_builder import KvExperimentConfig, run_kv_experiment
+    if not PROFILES[args.fabric].rdma:
+        print(f"error: scheme {args.scheme!r} needs an RDMA fabric",
+              file=sys.stderr)
+        return 2
     heartbeat = args.heartbeat_ms * 1e-3
     config = KvExperimentConfig(
         index=args.index,
         scheme=args.scheme,
+        fabric=args.fabric,
         n_clients=args.clients,
         requests_per_client=args.requests,
         n_keys=args.keys,
@@ -189,18 +193,10 @@ def cmd_kv(args) -> int:
                                 Inv=heartbeat),
         seed=args.seed,
     )
-    result = run_kv_experiment(config)
+    result = run_kv_experiment(config, trace=args.trace)
     print(RunResult.header())
     print(result.row())
     _write_metrics(args, [result.metrics])
-    return 0
-
-
-def cmd_perf(args) -> int:
-    from .perfbench import bench_scale, run_perf, write_perf_json
-    scale = args.scale or bench_scale()
-    run = run_perf(scale, repeats=args.repeats)
-    write_perf_json(args.out, run, scale, baseline=args.baseline)
     return 0
 
 
@@ -445,22 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Zipf skew of key popularity")
     _add_common_options(p_kv)
     p_kv.set_defaults(func=cmd_kv)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="substrate perf benchmark (kernel / search / end-to-end); "
-             "writes BENCH_perf.json",
-    )
-    p_perf.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"artifact path (default {DEFAULT_OUT})")
-    p_perf.add_argument("--baseline", action="store_true",
-                        help="record this run as the pre-PR baseline")
-    p_perf.add_argument("--scale", default=None,
-                        choices=sorted(SCALE_PARAMS),
-                        help="work size (default: $CATFISH_BENCH_SCALE)")
-    p_perf.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="runs per stage; best (min wall) is recorded")
-    p_perf.set_defaults(func=cmd_perf)
 
     p_chaos = sub.add_parser(
         "chaos",

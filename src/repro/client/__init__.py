@@ -1,7 +1,6 @@
 """Client-side access schemes: TCP, fast messaging, offloading, Catfish."""
 
-from .adaptive import AdaptiveParams, CatfishSession, most_recent_utilization
-from .bandit import BanditSession, LatencyEstimate
+from .adaptive import AdaptiveParams, most_recent_utilization
 from .predictors import (
     EwmaPredictor,
     TrendPredictor,
@@ -17,15 +16,12 @@ from .base import (
     RequestIdAllocator,
 )
 from .fm_client import FmSession
-from .offload_client import OffloadEngine, OffloadError, OffloadSession
+from .offload_client import OffloadEngine, OffloadError
 from .tcp_client import TcpSession
 
 __all__ = [
     "AdaptiveParams",
-    "CatfishSession",
     "most_recent_utilization",
-    "BanditSession",
-    "LatencyEstimate",
     "EwmaPredictor",
     "TrendPredictor",
     "make_predictor",
@@ -39,6 +35,5 @@ __all__ = [
     "FmSession",
     "OffloadEngine",
     "OffloadError",
-    "OffloadSession",
     "TcpSession",
 ]

@@ -44,6 +44,7 @@ from .base import (
     OP_NEAREST,
     OP_SEARCH,
     OP_UPDATE,
+    READ_OPS,
     ClientStats,
     Request,
     RequestIdAllocator,
@@ -56,6 +57,11 @@ _TIMED_OUT = object()
 
 class FmSession:
     """One client's fast-messaging endpoint."""
+
+    #: The ops of this session's request vocabulary that only read the
+    #: index: they may bypass the server (§III-B) and are safe to re-send
+    #: after a timeout.
+    read_ops = READ_OPS
 
     def __init__(
         self,
@@ -137,7 +143,7 @@ class FmSession:
         if policy is None:
             result = yield from self._execute_blocking(request)
             return result
-        attempts = policy.attempts_for(request.op)
+        attempts = policy.attempts_for(request.op, self.read_ops)
         for attempt in range(attempts):
             wire = self._make_wire(request)
             try:

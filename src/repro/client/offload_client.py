@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
@@ -45,8 +45,7 @@ from ..server.costs import CostModel
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
 from ..transport.rdma import QpEndpoint
-from .base import OP_SEARCH, ClientStats, Request
-from .fm_client import FmSession
+from .base import OP_COUNT, OP_SEARCH, ClientStats, Request
 from .node_cache import NodeCache
 
 #: Bytes of a meta read (root pointer + height + mutation mark).
@@ -59,6 +58,10 @@ class OffloadError(Exception):
 
 class OffloadEngine:
     """One-sided tree traversal with retry/restart handling."""
+
+    #: Counters summed over all clients into the ``offload.*`` metrics.
+    counter_fields = ("meta_reads", "stale_root_detections",
+                      "chunks_fetched")
 
     def __init__(
         self,
@@ -102,16 +105,6 @@ class OffloadEngine:
         """Enable the client-side node cache (and read coalescing)."""
         self.cache = cache
         self._inflight_reads = {}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "offload") -> None:
-        """Adopt the one-sided-traversal counters into ``registry``."""
-        registry.adopt(f"{prefix}.meta_reads", self.meta_reads)
-        registry.adopt(f"{prefix}.stale_root_detections",
-                       self.stale_root_detections)
-        registry.adopt(f"{prefix}.chunks_fetched", self.chunks_fetched)
-        if self.cache is not None:
-            self.cache.register_metrics(registry, prefix="cache")
 
     # -- low-level reads -----------------------------------------------------
 
@@ -257,6 +250,16 @@ class OffloadEngine:
         return None
 
     # -- search ------------------------------------------------------------------
+
+    def read(self, request: Request) -> Generator:
+        """Serve one read request (search / count / nearest) one-sidedly."""
+        op = request.op
+        if op == OP_SEARCH:
+            return self.search(request.rect)
+        if op == OP_COUNT:
+            return self.count(request.rect)
+        cx, cy = request.rect.center()
+        return self.nearest(cx, cy, request.k)
 
     def search(self, query: Rect) -> Generator:
         """Traverse the tree one-sidedly; returns [(rect, data_id), ...].
@@ -700,35 +703,3 @@ class OffloadEngine:
                 issue_all([(ref, view.level - 1)
                            for ref in view.intersecting_refs(query)])
         return None if failed else matches
-
-
-class OffloadSession:
-    """The paper's "RDMA offloading" scheme: one-sided reads, ring-buffer
-    writes."""
-
-    def __init__(self, engine: OffloadEngine, fm: FmSession,
-                 stats: ClientStats):
-        self.engine = engine
-        self.fm = fm
-        self.stats = stats
-
-    def execute(self, request: Request) -> Generator:
-        result = yield from dispatch_read(self.engine, request, self.fm)
-        return result
-
-
-def dispatch_read(engine: OffloadEngine, request: Request, fm) -> Generator:
-    """Route a request to the right one-sided operation (or to fast
-    messaging for writes).  Shared by the offload and adaptive sessions."""
-    from .base import OP_COUNT, OP_NEAREST
-
-    if request.op == OP_SEARCH:
-        result = yield from engine.search(request.rect)
-    elif request.op == OP_COUNT:
-        result = yield from engine.count(request.rect)
-    elif request.op == OP_NEAREST:
-        cx, cy = request.rect.center()
-        result = yield from engine.nearest(cx, cy, request.k)
-    else:
-        result = yield from fm.execute(request)
-    return result

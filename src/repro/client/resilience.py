@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 from .base import READ_OPS
 
@@ -76,9 +76,9 @@ class RetryPolicy:
         return (self.reserve_timeout_s if self.reserve_timeout_s is not None
                 else self.deadline_s)
 
-    def attempts_for(self, op: str) -> int:
+    def attempts_for(self, op: str, read_ops=READ_OPS) -> int:
         """Retry budget for ``op`` (writes get one shot by default)."""
-        if op in READ_OPS or self.retry_writes:
+        if op in read_ops or self.retry_writes:
             return self.max_attempts
         return 1
 
@@ -148,16 +148,6 @@ class CircuitBreaker:
         self.probes = Counter("breaker.probes")
         self.recoveries = Counter("breaker.recoveries")
         self.short_circuits = Counter("breaker.short_circuits")
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "breaker") -> None:
-        """Adopt the breaker counters (and a live state gauge)."""
-        registry.adopt(f"{prefix}.trips", self.trips)
-        registry.adopt(f"{prefix}.probes", self.probes)
-        registry.adopt(f"{prefix}.recoveries", self.recoveries)
-        registry.adopt(f"{prefix}.short_circuits", self.short_circuits)
-        registry.expose(f"{prefix}.open",
-                        lambda: 0 if self.state == CLOSED else 1)
 
     def allow(self) -> bool:
         """Whether the next offload may proceed (may move OPEN→HALF_OPEN)."""

@@ -87,11 +87,19 @@ class ClosedLoopRunner:
     routed = False
 
     def __init__(self, config: ExperimentConfig,
-                 record_results: bool = False):
+                 record_results: bool = False, spec=None,
+                 workload_fn=None):
+        """``spec`` and ``workload_fn(client_id, rng)`` replace the
+        scheme-registry lookup and the ``config.workload_kind`` request
+        streams — how the KV harness drives its own schemes and GET/PUT
+        mix over the same deployment and driver."""
         self.config = config
         self.deployment = deployment = Deployment(
             config, routed=self.routed, record_results=record_results,
+            spec=spec,
         )
+        #: What the metrics document calls the request streams.
+        self._workload = "custom" if workload_fn else config.workload_kind
         self.sim = deployment.sim
         self.rngs = deployment.rngs
         self.metrics = deployment.metrics
@@ -105,7 +113,7 @@ class ClosedLoopRunner:
         self.elapsed_s = 0.0
         self._drivers = []
         self._timeline: List[tuple] = []
-        self._build_clients()
+        self._build_clients(workload_fn)
         deployment.start()
         deployment.register_metrics()
         if config.collect_timeline:
@@ -151,9 +159,9 @@ class ClosedLoopRunner:
 
     # -- construction ----------------------------------------------------------
 
-    def _build_clients(self) -> None:
+    def _build_clients(self, workload_fn=None) -> None:
         config = self.config
-        workload_fn = make_workload(
+        workload_fn = workload_fn or make_workload(
             config.workload_kind,
             scale_spec=config.scale,
             n_requests=config.requests_per_client,
@@ -258,7 +266,7 @@ class ClosedLoopRunner:
                     "n_clients": config.n_clients,
                     "n_shards": deployment.n_shards,
                     "requests_per_client": config.requests_per_client,
-                    "workload": config.workload_kind,
+                    "workload": self._workload,
                     "seed": config.seed,
                     "elapsed_s": elapsed,
                     "throughput_kops": throughput_kops,

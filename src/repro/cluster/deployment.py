@@ -1,10 +1,9 @@
 """The one assembler: a simulated Catfish cluster, ready to be driven.
 
 A :class:`Deployment` is the only place (outside the chaos harness's
-hand-built ``faults.scenarios._Cluster`` and the B+tree/cuckoo
-``kv_builder``) where a simulator, RNG registry, metrics registry,
-tracer, dataset, partition / live shard map, fault injector, K >= 1
-:class:`~repro.runtime.stack.ServerStack` s and a
+hand-built ``faults.scenarios._Cluster``) where a simulator, RNG
+registry, metrics registry, tracer, dataset, partition / live shard map,
+fault injector, K >= 1 :class:`~repro.runtime.stack.ServerStack` s and a
 :class:`~repro.runtime.factory.SessionFactory` are constructed.  The
 runners on top of it are *drivers*: the closed-loop
 :class:`~repro.cluster.builder.ClosedLoopRunner` (one synchronous
@@ -12,6 +11,11 @@ process per client) and the open-loop
 :class:`~repro.traffic.harness.TrafficRunner` (aggregates -> mux ->
 shared endpoints).  They ask for endpoints, start the deployment, drive
 it, settle it and read its summaries; they build nothing themselves.
+
+Which index lives behind the ring buffer is the scheme's call
+(``SchemeSpec.index``): the registered schemes are all R-tree ones, and
+``cluster.kv_builder`` passes its own B+tree / cuckoo ``spec`` (paper
+§VI) to get the same assembly, metrics and fault hooks.
 
 Whether an endpoint is *plain* or *routed* is the runner's call, not a
 user option:
@@ -41,7 +45,7 @@ from typing import List, Optional
 
 from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
 from ..faults.injector import FaultInjector
-from ..faults.plan import ShardLoss
+from ..faults.plan import ShardLoss, WriteStorm
 from ..hw.host import Host
 from ..net.fabric import profile_by_name
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -109,8 +113,7 @@ def register_session_aggregates(metrics: MetricsRegistry,
     engines = [e for e in (getattr(s, "engine", None) for s in sessions)
                if e is not None]
     if engines:
-        for field in ("meta_reads", "stale_root_detections",
-                      "chunks_fetched"):
+        for field in engines[0].counter_fields:
             metrics.expose(
                 f"offload.{field}",
                 lambda f=field: sum(int(getattr(e, f)) for e in engines),
@@ -157,10 +160,12 @@ class Deployment:
     """Sim + stacks + injector + session factory for one config."""
 
     def __init__(self, config: ExperimentConfig, routed: bool,
-                 record_results: bool = False):
+                 record_results: bool = False, spec=None):
         self.config = config
         self.routed = routed
-        self.spec = scheme_spec(config.scheme)
+        #: ``spec`` overrides the registry lookup for schemes that are not
+        #: in it (the KV ones; ``config.scheme`` is then only a label).
+        self.spec = spec if spec is not None else scheme_spec(config.scheme)
         self.profile = profile_by_name(config.fabric)
         if self.spec.transport != TRANSPORT_TCP and not self.profile.rdma:
             raise ValueError(
@@ -171,6 +176,17 @@ class Deployment:
             raise ValueError(
                 f"scheme {config.scheme!r} is TCP-based; sharding needs an "
                 "RDMA scheme (fast-messaging rings per shard)"
+            )
+        if routed and self.spec.index != "rtree":
+            raise ValueError(
+                f"scheme {config.scheme!r} runs a {self.spec.index} index; "
+                "the shard plane partitions rectangles (R-tree only)"
+            )
+        if (self.spec.index == "cuckoo" and config.fault_plan
+                and config.fault_plan.of_type(WriteStorm)):
+            raise ValueError(
+                "a WriteStorm holds the tree root in a write window; "
+                "a cuckoo table has no root"
             )
         self.n_shards = (config.n_shards or self.spec.shards) if routed else 1
 

@@ -1,41 +1,43 @@
-"""Experiment assembly for the §VI framework extensions (B+tree, cuckoo).
+"""The §VI framework extensions (B+tree, cuckoo) as experiments.
 
-Mirrors :mod:`repro.cluster.builder` for key-value indexes: zipf-popular
-GET/PUT (and, for the B+tree, range-scan) workloads over the same fabric,
-ring-buffer and adaptive-client machinery.
+A KV experiment is the *same* deployment and closed-loop driver as an
+R-tree one (:class:`~repro.cluster.deployment.Deployment` +
+:class:`~repro.cluster.builder.ClosedLoopRunner`); this module only
+supplies what differs: the config, the four KV schemes (all event-mode,
+multi-issue, heartbeats on), the dataset of keys, and the zipf-popular
+GET/PUT (and, for the B+tree, range-scan) request stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import List, Optional
 
-from ..btree import (
-    BTreeOffloadEngine,
-    BTreeService,
-    KvBanditSession,
-    KvCatfishSession,
-    KvFmSession,
-    KvOffloadSession,
-    KvRequest,
-    OP_GET,
-    OP_PUT,
-    OP_SCAN,
-)
+from ..btree import KvRequest, OP_GET, OP_PUT, OP_SCAN
 from ..client.adaptive import AdaptiveParams
-from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
-from ..cuckoo import CuckooOffloadEngine, CuckooService
-from ..hw.host import Host
-from ..net.fabric import Network, profile_by_name
-from ..obs import LatencyView, MetricsRegistry, snapshot_document
-from ..server.fast_messaging import EVENT, FastMessagingServer
-from ..server.heartbeat import HeartbeatService
-from ..sim.kernel import Simulator, all_of
 from ..sim.rng import RngRegistry
-from .results import RunResult, merge_client_stats
+from ..workloads.skew import ZipfSampler
+from .builder import ClosedLoopRunner
+from .config import ExperimentConfig
+from .results import RunResult
+from .schemes import (
+    OFFLOAD_ADAPTIVE,
+    OFFLOAD_ALWAYS,
+    OFFLOAD_BANDIT,
+    OFFLOAD_NEVER,
+    TRANSPORT_RDMA,
+    SchemeSpec,
+)
 
-KV_SCHEMES = ("fast-messaging", "rdma-offloading", "catfish",
-              "catfish-bandit")
+#: KV scheme name -> offload mode.  Unlike their R-tree namesakes all
+#: four run the event-driven server with multi-issue scans and
+#: heartbeats on, so they differ in the path policy only.
+KV_SCHEMES = {
+    "fast-messaging": OFFLOAD_NEVER,
+    "rdma-offloading": OFFLOAD_ALWAYS,
+    "catfish": OFFLOAD_ADAPTIVE,
+    "catfish-bandit": OFFLOAD_BANDIT,
+}
 KV_INDEXES = ("btree", "cuckoo")
 
 
@@ -73,7 +75,9 @@ class KvExperimentConfig:
             raise ValueError(f"unknown kv scheme {self.scheme!r}")
         if self.index == "cuckoo" and self.scan_fraction > 0:
             raise ValueError("cuckoo hashing has no range scans")
-        if not 0 <= self.get_fraction + self.scan_fraction <= 1:
+        if self.get_fraction < 0 or self.scan_fraction < 0:
+            raise ValueError("get/scan fractions must be >= 0")
+        if self.get_fraction + self.scan_fraction > 1:
             raise ValueError("get/scan fractions exceed 1")
         if self.adaptive is None:
             self.adaptive = AdaptiveParams(Inv=self.heartbeat_interval)
@@ -85,7 +89,6 @@ class KvExperimentConfig:
 
 def _kv_workload(config: KvExperimentConfig, keys, rng) -> List[KvRequest]:
     """One client's zipf-popular request stream."""
-    from ..workloads.skew import ZipfSampler
     sampler = ZipfSampler(len(keys), config.zipf_s)
     requests: List[KvRequest] = []
     for _ in range(config.requests_per_client):
@@ -104,207 +107,48 @@ def _kv_workload(config: KvExperimentConfig, keys, rng) -> List[KvRequest]:
     return requests
 
 
-def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
-    """Build, run and summarize one KV experiment."""
-    sim = Simulator()
-    rngs = RngRegistry(config.seed)
-    profile = profile_by_name(config.fabric)
-    if not profile.rdma:
-        raise ValueError("KV experiments run on the RDMA fabric")
-    network = Network(sim, profile)
-    server_host = Host(sim, "server", profile, cores=config.server_cores)
-    network.attach_server(server_host)
+def run_kv_experiment(config: KvExperimentConfig,
+                      **deployment_options) -> RunResult:
+    """Build, run and summarize one KV experiment.
 
-    data_rng = rngs.stream("dataset")
-    keys = sorted(data_rng.sample(range(1 << 40), config.n_keys))
-    items = [(k, k ^ 0x5A5A) for k in keys]
+    ``deployment_options`` are :class:`ExperimentConfig` fields the KV
+    config has no counterpart for (``trace``, ``retry``, ``breaker``,
+    ``fault_plan``, ...), handed to the shared assembler unchanged.
+    """
+    if (deployment_options.get("n_shards") or 1) > 1:
+        raise ValueError(
+            "a KV index runs on one server: the shard plane partitions "
+            "rectangles (R-tree only)"
+        )
+    keys = sorted(RngRegistry(config.seed).stream("dataset").sample(
+        range(1 << 40), config.n_keys))
+    label = f"{config.index}:{config.scheme}"
+    spec = SchemeSpec(
+        name=label, transport=TRANSPORT_RDMA, notification="event",
+        offload=KV_SCHEMES[config.scheme], multi_issue=True,
+        heartbeats=True, index=config.index,
+    )
     if config.index == "btree":
-        service = BTreeService(sim, server_host, items,
-                               capacity=config.capacity)
+        sizing = config.capacity
     else:
-        n_buckets = config.n_buckets or max(
-            64, int(config.n_keys / (4 * 0.6))
-        )
-        service = CuckooService(sim, server_host, items,
-                                n_buckets=n_buckets,
-                                seed=config.seed)
-    fm_server = FastMessagingServer(sim, service, network, mode=EVENT)
-    heartbeats = HeartbeatService(
-        sim, server_host.cpu.window_utilization,
-        interval=config.heartbeat_interval,
-    )
-
-    all_stats: List[ClientStats] = []
-    engines = []
-    drivers = []
-    for client_id in range(config.n_clients):
-        host = Host(sim, f"client-{client_id}", profile,
-                    cores=config.client_cores)
-        conn = fm_server.open_connection(host)
-        stats = ClientStats()
-        fm = KvFmSession(sim, conn, client_id, stats)
-        heartbeats.subscribe(
-            conn.response_ring,
-            lambda hb, c=conn: c.server_post_response(hb),
-        )
-        if config.index == "btree":
-            engine = BTreeOffloadEngine(
-                sim, conn.client_end, service.offload_descriptor(),
-                service.costs, stats,
-            )
-        else:
-            engine = CuckooOffloadEngine(
-                sim, conn.client_end, service.descriptor(),
-                service.costs, stats,
-            )
-        session = _make_session(sim, config, fm, engine, stats,
-                                rngs.fork(f"client-{client_id}"))
-        requests = _kv_workload(
-            config, keys,
-            rngs.fork(f"client-{client_id}").stream("workload"),
-        )
-        drivers.append(sim.process(
-            _driver(sim, session, requests, stats),
-            name=f"kv-client-{client_id}",
-        ))
-        all_stats.append(stats)
-        engines.append(engine)
-    heartbeats.start()
-
-    metrics = MetricsRegistry()
-    fm_server.register_metrics(metrics)
-    heartbeats.register_metrics(metrics)
-    metrics.expose("server.cpu_utilization", server_host.cpu.utilization)
-    metrics.expose("net.server_bandwidth_gbps",
-                   network.server_bandwidth_gbps)
-    for field in CLIENT_COUNTER_FIELDS:
-        metrics.expose(
-            f"client.{field}",
-            lambda f=field: sum(int(getattr(s, f)) for s in all_stats),
-        )
-    # The two engine families count different things (meta/chunk reads vs
-    # bucket fetches): expose whatever this index's engine actually has.
-    for field in ("meta_reads", "chunks_fetched", "buckets_fetched",
-                  "stale_root_detections"):
-        if any(hasattr(e, field) for e in engines):
-            metrics.expose(
-                f"offload.{field}",
-                lambda f=field: sum(int(getattr(e, f, 0)) for e in engines),
-            )
-
-    sim.run_until_triggered(all_of(sim, drivers))
-
-    merged = merge_client_stats(all_stats)
-    elapsed = sim.now
-    to_us = 1e6
-    metrics.adopt("client.latency_us",
-                  LatencyView(merged.latency, scale=to_us, unit="us",
-                              loop="closed"))
-    return RunResult(
-        scheme=f"{config.index}:{config.scheme}",
-        fabric=config.fabric,
-        n_clients=config.n_clients,
-        total_requests=int(merged.requests_sent),
-        elapsed_s=elapsed,
-        throughput_kops=int(merged.requests_sent) / elapsed / 1e3,
-        mean_latency_us=merged.latency.mean * to_us,
-        p50_latency_us=merged.latency.percentile(50) * to_us,
-        p99_latency_us=merged.latency.percentile(99) * to_us,
-        p999_latency_us=merged.latency.percentile(99.9) * to_us,
-        mean_search_latency_us=(
-            merged.search_latency.mean * to_us
-            if merged.search_latency.count else float("nan")
+        # Sized for a 60% load factor at four slots per bucket.
+        sizing = config.n_buckets or max(64, int(config.n_keys / (4 * 0.6)))
+    runner = ClosedLoopRunner(
+        ExperimentConfig(
+            scheme=label,
+            fabric=config.fabric,
+            n_clients=config.n_clients,
+            requests_per_client=config.requests_per_client,
+            dataset=[(k, k ^ 0x5A5A) for k in keys],
+            max_entries=sizing,
+            server_cores=config.server_cores,
+            client_cores=config.client_cores,
+            adaptive=config.adaptive,
+            heartbeat_interval=config.heartbeat_interval,
+            seed=config.seed,
+            **deployment_options,
         ),
-        server_cpu_utilization=server_host.cpu.utilization(),
-        server_bandwidth_gbps=network.server_bandwidth_gbps(),
-        server_bandwidth_utilization=(
-            network.server_bandwidth_gbps() * 1e9 / profile.bandwidth_bps
-        ),
-        offload_fraction=merged.offload_fraction,
-        torn_retries=int(merged.torn_retries),
-        search_restarts=int(merged.search_restarts),
-        heartbeats_sent=int(heartbeats.beats_sent),
-        heartbeats_dropped=int(heartbeats.beats_dropped),
-        metrics=snapshot_document(metrics, meta={
-            "scheme": f"{config.index}:{config.scheme}",
-            "fabric": config.fabric,
-            "n_clients": config.n_clients,
-            "requests_per_client": config.requests_per_client,
-            "seed": config.seed,
-            "elapsed_s": elapsed,
-        }),
+        spec=spec,
+        workload_fn=lambda _client_id, rng: _kv_workload(config, keys, rng),
     )
-
-
-def _make_session(sim, config, fm, engine, stats, rng_registry):
-    scheme = config.scheme
-    if scheme == "fast-messaging":
-        return fm
-    if scheme == "rdma-offloading":
-        if config.index == "cuckoo":
-            return _CuckooOffloadAll(engine, fm)
-        return KvOffloadSession(engine, fm, stats)
-    if scheme == "catfish":
-        if config.index == "cuckoo":
-            from ..cuckoo import CuckooCatfishSession
-            cls = CuckooCatfishSession
-        else:
-            cls = KvCatfishSession
-        return cls(sim, fm, engine, stats, params=config.adaptive,
-                   rng=rng_registry.stream("backoff"))
-    if scheme == "catfish-bandit":
-        if config.index == "cuckoo":
-            return _CuckooBandit(sim, fm, engine, stats,
-                                 rng=rng_registry.stream("bandit"))
-        return KvBanditSession(sim, fm, engine, stats,
-                               rng=rng_registry.stream("bandit"))
-    raise ValueError(scheme)
-
-
-class _CuckooOffloadAll:
-    """Cuckoo always-offload baseline: GETs one-sided, writes via rings."""
-
-    def __init__(self, engine, fm):
-        self.engine = engine
-        self.fm = fm
-
-    def execute(self, request: KvRequest) -> Generator:
-        if request.op == OP_GET:
-            result = yield from self.engine.get(request.key)
-            return result
-        result = yield from self.fm.execute(request)
-        return result
-
-
-class _CuckooBandit:
-    """Latency bandit over cuckoo GETs."""
-
-    def __init__(self, sim, fm, engine, stats, rng=None):
-        from ..runtime.policy import BanditPolicy
-        self._bandit = BanditPolicy(rng=rng)
-        self.sim = sim
-        self.fm = fm
-        self.engine = engine
-
-    def execute(self, request: KvRequest) -> Generator:
-        from ..client.bandit import OFFLOADING
-        if request.op != OP_GET:
-            result = yield from self.fm.execute(request)
-            return result
-        mode = self._bandit._choose_mode()
-        self._bandit.mode_counts[mode] += 1
-        start = self.sim.now
-        if mode == OFFLOADING:
-            result = yield from self.engine.get(request.key)
-        else:
-            result = yield from self.fm.execute(request)
-        self._bandit.estimates[mode].update(self.sim.now - start)
-        return result
-
-
-def _driver(sim, session, requests, stats) -> Generator:
-    for request in requests:
-        start = sim.now
-        yield from session.execute(request)
-        stats.requests_sent += 1
-        stats.latency.record(sim.now - start)
+    return runner.run()

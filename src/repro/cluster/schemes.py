@@ -50,6 +50,10 @@ class SchemeSpec:
     #: scheme through the sharded cluster (``repro.shard``), one full
     #: Catfish stack per shard behind a scatter-gather router.
     shards: int = 1
+    #: The index behind the ring buffer: the paper's "rtree", or one of
+    #: the §VI framework extensions "btree" / "cuckoo" (built by
+    #: ``cluster.kv_builder``; every registered scheme is an R-tree one).
+    index: str = "rtree"
 
     @property
     def policy(self) -> str:

@@ -3,7 +3,6 @@
 from .service import (
     BUCKET_BYTES,
     BucketSnapshot,
-    CuckooCatfishSession,
     CuckooDescriptor,
     CuckooOffloadEngine,
     CuckooService,
@@ -21,7 +20,6 @@ from .table import (
 __all__ = [
     "BUCKET_BYTES",
     "BucketSnapshot",
-    "CuckooCatfishSession",
     "CuckooDescriptor",
     "CuckooOffloadEngine",
     "CuckooService",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from ..client.adaptive import CatfishSession
 from ..client.base import ClientStats
 from ..client.offload_client import OffloadError
 from ..hw.host import Host
@@ -125,7 +124,7 @@ class CuckooService:
         for key, value in items:
             self.table.put(key, value)
 
-    def descriptor(self) -> CuckooDescriptor:
+    def offload_descriptor(self) -> CuckooDescriptor:
         return CuckooDescriptor(
             rkey=self.region.rkey,
             base=self.region.base,
@@ -211,9 +210,25 @@ class CuckooService:
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()
 
+    # -- the served-work counters every service reports ----------------------
+
+    @property
+    def searches_served(self) -> int:
+        return self.gets_served
+
+    @property
+    def inserts_served(self) -> int:
+        return self.puts_served
+
+    def items_held(self) -> int:
+        return self.table.size
+
 
 class CuckooOffloadEngine:
     """Client-side GET: both candidate buckets in one concurrent wave."""
+
+    #: Counters summed over all clients into the ``offload.*`` metrics.
+    counter_fields = ("buckets_fetched",)
 
     def __init__(
         self,
@@ -255,6 +270,10 @@ class CuckooOffloadEngine:
             yield self.sim.timeout(self.retry_backoff * (attempt + 1))
         return None
 
+    def read(self, request) -> Generator:
+        """Serve one read request — GET is the table's only read."""
+        return self.get(request.key)
+
     def get(self, key: int) -> Generator:
         """One-RTT lookup: both buckets fetched concurrently."""
         self.stats.offloaded_requests += 1
@@ -283,14 +302,3 @@ class CuckooOffloadEngine:
                 break
         self.stats.results_received += len(items)
         return items
-
-
-class CuckooCatfishSession(CatfishSession):
-    """Algorithm 1 over cuckoo operations: GETs offload, writes never."""
-
-    def _is_offloadable(self, request) -> bool:
-        return request.op == "get"
-
-    def _offload(self, request) -> Generator:
-        result = yield from self.engine.get(request.key)
-        return result

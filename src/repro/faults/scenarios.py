@@ -36,7 +36,7 @@ import importlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..client.adaptive import AdaptiveParams, CatfishSession
+from ..client.adaptive import AdaptiveParams
 from ..client.base import ClientStats, OP_SEARCH, Request
 from ..client.fm_client import FmSession
 from ..client.node_cache import NodeCache, NodeCacheConfig
@@ -51,6 +51,8 @@ from ..hw.host import Host
 from ..msg.ringbuffer import DEFAULT_RING_CAPACITY
 from ..net.fabric import IB_100G, Network
 from ..rtree.geometry import Rect
+from ..runtime.policy import Algorithm1Policy
+from ..runtime.session import PolicySession
 from ..server.base import RTreeServer
 from ..server.fast_messaging import EVENT, FastMessagingServer
 from ..server.heartbeat import HeartbeatService
@@ -378,7 +380,7 @@ class _Cluster:
         self.injector.attach_heartbeats(self.heartbeats)
 
         self.stats: List[ClientStats] = []
-        self.sessions: List[CatfishSession] = []
+        self.sessions: List[PolicySession] = []
         self.breakers: List[CircuitBreaker] = []
         for i in range(cfg.n_clients):
             crngs = rngs.fork(f"client-{i}")
@@ -402,10 +404,14 @@ class _Cluster:
                 engine.attach_cache(cache)
                 conn.mailbox.attach_hint_sink(cache.apply_hint)
             breaker = CircuitBreaker(sim, cfg.breaker)
-            session = CatfishSession(
-                sim, fm, engine, stats, params=cfg.adaptive,
-                rng=crngs.stream("adaptive"), breaker=breaker,
-                stale_after_missing=cfg.stale_after_missing,
+            session = PolicySession(
+                sim, fm, engine, stats,
+                Algorithm1Policy(
+                    sim, fm.mailbox, params=cfg.adaptive,
+                    rng=crngs.stream("adaptive"),
+                    stale_after_missing=cfg.stale_after_missing,
+                ),
+                breaker=breaker,
             )
             self.stats.append(stats)
             self.breakers.append(breaker)

@@ -8,6 +8,10 @@ scheme never gained tracer/breaker support and raised "not supported
 sharded".  :class:`SessionFactory` is now the only place a session is
 built; :class:`~repro.cluster.deployment.Deployment` owns the one
 instance and calls it once per plain endpoint, K times per routed one.
+Every RDMA scheme gets the same
+:class:`~repro.runtime.session.PolicySession`; what varies is the policy
+object, and — per the index the scheme names — the fast-messaging codec
+and the offload engine.
 
 Determinism contract: the factory draws from exactly the stream names the
 old builders used — ``retry`` / ``backoff`` / ``bandit`` on the caller's
@@ -18,8 +22,7 @@ independently seeded by name, so existing schemes stay bit-identical.
 
 from __future__ import annotations
 
-from ..client.adaptive import CatfishSession
-from ..client.bandit import BanditSession
+from ..btree.offload import BTreeOffloadEngine, KvFmSession
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
 from ..client.node_cache import NodeCache
@@ -27,11 +30,17 @@ from ..client.offload_client import OffloadEngine
 from ..client.predictors import make_predictor
 from ..client.resilience import CircuitBreaker
 from ..client.tcp_client import TcpSession
+from ..cuckoo.service import CuckooOffloadEngine
 from ..hw.host import Host
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..transport.tcp import TcpConnection
-from .policy import AlwaysFmPolicy, AlwaysOffloadPolicy
+from .policy import (
+    Algorithm1Policy,
+    AlwaysFmPolicy,
+    AlwaysOffloadPolicy,
+    BanditPolicy,
+)
 from .session import PolicySession
 from .stack import ServerStack
 
@@ -45,9 +54,32 @@ class SessionFactory:
         self.config = config
         self.tracer = tracer
 
-    def _breaker(self):
-        return (CircuitBreaker(self.sim, self.config.breaker)
-                if self.config.breaker is not None else None)
+    def _engine(self, conn, stack: ServerStack, stats: ClientStats):
+        """The offload engine matching the stack's index."""
+        spec, config = self.spec, self.config
+        qp, descriptor = conn.client_end, stack.server.offload_descriptor()
+        if spec.index == "btree":
+            return BTreeOffloadEngine(
+                self.sim, qp, descriptor, config.costs, stats,
+                multi_issue=spec.multi_issue,
+            )
+        if spec.index == "cuckoo":
+            return CuckooOffloadEngine(
+                self.sim, qp, descriptor, config.costs, stats,
+            )
+        engine = OffloadEngine(
+            self.sim, qp, descriptor, config.costs, stats,
+            multi_issue=spec.multi_issue,
+            tracer=self.tracer,
+        )
+        cache_cfg = getattr(config, "node_cache", None)
+        if cache_cfg is not None and cache_cfg.enabled:
+            cache = NodeCache(cache_cfg)
+            engine.attach_cache(cache)
+            # Heartbeat-piggybacked invalidation hints land in this
+            # client's mailbox; flush stale views as they are delivered.
+            conn.mailbox.attach_hint_sink(cache.apply_hint)
+        return engine
 
     def build(
         self,
@@ -72,7 +104,8 @@ class SessionFactory:
 
         config = self.config
         conn = stack.fm_server.open_connection(host)
-        fm = FmSession(
+        fm_session = FmSession if self.spec.index == "rtree" else KvFmSession
+        fm = fm_session(
             self.sim, conn, client_id, stats,
             retry=config.retry,
             rng=rngs.stream("retry"),
@@ -82,54 +115,34 @@ class SessionFactory:
                 conn.response_ring,
                 lambda hb, c=conn: c.server_post_response(hb),
             )
-        policy = self.spec.policy
-        if policy == AlwaysFmPolicy.name:
-            return PolicySession(
-                self.sim, fm, None, stats, AlwaysFmPolicy(),
-                tracer=self.tracer,
-            )
-        engine = OffloadEngine(
-            self.sim,
-            conn.client_end,
-            stack.server.offload_descriptor(),
-            config.costs,
-            stats,
-            multi_issue=self.spec.multi_issue,
-            tracer=self.tracer,
+        name = self.spec.policy
+        engine = breaker = None
+        if name == AlwaysFmPolicy.name:
+            policy = AlwaysFmPolicy()
+        else:
+            engine = self._engine(conn, stack, stats)
+            if name == AlwaysOffloadPolicy.name:
+                policy = AlwaysOffloadPolicy()
+            elif name == Algorithm1Policy.name:
+                policy = Algorithm1Policy(
+                    self.sim,
+                    fm.mailbox,
+                    params=config.adaptive,
+                    rng=rngs.stream("backoff"),
+                    pred_util=make_predictor(self.spec.predictor),
+                    stale_after_missing=config.stale_after_missing,
+                )
+            elif name == BanditPolicy.name:
+                policy = BanditPolicy(rng=rngs.stream("bandit"))
+            else:
+                raise ValueError(f"unknown path policy {name!r}")
+            # Only the two learning policies fail over: the fixed
+            # baseline keeps the seed behaviour of propagating an
+            # OffloadError.
+            if (config.breaker is not None
+                    and name != AlwaysOffloadPolicy.name):
+                breaker = CircuitBreaker(self.sim, config.breaker)
+        return PolicySession(
+            self.sim, fm, engine, stats, policy,
+            tracer=self.tracer, breaker=breaker,
         )
-        cache_cfg = getattr(config, "node_cache", None)
-        if cache_cfg is not None and cache_cfg.enabled:
-            cache = NodeCache(cache_cfg)
-            engine.attach_cache(cache)
-            # Heartbeat-piggybacked invalidation hints land in this
-            # client's mailbox; flush stale views as they are delivered.
-            conn.mailbox.attach_hint_sink(cache.apply_hint)
-        if policy == AlwaysOffloadPolicy.name:
-            return PolicySession(
-                self.sim, fm, engine, stats, AlwaysOffloadPolicy(),
-                tracer=self.tracer,
-            )
-        if policy == "algorithm1":
-            return CatfishSession(
-                self.sim,
-                fm,
-                engine,
-                stats,
-                params=config.adaptive,
-                rng=rngs.stream("backoff"),
-                pred_util=make_predictor(self.spec.predictor),
-                tracer=self.tracer,
-                breaker=self._breaker(),
-                stale_after_missing=config.stale_after_missing,
-            )
-        if policy == "bandit":
-            return BanditSession(
-                self.sim,
-                fm,
-                engine,
-                stats,
-                rng=rngs.stream("bandit"),
-                tracer=self.tracer,
-                breaker=self._breaker(),
-            )
-        raise ValueError(f"unknown path policy {policy!r}")

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 
 #: The two access paths of the paper (values match the historical trace
@@ -40,8 +40,8 @@ from ..sim.kernel import Simulator
 PATH_FM = "fast-messaging"
 PATH_OFFLOAD = "offload"
 
-#: Bandit arm labels (kept from ``repro.client.bandit`` for
-#: compatibility with existing dashboards/tests).
+#: Bandit arm labels: the keys of ``BanditPolicy.estimates`` and
+#: ``mode_counts``.
 FAST_MESSAGING = "fm"
 OFFLOADING = "offload"
 
@@ -76,6 +76,8 @@ class PathPolicy:
     """
 
     name = "policy"
+    #: Component name the session traces this policy's requests under.
+    trace_component = "policy"
 
     def decide_offload(self) -> bool:
         """True to offload the next read; may mutate policy state."""
@@ -106,10 +108,6 @@ class PathPolicy:
     def fm_annotations(self) -> Dict[str, object]:
         """Trace attributes for a fast-messaging decision."""
         return {}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str) -> None:
-        """Adopt the policy's counters into ``registry``."""
 
 
 class AlwaysFmPolicy(PathPolicy):
@@ -158,24 +156,24 @@ class Algorithm1Policy(PathPolicy):
       the value — a server that is genuinely idle still counts as a
       (non-busy) observation.
 
-    ``mailbox_fn`` returns the ``u_serv`` heartbeat mailbox (a callable
-    so a session can swap its fast-messaging endpoint without stranding
-    the policy on a stale mailbox).
+    ``mailbox`` is the ``u_serv`` heartbeat mailbox of the session's
+    fast-messaging endpoint.
     """
 
     name = "algorithm1"
+    trace_component = "adaptive"
 
     def __init__(
         self,
         sim: Simulator,
-        mailbox_fn: Callable[[], object],
+        mailbox,
         params: Optional[AdaptiveParams] = None,
         rng: Optional[random.Random] = None,
         pred_util: Optional[Callable[[float], float]] = None,
         stale_after_missing: Optional[int] = None,
     ):
         self.sim = sim
-        self._mailbox_fn = mailbox_fn
+        self.mailbox = mailbox
         self.params = params if params is not None else AdaptiveParams()
         self.rng = rng or random.Random(0)
         if pred_util is None:
@@ -209,7 +207,6 @@ class Algorithm1Policy(PathPolicy):
         params = self.params
         utilization = 0.0
         now = self.sim.now
-        mailbox = self._mailbox_fn()
         # Lines 7-11: consume a heartbeat if at least Inv elapsed and one
         # actually arrived.  Freshness is the mailbox *sequence number*
         # advancing, never the value being nonzero: a fresh heartbeat
@@ -217,7 +214,7 @@ class Algorithm1Policy(PathPolicy):
         # observation, while an unchanged seq means "missing heartbeat",
         # which deliberately reads as "do not offload".
         if now - self._t0 > params.Inv:
-            fresh = mailbox.consume_fresh(self._last_seq)
+            fresh = self.mailbox.consume_fresh(self._last_seq)
             if fresh is not None:
                 self._last_seq, raw = fresh
                 utilization = self.pred_util(raw)
@@ -273,23 +270,6 @@ class Algorithm1Policy(PathPolicy):
     def fm_annotations(self) -> Dict[str, object]:
         return {"r_busy": self.r_busy}
 
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "adaptive") -> None:
-        registry.adopt(f"{prefix}.busy_observations",
-                       self.busy_observations)
-        registry.adopt(f"{prefix}.backoff_extensions",
-                       self.backoff_extensions)
-        registry.adopt(f"{prefix}.heartbeats_consumed",
-                       self.heartbeats_consumed)
-        registry.adopt(f"{prefix}.heartbeats_missing",
-                       self.heartbeats_missing)
-        registry.adopt(f"{prefix}.decisions_offload", self.decisions_offload)
-        registry.adopt(f"{prefix}.decisions_fm", self.decisions_fm)
-        registry.adopt(f"{prefix}.stale_resets", self.stale_resets)
-        registry.adopt(f"{prefix}.offload_failovers", self.offload_failovers)
-        registry.expose(f"{prefix}.r_busy", lambda: self.r_busy)
-        registry.expose(f"{prefix}.r_off", lambda: self.r_off)
-
 
 class LatencyEstimate:
     """EWMA of one arm's latency, optimistic until first observed."""
@@ -323,6 +303,7 @@ class BanditPolicy(PathPolicy):
     """
 
     name = "bandit"
+    trace_component = "bandit"
 
     def __init__(
         self,
@@ -381,21 +362,6 @@ class BanditPolicy(PathPolicy):
 
     def fm_annotations(self) -> Dict[str, object]:
         return {"mode": FAST_MESSAGING}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "bandit") -> None:
-        registry.adopt(f"{prefix}.offload_failovers", self.offload_failovers)
-        registry.adopt(f"{prefix}.breaker_demotions", self.breaker_demotions)
-        registry.expose(f"{prefix}.explorations", lambda: self.explorations)
-        registry.expose(f"{prefix}.mode_fm",
-                        lambda: self.mode_counts[FAST_MESSAGING])
-        registry.expose(f"{prefix}.mode_offload",
-                        lambda: self.mode_counts[OFFLOADING])
-        for arm in (FAST_MESSAGING, OFFLOADING):
-            registry.expose(
-                f"{prefix}.estimate_{arm}_us",
-                lambda a=arm: (self.estimates[a].value or 0.0) * 1e6,
-            )
 
 
 #: Policy-name registry: the vocabulary `SchemeSpec.policy` maps onto.

@@ -1,30 +1,31 @@
 """The generic client session driving any :class:`PathPolicy`.
 
-One execution skeleton serves every scheme: writes always travel the
-fast-messaging path (the server's lock manager must serialize them,
-paper §III-B); reads ask the policy, honour the optional offload circuit
-breaker (an open breaker demotes the decision to fast messaging; an
-``OffloadError`` under a breaker fails over instead of propagating),
-annotate a trace span, and report the executed path and its latency back
-to the policy.
+One execution skeleton serves every scheme over every index: writes
+always travel the fast-messaging path (the server's lock manager must
+serialize them, paper §III-B); reads ask the policy, honour the optional
+offload circuit breaker (an open breaker demotes the decision to fast
+messaging; an ``OffloadError`` under a breaker fails over instead of
+propagating), annotate a trace span, and report the executed path and
+its latency back to the policy.
 
-:class:`~repro.client.adaptive.CatfishSession` and
-:class:`~repro.client.bandit.BanditSession` are thin subclasses binding
-:class:`~repro.runtime.policy.Algorithm1Policy` /
-:class:`~repro.runtime.policy.BanditPolicy`; the KV/cuckoo sessions
-override :meth:`_is_offloadable` / :meth:`_offload` only — the selection
-machinery is structure-agnostic.
+This is the paper's §VI framework claim made literal: the session knows
+no index.  Which ops are reads is the fast-messaging session's request
+vocabulary (``fm.read_ops``), and serving one by one-sided reads is the
+engine's ``read(request)`` — R-tree, B+tree and cuckoo each supply the
+pair; Algorithm 1, the bandit and the two fixed baselines are
+:class:`~repro.runtime.policy.PathPolicy` objects handed to the same
+class.
 
-Layering note: like :mod:`repro.runtime.policy`, this module must not
-import :mod:`repro.client` at module level; the few client-side symbols
-are resolved lazily inside the methods that need them.
+Layering note: this module imports ``OffloadError`` from
+:mod:`repro.client.offload_client`, so nothing under :mod:`repro.client`
+may import it back (client code needs :mod:`repro.runtime.policy` only).
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ..obs.registry import MetricsRegistry
+from ..client.offload_client import OffloadError
 from ..obs.trace import NULL_TRACER
 from ..sim.kernel import Simulator
 from .policy import PATH_FM, PATH_OFFLOAD, PathPolicy
@@ -32,9 +33,6 @@ from .policy import PATH_FM, PATH_OFFLOAD, PathPolicy
 
 class PolicySession:
     """Execute requests, choosing the access path via a pluggable policy."""
-
-    #: Component name under which this session's spans are traced.
-    trace_component = "policy"
 
     def __init__(
         self,
@@ -51,6 +49,10 @@ class PolicySession:
         self.fm = fm
         self.engine = engine
         self.stats = stats
+        #: Only reads may bypass the server (writes need its locks).
+        self.offloadable_ops = fm.read_ops
+        #: Component name under which this session's spans are traced.
+        self.trace_component = policy.trace_component
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional offload circuit breaker: when set, an OffloadError is
         #: recorded and the request falls over to fast messaging instead
@@ -59,54 +61,19 @@ class PolicySession:
         #: (the seed behaviour).
         self.breaker = breaker
 
-    # -- hooks (overridden by structure-specific subclasses) ----------------
-
-    def _is_offloadable(self, request) -> bool:
-        """Only reads may bypass the server (writes need its locks)."""
-        from ..client.base import READ_OPS
-        return request.op in READ_OPS
-
-    def _offload(self, request) -> Generator:
-        """Execute one offloadable request via one-sided reads.
-
-        Subclasses for other link-based structures (B+tree, cuckoo —
-        paper §VI) override this and ``_is_offloadable``; the selection
-        policy itself is structure-agnostic.
-        """
-        from ..client.offload_client import dispatch_read
-        result = yield from dispatch_read(self.engine, request, self.fm)
-        return result
-
-    def _decide(self) -> bool:
-        """Ask the policy; kept as a method so tests/subclasses can force
-        a path."""
-        return self.policy.decide_offload()
-
-    # -- metrics -----------------------------------------------------------
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: Optional[str] = None) -> None:
-        """Adopt the policy's (and breaker's) counters into ``registry``."""
-        prefix = prefix if prefix is not None else self.trace_component
-        self.policy.register_metrics(registry, prefix)
-        if self.breaker is not None:
-            self.breaker.register_metrics(registry,
-                                          prefix=f"{prefix}.breaker")
-
     # -- request execution -------------------------------------------------
 
     def execute(self, request) -> Generator:
         """Run one request, choosing the access path per the policy."""
-        from ..client.offload_client import OffloadError
         policy = self.policy
         span = self.tracer.span(self.trace_component, request.op)
-        if not self._is_offloadable(request):
+        if request.op not in self.offloadable_ops:
             # Writes always go to the server through the ring buffer.
             span.annotate("decide", path=PATH_FM, reason="write")
             result = yield from self.fm.execute(request)
             span.end(path=PATH_FM)
             return result
-        if self._decide():
+        if policy.decide_offload():
             breaker = self.breaker
             if breaker is not None and not breaker.allow():
                 # Offload path tripped: route through the server until a
@@ -125,12 +92,12 @@ class PolicySession:
             start = self.sim.now
             if breaker is None:
                 # Seed behaviour: offload failures propagate.
-                result = yield from self._offload(request)
+                result = yield from self.engine.read(request)
                 policy.observe(request, PATH_OFFLOAD, self.sim.now - start)
                 span.end(path=PATH_OFFLOAD)
                 return result
             try:
-                result = yield from self._offload(request)
+                result = yield from self.engine.read(request)
             except OffloadError:
                 # Torn-read/restart storm: record it and fail over — the
                 # server-side path serves the same request under locks.
@@ -169,7 +136,6 @@ class PolicySession:
         engine has no ``search_batch`` (TCP / fast-messaging-only
         schemes, the sharded router).
         """
-        from ..client.offload_client import OffloadError
         engine_batch = getattr(self.engine, "search_batch", None)
         if len(requests) <= 1 or engine_batch is None:
             results = []
@@ -190,7 +156,7 @@ class PolicySession:
                 out.append(result)
             return out
 
-        if not self._decide():
+        if not policy.decide_offload():
             for request in requests:
                 policy.note_fm()
             span.annotate("decide", path=PATH_FM,

@@ -1,9 +1,10 @@
 """One server's full stack, shared by every deployment shape.
 
 A :class:`ServerStack` assembles everything one Catfish server needs —
-host + scheduler, star network, R*-tree over its data slice, the
-transport front-end (TCP server or fast-messaging worker pool per the
-scheme), the heartbeat service and the overload guard — exactly once.
+host + scheduler, star network, the index service over its data slice
+(the R*-tree, or a §VI B+tree / cuckoo table when the scheme names one),
+the transport front-end (TCP server or fast-messaging worker pool per
+the scheme), the heartbeat service and the overload guard — exactly once.
 :class:`~repro.cluster.deployment.Deployment` builds one for a plain
 deployment and K for a routed one.  Before this layer existed the
 runners duplicated the whole construction (and drifted); RDMAvisor's
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..btree.service import BTreeService
+from ..cuckoo.service import CuckooService
 from ..hw.cpu import SchedulerModel
 from ..hw.host import Host
 from ..net.fabric import FabricProfile, Network
@@ -33,7 +36,7 @@ from ..sim.rng import RngRegistry
 
 
 class ServerStack:
-    """Host + network + tree + transport + heartbeat for one server."""
+    """Host + network + index + transport + heartbeat for one server."""
 
     def __init__(
         self,
@@ -60,14 +63,27 @@ class ServerStack:
             ),
         )
         self.network.attach_server(self.host)
-        self.server = RTreeServer(
-            sim,
-            self.host,
-            items,
-            max_entries=config.max_entries,
-            costs=config.costs,
-            byte_mode=config.byte_mode,
-        )
+        # ``max_entries`` is the index's one sizing knob: node capacity
+        # for the two trees, bucket count for the hash table.
+        if spec.index == "btree":
+            self.server = BTreeService(
+                sim, self.host, items, capacity=config.max_entries,
+                costs=config.costs, byte_mode=config.byte_mode,
+            )
+        elif spec.index == "cuckoo":
+            self.server = CuckooService(
+                sim, self.host, items, n_buckets=config.max_entries,
+                costs=config.costs, seed=config.seed,
+            )
+        else:
+            self.server = RTreeServer(
+                sim,
+                self.host,
+                items,
+                max_entries=config.max_entries,
+                costs=config.costs,
+                byte_mode=config.byte_mode,
+            )
 
         self.tcp_server: Optional[TcpRTreeServer] = None
         self.fm_server: Optional[FastMessagingServer] = None
@@ -84,13 +100,15 @@ class ServerStack:
             )
             if spec.heartbeats:
                 cache_cfg = getattr(config, "node_cache", None)
-                # With client node caches enabled, every beat piggybacks
-                # the tree's mutation high-water mark as an invalidation
-                # hint; otherwise keep the legacy wire format (the golden
-                # fingerprints are pinned on it).
+                # With client node caches enabled (an R-tree offload
+                # feature), every beat piggybacks the tree's mutation
+                # high-water mark as an invalidation hint; otherwise
+                # keep the legacy wire format (the golden fingerprints
+                # are pinned on it).
                 mut_seq_fn = (
                     (lambda: self.server.tree.mut_hwm)
                     if cache_cfg is not None and cache_cfg.enabled
+                    and spec.index == "rtree"
                     else None
                 )
                 self.heartbeats = HeartbeatService(
@@ -126,18 +144,8 @@ class ServerStack:
     # -- occupancy ---------------------------------------------------------
 
     def items_held(self) -> int:
-        """Exact data-item count in this stack's tree right now.
-
-        Walks the leaf level, so it stays correct under routed writes and
-        live migration (served-op counters can't distinguish a delete
-        that found nothing).  The rebalance controller and the shard
-        occupancy report both read this.
-        """
-        tree = self.server.tree
-        return sum(
-            len(node.entries) for node in tree.nodes.values()
-            if node.level == 0
-        )
+        """Exact data-item count in this stack's index right now."""
+        return self.server.items_held()
 
     # -- metrics -----------------------------------------------------------
 

@@ -422,3 +422,16 @@ class RTreeServer:
 
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()
+
+    def items_held(self) -> int:
+        """Exact data-item count in the tree right now.
+
+        Walks the leaf level, so it stays correct under routed writes and
+        live migration (served-op counters can't distinguish a delete
+        that found nothing).  The rebalance controller and the shard
+        occupancy report both read this.
+        """
+        return sum(
+            len(node.entries) for node in self.tree.nodes.values()
+            if node.level == 0
+        )

@@ -145,7 +145,7 @@ class ScatterGatherRouter:
     """Routes one client's requests across the shard sessions.
 
     ``sessions[k]`` must expose ``execute(request)`` (any of the client
-    session types works; the sharded builder wires a full CatfishSession
+    session types works; the sharded builder wires a full PolicySession
     per shard so each shard keeps the paper's adaptive machinery).  The
     router presents the same ``execute`` generator protocol, so the
     standard cluster driver runs unchanged on top of it.

@@ -7,9 +7,7 @@ import pytest
 from repro.btree import (
     BTreeOffloadEngine,
     BTreeService,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
     KvRequest,
     OP_GET,
     OP_PUT,
@@ -19,6 +17,11 @@ from repro.client import AdaptiveParams, ClientStats
 from repro.hw import Host
 from repro.msg import Heartbeat
 from repro.net import IB_100G, Network
+from repro.runtime import (
+    Algorithm1Policy,
+    AlwaysOffloadPolicy,
+    PolicySession,
+)
 from repro.server import EVENT, FastMessagingServer
 from repro.sim import Simulator
 
@@ -231,10 +234,13 @@ class TestOffloadPath:
 class TestAdaptiveKv:
     def test_catfish_session_offloads_under_load(self):
         sim, sh, service, fm, engine, stats, keys = make_kv(cores=2)
-        session = KvCatfishSession(
+        session = PolicySession(
             sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
-            rng=random.Random(5),
+            Algorithm1Policy(
+                sim, fm.mailbox,
+                params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+                rng=random.Random(5),
+            ),
         )
 
         def feeder():
@@ -257,9 +263,12 @@ class TestAdaptiveKv:
 
     def test_puts_never_offloaded(self):
         sim, sh, service, fm, engine, stats, keys = make_kv()
-        session = KvCatfishSession(
+        session = PolicySession(
             sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+            Algorithm1Policy(
+                sim, fm.mailbox,
+                params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+            ),
         )
         fm.mailbox.deliver(Heartbeat(1.0, seq=fm.mailbox.seq + 1))
 
@@ -275,7 +284,8 @@ class TestAdaptiveKv:
 
     def test_offload_session_baseline(self):
         sim, sh, service, fm, engine, stats, keys = make_kv()
-        session = KvOffloadSession(engine, fm, stats)
+        session = PolicySession(sim, fm, engine, stats,
+                                AlwaysOffloadPolicy())
 
         def client():
             items = yield from session.execute(

@@ -110,6 +110,24 @@ class TestCommands:
         assert code == 0
         assert "cuckoo:catfish-bandit" in capsys.readouterr().out
 
+    def test_kv_rejects_non_rdma_fabric(self, capsys):
+        # The flag used to be dropped: the run silently used ib-100g.
+        code = main(["kv", "--fabric", "eth-1g", "--clients", "2",
+                     "--requests", "5", "--keys", "200"])
+        assert code == 2
+        assert "needs an RDMA fabric" in capsys.readouterr().err
+
+    def test_kv_honours_trace(self, tmp_path, capsys):
+        import json
+        out = tmp_path / "kv.json"
+        code = main(["kv", "--index", "cuckoo", "--clients", "2",
+                     "--requests", "10", "--keys", "500",
+                     "--server-cores", "2", "--trace",
+                     "--metrics-out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["trace"]["events"]
+
     def test_kv_rejects_cuckoo_scans(self, capsys):
         with pytest.raises(ValueError):
             main(["kv", "--index", "cuckoo", "--scan-fraction", "0.2",
@@ -209,46 +227,3 @@ class TestShardSubcommand:
     def test_chaos_shard_loss_listed(self, capsys):
         assert main(["chaos", "--list"]) == 0
         assert "shard-loss" in capsys.readouterr().out
-
-
-class TestPerfSubcommand:
-    def test_perf_parser_defaults(self):
-        args = build_parser().parse_args(["perf"])
-        assert args.out == "BENCH_perf.json"
-        assert args.baseline is False
-        assert args.scale is None
-        assert args.repeats >= 1
-
-    def test_perf_parser_rejects_unknown_scale(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--scale", "galactic"])
-
-    def test_perf_writes_artifact(self, tmp_path, monkeypatch, capsys):
-        """A tiny perf run produces a schema-valid artifact."""
-        import json
-
-        from repro import perfbench
-
-        tiny = dict(kernel_loops=2_000, search_queries=20,
-                    dataset_size=1_000, e2e_clients=2, e2e_requests=5)
-        monkeypatch.setitem(perfbench.SCALE_PARAMS, "small", tiny)
-        out = tmp_path / "BENCH_perf.json"
-        code = main(["perf", "--out", str(out), "--scale", "small",
-                     "--repeats", "1"])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "catfish-perf/v1"
-        assert doc["baseline"] is None
-        run = doc["current"]
-        assert run["kernel_events_per_s"] > 0
-        assert run["search_visits_per_s"] > 0
-        assert run["search_batched_visits_per_s"] > 0
-        assert run["scan_kernel"] in ("numpy", "python")
-        assert set(run["end_to_end"]["points"]) == {"adaptive", "offload"}
-        # Recording a baseline afterwards fills in the speedup block.
-        assert main(["perf", "--out", str(out), "--scale", "small",
-                     "--repeats", "1", "--baseline"]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["baseline"] is not None
-        assert set(doc["speedup"]) == {"kernel", "search", "search_batched",
-                                       "end_to_end"}

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from repro.client import AdaptiveParams, CatfishSession, ClientStats, Request
+from repro.client import AdaptiveParams, ClientStats, Request
 from repro.client.adaptive import most_recent_utilization
-from repro.client.base import OP_INSERT, OP_SEARCH
+from repro.client.base import OP_INSERT, OP_SEARCH, READ_OPS
 from repro.msg import Heartbeat
 from repro.rtree import Rect
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import HeartbeatMailbox
 from repro.sim import Simulator
 
@@ -22,6 +23,8 @@ def beat(mailbox, utilization):
 
 class FakeFm:
     """Stands in for FmSession: records calls, exposes a real mailbox."""
+
+    read_ops = READ_OPS
 
     def __init__(self, sim):
         self.sim = sim
@@ -39,8 +42,8 @@ class FakeEngine:
         self.sim = sim
         self.calls = []
 
-    def search(self, rect):
-        self.calls.append(rect)
+    def read(self, request):
+        self.calls.append(request.rect)
         yield self.sim.timeout(1e-6)
         return []
 
@@ -50,10 +53,13 @@ def make_session(params=None, seed=0):
     fm = FakeFm(sim)
     engine = FakeEngine(sim)
     stats = ClientStats()
-    session = CatfishSession(
+    session = PolicySession(
         sim, fm, engine, stats,
-        params=params or AdaptiveParams(N=8, T=0.95, Inv=1e-3),
-        rng=random.Random(seed),
+        Algorithm1Policy(
+            sim, fm.mailbox,
+            params=params or AdaptiveParams(N=8, T=0.95, Inv=1e-3),
+            rng=random.Random(seed),
+        ),
     )
     return sim, fm, engine, session
 
@@ -214,7 +220,7 @@ class _MaxDrawRng:
 
 
 class TestAlgorithmEdgeCases:
-    """Algorithm 1 boundary behavior, driven through _decide directly."""
+    """Algorithm 1 boundary behavior, driven through decide_offload."""
 
     @staticmethod
     def _force_inv_elapsed(session):
@@ -227,7 +233,7 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
         beat(fm.mailbox, session.policy.params.T)
-        assert session._decide() is False
+        assert session.policy.decide_offload() is False
         assert session.policy.r_busy == 0
         assert session.policy.busy_observations == 0
         # ... but the heartbeat itself was consumed (it was fresh).
@@ -237,7 +243,7 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
         beat(fm.mailbox, session.policy.params.T + 1e-9)
-        session._decide()
+        session.policy.decide_offload()
         assert session.policy.r_busy == 1
 
     def test_backoff_window_within_documented_bounds(self):
@@ -248,9 +254,9 @@ class TestAlgorithmEdgeCases:
         for expected_r_busy in (1, 2, 3, 4):
             self._force_inv_elapsed(session)
             beat(fm.mailbox, 1.0)
-            offloaded = session._decide()
+            offloaded = session.policy.decide_offload()
             assert session.policy.r_busy == expected_r_busy
-            # _decide drained one unit before returning; undo it.
+            # decide_offload drained one unit before returning; undo it.
             drawn = session.policy.r_off + (1 if offloaded else 0)
             lo = (expected_r_busy - 1) * params.N
             hi = expected_r_busy * params.N
@@ -261,11 +267,11 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session(params)
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 1.0)
-        session._decide()
+        session.policy.decide_offload()
         assert session.policy.r_busy == 1
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 0.3)
-        session._decide()
+        session.policy.decide_offload()
         assert session.policy.r_busy == 0
 
     def test_fresh_zero_utilization_heartbeat_is_consumed(self):
@@ -274,13 +280,13 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
         beat(fm.mailbox, 0.0)
-        assert session._decide() is False
+        assert session.policy.decide_offload() is False
         assert session.policy.heartbeats_consumed == 1
         assert session.policy.heartbeats_missing == 0
         # Consuming advanced the Inv clock: the next decide within Inv
         # does not consume again.
         beat(fm.mailbox, 1.0)
-        assert session._decide() is False
+        assert session.policy.decide_offload() is False
         assert session.policy.heartbeats_consumed == 1
 
     def test_duplicate_seq_reads_as_missing(self):
@@ -289,12 +295,12 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session()
         self._force_inv_elapsed(session)
         fm.mailbox.deliver(Heartbeat(0.99, seq=1))
-        session._decide()
+        session.policy.decide_offload()
         assert session.policy.heartbeats_consumed == 1
         self._force_inv_elapsed(session)
         fm.mailbox.deliver(Heartbeat(0.99, seq=1))  # replay, not fresh
         budget_before = session.policy.r_off
-        session._decide()
+        session.policy.decide_offload()
         assert session.policy.heartbeats_consumed == 1
         assert session.policy.heartbeats_missing == 1
         # Missing heartbeat resets the busy streak; any remaining budget
@@ -308,7 +314,7 @@ class TestAlgorithmEdgeCases:
         sim, fm, engine, session = make_session()
         for _ in range(50):
             self._force_inv_elapsed(session)
-            assert session._decide() is False
+            assert session.policy.decide_offload() is False
         assert session.policy.heartbeats_missing == 50
 
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.client import ClientStats, OffloadEngine, OffloadSession, Request
+from repro.client import ClientStats, OffloadEngine, Request
 from repro.client.base import OP_INSERT, OP_SEARCH
 from repro.client.fm_client import FmSession
 from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import AlwaysOffloadPolicy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
 from repro.sim import Simulator
 from repro.transport import connect
@@ -219,7 +220,7 @@ def test_offload_session_routes_writes_to_fast_messaging():
         sim, conn.client_end, server.offload_descriptor(), server.costs,
         stats,
     )
-    session = OffloadSession(engine, fm, stats)
+    session = PolicySession(sim, fm, engine, stats, AlwaysOffloadPolicy())
     rect = Rect(0.8, 0.8, 0.80001, 0.80001)
 
     def client():

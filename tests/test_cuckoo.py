@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.btree import KvFmSession, KvRequest, OP_GET, OP_PUT
 from repro.client import AdaptiveParams, ClientStats
 from repro.cuckoo import (
-    CuckooCatfishSession,
     CuckooFullError,
     CuckooHashTable,
     CuckooOffloadEngine,
@@ -17,6 +16,7 @@ from repro.cuckoo import (
 from repro.hw import Host
 from repro.msg import Heartbeat
 from repro.net import IB_100G, Network
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer
 from repro.sim import Simulator
 from repro.transport import connect
@@ -140,7 +140,7 @@ def make_cuckoo(n=2000, cores=4, n_buckets=2048, seed=2):
     stats = ClientStats()
     fm = KvFmSession(sim, conn, 0, stats)
     engine = CuckooOffloadEngine(
-        sim, conn.client_end, service.descriptor(), service.costs, stats
+        sim, conn.client_end, service.offload_descriptor(), service.costs, stats
     )
     return sim, server_host, service, fm, engine, stats, keys
 
@@ -246,10 +246,13 @@ class TestService:
 
     def test_catfish_session_offloads_when_busy(self):
         sim, sh, service, fm, engine, stats, keys = make_cuckoo(cores=2)
-        session = CuckooCatfishSession(
+        session = PolicySession(
             sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
-            rng=random.Random(5),
+            Algorithm1Policy(
+                sim, fm.mailbox,
+                params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+                rng=random.Random(5),
+            ),
         )
 
         def feeder():

@@ -238,12 +238,16 @@ class TestServerAndTransports:
         assert count == server.tree.search(query).count
 
     def test_catfish_session_routes_nearest(self):
-        from repro.client import AdaptiveParams, CatfishSession
+        from repro.client import AdaptiveParams
+        from repro.runtime import Algorithm1Policy, PolicySession
         sim, server, fm, engine, stats, items = make_stack()
-        session = CatfishSession(
+        session = PolicySession(
             sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
-            rng=random.Random(6),
+            Algorithm1Policy(
+                sim, fm.mailbox,
+                params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+                rng=random.Random(6),
+            ),
         )
         fm.mailbox.deliver(Heartbeat(1.0, seq=1))  # server is busy
 

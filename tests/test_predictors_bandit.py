@@ -6,7 +6,6 @@ import pytest
 
 from repro import ExperimentConfig, run_experiment
 from repro.client import (
-    BanditSession,
     ClientStats,
     EwmaPredictor,
     Request,
@@ -14,8 +13,14 @@ from repro.client import (
     make_predictor,
     most_recent,
 )
-from repro.client.bandit import FAST_MESSAGING, OFFLOADING
+from repro.client.base import READ_OPS
 from repro.rtree import Rect
+from repro.runtime import (
+    FAST_MESSAGING,
+    OFFLOADING,
+    BanditPolicy,
+    PolicySession,
+)
 from repro.sim import Simulator
 
 RECT = Rect(0.1, 0.1, 0.2, 0.2)
@@ -89,6 +94,8 @@ class TestPredictors:
 class _FixedLatencyArm:
     """fm/engine stub with a constant latency per call."""
 
+    read_ops = READ_OPS
+
     def __init__(self, sim, latency):
         self.sim = sim
         self.latency = latency
@@ -99,10 +106,13 @@ class _FixedLatencyArm:
         yield self.sim.timeout(self.latency)
         return []
 
-    def search(self, rect):
-        self.calls += 1
-        yield self.sim.timeout(self.latency)
-        return []
+    def read(self, request):
+        return self.execute(request)
+
+
+def bandit_session(sim, fm, engine, **policy_args):
+    return PolicySession(sim, fm, engine, ClientStats(),
+                         BanditPolicy(**policy_args))
 
 
 class TestBanditUnit:
@@ -119,16 +129,16 @@ class TestBanditUnit:
         fm = _FixedLatencyArm(sim, 1e-6)
         engine = _FixedLatencyArm(sim, 1e-6)
         with pytest.raises(ValueError):
-            BanditSession(sim, fm, engine, ClientStats(), epsilon=1.5)
+            bandit_session(sim, fm, engine, epsilon=1.5)
         with pytest.raises(ValueError):
-            BanditSession(sim, fm, engine, ClientStats(), alpha=0.0)
+            bandit_session(sim, fm, engine, alpha=0.0)
 
     def test_converges_to_faster_arm(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 100e-6)      # slow
         engine = _FixedLatencyArm(sim, 10e-6)   # fast
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.1, rng=random.Random(1))
+        session = bandit_session(sim, fm, engine, epsilon=0.1,
+                                 rng=random.Random(1))
         self._drive(session, sim, 200)
         assert session.policy.mode_counts[OFFLOADING] > \
             session.policy.mode_counts[FAST_MESSAGING] * 3
@@ -137,8 +147,8 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.1, rng=random.Random(2))
+        session = bandit_session(sim, fm, engine, epsilon=0.1,
+                                 rng=random.Random(2))
         self._drive(session, sim, 200)
         assert session.policy.mode_counts[FAST_MESSAGING] > \
             session.policy.mode_counts[OFFLOADING] * 3
@@ -147,8 +157,8 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 10e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.3, rng=random.Random(3))
+        session = bandit_session(sim, fm, engine, epsilon=0.3,
+                                 rng=random.Random(3))
         self._drive(session, sim, 100)
         assert session.policy.mode_counts[FAST_MESSAGING] > 0
         assert session.policy.mode_counts[OFFLOADING] > 0
@@ -158,9 +168,8 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.15, alpha=0.5,
-                                rng=random.Random(4))
+        session = bandit_session(sim, fm, engine, epsilon=0.15, alpha=0.5,
+                                 rng=random.Random(4))
         self._drive(session, sim, 150)
         # flip the world: fm becomes slow
         fm.latency, engine.latency = 100e-6, 10e-6
@@ -174,8 +183,7 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 1e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                rng=random.Random(5))
+        session = bandit_session(sim, fm, engine, rng=random.Random(5))
 
         def proc():
             for i in range(10):

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.client import ClientStats
-from repro.client.adaptive import AdaptiveParams, CatfishSession
+from repro.client.adaptive import AdaptiveParams
 from repro.client.base import OP_INSERT, OP_SEARCH, Request
 from repro.client.fm_client import FmSession
-from repro.client.offload_client import OffloadEngine, OffloadError
+from repro.client.offload_client import OffloadError
 from repro.client.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -23,6 +23,7 @@ from repro.msg import SearchRequest, message_size
 from repro.msg.ringbuffer import RingBuffer, RingBufferFullError
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
 from repro.server.heartbeat import HeartbeatMailbox
 from repro.sim import Simulator
@@ -311,18 +312,16 @@ class TestFmRetries:
         assert len(proc.value) == 500
 
 
-class _FlakyCatfish(CatfishSession):
-    """Adaptive session whose offload path fails until ``fail_until``."""
+class _FlakyEngine:
+    """Offload engine whose reads fail until ``fail_until``."""
 
-    def __init__(self, *args, fail_until=0.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, sim, fm, fail_until):
+        self.sim = sim
+        self.fm = fm
         self.fail_until = fail_until
         self.offload_successes = 0
 
-    def _decide(self):
-        return True  # always try to offload
-
-    def _offload(self, request):
+    def read(self, request):
         if self.sim.now < self.fail_until:
             raise OffloadError("injected storm")
             yield  # pragma: no cover - makes this a generator
@@ -331,15 +330,19 @@ class _FlakyCatfish(CatfishSession):
         return result
 
 
+class _AlwaysBusy(Algorithm1Policy):
+    def decide_offload(self):
+        return True  # always try to offload
+
+
 def _adaptive_stack(fail_until, breaker_params):
     sim, server, fm_server, conn, fm, stats = _stack()
-    engine = OffloadEngine(sim, conn.client_end,
-                           server.offload_descriptor(), server.costs, stats)
     breaker = (CircuitBreaker(sim, breaker_params)
                if breaker_params is not None else None)
-    session = _FlakyCatfish(
-        sim, fm, engine, stats, params=AdaptiveParams(),
-        breaker=breaker, fail_until=fail_until,
+    session = PolicySession(
+        sim, fm, _FlakyEngine(sim, fm, fail_until), stats,
+        _AlwaysBusy(sim, fm.mailbox, params=AdaptiveParams()),
+        breaker=breaker,
     )
     return sim, session, breaker, stats
 
@@ -388,49 +391,42 @@ class TestOffloadBreaker:
         # After the storm a half-open probe succeeded and closed it.
         assert breaker.state == CLOSED
         assert int(breaker.recoveries) >= 1
-        assert session.offload_successes > 0
-
-
-class _StubFm:
-    def __init__(self):
-        self.mailbox = HeartbeatMailbox()
+        assert session.engine.offload_successes > 0
 
 
 class TestStaleHeartbeats:
     def test_missing_streak_cancels_offload_budget(self):
-        sim = Simulator()
-        session = CatfishSession(
-            sim, _StubFm(), engine=None, stats=ClientStats(),
+        policy = Algorithm1Policy(
+            Simulator(), HeartbeatMailbox(),
             params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
             stale_after_missing=2,
         )
-        session.policy.r_busy = 1
-        session.policy.r_off = 5
-        session.policy._t0 = -1.0  # force the Inv-elapsed branch
+        policy.r_busy = 1
+        policy.r_off = 5
+        policy._t0 = -1.0  # force the Inv-elapsed branch
 
-        assert session._decide() is True   # 1st miss: budget still drains
-        assert session.policy.r_off == 4
-        assert session._decide() is False  # 2nd miss: budget cancelled
-        assert session.policy.r_off == 0 and session.policy.r_busy == 0
-        assert int(session.policy.stale_resets) == 1
-        assert int(session.policy.heartbeats_missing) == 2
+        assert policy.decide_offload() is True   # 1st miss: still drains
+        assert policy.r_off == 4
+        assert policy.decide_offload() is False  # 2nd miss: cancelled
+        assert policy.r_off == 0 and policy.r_busy == 0
+        assert int(policy.stale_resets) == 1
+        assert int(policy.heartbeats_missing) == 2
 
     def test_fresh_heartbeat_resets_streak(self):
-        sim = Simulator()
-        fm = _StubFm()
-        session = CatfishSession(
-            sim, fm, engine=None, stats=ClientStats(),
+        mailbox = HeartbeatMailbox()
+        policy = Algorithm1Policy(
+            Simulator(), mailbox,
             params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
             stale_after_missing=2,
         )
-        session.policy._t0 = -1.0
-        session.policy.r_off = 3
-        assert session._decide() is True   # miss #1
+        policy._t0 = -1.0
+        policy.r_off = 3
+        assert policy.decide_offload() is True   # miss #1
         from repro.msg import Heartbeat
-        fm.mailbox.deliver(Heartbeat(utilization=0.0, seq=7))
-        session.policy._t0 = -1.0
-        assert session._decide() is True   # fresh: streak cleared
-        assert session.policy._missing_streak == 0
-        session.policy._t0 = -1.0
-        assert session._decide() is True   # miss #1 again, no reset
-        assert int(session.policy.stale_resets) == 0
+        mailbox.deliver(Heartbeat(utilization=0.0, seq=7))
+        policy._t0 = -1.0
+        assert policy.decide_offload() is True   # fresh: streak cleared
+        assert policy._missing_streak == 0
+        policy._t0 = -1.0
+        assert policy.decide_offload() is True   # miss #1 again, no reset
+        assert int(policy.stale_resets) == 0

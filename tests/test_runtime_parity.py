@@ -15,8 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.client.adaptive import CatfishSession, most_recent_utilization
-from repro.client.bandit import BanditSession
+from repro.client.adaptive import most_recent_utilization
 from repro.client.fm_client import FmSession
 from repro.client.predictors import most_recent
 from repro.client.resilience import BreakerParams
@@ -100,12 +99,13 @@ GOLDEN_KV = {
     ("cuckoo", "catfish-bandit"): "e4a051afcb428692",
 }
 
-#: Scheme offload mode → expected (session type, policy type).
+#: Scheme offload mode → expected policy type (the session type is
+#: always exactly ``PolicySession``).
 EXPECTED_SHAPE = {
-    "never": (PolicySession, AlwaysFmPolicy),
-    "always": (PolicySession, AlwaysOffloadPolicy),
-    "adaptive": (CatfishSession, Algorithm1Policy),
-    "bandit": (BanditSession, BanditPolicy),
+    "never": AlwaysFmPolicy,
+    "always": AlwaysOffloadPolicy,
+    "adaptive": Algorithm1Policy,
+    "bandit": BanditPolicy,
 }
 
 
@@ -187,11 +187,11 @@ RDMA_SCHEMES = sorted(
 @pytest.mark.parametrize("scheme", RDMA_SCHEMES)
 def test_single_and_sharded_builders_produce_same_session_shape(scheme):
     spec = SCHEMES[scheme]
-    session_type, policy_type = EXPECTED_SHAPE[spec.offload]
+    policy_type = EXPECTED_SHAPE[spec.offload]
 
     single = ExperimentRunner(tiny_config(scheme, n_shards=1))
     for session in single.sessions:
-        assert type(session) is session_type
+        assert type(session) is PolicySession
         assert type(session.policy) is policy_type
         assert session.policy.name == spec.policy
 
@@ -199,7 +199,7 @@ def test_single_and_sharded_builders_produce_same_session_shape(scheme):
     for per_client in sharded.sessions:
         assert len(per_client) == 2
         for session in per_client:
-            assert type(session) is session_type
+            assert type(session) is PolicySession
             assert type(session.policy) is policy_type
             assert session.policy.name == spec.policy
 
@@ -213,9 +213,15 @@ def test_tcp_builder_produces_tcp_sessions():
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 REPO = SRC.parents[1]
 
-#: Constructors only the one assembler may call.
+#: Constructors only the one assembler may call...
 ASSEMBLY_CALLS = ("Simulator", "ServerStack", "FaultInjector",
                   "RebalanceController", "partition_str", "SessionFactory")
+#: ...and those with one home each elsewhere in the assembly layers.
+SINGLE_HOME_CALLS = {
+    "FastMessagingServer": {"runtime/stack.py"},
+    "HeartbeatService": {"runtime/stack.py"},
+    "RunResult": {"cluster/builder.py", "traffic/harness.py"},
+}
 
 
 def _python_files(*roots):
@@ -244,18 +250,16 @@ def test_duplicated_assembly_paths_are_gone():
         assert isinstance(runner.deployment.factory, SessionFactory)
 
     # ...which is the only module in the assembly layers that calls a
-    # cluster constructor (kv_builder is the B+tree/cuckoo extension's
-    # own deployment, out of scope by decision — see ROADMAP).
-    callers = {name: set() for name in ASSEMBLY_CALLS}
+    # cluster constructor; the B+tree/cuckoo harness is not exempt.
+    expected = {name: {"cluster/deployment.py"} for name in ASSEMBLY_CALLS}
+    expected.update(SINGLE_HOME_CALLS)
+    callers = {name: set() for name in expected}
     layers = [SRC / pkg for pkg in ("cluster", "shard", "traffic", "runtime")]
     for path in _python_files(*layers):
-        if path.name == "kv_builder.py":
-            continue
         for name in _called_names(ast.parse(path.read_text())):
             if name in callers:
                 callers[name].add(path.relative_to(SRC).as_posix())
-    assert callers == {name: {"cluster/deployment.py"}
-                       for name in ASSEMBLY_CALLS}
+    assert callers == expected
 
     # ...and nothing reaches into a runner's underscore attributes from
     # outside (the runners' own modules say ``self._x``, never
@@ -271,6 +275,32 @@ def test_duplicated_assembly_paths_are_gone():
                     and node.value.id == "runner"):
                 offenders.append(f"{path}:{node.lineno} .{node.attr}")
     assert not offenders, offenders
+
+
+def test_policy_session_is_the_only_policy_driven_session():
+    # Paper §VI made literal: one session class for every policy and
+    # index.  No subclass of it anywhere in src/, the only *Session
+    # classes left are the transports' own, and nobody outside the
+    # policy module reaches into the bandit's arm selection.
+    session_classes, subclasses, choose_mode_users = set(), [], set()
+    for path in _python_files(SRC):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                if node.name.endswith("Session"):
+                    session_classes.add(node.name)
+                for base in node.bases:
+                    name = (base.attr if isinstance(base, ast.Attribute)
+                            else getattr(base, "id", None))
+                    if name == "PolicySession":
+                        subclasses.append(f"{rel}:{node.name}")
+            elif isinstance(node, ast.Attribute) \
+                    and node.attr == "_choose_mode":
+                choose_mode_users.add(rel)
+    assert session_classes == {"PolicySession", "FmSession", "KvFmSession",
+                               "TcpSession"}
+    assert not subclasses, subclasses
+    assert choose_mode_users == {"runtime/policy.py"}
 
 
 def test_adaptive_sessions_share_stream_names_across_deployments():

@@ -150,13 +150,17 @@ class TestClientUpdate:
         assert data_id in [i for _r, i in p.value]
 
     def test_catfish_routes_update_to_server(self):
-        from repro.client import AdaptiveParams, CatfishSession, OffloadEngine
+        from repro.client import AdaptiveParams, OffloadEngine
+        from repro.runtime import Algorithm1Policy, PolicySession
         sim, server, fm, items = make_stack()
         engine = OffloadEngine(sim, fm.conn.client_end,
                                server.offload_descriptor(), server.costs,
                                fm.stats)
-        session = CatfishSession(sim, fm, engine, fm.stats,
-                                 params=AdaptiveParams(Inv=0.1e-3))
+        session = PolicySession(
+            sim, fm, engine, fm.stats,
+            Algorithm1Policy(sim, fm.mailbox,
+                             params=AdaptiveParams(Inv=0.1e-3)),
+        )
         fm.mailbox.value = 1.0  # even "busy" must not offload a write
         old_rect, data_id = items[9]
 
