@@ -84,6 +84,93 @@ GOLDEN_CHAOS = {
     "write-storm": (150, "1e7d20f012474512"),
 }
 
+#: What each scenario checks and counts, captured at the same sizing as
+#: ``GOLDEN_CHAOS`` before the chaos harnesses were folded into one
+#: runner: name -> (invariant names in report order, sorted counter
+#: keys).  Asserted beside the fingerprint so a refactor of the harness
+#: cannot silently drop a check or a counter.
+_PLAIN_CHECKS = ("finished-in-time", "completed", "oracle-match",
+                 "exactly-once", "bounded-retries", "throughput-recovered")
+_PLAIN_COUNTERS = (
+    "beats-blacked-out", "breaker-trips", "client-stalls",
+    "duplicates-suppressed", "failovers", "latency-injected", "nic-stalls",
+    "packets-dropped", "requests-shed", "workers-crashed",
+    "workers-restarted", "write-storms",
+)
+_ROUTER_COUNTERS = (
+    "duplicates-merged", "partial-results", "queries-routed",
+    "shard-offload-errors", "shard-skips", "shard-timeouts",
+    "shards-pruned", "subqueries-issued",
+)
+_ELASTIC_COUNTERS = _ROUTER_COUNTERS + (
+    "epoch-rescatters", "map-epoch", "rebalance-cycles",
+    "rebalance-epoch-bumps", "rebalance-items-migrated",
+    "rebalance-merges", "rebalance-migrations-completed",
+    "rebalance-migrations-started", "rebalance-splits",
+    "rebalance-tiles-reassigned", "rescattered-subqueries", "tiles",
+)
+
+
+def _fired(*keys):
+    return tuple(f"fault-fired:{key}" for key in keys)
+
+
+EXPECTED_INVARIANTS = {
+    "chaos-combo": (
+        _PLAIN_CHECKS + _fired("packets-dropped", "beats-blacked-out",
+                               "workers-crashed"),
+        _PLAIN_COUNTERS),
+    "flash-crowd": (
+        ("finished-in-time", "conservation", "oracle-match")
+        + _fired("spike-arrivals", "client-shed", "server-shed")
+        + ("no-shed-before-spike", "shedding-stopped",
+           "throughput-recovered"),
+        ("arrivals", "completed", "failed", "retries",
+         "server-requests-shed", "shed-admission", "shed-watermark",
+         "shed-window")),
+    "heartbeat-blackout": (
+        _PLAIN_CHECKS + _fired("beats-blacked-out"), _PLAIN_COUNTERS),
+    "latency-spike": (
+        _PLAIN_CHECKS + _fired("latency-injected"), _PLAIN_COUNTERS),
+    "link-loss": (
+        _PLAIN_CHECKS + _fired("packets-dropped"), _PLAIN_COUNTERS),
+    "migration-racing-writes": (
+        ("finished-in-time", "completed", "migrations-completed",
+         "writes-raced-migration", "conservation-exact",
+         "reads-exactly-once", "map-invariants"),
+        tuple(sorted(_ELASTIC_COUNTERS + (
+            "acked-inserts", "inserts-in-migration-window")))),
+    "nic-read-stall": (
+        _PLAIN_CHECKS + _fired("nic-stalls"), _PLAIN_COUNTERS),
+    "overload-shed": (
+        _PLAIN_CHECKS + _fired("workers-crashed", "requests-shed"),
+        _PLAIN_COUNTERS),
+    "rebalance-under-fault": (
+        ("finished-in-time", "completed", "complete-results-exact",
+         "degraded-results-sound", "splits-fired", "migrations-completed",
+         "items-conserved", "map-invariants")
+        + _fired("packets-dropped"),
+        tuple(sorted(_ELASTIC_COUNTERS + ("packets-dropped",)))),
+    "shard-loss": (
+        ("finished-in-time", "completed", "complete-results-exact",
+         "degraded-results-correct", "exactly-once", "partials-observed",
+         "throughput-recovered")
+        + _fired("shards-lost", "shards-restored", "workers-crashed"),
+        tuple(sorted(_ROUTER_COUNTERS + (
+            "beats-blacked-out", "shards-lost", "shards-restored",
+            "workers-crashed", "workers-restarted")))),
+    "slow-client": (
+        _PLAIN_CHECKS + _fired("client-stalls"), _PLAIN_COUNTERS),
+    "worker-crash": (
+        _PLAIN_CHECKS + _fired("workers-crashed", "workers-restarted",
+                               "duplicates-suppressed"),
+        _PLAIN_COUNTERS),
+    "write-storm": (
+        _PLAIN_CHECKS + _fired("write-storms", "breaker-trips",
+                               "failovers"),
+        _PLAIN_COUNTERS),
+}
+
 #: The §VI extension's pins: (index, scheme) -> fingerprint, captured
 #: while ``kv_builder`` still hand-built its own cluster.  The two
 #: served-op counters are masked: that builder reported them as hard 0,
@@ -138,6 +225,7 @@ def test_hybrid_workload_fingerprint_matches_golden(scheme):
 
 def test_every_chaos_scenario_is_pinned():
     assert sorted(GOLDEN_CHAOS) == sorted(SCENARIOS)
+    assert sorted(EXPECTED_INVARIANTS) == sorted(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CHAOS))
@@ -148,6 +236,9 @@ def test_chaos_fingerprint_matches_pre_refactor_golden(name):
                           dataset_size=1000)
     assert report.ok, report.failures
     assert report.fingerprint() == fingerprint
+    invariant_names, counter_keys = EXPECTED_INVARIANTS[name]
+    assert tuple(n for n, _ok, _d in report.invariants) == invariant_names
+    assert tuple(sorted(report.counters)) == counter_keys
 
 
 @pytest.mark.parametrize("index,scheme", sorted(GOLDEN_KV))
