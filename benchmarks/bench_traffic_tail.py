@@ -30,7 +30,7 @@ import sys
 import time
 
 from repro import ExperimentConfig
-from repro.faults import run_scenario
+from repro.chaos import run_scenario
 from repro.traffic import TrafficConfig
 from repro.traffic.harness import TrafficResult, rate_sweep, run_traffic
 

@@ -20,6 +20,7 @@ from typing import Generator, List, Optional, Tuple
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
 from ..client.offload_client import OffloadError
+from ..client.resilience import OFFLOAD_READ_RETRIES, OFFLOAD_SEARCH_RESTARTS
 from ..msg.codec import (
     KvDeleteRequest,
     KvGetRequest,
@@ -94,8 +95,8 @@ class BTreeOffloadEngine:
         costs: CostModel,
         stats: ClientStats,
         multi_issue: bool = True,
-        max_read_retries: int = 8,
-        max_restarts: int = 8,
+        max_read_retries: int = OFFLOAD_READ_RETRIES,
+        max_restarts: int = OFFLOAD_SEARCH_RESTARTS,
         retry_backoff: float = 1e-6,
     ):
         self.sim = sim

@@ -201,7 +201,7 @@ def cmd_kv(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from .faults import SCENARIOS, run_scenario
+    from .chaos import SCENARIOS, ScenarioReport, run_scenario
     if args.list:
         width = max(len(name) for name in SCENARIOS)
         for name, scenario in SCENARIOS.items():
@@ -220,7 +220,6 @@ def cmd_chaos(args) -> int:
         overrides["requests_per_client"] = args.requests
     if args.dataset_size is not None:
         overrides["dataset_size"] = args.dataset_size
-    from .faults.scenarios import ScenarioReport
     print(ScenarioReport.header())
     failed = 0
     for name in names:

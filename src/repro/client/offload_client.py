@@ -47,6 +47,7 @@ from ..sim.resources import Store
 from ..transport.rdma import QpEndpoint
 from .base import OP_COUNT, OP_SEARCH, ClientStats, Request
 from .node_cache import NodeCache
+from .resilience import OFFLOAD_READ_RETRIES, OFFLOAD_SEARCH_RESTARTS
 
 #: Bytes of a meta read (root pointer + height + mutation mark).
 META_READ_SIZE = 16
@@ -71,8 +72,8 @@ class OffloadEngine:
         costs: CostModel,
         stats: ClientStats,
         multi_issue: bool = True,
-        max_read_retries: int = 8,
-        max_search_restarts: int = 8,
+        max_read_retries: int = OFFLOAD_READ_RETRIES,
+        max_search_restarts: int = OFFLOAD_SEARCH_RESTARTS,
         retry_backoff: float = 1e-6,
         tracer=None,
         cache: Optional[NodeCache] = None,

@@ -31,6 +31,14 @@ class RequestTimeoutError(Exception):
     """A request's deadline/retry budget was exhausted without a response."""
 
 
+#: Default budgets of a one-sided traversal: re-reads of one torn chunk,
+#: and restarts from the root, before it gives up with an ``OffloadError``.
+#: The offload engines' constructors and :class:`RetryPolicy` both
+#: default to these.
+OFFLOAD_READ_RETRIES = 8
+OFFLOAD_SEARCH_RESTARTS = 8
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deadline + retry tunables for fast-messaging requests.
@@ -45,6 +53,11 @@ class RetryPolicy:
     insert may have executed on the server (the response, not the request,
     may be what got delayed), and blindly re-sending would double-apply
     it.  Reads are idempotent, so they always get the full budget.
+
+    The offload path's budgets live here too, so a bounded-retry
+    invariant reads every bound from one object: a scenario that wants
+    ``OffloadError`` s in microseconds rather than after the default
+    grind tightens them exactly as it tightens the deadline.
     """
 
     deadline_s: float = 2e-3
@@ -56,6 +69,10 @@ class RetryPolicy:
     #: Bound on the ring-space wait per attempt; None means "use
     #: ``deadline_s``" (the reservation is part of the attempt).
     reserve_timeout_s: Optional[float] = None
+    #: Re-reads of one torn chunk before the traversal restarts.
+    offload_read_retries: int = OFFLOAD_READ_RETRIES
+    #: Restarts from the root before the request fails (``OffloadError``).
+    offload_search_restarts: int = OFFLOAD_SEARCH_RESTARTS
 
     def __post_init__(self):
         if self.deadline_s <= 0:
@@ -69,6 +86,12 @@ class RetryPolicy:
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ValueError(
                 f"jitter must be in [0, 1), got {self.backoff_jitter}"
+            )
+        if self.offload_read_retries < 1 or self.offload_search_restarts < 1:
+            raise ValueError(
+                f"offload budgets must be >= 1, got "
+                f"{self.offload_read_retries} read retries / "
+                f"{self.offload_search_restarts} search restarts"
             )
 
     @property

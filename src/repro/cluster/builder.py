@@ -10,12 +10,14 @@ utilization into a :class:`RunResult`.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 from ..client.base import OP_SEARCH, ClientStats, Request
+from ..client.offload_client import OffloadError
+from ..client.resilience import RequestTimeoutError
 from ..faults.injector import FaultInjector
 from ..hw.host import Host
-from ..obs import LatencyView, snapshot_document
+from ..obs import Counter, LatencyView, snapshot_document
 from ..sim.kernel import Simulator, all_of
 from ..workloads.mixes import batch_runs, make_workload
 from .config import ExperimentConfig
@@ -24,22 +26,37 @@ from .results import RunResult, merge_client_stats
 from .schemes import scheme_spec
 
 
+#: What a request raises once its whole budget is spent: every retry
+#: timed out, or the one-sided traversal ran out of restarts with no
+#: breaker to fail it over.
+BUDGET_EXHAUSTED = (RequestTimeoutError, OffloadError)
+
+
 def _client_driver(
     sim: Simulator,
     session,
     requests: List[Request],
     stats: ClientStats,
+    failed: Counter,
     injector: FaultInjector = None,
     client_id: int = 0,
     batch_queries: int = 0,
+    log: Optional[list] = None,
 ) -> Generator:
     """One synchronous client: issue every request back-to-back.
+
+    A request that exhausts its budget is counted in ``failed`` and the
+    client carries on with the next one, as the router and the mux do;
+    it stays out of ``requests_sent`` and the latency recorders, which
+    describe answered requests.  With a ``log``, every request appends
+    ``(index, request, outcome, finish time)`` — the shape a router
+    logs — where a failed request's outcome is the exception it raised.
 
     With ``batch_queries`` > 1 and a batch-capable session, runs of
     consecutive searches are grouped (``workloads.mixes.batch_runs``)
     and issued as one shared traversal; every request in a group
     records the group's wall time as its latency — that is how long the
-    synchronous client actually waited for it.
+    synchronous client actually waited for it — and a group fails as one.
     """
     batch_exec = getattr(session, "execute_search_batch", None)
     if batch_queries > 1 and batch_exec is not None:
@@ -49,16 +66,28 @@ def _client_driver(
                 if stall > 0.0:
                     yield sim.timeout(stall)
             start = sim.now
-            if len(group) == 1:
-                yield from session.execute(group[0])
-            else:
-                yield from batch_exec(group)
+            try:
+                if len(group) == 1:
+                    outcomes = yield from session.execute(group[0])
+                else:
+                    outcomes = yield from batch_exec(group)
+            except BUDGET_EXHAUSTED as exc:
+                failed += len(group)
+                if log is not None:
+                    for request in group:
+                        log.append((len(log), request, exc, sim.now))
+                continue
             elapsed = sim.now - start
             for request in group:
                 stats.requests_sent += 1
                 stats.latency.record(elapsed)
                 if request.op == OP_SEARCH:
                     stats.search_latency.record(elapsed)
+            if log is not None:
+                if len(group) == 1:
+                    outcomes = [outcomes]
+                for request, outcome in zip(group, outcomes):
+                    log.append((len(log), request, outcome, sim.now))
         return
     for request in requests:
         if injector is not None:
@@ -66,12 +95,19 @@ def _client_driver(
             if stall > 0.0:
                 yield sim.timeout(stall)
         start = sim.now
-        yield from session.execute(request)
-        elapsed = sim.now - start
-        stats.requests_sent += 1
-        stats.latency.record(elapsed)
-        if request.op == OP_SEARCH:
-            stats.search_latency.record(elapsed)
+        try:
+            outcome = yield from session.execute(request)
+        except BUDGET_EXHAUSTED as exc:
+            failed += 1
+            outcome = exc
+        else:
+            elapsed = sim.now - start
+            stats.requests_sent += 1
+            stats.latency.record(elapsed)
+            if request.op == OP_SEARCH:
+                stats.search_latency.record(elapsed)
+        if log is not None:
+            log.append((len(log), request, outcome, sim.now))
 
 
 class ClosedLoopRunner:
@@ -97,6 +133,17 @@ class ClosedLoopRunner:
         self.deployment = deployment = Deployment(
             config, routed=self.routed, record_results=record_results,
             spec=spec,
+        )
+        #: Requests that exhausted their budget (plain endpoints only: a
+        #: router degrades to a partial result instead of raising).
+        self.requests_failed = Counter()
+        #: With ``record_results``, one ``(index, request, outcome,
+        #: finish time)`` log per client.  A router keeps its own
+        #: (``routers[i].log``); a plain session has none, so the driver
+        #: keeps it here.
+        self.logs: Optional[List[list]] = (
+            [[] for _ in range(config.n_clients)]
+            if record_results and not self.routed else None
         )
         #: What the metrics document calls the request streams.
         self._workload = "custom" if workload_fn else config.workload_kind
@@ -181,9 +228,12 @@ class ClosedLoopRunner:
             requests = workload_fn(client_id, rng)
             self._drivers.append(self.sim.process(
                 _client_driver(self.sim, endpoint, requests, stats,
+                               self.requests_failed,
                                injector=self.injector,
                                client_id=client_id,
-                               batch_queries=config.batch_queries),
+                               batch_queries=config.batch_queries,
+                               log=(None if self.logs is None
+                                    else self.logs[client_id])),
                 name=name,
             ))
 
@@ -210,7 +260,7 @@ class ClosedLoopRunner:
 
     def _extra(self) -> dict:
         """``RunResult.extra`` payload (excluded from fingerprints)."""
-        return {}
+        return {"failed": float(self.requests_failed)}
 
     def collect(self) -> RunResult:
         config, deployment = self.config, self.deployment
@@ -278,27 +328,45 @@ class ClosedLoopRunner:
 class ExperimentRunner(ClosedLoopRunner):
     """One server, ``n_clients`` plain sessions against it."""
 
-    def __init__(self, config: ExperimentConfig):
-        super().__init__(config)
+    def __init__(self, config: ExperimentConfig,
+                 record_results: bool = False, workload_fn=None):
+        super().__init__(config, record_results=record_results,
+                         workload_fn=workload_fn)
         self.stack = self.deployment.stacks[0]
         self.server = self.stack.server
         self.sessions = self.deployment.endpoints
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Convenience wrapper: build, run, collect.
+def build_runner(config: ExperimentConfig, record_results: bool = False,
+                 workload_fn=None):
+    """The runner ``config`` asks for, built and not yet driven.
 
-    Dispatches to the sharded runner when the config (or the scheme's
-    default) asks for more than one shard, so ``run``/``compare`` treat
-    sharded and single-server schemes uniformly.
+    Open-loop when the config carries a traffic block (the traffic
+    harness handles sharding itself), else closed-loop: routed when the
+    config (or the scheme's default) asks for more than one shard, plain
+    otherwise.  ``run``/``compare`` and the chaos scenarios all come
+    through here, so a scenario runs exactly the system an experiment
+    of the same config runs.
     """
     if config.traffic is not None:
-        # Open-loop traffic replaces the closed-loop client drivers
-        # entirely; the traffic harness handles sharding itself.
-        from ..traffic.harness import run_traffic
-        return run_traffic(config).to_run_result()
+        from ..traffic.harness import TrafficRunner
+        if workload_fn is not None:
+            raise ValueError(
+                "open-loop aggregates generate their own requests; "
+                "workload_fn only replaces closed-loop streams"
+            )
+        return TrafficRunner(config, record=record_results)
     n_shards = config.n_shards or scheme_spec(config.scheme).shards
     if n_shards > 1:
         from ..shard.deploy import ShardedExperimentRunner
-        return ShardedExperimentRunner(config).run()
-    return ExperimentRunner(config).run()
+        return ShardedExperimentRunner(
+            config, record_results=record_results, workload_fn=workload_fn)
+    return ExperimentRunner(config, record_results=record_results,
+                            workload_fn=workload_fn)
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Convenience wrapper: build, run, collect."""
+    result = build_runner(config).run()
+    # The open-loop result is projected onto the closed-loop shape.
+    return result.to_run_result() if config.traffic is not None else result

@@ -1,7 +1,6 @@
 """The one assembler: a simulated Catfish cluster, ready to be driven.
 
-A :class:`Deployment` is the only place (outside the chaos harness's
-hand-built ``faults.scenarios._Cluster``) where a simulator, RNG
+A :class:`Deployment` is the only place where a simulator, RNG
 registry, metrics registry, tracer, dataset, partition / live shard map,
 fault injector, K >= 1 :class:`~repro.runtime.stack.ServerStack` s and a
 :class:`~repro.runtime.factory.SessionFactory` are constructed.  The

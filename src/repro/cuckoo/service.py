@@ -17,6 +17,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..client.base import ClientStats
 from ..client.offload_client import OffloadError
+from ..client.resilience import OFFLOAD_READ_RETRIES
 from ..hw.host import Host
 from ..msg.codec import (
     KvDeleteRequest,
@@ -237,7 +238,7 @@ class CuckooOffloadEngine:
         descriptor: CuckooDescriptor,
         costs: CostModel,
         stats: ClientStats,
-        max_read_retries: int = 8,
+        max_read_retries: int = OFFLOAD_READ_RETRIES,
         retry_backoff: float = 1e-6,
     ):
         self.sim = sim

@@ -8,8 +8,8 @@ clients) and a :class:`FaultInjector` threads them through the network,
 transport, hardware and server layers via cheap optional hooks.
 
 See docs/robustness.md for the fault model and the matching resilience
-mechanisms (``repro.client.resilience``), and ``repro chaos`` for the
-scenario runner that asserts end-to-end invariants under each fault.
+mechanisms (``repro.client.resilience``), and ``repro.chaos`` for the
+scenarios that assert end-to-end invariants under each fault.
 """
 
 from .plan import (
@@ -24,15 +24,8 @@ from .plan import (
     WriteStorm,
 )
 from .injector import FaultInjector
-from .scenarios import (
-    SCENARIOS,
-    ChaosConfig,
-    ScenarioReport,
-    run_scenario,
-)
 
 __all__ = [
-    "ChaosConfig",
     "ClientStall",
     "FaultInjector",
     "FaultPlan",
@@ -40,10 +33,7 @@ __all__ = [
     "HeartbeatBlackout",
     "LinkFault",
     "NicReadStall",
-    "SCENARIOS",
-    "ScenarioReport",
     "ShardLoss",
     "WorkerCrash",
     "WriteStorm",
-    "run_scenario",
 ]

@@ -28,7 +28,7 @@ from ..client.fm_client import FmSession
 from ..client.node_cache import NodeCache
 from ..client.offload_client import OffloadEngine
 from ..client.predictors import make_predictor
-from ..client.resilience import CircuitBreaker
+from ..client.resilience import CircuitBreaker, RetryPolicy
 from ..client.tcp_client import TcpSession
 from ..cuckoo.service import CuckooOffloadEngine
 from ..hw.host import Host
@@ -58,18 +58,26 @@ class SessionFactory:
         """The offload engine matching the stack's index."""
         spec, config = self.spec, self.config
         qp, descriptor = conn.client_end, stack.server.offload_descriptor()
+        # A run without a retry policy keeps the engines' own defaults,
+        # which are the policy's defaults.
+        retry = config.retry or RetryPolicy()
         if spec.index == "btree":
             return BTreeOffloadEngine(
                 self.sim, qp, descriptor, config.costs, stats,
                 multi_issue=spec.multi_issue,
+                max_read_retries=retry.offload_read_retries,
+                max_restarts=retry.offload_search_restarts,
             )
         if spec.index == "cuckoo":
             return CuckooOffloadEngine(
                 self.sim, qp, descriptor, config.costs, stats,
+                max_read_retries=retry.offload_read_retries,
             )
         engine = OffloadEngine(
             self.sim, qp, descriptor, config.costs, stats,
             multi_issue=spec.multi_issue,
+            max_read_retries=retry.offload_read_retries,
+            max_search_restarts=retry.offload_search_restarts,
             tracer=self.tracer,
         )
         cache_cfg = getattr(config, "node_cache", None)

@@ -30,8 +30,9 @@ class ShardedExperimentRunner(ClosedLoopRunner):
     routed = True
 
     def __init__(self, config: ExperimentConfig,
-                 record_results: bool = False):
-        super().__init__(config, record_results=record_results)
+                 record_results: bool = False, workload_fn=None):
+        super().__init__(config, record_results=record_results,
+                         workload_fn=workload_fn)
         deployment = self.deployment
         self.n_shards = deployment.n_shards
         self.dataset = deployment.dataset

@@ -13,6 +13,7 @@ exported lazily: ``repro.cluster.config`` imports
 eager harness import here would be a cycle.
 """
 
+from .aggregate import AggregateClient
 from .arrivals import (
     ArrivalGenerator,
     ConstantRate,
@@ -42,20 +43,12 @@ __all__ = [
     "run_traffic",
 ]
 
-_LAZY = {
-    "AggregateClient": "aggregate",
-    "TrafficResult": "harness",
-    "TrafficRunner": "harness",
-    "rate_sweep": "harness",
-    "run_traffic": "harness",
-}
+_HARNESS_EXPORTS = ("TrafficResult", "TrafficRunner", "rate_sweep",
+                    "run_traffic")
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _HARNESS_EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    from . import harness
+    return getattr(harness, name)

@@ -121,6 +121,3 @@ class AggregateClient:
             self.sojourn.record(job.sojourn)
             if self.tenant_sojourn is not None:
                 self.tenant_sojourn[job.tenant].record(job.sojourn)
-
-    def sheds_in(self, start: float, end: float) -> int:
-        return sum(1 for t in self.shed_times if start <= t < end)

@@ -24,7 +24,7 @@ counts, and a whole run replays exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..client.base import ClientStats
 from ..cluster.config import ExperimentConfig
@@ -219,18 +219,28 @@ class TrafficRunner:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self) -> TrafficResult:
+    def drive(self, limit: Optional[float] = None) -> None:
+        """Offer the whole window, then drain the mux backlog.
+
+        Raises :class:`~repro.sim.kernel.SimulationError` if simulated
+        time passes ``limit`` first; by default the offered window plus
+        :data:`DRAIN_GRACE_S`.
+        """
         sim = self.sim
         duration = self.traffic.duration_s
+        if limit is None:
+            limit = duration + DRAIN_GRACE_S
         drivers = [
             sim.process(agg.run(duration), name=f"aggregate-{agg.aggregate_id}")
             for agg in self.aggregates
         ]
-        limit = duration + DRAIN_GRACE_S
         sim.run_until_triggered(all_of(sim, drivers), limit=limit)
         self.mux.close()
         sim.run_until_triggered(all_of(sim, self.mux.dispatchers),
                                 limit=limit)
+
+    def run(self) -> TrafficResult:
+        self.drive()
         # Foreground accounting below only reads per-request records,
         # so settling an in-flight migration first is free.
         self.deployment.settle()

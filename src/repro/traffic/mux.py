@@ -24,7 +24,7 @@ error) are counted as ``failed`` — together with the server's own
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..client.base import Request
 from ..client.offload_client import OffloadError
@@ -204,14 +204,3 @@ class ConnectionMux:
             metrics.expose(f"{prefix}.{name}",
                            lambda n=name: getattr(self, n))
         metrics.expose(f"{prefix}.queue_depth", lambda: len(self.queue))
-
-    # -- analysis helpers --------------------------------------------------
-
-    def sheds_in(self, start: float, end: float) -> int:
-        """Front-end sheds with timestamp in ``[start, end)``."""
-        return sum(1 for t in self.shed_times if start <= t < end)
-
-    def completion_times(self) -> Tuple[float, ...]:
-        return tuple(sorted(
-            j.t_done for j in self.finished_jobs if j.status == OK
-        ))

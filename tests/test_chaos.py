@@ -7,7 +7,7 @@ or ``python -m repro chaos``).
 
 import pytest
 
-from repro.faults import SCENARIOS, ChaosConfig, run_scenario
+from repro.chaos import SCENARIOS, ChaosConfig, run_scenario
 
 #: Reduced load for tier-1: same structure, ~4x faster.
 FAST = dict(n_clients=2, requests_per_client=120, dataset_size=1000)

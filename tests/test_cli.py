@@ -152,7 +152,7 @@ class TestChaosSubcommand:
     def test_list_prints_all_scenarios(self, capsys):
         assert main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
-        from repro.faults import SCENARIOS
+        from repro.chaos import SCENARIOS
         for name in SCENARIOS:
             assert name in out
 

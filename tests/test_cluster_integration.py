@@ -5,7 +5,10 @@ import math
 import pytest
 
 from repro import AdaptiveParams, ExperimentConfig, run_experiment
-from repro.cluster import SCHEMES, scheme_spec
+from repro.client.offload_client import OffloadError
+from repro.client.resilience import RequestTimeoutError, RetryPolicy
+from repro.cluster import SCHEMES, ExperimentRunner, scheme_spec
+from repro.faults.plan import FaultPlan, WorkerCrash, WriteStorm
 
 SMALL = dict(n_clients=4, requests_per_client=20, dataset_size=2000,
              max_entries=16, server_cores=4)
@@ -218,3 +221,67 @@ class TestResourceShapes:
         finally:
             del PROFILES["ib-slow"]
         assert fm.throughput_kops > offload.throughput_kops
+
+
+class TestFailedRequests:
+    """A plain closed loop counts a request that exhausted its budget
+    and carries on, as the routed and open loops do."""
+
+    def crash_config(self, **overrides):
+        # Two attempts of 100us each cannot outlast a 700us outage.
+        return small_config(
+            scheme="fast-messaging-event", n_clients=2,
+            requests_per_client=200, dataset_size=1000, server_cores=2,
+            fault_plan=FaultPlan((WorkerCrash(0.2e-3, 0.9e-3),)),
+            retry=RetryPolicy(deadline_s=0.1e-3, max_attempts=2,
+                              backoff_base_s=20e-6),
+            **overrides)
+
+    def test_timed_out_request_is_counted_not_raised(self):
+        config = self.crash_config()
+        result = run_experiment(config)
+        failed = int(result.extra["failed"])
+        assert failed > 0
+        # Failed requests are not "sent": throughput and the latency
+        # recorders describe answered requests only.
+        assert result.total_requests + failed == config.total_requests
+        assert result.metrics["metrics"]["client.latency_us"]["count"] \
+            == result.total_requests
+
+    def test_recorded_log_has_the_routers_shape(self):
+        runner = ExperimentRunner(self.crash_config(), record_results=True)
+        result = runner.run()
+        outcomes = [outcome for log in runner.logs
+                    for _i, _request, outcome, _t in log]
+        assert len(outcomes) == runner.config.total_requests
+        timeouts = [o for o in outcomes
+                    if isinstance(o, RequestTimeoutError)]
+        assert len(timeouts) == int(result.extra["failed"]) > 0
+        for log in runner.logs:
+            assert [index for index, *_ in log] == list(range(len(log)))
+            assert [t for *_, t in log] == sorted(t for *_, t in log)
+
+    def test_batched_group_fails_as_one(self):
+        # No breaker under the fixed offload baseline: an OffloadError
+        # propagates out of the session, here out of a whole batch.
+        config = small_config(
+            scheme="rdma-offloading-multi", n_clients=2,
+            requests_per_client=80, dataset_size=1000, batch_queries=4,
+            fault_plan=FaultPlan((
+                WriteStorm(0.05e-3, 0.2e-3, hold_s=100e-6, gap_s=8e-6),
+            )),
+            retry=RetryPolicy(offload_read_retries=2,
+                              offload_search_restarts=1),
+        )
+        runner = ExperimentRunner(config, record_results=True)
+        result = runner.run()
+        failed = int(result.extra["failed"])
+        assert 0 < failed < config.total_requests
+        assert failed % 4 == 0
+        assert result.total_requests + failed == config.total_requests
+        errors = [o for log in runner.logs for _i, _r, o, _t in log
+                  if isinstance(o, OffloadError)]
+        assert len(errors) == failed
+
+    def test_fault_free_run_reports_no_failures(self):
+        assert run_experiment(small_config()).extra == {"failed": 0.0}

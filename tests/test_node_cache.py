@@ -465,11 +465,18 @@ def test_nearest_span_parity_with_search():
 # -- chaos: exactness under a write storm ------------------------------------
 
 def test_write_storm_scenario_exact_with_cache_enabled():
-    from repro.faults.scenarios import run_scenario
+    from repro.chaos import run_scenario
 
-    report = run_scenario(
-        "write-storm", seed=0, n_clients=2, requests_per_client=100,
-        dataset_size=1000, node_cache=NodeCacheConfig(),
-    )
-    assert report.mismatches == 0
-    assert report.ok, report.failures
+    # A cached root is not re-read, so whether the storm trips a breaker
+    # is luck of the back-off draw (of these seeds only 3 does): the
+    # scenario must be green on what it can guarantee — the storm
+    # fired, every answer exact, nothing lost — at every seed.
+    for seed in range(4):
+        report = run_scenario(
+            "write-storm", seed=seed, n_clients=2, requests_per_client=100,
+            dataset_size=1000, node_cache=NodeCacheConfig(),
+        )
+        assert report.mismatches == 0, seed
+        assert report.completed == report.issued, seed
+        assert report.counters["write-storms"] > 0, seed
+        assert report.ok, (seed, report.failures)

@@ -41,6 +41,15 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_jitter=1.0)
+        with pytest.raises(ValueError):
+            RetryPolicy(offload_read_retries=0)
+        with pytest.raises(ValueError):
+            RetryPolicy(offload_search_restarts=0)
+
+    def test_offload_budgets_default_to_the_engines_defaults(self):
+        policy = RetryPolicy()
+        assert (policy.offload_read_retries,
+                policy.offload_search_restarts) == (8, 8)
 
     def test_writes_get_one_attempt_by_default(self):
         policy = RetryPolicy(max_attempts=5)

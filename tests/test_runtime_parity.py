@@ -15,17 +15,19 @@ import pathlib
 
 import pytest
 
+from repro.chaos import SCENARIOS, Scenario, run_scenario
 from repro.client.adaptive import most_recent_utilization
+from repro.client.base import ClientStats
 from repro.client.fm_client import FmSession
 from repro.client.predictors import most_recent
-from repro.client.resilience import BreakerParams
+from repro.client.resilience import BreakerParams, RetryPolicy
 from repro.cluster.builder import ExperimentRunner, run_experiment
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.deployment import Deployment
 from repro.cluster.kv_builder import KvExperimentConfig, run_kv_experiment
 from repro.cluster.results import result_fingerprint
 from repro.cluster.schemes import SCHEMES
-from repro.faults import SCENARIOS, run_scenario
+from repro.hw.host import Host
 from repro.runtime import (
     Algorithm1Policy,
     AlwaysFmPolicy,
@@ -35,6 +37,7 @@ from repro.runtime import (
     SessionFactory,
 )
 from repro.shard.deploy import ShardedExperimentRunner
+from repro.sim.rng import RngRegistry
 from repro.traffic.config import TrafficConfig
 from repro.traffic.harness import TrafficRunner
 
@@ -228,8 +231,33 @@ def test_every_chaos_scenario_is_pinned():
     assert sorted(EXPECTED_INVARIANTS) == sorted(SCENARIOS)
 
 
+#: The nine scenarios the hand-built ``_Cluster`` used to run.  It named
+#: Algorithm 1's back-off stream ``adaptive`` where a ``Deployment``
+#: names it ``backoff``; nothing else in a deployment draws from either
+#: name.
+SINGLE_SERVER_CHAOS = (
+    "chaos-combo", "heartbeat-blackout", "latency-spike", "link-loss",
+    "nic-read-stall", "overload-shed", "slow-client", "worker-crash",
+    "write-storm",
+)
+
+
+@pytest.fixture
+def old_backoff_stream_name(request, monkeypatch):
+    """Hand out ``adaptive`` when a single-server scenario asks for
+    ``backoff``: with only that aliased back, the digests pinned on
+    ``_Cluster`` must reproduce through the one runner."""
+    if request.node.callspec.params["name"] in SINGLE_SERVER_CHAOS:
+        stream = RngRegistry.stream
+        monkeypatch.setattr(
+            RngRegistry, "stream",
+            lambda self, name: stream(
+                self, "adaptive" if name == "backoff" else name))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CHAOS))
-def test_chaos_fingerprint_matches_pre_refactor_golden(name):
+def test_chaos_fingerprint_matches_pre_refactor_golden(
+        name, old_backoff_stream_name):
     requests_per_client, fingerprint = GOLDEN_CHAOS[name]
     report = run_scenario(name, seed=0, n_clients=2,
                           requests_per_client=requests_per_client,
@@ -295,6 +323,26 @@ def test_single_and_sharded_builders_produce_same_session_shape(scheme):
             assert session.policy.name == spec.policy
 
 
+@pytest.mark.parametrize("index", ["rtree", "btree", "cuckoo"])
+def test_offload_budgets_come_from_the_retry_policy(index):
+    spec = dataclasses.replace(SCHEMES["rdma-offloading-multi"], index=index)
+    tight = RetryPolicy(offload_read_retries=3, offload_search_restarts=2)
+    kv_items = None if index == "rtree" else [(k, k) for k in range(60)]
+    for retry, read_retries, restarts in ((tight, 3, 2), (None, 8, 8)):
+        deployment = Deployment(
+            tiny_config("rdma-offloading-multi", retry=retry,
+                        dataset=kv_items),
+            routed=False, spec=spec)
+        host = Host(deployment.sim, "client", deployment.profile, cores=2)
+        engine = deployment.endpoint(0, host, ClientStats(), "c").engine
+        assert engine.max_read_retries == read_retries
+        # The cuckoo engine reads two buckets and never restarts.
+        if index == "rtree":
+            assert engine.max_search_restarts == restarts
+        elif index == "btree":
+            assert engine.max_restarts == restarts
+
+
 def test_tcp_builder_produces_tcp_sessions():
     from repro.client.tcp_client import TcpSession
     runner = ExperimentRunner(tiny_config("tcp", fabric="eth-1g"))
@@ -307,11 +355,16 @@ REPO = SRC.parents[1]
 #: Constructors only the one assembler may call...
 ASSEMBLY_CALLS = ("Simulator", "ServerStack", "FaultInjector",
                   "RebalanceController", "partition_str", "SessionFactory")
-#: ...and those with one home each elsewhere in the assembly layers.
+#: ...and those with one home each elsewhere in ``src/repro``.
 SINGLE_HOME_CALLS = {
     "FastMessagingServer": {"runtime/stack.py"},
     "HeartbeatService": {"runtime/stack.py"},
+    "RTreeServer": {"runtime/stack.py"},
+    "OffloadEngine": {"runtime/factory.py"},
+    "PolicySession": {"runtime/factory.py"},
+    "CircuitBreaker": {"runtime/factory.py", "shard/router.py"},
     "RunResult": {"cluster/builder.py", "traffic/harness.py"},
+    "ScenarioReport": {"chaos/harness.py"},
 }
 
 
@@ -340,13 +393,13 @@ def test_duplicated_assembly_paths_are_gone():
         assert type(runner.deployment) is Deployment
         assert isinstance(runner.deployment.factory, SessionFactory)
 
-    # ...which is the only module in the assembly layers that calls a
-    # cluster constructor; the B+tree/cuckoo harness is not exempt.
+    # ...which is the only module in src/ that calls a cluster
+    # constructor; neither the B+tree/cuckoo harness nor the chaos
+    # scenarios are exempt.
     expected = {name: {"cluster/deployment.py"} for name in ASSEMBLY_CALLS}
     expected.update(SINGLE_HOME_CALLS)
     callers = {name: set() for name in expected}
-    layers = [SRC / pkg for pkg in ("cluster", "shard", "traffic", "runtime")]
-    for path in _python_files(*layers):
+    for path in _python_files(SRC):
         for name in _called_names(ast.parse(path.read_text())):
             if name in callers:
                 callers[name].add(path.relative_to(SRC).as_posix())
@@ -366,6 +419,33 @@ def test_duplicated_assembly_paths_are_gone():
                     and node.value.id == "runner"):
                 offenders.append(f"{path}:{node.lineno} .{node.attr}")
     assert not offenders, offenders
+
+
+def test_chaos_is_one_registry_above_the_runners():
+    # Every scenario is the same kind of row and none brings a runner:
+    # what a row runs is what its ExperimentConfig asks ``build_runner``
+    # for.
+    row_fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert row_fields == {"name", "summary", "config", "judge", "tweaks",
+                          "workload"}
+    assert all(type(row) is Scenario for row in SCENARIOS.values())
+    # The package sits above cluster/shard/traffic and imports only
+    # downward, so nothing in it is imported lazily...
+    for path in _python_files(SRC / "chaos"):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert all(node in tree.body for node in imports), path
+        assert not any(alias.name == "importlib" for node in imports
+                       for alias in node.names), path
+    # ...and nothing below it knows it exists.
+    for path in _python_files(SRC):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("chaos/") or rel == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert "chaos" not in (node.module or "").split("."), rel
 
 
 def test_policy_session_is_the_only_policy_driven_session():

@@ -2,11 +2,14 @@
 deterministic replay, per-shard RNG streams, and the shard-loss
 scenario wiring."""
 
+import dataclasses
+
 import pytest
 
+from repro.chaos import SCENARIOS, ChaosConfig, run_scenario
 from repro.cluster.builder import run_experiment
 from repro.cluster.config import ExperimentConfig
-from repro.faults import SCENARIOS, run_scenario
+from repro.faults.plan import ShardLoss
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.shard.verify import verify_routed_results
 from repro.sim.rng import RngRegistry
@@ -134,10 +137,16 @@ class TestPerShardRng:
 
 
 class TestShardLossScenario:
-    def test_registered_with_dedicated_runner(self):
-        assert "shard-loss" in SCENARIOS
-        assert SCENARIOS["shard-loss"].runner is not None
-        assert "shard" in SCENARIOS["shard-loss"].summary
+    def test_is_an_ordinary_row_with_a_four_shard_config(self):
+        row = SCENARIOS["shard-loss"]
+        assert "shard" in row.summary
+        # Same fields as every other row; what makes it sharded is the
+        # ExperimentConfig it asks for, not a runner of its own.
+        assert dataclasses.fields(row) == dataclasses.fields(
+            SCENARIOS["link-loss"])
+        config = row.config(ChaosConfig())
+        assert config.n_shards == 4
+        assert config.fault_plan.of_type(ShardLoss)
 
     @pytest.mark.chaos
     def test_default_size_run_is_green(self):

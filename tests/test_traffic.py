@@ -12,7 +12,7 @@ import pytest
 from repro.client.node_cache import NodeCacheConfig
 from repro.cluster.builder import run_experiment
 from repro.cluster.config import ExperimentConfig
-from repro.faults import run_scenario
+from repro.chaos import run_scenario
 from repro.faults.plan import BOTH, FaultPlan, LinkFault
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
