@@ -34,7 +34,7 @@ the same seed — that property is itself under test (``repro chaos`` and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..client.adaptive import AdaptiveParams
@@ -161,9 +161,9 @@ class ScenarioReport:
     mismatches: int
     retries: int
     duplicates_suppressed: int
-    counters: Dict[str, int] = field(default_factory=dict)
-    invariants: List[Check] = field(default_factory=list)
-    digest: str = ""
+    counters: Dict[str, int]
+    invariants: List[Check]
+    digest: str
 
     @property
     def ok(self) -> bool:
@@ -246,21 +246,22 @@ class Run:
         )
 
 
-def recovery_check(done_times: Iterable[float], fault_start: float,
-                   recovered_at: float, vacuous_ok: bool = True) -> Check:
+def recovery_check(done_times: Iterable[float],
+                   recovered_at: float = FAULT_END,
+                   vacuous_ok: bool = True) -> Check:
     """Completions per second from ``recovered_at`` to the last one must
-    reach ``RECOVERY_FLOOR`` of the rate before ``fault_start``.  Without
+    reach ``RECOVERY_FLOOR`` of the rate before ``FAULT_START``.  Without
     a sample on both sides the check is vacuous: that passes for an
     injected fault (the run may simply be shorter than the window) but
     not where the workload itself is the fault and both phases must have
     been seen.
     """
     times = sorted(done_times)
-    pre = [t for t in times if t < fault_start]
+    pre = [t for t in times if t < FAULT_START]
     post = [t for t in times if t >= recovered_at]
     post_span = (times[-1] - recovered_at) if post else 0.0
     if pre and post_span > 0.0:
-        pre_rate, post_rate = len(pre) / fault_start, len(post) / post_span
+        pre_rate, post_rate = len(pre) / FAULT_START, len(post) / post_span
         recovered = post_rate >= RECOVERY_FLOOR * pre_rate
         detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
                   f"{pre_rate / 1e3:.0f} kops "

@@ -162,8 +162,8 @@ def judge_flash_crowd(run: Run) -> ScenarioReport:
         # The workload itself is the fault here, so both phases must
         # have been observed: a missing sample fails instead of passing
         # vacuously.
-        recovery_check([j.t_done for j in jobs if j.status == OK],
-                       spike_start, recover_at, vacuous_ok=False),
+        recovery_check((j.t_done for j in jobs if j.status == OK),
+                       recover_at, vacuous_ok=False),
     ]
     counters = {
         "arrivals": result.arrivals,

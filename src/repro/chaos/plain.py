@@ -20,8 +20,6 @@ from ..faults.plan import FaultPlan
 from ..rtree.geometry import Rect
 from ..workloads.mixes import WorkloadFn
 from .harness import (
-    FAULT_END,
-    FAULT_START,
     QUERY_SCALE,
     ChaosConfig,
     Check,
@@ -53,9 +51,10 @@ def fixed_squares(cfg: ChaosConfig) -> WorkloadFn:
     return workload
 
 
-def _counters(runner) -> Dict[str, int]:
+def _counters(run: Run) -> Dict[str, int]:
     """What a single-server scenario counts — also the vocabulary of
     its ``fault-fired`` checks."""
+    runner = run.runner
     injector, fm_server = runner.injector, runner.stack.fm_server
     sessions = runner.sessions
     return {
@@ -71,24 +70,15 @@ def _counters(runner) -> Dict[str, int]:
         "breaker-trips": sum(int(s.breaker.trips) for s in sessions),
         "failovers": sum(int(s.policy.offload_failovers)
                          for s in sessions),
-        "duplicates-suppressed": sum(int(s.duplicates_suppressed)
-                                     for s in runner.client_stats),
+        "duplicates-suppressed": run.total("duplicates_suppressed"),
     }
 
 
-def judge(*fired: str, fired_by_torn_root: Tuple[str, ...] = ()
-          ) -> Callable[[Run], ScenarioReport]:
+def judge(*fired: str) -> Callable[[Run], ScenarioReport]:
     """The single-server judge; ``fired`` names the counters that must
-    have advanced.
-
-    ``fired_by_torn_root`` are demanded only while no node cache is on:
-    they follow from reads of the root tearing, and a cached root is not
-    re-read, so with a cache whether any offload errors at all is luck
-    of the back-off draw — not something the scenario can guarantee.
-    """
+    have advanced."""
     def judge_run(run: Run) -> ScenarioReport:
         cfg, runner = run.cfg, run.runner
-        cached = cfg.node_cache is not None and cfg.node_cache.enabled
         # (client_id, index, completion time, sorted matching data ids)
         records: List[Tuple[int, int, float, Tuple[int, ...]]] = []
         errors: List[Tuple[int, int, str]] = []
@@ -112,7 +102,7 @@ def judge(*fired: str, fired_by_torn_root: Tuple[str, ...] = ()
 
         issued, completed = cfg.total_requests, len(records)
         timeouts = sum(1 for _c, _i, kind in errors if kind == "timeout")
-        counters = _counters(runner)
+        counters = _counters(run)
         retries = run.total("request_retries")
         retry_budget = issued * (cfg.retry.max_attempts - 1)
         unexpected = run.total("unexpected_messages")
@@ -124,16 +114,13 @@ def judge(*fired: str, fired_by_torn_root: Tuple[str, ...] = ()
              f"{mismatches} responses disagreed with the tree"),
             ("exactly-once", unexpected == 0,
              f"{unexpected} unattributable messages "
-             f"({run.total('duplicates_suppressed')} late answers "
+             f"({counters['duplicates-suppressed']} late answers "
              f"suppressed)"),
             ("bounded-retries", retries <= retry_budget,
              f"{retries} retries <= budget {retry_budget}"),
-            recovery_check([t for _c, _i, t, _ids in records],
-                           FAULT_START, FAULT_END),
+            recovery_check(t for _c, _i, t, _ids in records),
         ]
-        checks.extend(
-            fired_check(key, counters[key])
-            for key in fired + (() if cached else fired_by_torn_root))
+        checks.extend(fired_check(key, counters[key]) for key in fired)
         return run.report(
             issued, completed, mismatches, counters, checks,
             [f"{run.name}:{cfg.seed}"]
@@ -143,6 +130,17 @@ def judge(*fired: str, fired_by_torn_root: Tuple[str, ...] = ()
                for client_id, index, kind in sorted(errors)],
         )
     return judge_run
+
+
+def judge_write_storm(run: Run) -> ScenarioReport:
+    """The storm must fire; that it tore reads of the root until a
+    breaker tripped is demanded only while no node cache is on.  A
+    cached root is not re-read, so with a cache whether any offload
+    errors at all is luck of the back-off draw — not something the
+    scenario can guarantee."""
+    cached = run.cfg.node_cache is not None and run.cfg.node_cache.enabled
+    torn_root = () if cached else ("breaker-trips", "failovers")
+    return judge("write-storms", *torn_root)(run)
 
 
 def row(name: str, summary: str, plan: FaultPlan,

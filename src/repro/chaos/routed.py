@@ -181,8 +181,7 @@ def judge_shard_loss(run: Run) -> ScenarioReport:
         ("partials-observed", degraded_in_window > 0,
          f"{degraded_in_window} degraded results during the outage "
          f"(loss must be client-visible, not silently absorbed)"),
-        recovery_check([t for _c, _i, t, _op, _ok in records],
-                       FAULT_START, FAULT_END),
+        recovery_check(t for _c, _i, t, _op, _ok in records),
     ]
     checks.extend(
         fired_check(key, counters[key])

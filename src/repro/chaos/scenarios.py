@@ -96,8 +96,7 @@ SCENARIOS: Dict[str, Scenario] = {
                 WriteStorm(FAULT_START, FAULT_END, hold_s=250e-6,
                            gap_s=8e-6),
             )),
-            plain.judge("write-storms",
-                        fired_by_torn_root=("breaker-trips", "failovers")),
+            plain.judge_write_storm,
             # Tight offload budgets: the storm produces OffloadErrors in
             # microseconds instead of grinding through the default 8/8 —
             # with which the breaker does not reliably trip inside the

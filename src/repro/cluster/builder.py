@@ -26,12 +26,6 @@ from .results import RunResult, merge_client_stats
 from .schemes import scheme_spec
 
 
-#: What a request raises once its whole budget is spent: every retry
-#: timed out, or the one-sided traversal ran out of restarts with no
-#: breaker to fail it over.
-BUDGET_EXHAUSTED = (RequestTimeoutError, OffloadError)
-
-
 def _client_driver(
     sim: Simulator,
     session,
@@ -45,8 +39,10 @@ def _client_driver(
 ) -> Generator:
     """One synchronous client: issue every request back-to-back.
 
-    A request that exhausts its budget is counted in ``failed`` and the
-    client carries on with the next one, as the router and the mux do;
+    A request that exhausts its budget (every retry timed out, or the
+    one-sided traversal ran out of restarts with no breaker to fail it
+    over) is counted in ``failed`` and the client carries on with the
+    next one, as the router and the mux do;
     it stays out of ``requests_sent`` and the latency recorders, which
     describe answered requests.  With a ``log``, every request appends
     ``(index, request, outcome, finish time)`` — the shape a router
@@ -71,7 +67,7 @@ def _client_driver(
                     outcomes = yield from session.execute(group[0])
                 else:
                     outcomes = yield from batch_exec(group)
-            except BUDGET_EXHAUSTED as exc:
+            except (RequestTimeoutError, OffloadError) as exc:
                 failed += len(group)
                 if log is not None:
                     for request in group:
@@ -97,7 +93,7 @@ def _client_driver(
         start = sim.now
         try:
             outcome = yield from session.execute(request)
-        except BUDGET_EXHAUSTED as exc:
+        except (RequestTimeoutError, OffloadError) as exc:
             failed += 1
             outcome = exc
         else:

@@ -53,14 +53,16 @@ class SessionFactory:
         self.spec = spec
         self.config = config
         self.tracer = tracer
+        #: Where the offload engines' budgets come from.  A run without
+        #: a retry policy gets the policy's defaults, which are the
+        #: engines' own.
+        self.retry = config.retry or RetryPolicy()
 
     def _engine(self, conn, stack: ServerStack, stats: ClientStats):
         """The offload engine matching the stack's index."""
         spec, config = self.spec, self.config
         qp, descriptor = conn.client_end, stack.server.offload_descriptor()
-        # A run without a retry policy keeps the engines' own defaults,
-        # which are the policy's defaults.
-        retry = config.retry or RetryPolicy()
+        retry = self.retry
         if spec.index == "btree":
             return BTreeOffloadEngine(
                 self.sim, qp, descriptor, config.costs, stats,
