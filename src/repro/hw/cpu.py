@@ -25,7 +25,8 @@ from ..sim.resources import Resource
 #: Default scheduling quantum, seconds.  Linux CFS granularity is in the
 #: 0.75-6 ms range; the effective reschedule interval for pinned server
 #: threads is far smaller.  The value is calibrated against Fig 7 (see
-#: bench_fig07) and only its order of magnitude matters.
+#: the ``fig07`` row of benchmarks/claims.py) and only its order of
+#: magnitude matters.
 DEFAULT_QUANTUM = 12e-6
 
 #: How strongly always-runnable polling threads slow down the threads doing

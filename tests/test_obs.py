@@ -357,3 +357,40 @@ class TestEndToEnd:
         assert doc["trace"]["total_events"] > 0
         # strict JSON end to end
         json.loads(dumps(doc))
+
+    def test_adaptive_hybrid_artifact_round_trip(self, tmp_path):
+        # The fields every downstream consumer of the artifact reads, on
+        # a run long enough to send heartbeats and fill the timeline.
+        from repro import ExperimentConfig, run_experiment
+        result = run_experiment(ExperimentConfig(
+            scheme="catfish", fabric="ib-100g", n_clients=4,
+            requests_per_client=100, workload_kind="hybrid",
+            dataset_size=5_000, heartbeat_interval=0.1e-3,
+            collect_timeline=True, trace=True, seed=1,
+        ))
+        path = str(tmp_path / "metrics.json")
+        write_metrics_json(path, result.metrics)
+        doc = load_metrics_json(path)
+        assert doc["schema"] == SCHEMA
+        metrics = doc["metrics"]
+        # Every request accounted for, none lost.
+        requests = metrics["client.requests_sent"]["value"]
+        assert requests == 400
+        assert (metrics["client.fast_messaging_requests"]["value"]
+                + metrics["client.offloaded_requests"]["value"]) == requests
+        # Percentiles positive and ordered; closed-loop drivers tag their
+        # histogram (the traffic layer emits "open" sojourn histograms).
+        lat = metrics["client.latency_us"]
+        assert lat["count"] == requests
+        assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["p999"]
+        assert lat["loop"] == "closed"
+        # The heartbeat service ran and clients consumed beats.
+        assert metrics["heartbeat.beats_sent"]["value"] > 0
+        assert metrics["adaptive.heartbeats_consumed"]["value"] > 0
+        # Server-side accounting and the sim-clock series.
+        assert metrics["server.requests_handled"]["value"] > 0
+        assert len(metrics["series.cpu_utilization"]["points"]) > 0
+        # Trace spans recorded; bounded-ring accounting holds.
+        assert doc["trace"]["total_events"] > 0
+        assert doc["trace"]["dropped_events"] >= 0
+        assert doc["trace"]["events"]
