@@ -11,23 +11,26 @@ mismatch means the simulation's behaviour changed.
 
 import ast
 import dataclasses
+import hashlib
 import pathlib
+import random
 
 import pytest
 
 from repro.chaos import SCENARIOS, Scenario, run_scenario
-from repro.client.adaptive import most_recent_utilization
+from repro.client.adaptive import AdaptiveParams, most_recent_utilization
 from repro.client.base import ClientStats
 from repro.client.fm_client import FmSession
 from repro.client.predictors import most_recent
 from repro.client.resilience import BreakerParams, RetryPolicy
 from repro.cluster.builder import ExperimentRunner, run_experiment
-from repro.cluster.config import ExperimentConfig
+from repro.cluster.config import ExperimentConfig, RebalanceConfig
 from repro.cluster.deployment import Deployment
 from repro.cluster.kv_builder import KvExperimentConfig, run_kv_experiment
 from repro.cluster.results import result_fingerprint
 from repro.cluster.schemes import SCHEMES
 from repro.hw.host import Host
+from repro.rtree.geometry import Rect
 from repro.runtime import (
     Algorithm1Policy,
     AlwaysFmPolicy,
@@ -266,6 +269,73 @@ def test_back_to_back_runs_are_deterministic():
     a = run_experiment(golden_config("catfish"))
     b = run_experiment(golden_config("catfish"))
     assert result_fingerprint(a) == result_fingerprint(b)
+
+
+# -- pins on what the scheme/chaos/KV fingerprints do not reach ----------
+# The fingerprints above are small closed-loop runs: no open-loop queueing,
+# no K=4 scatter under overload, no live migration.  Two more digests
+# cover those, so a change that reorders same-instant events there (two
+# sub-query completions on different shards at one float instant, say)
+# cannot pass unnoticed.
+
+def _digest(*parts) -> str:
+    """16 hex of a sha256 over ``repr`` (floats hashed exactly)."""
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
+
+
+#: The open-shard-overload deployment (K=4 catfish, 2 cores per shard,
+#: Poisson arrivals at ~150 % of the knee) at half its scoreboard length.
+GOLDEN_OPEN_OVERLOAD = "9367d42accd99e26"
+
+#: A small closed-shard-skew run: K=4 fast messaging over a hot corner,
+#: with splits and live migrations firing.
+GOLDEN_ROUTED_REBALANCE = "9de83b132adf5613"
+
+
+def _benchmark_config(seed, **fields):
+    """The configuration every scoreboard workload shares."""
+    return ExperimentConfig(
+        fabric="ib-100g", scale="powerlaw:7.07e-05:0.0707",
+        heartbeat_interval=0.25e-3,
+        adaptive=AdaptiveParams(N=8, T=0.95, Inv=0.25e-3),
+        seed=seed, **fields)
+
+
+def test_open_loop_overload_digest_matches_golden():
+    traffic = TrafficConfig(
+        kind="poisson", rate=600_000.0, duration_s=0.0135, n_aggregates=4,
+        users_per_aggregate=1000, sessions=16, queue_watermark=512,
+        window=1024)
+    runner = TrafficRunner(_benchmark_config(
+        7000, scheme="catfish", n_shards=4, server_cores=2,
+        dataset_size=40_000, traffic=traffic))
+    result = runner.run()
+    shed = result.shed_window + result.shed_watermark + result.shed_admission
+    assert shed > 0, "the run is not overloaded"
+    assert result.arrivals == result.completed + result.failed + shed
+    assert _digest(result.arrivals, result.completed, result.failed, shed,
+                   sorted(runner.sojourn.samples)) == GOLDEN_OPEN_OVERLOAD
+
+
+def test_routed_rebalance_digest_matches_golden():
+    rng = random.Random(3)
+    hot = []
+    for _ in range(120):
+        cx, cy = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
+        hot.append(Rect(max(cx - 0.015, 0.0), max(cy - 0.015, 0.0),
+                        cx + 0.015, cy + 0.015))
+    runner = ShardedExperimentRunner(_benchmark_config(
+        3, scheme="fast-messaging-event", n_shards=4, server_cores=1,
+        dataset_size=4000, max_entries=16, workload_kind="queries",
+        queries=hot, n_clients=8, requests_per_client=150,
+        rebalance=RebalanceConfig(interval=0.3e-3, split_ratio=2.0,
+                                  min_split_items=16, drain_s=0.1e-3)))
+    result = runner.run()
+    assert result.extra["rebalance_migrations_completed"] > 0
+    latencies = sorted(s for client in runner.client_stats
+                       for s in client.latency.samples)
+    assert _digest(result_fingerprint(result), sorted(result.extra.items()),
+                   latencies) == GOLDEN_ROUTED_REBALANCE
 
 
 # -- builder parity: one assembly path, same shape everywhere ------------
