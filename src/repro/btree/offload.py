@@ -291,7 +291,7 @@ class BTreeOffloadEngine:
             arrived.put((index, view))
 
         for index, cid in enumerate(chunk_ids):
-            self.sim.process(fetch(index, cid), name="kv-multi-read")
+            self.sim.start(fetch(index, cid), name="kv-multi-read")
         views: List[Optional[BNodeSnapshot]] = [None] * len(chunk_ids)
         failed = False
         for _ in chunk_ids:

@@ -456,8 +456,7 @@ class OffloadEngine:
             elif inflight_reads is not None and chunk_id in inflight_reads:
                 # Single-flight: _read_valid's fetch joins the leader.
                 inflight += 1
-                self.sim.process(fetch(i, chunk_id, level),
-                                 name="batch-read")
+                self.sim.start(fetch(i, chunk_id, level), name="batch-read")
             else:
                 to_post.append((i, chunk_id, level))
         if len(to_post) >= 2 and inflight_reads is not None:
@@ -470,15 +469,14 @@ class OffloadEngine:
                 inflight_reads[chunk_id] = []
                 self.chunks_fetched += 1
                 inflight += 1
-                self.sim.process(
+                self.sim.start(
                     fetch(i, chunk_id, level, first_read=event),
                     name="batch-read",
                 )
         else:
             for i, chunk_id, level in to_post:
                 inflight += 1
-                self.sim.process(fetch(i, chunk_id, level),
-                                 name="batch-read")
+                self.sim.start(fetch(i, chunk_id, level), name="batch-read")
         failed = False
         while inflight:
             i, view = yield arrived.get()
@@ -634,7 +632,7 @@ class OffloadEngine:
         def issue(chunk_id: int, level: int) -> None:
             nonlocal inflight
             inflight += 1
-            self.sim.process(fetch(chunk_id, level), name="multi-issue-read")
+            self.sim.start(fetch(chunk_id, level), name="multi-issue-read")
 
         def issue_all(pairs: List[Tuple[int, int]]) -> None:
             """Expand one round: cache hits served locally, in-flight
@@ -671,12 +669,12 @@ class OffloadEngine:
                 inflight_reads[chunk_id] = []
                 self.chunks_fetched += 1
                 inflight += 1
-                self.sim.process(fetch(chunk_id, level, first_read=event),
-                                 name="multi-issue-read")
+                self.sim.start(fetch(chunk_id, level, first_read=event),
+                               name="multi-issue-read")
 
         if not cold_start:
             inflight += 1
-            self.sim.process(fetch_meta(), name="multi-issue-meta")
+            self.sim.start(fetch_meta(), name="multi-issue-meta")
         issue_all([(self._cached_root, self._cached_height - 1)])
         while inflight:
             kind, payload = yield arrived.get()

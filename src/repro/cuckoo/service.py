@@ -286,6 +286,11 @@ class CuckooOffloadEngine:
             view = yield from self._read_bucket(index)
             arrived.put(view)
 
+        # Deferred start on purpose (sim.process, not sim.start): started
+        # inline, these reads would be posted one process generation
+        # earlier than other clients' fast-messaging writes posted at the
+        # same instant and overtake them on the wire, which moves the
+        # kv-sweep row of benchmarks/claims.py at 32 clients.
         for index in indices:
             self.sim.process(fetch(index), name="cuckoo-read")
         views = []

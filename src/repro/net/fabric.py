@@ -16,9 +16,9 @@ per 28-core client node and never reports client-side saturation).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Generator
+from typing import Callable
 
-from ..sim.kernel import Simulator
+from ..sim.kernel import Event, Simulator
 from .link import DuplexLink
 from .wire import ib_wire_size, tcp_wire_size
 
@@ -117,14 +117,13 @@ class Network:
         self.server_link.tx.fault_hook = lambda: injector.link_penalty("tx")
         self.server_link.rx.fault_hook = lambda: injector.link_penalty("rx")
 
-    def transfer(self, src, dst, wire_bytes: int) -> Generator:
+    def send(self, src, dst, wire_bytes: int, then: float,
+             on_arrival: Callable[[Event], None]) -> None:
         """Move ``wire_bytes`` (already wire-inflated) from src to dst host.
 
-        Returns the link's transfer generator directly (rather than
-        delegating with ``yield from``), so every hop through the fabric
-        costs one generator frame instead of two — ``transfer`` sits under
-        every simulated RDMA/TCP message.  Completes when the last byte
-        arrives.  Exactly one endpoint must be the attached server.
+        ``on_arrival(event)`` runs ``then`` seconds after the last byte
+        arrives (see :meth:`Link.send`).  Exactly one endpoint must be
+        the attached server.
         """
         if self.server_host is None:
             raise RuntimeError("Network has no attached server host")
@@ -137,15 +136,7 @@ class Network:
                 f"transfer {getattr(src, 'name', src)} -> "
                 f"{getattr(dst, 'name', dst)} does not touch the server"
             )
-        return link.transfer(wire_bytes)
-
-    def to_server(self, payload: int) -> Generator:
-        """Deliver ``payload`` bytes client -> server (process generator)."""
-        return self.server_link.rx.transfer(self.profile.wire_size(payload))
-
-    def to_client(self, payload: int) -> Generator:
-        """Deliver ``payload`` bytes server -> client (process generator)."""
-        return self.server_link.tx.transfer(self.profile.wire_size(payload))
+        link.send(wire_bytes, then, on_arrival)
 
     def server_bandwidth_utilization(self) -> float:
         """Fraction of the server access link consumed (Fig 2's right axis)."""

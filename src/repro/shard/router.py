@@ -318,7 +318,7 @@ class ScatterGatherRouter:
             if breaker is not None and not breaker.allow():
                 skipped.append(shard_id)
                 continue
-            procs.append(self.sim.process(
+            procs.append(self.sim.start(
                 self._gather(shard_id, request, statuses, replies),
                 name=f"scatter-s{shard_id}",
             ))
@@ -368,7 +368,7 @@ class ScatterGatherRouter:
                 if breaker is not None and not breaker.allow():
                     skipped.append(shard_id)
                     continue
-                procs.append(self.sim.process(
+                procs.append(self.sim.start(
                     self._gather(shard_id, sub_request, statuses, replies),
                     name=f"scatter-s{shard_id}",
                 ))

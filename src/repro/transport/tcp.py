@@ -65,11 +65,8 @@ class TcpConnection:
         p = self.network.profile
         return p.tcp_kernel_per_msg_s + size * p.tcp_kernel_per_byte_s
 
-    def _deliver(
-        self, src: Host, dst: Host, inbox: Store, message: TcpMessage
-    ) -> Generator:
-        wire = self.network.profile.wire_size(message.size)
-        yield from self.network.transfer(src, dst, wire)
+    def _receive(self, dst: Host, inbox: Store,
+                 message: TcpMessage) -> Generator:
         # Receive-side kernel processing on the destination CPU.
         yield from dst.cpu.execute(self._kernel_cost(message.size))
         yield inbox.put(message)
@@ -84,9 +81,11 @@ class TcpConnection:
         yield from src.cpu.execute(self._kernel_cost(size))
         # Transit + remote kernel processing continue asynchronously so the
         # sender can pipeline (matches non-blocking socket + kernel buffer).
-        self.sim.process(
-            self._deliver(src, dst, inbox, message),
-            name=f"{self.name}.deliver",
+        self.network.send(
+            src, dst, self.network.profile.wire_size(size), 0.0,
+            lambda _event: self.sim.start(
+                self._receive(dst, inbox, message),
+                name=f"{self.name}.deliver"),
         )
 
     # -- client side ------------------------------------------------------

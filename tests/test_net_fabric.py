@@ -77,6 +77,13 @@ class TestProfiles:
         assert IB_100G.bandwidth_bps == 100e9  # original untouched
 
 
+def sent(sim, net, src, dst, wire_bytes):
+    """Send over the network; the returned event fires on arrival."""
+    arrived = sim.event()
+    net.send(src, dst, wire_bytes, 0.0, lambda _event: arrived.succeed())
+    return arrived
+
+
 class TestNetworkTopology:
     def _setup(self):
         sim = Simulator()
@@ -93,7 +100,7 @@ class TestNetworkTopology:
         b = Host(sim, "b", IB_100G)
 
         def proc():
-            yield from net.transfer(a, b, 100)
+            yield sent(sim, net, a, b, 100)
 
         sim.process(proc())
         with pytest.raises(RuntimeError):
@@ -103,7 +110,7 @@ class TestNetworkTopology:
         sim, net, server, client = self._setup()
 
         def proc():
-            yield from net.transfer(client, server, 1000)
+            yield sent(sim, net, client, server, 1000)
 
         sim.process(proc())
         sim.run()
@@ -114,7 +121,7 @@ class TestNetworkTopology:
         sim, net, server, client = self._setup()
 
         def proc():
-            yield from net.transfer(server, client, 500)
+            yield sent(sim, net, server, client, 500)
 
         sim.process(proc())
         sim.run()
@@ -125,7 +132,7 @@ class TestNetworkTopology:
         other = Host(sim, "client2", IB_100G, cores=2)
 
         def proc():
-            yield from net.transfer(client, other, 100)
+            yield sent(sim, net, client, other, 100)
 
         sim.process(proc())
         with pytest.raises(ValueError):
@@ -136,7 +143,7 @@ class TestNetworkTopology:
 
         def proc():
             # 12.5 GB over a 12.5 GB/s link = 1 second busy
-            yield from net.transfer(client, server, int(12.5e9))
+            yield sent(sim, net, client, server, int(12.5e9))
 
         sim.process(proc())
         sim.run()

@@ -7,11 +7,10 @@ from repro.sim import Simulator
 
 
 def run_transfer(sim, link, nbytes):
-    def proc(sim, link, nbytes):
-        yield from link.transfer(nbytes)
-        return sim.now
-
-    return sim.process(proc(sim, link, nbytes))
+    """Send ``nbytes``; the returned event's value is the arrival time."""
+    arrived = sim.event()
+    link.send(nbytes, 0.0, lambda _event: arrived.succeed(sim.now))
+    return arrived
 
 
 class TestLink:
@@ -71,6 +70,26 @@ class TestLink:
         link = Link(sim, bandwidth_bps=1e6, latency_s=0.0)
         with pytest.raises(ValueError):
             link.serialization_delay(-1)
+        with pytest.raises(ValueError):
+            link.send(-1, 0.0, lambda _event: None)
+
+    def test_then_runs_after_arrival_as_one_wake_up(self):
+        sim = Simulator()
+        link = Link(sim, bandwidth_bps=8.0, latency_s=2.0)
+        fired = []
+        link.send(10, 0.25, lambda _event: fired.append(sim.now))
+        sim.run()
+        # serialization end, then one wake-up at (end + latency) + then
+        assert fired == [(10.0 + 2.0) + 0.25]
+        assert sim._seq == 2
+
+    def test_fault_penalty_delays_the_transmitter_request(self):
+        sim = Simulator()
+        link = Link(sim, bandwidth_bps=8.0, latency_s=0.0)
+        link.fault_hook = lambda: 3.0
+        p = run_transfer(sim, link, 10)
+        sim.run()
+        assert p.value == pytest.approx(13.0)
 
     def test_constructor_validation(self):
         sim = Simulator()
@@ -84,7 +103,7 @@ class TestLink:
         link = Link(sim, bandwidth_bps=1e9, latency_s=0.0)
 
         def proc(sim, link, out):
-            yield from link.transfer(125)  # 1000 bits
+            yield run_transfer(sim, link, 125)  # 1000 bits
             # pad to exactly t=1s for a clean window
             yield sim.timeout(1.0 - sim.now)
             out.append(link.window_bandwidth_bps())

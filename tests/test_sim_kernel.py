@@ -585,3 +585,140 @@ def test_failed_process_with_no_waiter_still_crashes_run():
     sim.process(bad(sim))
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
+
+
+# -- wake_at: one queue entry for a run of fixed delays ---------------------
+
+def test_wake_at_rejects_a_time_in_the_past():
+    sim = Simulator()
+    sim.timeout(2.0)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.wake_at(1.5)
+    sim.wake_at(2.0)  # "now" is not the past
+
+
+def test_wake_at_reuses_pooled_timeouts():
+    sim = Simulator()
+    first = sim.wake_at(1.0, value="a")
+    sim.run()
+    second = sim.wake_at(3.0, value="b")
+    assert second is first  # recycled, and fully re-initialized
+    assert second.triggered and not second.processed
+    assert second.delay == 2.0
+    sim.run()
+    assert second.value == "b" and sim.now == 3.0
+
+
+def test_wake_at_fires_at_exactly_the_stepwise_float():
+    # IB post overhead, WQE and latency: from t=1.1 us their float sum
+    # depends on the association order.
+    a, b, c = 0.2e-6, 0.25e-6, 0.9e-6
+    stepwise = Simulator(start_time=1.1e-6)
+
+    def chain():
+        yield stepwise.timeout(a)
+        yield stepwise.timeout(b)
+        yield stepwise.timeout(c)
+
+    stepwise.process(chain())
+    stepwise.run()
+    fused = Simulator(start_time=1.1e-6)
+    now = fused.now
+    fused.wake_at(((now + a) + b) + c)
+    fused.run()
+    assert fused.now == stepwise.now  # bit-identical, not approx
+    assert now + (a + b + c) != stepwise.now  # the order does matter here
+
+
+def test_same_instant_wakes_fire_in_creation_order():
+    sim = Simulator()
+    order = []
+    for tag in "abc":
+        sim.wake_at(5.0).callbacks.append(lambda _e, tag=tag: order.append(tag))
+    sim.timeout(5.0).callbacks.append(lambda _e: order.append("t"))
+    sim.wake_at(5.0).callbacks.append(lambda _e: order.append("d"))
+    sim.run()
+    assert order == ["a", "b", "c", "t", "d"]
+
+
+def test_wake_twin_fires_right_behind_its_event_at_any_instant():
+    sim = Simulator()
+    order = []
+    first = sim.wake_at(1.0)
+    later = sim.wake_at(2.0)
+    later.callbacks.append(lambda _e: order.append("later"))
+    # Created last, but ordered as if created together with ``first``.
+    sim.wake_twin(first, 2.0).callbacks.append(
+        lambda _e: order.append("twin"))
+    sim.run()
+    assert order == ["twin", "later"]
+    assert sim._seq == 3  # the twin is counted like any other entry
+
+
+def test_retime_keeps_the_schedule_sequence():
+    sim = Simulator()
+    order = []
+    moved = sim.wake_at(9.0)
+    moved.callbacks.append(lambda _e: order.append("moved"))
+    sim.wake_at(4.0).callbacks.append(lambda _e: order.append("other"))
+    sim.retime(moved, 4.0)
+    with pytest.raises(ValueError):
+        sim.retime(moved, 5.0)  # only ever earlier
+    sim.run()
+    # At t=4 it fires where it would have had it been scheduled for 4.
+    assert order == ["moved", "other"] and sim.now == 4.0
+
+
+# -- start: a process whose first step runs inside the call ----------------
+
+def test_start_runs_the_first_step_before_returning():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        log.append(("first", sim.now))
+        yield sim.timeout(1.0)
+        log.append(("second", sim.now))
+
+    process = sim.start(proc())
+    assert log == [("first", 0.0)]
+    assert process.has_started and process.is_alive
+    assert sim._seq == 1  # the timeout; no Initialize entry
+    sim.run()
+    assert log == [("first", 0.0), ("second", 1.0)]
+    assert not process.is_alive
+
+
+def test_start_first_step_exception_surfaces_from_run():
+    sim = Simulator()
+
+    def bad():
+        raise RuntimeError("boom")
+        yield  # pragma: no cover - makes this a generator
+
+    sim.start(bad())
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+
+
+def test_started_process_value_reaches_a_waiter():
+    sim = Simulator()
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    def slow():
+        yield sim.timeout(2.0)
+        return "late"
+
+    got = []
+
+    def waiter(process):
+        got.append((yield process))
+
+    for process in (sim.start(quick()), sim.start(slow())):
+        sim.process(waiter(process))
+    sim.run()
+    assert got == ["done", "late"]
