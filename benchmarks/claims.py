@@ -42,8 +42,7 @@ from repro.btree import BTreeOffloadEngine, BTreeService
 from repro.chaos import run_scenario
 from repro.client import ClientStats, OffloadEngine
 from repro.client.node_cache import NodeCacheConfig
-from repro.cluster import KvExperimentConfig
-from repro.cluster.config import RebalanceConfig
+from repro.cluster.config import KvMix, RebalanceConfig
 from repro.cuckoo import CuckooOffloadEngine, CuckooService
 from repro.hw import SERVER_CORES, Host, Nic
 from repro.net import ETH_1G, ETH_40G, IB_100G, Network
@@ -144,7 +143,7 @@ def paper_config(p: Preset, scheme: str, fabric: str, n_clients: int,
                             **fields)
 
 
-Point = Union[ExperimentConfig, KvExperimentConfig, Callable[[], Any]]
+Point = Union[ExperimentConfig, Callable[[], Any]]
 Results = Dict[Hashable, Any]
 Table = Tuple[List[str], List[List[str]]]
 Check = Tuple[str, bool, str]
@@ -973,10 +972,11 @@ def _generality_columns(r):
 @claim("generality", "beyond the paper", lambda p: {
     **{("profile", s): partial(offload_profile, s)
        for s in ("b+tree", "cuckoo")},
-    **{("storm", s): KvExperimentConfig(
-        index="btree", scheme=s, get_fraction=1.0, zipf_s=0.0, n_clients=24,
-        requests_per_client=120, n_keys=20_000, server_cores=4,
-        heartbeat_interval=0.2e-3, seed=2) for s in KV_SCHEMES}},
+    **{("storm", s): ExperimentConfig(
+        index="btree", scheme=s, kv=KvMix(get_fraction=1.0, zipf_s=0.0),
+        n_clients=24, requests_per_client=120, dataset_size=20_000,
+        server_cores=4, heartbeat_interval=0.2e-3, seed=2)
+       for s in KV_SCHEMES}},
     _generality_columns)
 def generality(r):
     """Framework generality (paper §VI) — B+tree and cuckoo over Catfish.
@@ -1013,9 +1013,10 @@ KV_INDEXES = {"btree": "B+tree", "cuckoo": "cuckoo"}
 
 
 @claim("kv-sweep", "beyond the paper", lambda p: {
-    (index, s, n): KvExperimentConfig(
+    (index, s, n): ExperimentConfig(
         index=index, scheme=s, n_clients=n, requests_per_client=80,
-        n_keys=20_000, server_cores=4, heartbeat_interval=0.2e-3, seed=4)
+        dataset_size=20_000, server_cores=4, heartbeat_interval=0.2e-3,
+        seed=4)
     for index in KV_INDEXES for s in KV_SCHEMES for n in KV_CLIENTS},
     lambda r: (["index"] + list(KV_SCHEMES), [
         [label] + [" / ".join(f"{r[(index, s, n)].throughput_kops:.0f}"
@@ -1027,7 +1028,7 @@ def kv_sweep(r):
     The figure the paper never had: B+tree and cuckoo GET-heavy workloads
     (zipf-popular keys, 10% writes) swept over client counts, comparing
     fast messaging, always-offload and adaptive Catfish on a 4-core
-    server, using the KV experiment harness.
+    server, through the same ``ExperimentConfig`` runs as the R-tree.
     """
     top = KV_CLIENTS[-1]
     return [check for index in KV_INDEXES for check in (

@@ -19,17 +19,15 @@ from pathlib import Path
 
 from claims import CLAIMS, PRESETS
 from repro import ExperimentConfig, run_experiment
-from repro.cluster import KvExperimentConfig, run_kv_experiment
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 BLOCK = re.compile(r"(<!-- claim:(\S+) -->\n)(.*?)(<!-- /claim -->)", re.S)
-RUNNERS = {ExperimentConfig: run_experiment,
-           KvExperimentConfig: run_kv_experiment}
 
 
 def run_point(point):
-    runner = RUNNERS.get(type(point))
-    return runner(point) if runner else point()
+    if isinstance(point, ExperimentConfig):
+        return run_experiment(point)
+    return point()
 
 
 def markdown(header, rows) -> str:

@@ -3,6 +3,7 @@
 Examples::
 
     python -m repro run --scheme catfish --fabric ib-100g --clients 32
+    python -m repro run --index btree --scheme catfish --scan-fraction 0.1
     python -m repro compare --clients 16 --scale 0.01
     python -m repro schemes
 """
@@ -14,8 +15,8 @@ import sys
 from typing import List, Optional
 
 from .client.adaptive import AdaptiveParams
-from .cluster.builder import run_experiment
-from .cluster.config import ExperimentConfig
+from .cluster.builder import build_runner, run_experiment
+from .cluster.config import INDEXES, ExperimentConfig, KvMix
 from .cluster.results import RunResult
 from .cluster.schemes import SCHEMES
 from .net.fabric import PROFILES
@@ -38,7 +39,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                              "search/count/nearest; 'search-skewed' = "
                              "Zipf-hotspot searches)")
     parser.add_argument("--dataset-size", type=int, default=20_000,
-                        help="rectangles in the pre-built tree")
+                        help="items (rectangles or keys) in the "
+                             "pre-built index")
     parser.add_argument("--server-cores", type=int, default=28)
     parser.add_argument("--heartbeat-ms", type=float, default=0.5,
                         help="heartbeat interval in milliseconds")
@@ -86,6 +88,9 @@ def _config_from(args, scheme: str) -> ExperimentConfig:
         trace=getattr(args, "trace", False),
         n_shards=getattr(args, "shards", None),
         rebalance=_rebalance_from(args),
+        index=getattr(args, "index", "rtree"),
+        kv=(KvMix(args.get_fraction, args.scan_fraction, args.zipf)
+            if hasattr(args, "zipf") else KvMix()),
     )
 
 
@@ -110,11 +115,12 @@ def _tcp_compatible(scheme: str, fabric: str) -> bool:
 
 
 def cmd_run(args) -> int:
-    if not _tcp_compatible(args.scheme, args.fabric):
-        print(f"error: scheme {args.scheme!r} needs an RDMA fabric",
-              file=sys.stderr)
+    try:
+        runner = build_runner(_config_from(args, args.scheme))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(_config_from(args, args.scheme))
+    result = runner.run()
     print(RunResult.header())
     print(result.row())
     _write_metrics(args, [result.metrics])
@@ -168,36 +174,6 @@ def _config_with_fabric(args, scheme, fabric) -> ExperimentConfig:
     config = _config_from(args, scheme)
     config.fabric = fabric
     return config
-
-
-def cmd_kv(args) -> int:
-    from .cluster.kv_builder import KvExperimentConfig, run_kv_experiment
-    if not PROFILES[args.fabric].rdma:
-        print(f"error: scheme {args.scheme!r} needs an RDMA fabric",
-              file=sys.stderr)
-        return 2
-    heartbeat = args.heartbeat_ms * 1e-3
-    config = KvExperimentConfig(
-        index=args.index,
-        scheme=args.scheme,
-        fabric=args.fabric,
-        n_clients=args.clients,
-        requests_per_client=args.requests,
-        n_keys=args.keys,
-        get_fraction=args.get_fraction,
-        scan_fraction=args.scan_fraction,
-        zipf_s=args.zipf,
-        server_cores=args.server_cores,
-        heartbeat_interval=heartbeat,
-        adaptive=AdaptiveParams(N=args.adaptive_n, T=args.adaptive_t,
-                                Inv=heartbeat),
-        seed=args.seed,
-    )
-    result = run_kv_experiment(config, trace=args.trace)
-    print(RunResult.header())
-    print(result.row())
-    _write_metrics(args, [result.metrics])
-    return 0
 
 
 def cmd_chaos(args) -> int:
@@ -416,6 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard the server across N machines "
                             "(RDMA schemes only; default: the scheme's "
                             "own shard count)")
+    p_run.add_argument("--index", default="rtree",
+                       choices=INDEXES,
+                       help="the index behind the ring buffer; btree "
+                            "and cuckoo (paper §VI) serve a zipf "
+                            "GET/PUT/SCAN mix over --dataset-size keys")
+    p_run.add_argument("--get-fraction", type=float, default=0.9,
+                       help="GET share of a btree/cuckoo mix")
+    p_run.add_argument("--scan-fraction", type=float, default=0.0,
+                       help="range-scan share of a btree mix")
+    p_run.add_argument("--zipf", type=float, default=0.99,
+                       help="Zipf skew of btree/cuckoo key popularity")
     _add_common_options(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -424,22 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schemes to compare (default: the paper's four)")
     _add_common_options(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_kv = sub.add_parser(
-        "kv", help="run a B+tree / cuckoo experiment (paper §VI)"
-    )
-    p_kv.add_argument("--index", default="btree",
-                      choices=["btree", "cuckoo"])
-    p_kv.add_argument("--scheme", default="catfish",
-                      choices=["fast-messaging", "rdma-offloading",
-                               "catfish", "catfish-bandit"])
-    p_kv.add_argument("--keys", type=int, default=20_000)
-    p_kv.add_argument("--get-fraction", type=float, default=0.9)
-    p_kv.add_argument("--scan-fraction", type=float, default=0.0)
-    p_kv.add_argument("--zipf", type=float, default=0.99,
-                      help="Zipf skew of key popularity")
-    _add_common_options(p_kv)
-    p_kv.set_defaults(func=cmd_kv)
 
     p_chaos = sub.add_parser(
         "chaos",

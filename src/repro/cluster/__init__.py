@@ -2,7 +2,6 @@
 
 from .builder import ExperimentRunner, run_experiment
 from .config import ExperimentConfig
-from .kv_builder import KvExperimentConfig, run_kv_experiment
 from .results import RunResult, merge_client_stats
 from .schemes import (
     OFFLOAD_ADAPTIVE,
@@ -17,8 +16,6 @@ __all__ = [
     "ExperimentRunner",
     "run_experiment",
     "ExperimentConfig",
-    "KvExperimentConfig",
-    "run_kv_experiment",
     "RunResult",
     "merge_client_stats",
     "OFFLOAD_ADAPTIVE",

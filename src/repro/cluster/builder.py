@@ -19,7 +19,7 @@ from ..faults.injector import FaultInjector
 from ..hw.host import Host
 from ..obs import Counter, LatencyView, snapshot_document
 from ..sim.kernel import Simulator, all_of
-from ..workloads.mixes import batch_runs, make_workload
+from ..workloads.mixes import batch_runs, make_kv_workload, make_workload
 from .config import ExperimentConfig
 from .deployment import Deployment
 from .results import RunResult, merge_client_stats
@@ -119,16 +119,12 @@ class ClosedLoopRunner:
     routed = False
 
     def __init__(self, config: ExperimentConfig,
-                 record_results: bool = False, spec=None,
-                 workload_fn=None):
-        """``spec`` and ``workload_fn(client_id, rng)`` replace the
-        scheme-registry lookup and the ``config.workload_kind`` request
-        streams — how the KV harness drives its own schemes and GET/PUT
-        mix over the same deployment and driver."""
+                 record_results: bool = False, workload_fn=None):
+        """``workload_fn(client_id, rng)`` replaces the request streams
+        the config names (the chaos scenarios bring their own)."""
         self.config = config
         self.deployment = deployment = Deployment(
             config, routed=self.routed, record_results=record_results,
-            spec=spec,
         )
         #: Requests that exhausted their budget (plain endpoints only: a
         #: router degrades to a partial result instead of raising).
@@ -142,7 +138,9 @@ class ClosedLoopRunner:
             if record_results and not self.routed else None
         )
         #: What the metrics document calls the request streams.
-        self._workload = "custom" if workload_fn else config.workload_kind
+        self._workload = ("custom" if workload_fn
+                          else "kv" if config.index != "rtree"
+                          else config.workload_kind)
         self.sim = deployment.sim
         self.rngs = deployment.rngs
         self.metrics = deployment.metrics
@@ -204,13 +202,17 @@ class ClosedLoopRunner:
 
     def _build_clients(self, workload_fn=None) -> None:
         config = self.config
-        workload_fn = workload_fn or make_workload(
-            config.workload_kind,
-            scale_spec=config.scale,
-            n_requests=config.requests_per_client,
-            insert_fraction=config.insert_fraction,
-            queries=config.queries,
-        )
+        if workload_fn is None and config.index != "rtree":
+            workload_fn = make_kv_workload(
+                self.deployment.keys, config.kv, config.requests_per_client)
+        elif workload_fn is None:
+            workload_fn = make_workload(
+                config.workload_kind,
+                config.scale,
+                n_requests=config.requests_per_client,
+                insert_fraction=config.insert_fraction,
+                queries=config.queries,
+            )
         for client_id in range(config.n_clients):
             name = f"client-{client_id}"
             host = Host(self.sim, name, self.profile,
@@ -276,7 +278,7 @@ class ClosedLoopRunner:
                         loop="closed"),
         )
         return RunResult(
-            scheme=config.scheme,
+            scheme=deployment.spec.name,
             fabric=config.fabric,
             n_clients=config.n_clients,
             total_requests=total,
@@ -307,7 +309,7 @@ class ClosedLoopRunner:
                 self.metrics,
                 tracer=self.tracer if config.trace else None,
                 meta={
-                    "scheme": config.scheme,
+                    "scheme": deployment.spec.name,
                     "fabric": config.fabric,
                     "n_clients": config.n_clients,
                     "n_shards": deployment.n_shards,
@@ -352,7 +354,8 @@ def build_runner(config: ExperimentConfig, record_results: bool = False,
                 "workload_fn only replaces closed-loop streams"
             )
         return TrafficRunner(config, record=record_results)
-    n_shards = config.n_shards or scheme_spec(config.scheme).shards
+    n_shards = (config.n_shards
+                or scheme_spec(config.scheme, config.index).shards)
     if n_shards > 1:
         from ..shard.deploy import ShardedExperimentRunner
         return ShardedExperimentRunner(

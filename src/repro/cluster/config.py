@@ -68,6 +68,31 @@ class RebalanceConfig:
             raise ValueError(f"drain_s must be >= 0, got {self.drain_s}")
 
 
+#: The index behind the ring buffer: the paper's R-tree, or one of the
+#: §VI framework extensions.
+INDEXES = ("rtree", "btree", "cuckoo")
+
+
+@dataclass(frozen=True)
+class KvMix:
+    """The request stream of a B+tree / cuckoo run (``index != "rtree"``).
+
+    Each request's key is drawn Zipf-popular from the loaded keys; it is
+    a GET with probability ``get_fraction``, a range scan (B+tree only)
+    with ``scan_fraction``, and a PUT otherwise.
+    """
+
+    get_fraction: float = 0.9
+    scan_fraction: float = 0.0
+    zipf_s: float = 0.99
+
+    def __post_init__(self):
+        if self.get_fraction < 0 or self.scan_fraction < 0:
+            raise ValueError("get/scan fractions must be >= 0")
+        if self.get_fraction + self.scan_fraction > 1:
+            raise ValueError("get/scan fractions exceed 1")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to run one point of a paper figure."""
@@ -76,6 +101,12 @@ class ExperimentConfig:
     fabric: str = "ib-100g"
     n_clients: int = 8
     requests_per_client: int = 100
+
+    #: One of :data:`INDEXES`.  A B+tree or cuckoo index (paper §VI)
+    #: holds ``dataset_size`` random integer keys and serves the ``kv``
+    #: stream instead of ``workload_kind``'s rectangles.
+    index: str = "rtree"
+    kv: KvMix = KvMix()
 
     # Workload.
     # search | search-skewed | hybrid | churn | hybrid-skewed | mixed
@@ -88,9 +119,12 @@ class ExperimentConfig:
     # Dataset / tree.
     dataset_size: int = 50_000
     dataset: Optional[List[Tuple[Rect, int]]] = None
+    #: Node capacity of the R-tree or B+tree.
     max_entries: int = DEFAULT_MAX_ENTRIES
     #: Serve one-sided reads as real packed chunk bytes (full-fidelity
-    #: FaRM validation on the client; slower to simulate).
+    #: FaRM validation on the client; slower to simulate).  The
+    #: reference the default snapshot path is checked against
+    #: (``test_byte_mode_experiment``).
     byte_mode: bool = False
 
     # Hardware / costs.
@@ -168,11 +202,6 @@ class ExperimentConfig:
     #: Structured tracing (per-request spans).  Off by default: a real
     #: tracer costs one bounded ring of events; NULL_TRACER costs nothing.
     trace: bool = False
-    #: Components to trace when ``trace`` is set; empty means all
-    #: ("adaptive", "offload", ...).
-    trace_components: Tuple[str, ...] = ()
-    #: Bound on retained trace events (oldest evicted beyond this).
-    trace_max_events: int = 65536
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -186,6 +215,20 @@ class ExperimentConfig:
                                       "churn", "hybrid-skewed", "mixed",
                                       "queries"):
             raise ValueError(f"unknown workload {self.workload_kind!r}")
+        if self.index not in INDEXES:
+            raise ValueError(
+                f"unknown index {self.index!r}; known: {INDEXES}")
+        if self.index != "rtree":
+            if self.workload_kind != "search":
+                raise ValueError(
+                    f"workload {self.workload_kind!r} draws rectangles; "
+                    f"a {self.index} index serves the kv stream")
+            if self.traffic is not None:
+                raise ValueError(
+                    "open-loop aggregates draw rectangles; a "
+                    f"{self.index} index runs closed-loop")
+            if self.index == "cuckoo" and self.kv.scan_fraction > 0:
+                raise ValueError("cuckoo hashing has no range scans")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
         if self.batch_queries < 0:

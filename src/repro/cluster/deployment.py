@@ -11,10 +11,9 @@ process per client) and the open-loop
 shared endpoints).  They ask for endpoints, start the deployment, drive
 it, settle it and read its summaries; they build nothing themselves.
 
-Which index lives behind the ring buffer is the scheme's call
-(``SchemeSpec.index``): the registered schemes are all R-tree ones, and
-``cluster.kv_builder`` passes its own B+tree / cuckoo ``spec`` (paper
-§VI) to get the same assembly, metrics and fault hooks.
+Which index lives behind the ring buffer is ``ExperimentConfig.index``:
+the R-tree, or a B+tree / cuckoo table (paper §VI) over random integer
+keys, with the same assembly, metrics and fault hooks.
 
 Whether an endpoint is *plain* or *routed* is the runner's call, not a
 user option:
@@ -159,12 +158,10 @@ class Deployment:
     """Sim + stacks + injector + session factory for one config."""
 
     def __init__(self, config: ExperimentConfig, routed: bool,
-                 record_results: bool = False, spec=None):
+                 record_results: bool = False):
         self.config = config
         self.routed = routed
-        #: ``spec`` overrides the registry lookup for schemes that are not
-        #: in it (the KV ones; ``config.scheme`` is then only a label).
-        self.spec = spec if spec is not None else scheme_spec(config.scheme)
+        self.spec = scheme_spec(config.scheme, config.index)
         self.profile = profile_by_name(config.fabric)
         if self.spec.transport != TRANSPORT_TCP and not self.profile.rdma:
             raise ValueError(
@@ -192,18 +189,22 @@ class Deployment:
         self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
         self.metrics = MetricsRegistry()
-        self.tracer = (
-            Tracer(self.sim, max_events=config.trace_max_events,
-                   components=config.trace_components)
-            if config.trace else NULL_TRACER
-        )
+        self.tracer = Tracer(self.sim) if config.trace else NULL_TRACER
 
         # One dataset derivation for every shape: the union of the shard
         # slices is bit-identical to the unsharded dataset, which is what
         # makes the single tree a valid oracle for routed runs.
         items = config.dataset
-        if items is None:
+        if items is None and config.index != "rtree":
+            keys = self.rngs.stream("dataset").sample(
+                range(1 << 40), config.dataset_size)
+            items = [(k, k ^ 0x5A5A) for k in sorted(keys)]
+        elif items is None:
             items = uniform_dataset(config.dataset_size, seed=config.seed)
+        #: The keys a B+tree / cuckoo index holds, which its request
+        #: stream samples (None for the R-tree).
+        self.keys = (None if config.index == "rtree"
+                     else [key for key, _ in items])
         #: Kept on a routed deployment only, where the oracle checks
         #: rebuild the single tree from it; a plain deployment's items
         #: live on in its one tree and the list is garbage after that.

@@ -8,7 +8,7 @@ Ablation variants isolate each optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 TRANSPORT_TCP = "tcp"
 TRANSPORT_RDMA = "rdma"
@@ -51,8 +51,9 @@ class SchemeSpec:
     #: Catfish stack per shard behind a scatter-gather router.
     shards: int = 1
     #: The index behind the ring buffer: the paper's "rtree", or one of
-    #: the §VI framework extensions "btree" / "cuckoo" (built by
-    #: ``cluster.kv_builder``; every registered scheme is an R-tree one).
+    #: the §VI framework extensions "btree" / "cuckoo".  Every registered
+    #: scheme is an R-tree one; :func:`scheme_spec` derives the KV specs
+    #: from ``ExperimentConfig.index``.
     index: str = "rtree"
 
     @property
@@ -170,10 +171,31 @@ SCHEMES = {
 }
 
 
-def scheme_spec(name: str) -> SchemeSpec:
+#: The schemes a B+tree or cuckoo index runs under.
+KV_CAPABLE = ("fast-messaging", "rdma-offloading", "catfish",
+              "catfish-bandit")
+
+
+def scheme_spec(name: str, index: str = "rtree") -> SchemeSpec:
+    """Scheme ``name`` over ``index``.
+
+    Over a B+tree or cuckoo table (paper §VI) the four
+    :data:`KV_CAPABLE` schemes all run the event-driven server with
+    multi-issue reads and heartbeats on, so they differ in the path
+    policy only; the spec is named ``{index}:{name}``.
+    """
+    if index != "rtree" and name not in KV_CAPABLE:
+        raise ValueError(
+            f"a {index} index runs under {', '.join(KV_CAPABLE)}; "
+            f"not {name!r}"
+        )
     try:
-        return SCHEMES[name]
+        spec = SCHEMES[name]
     except KeyError:
         raise KeyError(
             f"unknown scheme {name!r}; known: {sorted(SCHEMES)}"
         ) from None
+    if index == "rtree":
+        return spec
+    return replace(spec, name=f"{index}:{name}", index=index,
+                   notification="event", multi_issue=True, heartbeats=True)

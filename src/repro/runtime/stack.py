@@ -63,16 +63,16 @@ class ServerStack:
             ),
         )
         self.network.attach_server(self.host)
-        # ``max_entries`` is the index's one sizing knob: node capacity
-        # for the two trees, bucket count for the hash table.
         if spec.index == "btree":
             self.server = BTreeService(
                 sim, self.host, items, capacity=config.max_entries,
                 costs=config.costs, byte_mode=config.byte_mode,
             )
         elif spec.index == "cuckoo":
+            # Sized for a 60% load factor at four slots per bucket.
             self.server = CuckooService(
-                sim, self.host, items, n_buckets=config.max_entries,
+                sim, self.host, items,
+                n_buckets=max(64, int(len(items) / (4 * 0.6))),
                 costs=config.costs, seed=config.seed,
             )
         else:

@@ -5,6 +5,8 @@ The paper's evaluations use three mixes:
 * 100% search at a given scale (Figs 10/11);
 * 90% search + 10% insert, inserts at corner-skewed locations (Figs 12/13);
 * rea02 queries (Fig 14).
+
+The §VI B+tree and cuckoo indexes run :func:`kv_mix` instead.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Sequence
 
+from ..btree import OP_GET, OP_PUT, OP_SCAN, KvRequest
 from ..client.base import (
     OP_COUNT,
     OP_DELETE,
@@ -23,9 +26,13 @@ from ..client.base import (
 from ..rtree.geometry import Rect
 from .datasets import skewed_insert_rect
 from .scales import scale_generator
+from .skew import ZipfSampler
 
 #: Inserted rectangles get ids far above any dataset id.
 INSERT_ID_BASE = 1 << 40
+
+#: Key-space width of one B+tree range scan.
+SCAN_SPAN = 200
 
 
 def search_only(
@@ -198,6 +205,27 @@ def query_stream(queries: Sequence[Rect], rng: random.Random,
     ]
 
 
+def kv_mix(rng: random.Random, keys: Sequence[int], sampler: ZipfSampler,
+           n_requests: int, mix) -> List[KvRequest]:
+    """One client's GET/PUT/SCAN stream over Zipf-popular ``keys``
+    (``mix`` is a :class:`~repro.cluster.config.KvMix`)."""
+    requests: List[KvRequest] = []
+    for _ in range(n_requests):
+        roll = rng.random()
+        key = keys[sampler.sample(rng)]
+        if roll < mix.get_fraction:
+            requests.append(KvRequest(OP_GET, key=key))
+        elif roll < mix.get_fraction + mix.scan_fraction:
+            requests.append(KvRequest(
+                OP_SCAN, lo=key, hi=key + SCAN_SPAN,
+                max_results=256,
+            ))
+        else:
+            requests.append(KvRequest(OP_PUT, key=key,
+                                      value=rng.randrange(1 << 30)))
+    return requests
+
+
 def batch_runs(requests: Sequence[Request], batch_size: int):
     """Group consecutive searches into batches of up to ``batch_size``.
 
@@ -278,3 +306,12 @@ def make_workload(
         frozen = list(queries)
         return lambda client_id, rng: query_stream(frozen, rng, n_requests)
     raise ValueError(f"unknown workload kind {kind!r}")
+
+
+def make_kv_workload(keys: Sequence[int], mix,
+                     n_requests: int) -> WorkloadFn:
+    """The per-client :func:`kv_mix` factory over a B+tree / cuckoo
+    index's loaded ``keys``."""
+    sampler = ZipfSampler(len(keys), mix.zipf_s)
+    return lambda client_id, rng: kv_mix(rng, keys, sampler, n_requests,
+                                         mix)

@@ -96,32 +96,33 @@ class TestCommands:
         assert code == 0
 
     def test_kv_btree(self, capsys):
-        code = main(["kv", "--index", "btree", "--scheme", "catfish",
+        code = main(["run", "--index", "btree", "--scheme", "catfish",
                      "--clients", "2", "--requests", "10",
-                     "--keys", "500", "--server-cores", "2"])
+                     "--dataset-size", "500", "--server-cores", "2"])
         assert code == 0
         assert "btree:catfish" in capsys.readouterr().out
 
     def test_kv_cuckoo_bandit(self, capsys):
-        code = main(["kv", "--index", "cuckoo",
+        code = main(["run", "--index", "cuckoo",
                      "--scheme", "catfish-bandit",
                      "--clients", "2", "--requests", "10",
-                     "--keys", "500", "--server-cores", "2"])
+                     "--dataset-size", "500", "--server-cores", "2"])
         assert code == 0
         assert "cuckoo:catfish-bandit" in capsys.readouterr().out
 
     def test_kv_rejects_non_rdma_fabric(self, capsys):
         # The flag used to be dropped: the run silently used ib-100g.
-        code = main(["kv", "--fabric", "eth-1g", "--clients", "2",
-                     "--requests", "5", "--keys", "200"])
+        code = main(["run", "--index", "btree", "--fabric", "eth-1g",
+                     "--clients", "2", "--requests", "5",
+                     "--dataset-size", "200"])
         assert code == 2
         assert "needs an RDMA fabric" in capsys.readouterr().err
 
     def test_kv_honours_trace(self, tmp_path, capsys):
         import json
         out = tmp_path / "kv.json"
-        code = main(["kv", "--index", "cuckoo", "--clients", "2",
-                     "--requests", "10", "--keys", "500",
+        code = main(["run", "--index", "cuckoo", "--clients", "2",
+                     "--requests", "10", "--dataset-size", "500",
                      "--server-cores", "2", "--trace",
                      "--metrics-out", str(out)])
         assert code == 0
@@ -129,9 +130,16 @@ class TestCommands:
         assert doc["trace"]["events"]
 
     def test_kv_rejects_cuckoo_scans(self, capsys):
-        with pytest.raises(ValueError):
-            main(["kv", "--index", "cuckoo", "--scan-fraction", "0.2",
-                  "--clients", "2", "--requests", "5", "--keys", "200"])
+        code = main(["run", "--index", "cuckoo", "--scan-fraction", "0.2",
+                     "--clients", "2", "--requests", "5",
+                     "--dataset-size", "200"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_kv_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["kv"])
 
 
 class TestChaosSubcommand:

@@ -24,9 +24,8 @@ from repro.client.fm_client import FmSession
 from repro.client.predictors import most_recent
 from repro.client.resilience import BreakerParams, RetryPolicy
 from repro.cluster.builder import ExperimentRunner, run_experiment
-from repro.cluster.config import ExperimentConfig, RebalanceConfig
+from repro.cluster.config import ExperimentConfig, KvMix, RebalanceConfig
 from repro.cluster.deployment import Deployment
-from repro.cluster.kv_builder import KvExperimentConfig, run_kv_experiment
 from repro.cluster.results import result_fingerprint
 from repro.cluster.schemes import SCHEMES
 from repro.hw.host import Host
@@ -183,8 +182,8 @@ EXPECTED_INVARIANTS = {
 }
 
 #: The §VI extension's pins: (index, scheme) -> fingerprint, captured
-#: while ``kv_builder`` still hand-built its own cluster.  The two
-#: served-op counters are masked: that builder reported them as hard 0,
+#: while the KV harness still hand-built its own cluster.  The two
+#: served-op counters are masked: that harness reported them as hard 0,
 #: the shared assembler reports the KV service's real counts.
 GOLDEN_KV = {
     ("btree", "fast-messaging"): "77bab29ce3b44e36",
@@ -254,12 +253,12 @@ def test_chaos_fingerprint_matches_pre_refactor_golden(name):
 
 @pytest.mark.parametrize("index,scheme", sorted(GOLDEN_KV))
 def test_kv_fingerprint_matches_pre_fold_golden(index, scheme):
-    mix = (dict(get_fraction=0.6, scan_fraction=0.3)
-           if index == "btree" else {})
-    result = run_kv_experiment(KvExperimentConfig(
+    mix = (KvMix(get_fraction=0.6, scan_fraction=0.3)
+           if index == "btree" else KvMix())
+    result = run_experiment(ExperimentConfig(
         index=index, scheme=scheme, n_clients=4, requests_per_client=40,
-        n_keys=3000, server_cores=4, heartbeat_interval=0.2e-3, seed=2,
-        **mix))
+        dataset_size=3000, server_cores=4, heartbeat_interval=0.2e-3,
+        seed=2, kv=mix))
     masked = dataclasses.replace(result, searches_served_by_server=0,
                                  inserts_served=0)
     assert result_fingerprint(masked) == GOLDEN_KV[index, scheme]
@@ -375,14 +374,11 @@ def test_single_and_sharded_builders_produce_same_session_shape(scheme):
 
 @pytest.mark.parametrize("index", ["rtree", "btree", "cuckoo"])
 def test_offload_budgets_come_from_the_retry_policy(index):
-    spec = dataclasses.replace(SCHEMES["rdma-offloading-multi"], index=index)
     tight = RetryPolicy(offload_read_retries=3, offload_search_restarts=2)
-    kv_items = None if index == "rtree" else [(k, k) for k in range(60)]
     for retry, read_retries, restarts in ((tight, 3, 2), (None, 8, 8)):
         deployment = Deployment(
-            tiny_config("rdma-offloading-multi", retry=retry,
-                        dataset=kv_items),
-            routed=False, spec=spec)
+            tiny_config("rdma-offloading", retry=retry, index=index),
+            routed=False)
         host = Host(deployment.sim, "client", deployment.profile, cores=2)
         engine = deployment.endpoint(0, host, ClientStats(), "c").engine
         assert engine.max_read_retries == read_retries
@@ -444,8 +440,7 @@ def test_duplicated_assembly_paths_are_gone():
         assert isinstance(runner.deployment.factory, SessionFactory)
 
     # ...which is the only module in src/ that calls a cluster
-    # constructor; neither the B+tree/cuckoo harness nor the chaos
-    # scenarios are exempt.
+    # constructor; the chaos scenarios are not exempt.
     expected = {name: {"cluster/deployment.py"} for name in ASSEMBLY_CALLS}
     expected.update(SINGLE_HOME_CALLS)
     callers = {name: set() for name in expected}
