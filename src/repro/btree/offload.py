@@ -15,7 +15,7 @@ offloadable operations.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
@@ -28,9 +28,10 @@ from ..msg.codec import (
     KvScanRequest,
 )
 from ..server.costs import CostModel
-from ..sim.kernel import Simulator
-from ..sim.resources import Store
+from ..sim.kernel import Event, Simulator
+from ..sim.resources import Mailbox
 from ..transport.rdma import QpEndpoint
+from .serialize import snapshot_from_bytes
 from .service import BNodeSnapshot, KvMeta, KvOffloadDescriptor
 
 OP_GET = "get"
@@ -132,28 +133,61 @@ class BTreeOffloadEngine:
         self._cached_height = meta.height
         return stale
 
-    def _read_valid(self, chunk_id: int,
-                    expect_leaf: Optional[bool] = None) -> Generator:
-        for attempt in range(self.max_read_retries):
-            data = yield self.qp.post_read(
-                self.desc.tree_rkey, self._addr(chunk_id),
-                self.desc.chunk_bytes,
-            )
-            self.chunks_fetched += 1
-            if isinstance(data, (bytes, bytearray)):
-                from .serialize import snapshot_from_bytes
-                view = snapshot_from_bytes(data, self.desc.capacity)
-                ok = view is not None
-            else:
-                view = data
-                ok = not view.torn
-            if ok and (
-                expect_leaf is None or view.is_leaf == expect_leaf
-            ):
+    def _post_chunk_read(self, chunk_id: int) -> Event:
+        return self.qp.post_read(self.desc.tree_rkey, self._addr(chunk_id),
+                                 self.desc.chunk_bytes)
+
+    def _accept(self, data, expect_leaf: Optional[bool]):
+        """Count and validate one fetched image: the snapshot, or None
+        (counted as torn) when it must be re-read."""
+        self.chunks_fetched += 1
+        if isinstance(data, (bytes, bytearray)):
+            view = snapshot_from_bytes(data, self.desc.capacity)
+            ok = view is not None
+        else:
+            view = data
+            ok = not view.torn
+        if ok and (expect_leaf is None or view.is_leaf == expect_leaf):
+            return view
+        self.stats.torn_retries += 1
+        return None
+
+    def _read_valid(self, chunk_id: int, expect_leaf: Optional[bool] = None,
+                    attempt: int = 0) -> Generator:
+        for attempt in range(attempt, self.max_read_retries):
+            data = yield self._post_chunk_read(chunk_id)
+            view = self._accept(data, expect_leaf)
+            if view is not None:
                 return view
-            self.stats.torn_retries += 1
             yield self.sim.timeout(self.retry_backoff * (attempt + 1))
         return None
+
+    def _read_then(self, chunk_id: int, expect_leaf: Optional[bool],
+                   deliver: Callable[[Optional[BNodeSnapshot]], None]
+                   ) -> None:
+        """:meth:`_read_valid` for a concurrent fetch: ``deliver(view)``
+        (None on failure) runs in the step the read would have returned
+        in, as the last thing that step does.  Attempt 0 is a callback;
+        only a re-read runs the generator."""
+
+        def landed(event: Event) -> None:
+            if not event._ok:
+                return  # the failed read surfaces from the run
+            view = self._accept(event._value, expect_leaf)
+            if view is not None:
+                deliver(view)
+            else:
+                self.sim.start(self._reread(chunk_id, expect_leaf, deliver),
+                               name="kv-reread")
+
+        self._post_chunk_read(chunk_id).callbacks.append(landed)
+
+    def _reread(self, chunk_id: int, expect_leaf: Optional[bool],
+                deliver: Callable[[Optional[BNodeSnapshot]], None]
+                ) -> Generator:
+        yield self.sim.timeout(self.retry_backoff * 1)
+        deliver((yield from self._read_valid(chunk_id, expect_leaf,
+                                             attempt=1)))
 
     # -- operations -------------------------------------------------------------
 
@@ -284,14 +318,11 @@ class BTreeOffloadEngine:
     def _fetch_wave(self, chunk_ids, expect_leaf) -> Generator:
         """Fetch chunks concurrently, preserving input order; None if any
         read failed validation permanently."""
-        arrived: Store = Store(self.sim)
-
-        def fetch(index, cid):
-            view = yield from self._read_valid(cid, expect_leaf=expect_leaf)
-            arrived.put((index, view))
-
+        arrived = Mailbox(self.sim)
         for index, cid in enumerate(chunk_ids):
-            self.sim.start(fetch(index, cid), name="kv-multi-read")
+            self._read_then(
+                cid, expect_leaf,
+                lambda view, index=index: arrived.put((index, view)))
         views: List[Optional[BNodeSnapshot]] = [None] * len(chunk_ids)
         failed = False
         for _ in chunk_ids:

@@ -2,7 +2,7 @@
 
 Plugs into the *same* fast-messaging / TCP machinery as the R-tree server
 (all services expose ``host``, ``costs``, ``service_inflation``,
-``handle_request``, ``offload_descriptor`` and the served-work counters)
+``plan``, ``offload_descriptor`` and the served-work counters)
 — this is the paper's §VI framework claim made concrete: nothing in
 ``repro.server.fast_messaging``, the client session or its path policies
 knows which index lives behind the ring buffer.
@@ -27,6 +27,7 @@ from ..rtree.locks import TreeLockManager
 from ..rtree.versioning import WriteTracker
 from ..server.base import META_REGION_SIZE, OFFLOAD_CHUNK_BYTES
 from ..server.costs import DEFAULT_COSTS, CostModel
+from ..server.plan import OpPlan, execute_plan, mutation_plan
 from ..sim.kernel import Simulator
 from .bptree import BNode, BPlusTree
 
@@ -248,71 +249,54 @@ class BTreeService:
             * self.costs.split
         ) * self.service_inflation
 
-    def execute_get(self, key: int) -> Generator:
+    def plan_get(self, key: int) -> OpPlan:
         result = self.tree.get(key)
+        return OpPlan(result.items, self._search_cost(result),
+                      result.visited_chunks, counter="gets_served")
 
-        def body():
-            yield from self.host.cpu.execute(self._search_cost(result))
-
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.gets_served += 1
-        return result.items
-
-    def execute_scan(self, lo: int, hi: int,
-                     max_results: Optional[int] = None) -> Generator:
+    def plan_scan(self, lo: int, hi: int,
+                  max_results: Optional[int] = None) -> OpPlan:
         result = self.tree.range_scan(lo, hi, max_results)
+        return OpPlan(result.items, self._search_cost(result),
+                      result.visited_chunks, counter="scans_served")
 
-        def body():
-            yield from self.host.cpu.execute(self._search_cost(result))
+    def _mutation(self, ok: bool, result, counter: str) -> OpPlan:
+        nodes = result.mutated_nodes
+        return mutation_plan(ok, self._mutation_cost(result), nodes,
+                             [n.chunk_id for n in nodes], self.costs,
+                             counter)
 
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.scans_served += 1
-        return result.items
+    def plan_put(self, key: int, value: int) -> OpPlan:
+        return self._mutation(True, self.tree.put(key, value),
+                              "puts_served")
 
-    def _run_mutation(self, result) -> Generator:
-        cost = self._mutation_cost(result)
-        chunk_ids = [n.chunk_id for n in result.mutated_nodes]
-
-        def body():
-            window = min(cost, self.costs.write_window(
-                len(result.mutated_nodes)))
-            yield from self.host.cpu.execute(cost - window)
-            yield from self.write_tracker.write_window(
-                result.mutated_nodes, self.host.cpu.execute(window)
-            )
-
-        yield from self.locks.write_guard(chunk_ids, body())
+    def plan_delete(self, key: int) -> OpPlan:
+        result = self.tree.delete(key)
+        return self._mutation(result.ok, result, "deletes_served")
 
     def execute_put(self, key: int, value: int) -> Generator:
-        result = self.tree.put(key, value)
-        yield from self._run_mutation(result)
-        self.puts_served += 1
-        return True
-
-    def execute_delete(self, key: int) -> Generator:
-        result = self.tree.delete(key)
-        yield from self._run_mutation(result)
-        self.deletes_served += 1
-        return result.ok
+        return (yield from execute_plan(self, self.plan_put(key, value)))
 
     # -- transport-facing dispatch --------------------------------------------------
 
-    def handle_request(self, request) -> Generator:
-        if isinstance(request, KvGetRequest):
-            items = yield from self.execute_get(request.key)
-            return segment_results(request.req_id, items)
-        if isinstance(request, KvScanRequest):
-            items = yield from self.execute_scan(
-                request.lo, request.hi, request.max_results
-            )
-            return segment_results(request.req_id, items)
+    def plan(self, request) -> OpPlan:
+        if isinstance(request, (KvGetRequest, KvScanRequest)):
+            if isinstance(request, KvGetRequest):
+                plan = self.plan_get(request.key)
+            else:
+                plan = self.plan_scan(request.lo, request.hi,
+                                      request.max_results)
+            plan.segments = segment_results(request.req_id, plan.result)
+            return plan
         if isinstance(request, KvPutRequest):
-            ok = yield from self.execute_put(request.key, request.value)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        if isinstance(request, KvDeleteRequest):
-            ok = yield from self.execute_delete(request.key)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        raise TypeError(f"B+tree service got unexpected {request!r}")
+            plan = self.plan_put(request.key, request.value)
+        elif isinstance(request, KvDeleteRequest):
+            plan = self.plan_delete(request.key)
+        else:
+            raise TypeError(f"B+tree service got unexpected {request!r}")
+        plan.segments = [ResponseSegment(request.req_id, (), last=True,
+                                         ok=plan.result)]
+        return plan
 
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()

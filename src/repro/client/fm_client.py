@@ -1,11 +1,12 @@
 """Fast-messaging client (paper §III-A).
 
 Sends requests with RDMA Write into the server's ring buffer and collects
-CONT/END response segments from its own ring buffer.  A background receiver
-process demultiplexes the response ring: heartbeats go to the ``u_serv``
-mailbox (Algorithm 1), response segments go to the in-flight request.
-Messages of an unknown type are counted and dropped — a malformed message
-must not kill the client process.
+CONT/END response segments from its own ring buffer.  The response ring
+hands each message to the session as it lands, which routes it by type:
+heartbeats go to the ``u_serv`` mailbox (Algorithm 1), response segments
+go to the in-flight request, which wakes by a same-instant hop.  Messages
+of an unknown type are counted and dropped — a malformed message must not
+kill the client.
 
 With a :class:`~repro.client.resilience.RetryPolicy` attached, every
 request gets a deadline and a jittered exponential-backoff retry budget:
@@ -31,12 +32,13 @@ from ..msg.codec import (
     NearestRequest,
     ResponseSegment,
     SearchRequest,
+    UpdateRequest,
 )
 from ..msg.ringbuffer import RingBufferFullError
 from ..rtree.geometry import Rect
 from ..server.fast_messaging import FmConnection
 from ..sim.kernel import Simulator, any_of
-from ..sim.resources import Store
+from ..sim.resources import Mailbox
 from .base import (
     OP_COUNT,
     OP_DELETE,
@@ -78,40 +80,39 @@ class FmSession:
         self.retry = retry
         self.rng = rng or random.Random(client_id)
         self._ids = RequestIdAllocator(client_id)
-        self._segments: Store = Store(sim)
+        #: Response segments for the request in flight.
+        self._segments = Mailbox(sim)
         #: Request ids whose attempt was abandoned (deadline expired);
         #: their late segments are suppressed, not delivered.
         self._abandoned: Set[int] = set()
         self.heartbeats_seen = 0
-        sim.process(self._receiver(), name=f"fm-recv-{client_id}")
+        conn.response_ring.deliver_to(self._route)
 
     @property
     def mailbox(self):
         """The ``u_serv`` heartbeat mailbox (used by the adaptive client)."""
         return self.conn.mailbox
 
-    def _receiver(self) -> Generator:
-        """Continuously drain the response ring, routing by message type."""
-        while True:
-            message = yield self.conn.response_ring.consume()
-            if isinstance(message, Heartbeat):
-                self.conn.mailbox.deliver(message)
-                self.heartbeats_seen += 1
-            elif isinstance(message, ResponseSegment):
-                if message.req_id in self._abandoned:
-                    # Late answer to a timed-out attempt: swallow it here
-                    # so it can never be mistaken for the current
-                    # request's response.  Forget the id once the END
-                    # segment has passed.
-                    self.stats.duplicates_suppressed += 1
-                    if message.last:
-                        self._abandoned.discard(message.req_id)
-                    continue
-                self._segments.put(message)
-            else:
-                # Unknown message type: drop and count, never crash the
-                # receiver (a dead receiver wedges the whole client).
-                self.stats.unexpected_messages += 1
+    def _route(self, message) -> None:
+        """Route one message of the response ring as it lands."""
+        if isinstance(message, Heartbeat):
+            self.conn.mailbox.deliver(message)
+            self.heartbeats_seen += 1
+        elif isinstance(message, ResponseSegment):
+            if message.req_id in self._abandoned:
+                # Late answer to a timed-out attempt: swallow it here so
+                # it can never be mistaken for the current request's
+                # response.  Forget the id once the END segment has
+                # passed.
+                self.stats.duplicates_suppressed += 1
+                if message.last:
+                    self._abandoned.discard(message.req_id)
+                return
+            self._segments.put(message)
+        else:
+            # Unknown message type: drop and count, never crash the
+            # client (a wedged receive path wedges the whole client).
+            self.stats.unexpected_messages += 1
 
     # -- request execution -----------------------------------------------------
 
@@ -131,7 +132,6 @@ class FmSession:
             return DeleteRequest(self._ids.next_id(), request.rect,
                                  request.data_id)
         if request.op == OP_UPDATE:
-            from ..msg.codec import UpdateRequest
             return UpdateRequest(self._ids.next_id(), request.rect,
                                  request.new_rect, request.data_id)
         raise ValueError(request.op)  # pragma: no cover - Request validates
@@ -183,20 +183,20 @@ class FmSession:
         count: Optional[int] = None
         while True:
             get = self._segments.get()
-            if get.triggered:
+            if get._ok is not None:
                 segment = yield get
             else:
                 remaining = deadline - sim.now
                 if remaining <= 0:
-                    get.cancel()
+                    self._segments.withdraw(get)
                     self._abandoned.add(wire.req_id)
                     return _TIMED_OUT
                 yield any_of(sim, (get, sim.timeout(remaining)))
-                if not get.triggered:
-                    get.cancel()
+                if get._ok is None:
+                    self._segments.withdraw(get)
                     self._abandoned.add(wire.req_id)
                     return _TIMED_OUT
-                segment = get.value
+                segment = get._value
             if segment.req_id != wire.req_id:
                 # A stale segment that reached the store before its
                 # attempt was abandoned.  Suppress it exactly like the

@@ -32,7 +32,7 @@ pre-cache engine.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
@@ -42,8 +42,8 @@ from ..rtree.serialize import NodeView, view_from_bytes
 from ..rtree.versioning import validate_snapshot
 from ..server.base import OffloadDescriptor, TreeMeta
 from ..server.costs import CostModel
-from ..sim.kernel import Simulator
-from ..sim.resources import Store
+from ..sim.kernel import Event, Simulator
+from ..sim.resources import Mailbox
 from ..transport.rdma import QpEndpoint
 from .base import OP_COUNT, OP_SEARCH, ClientStats, Request
 from .node_cache import NodeCache
@@ -112,14 +112,36 @@ class OffloadEngine:
     def _chunk_address(self, chunk_id: int) -> int:
         return self.desc.tree_base + chunk_id * self.desc.chunk_bytes
 
-    def _read_meta(self) -> Generator:
-        """Fetch the root pointer from the server's meta region."""
+    def _relayed(self, start: Callable[[Callable[[Event], None]], None]
+                 ) -> Generator:
+        """Run a callback fetch from a process: ``start(then)`` posts it,
+        and the process goes on with its value (or its error) in the step
+        its completion is processed."""
+        relay = self.sim.event()
+        start(lambda event: self.sim.fire(relay, event))
+        event = yield relay
+        if not event._ok:
+            event.defused = True
+            raise event._value
+        return event._value
+
+    def _meta_then(self, then: Callable[[Event], None]) -> None:
+        """Fetch the root pointer from the server's meta region; ``then``
+        gets the read's completion event."""
         self._span.annotate("meta_read")
-        meta: TreeMeta = yield self.qp.post_read(
+
+        def landed(event: Event) -> None:
+            if event._ok:
+                self.meta_reads += 1
+            then(event)
+
+        self.qp.post_read(
             self.desc.meta_rkey, self.desc.meta_base, META_READ_SIZE
-        )
-        self.meta_reads += 1
-        return meta
+        ).callbacks.append(landed)
+
+    def _read_meta(self) -> Generator:
+        """:meth:`_meta_then` from a process; returns the meta."""
+        return self._relayed(self._meta_then)
 
     def _apply_meta(self, meta: TreeMeta) -> bool:
         """Update the root cache; True if the cached root was stale."""
@@ -148,107 +170,136 @@ class OffloadEngine:
             self.desc.chunk_bytes,
         )
 
-    def _fetch_chunk(self, chunk_id: int) -> Generator:
-        """One raw chunk fetch; coalesces with an in-flight read.
+    def _fetch_then(self, chunk_id: int, then: Callable[[Event], None],
+                    first_read: Optional[Event] = None) -> None:
+        """One raw chunk fetch: ``then`` gets the completion event.
 
         With a cache attached, concurrent fetches of the same chunk
         (multi-issue re-reads, concurrent searches sharing this engine)
         share one RDMA Read via the single-flight table: the leader
         posts, followers wait on it and receive the same raw data.
+        ``first_read`` is an already-posted doorbell-batched read of the
+        chunk (counted at post time), whose followers it feeds.
         """
         inflight = self._inflight_reads
-        if inflight is None:
-            data = yield self._post_chunk_read(chunk_id)
-            self.chunks_fetched += 1
-            return data
-        waiters = inflight.get(chunk_id)
-        if waiters is not None:
-            event = self.sim.event()
-            waiters.append(event)
+        counted = leads = True
+        if first_read is not None:
+            read, counted, leads = first_read, False, inflight is not None
+        elif inflight is None:
+            read, leads = self._post_chunk_read(chunk_id), False
+        elif chunk_id in inflight:
+            follower = self.sim.event()
+            inflight[chunk_id].append(follower)
             if self.cache is not None:
                 self.cache.coalesced_reads += 1
-            data = yield event
-            return data
-        inflight[chunk_id] = []
-        try:
-            data = yield self._post_chunk_read(chunk_id)
-            self.chunks_fetched += 1
-        except BaseException as exc:
-            for event in inflight.pop(chunk_id):
-                event.fail(exc)
-            raise
-        for event in inflight.pop(chunk_id):
-            event.succeed(data)
-        return data
+            follower.callbacks.append(then)
+            return
+        else:
+            inflight[chunk_id] = []
+            read = self._post_chunk_read(chunk_id)
 
-    def _await_batched(self, chunk_id: int, read_event) -> Generator:
-        """Consume a doorbell-batched read, feeding any followers."""
-        inflight = self._inflight_reads
-        try:
-            data = yield read_event
-        except BaseException as exc:
-            if inflight is not None:
-                for event in inflight.pop(chunk_id, ()):
-                    event.fail(exc)
-            raise
-        if inflight is not None:
-            for event in inflight.pop(chunk_id, ()):
-                event.succeed(data)
-        return data
+        def landed(event: Event) -> None:
+            if event._ok:
+                if counted:
+                    self.chunks_fetched += 1
+                if leads:
+                    for follower in inflight.pop(chunk_id, ()):
+                        follower.succeed(event._value)
+            elif leads:
+                for follower in inflight.pop(chunk_id, ()):
+                    follower.fail(event._value)
+            then(event)
 
-    def _read_valid(
-        self, chunk_id: int, expected_level: int, first_read=None
-    ) -> Generator:
-        """Fetch one chunk, re-reading torn snapshots; None on failure.
+        read.callbacks.append(landed)
+
+    def _accept(self, chunk_id: int, expected_level: int, data, stamp,
+                attempt: int) -> Optional[NodeView]:
+        """Validate one fetched image: the view, or None (counted and
+        annotated) when it must be re-read.
 
         The server serves either :class:`NodeView` snapshots (fast path)
         or raw chunk bytes (full-fidelity byte mode); the byte path runs
         the real decode + per-cache-line version comparison.
-
-        ``first_read`` optionally supplies an already-posted (doorbell-
-        batched) read event to consume as attempt 0; retries always post
-        their own reads.
         """
         span = self._span
-        cache = self.cache
-        for attempt in range(self.max_read_retries):
-            span.annotate("issue", chunk=chunk_id, level=expected_level,
-                          attempt=attempt)
-            # Stamp captured before the fetch: if the high-water mark
-            # moves while the read is in flight, the store below is
-            # skipped rather than mis-stamping pre-mutation content.
-            stamp = cache.server_hwm if cache is not None else None
-            if first_read is not None:
-                data = yield from self._await_batched(chunk_id, first_read)
-                first_read = None
-            else:
-                data = yield from self._fetch_chunk(chunk_id)
-            if isinstance(data, (bytes, bytearray)):
-                view = view_from_bytes(data, self.desc.max_entries)
-                ok = view is not None
-            else:
-                view = data
-                ok = validate_snapshot(view)
-            if ok and view.level == expected_level:
-                span.annotate("validate", chunk=chunk_id, ok=True)
-                if cache is not None:
-                    cache.store(view, stamp=stamp)
+        if isinstance(data, (bytes, bytearray)):
+            view = view_from_bytes(data, self.desc.max_entries)
+            ok = view is not None
+        else:
+            view = data
+            ok = validate_snapshot(view)
+        if ok and view.level == expected_level:
+            span.annotate("validate", chunk=chunk_id, ok=True)
+            if self.cache is not None:
+                self.cache.store(view, stamp=stamp)
+            return view
+        if ok:
+            # Valid image at the wrong level: a recycled chunk or a stale
+            # root, not a torn snapshot — keep the diagnosis streams
+            # separate.
+            self.stats.level_mismatch_retries += 1
+        else:
+            self.stats.torn_retries += 1
+        span.annotate("retry", chunk=chunk_id, attempt=attempt, torn=not ok)
+        return None
+
+    def _stamp(self, chunk_id: int, expected_level: int, attempt: int):
+        """Annotate a fetch attempt; the cache stamp it stores under.
+
+        The stamp is captured before the fetch: if the high-water mark
+        moves while the read is in flight, the store is skipped rather
+        than mis-stamping pre-mutation content."""
+        self._span.annotate("issue", chunk=chunk_id, level=expected_level,
+                            attempt=attempt)
+        return self.cache.server_hwm if self.cache is not None else None
+
+    def _read_valid(
+        self, chunk_id: int, expected_level: int, attempt: int = 0
+    ) -> Generator:
+        """Fetch one chunk, re-reading torn snapshots; None on failure."""
+        while attempt < self.max_read_retries:
+            stamp = self._stamp(chunk_id, expected_level, attempt)
+            data = yield from self._relayed(
+                lambda then: self._fetch_then(chunk_id, then))
+            view = self._accept(chunk_id, expected_level, data, stamp,
+                                attempt)
+            if view is not None:
                 return view
-            if ok:
-                # Valid image at the wrong level: a recycled chunk or a
-                # stale root, not a torn snapshot — keep the diagnosis
-                # streams separate.
-                self.stats.level_mismatch_retries += 1
-            else:
-                self.stats.torn_retries += 1
-            span.annotate("retry", chunk=chunk_id, attempt=attempt,
-                          torn=not ok)
-            if attempt < self.max_read_retries - 1:
+            attempt += 1
+            if attempt < self.max_read_retries:
                 # No backoff after the final attempt: the caller is about
                 # to restart (or fail) anyway, and the largest backoff of
                 # the schedule would be pure added latency.
-                yield self.sim.timeout(self.retry_backoff * (attempt + 1))
+                yield self.sim.timeout(self.retry_backoff * attempt)
         return None
+
+    def _read_then(self, chunk_id: int, expected_level: int,
+                   deliver: Callable[[Optional[NodeView]], None],
+                   first_read: Optional[Event] = None) -> None:
+        """:meth:`_read_valid` for a concurrent fetch: ``deliver(view)``
+        (None on failure) runs in the step the read would have returned
+        in, as the last thing that step does.  Attempt 0 is callbacks;
+        only a re-read runs the generator."""
+        stamp = self._stamp(chunk_id, expected_level, 0)
+
+        def landed(event: Event) -> None:
+            if not event._ok:
+                return  # the failed read surfaces from the run
+            view = self._accept(chunk_id, expected_level, event._value,
+                                stamp, 0)
+            if view is not None or self.max_read_retries <= 1:
+                deliver(view)
+            else:
+                self.sim.start(self._reread(chunk_id, expected_level,
+                                            deliver), name="offload-reread")
+
+        self._fetch_then(chunk_id, landed, first_read)
+
+    def _reread(self, chunk_id: int, expected_level: int,
+                deliver: Callable[[Optional[NodeView]], None]) -> Generator:
+        yield self.sim.timeout(self.retry_backoff * 1)
+        deliver((yield from self._read_valid(chunk_id, expected_level,
+                                             attempt=1)))
 
     # -- search ------------------------------------------------------------------
 
@@ -436,13 +487,15 @@ class OffloadEngine:
                 views[i] = view
             return views
 
-        arrived: Store = Store(self.sim)
+        arrived = Mailbox(self.sim)
         inflight = 0
 
         def fetch(i: int, chunk_id: int, level: int,
-                  first_read=None) -> Generator:
-            view = yield from self._read_valid(chunk_id, level, first_read)
-            arrived.put((i, view))
+                  first_read: Optional[Event] = None) -> None:
+            nonlocal inflight
+            inflight += 1
+            self._read_then(chunk_id, level,
+                            lambda view: arrived.put((i, view)), first_read)
 
         inflight_reads = self._inflight_reads
         to_post: List[Tuple[int, int, int]] = []
@@ -454,9 +507,8 @@ class OffloadEngine:
                 span.annotate("cache_hit", chunk=chunk_id, level=level)
                 views[i] = view
             elif inflight_reads is not None and chunk_id in inflight_reads:
-                # Single-flight: _read_valid's fetch joins the leader.
-                inflight += 1
-                self.sim.start(fetch(i, chunk_id, level), name="batch-read")
+                # Single-flight: the fetch joins the leader.
+                fetch(i, chunk_id, level)
             else:
                 to_post.append((i, chunk_id, level))
         if len(to_post) >= 2 and inflight_reads is not None:
@@ -468,15 +520,10 @@ class OffloadEngine:
             for (i, chunk_id, level), event in zip(to_post, events):
                 inflight_reads[chunk_id] = []
                 self.chunks_fetched += 1
-                inflight += 1
-                self.sim.start(
-                    fetch(i, chunk_id, level, first_read=event),
-                    name="batch-read",
-                )
+                fetch(i, chunk_id, level, first_read=event)
         else:
             for i, chunk_id, level in to_post:
-                inflight += 1
-                self.sim.start(fetch(i, chunk_id, level), name="batch-read")
+                fetch(i, chunk_id, level)
         failed = False
         while inflight:
             i, view = yield arrived.get()
@@ -616,23 +663,23 @@ class OffloadEngine:
             self._note_meta_hwm(meta)
 
         matches: List[Tuple[Rect, int]] = []
-        arrived: Store = Store(self.sim)
+        arrived = Mailbox(self.sim)
         inflight = 0
         failed = False
         cache_hits_used = 0
 
-        def fetch(chunk_id: int, level: int, first_read=None) -> Generator:
-            view = yield from self._read_valid(chunk_id, level, first_read)
+        def node_landed(view: Optional[NodeView]) -> None:
             arrived.put(("node", view))
 
-        def fetch_meta() -> Generator:
-            meta = yield from self._read_meta()
-            arrived.put(("meta", meta))
+        def meta_landed(event: Event) -> None:
+            if event._ok:  # else the failed read surfaces from the run
+                arrived.put(("meta", event._value))
 
-        def issue(chunk_id: int, level: int) -> None:
+        def issue(chunk_id: int, level: int,
+                  first_read: Optional[Event] = None) -> None:
             nonlocal inflight
             inflight += 1
-            self.sim.start(fetch(chunk_id, level), name="multi-issue-read")
+            self._read_then(chunk_id, level, node_landed, first_read)
 
         def issue_all(pairs: List[Tuple[int, int]]) -> None:
             """Expand one round: cache hits served locally, in-flight
@@ -668,13 +715,11 @@ class OffloadEngine:
             for (chunk_id, level), event in zip(to_post, events):
                 inflight_reads[chunk_id] = []
                 self.chunks_fetched += 1
-                inflight += 1
-                self.sim.start(fetch(chunk_id, level, first_read=event),
-                               name="multi-issue-read")
+                issue(chunk_id, level, first_read=event)
 
         if not cold_start:
             inflight += 1
-            self.sim.start(fetch_meta(), name="multi-issue-meta")
+            self._meta_then(meta_landed)
         issue_all([(self._cached_root, self._cached_height - 1)])
         while inflight:
             kind, payload = yield arrived.get()

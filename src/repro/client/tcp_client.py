@@ -10,6 +10,7 @@ from ..msg.codec import (
     InsertRequest,
     NearestRequest,
     SearchRequest,
+    UpdateRequest,
     message_size,
 )
 from ..rtree.geometry import Rect
@@ -59,7 +60,6 @@ class TcpSession:
             wire = DeleteRequest(self._ids.next_id(), request.rect,
                                  request.data_id)
         elif request.op == "update":
-            from ..msg.codec import UpdateRequest
             wire = UpdateRequest(self._ids.next_id(), request.rect,
                                  request.new_rect, request.data_id)
         else:  # pragma: no cover - Request validates op

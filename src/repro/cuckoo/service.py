@@ -29,6 +29,7 @@ from ..msg.codec import (
 from ..rtree.locks import TreeLockManager
 from ..rtree.versioning import WriteTracker
 from ..server.costs import DEFAULT_COSTS, CostModel
+from ..server.plan import OpPlan, execute_plan, mutation_plan
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
 from ..transport.rdma import QpEndpoint
@@ -154,59 +155,49 @@ class CuckooService:
             + result.kicks * self.costs.bucket_probe * 2
         ) * self.service_inflation
 
-    def execute_get(self, key: int) -> Generator:
+    def plan_get(self, key: int) -> OpPlan:
         result = self.table.get(key)
+        return OpPlan(result.items, self._read_cost(result),
+                      result.visited_chunks, counter="gets_served")
 
-        def body():
-            yield from self.host.cpu.execute(self._read_cost(result))
+    def _write(self, ok: bool, result, counter: str) -> OpPlan:
+        buckets = result.mutated_nodes
+        return mutation_plan(ok, self._write_cost(result), buckets,
+                             [b.index for b in buckets], self.costs,
+                             counter)
 
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.gets_served += 1
-        return result.items
-
-    def _run_write(self, result) -> Generator:
-        cost = self._write_cost(result)
-        chunk_ids = [b.index for b in result.mutated_nodes]
-
-        def body():
-            window = min(cost, self.costs.write_window(
-                len(result.mutated_nodes)))
-            yield from self.host.cpu.execute(cost - window)
-            yield from self.write_tracker.write_window(
-                result.mutated_nodes, self.host.cpu.execute(window)
-            )
-
-        yield from self.locks.write_guard(chunk_ids, body())
-
-    def execute_put(self, key: int, value: int) -> Generator:
+    def plan_put(self, key: int, value: int) -> OpPlan:
+        """A put; a full table refuses it before any CPU is charged."""
         try:
             result = self.table.put(key, value)
         except CuckooFullError:
             self.failed_puts += 1
-            return False
-        yield from self._run_write(result)
-        self.puts_served += 1
-        return True
+            return OpPlan(False, None)
+        return self._write(True, result, "puts_served")
 
-    def execute_delete(self, key: int) -> Generator:
+    def plan_delete(self, key: int) -> OpPlan:
         result = self.table.delete(key)
-        yield from self._run_write(result)
-        self.deletes_served += 1
-        return result.ok
+        return self._write(result.ok, result, "deletes_served")
+
+    def execute_put(self, key: int, value: int) -> Generator:
+        return (yield from execute_plan(self, self.plan_put(key, value)))
 
     # -- transport dispatch ------------------------------------------------------
 
-    def handle_request(self, request) -> Generator:
+    def plan(self, request) -> OpPlan:
         if isinstance(request, KvGetRequest):
-            items = yield from self.execute_get(request.key)
-            return segment_results(request.req_id, items)
+            plan = self.plan_get(request.key)
+            plan.segments = segment_results(request.req_id, plan.result)
+            return plan
         if isinstance(request, KvPutRequest):
-            ok = yield from self.execute_put(request.key, request.value)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        if isinstance(request, KvDeleteRequest):
-            ok = yield from self.execute_delete(request.key)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        raise TypeError(f"cuckoo service got unexpected {request!r}")
+            plan = self.plan_put(request.key, request.value)
+        elif isinstance(request, KvDeleteRequest):
+            plan = self.plan_delete(request.key)
+        else:
+            raise TypeError(f"cuckoo service got unexpected {request!r}")
+        plan.segments = [ResponseSegment(request.req_id, (), last=True,
+                                         ok=plan.result)]
+        return plan
 
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()
@@ -284,7 +275,7 @@ class CuckooOffloadEngine:
 
         def fetch(index):
             view = yield from self._read_bucket(index)
-            arrived.put(view)
+            arrived.put_discard(view)
 
         # Deferred start on purpose (sim.process, not sim.start): started
         # inline, these reads would be posted one process generation

@@ -16,11 +16,11 @@ Two distinct things are modelled here:
 from __future__ import annotations
 
 import random
-from typing import Generator, Optional
+from collections import deque
+from typing import Callable, Deque, Generator, Optional
 
-from ..sim.kernel import Simulator
+from ..sim.kernel import Event, Simulator
 from ..sim.monitor import UtilizationTracker
-from ..sim.resources import Resource
 
 #: Default scheduling quantum, seconds.  Linux CFS granularity is in the
 #: 0.75-6 ms range; the effective reschedule interval for pinned server
@@ -45,7 +45,13 @@ EVENT_WAKEUP_COST = 2.0e-6
 
 
 class CorePool:
-    """``capacity`` cores with a FIFO run queue and utilization tracking."""
+    """``capacity`` cores with a FIFO run queue and utilization tracking.
+
+    The cores are a counter plus a FIFO of grant events: a claim takes a
+    free core on the spot, otherwise it waits, and a release hands the
+    core to the oldest waiting claim (its grant is a queue entry at the
+    release instant).
+    """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "cpu"):
         if capacity < 1:
@@ -53,17 +59,38 @@ class CorePool:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._cores = Resource(sim, capacity=capacity)
+        self._busy = 0
+        self._waiting: Deque[Event] = deque()
         self.tracker = UtilizationTracker(sim, capacity=capacity)
         self.total_work_seconds = 0.0
 
     @property
     def busy_cores(self) -> int:
-        return self._cores.count
+        return self._busy
 
     @property
     def run_queue_length(self) -> int:
-        return self._cores.queue_length
+        return len(self._waiting)
+
+    def charge(self, cost: float, then: Callable[[], None]) -> None:
+        """Run ``cost`` seconds of work on one core, then call ``then()``
+        (in the step the work ends, after the core is released)."""
+        if cost < 0:
+            raise ValueError(f"negative work cost {cost}")
+        work = _Work(self, cost, then)
+        if self._busy < self.capacity:
+            self._busy += 1
+            work.start(None)
+        else:
+            grant = Event(self.sim)
+            grant.callbacks.append(work.start)
+            self._waiting.append(grant)
+
+    def _release(self) -> None:
+        if self._waiting:
+            self._waiting.popleft().succeed()
+        else:
+            self._busy -= 1
 
     def execute(self, cost: float) -> Generator:
         """Run ``cost`` seconds of work on one core (process generator).
@@ -71,19 +98,9 @@ class CorePool:
         Usage: ``yield sim.process(pool.execute(cost))`` or delegate with
         ``yield from pool.execute(cost)`` inside another process.
         """
-        if cost < 0:
-            raise ValueError(f"negative work cost {cost}")
-        req = self._cores.request()
-        try:
-            yield req
-            self.tracker.adjust(+1)
-            try:
-                yield self.sim.timeout(cost)
-                self.total_work_seconds += cost
-            finally:
-                self.tracker.adjust(-1)
-        finally:
-            req.release()
+        done = self.sim.event()
+        self.charge(cost, lambda: self.sim.fire(done))
+        yield done
 
     def utilization(self) -> float:
         """Busy fraction since t=0 (for end-of-run reporting)."""
@@ -92,6 +109,30 @@ class CorePool:
     def window_utilization(self, reset: bool = True) -> float:
         """Busy fraction since the previous heartbeat window."""
         return self.tracker.window_utilization(reset=reset)
+
+
+class _Work:
+    """One work item on a core, from the grant to the release."""
+
+    __slots__ = ("pool", "cost", "then")
+
+    def __init__(self, pool: CorePool, cost: float,
+                 then: Callable[[], None]):
+        self.pool = pool
+        self.cost = cost
+        self.then = then
+
+    def start(self, _event) -> None:
+        pool = self.pool
+        pool.tracker.adjust(+1)
+        pool.sim.timeout(self.cost).callbacks.append(self._done)
+
+    def _done(self, _event) -> None:
+        pool = self.pool
+        pool.total_work_seconds += self.cost
+        pool.tracker.adjust(-1)
+        pool._release()
+        self.then()
 
 
 class SchedulerModel:

@@ -136,3 +136,9 @@ class Nic:
     @property
     def outstanding_reads(self) -> int:
         return self._reads_held
+
+    @property
+    def read_claims_waiting(self) -> bool:
+        """Whether a release now would hand the slot over (and queue the
+        grant) rather than free it."""
+        return bool(self._read_waiters)

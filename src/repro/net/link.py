@@ -8,8 +8,8 @@ back-to-back messages pipeline, as on a real wire).
 
 :meth:`Link.send` is the one way bytes move: a chain of kernel callbacks
 that spends a queue entry only where shared state changes hands (an
-injected penalty, a contended transmitter grant, the end of
-serialization, where the transmitter is released) and fuses the
+injected penalty, the end of serialization, where the transmitter is
+released, and a contended grant unless it can hop) and fuses the
 propagation delay with whatever fixed delay the receiver adds
 (``then``) into one wake-up at ``(end + latency) + then``.
 """
@@ -125,15 +125,22 @@ class _Send:
         link = self.link
         link.counter.record(self.nbytes)
         sim = link.sim
-        if link._waiting:
-            # The grant is a queue entry of its own, at this instant.
-            sim.wake_at(sim.now).callbacks.append(
-                link._waiting.popleft()._serialize)
-        else:
-            link._busy = False
+        now = sim.now
         # Propagation overlaps with the next sender's serialization.
-        sim.wake_at((sim.now + link.latency_s) + self.then).callbacks.append(
-            self.on_arrival)
+        arrival = (now + link.latency_s) + self.then
+        if not link._waiting:
+            link._busy = False
+            sim.wake_at(arrival).callbacks.append(self.on_arrival)
+        elif arrival > now:
+            # The grant is a same-instant hop, so it goes last; the arrival
+            # falls after this instant, so queueing it first moves nothing.
+            sim.wake_at(arrival).callbacks.append(self.on_arrival)
+            sim.hop_call(link._waiting.popleft()._serialize)
+        else:
+            # A zero-delay arrival ties with the grant: keep their order.
+            sim.wake_at(now).callbacks.append(
+                link._waiting.popleft()._serialize)
+            sim.wake_at(arrival).callbacks.append(self.on_arrival)
 
 
 class DuplexLink:

@@ -14,7 +14,7 @@ paper's search-heavy workloads.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Tuple
+from typing import Deque, Dict, Tuple
 
 from ..sim.kernel import Event, Simulator
 
@@ -37,23 +37,28 @@ class RWLock:
     # -- acquisition --------------------------------------------------------
 
     def acquire_read(self) -> Event:
-        """Event that succeeds when the shared lock is held."""
+        """Event that succeeds when the shared lock is held.
+
+        The caller waits on it at once: an uncontended grant is a
+        same-instant hop (:meth:`~repro.sim.kernel.Simulator.hop`), so
+        the event may come back already processed."""
         event = self.sim.event()
         if not self._writer and self._waiting_writers == 0:
             self._readers += 1
             self.read_acquisitions += 1
-            event.succeed()
+            self.sim.hop(event)
         else:
             self._waiting.append((event, False))
         return event
 
     def acquire_write(self) -> Event:
-        """Event that succeeds when the exclusive lock is held."""
+        """Event that succeeds when the exclusive lock is held (waited on
+        at once, like :meth:`acquire_read`)."""
         event = self.sim.event()
         if not self._writer and self._readers == 0 and not self._waiting:
             self._writer = True
             self.write_acquisitions += 1
-            event.succeed()
+            self.sim.hop(event)
         else:
             self._waiting.append((event, True))
             self._waiting_writers += 1
@@ -91,24 +96,6 @@ class RWLock:
             self.read_acquisitions += 1
             event.succeed()
 
-    # -- context helpers -------------------------------------------------------
-
-    def read_locked(self, body: Generator) -> Generator:
-        """Run ``body`` (a process generator) under the shared lock."""
-        yield self.acquire_read()
-        try:
-            yield from body
-        finally:
-            self.release_read()
-
-    def write_locked(self, body: Generator) -> Generator:
-        """Run ``body`` (a process generator) under the exclusive lock."""
-        yield self.acquire_write()
-        try:
-            yield from body
-        finally:
-            self.release_write()
-
     @property
     def held(self) -> str:
         if self._writer:
@@ -122,8 +109,10 @@ class TreeLockManager:
     """Per-node reader-writer locks, created lazily.
 
     The server threads use coarse two-phase access: a search read-locks the
-    nodes it visits; a mutation write-locks the nodes it changes.  Lock
-    objects are keyed by chunk id so they survive node relocation.
+    nodes it visits; a mutation write-locks the nodes it changes (sorted by
+    chunk id, so no two threads deadlock; see
+    :func:`~repro.server.plan.run_plan`).  Lock objects are keyed by chunk
+    id so they survive node relocation.
     """
 
     def __init__(self, sim: Simulator):
@@ -136,31 +125,6 @@ class TreeLockManager:
             lock = RWLock(self.sim)
             self._locks[chunk_id] = lock
         return lock
-
-    def read_guard(self, chunk_ids, body: Generator) -> Generator:
-        """Run ``body`` holding read locks on all ``chunk_ids`` (sorted to
-        avoid deadlock)."""
-        ordered = sorted(set(chunk_ids))
-        locks = [self.lock_for(cid) for cid in ordered]
-        for lock in locks:
-            yield lock.acquire_read()
-        try:
-            yield from body
-        finally:
-            for lock in reversed(locks):
-                lock.release_read()
-
-    def write_guard(self, chunk_ids, body: Generator) -> Generator:
-        """Run ``body`` holding write locks on all ``chunk_ids`` (sorted)."""
-        ordered = sorted(set(chunk_ids))
-        locks = [self.lock_for(cid) for cid in ordered]
-        for lock in locks:
-            yield lock.acquire_write()
-        try:
-            yield from body
-        finally:
-            for lock in reversed(locks):
-                lock.release_write()
 
     @property
     def lock_count(self) -> int:

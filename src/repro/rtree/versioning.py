@@ -17,7 +17,7 @@ in the paper's Figs 12/13.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable
+from typing import Dict, Sequence
 
 from ..sim.kernel import Simulator
 from .node import Node
@@ -36,26 +36,18 @@ class WriteTracker:
         self.total_writes = 0
         self.open_windows = 0
 
-    def write_window(self, nodes: Iterable[Node], duration_gen) -> Generator:
-        """Run ``duration_gen`` (a process generator, e.g. a CPU charge)
-        while all ``nodes`` are marked as being written.
-
-        Usage::
-
-            yield from tracker.write_window(result.mutated_nodes,
-                                            cpu.execute(cost))
-        """
-        nodes = list(nodes)
+    def begin(self, nodes: Sequence[Node]) -> None:
+        """Open a window: mark all ``nodes`` as being written."""
         for node in nodes:
             node.begin_write()
         self.open_windows += 1
-        try:
-            yield from duration_gen
-        finally:
-            self.open_windows -= 1
-            for node in nodes:
-                node.end_write()
-            self.total_writes += 1
+
+    def end(self, nodes: Sequence[Node]) -> None:
+        """Close the window :meth:`begin` opened over the same ``nodes``."""
+        self.open_windows -= 1
+        for node in nodes:
+            node.end_write()
+        self.total_writes += 1
 
 
 def validate_snapshot(view: NodeView) -> bool:

@@ -7,8 +7,9 @@ Owns everything scheme-independent:
   buffer up front to avoid per-access registration cost, §III-B);
 * the chunk directory clients use for one-sided reads, plus a small meta
   region exposing the current root chunk id;
-* lock-managed, CPU-charged execution of search/insert/delete requests on
-  behalf of server threads;
+* the op plans of search/count/kNN/insert/delete/update requests, which
+  the server threads run lock-managed and CPU-charged
+  (:mod:`repro.server.plan`);
 * the write tracker that opens torn-read windows for the versioning model.
 """
 
@@ -20,6 +21,16 @@ from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from ..hw.host import Host
 from ..hw.memory import ChunkAllocator
+from ..msg.codec import (
+    CountRequest,
+    DeleteRequest,
+    InsertRequest,
+    NearestRequest,
+    ResponseSegment,
+    SearchRequest,
+    UpdateRequest,
+    segment_results,
+)
 from ..rtree.bulk import bulk_load
 from ..rtree.geometry import Rect
 from ..rtree.locks import TreeLockManager
@@ -34,6 +45,7 @@ from ..rtree.serialize import (
 from ..rtree.versioning import SnapshotReader, WriteTracker
 from ..sim.kernel import Simulator
 from .costs import DEFAULT_COSTS, CostModel
+from .plan import OpPlan, execute_plan, mutation_plan
 
 #: Meta region layout: root chunk id (u64) + tree height (u32) + the
 #: tree-wide mutation high-water mark (u32, wrapping) in the former pad
@@ -255,36 +267,27 @@ class RTreeServer:
     def chunk_address(self, chunk_id: int) -> int:
         return self.allocator.address_of(chunk_id)
 
-    # -- request execution (CPU-charged, lock-guarded) --------------------------
+    # -- request plans (see repro.server.plan) ----------------------------------
 
-    def execute_search(self, rect: Rect) -> Generator:
-        """Run one search on a server thread; returns [(rect, id), ...]."""
+    def plan_search(self, rect: Rect) -> OpPlan:
+        """One search; the result is [(rect, id), ...]."""
         result = self.tree.search(rect)
-        cost = self.costs.search_cost(result) * self.service_inflation
+        return OpPlan(
+            result.matches,
+            self.costs.search_cost(result) * self.service_inflation,
+            result.visited_chunks, counter="searches_served", query=rect)
 
-        def body():
-            yield from self.host.cpu.execute(cost)
-
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.searches_served += 1
-        self.recent_queries.append(rect)
-        return result.matches
-
-    def execute_nearest(self, x: float, y: float, k: int) -> Generator:
-        """Run one kNN query on a server thread; matches nearest-first."""
+    def plan_nearest(self, x: float, y: float, k: int) -> OpPlan:
+        """One kNN query; the result is the matches, nearest first."""
         result = self.tree.nearest(x, y, k)
-        cost = self.costs.search_cost(result) * self.service_inflation
+        return OpPlan(
+            result.matches,
+            self.costs.search_cost(result) * self.service_inflation,
+            result.visited_chunks, counter="searches_served",
+            query=Rect(x, y, x, y))
 
-        def body():
-            yield from self.host.cpu.execute(cost)
-
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.searches_served += 1
-        self.recent_queries.append(Rect(x, y, x, y))
-        return result.matches
-
-    def execute_count(self, rect: Rect) -> Generator:
-        """Run one aggregate-only search; returns the intersection count.
+    def plan_count(self, rect: Rect) -> OpPlan:
+        """One aggregate-only search; the result is the intersection count.
 
         Charged like a search minus the per-result copy cost (nothing is
         materialized into the response)."""
@@ -293,132 +296,118 @@ class RTreeServer:
             self.costs.request_parse
             + result.nodes_visited * self.costs.node_visit
         ) * self.service_inflation
+        return OpPlan(result.count, cost, result.visited_chunks,
+                      counter="searches_served", query=rect)
 
-        def body():
-            yield from self.host.cpu.execute(cost)
-
-        yield from self.locks.read_guard(result.visited_chunks, body())
-        self.searches_served += 1
-        self.recent_queries.append(rect)
-        return result.count
-
-    def execute_insert(self, rect: Rect, data_id: int) -> Generator:
-        """Run one insert on a server thread; returns True."""
+    def plan_insert(self, rect: Rect, data_id: int) -> OpPlan:
+        """One insert; the result is True."""
         result = self.tree.insert(rect, data_id)
-        cost = self.costs.mutation_cost(result) * self.service_inflation
-        chunk_ids = [n.chunk_id for n in result.mutated_nodes]
+        return self._mutation(
+            True, self.costs.mutation_cost(result), result.mutated_nodes,
+            "inserts_served")
 
-        yield from self.locks.write_guard(
-            chunk_ids, self._mutation_body(cost, result.mutated_nodes)
-        )
-        self.inserts_served += 1
-        return True
+    def plan_delete(self, rect: Rect, data_id: int) -> OpPlan:
+        """One delete; the result is whether the entry existed."""
+        result = self.tree.delete(rect, data_id)
+        return self._mutation(
+            result.ok, self.costs.mutation_cost(result),
+            result.mutated_nodes, "deletes_served")
 
-    def _mutation_body(self, cost: float, mutated_nodes) -> Generator:
-        """Charge the mutation's CPU; only the trailing store burst opens
-        the torn-read window (traversal is reads and cannot tear anything).
-        """
-        window = min(cost, self.costs.write_window(len(mutated_nodes)))
-        yield from self.host.cpu.execute(cost - window)
-        yield from self.write_tracker.write_window(
-            mutated_nodes, self.host.cpu.execute(window)
-        )
-
-    def execute_update(self, old_rect: Rect, new_rect: Rect,
-                       data_id: int) -> Generator:
+    def plan_update(self, old_rect: Rect, new_rect: Rect,
+                    data_id: int) -> OpPlan:
         """Atomically relocate one rectangle (delete + insert under one
-        lock scope); returns False when the old entry was not found."""
+        lock scope); the result is False when the old entry was not
+        found."""
         delete_result = self.tree.delete(old_rect, data_id)
         if not delete_result.ok:
             # Nothing changed; still charge the failed lookup.
             cost = (self.costs.request_parse
                     + delete_result.nodes_visited * self.costs.node_visit
                     ) * self.service_inflation
-            yield from self.host.cpu.execute(cost)
-            return False
+            return OpPlan(False, cost)
         insert_result = self.tree.insert(new_rect, data_id)
         mutated = list(delete_result.mutated_nodes)
         for node in insert_result.mutated_nodes:
             if node not in mutated:
                 mutated.append(node)
-        cost = (
+        return self._mutation(
+            True,
             self.costs.mutation_cost(delete_result)
-            + self.costs.mutation_cost(insert_result)
-        ) * self.service_inflation
-        chunk_ids = [n.chunk_id for n in mutated]
-        yield from self.locks.write_guard(
-            chunk_ids, self._mutation_body(cost, mutated)
-        )
-        self.updates_served += 1
-        return True
+            + self.costs.mutation_cost(insert_result),
+            mutated, "updates_served")
 
-    def execute_delete(self, rect: Rect, data_id: int) -> Generator:
-        """Run one delete on a server thread; returns whether it existed."""
-        result = self.tree.delete(rect, data_id)
-        cost = self.costs.mutation_cost(result) * self.service_inflation
-        chunk_ids = [n.chunk_id for n in result.mutated_nodes]
+    def _mutation(self, ok: bool, cost: float, mutated_nodes,
+                  counter: str) -> OpPlan:
+        return mutation_plan(ok, cost * self.service_inflation,
+                             mutated_nodes,
+                             [n.chunk_id for n in mutated_nodes],
+                             self.costs, counter)
 
-        yield from self.locks.write_guard(
-            chunk_ids, self._mutation_body(cost, result.mutated_nodes)
-        )
-        self.deletes_served += 1
-        return result.ok
-
-    # -- generic request handling (used by both transports) -------------------
-
-    def handle_request(self, request) -> Generator:
-        """Execute one wire request; returns the response segments.
+    def plan(self, request) -> OpPlan:
+        """The plan of one wire request, response segments included.
 
         This is the transport-agnostic entry point: the fast-messaging
-        workers and the TCP workers both delegate here, so any index
-        service exposing ``handle_request`` (B+tree, cuckoo hash, ...)
-        plugs into the same communication machinery — the framework
-        claim of the paper's §VI.
+        and TCP workers run whatever plan a service returns, so any index
+        service exposing ``plan`` (B+tree, cuckoo hash, ...) plugs into
+        the same communication machinery — the framework claim of the
+        paper's §VI.
         """
-        # Imported here to avoid a cycle (msg only depends on rtree).
-        from ..msg.codec import (
-            CountRequest,
-            DeleteRequest,
-            InsertRequest,
-            NearestRequest,
-            ResponseSegment,
-            SearchRequest,
-            segment_results,
-        )
-
+        req_id = request.req_id
         if isinstance(request, SearchRequest):
-            matches = yield from self.execute_search(request.rect)
-            return segment_results(request.req_id, matches)
-        if isinstance(request, NearestRequest):
-            matches = yield from self.execute_nearest(
-                request.x, request.y, request.k
-            )
-            return segment_results(request.req_id, matches)
-        if isinstance(request, CountRequest):
-            count = yield from self.execute_count(request.rect)
-            return [ResponseSegment(request.req_id, (), last=True,
-                                    count=count)]
-        if isinstance(request, InsertRequest):
-            ok = yield from self.execute_insert(request.rect,
-                                                request.data_id)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        if isinstance(request, DeleteRequest):
-            ok = yield from self.execute_delete(request.rect,
-                                                request.data_id)
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        from ..msg.codec import UpdateRequest
-        if isinstance(request, UpdateRequest):
-            ok = yield from self.execute_update(
-                request.old_rect, request.new_rect, request.data_id
-            )
-            return [ResponseSegment(request.req_id, (), last=True, ok=ok)]
-        raise TypeError(f"server got unexpected message {request!r}")
+            plan = self.plan_search(request.rect)
+            plan.segments = segment_results(req_id, plan.result)
+        elif isinstance(request, NearestRequest):
+            plan = self.plan_nearest(request.x, request.y, request.k)
+            plan.segments = segment_results(req_id, plan.result)
+        elif isinstance(request, CountRequest):
+            plan = self.plan_count(request.rect)
+            plan.segments = [ResponseSegment(req_id, (), last=True,
+                                             count=plan.result)]
+        else:
+            if isinstance(request, InsertRequest):
+                plan = self.plan_insert(request.rect, request.data_id)
+            elif isinstance(request, DeleteRequest):
+                plan = self.plan_delete(request.rect, request.data_id)
+            elif isinstance(request, UpdateRequest):
+                plan = self.plan_update(request.old_rect, request.new_rect,
+                                        request.data_id)
+            else:
+                raise TypeError(f"server got unexpected message {request!r}")
+            plan.segments = [ResponseSegment(req_id, (), last=True,
+                                             ok=plan.result)]
+        return plan
+
+    # -- the same operations from a process (rebalancer, tests) ----------------
+
+    def execute_search(self, rect: Rect) -> Generator:
+        return (yield from execute_plan(self, self.plan_search(rect)))
+
+    def execute_nearest(self, x: float, y: float, k: int) -> Generator:
+        return (yield from execute_plan(self, self.plan_nearest(x, y, k)))
+
+    def execute_count(self, rect: Rect) -> Generator:
+        return (yield from execute_plan(self, self.plan_count(rect)))
+
+    def execute_insert(self, rect: Rect, data_id: int) -> Generator:
+        return (yield from execute_plan(self,
+                                        self.plan_insert(rect, data_id)))
+
+    def execute_delete(self, rect: Rect, data_id: int) -> Generator:
+        return (yield from execute_plan(self,
+                                        self.plan_delete(rect, data_id)))
+
+    def execute_update(self, old_rect: Rect, new_rect: Rect,
+                       data_id: int) -> Generator:
+        return (yield from execute_plan(
+            self, self.plan_update(old_rect, new_rect, data_id)))
 
     # -- reporting ------------------------------------------------------------
 
     @property
     def requests_served(self) -> int:
-        return self.searches_served + self.inserts_served + self.deletes_served
+        """Every request served, the rebalancer's load signal."""
+        return (self.searches_served + self.inserts_served
+                + self.deletes_served + self.updates_served)
 
     def cpu_utilization(self) -> float:
         return self.host.cpu.utilization()

@@ -18,17 +18,18 @@ This is the paper's first design (§III-A) plus the event-based enhancement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Callable, List, Optional
 
 from ..hw.host import Host
 from ..msg.codec import message_size
 from ..msg.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
 from ..net.fabric import Network
 from ..obs.registry import Counter, MetricsRegistry
-from ..sim.kernel import Event, Interrupt, Simulator
+from ..sim.kernel import Event, Simulator
 from ..transport.rdma import CompletionChannel, QpEndpoint, connect
 from .base import RTreeServer
 from .heartbeat import HeartbeatMailbox
+from .plan import run_plan
 
 POLLING = "polling"
 EVENT = "event"
@@ -55,7 +56,7 @@ class FmConnection:
     server_channel: Optional[CompletionChannel] = None
     use_imm: bool = False
     #: The per-connection server thread (set by ``open_connection``).
-    worker_proc: object = None
+    worker: Optional["_Worker"] = None
     #: Fail-stop crash state (see ``FastMessagingServer.crash_worker``).
     worker_down: bool = False
     worker_restart: Optional[Event] = None
@@ -215,9 +216,7 @@ class FastMessagingServer:
                     self.n_connections
                 )
             )
-        conn.worker_proc = sim.process(
-            self._worker(conn), name=f"fm-worker-{conn_id}"
-        )
+        conn.worker = _Worker(self, conn)
         return conn
 
     # -- fail-stop worker crashes (see repro.faults) -------------------------
@@ -243,10 +242,8 @@ class FastMessagingServer:
         # worker that has not run its first step yet needs no interrupt:
         # it reads ``worker_down`` before its first wait.
         if (self.mode == EVENT and not conn.worker_busy
-                and conn.worker_proc is not None
-                and conn.worker_proc.is_alive
-                and conn.worker_proc.has_started):
-            conn.worker_proc.interrupt("worker-crash")
+                and conn.worker is not None and conn.worker.started):
+            conn.worker.crash()
 
     def restart_worker(self, conn: FmConnection) -> None:
         """Bring a crashed worker back; it drains the backlog at once."""
@@ -273,75 +270,161 @@ class FastMessagingServer:
             return True
         return False
 
-    def _worker(self, conn: FmConnection) -> Generator:
-        scheduler = self.server.host.scheduler
-        if self.mode == EVENT:
-            while True:
-                try:
-                    if conn.worker_down:
-                        yield conn.worker_restart
-                        # Fall through to the drain loop: requests piled
-                        # up while the worker was down.  The crash also
-                        # abandoned any in-flight channel wait, which may
-                        # swallow one notification — the unconditional
-                        # drain compensates.
-                    else:
-                        yield conn.server_channel.wait()
-                        yield self.sim.timeout(
-                            scheduler.event_wakeup_delay()
-                        )
-                    # Completions coalesce: while this thread slept (or
-                    # was busy handling a request), more writes may have
-                    # landed in the ring than notifications will wake us
-                    # for.  Drain the ring fully on every wakeup so no
-                    # request waits for an unrelated later wakeup.
-                    while not conn.worker_down:
-                        found, request = conn.request_ring.try_consume()
-                        if not found:
-                            break
-                        if self._shed(conn):
-                            continue
-                        conn.worker_busy = True
-                        try:
-                            yield from self._handle(conn, request)
-                        finally:
-                            conn.worker_busy = False
-                        self.requests_handled += 1
-                except Interrupt:
-                    continue  # crash delivered at the idle wait
-        else:
-            while True:
-                try:
-                    if conn.worker_down:
-                        yield conn.worker_restart
-                        continue
-                    request = yield conn.request_ring.consume()
-                    # The message is in the ring, but the polling thread
-                    # must be scheduled onto a core to notice it.
-                    yield self.sim.timeout(
-                        scheduler.polling_wakeup_delay(self.n_connections)
-                    )
-                    if conn.worker_down:
-                        # Crashed between consume and dispatch: the
-                        # request dies with the thread (fail-stop).
-                        self.requests_shed += 1
-                        continue
-                    if self._shed(conn):
-                        continue
-                    conn.worker_busy = True
-                    try:
-                        yield from self._handle(conn, request)
-                    finally:
-                        conn.worker_busy = False
-                    self.requests_handled += 1
-                except Interrupt:
-                    continue
 
-    def _handle(self, conn: FmConnection, request) -> Generator:
-        segments = yield from self.server.handle_request(request)
-        yield from self.server.host.cpu.execute(
-            self.server.costs.response_cost(len(segments))
-        )
-        for segment in segments:
-            yield from conn.response_ring.reserve(segment)
-            yield conn.server_post_response(segment)
+class _Worker:
+    """One connection's server thread, as kernel callbacks.
+
+    It is the loop a thread runs — wait idle, wake, drain the ring one
+    request at a time — with every step a callback on the event the
+    thread would have waited on, so it queues the entries a process
+    running the same loop queued, in the same order.  A request is the
+    service's op plan (:func:`~repro.server.plan.run_plan`), then the
+    response: one core charge, then per segment a response-ring
+    reservation and the RDMA Write, whose ACK wakes the thread by a
+    same-instant hop.  The thread stands in for a process where it must:
+    it starts from an urgent entry, like an ``Initialize``, and a crash
+    at the idle wait abandons the awaited event and resumes it at the
+    loop's top from an urgent entry, like an interrupt.
+    """
+
+    __slots__ = ("fm", "conn", "started", "_target", "_request",
+                 "_segments", "_written")
+
+    def __init__(self, fm: "FastMessagingServer", conn: FmConnection):
+        self.fm = fm
+        self.conn = conn
+        self.started = False
+        #: The event the idle thread waits on; anything else calling back
+        #: is one a crash abandoned.
+        self._target: Optional[Event] = None
+        #: (polling) The request consumed, until the thread notices it.
+        self._request = None
+        #: The response being written, and how many segments are out.
+        self._segments: list = []
+        self._written = 0
+        fm.sim.urgent(self._start)
+
+    def _start(self, _event) -> None:
+        self.started = True
+        self._idle()
+
+    def crash(self) -> None:
+        """A crash delivered at the idle wait (see ``crash_worker``)."""
+        self._target = None
+        self.fm.sim.urgent(self._idle)
+
+    def _wait(self, event: Event, then: Callable[[Event], None]) -> None:
+        self._target = event
+        if event.callbacks is None:  # already processed: go on now
+            then(event)
+        else:
+            event.callbacks.append(then)
+
+    # -- the idle loop ---------------------------------------------------------
+
+    def _idle(self, _event: Optional[Event] = None) -> None:
+        conn = self.conn
+        if conn.worker_down:
+            self._wait(conn.worker_restart, self._awake)
+        elif self.fm.mode == EVENT:
+            self._wait(conn.server_channel.wait(), self._notified)
+        else:
+            self._wait(conn.request_ring.consume(), self._consumed)
+
+    def _notified(self, event: Event) -> None:
+        if event is not self._target:
+            return
+        delay = self.fm.server.host.scheduler.event_wakeup_delay()
+        self._wait(self.fm.sim.timeout(delay), self._awake)
+
+    def _awake(self, event: Event) -> None:
+        """Woken (event mode) or restarted: drain the ring, or (polling)
+        go back to consuming it."""
+        if event is not self._target:
+            return
+        self._target = None
+        if self.fm.mode == EVENT:
+            # After a restart: requests piled up while the worker was
+            # down.  The crash also abandoned any in-flight channel wait,
+            # which may swallow one notification — the unconditional
+            # drain compensates.
+            self._drain()
+        else:
+            self._idle()
+
+    def _drain(self) -> None:
+        # Completions coalesce: while this thread slept (or was busy
+        # handling a request), more writes may have landed in the ring
+        # than notifications will wake us for.  Drain the ring fully on
+        # every wakeup so no request waits for an unrelated later wakeup.
+        conn = self.conn
+        while not conn.worker_down:
+            found, request = conn.request_ring.try_consume()
+            if not found:
+                break
+            if self.fm._shed(conn):
+                continue
+            self._serve(request)
+            return
+        self._idle()
+
+    def _consumed(self, event: Event) -> None:
+        if event is not self._target:
+            return
+        # The message is in the ring, but the polling thread must be
+        # scheduled onto a core to notice it.
+        self._request = event._value
+        fm = self.fm
+        delay = fm.server.host.scheduler.polling_wakeup_delay(
+            fm.n_connections)
+        self._wait(fm.sim.timeout(delay), self._noticed)
+
+    def _noticed(self, event: Event) -> None:
+        if event is not self._target:
+            return
+        self._target = None
+        request, self._request = self._request, None
+        if self.conn.worker_down:
+            # Crashed between consume and dispatch: the request dies with
+            # the thread (fail-stop).
+            self.fm.requests_shed += 1
+            self._idle()
+        elif self.fm._shed(self.conn):
+            self._idle()
+        else:
+            self._serve(request)
+
+    # -- one request -----------------------------------------------------------
+
+    def _serve(self, request) -> None:
+        self.conn.worker_busy = True
+        server = self.fm.server
+        plan = server.plan(request)
+        self._segments = plan.segments
+        self._written = 0
+        run_plan(server, plan, self._respond)
+
+    def _respond(self) -> None:
+        server = self.fm.server
+        server.host.cpu.charge(
+            server.costs.response_cost(len(self._segments)), self._write)
+
+    def _write(self, event: Optional[Event] = None) -> None:
+        if event is not None and event._ok is False:
+            return  # a failed response write: surfaces from the run
+        if self._written < len(self._segments):
+            segment = self._segments[self._written]
+            self._written += 1
+            self.conn.response_ring.reserve_then(segment, self._post)
+            return
+        self.conn.worker_busy = False
+        self.fm.requests_handled += 1
+        if self.fm.mode == EVENT:
+            self._drain()
+        else:
+            self._idle()
+
+    def _post(self) -> None:
+        segment = self._segments[self._written - 1]
+        self.conn.server_post_response(segment).callbacks.append(
+            self._write)

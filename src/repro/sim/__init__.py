@@ -18,8 +18,8 @@ from .monitor import (
     UtilizationTracker,
 )
 from .resources import (
-    BoundedStore,
     Container,
+    Mailbox,
     Resource,
     Store,
 )
@@ -39,8 +39,8 @@ __all__ = [
     "TallyStats",
     "TimeSeries",
     "UtilizationTracker",
-    "BoundedStore",
     "Container",
+    "Mailbox",
     "Resource",
     "Store",
     "RngRegistry",

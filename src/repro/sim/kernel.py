@@ -23,8 +23,11 @@ run of fixed delays the caller sums in the stepwise order),
 with no ``Initialize`` entry) and plain callbacks on those events in place
 of a process.  :meth:`Simulator.wake_twin` and :meth:`Simulator.retime`
 put a step whose need is decided late where the stepwise chain would have
-queued it among same-instant events.  See ``docs/performance.md`` for the
-numbers and for the rule that keeps such fusions exact.
+queued it among same-instant events.  :meth:`Simulator.hop` runs a
+same-instant wake-up inline when it would be the very next entry anyway,
+and :meth:`Simulator.fire` continues a waiter the stepwise model resumed
+in the same step.  See ``docs/performance.md`` for the numbers and for
+the rules that keep such fusions exact.
 
 Example
 -------
@@ -384,6 +387,12 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._active_event: Optional[Event] = None
         self._pending_crash: Optional[BaseException] = None
+        #: True while the code running is the last callback of the entry
+        #: the run loop is processing, outside any :meth:`start` first
+        #: step: what :meth:`hop` needs besides an empty instant.
+        self._tail = False
+        #: The event :meth:`run_until_triggered` stops at, while it runs.
+        self._until: Optional[Event] = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -494,6 +503,94 @@ class Simulator:
                 return index, (when, key)
         raise SimulationError(f"{event!r} is not scheduled")
 
+    # -- same-instant hops ---------------------------------------------------
+
+    def _hop_now(self) -> bool:
+        """The rule for :meth:`hop`: may a hop queued now run inline?
+
+        Yes when no other entry is queued for this instant and nothing
+        else of the current step is left to run: the code is the last
+        callback of the entry being processed (not one with callbacks
+        still to come), not inside a :meth:`start` first step (its caller
+        goes on), not outside the run loop, and
+        :meth:`run_until_triggered` has not seen its event yet (it would
+        stop before the hop's entry).  That the hop is the last thing its
+        own caller does is the caller's part.
+        """
+        queue = self._queue
+        return (self._tail and (not queue or queue[0][0] > self.now)
+                and (self._until is None or self._until._ok is None))
+
+    def hop(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event``, a same-instant hop whose only purpose is to
+        wake its waiters, as the last thing the current step does.
+
+        When :meth:`_hop_now` holds, the queue would process the event's
+        entry next, so its callbacks run right here instead; a waiter
+        that yields it afterwards finds it processed.  Skipping the entry
+        shifts every later schedule sequence by one, uniformly, so no
+        tie between other entries changes.  Otherwise the event is queued
+        exactly as :meth:`Event.succeed` queues it.
+        """
+        if event._ok is not None:
+            raise EventAlreadyTriggered(f"{event!r} already triggered")
+        if self._hop_now():
+            event._ok = True
+            event._value = value
+            self._run_callbacks(event)
+        else:
+            event.succeed(value)
+
+    def hop_call(self, callback: Callable[[Optional[Event]], None]) -> None:
+        """:meth:`hop` for a bare callback: ``callback(None)`` now, or
+        ``callback(wake)`` from a wake-up queued at this instant."""
+        if self._hop_now():
+            callback(None)
+        else:
+            self.wake_at(self.now).callbacks.append(callback)
+
+    def fire(self, event: Event, value: Any = None) -> None:
+        """Trigger ``event`` and run its callbacks now, inside this step.
+
+        This is how callback code hands back to a generator that waits on
+        it where the stepwise model had the generator run that code
+        itself (``yield from``): the waiter goes on in the same step, as
+        it did.  Not a hop: no entry is skipped, none was ever queued.
+        """
+        if event._ok is not None:
+            raise EventAlreadyTriggered(f"{event!r} already triggered")
+        event._ok = True
+        event._value = value
+        self._run_callbacks(event)
+
+    def _run_callbacks(self, event: Event) -> None:
+        callbacks = event.callbacks
+        event.callbacks = None
+        if len(callbacks) == 1:
+            callbacks[0](event)
+        elif callbacks:
+            self._run_shared(event, callbacks)
+
+    def _run_shared(self, event: Event, callbacks: List) -> None:
+        """Run several callbacks of one event; only the last may hop."""
+        tail = self._tail
+        self._tail = False
+        for callback in callbacks[:-1]:
+            callback(event)
+        self._tail = tail
+        callbacks[-1](event)
+
+    def urgent(self, callback: Callable[[Event], None]) -> Event:
+        """Queue ``callback`` at this instant ahead of every normal-priority
+        entry: the slot a process start or an interrupt delivery takes,
+        for a callback object that stands in for a process."""
+        event = Event(self)
+        event._ok = True
+        event.callbacks.append(callback)
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (self.now, seq << 1, event))
+        return event
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start running ``generator`` as a simulation process.
 
@@ -511,9 +608,13 @@ class Simulator:
         touches nothing the rest of the caller's step reads or writes:
         that is what makes it equivalent to :meth:`process`.  An
         exception raised by the first step surfaces from :meth:`run`
-        (nobody can be waiting on the process yet).
+        (nobody can be waiting on the process yet).  The first step may
+        not :meth:`hop`: its caller has not finished.
         """
-        return Process(self, generator, name=name, start_now=True)
+        tail, self._tail = self._tail, False
+        process = Process(self, generator, name=name, start_now=True)
+        self._tail = tail
+        return process
 
     # -- execution -------------------------------------------------------
 
@@ -561,27 +662,33 @@ class Simulator:
         queue = self._queue
         pool = self._timeout_pool
         heappop = heapq.heappop
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                return
-            time, _key, event = heappop(queue)
-            self.now = time
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False:
-                if not event.defused:
-                    self._crash(event._value)
-            elif (type(event) is Timeout
-                  and len(pool) < _TIMEOUT_POOL_MAX):
-                callbacks.clear()
-                event.callbacks = callbacks
-                pool.append(event)
-            if self._pending_crash is not None:
-                exc, self._pending_crash = self._pending_crash, None
-                raise exc
+        tail, self._tail = self._tail, True
+        try:
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    self.now = until
+                    return
+                time, _key, event = heappop(queue)
+                self.now = time
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    self._run_shared(event, callbacks)
+                if event._ok is False:
+                    if not event.defused:
+                        self._crash(event._value)
+                elif (type(event) is Timeout
+                      and len(pool) < _TIMEOUT_POOL_MAX):
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    pool.append(event)
+                if self._pending_crash is not None:
+                    exc, self._pending_crash = self._pending_crash, None
+                    raise exc
+        finally:
+            self._tail = tail
         if until is not None:
             self.now = until
 
@@ -595,29 +702,39 @@ class Simulator:
         queue = self._queue
         pool = self._timeout_pool
         heappop = heapq.heappop
-        while event._ok is None:
-            if not queue:
-                raise SimulationError("queue drained before event triggered")
-            if queue[0][0] > limit:
-                raise SimulationError(f"event not triggered by t={limit}")
-            # Inlined step() body (see run()).
-            time, _key, current = heappop(queue)
-            self.now = time
-            callbacks = current.callbacks
-            current.callbacks = None
-            for callback in callbacks:
-                callback(current)
-            if current._ok is False:
-                if not current.defused:
-                    self._crash(current._value)
-            elif (type(current) is Timeout
-                  and len(pool) < _TIMEOUT_POOL_MAX):
-                callbacks.clear()
-                current.callbacks = callbacks
-                pool.append(current)
-            if self._pending_crash is not None:
-                exc, self._pending_crash = self._pending_crash, None
-                raise exc
+        tail, self._tail = self._tail, True
+        until, self._until = self._until, event
+        try:
+            while event._ok is None:
+                if not queue:
+                    raise SimulationError(
+                        "queue drained before event triggered")
+                if queue[0][0] > limit:
+                    raise SimulationError(
+                        f"event not triggered by t={limit}")
+                # Inlined step() body (see run()).
+                time, _key, current = heappop(queue)
+                self.now = time
+                callbacks = current.callbacks
+                current.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](current)
+                elif callbacks:
+                    self._run_shared(current, callbacks)
+                if current._ok is False:
+                    if not current.defused:
+                        self._crash(current._value)
+                elif (type(current) is Timeout
+                      and len(pool) < _TIMEOUT_POOL_MAX):
+                    callbacks.clear()
+                    current.callbacks = callbacks
+                    pool.append(current)
+                if self._pending_crash is not None:
+                    exc, self._pending_crash = self._pending_crash, None
+                    raise exc
+        finally:
+            self._tail = tail
+            self._until = until
         if not event._ok:
             event.defused = True
             raise event._value

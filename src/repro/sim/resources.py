@@ -1,13 +1,17 @@
 """Shared-resource primitives built on the DES kernel.
 
-Three primitives cover everything the Catfish model needs:
-
-* :class:`Resource` — ``capacity`` identical servers with a FIFO wait queue
-  (CPU cores, NIC DMA engines).
-* :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
-  ``get`` (message queues, completion queues, event channels).
-* :class:`Container` — a continuous quantity with blocking ``get``/``put``
-  (ring-buffer free space).
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``
+  (completion queues, event channels, socket inboxes, the mux queue).
+* :class:`Mailbox` — a store with one reader whose deliveries wake it by
+  same-instant hops (a fast-messaging client's response segments, the
+  reads of one offloaded traversal).
+* :class:`Resource` — ``capacity`` identical servers with a FIFO wait
+  queue, and :class:`Container` — a continuous quantity with blocking
+  ``get``/``put``.  The model itself no longer uses either (CPU cores and
+  ring-buffer space are counters with FIFOs of their own, see
+  :class:`~repro.hw.cpu.CorePool` and
+  :class:`~repro.msg.ringbuffer.RingBuffer`); they remain general
+  primitives, exercised by the scoreboard's resource basket.
 """
 
 from __future__ import annotations
@@ -118,28 +122,13 @@ class StoreGet(Event):
             self.defused = True  # nothing will consume a cancelled get
 
 
-class StorePut(Event):
-    """Pending ``put`` on a bounded :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.sim)
-        self.item = item
-        store._on_put(self)
-
-
 class Store:
-    """FIFO item store with blocking get and (optionally bounded) put."""
+    """Unbounded FIFO item store with blocking get."""
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[StoreGet] = deque()
-        self._putters: Deque[StorePut] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -148,23 +137,10 @@ class Store:
     def waiting_getters(self) -> int:
         return len(self._getters)
 
-    def put(self, item: Any) -> StorePut:
-        """Add ``item``; blocks (stays pending) if the store is full."""
-        return StorePut(self, item)
-
     def put_discard(self, item: Any) -> None:
-        """Deposit ``item`` without creating an acknowledgement event.
-
-        Behaviourally identical to calling :meth:`put` and discarding the
-        returned event: on an unbounded store the put succeeds instantly,
-        and an instantly-succeeded event nobody holds runs zero callbacks
-        when it pops — pure event-queue overhead.  Hot no-ack producers
-        (completion queues, notification channels) use this instead.
-        Bounded stores must use :meth:`put` (the ack event is how their
-        back-pressure is expressed).
-        """
-        if self.capacity is not None:
-            raise ValueError("put_discard() requires an unbounded store")
+        """Deposit ``item``; the oldest waiting getter gets it (its wake-up
+        is a queue entry at this instant).  No acknowledgement event: the
+        store is unbounded, so a put never waits."""
         self.items.append(item)
         if self._getters:
             self._match()
@@ -172,16 +148,6 @@ class Store:
     def get(self) -> StoreGet:
         """Remove and return the oldest item; blocks while empty."""
         return StoreGet(self)
-
-    def _on_put(self, put: StorePut) -> None:
-        self.items.append(put.item)
-        # An unbounded put always succeeds at once: trigger and mark
-        # processed in one step (see Resource._on_request) so the putter
-        # resumes inline instead of paying a queue round-trip.
-        put._ok = True
-        put.callbacks = None
-        if self._getters:
-            self._match()
 
     def _on_get(self, get: StoreGet) -> None:
         if self.items and not self._getters:
@@ -191,8 +157,6 @@ class Store:
             get._ok = True
             get._value = self.items.popleft()
             get.callbacks = None
-            if self._putters:
-                self._match()
             return
         self._getters.append(get)
         self._match()
@@ -203,28 +167,49 @@ class Store:
             if getter._ok is not None or getter.defused:
                 continue
             getter.succeed(self.items.popleft())
-        # Unblock putters while there is room.
-        while self._putters and (
-            self.capacity is None or len(self.items) < self.capacity
-        ):
-            putter = self._putters.popleft()
-            self.items.append(putter.item)
-            putter.succeed()
 
 
-class BoundedStore(Store):
-    """A store whose put blocks when ``capacity`` items are buffered."""
+class Mailbox:
+    """An unbounded FIFO with one reader, fed by deliveries that are each
+    the last thing their step does.
 
-    def __init__(self, sim: Simulator, capacity: int):
-        super().__init__(sim, capacity=capacity)
+    It is a :class:`Store` with one getter at a time, whose put wakes the
+    waiting getter by a same-instant hop (:meth:`Simulator.hop`): inline
+    whenever the queue would run the wake-up next, else queued exactly
+    where the store would queue it.
+    """
 
-    def _on_put(self, put: StorePut) -> None:
-        if len(self.items) < self.capacity or self._getters:
-            self.items.append(put.item)
-            put.succeed()
-            self._match()
+    __slots__ = ("sim", "items", "_waiter")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.items: Deque[Any] = deque()
+        self._waiter: Optional[Event] = None
+
+    def put(self, item: Any) -> None:
+        """Deliver ``item``; the caller does nothing after this."""
+        waiter = self._waiter
+        if waiter is None:
+            self.items.append(item)
         else:
-            self._putters.append(put)
+            self._waiter = None
+            self.sim.hop(waiter, item)
+
+    def get(self) -> Event:
+        """The oldest item: processed at once when one is buffered."""
+        event = Event(self.sim)
+        if self.items:
+            event._ok = True
+            event._value = self.items.popleft()
+            event.callbacks = None
+        else:
+            self._waiter = event
+        return event
+
+    def withdraw(self, event: Event) -> None:
+        """Give up a pending :meth:`get`: the next item is buffered."""
+        if self._waiter is event:
+            self._waiter = None
 
 
 class ContainerGet(Event):

@@ -30,20 +30,24 @@ wake-up, summed in the stepwise order, wherever no shared state is read
 or written inside the run.  What remains queued per op:
 
 * write: post overhead + WQE, end of serialization, arrival + remote WQE
-  (the data lands), end of the ACK's serialization, the ACK's arrival,
-  the completion event — 6 where the stepwise chain (a process per op)
-  queues 9;
+  (the data lands), end of the ACK's serialization, the ACK's arrival —
+  5 where the stepwise chain (a process per op) queues 9;
 * read: post overhead + WQE, end of serialization, arrival + remote WQE
-  (the DMA snapshot), end of the response's serialization, arrival + WQE,
-  the completion event — 6 where it queues 10.
+  (the DMA snapshot), end of the response's serialization, arrival + WQE
+  — 5 where it queues 10.
+
+The completion event wakes the op's waiter by a same-instant hop
+(:meth:`~repro.sim.kernel.Simulator.hop`): inline when nothing else is
+due at that instant, else one more entry.
 
 A read's post overhead is fused only when its slot can be claimed at post
 time without changing which read gets a slot (see
 :meth:`~repro.hw.nic.Nic.claim_read_slot_early`); otherwise the overhead
 and the WQE stay two hops around the slot claim, the second kept in the
 read's place in post order (:meth:`~repro.sim.kernel.Simulator.wake_twin`).
-An injected link penalty, a responder NIC stall and a contended
-transmitter or read slot each keep their own hop.
+An injected link penalty, a responder NIC stall and a contended read
+slot each keep their own hop; a contended transmitter's grant is a
+same-instant hop.
 """
 
 from __future__ import annotations
@@ -114,8 +118,7 @@ class CompletionQueue:
         self._channel = channel
 
     def push(self, completion: Completion) -> None:
-        # put_discard: the put's ack event would never be waited on, so
-        # pushing a WC costs no event-queue traffic at all.
+        # A push queues nothing unless it hands the WC to a waiter.
         self.total_completions += 1
         self._store.put_discard(completion)
         if self._channel is not None:
@@ -332,20 +335,29 @@ class _Write:
 
     def _land(self, _event) -> None:
         qp = self.qp
+        sim = qp.sim
         qp.remote.nic.ops_processed += 1
+        # ACK back to the requester (hardware-level, no payload).  It is
+        # sent before the data lands: everything it queues falls after
+        # this instant, so the order in which anything runs is unchanged,
+        # and the landing can then be the last thing this step does (a
+        # ring hands a landed message on by same-instant hops).
+        qp.network.send(qp.remote, qp.local, IB_ACK_SIZE, 0.0, self._acked)
+        imm = self.imm
+        if imm is not None:  # the RECV_IMM completion comes after it
+            tail, sim._tail = sim._tail, False
         try:
             target = qp._validated_target(self.rkey, self.addr,
                                           max(self.length, 1))
-            target.rdma_write(self.addr, self.length, self.payload,
-                              qp.sim.now)
+            target.rdma_write(self.addr, self.length, self.payload, sim.now)
         except Exception as exc:  # protection fault -> failed completion
             self.error = exc
         else:
-            if self.imm is not None:
+            if imm is not None:
                 qp.peer.cq.push(Completion(self.wr_id, RECV_IMM,
-                                           imm=self.imm, length=self.length))
-        # ACK back to the requester (hardware-level, no payload).
-        qp.network.send(qp.remote, qp.local, IB_ACK_SIZE, 0.0, self._acked)
+                                           imm=imm, length=self.length))
+        if imm is not None:
+            sim._tail = tail
 
     def _acked(self, _event) -> None:
         if self.error is None:
@@ -357,7 +369,7 @@ class _Write:
         if self.signaled:
             self.qp.cq.push(completion)
         if completion.ok:
-            self.done.succeed(completion)
+            self.qp.sim.hop(self.done, completion)
         else:
             self.done.fail(self.error)
 
@@ -482,12 +494,21 @@ class _Read:
 
     def _complete(self, _event) -> None:
         qp = self.qp
-        qp.local.nic.ops_processed += 1
+        nic = qp.local.nic
+        nic.ops_processed += 1
         data = self.result
         qp.cq.push(Completion(self.wr_id, READ, value=data,
                               length=self.length))
-        self.done.succeed(data)
-        qp.local.nic.release_read_slot()
+        if nic.read_claims_waiting:
+            # The slot goes to the oldest claim, whose grant is queued
+            # behind the completion.
+            self.done.succeed(data)
+            nic.release_read_slot()
+        else:
+            # Nothing is queued by the release: the completion can be the
+            # last thing this step does.
+            nic.release_read_slot()
+            qp.sim.hop(self.done, data)
 
     def _failed(self, _event) -> None:
         self.done.fail(self.result)

@@ -17,7 +17,7 @@ the kernel latency inflates small-message RTTs.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from ..hw.host import Host
 from ..net.fabric import Network
@@ -65,35 +65,40 @@ class TcpConnection:
         p = self.network.profile
         return p.tcp_kernel_per_msg_s + size * p.tcp_kernel_per_byte_s
 
-    def _receive(self, dst: Host, inbox: Store,
-                 message: TcpMessage) -> Generator:
-        # Receive-side kernel processing on the destination CPU.
-        yield from dst.cpu.execute(self._kernel_cost(message.size))
-        yield inbox.put(message)
-
-    def _send(
-        self, src: Host, dst: Host, inbox: Store, payload: Any, size: int
-    ) -> Generator:
+    def _send(self, src: Host, dst: Host, inbox: Store, payload: Any,
+              size: int, then: Callable[[], None]) -> None:
+        """Send-side kernel processing on ``src`` (it blocks the sending
+        thread: ``then()`` runs when it ends), then transit and the
+        receive-side kernel processing on ``dst``, which continue
+        asynchronously so the sender can pipeline (a non-blocking socket
+        with a kernel buffer)."""
         if self.closed:
             raise ConnectionError(f"connection {self.name} is closed")
         message = TcpMessage(payload, size)
-        # Send-side kernel processing blocks the sending thread.
-        yield from src.cpu.execute(self._kernel_cost(size))
-        # Transit + remote kernel processing continue asynchronously so the
-        # sender can pipeline (matches non-blocking socket + kernel buffer).
-        self.network.send(
-            src, dst, self.network.profile.wire_size(size), 0.0,
-            lambda _event: self.sim.start(
-                self._receive(dst, inbox, message),
-                name=f"{self.name}.deliver"),
-        )
+
+        def sent() -> None:
+            self.network.send(
+                src, dst, self.network.profile.wire_size(size), 0.0,
+                lambda _event: dst.cpu.charge(
+                    self._kernel_cost(size),
+                    lambda: inbox.put_discard(message)))
+            then()
+
+        src.cpu.charge(self._kernel_cost(size), sent)
+
+    def _send_from(self, src: Host, dst: Host, inbox: Store, payload: Any,
+                   size: int) -> Generator:
+        done = self.sim.event()
+        self._send(src, dst, inbox, payload, size,
+                   lambda: self.sim.fire(done))
+        yield done
 
     # -- client side ------------------------------------------------------
 
     def client_send(self, payload: Any, size: int) -> Generator:
         """Send to the server; completes after local kernel processing."""
-        yield from self._send(self.client, self.server, self.server_inbox,
-                              payload, size)
+        yield from self._send_from(self.client, self.server,
+                                   self.server_inbox, payload, size)
 
     def client_recv(self):
         """Event yielding the next server->client message."""
@@ -103,8 +108,14 @@ class TcpConnection:
 
     def server_send(self, payload: Any, size: int) -> Generator:
         """Send to the client; completes after local kernel processing."""
-        yield from self._send(self.server, self.client, self.client_inbox,
-                              payload, size)
+        yield from self._send_from(self.server, self.client,
+                                   self.client_inbox, payload, size)
+
+    def server_send_then(self, payload: Any, size: int,
+                         then: Callable[[], None]) -> None:
+        """:meth:`server_send` for a callback chain."""
+        self._send(self.server, self.client, self.client_inbox, payload,
+                   size, then)
 
     def server_recv(self):
         """Event yielding the next client->server message."""

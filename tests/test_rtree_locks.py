@@ -1,8 +1,13 @@
 """Tests for the reader-writer lock and the tree lock manager."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.hw import CorePool
 from repro.rtree import RWLock, TreeLockManager
+from repro.rtree.versioning import WriteTracker
+from repro.server.plan import OpPlan, run_plan
 from repro.sim import Simulator
 
 
@@ -12,6 +17,16 @@ def _body(sim, log, tag, hold):
     log.append((f"{tag}-out", sim.now))
 
 
+def _locked(lock, write, body):
+    """Run ``body`` (a process generator) holding ``lock``."""
+    yield lock.acquire_write() if write else lock.acquire_read()
+    yield from body
+    if write:
+        lock.release_write()
+    else:
+        lock.release_read()
+
+
 class TestRWLock:
     def test_readers_share(self):
         sim = Simulator()
@@ -19,7 +34,7 @@ class TestRWLock:
         log = []
 
         def reader(tag):
-            yield from lock.read_locked(_body(sim, log, tag, 5.0))
+            yield from _locked(lock, False, _body(sim, log, tag, 5.0))
 
         sim.process(reader("r1"))
         sim.process(reader("r2"))
@@ -33,11 +48,11 @@ class TestRWLock:
         log = []
 
         def writer():
-            yield from lock.write_locked(_body(sim, log, "w", 5.0))
+            yield from _locked(lock, True, _body(sim, log, "w", 5.0))
 
         def reader():
             yield sim.timeout(1.0)
-            yield from lock.read_locked(_body(sim, log, "r", 1.0))
+            yield from _locked(lock, False, _body(sim, log, "r", 1.0))
 
         sim.process(writer())
         sim.process(reader())
@@ -50,7 +65,7 @@ class TestRWLock:
         log = []
 
         def writer(tag):
-            yield from lock.write_locked(_body(sim, log, tag, 3.0))
+            yield from _locked(lock, True, _body(sim, log, tag, 3.0))
 
         sim.process(writer("w1"))
         sim.process(writer("w2"))
@@ -65,11 +80,11 @@ class TestRWLock:
 
         def reader(tag, start, hold):
             yield sim.timeout(start)
-            yield from lock.read_locked(_body(sim, log, tag, hold))
+            yield from _locked(lock, False, _body(sim, log, tag, hold))
 
         def writer(start):
             yield sim.timeout(start)
-            yield from lock.write_locked(_body(sim, log, "w", 2.0))
+            yield from _locked(lock, True, _body(sim, log, "w", 2.0))
 
         sim.process(reader("r1", 0.0, 5.0))
         sim.process(writer(1.0))       # queued behind r1
@@ -85,22 +100,6 @@ class TestRWLock:
             lock.release_read()
         with pytest.raises(RuntimeError):
             lock.release_write()
-
-    def test_lock_released_when_body_fails(self):
-        sim = Simulator()
-        lock = RWLock(sim)
-
-        def failing(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("boom")
-
-        def writer():
-            yield from lock.write_locked(failing(sim))
-
-        sim.process(writer())
-        with pytest.raises(ValueError):
-            sim.run()
-        assert lock.held == "free"
 
     def test_held_reporting(self):
         sim = Simulator()
@@ -142,67 +141,65 @@ class TestTreeLockManager:
         assert mgr.lock_count == 1
         assert mgr.lock_for(7) is lock
 
+    # The lock phase of an op plan: chunk locks in order, then the core.
+
+    @staticmethod
+    def _service(sim):
+        return SimpleNamespace(sim=sim, locks=TreeLockManager(sim),
+                               host=SimpleNamespace(cpu=CorePool(sim, 8)),
+                               write_tracker=WriteTracker(sim))
+
+    @staticmethod
+    def _run(service, log, tag, plan, start=0.0):
+        sim = service.sim
+
+        def go(_event):
+            log.append((f"{tag}-in", sim.now))
+            run_plan(service, plan,
+                     lambda: log.append((f"{tag}-out", sim.now)))
+
+        sim.timeout(start).callbacks.append(go)
+
+    @staticmethod
+    def _write(chunks, hold):
+        return OpPlan(True, hold - 1.0, chunks, write=True, window=1.0)
+
     def test_read_guard_allows_concurrent_searches(self):
         sim = Simulator()
-        mgr = TreeLockManager(sim)
+        service = self._service(sim)
         log = []
-
-        def search(tag):
-            yield from mgr.read_guard([1, 2, 3], _body(sim, log, tag, 4.0))
-
-        sim.process(search("s1"))
-        sim.process(search("s2"))
+        for tag in ("s1", "s2"):
+            self._run(service, log, tag, OpPlan(None, 4.0, [1, 2, 3]))
         sim.run()
-        assert ("s1-in", 0.0) in log
-        assert ("s2-in", 0.0) in log
+        assert ("s1-out", 4.0) in log
+        assert ("s2-out", 4.0) in log
 
     def test_write_guard_blocks_overlapping_search(self):
         sim = Simulator()
-        mgr = TreeLockManager(sim)
+        service = self._service(sim)
         log = []
-
-        def insert():
-            yield from mgr.write_guard([2], _body(sim, log, "w", 5.0))
-
-        def search():
-            yield sim.timeout(1.0)
-            yield from mgr.read_guard([1, 2], _body(sim, log, "s", 1.0))
-
-        sim.process(insert())
-        sim.process(search())
+        self._run(service, log, "w", self._write([2], 5.0))
+        self._run(service, log, "s", OpPlan(None, 1.0, [1, 2]), start=1.0)
         sim.run()
-        assert log.index(("w-out", 5.0)) < log.index(("s-in", 5.0))
+        assert log.index(("w-out", 5.0)) < log.index(("s-out", 6.0))
 
     def test_disjoint_chunks_do_not_block(self):
         sim = Simulator()
-        mgr = TreeLockManager(sim)
+        service = self._service(sim)
         log = []
-
-        def insert(tag, chunks):
-            yield from mgr.write_guard(chunks, _body(sim, log, tag, 5.0))
-
-        sim.process(insert("w1", [1, 2]))
-        sim.process(insert("w2", [3, 4]))
+        self._run(service, log, "w1", self._write([1, 2], 5.0))
+        self._run(service, log, "w2", self._write([3, 4], 5.0))
         sim.run()
-        assert ("w1-in", 0.0) in log
-        assert ("w2-in", 0.0) in log
+        assert ("w1-out", 5.0) in log
+        assert ("w2-out", 5.0) in log
 
     def test_sorted_acquisition_avoids_deadlock(self):
         sim = Simulator()
-        mgr = TreeLockManager(sim)
-        done = []
-
-        def insert(tag, chunks):
-            yield from mgr.write_guard(chunks, _noop(sim))
-            done.append(tag)
-
+        service = self._service(sim)
+        log = []
         # Opposite declaration orders; sorted acquisition must not deadlock.
         for i in range(20):
-            sim.process(insert(f"a{i}", [1, 2, 3]))
-            sim.process(insert(f"b{i}", [3, 2, 1]))
+            self._run(service, log, f"a{i}", self._write([1, 2, 3], 1.1))
+            self._run(service, log, f"b{i}", self._write([3, 2, 1], 1.1))
         sim.run()
-        assert len(done) == 40
-
-
-def _noop(sim):
-    yield sim.timeout(0.1)
+        assert sum(1 for tag, _t in log if tag.endswith("-out")) == 40

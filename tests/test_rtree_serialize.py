@@ -159,9 +159,10 @@ class TestSnapshotReader:
         observations = []
 
         def writer():
-            yield from tracker.write_window(
-                [root], _delay(sim, 5.0)
-            )
+            tracker.begin([root])
+            assert tracker.open_windows == 1
+            yield sim.timeout(5.0)
+            tracker.end([root])
 
         def prober():
             yield sim.timeout(2.0)  # inside the window
@@ -174,26 +175,5 @@ class TestSnapshotReader:
         sim.run()
         assert observations == [True, False]
         assert tracker.total_writes == 1
+        assert tracker.open_windows == 0
         assert root.version == 1
-
-    def test_write_window_closes_on_failure(self):
-        sim = Simulator()
-        node = Node(0, chunk_id=0)
-        node.add(Entry(Rect(0, 0, 1, 1), data_id=1))
-        tracker = WriteTracker(sim)
-
-        def failing_body(sim):
-            yield sim.timeout(1.0)
-            raise RuntimeError("interrupted mid-write")
-
-        def writer():
-            yield from tracker.write_window([node], failing_body(sim))
-
-        sim.process(writer())
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert node.active_writers == 0  # window was closed
-
-
-def _delay(sim, duration):
-    yield sim.timeout(duration)

@@ -722,3 +722,119 @@ def test_started_process_value_reaches_a_waiter():
         sim.process(waiter(process))
     sim.run()
     assert got == ["done", "late"]
+
+
+# -- hop: a same-instant wake-up run inline when it would be next anyway ---
+
+def _waiter(sim, event, log):
+    def proc():
+        value = yield event
+        log.append(("woke", sim.now, value))
+    return sim.process(proc())
+
+
+def test_hop_runs_inline_when_the_instant_is_otherwise_empty():
+    sim = Simulator()
+    log = []
+    event = sim.event()
+    _waiter(sim, event, log)
+
+    def fire(_timeout):
+        sim.hop(event, "v")
+        # The waiter ran inside the hop, before its caller returned.
+        log.append(("after", sim.now, event.processed))
+
+    sim.timeout(1.0).callbacks.append(fire)
+    sim.run()
+    assert log == [("woke", 1.0, "v"), ("after", 1.0, True)]
+    assert sim._seq == 2  # Initialize and the timeout: the hop queued nothing
+
+
+def test_hop_is_queued_behind_an_entry_due_now():
+    sim = Simulator()
+    log = []
+    event = sim.event()
+    _waiter(sim, event, log)
+
+    def fire(_timeout):
+        sim.hop(event, "v")
+        log.append(("after", event.processed))
+
+    sim.timeout(1.0).callbacks.append(fire)
+    sim.timeout(1.0).callbacks.append(lambda _e: log.append(("due", 1.0)))
+    sim.run()
+    # An entry was still due at t=1, so the hop took its own entry after it.
+    assert log == [("after", False), ("due", 1.0), ("woke", 1.0, "v")]
+    assert sim._seq == 4
+
+
+def test_hop_is_queued_while_the_entry_has_callbacks_left():
+    sim = Simulator()
+    log = []
+    event = sim.event()
+    _waiter(sim, event, log)
+    timeout = sim.timeout(1.0)
+    timeout.callbacks.append(lambda _e: sim.hop(event, "v"))
+    timeout.callbacks.append(lambda _e: log.append(("second callback",)))
+    sim.run()
+    # Stepwise, the second callback runs before the hop's entry: it still
+    # does, so the hop was queued.
+    assert log == [("second callback",), ("woke", 1.0, "v")]
+    assert sim._seq == 3
+
+
+def test_hop_is_queued_from_a_start_first_step():
+    sim = Simulator()
+    log = []
+    event = sim.event()
+    _waiter(sim, event, log)
+
+    def first_step():
+        sim.hop(event, "v")
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def caller(_timeout):
+        sim.start(first_step())
+        log.append(("caller goes on",))
+
+    sim.timeout(1.0).callbacks.append(caller)
+    sim.run()
+    assert log == [("caller goes on",), ("woke", 1.0, "v")]
+    assert sim._seq == 3
+
+
+def test_hop_outside_the_run_loop_is_queued():
+    sim = Simulator()
+    event = sim.event()
+    sim.hop(event)
+    assert event.triggered and not event.processed
+    with pytest.raises(SimulationError):
+        sim.hop(event)  # like succeed: once
+
+
+def test_hop_call_and_fire():
+    sim = Simulator()
+    log = []
+    sim.timeout(1.0).callbacks.append(
+        lambda _e: sim.hop_call(lambda arg: log.append(("hop", arg))))
+    event = sim.event()
+    _waiter(sim, event, log)
+
+    def fire(_timeout):
+        sim.wake_at(sim.now)  # an entry due now does not matter to fire
+        sim.fire(event, "v")
+        log.append(("after", event.processed))
+
+    sim.timeout(2.0).callbacks.append(fire)
+    sim.run()
+    assert log == [("hop", None), ("woke", 2.0, "v"), ("after", True)]
+
+
+def test_urgent_runs_ahead_of_normal_entries_of_its_instant():
+    sim = Simulator()
+    order = []
+    sim.wake_at(0.0).callbacks.append(lambda _e: order.append("normal"))
+    sim.urgent(lambda _e: order.append("urgent"))
+    sim.run()
+    assert order == ["urgent", "normal"]

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Container primitives."""
+"""Unit tests for Resource / Store / Mailbox / Container primitives."""
 
 import pytest
 
-from repro.sim import BoundedStore, Container, Resource, Simulator, Store
+from repro.sim import Container, Mailbox, Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -117,7 +117,7 @@ def test_store_put_then_get():
 
     def producer(sim, store):
         yield sim.timeout(1.0)
-        yield store.put("x")
+        store.put_discard("x")
 
     def consumer(sim, store):
         item = yield store.get()
@@ -134,16 +134,13 @@ def test_store_fifo_order():
     store = Store(sim)
     got = []
 
-    def producer(sim, store):
-        for i in range(3):
-            yield store.put(i)
-
     def consumer(sim, store):
         for _ in range(3):
             item = yield store.get()
             got.append(item)
 
-    sim.process(producer(sim, store))
+    for i in range(3):
+        store.put_discard(i)
     sim.process(consumer(sim, store))
     sim.run()
     assert got == [0, 1, 2]
@@ -160,8 +157,8 @@ def test_store_multiple_getters_fifo():
 
     def producer(sim, store):
         yield sim.timeout(1.0)
-        yield store.put("first")
-        yield store.put("second")
+        store.put_discard("first")
+        store.put_discard("second")
 
     sim.process(consumer(sim, store, "c1"))
     sim.process(consumer(sim, store, "c2"))
@@ -174,11 +171,8 @@ def test_store_len():
     sim = Simulator()
     store = Store(sim)
 
-    def producer(sim, store):
-        yield store.put(1)
-        yield store.put(2)
-
-    sim.process(producer(sim, store))
+    store.put_discard(1)
+    store.put_discard(2)
     sim.run()
     assert len(store) == 2
 
@@ -200,7 +194,7 @@ def test_store_get_cancel():
 
     def producer(sim, store):
         yield sim.timeout(3.0)
-        yield store.put("only")
+        store.put_discard("only")
 
     sim.process(canceller(sim, store))
     sim.process(consumer(sim, store))
@@ -208,27 +202,6 @@ def test_store_get_cancel():
     sim.run()
     # The cancelled getter must not swallow the item.
     assert got == ["only"]
-
-
-def test_bounded_store_blocks_put_when_full():
-    sim = Simulator()
-    store = BoundedStore(sim, capacity=1)
-    times = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        times.append(("put-a", sim.now))
-        yield store.put("b")
-        times.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(5.0)
-        yield store.get()
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert times == [("put-a", 0.0), ("put-b", 5.0)]
 
 
 def test_container_get_blocks_until_level():
@@ -341,8 +314,8 @@ def test_store_get_with_buffered_item_is_synchronous():
 def test_store_put_unbounded_is_synchronous_and_fifo_preserved():
     sim = Simulator()
     store = Store(sim)
-    put = store.put("a")
-    assert put.triggered and put.processed
+    store.put_discard("a")
+    assert len(store) == 1
     received = []
 
     def consumer(sim, store, n):
@@ -350,7 +323,7 @@ def test_store_put_unbounded_is_synchronous_and_fifo_preserved():
             item = yield store.get()
             received.append(item)
 
-    store.put("b")
+    store.put_discard("b")
     sim.process(consumer(sim, store, 3))
     sim.process(iter_put(sim, store))
     sim.run()
@@ -359,7 +332,7 @@ def test_store_put_unbounded_is_synchronous_and_fifo_preserved():
 
 def iter_put(sim, store):
     yield sim.timeout(1.0)
-    store.put("c")
+    store.put_discard("c")
 
 
 def test_container_sync_paths_preserve_levels():
@@ -371,3 +344,60 @@ def test_container_sync_paths_preserve_levels():
     put = tank.put(9.0)
     assert put.triggered and put.processed
     assert tank.level == 10.0
+
+
+# -- Mailbox: a store whose delivery wakes the reader by a hop --------------
+
+
+def test_mailbox_get_with_buffered_item_is_synchronous():
+    sim = Simulator()
+    box = Mailbox(sim)
+    box.put("x")
+    get = box.get()
+    assert get.processed and get.value == "x"
+
+
+def test_mailbox_put_wakes_the_reader_inline_when_nothing_else_is_due():
+    sim = Simulator()
+    box = Mailbox(sim)
+    got = []
+
+    def reader():
+        got.append((yield box.get()))
+        got.append(sim.now)
+
+    sim.process(reader())
+    sim.timeout(1.0).callbacks.append(lambda _event: box.put("x"))
+    sim.run()
+    assert got == ["x", 1.0]
+    # The reader's Initialize and the timeout: the wake-up queued nothing.
+    assert sim._seq == 2
+
+
+def test_mailbox_put_queues_the_wake_up_behind_an_entry_due_now():
+    sim = Simulator()
+    box = Mailbox(sim)
+    order = []
+
+    def reader():
+        yield box.get()
+        order.append("reader")
+
+    def deliver(_event):
+        sim.timeout(0.0).callbacks.append(lambda _e: order.append("due"))
+        box.put("x")
+
+    sim.process(reader())
+    sim.timeout(1.0).callbacks.append(deliver)
+    sim.run()
+    assert order == ["due", "reader"]
+
+
+def test_mailbox_withdrawn_get_leaves_the_item_buffered():
+    sim = Simulator()
+    box = Mailbox(sim)
+    get = box.get()
+    box.withdraw(get)
+    box.put("x")
+    assert not get.triggered
+    assert list(box.items) == ["x"]

@@ -66,6 +66,21 @@ class TestServerUpdate:
         server.tree.validate()
         assert server.tree.size == 500  # size unchanged
 
+    def test_updates_count_as_served_requests(self):
+        # The rebalancer's load signal: a shard serving only updates must
+        # not look cold.
+        sim, server, fm, items = make_stack()
+
+        def scenario():
+            for rect, data_id in items[:3]:
+                yield from server.execute_update(
+                    rect, Rect(0.5, 0.5, 0.51, 0.51), data_id)
+
+        sim.process(scenario())
+        sim.run()
+        assert server.updates_served == 3
+        assert server.requests_served == 3
+
     def test_update_missing_returns_false(self):
         sim, server, fm, items = make_stack()
 
