@@ -20,8 +20,9 @@ surrounding simulation can charge CPU time and open torn-read windows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import batch as _batch
 from .geometry import Rect
@@ -312,45 +313,83 @@ class RStarTree:
         return best
 
     def _choose_leaf_parent_entry(self, node: Node, rect: Rect) -> Entry:
-        """Min overlap enlargement among the best candidates (R* rule)."""
-        candidates = node.entries
-        if len(candidates) > CHOOSE_SUBTREE_CANDIDATES:
-            candidates = sorted(
-                candidates, key=lambda e: e.rect.enlargement(rect)
-            )[:CHOOSE_SUBTREE_CANDIDATES]
+        """Min overlap enlargement among the best candidates (R* rule).
+
+        The winner is the first candidate with the least ``(overlap
+        enlargement, area enlargement, area)``, computed as the Rect
+        methods would.  Prunes make it cheap without changing it
+        (docs/performance.md §7).  A candidate lies inside its enlarged
+        rect, so each sibling's term ``overlap(enlarged) - overlap(own)``
+        is >= +0.0 and a partial sum never falls:
+        * a sibling the closed-interval test finds disjoint from the
+          enlarged rect adds exactly ``0.0 - 0.0`` and is skipped;
+        * a candidate is dropped once its partial sum exceeds the best
+          (or only equals it, when it loses the tie-break anyway).
+        """
         rminx, rminy = rect.minx, rect.miny
         rmaxx, rmaxy = rect.maxx, rect.maxy
         coords = node._coords if node._coords_ok else node.scan_coords()
-        entries = node.entries
-        best = None
+        boxes = list(zip(coords[0::4], coords[1::4],
+                         coords[2::4], coords[3::4]))
+        # Rect.enlargement per entry: the union with Rect.union's operand
+        # order (ties keep the entry's coordinate), then area - area.
+        enls = []
+        areas = []
+        for eminx, eminy, emaxx, emaxy in boxes:
+            uminx = rminx if rminx < eminx else eminx
+            uminy = rminy if rminy < eminy else eminy
+            umaxx = rmaxx if rmaxx > emaxx else emaxx
+            umaxy = rmaxy if rmaxy > emaxy else emaxy
+            area = (emaxx - eminx) * (emaxy - eminy)
+            enls.append((umaxx - uminx) * (umaxy - uminy) - area)
+            areas.append(area)
+        candidates = range(len(boxes))
+        if len(boxes) > CHOOSE_SUBTREE_CANDIDATES:
+            candidates = sorted(
+                candidates, key=enls.__getitem__
+            )[:CHOOSE_SUBTREE_CANDIDATES]
+        if math.isfinite(sum(enls)):
+            # Examine the likeliest winners first, so the prunes below
+            # fire early.  The winner is the same: candidates tied on
+            # (overlap, enl, area) keep their order in a stable sort by
+            # (enl, area).  A NaN would break that (it ties with nothing);
+            # finite enlargements bound every area and overlap term by a
+            # finite union area, so none can be NaN.
+            candidates = sorted(candidates,
+                                key=lambda c: (enls[c], areas[c]))
+        best = -1
         best_overlap = best_enl = best_area = 0.0
-        for entry in candidates:
-            er = entry.rect
-            eminx, eminy, emaxx, emaxy = er.minx, er.miny, er.maxx, er.maxy
+        for c in candidates:
+            enl = enls[c]
+            area = areas[c]
+            # Losing the (enl, area) tie-break, c must beat best_overlap
+            # strictly; a sum that starts at +0.0 cannot beat 0.0.
+            strict = best >= 0 and not (
+                enl < best_enl or (enl == best_enl and area < best_area)
+            )
+            if strict and best_overlap == 0.0:
+                continue
+            own = boxes[c]
+            eminx, eminy, emaxx, emaxy = own
             uminx = rminx if rminx < eminx else eminx
             uminy = rminy if rminy < eminy else eminy
             umaxx = rmaxx if rmaxx > emaxx else emaxx
             umaxy = rmaxy if rmaxy > emaxy else emaxy
             overlap_delta = 0.0
-            i = 0
-            for other in entries:
-                if other is entry:
-                    i += 4
+            for other in boxes:
+                ominx, ominy, omaxx, omaxy = other
+                if (
+                    ominx > umaxx or omaxx < uminx
+                    or ominy > umaxy or omaxy < uminy
+                    or other is own
+                ):
                     continue
-                ominx = coords[i]
-                ominy = coords[i + 1]
-                omaxx = coords[i + 2]
-                omaxy = coords[i + 3]
-                i += 4
-                # enlarged.overlap_area(other.rect)
+                # enlarged.overlap_area(other.rect), known not disjoint
                 ixmin = ominx if ominx > uminx else uminx
                 iymin = ominy if ominy > uminy else uminy
                 ixmax = omaxx if omaxx < umaxx else umaxx
                 iymax = omaxy if omaxy < umaxy else umaxy
-                if ixmin > ixmax or iymin > iymax:
-                    a1 = 0.0
-                else:
-                    a1 = (ixmax - ixmin) * (iymax - iymin)
+                a1 = (ixmax - ixmin) * (iymax - iymin)
                 # entry.rect.overlap_area(other.rect)
                 ixmin = ominx if ominx > eminx else eminx
                 iymin = ominy if ominy > eminy else eminy
@@ -361,24 +400,22 @@ class RStarTree:
                 else:
                     a2 = (ixmax - ixmin) * (iymax - iymin)
                 overlap_delta += a1 - a2
-            area = (emaxx - eminx) * (emaxy - eminy)
-            enl = (umaxx - uminx) * (umaxy - uminy) - area
-            if (
-                best is None
-                or overlap_delta < best_overlap
-                or (
-                    overlap_delta == best_overlap
-                    and (
-                        enl < best_enl
-                        or (enl == best_enl and area < best_area)
-                    )
-                )
-            ):
-                best = entry
-                best_overlap = overlap_delta
-                best_enl = enl
-                best_area = area
-        return best
+                if best >= 0 and (
+                    overlap_delta > best_overlap
+                    or (strict and overlap_delta == best_overlap)
+                ):
+                    break
+            else:
+                if (
+                    best < 0
+                    or overlap_delta < best_overlap
+                    or (overlap_delta == best_overlap and not strict)
+                ):
+                    best = c
+                    best_overlap = overlap_delta
+                    best_enl = enl
+                    best_area = area
+        return node.entries[best]
 
     # -- overflow: forced reinsert or split ------------------------------------
 
@@ -392,13 +429,7 @@ class RStarTree:
     def _forced_reinsert(self, node: Node, result: MutationResult) -> None:
         """Evict the p% entries farthest from the node centre, re-insert."""
         count = max(1, int(REINSERT_FRACTION * self.max_entries))
-        mbr = node.mbr()
-        ordered = sorted(
-            node.entries,
-            key=lambda e: e.rect.center_distance2(mbr),
-            reverse=True,
-        )
-        evicted = ordered[:count]
+        evicted = self._reinsert_order(node)[:count]
         for entry in evicted:
             node.remove(entry)
         self._note_mutation(node, result)
@@ -407,6 +438,25 @@ class RStarTree:
         # Close reinsert: nearest first (R* experiments favour this order).
         for entry in reversed(evicted):
             self._insert_entry(entry, node.level, result)
+
+    @staticmethod
+    def _reinsert_order(node: Node) -> List[Entry]:
+        """The node's entries, farthest from its MBR centre first.
+
+        The key is ``Rect.center_distance2`` to the node MBR, read from
+        the coordinate mirror with the same expression; the sort is
+        stable, so ties keep entry order.
+        """
+        bx, by = node.mbr().center()
+        coords = node._coords if node._coords_ok else node.scan_coords()
+        keys = []
+        for i in range(0, len(coords), 4):
+            ax = (coords[i] + coords[i + 2]) / 2
+            ay = (coords[i + 1] + coords[i + 3]) / 2
+            keys.append((ax - bx) ** 2 + (ay - by) ** 2)
+        entries = node.entries
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        return [entries[i] for i in order]
 
     def _split(self, node: Node, result: MutationResult) -> None:
         result.splits += 1
@@ -454,32 +504,43 @@ class RStarTree:
                                                           e.rect.maxy))
                 by_upper = sorted(entries, key=lambda e: (e.rect.maxy,
                                                           e.rect.miny))
+            sortings = [(ordered, self._split_groups(ordered, m))
+                        for ordered in (by_lower, by_upper)]
             margin_sum = 0.0
-            for ordered in (by_lower, by_upper):
-                for k in self._split_points(len(entries), m):
-                    left = Rect.union_of(e.rect for e in ordered[:k])
-                    right = Rect.union_of(e.rect for e in ordered[k:])
+            for _ordered, groups in sortings:
+                for _k, left, right in groups:
                     margin_sum += left.margin() + right.margin()
             if best_axis_margin is None or margin_sum < best_axis_margin:
                 best_axis_margin = margin_sum
-                best_axis_sortings = (by_lower, by_upper)
+                best_axis_sortings = sortings
         best_key = None
         best_groups = None
-        for ordered in best_axis_sortings:
-            for k in self._split_points(len(entries), m):
-                left = Rect.union_of(e.rect for e in ordered[:k])
-                right = Rect.union_of(e.rect for e in ordered[k:])
+        for ordered, groups in best_axis_sortings:
+            for k, left, right in groups:
                 key = (left.overlap_area(right),
                        left.area() + right.area())
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_groups = (list(ordered[:k]), list(ordered[k:]))
+                    best_groups = (ordered[:k], ordered[k:])
         return best_groups
 
     @staticmethod
-    def _split_points(total: int, m: int) -> Iterable[int]:
-        """Legal left-group sizes: both groups get at least ``m`` entries."""
-        return range(m, total - m + 1)
+    def _split_groups(ordered: List[Entry],
+                      m: int) -> List[Tuple[int, Rect, Rect]]:
+        """``(k, MBR of ordered[:k], MBR of ordered[k:])`` for every legal
+        left-group size ``k`` (both groups get at least ``m`` entries).
+
+        One prefix and one suffix sweep instead of a ``Rect.union_of``
+        per split point: O(E) per sorting, not O(E²).  The bounds equal
+        ``union_of``'s as floats (a zero may differ in sign), and the
+        split only compares sums and tuples of them.
+        """
+        rects = [e.rect for e in ordered]
+        n = len(rects)
+        prefix = _running_bounds(rects)         # [j]: rects[:j + 1]
+        suffix = _running_bounds(rects[::-1])   # [j]: rects[n - 1 - j:]
+        return [(k, Rect(*prefix[k - 1]), Rect(*suffix[n - 1 - k]))
+                for k in range(m, n - m + 1)]
 
     # -- deletion -----------------------------------------------------------------
 
@@ -508,17 +569,20 @@ class RStarTree:
         self, node: Node, rect: Rect, data_id: int, result: MutationResult
     ) -> Tuple[Optional[Node], Optional[Entry]]:
         result.nodes_visited += 1
+        entries = node.entries
         if node.is_leaf:
-            for entry in node.entries:
+            for entry in entries:
                 if entry.data_id == data_id and entry.rect == rect:
                     return node, entry
             return None, None
-        for entry in node.entries:
-            if entry.rect.intersects(rect):
-                leaf, found = self._find_leaf(entry.child, rect, data_id,
-                                              result)
-                if leaf is not None:
-                    return leaf, found
+        # The search scan kernel: Rect.intersects' predicate, ascending
+        # entry order, so the depth-first descent is unchanged.
+        for j in _batch.node_scan_indices(node, rect.minx, rect.miny,
+                                          rect.maxx, rect.maxy):
+            leaf, found = self._find_leaf(entries[j].child, rect, data_id,
+                                          result)
+            if leaf is not None:
+                return leaf, found
         return None, None
 
     def _condense_tree(self, node: Node, result: MutationResult) -> None:
@@ -583,6 +647,13 @@ class RStarTree:
                 f"(bounds [{self.min_entries}, {self.max_entries}])"
             )
         assert node.chunk_id in self.nodes, "node missing from registry"
+        if node._coords_ok:
+            # ChooseSubtree and the scans read the mirror, not entry.rect:
+            # a rect rebound without invalidate() would steer them.
+            assert node._coords == [
+                c for e in node.entries
+                for c in (e.rect.minx, e.rect.miny, e.rect.maxx, e.rect.maxy)
+            ], f"stale coordinate mirror on node #{node.chunk_id}"
         for entry in node.entries:
             if node.is_leaf:
                 assert entry.is_leaf_entry, "child entry in a leaf"
@@ -596,3 +667,22 @@ class RStarTree:
                     f"stale MBR for child #{child.chunk_id}"
                 )
                 self._validate_node(child, is_root=False, seen_ids=seen_ids)
+
+
+def _running_bounds(rects: List[Rect]) -> List[Tuple[float, ...]]:
+    """``(minx, miny, maxx, maxy)`` of ``rects[:1]``, ``rects[:2]``, ...:
+    ``Rect.union_of`` folded one rect at a time."""
+    r = rects[0]
+    minx, miny, maxx, maxy = r.minx, r.miny, r.maxx, r.maxy
+    out = []
+    for r in rects:
+        if r.minx < minx:
+            minx = r.minx
+        if r.miny < miny:
+            miny = r.miny
+        if r.maxx > maxx:
+            maxx = r.maxx
+        if r.maxy > maxy:
+            maxy = r.maxy
+        out.append((minx, miny, maxx, maxy))
+    return out
