@@ -1,10 +1,18 @@
-"""RDMA offloading: client-side R-tree traversal over one-sided reads.
+"""RDMA offloading: one-sided reads under every index, and the R-tree's
+client-side traversal over them.
 
 The paper's second design (§III-B) plus the multi-issue enhancement
-(§IV-C):
+(§IV-C), and §VI's claim that both carry to any link-based structure:
 
-* the client fetches the root chunk with an RDMA Read, intersects the
-  query against the node's MBRs, and recursively fetches every
+* :class:`OneSidedReader` is the one-sided protocol every offload engine
+  shares: the meta read, the validated chunk read with re-reads and
+  backoff, the concurrent wave of reads, and the restart-and-span loop
+  every offloaded read returns.  An index supplies only its address map,
+  its image check and its traversal — :class:`OffloadEngine` (below),
+  :class:`~repro.btree.offload.BTreeOffloadEngine` and
+  :class:`~repro.cuckoo.service.CuckooOffloadEngine`;
+* the R-tree client fetches the root chunk with an RDMA Read, intersects
+  the query against the node's MBRs, and recursively fetches every
   intersecting child — the server CPU is never involved;
 * **single-issue** (the FaRM-style baseline) fetches one node per RTT;
 * **multi-issue** (Catfish) posts RDMA Reads for *all* intersecting
@@ -32,7 +40,9 @@ pre-cache engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+import heapq
+import itertools
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
@@ -40,43 +50,60 @@ from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
 from ..rtree.serialize import NodeView, view_from_bytes
 from ..rtree.versioning import validate_snapshot
-from ..server.base import OffloadDescriptor, TreeMeta
 from ..server.costs import CostModel
 from ..sim.kernel import Event, Simulator
 from ..sim.resources import Mailbox
 from ..transport.rdma import QpEndpoint
 from .base import OP_COUNT, OP_SEARCH, ClientStats, Request
 from .node_cache import NodeCache
-from .resilience import OFFLOAD_READ_RETRIES, OFFLOAD_SEARCH_RESTARTS
+from .resilience import (
+    OFFLOAD_READ_RETRIES,
+    OFFLOAD_RETRY_BACKOFF,
+    OFFLOAD_SEARCH_RESTARTS,
+)
 
 #: Bytes of a meta read (root pointer + height + mutation mark).
 META_READ_SIZE = 16
+
+#: Where a wave hands each fetched image: ``deliver(i, view)`` for the
+#: wave's ``i``-th chunk, ``view`` None when its reads kept failing.
+Deliver = Callable[[int, Any], None]
 
 
 class OffloadError(Exception):
     """A search could not complete after the configured restarts."""
 
 
-class OffloadEngine:
-    """One-sided tree traversal with retry/restart handling."""
+class OneSidedReader:
+    """The one-sided read protocol shared by every offload engine.
+
+    A subclass supplies three things:
+
+    * its address map, :meth:`_address_map`;
+    * its image check, :meth:`_check`, which turns one fetched image into
+      a view, or into None (counted) when it must be re-read;
+    * its traversal: attempts that return a result, or None to restart,
+      run through :meth:`_restarting`.
+
+    A chunk is requested as ``(chunk_id, expected)``, where ``expected``
+    is what the image check needs to accept it (the R-tree's level, the
+    B+tree's leafness, nothing for a cuckoo bucket).
+    """
 
     #: Counters summed over all clients into the ``offload.*`` metrics.
-    counter_fields = ("meta_reads", "stale_root_detections",
-                      "chunks_fetched")
+    counter_fields: Tuple[str, ...] = ("meta_reads", "chunks_fetched")
 
     def __init__(
         self,
         sim: Simulator,
         qp: QpEndpoint,
-        descriptor: OffloadDescriptor,
+        descriptor,
         costs: CostModel,
         stats: ClientStats,
         multi_issue: bool = True,
         max_read_retries: int = OFFLOAD_READ_RETRIES,
-        max_search_restarts: int = OFFLOAD_SEARCH_RESTARTS,
-        retry_backoff: float = 1e-6,
+        max_restarts: int = OFFLOAD_SEARCH_RESTARTS,
         tracer=None,
-        cache: Optional[NodeCache] = None,
     ):
         self.sim = sim
         self.qp = qp
@@ -85,32 +112,33 @@ class OffloadEngine:
         self.stats = stats
         self.multi_issue = multi_issue
         self.max_read_retries = max_read_retries
-        self.max_search_restarts = max_search_restarts
-        self.retry_backoff = retry_backoff
+        self.max_restarts = max_restarts
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._rkey, self._base, self._stride = self._address_map(descriptor)
         self._cached_root: Optional[int] = None
         self._cached_height: Optional[int] = None
         self._span = NULL_SPAN
         self.meta_reads = Counter("offload.meta_reads")
         self.stale_root_detections = Counter("offload.stale_root_detections")
         self.chunks_fetched = Counter("offload.chunks_fetched")
+        #: The R-tree's node cache, and its single-flight table: chunk id
+        #: -> follower events sharing the leader's in-flight read.  Both
+        #: stay None without a cache, so the cache-less engine stays
+        #: byte-identical to the seed.
         self.cache: Optional[NodeCache] = None
-        #: Single-flight table: chunk id -> follower events sharing the
-        #: leader's in-flight read.  Only allocated with a cache attached
-        #: so the cache-less engine stays byte-identical to the seed.
         self._inflight_reads: Optional[Dict[int, List]] = None
-        if cache is not None:
-            self.attach_cache(cache)
 
-    def attach_cache(self, cache: NodeCache) -> None:
-        """Enable the client-side node cache (and read coalescing)."""
-        self.cache = cache
-        self._inflight_reads = {}
+    @staticmethod
+    def _address_map(desc) -> Tuple[int, int, int]:
+        """``(rkey, base address, bytes per chunk)`` of the chunk region."""
+        return desc.tree_rkey, desc.tree_base, desc.chunk_bytes
+
+    def _check(self, data, expected):
+        """The image check: the view ``data`` holds, or None (counted in
+        the client stats) when it must be re-read."""
+        raise NotImplementedError
 
     # -- low-level reads -----------------------------------------------------
-
-    def _chunk_address(self, chunk_id: int) -> int:
-        return self.desc.tree_base + chunk_id * self.desc.chunk_bytes
 
     def _relayed(self, start: Callable[[Callable[[Event], None]], None]
                  ) -> Generator:
@@ -140,11 +168,16 @@ class OffloadEngine:
         ).callbacks.append(landed)
 
     def _read_meta(self) -> Generator:
-        """:meth:`_meta_then` from a process; returns the meta."""
-        return self._relayed(self._meta_then)
+        """:meth:`_meta_then` from a process, adopted by
+        :meth:`_apply_meta`."""
+        self._apply_meta((yield from self._relayed(self._meta_then)))
 
-    def _apply_meta(self, meta: TreeMeta) -> bool:
-        """Update the root cache; True if the cached root was stale."""
+    def _apply_meta(self, meta, hits: int = 0) -> bool:
+        """Adopt a meta read: the cached root and height, and the mutation
+        mark for the node cache (cached views fetched under an older mark
+        are dropped).  True if a traversal already under way must
+        restart: the cached root was stale, or the mark advanced after
+        ``hits`` cache hits were served under the older one."""
         stale = (
             meta.root_chunk != self._cached_root
             or meta.height != self._cached_height
@@ -153,22 +186,15 @@ class OffloadEngine:
             self.stale_root_detections += 1
         self._cached_root = meta.root_chunk
         self._cached_height = meta.height
-        return stale
+        cache = self.cache
+        advanced = (cache is not None and meta.mut_seq >= 0
+                    and cache.note_server_hwm(meta.mut_seq))
+        return stale or (advanced and hits > 0)
 
-    def _note_meta_hwm(self, meta: TreeMeta) -> bool:
-        """Feed the meta read's mutation mark to the cache; True if it
-        advanced (cached views fetched under an older mark were dropped).
-        """
-        if self.cache is None or meta.mut_seq < 0:
-            return False
-        return self.cache.note_server_hwm(meta.mut_seq)
-
-    def _post_chunk_read(self, chunk_id: int):
-        return self.qp.post_read(
-            self.desc.tree_rkey,
-            self._chunk_address(chunk_id),
-            self.desc.chunk_bytes,
-        )
+    def _post_chunk_read(self, chunk_id: int) -> Event:
+        stride = self._stride
+        return self.qp.post_read(self._rkey, self._base + chunk_id * stride,
+                                 stride)
 
     def _fetch_then(self, chunk_id: int, then: Callable[[Event], None],
                     first_read: Optional[Event] = None) -> None:
@@ -212,26 +238,243 @@ class OffloadEngine:
 
         read.callbacks.append(landed)
 
-    def _accept(self, chunk_id: int, expected_level: int, data, stamp,
-                attempt: int) -> Optional[NodeView]:
-        """Validate one fetched image: the view, or None (counted and
-        annotated) when it must be re-read.
+    def _accept(self, chunk_id: int, expected, data, stamp, attempt: int):
+        """Run the image check on one fetched image: the view (stored in
+        the node cache, if any), or None (annotated) when it must be
+        re-read."""
+        view = self._check(data, expected)
+        span = self._span
+        if view is None:
+            span.annotate("retry", chunk=chunk_id, attempt=attempt)
+            return None
+        span.annotate("validate", chunk=chunk_id, ok=True)
+        if self.cache is not None:
+            self.cache.store(view, stamp=stamp)
+        return view
+
+    def _stamp(self, chunk_id: int, expected, attempt: int):
+        """Annotate a fetch attempt; the cache stamp it stores under.
+
+        The stamp is captured before the fetch: if the high-water mark
+        moves while the read is in flight, the store is skipped rather
+        than mis-stamping pre-mutation content."""
+        self._span.annotate("issue", chunk=chunk_id, level=expected,
+                            attempt=attempt)
+        return self.cache.server_hwm if self.cache is not None else None
+
+    def _read_valid(self, chunk_id: int, expected, attempt: int = 0
+                    ) -> Generator:
+        """Fetch one chunk, re-reading rejected images; None on failure.
+
+        A first attempt is served from the node cache when it holds the
+        chunk (internal levels only: leaves are always re-read)."""
+        cache = self.cache
+        if cache is not None and not attempt and expected > 0:
+            view = cache.lookup(chunk_id)
+            if view is not None:
+                self._span.annotate("cache_hit", chunk=chunk_id,
+                                    level=expected)
+                return view
+        while attempt < self.max_read_retries:
+            stamp = self._stamp(chunk_id, expected, attempt)
+            data = yield from self._relayed(
+                lambda then: self._fetch_then(chunk_id, then))
+            view = self._accept(chunk_id, expected, data, stamp, attempt)
+            if view is not None:
+                return view
+            attempt += 1
+            if attempt < self.max_read_retries:
+                # No backoff after the final attempt: the caller is about
+                # to restart (or fail) anyway, and the largest backoff of
+                # the schedule would be pure added latency.
+                yield self.sim.timeout(OFFLOAD_RETRY_BACKOFF * attempt)
+        return None
+
+    def _read_then(self, i: int, chunk_id: int, expected, deliver: Deliver,
+                   first_read: Optional[Event] = None) -> None:
+        """:meth:`_read_valid` for a concurrent fetch: ``deliver(i, view)``
+        (None on failure) runs in the step the read would have returned
+        in, as the last thing that step does.  Attempt 0 is callbacks;
+        only a re-read runs the generator."""
+        stamp = self._stamp(chunk_id, expected, 0)
+
+        def landed(event: Event) -> None:
+            if not event._ok:
+                return  # the failed read surfaces from the run
+            view = self._accept(chunk_id, expected, event._value, stamp, 0)
+            if view is not None or self.max_read_retries <= 1:
+                deliver(i, view)
+            else:
+                self.sim.start(self._reread(i, chunk_id, expected, deliver),
+                               name="offload-reread")
+
+        self._fetch_then(chunk_id, landed, first_read)
+
+    def _reread(self, i: int, chunk_id: int, expected, deliver: Deliver
+                ) -> Generator:
+        yield self.sim.timeout(OFFLOAD_RETRY_BACKOFF * 1)
+        deliver(i, (yield from self._read_valid(chunk_id, expected,
+                                                attempt=1)))
+
+    # -- waves -----------------------------------------------------------------
+
+    def _issue_wave(self, pairs: List[Tuple[int, Any]],
+                    deliver: Deliver) -> int:
+        """Issue one wave of chunk fetches; returns its cache hits.
+
+        Cache hits are delivered at once, chunks already in flight join
+        the leader single-flight, and the remaining misses are posted
+        concurrently: through one doorbell when ≥2 and the single-flight
+        table exists (cache attached), else as individual reads.  Every
+        chunk is delivered exactly once, unless its read fails outright
+        (the failed read surfaces from the run).  Chunk ids within a wave
+        are distinct by construction.
+        """
+        cache = self.cache
+        inflight_reads = self._inflight_reads
+        hits = 0
+        to_post: List[int] = []
+        for i, (chunk_id, expected) in enumerate(pairs):
+            view = (cache.lookup(chunk_id)
+                    if cache is not None and expected > 0 else None)
+            if view is not None:
+                hits += 1
+                self._span.annotate("cache_hit", chunk=chunk_id,
+                                    level=expected)
+                deliver(i, view)
+            elif inflight_reads is not None and chunk_id in inflight_reads:
+                # Single-flight: _fetch_then joins the leader.
+                self._read_then(i, chunk_id, expected, deliver)
+            else:
+                to_post.append(i)
+        if len(to_post) >= 2 and inflight_reads is not None:
+            rkey, base, stride = self._rkey, self._base, self._stride
+            events = self.qp.post_read_batch([
+                (rkey, base + pairs[i][0] * stride, stride) for i in to_post
+            ])
+            for i, event in zip(to_post, events):
+                chunk_id, expected = pairs[i]
+                inflight_reads[chunk_id] = []
+                self.chunks_fetched += 1
+                self._read_then(i, chunk_id, expected, deliver, event)
+        else:
+            for i in to_post:
+                chunk_id, expected = pairs[i]
+                self._read_then(i, chunk_id, expected, deliver)
+        return hits
+
+    def _fetch_round(self, pairs: List[Tuple[int, Any]],
+                     urgent: bool = False) -> Generator:
+        """Fetch one wave; its views in ``pairs`` order, or None if any
+        chunk's reads kept failing.
+
+        Multi-issue posts the wave at once (:meth:`_issue_wave`),
+        single-issue reads one chunk per round trip.  An ``urgent`` wave
+        is posted at once under every scheme, from a
+        :meth:`Simulator.urgent` callback: the queue slot a process start
+        takes, behind the caller's step (the cuckoo GET's, which has no
+        cache; see ``docs/performance.md`` §5).
+        """
+        views: List[Any] = [None] * len(pairs)
+        if not (self.multi_issue or urgent):
+            for i, (chunk_id, expected) in enumerate(pairs):
+                view = yield from self._read_valid(chunk_id, expected)
+                if view is None:
+                    return None
+                views[i] = view
+            return views
+        arrived = Mailbox(self.sim)
+
+        def landed(i: int, view) -> None:
+            arrived.put((i, view))
+
+        if urgent:
+            self.sim.urgent(lambda _event: self._issue_wave(pairs, landed))
+        else:
+            self._issue_wave(pairs, landed)
+        failed = False
+        for _ in pairs:
+            i, view = yield arrived.get()
+            if view is None:
+                failed = True
+            views[i] = view
+        return None if failed else views
+
+    # -- the restart loop ------------------------------------------------------
+
+    def _restarting(self, op: str, attempt: Callable[..., Generator], *args,
+                    found: Callable[[Any], int] = len) -> Generator:
+        """The restart-and-span loop every offloaded read returns.
+
+        Runs ``attempt(*args)`` until it returns a result (not None) —
+        None means a stale root or a chunk whose reads kept failing —
+        at most :attr:`max_restarts` times, then raises
+        :class:`OffloadError`.  ``found(result)`` results are counted.
+        """
+        span = self._span = self.tracer.span("offload", op)
+        ended = False
+        error: Optional[str] = None
+        try:
+            for restart in range(self.max_restarts):
+                result = yield from attempt(*args)
+                if result is not None:
+                    results = found(result)
+                    self.stats.results_received += results
+                    span.end(restarts=restart, results=results)
+                    ended = True
+                    return result
+                self.stats.search_restarts += 1
+                span.annotate("restart", attempt=restart + 1)
+            error = "restarts-exhausted"
+            raise OffloadError(
+                f"{op} did not complete after {self.max_restarts} restarts"
+            )
+        except BaseException as exc:
+            # An escaping exception (e.g. an injected fault) must still
+            # end the span — a leaked span pins its trace ring slot.
+            if error is None:
+                error = type(exc).__name__
+            raise
+        finally:
+            self._span = NULL_SPAN
+            if not ended:
+                span.end(error=error if error is not None else "unknown")
+
+
+def _total_matches(results: List[List]) -> int:
+    return sum(map(len, results))
+
+
+class OffloadEngine(OneSidedReader):
+    """One-sided R-tree traversal: search, count, kNN and batched search."""
+
+    counter_fields = ("meta_reads", "stale_root_detections",
+                      "chunks_fetched")
+
+    def __init__(self, *args, cache: Optional[NodeCache] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        if cache is not None:
+            self.attach_cache(cache)
+
+    def attach_cache(self, cache: NodeCache) -> None:
+        """Enable the client-side node cache (and read coalescing)."""
+        self.cache = cache
+        self._inflight_reads = {}
+
+    def _check(self, data, level: int) -> Optional[NodeView]:
+        """Accept a valid :class:`NodeView` at ``level``.
 
         The server serves either :class:`NodeView` snapshots (fast path)
         or raw chunk bytes (full-fidelity byte mode); the byte path runs
         the real decode + per-cache-line version comparison.
         """
-        span = self._span
         if isinstance(data, (bytes, bytearray)):
             view = view_from_bytes(data, self.desc.max_entries)
             ok = view is not None
         else:
             view = data
             ok = validate_snapshot(view)
-        if ok and view.level == expected_level:
-            span.annotate("validate", chunk=chunk_id, ok=True)
-            if self.cache is not None:
-                self.cache.store(view, stamp=stamp)
+        if ok and view.level == level:
             return view
         if ok:
             # Valid image at the wrong level: a recycled chunk or a stale
@@ -240,66 +483,7 @@ class OffloadEngine:
             self.stats.level_mismatch_retries += 1
         else:
             self.stats.torn_retries += 1
-        span.annotate("retry", chunk=chunk_id, attempt=attempt, torn=not ok)
         return None
-
-    def _stamp(self, chunk_id: int, expected_level: int, attempt: int):
-        """Annotate a fetch attempt; the cache stamp it stores under.
-
-        The stamp is captured before the fetch: if the high-water mark
-        moves while the read is in flight, the store is skipped rather
-        than mis-stamping pre-mutation content."""
-        self._span.annotate("issue", chunk=chunk_id, level=expected_level,
-                            attempt=attempt)
-        return self.cache.server_hwm if self.cache is not None else None
-
-    def _read_valid(
-        self, chunk_id: int, expected_level: int, attempt: int = 0
-    ) -> Generator:
-        """Fetch one chunk, re-reading torn snapshots; None on failure."""
-        while attempt < self.max_read_retries:
-            stamp = self._stamp(chunk_id, expected_level, attempt)
-            data = yield from self._relayed(
-                lambda then: self._fetch_then(chunk_id, then))
-            view = self._accept(chunk_id, expected_level, data, stamp,
-                                attempt)
-            if view is not None:
-                return view
-            attempt += 1
-            if attempt < self.max_read_retries:
-                # No backoff after the final attempt: the caller is about
-                # to restart (or fail) anyway, and the largest backoff of
-                # the schedule would be pure added latency.
-                yield self.sim.timeout(self.retry_backoff * attempt)
-        return None
-
-    def _read_then(self, chunk_id: int, expected_level: int,
-                   deliver: Callable[[Optional[NodeView]], None],
-                   first_read: Optional[Event] = None) -> None:
-        """:meth:`_read_valid` for a concurrent fetch: ``deliver(view)``
-        (None on failure) runs in the step the read would have returned
-        in, as the last thing that step does.  Attempt 0 is callbacks;
-        only a re-read runs the generator."""
-        stamp = self._stamp(chunk_id, expected_level, 0)
-
-        def landed(event: Event) -> None:
-            if not event._ok:
-                return  # the failed read surfaces from the run
-            view = self._accept(chunk_id, expected_level, event._value,
-                                stamp, 0)
-            if view is not None or self.max_read_retries <= 1:
-                deliver(view)
-            else:
-                self.sim.start(self._reread(chunk_id, expected_level,
-                                            deliver), name="offload-reread")
-
-        self._fetch_then(chunk_id, landed, first_read)
-
-    def _reread(self, chunk_id: int, expected_level: int,
-                deliver: Callable[[Optional[NodeView]], None]) -> Generator:
-        yield self.sim.timeout(self.retry_backoff * 1)
-        deliver((yield from self._read_valid(chunk_id, expected_level,
-                                             attempt=1)))
 
     # -- search ------------------------------------------------------------------
 
@@ -325,38 +509,9 @@ class OffloadEngine:
         "multiple RTTs" the paper attributes to offloading.
         """
         self.stats.offloaded_requests += 1
-        span = self._span = self.tracer.span("offload", "search")
-        ended = False
-        error: Optional[str] = None
-        try:
-            for _restart in range(self.max_search_restarts):
-                if self.multi_issue:
-                    matches = yield from self._search_multi_issue(query)
-                else:
-                    matches = yield from self._search_single_issue(query)
-                if matches is not None:
-                    self.stats.results_received += len(matches)
-                    span.end(restarts=_restart, results=len(matches))
-                    ended = True
-                    return matches
-                # Stale root or persistent torn reads: retraverse.
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"search did not complete after {self.max_search_restarts} "
-                f"restarts"
-            )
-        except BaseException as exc:
-            # An escaping exception (e.g. an injected fault) must still
-            # end the span — a leaked span pins its trace ring slot.
-            if error is None:
-                error = type(exc).__name__
-            raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        attempt = (self._search_multi_issue if self.multi_issue
+                   else self._search_single_issue)
+        return self._restarting("search", attempt, query)
 
     def count(self, query: Rect) -> Generator:
         """Aggregate-only offloaded search: traverse, count, ship nothing
@@ -380,37 +535,9 @@ class OffloadEngine:
         whole batch; any stale root / torn-read failure restarts the
         whole batch, mirroring :meth:`search`.
         """
-        n = len(queries)
-        self.stats.offloaded_requests += n
-        if n == 0:
-            return []
-        span = self._span = self.tracer.span("offload", "search_batch")
-        ended = False
-        error: Optional[str] = None
-        try:
-            for _restart in range(self.max_search_restarts):
-                results = yield from self._batch_attempt(queries)
-                if results is not None:
-                    total = sum(len(r) for r in results)
-                    self.stats.results_received += total
-                    span.end(restarts=_restart, queries=n, results=total)
-                    ended = True
-                    return results
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"search_batch did not complete after "
-                f"{self.max_search_restarts} restarts"
-            )
-        except BaseException as exc:
-            if error is None:
-                error = type(exc).__name__
-            raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        self.stats.offloaded_requests += len(queries)
+        return self._restarting("search_batch", self._batch_attempt,
+                                queries, found=_total_matches)
 
     def _batch_attempt(self, queries: List[Rect]) -> Generator:
         """One batched traversal attempt; None => restart the batch.
@@ -420,9 +547,9 @@ class OffloadEngine:
         hit is served — hits are exact as of batch start, no mid-flight
         stale-abort bookkeeping needed.
         """
-        meta = yield from self._read_meta()
-        self._apply_meta(meta)
-        self._note_meta_hwm(meta)
+        if not queries:
+            return []
+        yield from self._read_meta()
         qb = _batch.QueryBatch(queries)
         results: List[List[Tuple[Rect, int]]] = [[] for _ in queries]
         frontier = [(self._cached_root, self._cached_height - 1, qb.all_sel)]
@@ -436,7 +563,7 @@ class OffloadEngine:
             for (chunk_id, level, qsel), view in zip(frontier, views):
                 # One node check serves the whole interest set — the
                 # (Q x E) matrix below is a single kernel evaluation.
-                yield self.sim.timeout(self._check_cost())
+                yield self.sim.timeout(self.costs.client_node_check)
                 entries = view.entries
                 count = len(entries)
                 source = _batch.view_scan_source(view)
@@ -457,83 +584,6 @@ class OffloadEngine:
             frontier = next_frontier
         return results
 
-    def _fetch_round(self, pairs: List[Tuple[int, int]]) -> Generator:
-        """Fetch one frontier wave; list of views, or None on any failure.
-
-        Cache hits are served locally, chunks already in flight join the
-        leader single-flight, and the remaining misses are posted
-        concurrently — through one doorbell when ≥2 and the single-
-        flight table exists (cache attached), else as pipelined
-        individual reads (multi-issue) or sequentially (single-issue).
-        Chunk ids within a wave are distinct by construction: every tree
-        node hangs off exactly one parent entry, and merged interest
-        sets mean each parent was expanded once.
-        """
-        views: List[Optional[NodeView]] = [None] * len(pairs)
-        span = self._span
-        cache = self.cache
-        if not self.multi_issue:
-            for i, (chunk_id, level) in enumerate(pairs):
-                view: Optional[NodeView] = None
-                if cache is not None and level > 0:
-                    view = cache.lookup(chunk_id)
-                    if view is not None:
-                        span.annotate("cache_hit", chunk=chunk_id,
-                                      level=level)
-                if view is None:
-                    view = yield from self._read_valid(chunk_id, level)
-                if view is None:
-                    return None
-                views[i] = view
-            return views
-
-        arrived = Mailbox(self.sim)
-        inflight = 0
-
-        def fetch(i: int, chunk_id: int, level: int,
-                  first_read: Optional[Event] = None) -> None:
-            nonlocal inflight
-            inflight += 1
-            self._read_then(chunk_id, level,
-                            lambda view: arrived.put((i, view)), first_read)
-
-        inflight_reads = self._inflight_reads
-        to_post: List[Tuple[int, int, int]] = []
-        for i, (chunk_id, level) in enumerate(pairs):
-            view = None
-            if cache is not None and level > 0:
-                view = cache.lookup(chunk_id)
-            if view is not None:
-                span.annotate("cache_hit", chunk=chunk_id, level=level)
-                views[i] = view
-            elif inflight_reads is not None and chunk_id in inflight_reads:
-                # Single-flight: the fetch joins the leader.
-                fetch(i, chunk_id, level)
-            else:
-                to_post.append((i, chunk_id, level))
-        if len(to_post) >= 2 and inflight_reads is not None:
-            events = self.qp.post_read_batch([
-                (self.desc.tree_rkey, self._chunk_address(chunk_id),
-                 self.desc.chunk_bytes)
-                for _i, chunk_id, _level in to_post
-            ])
-            for (i, chunk_id, level), event in zip(to_post, events):
-                inflight_reads[chunk_id] = []
-                self.chunks_fetched += 1
-                fetch(i, chunk_id, level, first_read=event)
-        else:
-            for i, chunk_id, level in to_post:
-                fetch(i, chunk_id, level)
-        failed = False
-        while inflight:
-            i, view = yield arrived.get()
-            inflight -= 1
-            if view is None:
-                failed = True
-            else:
-                views[i] = view
-        return None if failed else views
-
     def nearest(self, x: float, y: float, k: int = 1) -> Generator:
         """Offloaded kNN: best-first branch-and-bound over one-sided reads.
 
@@ -543,94 +593,51 @@ class OffloadEngine:
         which the adaptive client will discover via its latencies.
         Traced and counted with full :meth:`search` parity.
         """
-        import heapq
-        import itertools as _it
-
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.stats.offloaded_requests += 1
-        span = self._span = self.tracer.span("offload", "nearest")
-        ended = False
-        error: Optional[str] = None
-        try:
-            for _restart in range(self.max_search_restarts):
-                meta = yield from self._read_meta()
-                self._apply_meta(meta)
-                self._note_meta_hwm(meta)
-                counter = _it.count()
-                heap = [(0.0, next(counter), "chunk",
-                         (self._cached_root, self._cached_height - 1))]
-                matches: List[Tuple[Rect, int]] = []
-                failed = False
-                while heap and len(matches) < k:
-                    _dist, _seq, kind, payload = heapq.heappop(heap)
-                    if kind == "entry":
-                        matches.append(payload)
-                        continue
-                    chunk_id, level = payload
-                    view: Optional[NodeView] = None
-                    if self.cache is not None and level > 0:
-                        view = self.cache.lookup(chunk_id)
-                        if view is not None:
-                            span.annotate("cache_hit", chunk=chunk_id,
-                                          level=level)
-                    if view is None:
-                        view = yield from self._read_valid(chunk_id, level)
-                    if view is None:
-                        failed = True
-                        break
-                    yield self.sim.timeout(self._check_cost())
-                    dists = _batch.view_min_dist2(view, x, y)
-                    for (rect, ref), dist in zip(view.entries, dists):
-                        if view.is_leaf:
-                            heapq.heappush(heap, (dist, next(counter),
-                                                  "entry", (rect, ref)))
-                        else:
-                            heapq.heappush(heap, (dist, next(counter),
-                                                  "chunk", (ref, level - 1)))
-                if not failed:
-                    self.stats.results_received += len(matches)
-                    span.end(restarts=_restart, results=len(matches))
-                    ended = True
-                    return matches
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"nearest() did not complete after "
-                f"{self.max_search_restarts} restarts"
-            )
-        except BaseException as exc:
-            if error is None:
-                error = type(exc).__name__
-            raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        return self._restarting("nearest", self._nearest_once, x, y, k)
 
-    def _check_cost(self) -> float:
-        return self.costs.client_node_check
+    def _nearest_once(self, x: float, y: float, k: int) -> Generator:
+        yield from self._read_meta()
+        counter = itertools.count()
+        heap = [(0.0, next(counter), "chunk",
+                 (self._cached_root, self._cached_height - 1))]
+        matches: List[Tuple[Rect, int]] = []
+        while heap and len(matches) < k:
+            _dist, _seq, kind, payload = heapq.heappop(heap)
+            if kind == "entry":
+                matches.append(payload)
+                continue
+            chunk_id, level = payload
+            view = yield from self._read_valid(chunk_id, level)
+            if view is None:
+                return None
+            yield self.sim.timeout(self.costs.client_node_check)
+            dists = _batch.view_min_dist2(view, x, y)
+            for (rect, ref), dist in zip(view.entries, dists):
+                if view.is_leaf:
+                    heapq.heappush(heap, (dist, next(counter),
+                                          "entry", (rect, ref)))
+                else:
+                    heapq.heappush(heap, (dist, next(counter),
+                                          "chunk", (ref, level - 1)))
+        return matches
 
     def _search_single_issue(self, query: Rect) -> Generator:
-        """Baseline traversal: one outstanding RDMA Read at a time."""
-        meta = yield from self._read_meta()
-        self._apply_meta(meta)
-        self._note_meta_hwm(meta)
+        """Baseline traversal: one outstanding RDMA Read at a time.
+
+        The sequential meta read synchronizes the high-water mark first,
+        so a cache hit is exact as of search start."""
+        yield from self._read_meta()
         matches: List[Tuple[Rect, int]] = []
         stack = [(self._cached_root, self._cached_height - 1)]
         while stack:
             chunk_id, level = stack.pop()
-            view: Optional[NodeView] = None
-            if self.cache is not None and level > 0:
-                # The sequential meta read above already synchronized the
-                # high-water mark, so a hit is exact as of search start.
-                view = self.cache.lookup(chunk_id)
-            if view is None:
-                view = yield from self._read_valid(chunk_id, level)
+            view = yield from self._read_valid(chunk_id, level)
             if view is None:
                 return None
-            yield self.sim.timeout(self._check_cost())
+            yield self.sim.timeout(self.costs.client_node_check)
             if view.is_leaf:
                 matches.extend(view.intersecting_entries(query))
             else:
@@ -651,88 +658,40 @@ class OffloadEngine:
         With a cache attached the same meta read also validates every
         cache hit: if it reveals the mutation mark advanced after hits
         were already served (they described a pre-mutation tree), the
-        attempt is abandoned exactly like a stale root.  Distinct missing
-        chunks of one expansion round are posted through a single
-        doorbell (``post_read_batch``).
+        attempt is abandoned exactly like a stale root.  Each expansion
+        is one :meth:`_issue_wave`.
         """
-        cache = self.cache
         cold_start = self._cached_root is None
         if cold_start:
-            meta = yield from self._read_meta()
-            self._apply_meta(meta)
-            self._note_meta_hwm(meta)
+            yield from self._read_meta()
 
         matches: List[Tuple[Rect, int]] = []
         arrived = Mailbox(self.sim)
         inflight = 0
         failed = False
-        cache_hits_used = 0
+        hits = 0
 
-        def node_landed(view: Optional[NodeView]) -> None:
-            arrived.put(("node", view))
+        def landed(i: Optional[int], payload) -> None:
+            arrived.put((i, payload))
 
         def meta_landed(event: Event) -> None:
             if event._ok:  # else the failed read surfaces from the run
-                arrived.put(("meta", event._value))
+                landed(None, event._value)
 
-        def issue(chunk_id: int, level: int,
-                  first_read: Optional[Event] = None) -> None:
-            nonlocal inflight
-            inflight += 1
-            self._read_then(chunk_id, level, node_landed, first_read)
-
-        def issue_all(pairs: List[Tuple[int, int]]) -> None:
-            """Expand one round: cache hits served locally, in-flight
-            chunks coalesced, the remaining misses doorbell-batched."""
-            nonlocal inflight, cache_hits_used
-            inflight_reads = self._inflight_reads
-            if cache is None or inflight_reads is None:
-                for chunk_id, level in pairs:
-                    issue(chunk_id, level)
-                return
-            to_post: List[Tuple[int, int]] = []
-            for chunk_id, level in pairs:
-                view = cache.lookup(chunk_id) if level > 0 else None
-                if view is not None:
-                    cache_hits_used += 1
-                    inflight += 1
-                    arrived.put(("node", view))
-                elif chunk_id in inflight_reads:
-                    # Single-flight: _fetch_chunk joins the leader.
-                    issue(chunk_id, level)
-                else:
-                    to_post.append((chunk_id, level))
-            if not to_post:
-                return
-            if len(to_post) == 1:
-                issue(*to_post[0])
-                return
-            events = self.qp.post_read_batch([
-                (self.desc.tree_rkey, self._chunk_address(chunk_id),
-                 self.desc.chunk_bytes)
-                for chunk_id, _level in to_post
-            ])
-            for (chunk_id, level), event in zip(to_post, events):
-                inflight_reads[chunk_id] = []
-                self.chunks_fetched += 1
-                issue(chunk_id, level, first_read=event)
+        def expand(pairs: List[Tuple[int, int]]) -> None:
+            nonlocal inflight, hits
+            inflight += len(pairs)
+            hits += self._issue_wave(pairs, landed)
 
         if not cold_start:
             inflight += 1
             self._meta_then(meta_landed)
-        issue_all([(self._cached_root, self._cached_height - 1)])
+        expand([(self._cached_root, self._cached_height - 1)])
         while inflight:
-            kind, payload = yield arrived.get()
+            i, payload = yield arrived.get()
             inflight -= 1
-            if kind == "meta":
-                stale_root = self._apply_meta(payload)
-                hwm_advanced = self._note_meta_hwm(payload)
-                if stale_root:
-                    failed = True  # traversal began at a stale root
-                elif hwm_advanced and cache_hits_used:
-                    # Hits already served this attempt were stamped under
-                    # an older mark than the tree this search observes.
-                    failed = True
+            if i is None:  # the meta read
+                failed = self._apply_meta(payload, hits) or failed
                 continue
             view = payload
             if view is None:
@@ -740,10 +699,10 @@ class OffloadEngine:
                 continue  # drain remaining in-flight reads
             if failed:
                 continue
-            yield self.sim.timeout(self._check_cost())
+            yield self.sim.timeout(self.costs.client_node_check)
             if view.is_leaf:
                 matches.extend(view.intersecting_entries(query))
             else:
-                issue_all([(ref, view.level - 1)
-                           for ref in view.intersecting_refs(query)])
+                expand([(ref, view.level - 1)
+                        for ref in view.intersecting_refs(query)])
         return None if failed else matches

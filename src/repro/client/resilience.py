@@ -37,6 +37,9 @@ class RequestTimeoutError(Exception):
 #: default to these.
 OFFLOAD_READ_RETRIES = 8
 OFFLOAD_SEARCH_RESTARTS = 8
+#: Seconds a one-sided re-read waits per failed attempt: the n-th re-read
+#: of a chunk starts ``n * OFFLOAD_RETRY_BACKOFF`` after the failure.
+OFFLOAD_RETRY_BACKOFF = 1e-6
 
 
 @dataclass(frozen=True)

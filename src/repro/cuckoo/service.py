@@ -13,11 +13,9 @@ hostile to readers — an effect this module's benchmark ablates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Optional, Sequence, Tuple
 
-from ..client.base import ClientStats
-from ..client.offload_client import OffloadError
-from ..client.resilience import OFFLOAD_READ_RETRIES
+from ..client.offload_client import OneSidedReader
 from ..hw.host import Host
 from ..msg.codec import (
     KvDeleteRequest,
@@ -31,8 +29,6 @@ from ..rtree.versioning import WriteTracker
 from ..server.costs import DEFAULT_COSTS, CostModel
 from ..server.plan import OpPlan, execute_plan, mutation_plan
 from ..sim.kernel import Simulator
-from ..sim.resources import Store
-from ..transport.rdma import QpEndpoint
 from .table import Bucket, CuckooFullError, CuckooHashTable
 
 #: A bucket chunk: 4 slots x 16 B + versions, padded to two cache lines.
@@ -216,50 +212,39 @@ class CuckooService:
         return self.table.size
 
 
-class CuckooOffloadEngine:
-    """Client-side GET: both candidate buckets in one concurrent wave."""
+class CuckooOffloadEngine(OneSidedReader):
+    """Client-side GET over the shared reader: both candidate buckets in
+    one concurrent wave, under every scheme (a GET has no traversal for
+    single-issue to serialize), and no meta read (the geometry is fixed).
+    """
 
     #: Counters summed over all clients into the ``offload.*`` metrics.
     counter_fields = ("buckets_fetched",)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        qp: QpEndpoint,
-        descriptor: CuckooDescriptor,
-        costs: CostModel,
-        stats: ClientStats,
-        max_read_retries: int = OFFLOAD_READ_RETRIES,
-        retry_backoff: float = 1e-6,
-    ):
-        self.sim = sim
-        self.qp = qp
-        self.desc = descriptor
-        self.costs = costs
-        self.stats = stats
-        self.max_read_retries = max_read_retries
-        self.retry_backoff = retry_backoff
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        desc = self.desc
         #: Client-side mirror of the hash functions (same code, same seed).
         self._shadow = CuckooHashTable(
-            descriptor.n_buckets,
-            slots_per_bucket=descriptor.slots_per_bucket,
-            seed=descriptor.seed,
+            desc.n_buckets,
+            slots_per_bucket=desc.slots_per_bucket,
+            seed=desc.seed,
         )
-        self.buckets_fetched = 0
 
-    def _addr(self, index: int) -> int:
-        return self.desc.base + index * self.desc.bucket_bytes
+    @staticmethod
+    def _address_map(desc: CuckooDescriptor) -> Tuple[int, int, int]:
+        return desc.rkey, desc.base, desc.bucket_bytes
 
-    def _read_bucket(self, index: int) -> Generator:
-        for attempt in range(self.max_read_retries):
-            view: BucketSnapshot = yield self.qp.post_read(
-                self.desc.rkey, self._addr(index), self.desc.bucket_bytes
-            )
-            self.buckets_fetched += 1
-            if not view.torn:
-                return view
-            self.stats.torn_retries += 1
-            yield self.sim.timeout(self.retry_backoff * (attempt + 1))
+    @property
+    def buckets_fetched(self):
+        """Bucket reads landed (the reader's ``chunks_fetched``)."""
+        return self.chunks_fetched
+
+    def _check(self, view: BucketSnapshot,
+               _expected) -> Optional[BucketSnapshot]:
+        if not view.torn:
+            return view
+        self.stats.torn_retries += 1
         return None
 
     def read(self, request) -> Generator:
@@ -269,33 +254,22 @@ class CuckooOffloadEngine:
     def get(self, key: int) -> Generator:
         """One-RTT lookup: both buckets fetched concurrently."""
         self.stats.offloaded_requests += 1
-        h1, h2 = self._shadow.bucket_indices(key)
-        indices = list(dict.fromkeys((h1, h2)))
-        arrived: Store = Store(self.sim)
+        return self._restarting("get", self._get_once, key)
 
-        def fetch(index):
-            view = yield from self._read_bucket(index)
-            arrived.put_discard(view)
-
-        # Deferred start on purpose (sim.process, not sim.start): started
-        # inline, these reads would be posted one process generation
-        # earlier than other clients' fast-messaging writes posted at the
-        # same instant and overtake them on the wire, which moves the
-        # kv-sweep row of benchmarks/claims.py at 32 clients.
-        for index in indices:
-            self.sim.process(fetch(index), name="cuckoo-read")
-        views = []
-        for _ in indices:
-            view = yield arrived.get()
-            views.append(view)
-        if any(v is None for v in views):
-            raise OffloadError(f"bucket reads for key {key} kept tearing")
+    def _get_once(self, key: int) -> Generator:
+        # An urgent wave on purpose: posted inline, these reads would go
+        # out one process generation earlier than other clients'
+        # fast-messaging writes posted at the same instant and overtake
+        # them on the wire, which moves the kv-sweep row of
+        # benchmarks/claims.py at 32 clients.
+        indices = dict.fromkeys(self._shadow.bucket_indices(key))
+        views = yield from self._fetch_round(
+            [(index, None) for index in indices], urgent=True)
+        if views is None:
+            return None
         yield self.sim.timeout(self.costs.client_node_check)
-        items: List[Tuple[int, int]] = []
         for view in views:
             value = view.find(key)
             if value is not None:
-                items.append((key, value))
-                break
-        self.stats.results_received += len(items)
-        return items
+                return [(key, value)]
+        return []

@@ -19,6 +19,7 @@ surrounding simulation can charge CPU time and open torn-read windows.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -212,8 +213,6 @@ class RStarTree:
         entries; entries popped before any closer candidate are final.
         ``matches`` comes back ordered nearest-first.
         """
-        import heapq
-
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         result = SearchResult()

@@ -44,6 +44,14 @@ from .policy import (
 from .session import PolicySession
 from .stack import ServerStack
 
+#: The offload engine of each index: one constructor call builds any of
+#: them (:meth:`SessionFactory._engine`).
+_ENGINES = {
+    "rtree": OffloadEngine,
+    "btree": BTreeOffloadEngine,
+    "cuckoo": CuckooOffloadEngine,
+}
+
 
 class SessionFactory:
     """Build one client's session against one :class:`ServerStack`."""
@@ -60,30 +68,18 @@ class SessionFactory:
 
     def _engine(self, conn, stack: ServerStack, stats: ClientStats):
         """The offload engine matching the stack's index."""
-        spec, config = self.spec, self.config
-        qp, descriptor = conn.client_end, stack.server.offload_descriptor()
-        retry = self.retry
-        if spec.index == "btree":
-            return BTreeOffloadEngine(
-                self.sim, qp, descriptor, config.costs, stats,
-                multi_issue=spec.multi_issue,
-                max_read_retries=retry.offload_read_retries,
-                max_restarts=retry.offload_search_restarts,
-            )
-        if spec.index == "cuckoo":
-            return CuckooOffloadEngine(
-                self.sim, qp, descriptor, config.costs, stats,
-                max_read_retries=retry.offload_read_retries,
-            )
-        engine = OffloadEngine(
-            self.sim, qp, descriptor, config.costs, stats,
+        spec, config, retry = self.spec, self.config, self.retry
+        engine = _ENGINES[spec.index](
+            self.sim, conn.client_end, stack.server.offload_descriptor(),
+            config.costs, stats,
             multi_issue=spec.multi_issue,
             max_read_retries=retry.offload_read_retries,
-            max_search_restarts=retry.offload_search_restarts,
+            max_restarts=retry.offload_search_restarts,
             tracer=self.tracer,
         )
         cache_cfg = getattr(config, "node_cache", None)
-        if cache_cfg is not None and cache_cfg.enabled:
+        if (isinstance(engine, OffloadEngine) and cache_cfg is not None
+                and cache_cfg.enabled):
             cache = NodeCache(cache_cfg)
             engine.attach_cache(cache)
             # Heartbeat-piggybacked invalidation hints land in this

@@ -201,7 +201,7 @@ class TestReadRetryExhaustion:
         engine = OffloadEngine(sim, conn.client_end,
                                server.offload_descriptor(), server.costs,
                                stats, max_read_retries=3,
-                               max_search_restarts=2)
+                               max_restarts=2)
         # Pin the root in a write window and never release it.
         server.tree.root.begin_write()
 

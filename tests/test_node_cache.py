@@ -10,7 +10,8 @@ scenario.
 
 import pytest
 
-from repro.client import ClientStats, OffloadEngine
+from repro.btree import BTreeOffloadEngine, BTreeService
+from repro.client import ClientStats, OffloadEngine, offload_client
 from repro.client.node_cache import HWM_UNKNOWN, NodeCache, NodeCacheConfig
 from repro.hw import Host
 from repro.msg.codec import Heartbeat, message_size
@@ -385,17 +386,46 @@ def test_level_mismatch_counted_separately_from_torn():
     assert int(stats.torn_retries) == 0
 
 
-def test_read_valid_skips_backoff_after_final_attempt():
+def _rtree_rejected_read():
+    """An R-tree engine and a read every attempt of which is rejected:
+    the root asked for at the wrong level."""
+    sim, server, engine, _stats, _qp = make_offload()
+    root = server.tree.root
+    return sim, engine, (root.chunk_id, root.level + 1)
+
+
+def _btree_rejected_read():
+    """A B+tree engine and a read every attempt of which is rejected:
+    the root of a multi-level tree asked for as a leaf."""
+    sim = Simulator()
+    net = Network(sim, IB_100G)
+    server_host = Host(sim, "server", IB_100G, cores=4)
+    net.attach_server(server_host)
+    service = BTreeService(sim, server_host,
+                           [(k, k + 1) for k in range(2000)], capacity=16)
+    assert service.tree.height > 1
+    client_host = Host(sim, "client", IB_100G, cores=2)
+    qp, _server_qp = connect(sim, net, client_host, server_host)
+    engine = BTreeOffloadEngine(sim, qp, service.offload_descriptor(),
+                                service.costs, ClientStats())
+    return sim, engine, (service.tree.root.chunk_id, True)
+
+
+@pytest.mark.parametrize("rejected_read",
+                         [_rtree_rejected_read, _btree_rejected_read],
+                         ids=["rtree", "btree"])
+def test_read_valid_skips_backoff_after_final_attempt(rejected_read,
+                                                      monkeypatch):
     # Reads are deterministic, so the elapsed-time difference between a
     # backoff of B and a backoff of 0 isolates the total backoff slept.
     def elapsed(backoff):
-        sim, server, engine, stats, _qp = make_offload()
-        engine.retry_backoff = backoff
-        root = server.tree.root
+        monkeypatch.setattr(offload_client, "OFFLOAD_RETRY_BACKOFF", backoff)
+        sim, engine, (chunk_id, expected) = rejected_read()
 
         def timed():
             t0 = sim.now
-            yield from engine._read_valid(root.chunk_id, root.level + 1)
+            view = yield from engine._read_valid(chunk_id, expected)
+            assert view is None
             return sim.now - t0
 
         p = sim.process(timed())
@@ -404,7 +434,7 @@ def test_read_valid_skips_backoff_after_final_attempt():
 
     backoff = 1e-6
     slept = elapsed(backoff) - elapsed(0.0)
-    n = 8  # the engine's default max_read_retries
+    n = 8  # the engines' default max_read_retries
     # Attempts 0..n-2 sleep backoff*(attempt+1); the final attempt must
     # not sleep (the caller restarts or fails immediately).
     expected = backoff * sum(range(1, n))
