@@ -17,14 +17,8 @@ from .offload import (
     KvFmSession,
     KvRequest,
 )
-from .service import (
-    BNodeSnapshot,
-    BTreeService,
-    BTreeSnapshotReader,
-    KvMeta,
-    KvOffloadDescriptor,
-    snapshot_bnode,
-)
+from .serialize import BNodeSnapshot, snapshot_bnode
+from .service import BTreeService, BTreeSnapshotReader
 
 __all__ = [
     "BInner",
@@ -43,7 +37,5 @@ __all__ = [
     "BNodeSnapshot",
     "BTreeService",
     "BTreeSnapshotReader",
-    "KvMeta",
-    "KvOffloadDescriptor",
     "snapshot_bnode",
 ]

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..rtree.node import VersionedChunk
+
 DEFAULT_CAPACITY = 64
 
 
@@ -53,27 +55,15 @@ class KvSearchResult:
         return len(self.items)
 
 
-class BNode:
-    """Shared base: chunk identity + the write-window version protocol."""
+class BNode(VersionedChunk):
+    """Shared base of the leaves and inner nodes: a versioned chunk with
+    a parent link."""
 
-    __slots__ = ("chunk_id", "parent", "version", "active_writers")
+    __slots__ = ("parent",)
 
     def __init__(self, chunk_id: int):
-        self.chunk_id = chunk_id
+        super().__init__(chunk_id)
         self.parent: Optional["BInner"] = None
-        self.version = 0
-        self.active_writers = 0
-
-    def begin_write(self) -> None:
-        self.active_writers += 1
-
-    def end_write(self) -> None:
-        if self.active_writers <= 0:
-            raise RuntimeError(
-                f"end_write() without begin_write() on node #{self.chunk_id}"
-            )
-        self.active_writers -= 1
-        self.version += 1
 
     @property
     def is_leaf(self) -> bool:

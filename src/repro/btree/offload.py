@@ -26,8 +26,7 @@ from ..msg.codec import (
     KvPutRequest,
     KvScanRequest,
 )
-from .serialize import snapshot_from_bytes
-from .service import BNodeSnapshot
+from .serialize import BNodeSnapshot, snapshot_from_bytes
 
 OP_GET = "get"
 OP_PUT = "put"
@@ -81,7 +80,7 @@ class BTreeOffloadEngine(OneSidedReader):
 
     def _check(self, data, expect_leaf: bool) -> Optional[BNodeSnapshot]:
         if isinstance(data, (bytes, bytearray)):
-            view = snapshot_from_bytes(data, self.desc.capacity)
+            view = snapshot_from_bytes(data, self.desc.max_entries)
             ok = view is not None
         else:
             view = data

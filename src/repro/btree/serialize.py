@@ -1,6 +1,7 @@
-"""On-chunk byte format for B+tree nodes (parity with the R-tree codec).
+"""Chunk images of B+tree nodes (parity with the R-tree codec).
 
-Layout (little-endian)::
+The object image is a :class:`BNodeSnapshot`.  The on-chunk byte layout
+(little-endian)::
 
     header:   flags:u32 (bit0 = leaf)  count:u32  chunk_id:u64
               next_leaf:i64 (-1 when absent/inner)
@@ -14,18 +15,61 @@ leaves store ``count`` key/value pairs.
 
 from __future__ import annotations
 
+import bisect
 import struct
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..rtree.serialize import CACHE_LINE
 from .bptree import BNode
-from .service import BNodeSnapshot
 
 HEADER_FORMAT = "<IIQq"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 24
 PAIR_SIZE = 16  # key u64 + ref u64
 
 FLAG_LEAF = 0x1
+
+
+@dataclass(frozen=True)
+class BNodeSnapshot:
+    """Client-visible image of one B+tree chunk."""
+
+    chunk_id: int
+    is_leaf: bool
+    keys: Tuple[int, ...]
+    #: children chunk ids (inner) or values (leaf)
+    refs: Tuple[int, ...]
+    next_leaf: Optional[int]
+    version: int
+    torn: bool
+
+    def child_for(self, key: int) -> int:
+        return self.refs[bisect.bisect_right(self.keys, key)]
+
+    def children_for_range(self, lo: int, hi: int) -> Tuple[int, ...]:
+        """Chunk ids of every child overlapping [lo, hi] (inner nodes)."""
+        first = bisect.bisect_right(self.keys, lo)
+        last = bisect.bisect_right(self.keys, hi)
+        return self.refs[first:last + 1]
+
+
+def snapshot_bnode(node: BNode) -> BNodeSnapshot:
+    if node.is_leaf:
+        refs = tuple(node.values)
+        next_leaf = (node.next_leaf.chunk_id
+                     if node.next_leaf is not None else None)
+    else:
+        refs = tuple(child.chunk_id for child in node.children)
+        next_leaf = None
+    return BNodeSnapshot(
+        chunk_id=node.chunk_id,
+        is_leaf=node.is_leaf,
+        keys=tuple(node.keys),
+        refs=refs,
+        next_leaf=next_leaf,
+        version=node.version,
+        torn=node.active_writers > 0,
+    )
 
 
 def payload_size(capacity: int) -> int:

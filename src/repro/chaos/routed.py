@@ -239,8 +239,7 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
     for router in runner.routers:
         for _index, request, result, t in router.log:
             if request.op == OP_INSERT:
-                # A complete insert was acked by its owner shard (the
-                # FM reply payload itself is an empty segment list).
+                # A complete insert was acked by its owner shard.
                 if result.complete:
                     acked_inserts.append(request.data_id)
                     if any(start <= t <= (end if end is not None else t)

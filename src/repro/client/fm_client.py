@@ -210,7 +210,7 @@ class FmSession:
                 count = segment.count
             if segment.last:
                 break
-        return self._finish(request, results, count)
+        return self._finish(request, results, count, segment.ok)
 
     def _execute_blocking(self, request: Request) -> Generator:
         """The no-policy path: block on the ring, wait unboundedly.
@@ -239,9 +239,14 @@ class FmSession:
                 count = segment.count
             if segment.last:
                 break
-        return self._finish(request, results, count)
+        return self._finish(request, results, count, segment.ok)
 
-    def _finish(self, request: Request, results, count):
+    def _finish(self, request: Request, results, count, ok: bool):
+        """A read's matches or count; a write's ack (the END segment's
+        ``ok``: whether an insert landed, a delete or update found its
+        item)."""
+        if request.op not in self.read_ops:
+            return ok
         if request.op == OP_COUNT:
             self.stats.results_received += count or 0
             return count

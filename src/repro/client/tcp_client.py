@@ -22,6 +22,8 @@ from .base import (
     OP_INSERT,
     OP_NEAREST,
     OP_SEARCH,
+    OP_UPDATE,
+    READ_OPS,
     ClientStats,
     Request,
     RequestIdAllocator,
@@ -44,7 +46,8 @@ class TcpSession:
         self._ids = RequestIdAllocator(client_id)
 
     def execute(self, request: Request) -> Generator:
-        """Run one request; returns the matches (searches) or ack (writes)."""
+        """Run one request; returns the matches or count (reads) or the
+        ack (writes)."""
         self.stats.fast_messaging_requests += 1  # server-side execution
         if request.op == OP_SEARCH:
             wire = SearchRequest(self._ids.next_id(), request.rect)
@@ -59,7 +62,7 @@ class TcpSession:
         elif request.op == OP_DELETE:
             wire = DeleteRequest(self._ids.next_id(), request.rect,
                                  request.data_id)
-        elif request.op == "update":
+        elif request.op == OP_UPDATE:
             wire = UpdateRequest(self._ids.next_id(), request.rect,
                                  request.new_rect, request.data_id)
         else:  # pragma: no cover - Request validates op
@@ -71,6 +74,8 @@ class TcpSession:
             raise RuntimeError(
                 f"response for {response.req_id} while awaiting {wire.req_id}"
             )
+        if request.op not in READ_OPS:
+            return response.ok
         if request.op == OP_COUNT:
             self.stats.results_received += response.count or 0
             return response.count

@@ -20,7 +20,7 @@ from ..hw.host import Host
 from ..obs import Counter, LatencyView, snapshot_document
 from ..sim.kernel import Simulator, all_of
 from ..workloads.mixes import batch_runs, make_kv_workload, make_workload
-from .config import ExperimentConfig
+from .config import CLIENT_CORES, ExperimentConfig
 from .deployment import Deployment
 from .results import RunResult, merge_client_stats
 from .schemes import scheme_spec
@@ -216,7 +216,7 @@ class ClosedLoopRunner:
         for client_id in range(config.n_clients):
             name = f"client-{client_id}"
             host = Host(self.sim, name, self.profile,
-                        cores=config.client_cores)
+                        cores=CLIENT_CORES)
             stats = ClientStats()
             endpoint = self.deployment.endpoint(client_id, host, stats, name)
             # The workload stream is the same for every deployment

@@ -68,6 +68,9 @@ class RebalanceConfig:
             raise ValueError(f"drain_s must be >= 0, got {self.drain_s}")
 
 
+#: Cores of every client host.
+CLIENT_CORES = 2
+
 #: The index behind the ring buffer: the paper's R-tree, or one of the
 #: §VI framework extensions.
 INDEXES = ("rtree", "btree", "cuckoo")
@@ -129,7 +132,6 @@ class ExperimentConfig:
 
     # Hardware / costs.
     server_cores: int = 28
-    client_cores: int = 2
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
     # Adaptive parameters (paper: N=8, T=95%, Inv=10ms).  When left None,

@@ -17,15 +17,8 @@ from typing import Generator, Optional, Sequence, Tuple
 
 from ..client.offload_client import OneSidedReader
 from ..hw.host import Host
-from ..msg.codec import (
-    KvDeleteRequest,
-    KvGetRequest,
-    KvPutRequest,
-    ResponseSegment,
-    segment_results,
-)
-from ..rtree.locks import TreeLockManager
-from ..rtree.versioning import WriteTracker
+from ..msg.codec import KvDeleteRequest, KvGetRequest, KvPutRequest
+from ..server.base import ACK, RESULTS, IndexService
 from ..server.costs import DEFAULT_COSTS, CostModel
 from ..server.plan import OpPlan, execute_plan, mutation_plan
 from ..sim.kernel import Simulator
@@ -51,7 +44,7 @@ class BucketSnapshot:
 
 def snapshot_bucket(bucket: Bucket) -> BucketSnapshot:
     return BucketSnapshot(
-        index=bucket.index,
+        index=bucket.chunk_id,
         entries=tuple(bucket.entries),
         version=bucket.version,
         torn=bucket.active_writers > 0,
@@ -70,25 +63,14 @@ class CuckooDescriptor:
     seed: int
 
 
-class _CuckooTarget:
-    def __init__(self, service: "CuckooService"):
-        self._service = service
-
-    def rdma_read(self, address, length, now):
-        offset = address - self._service.region.base
-        index = offset // BUCKET_BYTES
-        self._service.one_sided_reads += 1
-        view = snapshot_bucket(self._service.table.buckets[index])
-        if view.torn:
-            self._service.torn_reads += 1
-        return view
-
-    def rdma_write(self, address, length, payload, now):
-        raise PermissionError("clients never write the cuckoo region")
-
-
-class CuckooService:
+class CuckooService(IndexService):
     """Server side: executes gets/puts/deletes with CPU costs + windows."""
+
+    PLANS = {
+        KvGetRequest: (lambda s, r: s.plan_get(r.key), RESULTS),
+        KvPutRequest: (lambda s, r: s.plan_put(r.key, r.value), ACK),
+        KvDeleteRequest: (lambda s, r: s.plan_delete(r.key), ACK),
+    }
 
     def __init__(
         self,
@@ -96,23 +78,13 @@ class CuckooService:
         host: Host,
         items: Sequence[Tuple[int, int]] = (),
         n_buckets: int = 4096,
-        slots_per_bucket: int = 4,
         costs: CostModel = DEFAULT_COSTS,
         seed: int = 0,
     ):
-        self.sim = sim
-        self.host = host
-        self.costs = costs
-        self.service_inflation = 1.0
-        self.table = CuckooHashTable(
-            n_buckets, slots_per_bucket=slots_per_bucket, seed=seed
-        )
-        self.region = host.memory.register(
-            n_buckets * BUCKET_BYTES, name="cuckoo"
-        )
-        host.memory.bind(self.region.rkey, _CuckooTarget(self))
-        self.locks = TreeLockManager(sim)
-        self.write_tracker = WriteTracker(sim)
+        super().__init__(sim, host, costs)
+        self.table = CuckooHashTable(n_buckets, seed=seed)
+        self.region = self._register_read_only(
+            n_buckets * BUCKET_BYTES, "cuckoo", self._read_bucket)
         self.one_sided_reads = 0
         self.torn_reads = 0
         self.gets_served = 0
@@ -121,6 +93,15 @@ class CuckooService:
         self.failed_puts = 0
         for key, value in items:
             self.table.put(key, value)
+
+    def _read_bucket(self, address: int, length: int,
+                     now: float) -> BucketSnapshot:
+        self.one_sided_reads += 1
+        view = snapshot_bucket(
+            self.table.buckets[(address - self.region.base) // BUCKET_BYTES])
+        if view.torn:
+            self.torn_reads += 1
+        return view
 
     def offload_descriptor(self) -> CuckooDescriptor:
         return CuckooDescriptor(
@@ -131,9 +112,6 @@ class CuckooService:
             slots_per_bucket=self.table.slots_per_bucket,
             seed=self.table.seed,
         )
-
-    def bucket_address(self, index: int) -> int:
-        return self.region.base + index * BUCKET_BYTES
 
     # -- execution -----------------------------------------------------------
 
@@ -159,7 +137,7 @@ class CuckooService:
     def _write(self, ok: bool, result, counter: str) -> OpPlan:
         buckets = result.mutated_nodes
         return mutation_plan(ok, self._write_cost(result), buckets,
-                             [b.index for b in buckets], self.costs,
+                             [b.chunk_id for b in buckets], self.costs,
                              counter)
 
     def plan_put(self, key: int, value: int) -> OpPlan:
@@ -177,26 +155,6 @@ class CuckooService:
 
     def execute_put(self, key: int, value: int) -> Generator:
         return (yield from execute_plan(self, self.plan_put(key, value)))
-
-    # -- transport dispatch ------------------------------------------------------
-
-    def plan(self, request) -> OpPlan:
-        if isinstance(request, KvGetRequest):
-            plan = self.plan_get(request.key)
-            plan.segments = segment_results(request.req_id, plan.result)
-            return plan
-        if isinstance(request, KvPutRequest):
-            plan = self.plan_put(request.key, request.value)
-        elif isinstance(request, KvDeleteRequest):
-            plan = self.plan_delete(request.key)
-        else:
-            raise TypeError(f"cuckoo service got unexpected {request!r}")
-        plan.segments = [ResponseSegment(request.req_id, (), last=True,
-                                         ok=plan.result)]
-        return plan
-
-    def cpu_utilization(self) -> float:
-        return self.host.cpu.utilization()
 
     # -- the served-work counters every service reports ----------------------
 

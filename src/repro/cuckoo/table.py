@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..rtree.node import VersionedChunk
+
 DEFAULT_SLOTS = 4
 MAX_KICKS = 500
 
@@ -38,30 +40,15 @@ class CuckooFullError(Exception):
     """An insert exhausted its kick budget — the table is effectively full."""
 
 
-class Bucket:
-    """One bucket: up to ``slots`` (key, value) pairs + version protocol."""
+class Bucket(VersionedChunk):
+    """One bucket: up to ``slots`` (key, value) pairs; its chunk id is
+    its index in the table."""
 
-    __slots__ = ("index", "entries", "version", "active_writers")
+    __slots__ = ("entries",)
 
     def __init__(self, index: int):
-        self.index = index
+        super().__init__(index)
         self.entries: List[Tuple[int, int]] = []
-        self.version = 0
-        self.active_writers = 0
-
-    # chunk-protocol compatibility (WriteTracker expects these)
-    @property
-    def chunk_id(self) -> int:
-        return self.index
-
-    def begin_write(self) -> None:
-        self.active_writers += 1
-
-    def end_write(self) -> None:
-        if self.active_writers <= 0:
-            raise RuntimeError(f"end_write() on idle bucket {self.index}")
-        self.active_writers -= 1
-        self.version += 1
 
     def find(self, key: int) -> Optional[int]:
         for k, v in self.entries:
@@ -70,7 +57,7 @@ class Bucket:
         return None
 
     def __repr__(self) -> str:
-        return f"<Bucket {self.index} n={len(self.entries)}>"
+        return f"<Bucket {self.chunk_id} n={len(self.entries)}>"
 
 
 @dataclass
@@ -216,11 +203,11 @@ class CuckooHashTable:
             assert len(bucket.entries) <= self.slots_per_bucket
             for k, _v in bucket.entries:
                 assert k not in seen, f"key {k} in buckets {seen[k]} and " \
-                                      f"{bucket.index}"
-                seen[k] = bucket.index
+                                      f"{bucket.chunk_id}"
+                seen[k] = bucket.chunk_id
                 h1, h2 = self.bucket_indices(k)
-                assert bucket.index in (h1, h2), (
-                    f"key {k} in bucket {bucket.index}, candidates "
+                assert bucket.chunk_id in (h1, h2), (
+                    f"key {k} in bucket {bucket.chunk_id}, candidates "
                     f"({h1}, {h2})"
                 )
                 total += 1

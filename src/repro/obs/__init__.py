@@ -18,8 +18,6 @@ from .registry import (
     LatencyView,
     MetricsRegistry,
     WindowSampler,
-    metrics_enabled,
-    set_metrics_enabled,
 )
 from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
@@ -39,8 +37,6 @@ __all__ = [
     "WindowSampler",
     "dumps",
     "load_metrics_json",
-    "metrics_enabled",
-    "set_metrics_enabled",
     "snapshot_document",
     "write_metrics_json",
 ]

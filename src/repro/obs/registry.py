@@ -33,37 +33,6 @@ def _coerce(other: Any) -> Any:
     return other
 
 
-#: Whether hot-path counter increments record anything.  See
-#: :func:`set_metrics_enabled`.
-_ENABLED = True
-
-
-def metrics_enabled() -> bool:
-    """Whether counter increments are currently recorded."""
-    return _ENABLED
-
-
-def set_metrics_enabled(enabled: bool) -> None:
-    """Globally enable/disable hot-path :class:`Counter` increments.
-
-    The perf bench measures the substrate with and without observability;
-    disabling swaps the increment methods at class level so a disabled
-    increment costs one no-op method call — no flag check per increment
-    anywhere on the hot path.  Snapshots/exports keep working; counters
-    simply stop advancing while disabled.
-    """
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    if _ENABLED:
-        Counter.inc = Counter._inc_recording
-        Counter.__iadd__ = Counter._iadd_recording
-        Counter.__isub__ = Counter._isub_recording
-    else:
-        Counter.inc = Counter._inc_disabled
-        Counter.__iadd__ = Counter._iadd_disabled
-        Counter.__isub__ = Counter._iadd_disabled
-
-
 class Counter:
     """A monotonic counter that behaves like an ``int``.
 
@@ -85,17 +54,10 @@ class Counter:
     def value(self) -> int:
         return self._value
 
-    def _inc_recording(self, amount: int = 1) -> None:
+    def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self._value += amount
-
-    def _inc_disabled(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-
-    #: Rebound by :func:`set_metrics_enabled`.
-    inc = _inc_recording
 
     def reset(self) -> None:
         self._value = 0
@@ -165,20 +127,13 @@ class Counter:
     def __neg__(self):
         return -self._value
 
-    def _iadd_recording(self, other: Any) -> "Counter":
+    def __iadd__(self, other: Any) -> "Counter":
         self._value += _coerce(other)
         return self
 
-    def _iadd_disabled(self, other: Any) -> "Counter":
-        return self
-
-    def _isub_recording(self, other: Any) -> "Counter":
+    def __isub__(self, other: Any) -> "Counter":
         self._value -= _coerce(other)
         return self
-
-    #: Rebound by :func:`set_metrics_enabled`.
-    __iadd__ = _iadd_recording
-    __isub__ = _isub_recording
 
     def __hash__(self) -> int:
         # Identity hash: counters are mutable registry objects.

@@ -47,16 +47,45 @@ class Entry:
         return f"Entry({self.rect!r}, {ref})"
 
 
-class Node:
+class VersionedChunk:
+    """One chunk of an index region: its id, and the FaRM write-window
+    version protocol (§III-B) that one-sided readers validate against.
+
+    The R-tree's nodes, the B+tree's nodes and the cuckoo table's buckets
+    all carry it, so the server's write tracker treats them alike.
+    """
+
+    __slots__ = ("chunk_id", "version", "active_writers")
+
+    def __init__(self, chunk_id: int):
+        self.chunk_id = chunk_id
+        #: Incremented on every modification (per-cache-line version model).
+        self.version = 0
+        #: Number of server threads currently mutating this chunk; a one-
+        #: sided read sampled while this is non-zero is a torn read.
+        self.active_writers = 0
+
+    def begin_write(self) -> None:
+        """Mark the start of a server-side mutation (versioning model)."""
+        self.active_writers += 1
+
+    def end_write(self) -> None:
+        """Mark the end of a mutation; bumps the version."""
+        if self.active_writers <= 0:
+            raise RuntimeError(
+                f"end_write() without begin_write() on chunk #{self.chunk_id}"
+            )
+        self.active_writers -= 1
+        self.version += 1
+
+
+class Node(VersionedChunk):
     """An R-tree node.  ``level`` 0 is a leaf; the root has the max level."""
 
     __slots__ = (
         "level",
         "entries",
-        "chunk_id",
         "parent",
-        "version",
-        "active_writers",
         "mut_seq",
         "_coords",
         "_coords_ok",
@@ -69,15 +98,10 @@ class Node:
     def __init__(self, level: int, chunk_id: int = -1):
         if level < 0:
             raise ValueError(f"negative level {level}")
+        super().__init__(chunk_id)
         self.level = level
         self.entries: List[Entry] = []
-        self.chunk_id = chunk_id
         self.parent: Optional["Node"] = None
-        #: Incremented on every modification (per-cache-line version model).
-        self.version = 0
-        #: Number of server threads currently mutating this node; a one-
-        #: sided read sampled while this is non-zero is a torn read.
-        self.active_writers = 0
         #: Bumped on every structural mutation (entry added/removed or an
         #: entry's rect replaced).  Unlike ``version`` — which only moves
         #: at ``end_write()``, i.e. when the simulated write window closes
@@ -186,19 +210,6 @@ class Node:
                 return entry
         raise KeyError(f"node #{self.chunk_id} has no entry for child "
                        f"#{child.chunk_id}")
-
-    def begin_write(self) -> None:
-        """Mark the start of a server-side mutation (versioning model)."""
-        self.active_writers += 1
-
-    def end_write(self) -> None:
-        """Mark the end of a mutation; bumps the version."""
-        if self.active_writers <= 0:
-            raise RuntimeError(
-                f"end_write() without begin_write() on node #{self.chunk_id}"
-            )
-        self.active_writers -= 1
-        self.version += 1
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(l{self.level})"

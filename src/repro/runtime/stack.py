@@ -65,7 +65,7 @@ class ServerStack:
         self.network.attach_server(self.host)
         if spec.index == "btree":
             self.server = BTreeService(
-                sim, self.host, items, capacity=config.max_entries,
+                sim, self.host, items, max_entries=config.max_entries,
                 costs=config.costs, byte_mode=config.byte_mode,
             )
         elif spec.index == "cuckoo":

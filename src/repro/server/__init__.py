@@ -1,12 +1,6 @@
 """Server-side components: tree server, schemes, heartbeats, costs."""
 
-from .base import (
-    MetaTarget,
-    OffloadDescriptor,
-    RTreeServer,
-    TreeChunkTarget,
-    TreeMeta,
-)
+from .base import OffloadDescriptor, RTreeServer, TreeMeta
 from .costs import DEFAULT_COSTS, CostModel
 from .fast_messaging import (
     EVENT,
@@ -22,10 +16,8 @@ from .heartbeat import (
 from .tcp_server import TcpRTreeServer
 
 __all__ = [
-    "MetaTarget",
     "OffloadDescriptor",
     "RTreeServer",
-    "TreeChunkTarget",
     "TreeMeta",
     "DEFAULT_COSTS",
     "CostModel",

@@ -1,26 +1,33 @@
-"""The R-tree server: tree storage, registered memory, request execution.
+"""The index services: one skeleton under the R-tree, B+tree and cuckoo servers.
 
-Owns everything scheme-independent:
+:class:`IndexService` owns the index-independent half of a server, once:
 
-* the R\\*-tree, bulk-loaded into chunk-allocated registered memory and
-  registered with the NIC **once** (the paper registers the whole tree
-  buffer up front to avoid per-access registration cost, §III-B);
-* the chunk directory clients use for one-sided reads, plus a small meta
-  region exposing the current root chunk id;
-* the op plans of search/count/kNN/insert/delete/update requests, which
-  the server threads run lock-managed and CPU-charged
-  (:mod:`repro.server.plan`);
-* the write tracker that opens torn-read windows for the versioning model.
+* the simulator, host, cost model and busy-poll inflation, the chunk lock
+  manager and the write tracker that opens torn-read windows for the
+  versioning model;
+* read-only registered regions (:class:`ReadOnlyTarget`): clients
+  RDMA-Read them, every write goes through the server (§III-B);
+* ``plan(request)``, the transport-agnostic entry point: the request's
+  plan method, looked up by type in the class's ``PLANS`` table, and its
+  reply segments (:mod:`repro.server.plan` runs the plan).
+
+:class:`TreeService` adds what the two trees share: the tree region,
+registered with the NIC **once** and chunk-allocated (the paper registers
+the whole tree buffer up front to avoid per-access registration cost,
+§III-B), the object/byte image switch, and a small meta region exposing
+the current root chunk id.  An index supplies only its structure, its
+chunk images and its ``plan_*`` methods with their costs and counters;
+:class:`RTreeServer` is the paper's R*-tree.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
 
 from ..hw.host import Host
-from ..hw.memory import ChunkAllocator
+from ..hw.memory import ChunkAllocator, MemoryRegion
 from ..msg.codec import (
     CountRequest,
     DeleteRequest,
@@ -36,7 +43,6 @@ from ..rtree.geometry import Rect
 from ..rtree.locks import TreeLockManager
 from ..rtree.node import DEFAULT_MAX_ENTRIES
 from ..rtree.serialize import (
-    NodeView,
     chunk_size,
     garbage_chunk,
     pack_node,
@@ -62,16 +68,23 @@ OFFLOAD_CHUNK_BYTES = 4096
 #: a stale sample ages out within a few intervals.
 RECENT_QUERY_WINDOW = 256
 
+#: Reply shapes of a plan: its matches as CONT/END segments, an
+#: aggregate count, or a write's ack.
+RESULTS = "results"
+COUNT = "count"
+ACK = "ack"
+
 
 @dataclass(frozen=True)
 class OffloadDescriptor:
-    """Everything a client needs to traverse the tree one-sidedly."""
+    """Everything a client needs to traverse a tree one-sidedly."""
 
     tree_rkey: int
     tree_base: int
     chunk_bytes: int
     meta_rkey: int
     meta_base: int
+    #: Node capacity (the byte-mode chunk decoders need it).
     max_entries: int
 
 
@@ -79,10 +92,10 @@ class OffloadDescriptor:
 class TreeMeta:
     """Contents of the meta chunk (read via a single tiny RDMA Read).
 
-    ``mut_seq`` is the tree-wide mutation high-water mark
+    ``mut_seq`` is the R-tree's mutation high-water mark
     (:attr:`~repro.rtree.rstar.RStarTree.mut_hwm`) packed into the
-    formerly padded word of the 16-byte meta read; -1 only for legacy
-    senders that predate the field (the client cache then stays cold).
+    formerly padded word of the 16-byte meta read; -1 when the index keeps
+    none (the B+tree; a client node cache then stays cold).
     """
 
     root_chunk: int
@@ -90,25 +103,24 @@ class TreeMeta:
     mut_seq: int = -1
 
 
-class TreeChunkTarget:
-    """RDMA-Read target covering the registered tree region."""
+class ReadOnlyTarget:
+    """RDMA target of a region clients may read but never write.
 
-    def __init__(self, allocator: ChunkAllocator, reader: SnapshotReader):
-        self._allocator = allocator
-        self._reader = reader
+    ``read(address, length, now)`` serves the reads.  The byte-mode chunk
+    targets subclass it for the write rejection.
+    """
 
-    def rdma_read(self, address: int, length: int, now: float) -> NodeView:
-        chunk_id = self._allocator.chunk_of(address)
-        return self._reader.read_chunk(chunk_id, now)
+    def __init__(self, read: Callable[[int, int, float], Any]):
+        self.rdma_read = read
 
     def rdma_write(self, address: int, length: int, payload, now: float):
         raise PermissionError(
-            "clients never RDMA-Write the tree region (writes go through "
+            "clients never RDMA-Write an index region (writes go through "
             "the server, §III-B)"
         )
 
 
-class ByteTreeChunkTarget:
+class ByteTreeChunkTarget(ReadOnlyTarget):
     """Full-fidelity variant: reads return real packed chunk *bytes*.
 
     A read that overlaps a server mutation returns an image whose
@@ -130,6 +142,7 @@ class ByteTreeChunkTarget:
     """
 
     def __init__(self, server: "RTreeServer"):
+        super().__init__(self._read)
         self._server = server
         self.reads = 0
         self.torn_reads = 0
@@ -137,7 +150,7 @@ class ByteTreeChunkTarget:
         self._cache: Dict[int, Tuple[object, int, int, bytes]] = {}
         self._garbage: Optional[bytes] = None
 
-    def rdma_read(self, address: int, length: int, now: float) -> bytes:
+    def _read(self, address: int, length: int, now: float) -> bytes:
         chunk_id = self._server.allocator.chunk_of(address)
         node = self._server.tree.nodes.get(chunk_id)
         self.reads += 1
@@ -166,90 +179,107 @@ class ByteTreeChunkTarget:
         self._cache[chunk_id] = (node, node.version, node.mut_seq, data)
         return data
 
-    def rdma_write(self, address: int, length: int, payload, now: float):
-        raise PermissionError(
-            "clients never RDMA-Write the tree region (writes go through "
-            "the server, §III-B)"
-        )
 
+class IndexService:
+    """The index-independent half of every server.
 
-class MetaTarget:
-    """RDMA-Read target for the root pointer."""
+    A subclass fills ``PLANS``: for each wire request type, a runner
+    ``run(service, request)`` that calls the plan method with the
+    request's fields, and the shape of the reply.
+    """
 
-    def __init__(self, server: "RTreeServer"):
-        self._server = server
+    PLANS: Dict[type, Tuple[Callable[[Any, Any], OpPlan], str]] = {}
 
-    def rdma_read(self, address: int, length: int, now: float) -> TreeMeta:
-        tree = self._server.tree
-        return TreeMeta(root_chunk=tree.root.chunk_id, height=tree.height,
-                        mut_seq=tree.mut_hwm)
-
-    def rdma_write(self, address: int, length: int, payload, now: float):
-        raise PermissionError("the meta region is read-only for clients")
-
-
-class RTreeServer:
-    """Scheme-independent server state and request execution."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        items: Sequence[Tuple[Rect, int]],
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        costs: CostModel = DEFAULT_COSTS,
-        byte_mode: bool = False,
-    ):
+    def __init__(self, sim: Simulator, host: Host, costs: CostModel):
         self.sim = sim
         self.host = host
         self.costs = costs
-        self.max_entries = max_entries
-        self.byte_mode = byte_mode
-
-        # Register one region big enough for the whole tree plus growth,
-        # exactly once (paper §III-B).
-        self.chunk_bytes = max(OFFLOAD_CHUNK_BYTES, chunk_size(max_entries))
-        node_estimate = max(64, 2 * len(items) // max(4, max_entries // 4))
-        region_chunks = node_estimate + 4096
-        self.tree_region = host.memory.register(
-            region_chunks * self.chunk_bytes, name="rtree"
-        )
-        self.allocator = ChunkAllocator(self.tree_region, self.chunk_bytes)
-        self.tree = bulk_load(
-            items,
-            max_entries=max_entries,
-            alloc_chunk=self.allocator.alloc,
-            free_chunk=self.allocator.free,
-        )
-        self.reader = SnapshotReader(self.tree.nodes)
-        self.locks = TreeLockManager(sim)
-        self.write_tracker = WriteTracker(sim)
-        if byte_mode:
-            self.byte_target = ByteTreeChunkTarget(self)
-            host.memory.bind(self.tree_region.rkey, self.byte_target)
-        else:
-            self.byte_target = None
-            host.memory.bind(
-                self.tree_region.rkey,
-                TreeChunkTarget(self.allocator, self.reader),
-            )
-        self.meta_region = host.memory.register(META_REGION_SIZE, name="meta")
-        host.memory.bind(self.meta_region.rkey, MetaTarget(self))
-
         #: CPU-time inflation from busy-poll interference; set to > 1 by the
         #: polling fast-messaging server when connections oversubscribe the
         #: cores (see SchedulerModel.service_inflation).
         self.service_inflation = 1.0
+        self.locks = TreeLockManager(sim)
+        self.write_tracker = WriteTracker(sim)
 
-        # Request accounting.
-        self.searches_served = 0
-        self.inserts_served = 0
-        self.deletes_served = 0
-        self.updates_served = 0
-        #: Bounded ring of recent read rects (search/count/nearest), the
-        #: load sample the rebalance controller plans splits from.  Pure
-        #: observability: appending charges no CPU and draws no RNG.
-        self.recent_queries = deque(maxlen=RECENT_QUERY_WINDOW)
+    def _register_read_only(self, size: int, name: str,
+                            read: Callable[[int, int, float], Any]
+                            ) -> MemoryRegion:
+        """Register ``size`` bytes that clients read through ``read``."""
+        region = self.host.memory.register(size, name=name)
+        self.host.memory.bind(region.rkey, ReadOnlyTarget(read))
+        return region
+
+    def plan(self, request) -> OpPlan:
+        """The plan of one wire request, response segments included.
+
+        The fast-messaging and TCP workers run whatever plan a service
+        returns, so every index plugs into the same communication
+        machinery — the framework claim of the paper's §VI.
+        """
+        entry = self.PLANS.get(type(request))
+        if entry is None:
+            raise TypeError(
+                f"{type(self).__name__} got unexpected message {request!r}")
+        run, shape = entry
+        plan = run(self, request)
+        req_id = request.req_id
+        if shape == RESULTS:
+            plan.segments = segment_results(req_id, plan.result)
+        elif shape == COUNT:
+            plan.segments = [ResponseSegment(req_id, (), last=True,
+                                             count=plan.result)]
+        else:
+            plan.segments = [ResponseSegment(req_id, (), last=True,
+                                             ok=plan.result)]
+        return plan
+
+
+class TreeService(IndexService):
+    """A tree of fixed-size chunks in registered memory, read one-sidedly.
+
+    The tree region is registered once, big enough for ``node_estimate``
+    nodes plus growth, then the meta region; a client addresses a node as
+    ``tree_base + chunk_id * chunk_bytes``.  A subclass supplies
+    ``_build(items)``, its object-mode image (``reader_class``, whose
+    ``read_chunk`` snapshots one chunk), its byte-mode image
+    (``byte_target_class``) and the names its two regions register under.
+    """
+
+    region_name: str
+    meta_name: str
+    reader_class: type
+    byte_target_class: type
+
+    def __init__(self, sim: Simulator, host: Host, items, max_entries: int,
+                 costs: CostModel, byte_mode: bool, chunk_bytes: int,
+                 node_estimate: int):
+        super().__init__(sim, host, costs)
+        self.max_entries = max_entries
+        self.byte_mode = byte_mode
+        self.chunk_bytes = chunk_bytes
+        self.tree_region = host.memory.register(
+            (node_estimate + 4096) * chunk_bytes, name=self.region_name
+        )
+        self.allocator = ChunkAllocator(self.tree_region, chunk_bytes)
+        self.tree = self._build(items)
+        self.reader = self.reader_class(self.tree.nodes)
+        self.byte_target = (self.byte_target_class(self) if byte_mode
+                            else None)
+        host.memory.bind(self.tree_region.rkey,
+                         self.byte_target or ReadOnlyTarget(self._read_chunk))
+        self.meta_region = self._register_read_only(
+            META_REGION_SIZE, self.meta_name, self._read_meta)
+
+    def _build(self, items):
+        """The structure, bulk-loaded into the allocator's chunks."""
+        raise NotImplementedError
+
+    def _read_chunk(self, address: int, length: int, now: float):
+        return self.reader.read_chunk(self.allocator.chunk_of(address), now)
+
+    def _read_meta(self, address: int, length: int, now: float) -> TreeMeta:
+        tree = self.tree
+        return TreeMeta(tree.root.chunk_id, tree.height)
 
     # -- client bootstrap ----------------------------------------------------
 
@@ -266,6 +296,59 @@ class RTreeServer:
 
     def chunk_address(self, chunk_id: int) -> int:
         return self.allocator.address_of(chunk_id)
+
+
+class RTreeServer(TreeService):
+    """The paper's R*-tree server."""
+
+    region_name = "rtree"
+    meta_name = "meta"
+    reader_class = SnapshotReader
+    byte_target_class = ByteTreeChunkTarget
+
+    PLANS = {
+        SearchRequest: (lambda s, r: s.plan_search(r.rect), RESULTS),
+        NearestRequest: (lambda s, r: s.plan_nearest(r.x, r.y, r.k),
+                         RESULTS),
+        CountRequest: (lambda s, r: s.plan_count(r.rect), COUNT),
+        InsertRequest: (lambda s, r: s.plan_insert(r.rect, r.data_id), ACK),
+        DeleteRequest: (lambda s, r: s.plan_delete(r.rect, r.data_id), ACK),
+        UpdateRequest: (lambda s, r: s.plan_update(r.old_rect, r.new_rect,
+                                                   r.data_id), ACK),
+    }
+
+    def __init__(
+        self,
+        sim: Simulator,
+        host: Host,
+        items: Sequence[Tuple[Rect, int]],
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        costs: CostModel = DEFAULT_COSTS,
+        byte_mode: bool = False,
+    ):
+        super().__init__(
+            sim, host, items, max_entries, costs, byte_mode,
+            chunk_bytes=max(OFFLOAD_CHUNK_BYTES, chunk_size(max_entries)),
+            node_estimate=max(64, 2 * len(items) // max(4, max_entries // 4)),
+        )
+        # Request accounting.
+        self.searches_served = 0
+        self.inserts_served = 0
+        self.deletes_served = 0
+        self.updates_served = 0
+        #: Bounded ring of recent read rects (search/count/nearest), the
+        #: load sample the rebalance controller plans splits from.  Pure
+        #: observability: appending charges no CPU and draws no RNG.
+        self.recent_queries = deque(maxlen=RECENT_QUERY_WINDOW)
+
+    def _build(self, items):
+        return bulk_load(items, max_entries=self.max_entries,
+                         alloc_chunk=self.allocator.alloc,
+                         free_chunk=self.allocator.free)
+
+    def _read_meta(self, address: int, length: int, now: float) -> TreeMeta:
+        tree = self.tree
+        return TreeMeta(tree.root.chunk_id, tree.height, tree.mut_hwm)
 
     # -- request plans (see repro.server.plan) ----------------------------------
 
@@ -343,40 +426,6 @@ class RTreeServer:
                              [n.chunk_id for n in mutated_nodes],
                              self.costs, counter)
 
-    def plan(self, request) -> OpPlan:
-        """The plan of one wire request, response segments included.
-
-        This is the transport-agnostic entry point: the fast-messaging
-        and TCP workers run whatever plan a service returns, so any index
-        service exposing ``plan`` (B+tree, cuckoo hash, ...) plugs into
-        the same communication machinery — the framework claim of the
-        paper's §VI.
-        """
-        req_id = request.req_id
-        if isinstance(request, SearchRequest):
-            plan = self.plan_search(request.rect)
-            plan.segments = segment_results(req_id, plan.result)
-        elif isinstance(request, NearestRequest):
-            plan = self.plan_nearest(request.x, request.y, request.k)
-            plan.segments = segment_results(req_id, plan.result)
-        elif isinstance(request, CountRequest):
-            plan = self.plan_count(request.rect)
-            plan.segments = [ResponseSegment(req_id, (), last=True,
-                                             count=plan.result)]
-        else:
-            if isinstance(request, InsertRequest):
-                plan = self.plan_insert(request.rect, request.data_id)
-            elif isinstance(request, DeleteRequest):
-                plan = self.plan_delete(request.rect, request.data_id)
-            elif isinstance(request, UpdateRequest):
-                plan = self.plan_update(request.old_rect, request.new_rect,
-                                        request.data_id)
-            else:
-                raise TypeError(f"server got unexpected message {request!r}")
-            plan.segments = [ResponseSegment(req_id, (), last=True,
-                                             ok=plan.result)]
-        return plan
-
     # -- the same operations from a process (rebalancer, tests) ----------------
 
     def execute_search(self, rect: Rect) -> Generator:
@@ -408,9 +457,6 @@ class RTreeServer:
         """Every request served, the rebalancer's load signal."""
         return (self.searches_served + self.inserts_served
                 + self.deletes_served + self.updates_served)
-
-    def cpu_utilization(self) -> float:
-        return self.host.cpu.utilization()
 
     def items_held(self) -> int:
         """Exact data-item count in the tree right now.

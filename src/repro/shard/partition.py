@@ -379,13 +379,6 @@ class ShardMap:
         self.epoch += 1
         return old_owner
 
-    def set_shard_contents(self, shard_id: int, mbr: Optional[Rect],
-                           count: int) -> None:
-        """Replace a shard's content summary (post-migration recompute)."""
-        info = self._shards[shard_id]
-        self._shards[shard_id] = ShardInfo(shard_id, info.tile, mbr, count)
-        self.epoch += 1
-
     def rebuild_shard_summary(
         self, shard_id: int, items: Sequence[Tuple[Rect, int]]
     ) -> None:

@@ -47,6 +47,10 @@ TIMEOUT = "timeout"
 OFFLOAD_ERROR = "offload-error"
 SKIPPED = "skipped"          # per-shard breaker open: not even attempted
 
+#: Bound on scatter rounds per read (a runaway revision storm degrades to
+#: a best-effort answer instead of livelocking).
+MAX_RESCATTER_ROUNDS = 4
+
 
 @dataclass
 class PartialResult:
@@ -161,7 +165,6 @@ class ScatterGatherRouter:
         breaker_params: Optional[BreakerParams] = None,
         record: bool = False,
         epoch_aware: bool = False,
-        max_rescatter_rounds: int = 4,
     ):
         if len(sessions) != shard_map.n_shards:
             raise ValueError(
@@ -196,9 +199,6 @@ class ScatterGatherRouter:
         #: the static plane never bumps, and the fingerprint-pinned
         #: non-rebalance paths stay byte-identical.
         self.epoch_aware = epoch_aware
-        #: Bound on re-scatter rounds per read (a runaway revision storm
-        #: degrades to a best-effort answer instead of livelocking).
-        self.max_rescatter_rounds = max_rescatter_rounds
 
     # -- scatter target selection ------------------------------------------
 
@@ -252,7 +252,9 @@ class ScatterGatherRouter:
             if request.op == OP_INSERT:
                 self.shard_map.note_insert(owner, request.rect)
             elif request.op == OP_DELETE:
-                self.shard_map.note_delete(owner)
+                # Only a delete that found its item shrinks the count.
+                if reply:
+                    self.shard_map.note_delete(owner)
             elif request.op == OP_UPDATE and request.new_rect is not None:
                 self.shard_map.note_update(owner, request.new_rect)
         return PartialResult(
@@ -297,60 +299,27 @@ class ScatterGatherRouter:
         return OK, reply
 
     def _execute_read(self, request: Request) -> Generator:
-        if self.epoch_aware:
-            return (yield from self._execute_read_epoch(request))
-        targets = self._read_targets(request)
-        pruned = self.shard_map.n_shards - len(targets)
-        if pruned:
-            self.router_stats.shards_pruned += pruned
-        if not targets:
-            # Nothing can match (all shard MBRs miss the query).
-            empty = 0 if request.op == OP_COUNT else []
-            return PartialResult(op=request.op, results=empty, statuses={})
-
-        statuses: Dict[int, str] = {}
-        replies: List[Tuple[int, object]] = []
-        skipped: List[int] = []
-        procs = []
-        for shard_id in targets:
-            breaker = (self.breakers[shard_id]
-                       if self.breakers is not None else None)
-            if breaker is not None and not breaker.allow():
-                skipped.append(shard_id)
-                continue
-            procs.append(self.sim.start(
-                self._gather(shard_id, request, statuses, replies),
-                name=f"scatter-s{shard_id}",
-            ))
-        for shard_id in skipped:
-            statuses[shard_id] = SKIPPED
-            self.router_stats.shard_skips += 1
-        if procs:
-            # Each sub-query is bounded by its session's retry deadline,
-            # so the barrier always resolves; failures land in statuses,
-            # never as exceptions (the gather wrapper catches them).
-            yield all_of(self.sim, procs)
-        return self._merge(request, statuses, replies)
-
-    def _execute_read_epoch(self, request: Request) -> Generator:
-        """Scatter-gather across possible epoch cuts (rebalancing on).
+        """Scatter-gather, across epoch cuts if the map has any.
 
         Capture the map epoch at scatter; after the gather barrier, if
         the epoch moved, re-read the map and query any shard that now
         covers the region and was not queried yet (a migration's
         cut-over hands a tile — and the moved items' MBR cover — to a
         new owner mid-flight).  The dedup merge keeps the union of all
-        rounds exactly-once.  COUNT runs its sub-queries as searches:
-        during a migration's copy window an item transiently lives in
-        two trees, so only an id-level dedup count is exact.
+        rounds exactly-once.  A static map never bumps its epoch, so
+        there a read is the one round.  On a live map COUNT runs its
+        sub-queries as searches: during a migration's copy window an
+        item transiently lives in two trees, so only an id-level dedup
+        count is exact.
         """
-        sub_request = (Request(OP_SEARCH, request.rect)
-                       if request.op == OP_COUNT else request)
+        live_count = self.epoch_aware and request.op == OP_COUNT
+        sub_request = (Request(OP_SEARCH, request.rect) if live_count
+                       else request)
         statuses: Dict[int, str] = {}
         replies: List[Tuple[int, object]] = []
         queried: set = set()
         rounds = 0
-        while rounds < self.max_rescatter_rounds:
+        while rounds < MAX_RESCATTER_ROUNDS:
             epoch = self.shard_map.epoch
             targets = [s for s in self._read_targets(request)
                        if s not in queried]
@@ -386,7 +355,7 @@ class ScatterGatherRouter:
         if not queried:
             empty = 0 if request.op == OP_COUNT else []
             return PartialResult(op=request.op, results=empty, statuses={})
-        if request.op == OP_COUNT:
+        if live_count:
             merged, duplicates = merge_search_replies(replies)
             return PartialResult(
                 op=request.op, results=len(merged), statuses=statuses,

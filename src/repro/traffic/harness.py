@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..client.base import ClientStats
-from ..cluster.config import ExperimentConfig
+from ..cluster.config import CLIENT_CORES, ExperimentConfig
 from ..cluster.deployment import Deployment
 from ..cluster.results import RunResult, merge_client_stats
 from ..cluster.schemes import TRANSPORT_TCP, scheme_spec
@@ -165,7 +165,7 @@ class TrafficRunner:
         self.session_stats = deployment.client_stats
         for i in range(self.traffic.sessions):
             host = Host(self.sim, f"mux-{i}", self.profile,
-                        cores=config.client_cores)
+                        cores=CLIENT_CORES)
             deployment.endpoint(i, host, ClientStats(),
                                 f"traffic-session-{i}")
         deployment.start()

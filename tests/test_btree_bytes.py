@@ -88,7 +88,7 @@ class TestByteModeBTree:
         keys = rng.sample(range(10**6), n)
         service = BTreeService(sim, server_host,
                                [(k, k + 1) for k in keys],
-                               capacity=capacity, byte_mode=True)
+                               max_entries=capacity, byte_mode=True)
         client_host = Host(sim, "client", IB_100G, cores=2)
         qp, _ = connect(sim, net, client_host, server_host)
         stats = ClientStats()

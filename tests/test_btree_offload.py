@@ -34,7 +34,7 @@ def make_kv(n=2000, capacity=16, cores=4, multi_issue=True, seed=1):
     rng = random.Random(seed)
     keys = rng.sample(range(n * 10), n)
     items = [(k, k * 2) for k in keys]
-    service = BTreeService(sim, server_host, items, capacity=capacity)
+    service = BTreeService(sim, server_host, items, max_entries=capacity)
     fm_server = FastMessagingServer(sim, service, net, mode=EVENT)
     client_host = Host(sim, "client", IB_100G, cores=2)
     conn = fm_server.open_connection(client_host)

@@ -89,7 +89,7 @@ class TestTable:
         result = table.put(7, 7)
         assert len(result.mutated_nodes) == 1
         h1, h2 = table.bucket_indices(7)
-        assert result.mutated_nodes[0].index in (h1, h2)
+        assert result.mutated_nodes[0].chunk_id in (h1, h2)
 
     def test_churn_against_oracle(self):
         table = CuckooHashTable(512, seed=6)

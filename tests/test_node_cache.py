@@ -402,7 +402,7 @@ def _btree_rejected_read():
     server_host = Host(sim, "server", IB_100G, cores=4)
     net.attach_server(server_host)
     service = BTreeService(sim, server_host,
-                           [(k, k + 1) for k in range(2000)], capacity=16)
+                           [(k, k + 1) for k in range(2000)], max_entries=16)
     assert service.tree.height > 1
     client_host = Host(sim, "client", IB_100G, cores=2)
     qp, _server_qp = connect(sim, net, client_host, server_host)

@@ -470,6 +470,43 @@ def test_duplicated_assembly_paths_are_gone():
     assert not offenders, offenders
 
 
+#: The per-index service plumbing the shared skeleton replaced.
+RETIRED_SERVICE_CLASSES = {
+    "TreeChunkTarget", "MetaTarget", "BTreeChunkTarget", "_KvMetaTarget",
+    "_CuckooTarget", "KvMeta", "KvOffloadDescriptor",
+}
+
+
+def test_index_service_plumbing_lives_once():
+    # One skeleton under the R-tree, B+tree and cuckoo servers: the
+    # read-only target's write rejection, the plan dispatch and the
+    # versioned-chunk protocol each have one home in src/repro.
+    raises, plans, begin_writes, utilizations, classes = [], [], [], [], []
+    for path in _python_files(SRC):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                if getattr(exc, "id", None) == "PermissionError":
+                    raises.append(rel)
+            elif isinstance(node, ast.FunctionDef):
+                if node.name == "plan" and rel.split("/")[0] in (
+                        "server", "btree", "cuckoo"):
+                    plans.append(rel)
+                elif node.name == "begin_write":
+                    begin_writes.append(rel)
+                elif node.name == "cpu_utilization":
+                    utilizations.append(rel)
+            elif isinstance(node, ast.ClassDef):
+                classes.append(node.name)
+    assert raises == ["server/base.py"]
+    assert plans == ["server/base.py"]
+    assert begin_writes == ["rtree/node.py"]
+    assert not utilizations, utilizations
+    assert not RETIRED_SERVICE_CLASSES & set(classes)
+
+
 def test_chaos_is_one_registry_above_the_runners():
     # Every scenario is the same kind of row and none brings a runner:
     # what a row runs is what its ExperimentConfig asks ``build_runner``

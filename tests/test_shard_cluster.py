@@ -7,9 +7,12 @@ import dataclasses
 import pytest
 
 from repro.chaos import SCENARIOS, ChaosConfig, run_scenario
+from repro.client.base import OP_DELETE, ClientStats, Request
 from repro.cluster.builder import run_experiment
-from repro.cluster.config import ExperimentConfig
+from repro.cluster.config import ExperimentConfig, RebalanceConfig
+from repro.cluster.deployment import Deployment
 from repro.faults.plan import ShardLoss
+from repro.hw.host import Host
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.shard.verify import verify_routed_results
 from repro.sim.rng import RngRegistry
@@ -85,6 +88,48 @@ class TestDispatchAndConfig:
     def test_config_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             small_config(n_shards=0)
+
+
+class TestRoutedDeletes:
+    """A routed delete reports the server's ack, and only a delete that
+    found its item shrinks the shard map's count."""
+
+    def _delete_twice(self, **overrides):
+        # Five deletes, then the first one again (it finds nothing).
+        deployment = Deployment(small_config(dataset_size=2000, **overrides),
+                                routed=True)
+        host = Host(deployment.sim, "client", deployment.profile, cores=2)
+        router = deployment.endpoint(0, host, ClientStats(), "c")
+        deployment.start()
+        victims = deployment.dataset[:5] + deployment.dataset[:1]
+        acks = []
+
+        def client():
+            for rect, data_id in victims:
+                result = yield from router.execute(
+                    Request(OP_DELETE, rect, data_id=data_id))
+                assert result.complete
+                acks.append(result.results)
+
+        deployment.sim.run_until_triggered(
+            deployment.sim.process(client()))
+        held = [stack.items_held() for stack in deployment.stacks]
+        return acks, router.shard_map.counts(), held
+
+    def test_static_plane_counts_only_found_deletes(self):
+        acks, counts, held = self._delete_twice()
+        assert acks == [True] * 5 + [False]
+        assert sum(held) == 1995
+        assert counts == held
+
+    def test_elastic_plane_counts_every_found_delete(self):
+        # A warm-up past the run keeps the controller from revising the
+        # map while the deletes are routed.
+        acks, counts, held = self._delete_twice(
+            rebalance=RebalanceConfig(warmup=1.0))
+        assert acks == [True] * 5 + [False]
+        assert sum(held) == 1995
+        assert counts == held
 
 
 class TestDeterminism:
