@@ -24,10 +24,11 @@ the per-query routing state small enough to live client-side).
 Under rebalancing the routing granularity tightens: each tile carries
 the MBR of the items whose centers it contains, and each shard a
 *stray* cover for items it holds outside its owned tiles (writes that
-raced a cut-over, source leftovers mid-cleanup).  The epoch-aware read
-scatter (:meth:`ShardMap.read_targets`) unions tile-MBR hits with
-stray hits — a shard-level box over disjoint migrated regions would
-grow uselessly fat and drag the old owner into every query forever.
+raced a cut-over, and a source's copies until its drain ends).  The
+epoch-aware read scatter (:meth:`ShardMap.read_targets`) unions
+tile-MBR hits with stray hits — a shard-level box over disjoint
+migrated regions would grow uselessly fat and drag the old owner into
+every query forever.
 
 The map is also *versioned*: every revision (tile split, tile merge,
 tile reassignment, shard-content update) bumps ``epoch``.  The static
@@ -89,7 +90,7 @@ class TileEntry:
     #: are assigned by center, so rects overhang the tile; the MBR covers
     #: the overhang).  None while no item is known to live here.  Kept
     #: conservative: grown by routed writes and tile handoffs, recomputed
-    #: exactly only by the migration cleanup's rebuild.
+    #: exactly only by the migration cleanup's rebuilds.
     mbr: Optional[Rect] = None
 
 
@@ -123,8 +124,9 @@ class ShardMap:
                 )
         #: Per-shard cover of *stray* items — items the shard holds whose
         #: center lies outside its owned tiles (writes that raced a
-        #: cut-over, source leftovers mid-cleanup).  None when no stray
-        #: can exist; the epoch-aware read scatter unions it in.
+        #: cut-over, and a source's copies until its drain ends).  None
+        #: when no stray can exist; the epoch-aware read scatter unions
+        #: it in.
         self._stray_mbrs: List[Optional[Rect]] = (
             list(stray_mbrs) if stray_mbrs is not None
             else [None] * len(self._shards)
@@ -353,10 +355,11 @@ class ShardMap:
         if new_owner == old_owner:
             raise ValueError(f"tile {index} already owned by {new_owner}")
         # The tile's content MBR travels with it (the destination holds
-        # copies of everything it covered).  The source may still hold
-        # items under this tile — copies pending cleanup, plus writes
-        # that raced the cut-over — so the tile MBR also joins the
-        # source's stray cover until a rebuild recomputes it exactly.
+        # copies of everything it covered).  The source still holds
+        # items under this tile — its copies, which in-flight queries
+        # that scattered before this revision may still read, plus
+        # writes that raced the cut-over — so the tile MBR also joins
+        # the source's stray cover until a rebuild recomputes it.
         self._tiles[index] = TileEntry(entry.rect, new_owner, entry.mbr)
         if entry.mbr is not None:
             stray = self._stray_mbrs[old_owner]
@@ -383,12 +386,13 @@ class ShardMap:
         self, shard_id: int, items: Sequence[Tuple[Rect, int]]
     ) -> None:
         """Exact recompute of one shard's routing state from a scan of
-        its contents: per-owned-tile MBRs, the stray cover, the shard
-        MBR and count — the migration cleanup's final step.  One epoch
-        bump.  Safe against racing inserts because the caller scans the
-        tree (mutations apply before any CPU is charged, so the scan
-        sees at least everything acked; later writes re-grow the covers
-        through ``note_insert``/``note_update`` at ack time)."""
+        the contents it serves: per-owned-tile MBRs, the stray cover, the
+        shard MBR and count — the migration cleanup's hand-over and final
+        steps.  One epoch bump.  Safe against racing inserts because the
+        caller scans the tree (mutations apply before any CPU is charged,
+        so the scan sees at least everything acked; later writes re-grow
+        the covers through ``note_insert``/``note_update`` at ack
+        time)."""
         owned = self.owned_tiles(shard_id)
         tile_mbrs: dict = {index: None for index, _entry in owned}
         stray: Optional[Rect] = None

@@ -23,20 +23,30 @@ docs/architecture.md):
    detect the bump at gather time and re-scatter
    (:meth:`~repro.shard.router.ScatterGatherRouter` with
    ``epoch_aware=True``).
-3. **drain + cleanup** — after ``drain_s`` of simulated time (covering
-   in-flight queries that scattered against the old plane), the moved
-   items are deleted from the source and its MBR/count recomputed from
-   the tree (second epoch bump), so the former hot shard stops
-   attracting queries over the region it gave away.  Cleanup runs as a
-   detached background process: its deletes queue behind the hot
-   shard's foreground traffic and must not freeze the control loop.
+3. **hand-over + cleanup** — after ``drain_s`` of simulated time
+   (covering in-flight queries that scattered against the old plane)
+   the destination holds every moved item and no pre-cut-over scatter
+   is left for the source to answer, so reads are handed over *before*
+   the source's copies are gone: the moved (rect, id) pairs join the
+   source's handed-over set and its routing summary is rebuilt from its
+   tree without them (second epoch bump; writes that raced the
+   cut-over stay covered as strays).  Then the moved items are deleted
+   from the source, each pair leaving the set as its delete lands,
+   stragglers are swept to the tile's owner and the summary is rebuilt
+   once more (third bump).  Every rebuild of a shard leaves out the
+   pairs still pending on it — the set is per shard, so a second
+   cleanup from the same source cannot re-cover the first one's
+   pending items.  Cleanup runs as a detached background process: its
+   deletes queue behind the hot shard's foreground traffic and must
+   not freeze the control loop.
 
 Writes racing a migration stay exactly-once: an insert routed to the old
 owner after the copy snapshot simply stays there (readable through the
 source MBR the router widened); an insert routed after the cut-over
 lands on the new owner.  Deletes are broadcast by the epoch-aware router
 to every shard whose MBR covers the rect, so a copy can never resurrect
-a deleted item.
+a deleted item; a source copy the hand-over left uncovered is deleted
+by the cleanup itself, and no later scan carries it anywhere.
 
 Determinism contract: the controller draws no randomness — every
 decision is a pure function of (map state, served-request counters, sim
@@ -46,7 +56,7 @@ the two rebalance chaos scenarios can pin fingerprints.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..cluster.config import RebalanceConfig
 from ..obs.registry import Counter, MetricsRegistry
@@ -55,6 +65,9 @@ from ..sim.kernel import Simulator
 from .partition import ShardMap, tile_contains
 
 __all__ = ["RebalanceConfig", "RebalanceStats", "RebalanceController"]
+
+#: The whole plane: a search over it visits every leaf entry.
+_PLANE = Rect(-float("inf"), -float("inf"), float("inf"), float("inf"))
 
 
 class RebalanceStats:
@@ -110,6 +123,12 @@ class RebalanceController:
         #: (end None while active) — the racing-writes scenario checks
         #: foreground writes landed inside one.
         self.migration_windows: List[List[Optional[float]]] = []
+        #: Per shard, the (rect, id) pairs handed over to another shard
+        #: whose delete from this shard has not landed yet.  Every
+        #: rebuild of the shard's summary leaves them out.
+        self.handed_over: List[Set[Tuple[Rect, int]]] = [
+            set() for _ in range(k)
+        ]
         self.process = None
         self._stopped = False
 
@@ -153,13 +172,34 @@ class RebalanceController:
         return loads
 
     def _shard_items(self, shard_id: int) -> List[Tuple[Rect, int]]:
-        """The shard tree's current contents (searched over its MBR —
-        live on the routed write path, so a conservative cover)."""
-        info = self.shard_map[shard_id]
-        if info.mbr is None:
-            return []
+        """The shard tree's current contents, in search (DFS) order.
+
+        One unbounded search: the map's covers leave out the pairs
+        handed over to another shard, and an item the map never learnt
+        of is still in the tree, so no map rect bounds the contents."""
+        return list(self.stacks[shard_id].server.tree.search(_PLANE).matches)
+
+    def _tile_items(self, shard_id: int,
+                    tile_rect: Rect) -> List[Tuple[Rect, int]]:
+        """The shard's items whose centres lie in ``tile_rect``: a search
+        over the tile (an item's centre lies in its rect, so it
+        intersects every tile containing that centre), in the order
+        :meth:`_shard_items` lists them."""
         tree = self.stacks[shard_id].server.tree
-        return list(tree.search(info.mbr).matches)
+        return [(rect, data_id)
+                for rect, data_id in tree.search(tile_rect).matches
+                if tile_contains(tile_rect, *rect.center())]
+
+    def _rebuild_summary(self, shard_id: int) -> None:
+        """Rebuild one shard's routing summary from its tree, leaving out
+        the pairs still pending in its handed-over set (one epoch
+        bump)."""
+        pending = self.handed_over[shard_id]
+        items = self._shard_items(shard_id)
+        if pending:
+            items = [item for item in items if item not in pending]
+        self.shard_map.rebuild_shard_summary(shard_id, items)
+        self.stats.epoch_bumps += 1
 
     # -- the control loop --------------------------------------------------
 
@@ -306,11 +346,7 @@ class RebalanceController:
         shard_map = self.shard_map
         stats = self.stats
         entry = shard_map.tiles[tile_index]
-        moved = [
-            (rect, data_id)
-            for rect, data_id in self._shard_items(source)
-            if tile_contains(entry.rect, *rect.center())
-        ]
+        moved = self._tile_items(source, entry.rect)
         if not moved:
             # Nothing to carry: flip the (empty) tile so future writes
             # land on the cold shard.
@@ -350,43 +386,57 @@ class RebalanceController:
         finally:
             self._pre_cutover = False
 
-        # Phase 3 — drain, then delete from the source — detached as its
-        # own process.  The source is by construction the *hot* shard, so
-        # its cleanup deletes queue behind saturated foreground traffic;
-        # serializing the control loop on them would freeze further
-        # splits for the whole cleanup (observed: tens of milliseconds
-        # at one core).  The migration window stays open until the
-        # cleanup finishes, so ``Deployment.settle`` still
+        # Phase 3 — drain, hand reads over, then delete from the source —
+        # detached as its own process.  The source is by construction the
+        # *hot* shard, so its cleanup deletes queue behind saturated
+        # foreground traffic; serializing the control loop on them would
+        # freeze further splits for the whole cleanup (observed: tens of
+        # milliseconds at one core).  The migration window stays open
+        # until the cleanup finishes, so ``Deployment.settle`` still
         # guarantees no run ends with an item on two shards.  Cleanups
         # from successive migrations cannot collide: each deletes only
-        # items whose centres lie in its own (disjoint) migrated tile.
+        # items whose centres lie in its own (disjoint) migrated tile,
+        # and each rebuild leaves out every pair still pending on the
+        # shard, whichever cleanup handed it over.
         self.sim.process(
             self._cleanup(source, entry.rect, moved, window),
             name=f"rebalance-cleanup-{source}",
         )
 
     def _cleanup(self, source: int, tile_rect: Rect, moved, window):
-        """Drain, delete the moved items from the source tree, sweep any
-        write that raced the cut-over to its current owner, and rebuild
-        the source's routing summary exactly.
+        """Drain, hand the moved items' reads over to their new owner,
+        delete them from the source tree, sweep any write that raced the
+        cut-over to its current owner, and rebuild the source's routing
+        summary exactly.
 
         The drain keeps the source exact for queries that scattered
         pre-cut-over; the epoch-aware re-scatter is the net under any
-        straggler.  The final rebuild is safe against racing client
-        inserts: the tree mutation is applied at the head of
-        ``execute_insert`` (before any CPU is charged), so an insert
-        acked before the scan is *in* the scan, and one applied after
-        it re-grows the shared live map via the client's
-        ``note_insert`` at ack time.  Without the rebuild the former
-        hot shard's stale covers keep attracting every query over the
-        region it migrated away — scatter fan-out never recovers."""
+        straggler.  Once it ends the destination holds every moved item,
+        so the hand-over rebuild drops the source's covers of them right
+        away instead of after its deletes, which queue behind the hot
+        shard's saturated foreground traffic — until then every query
+        over the migrated tile would read both shards.  Writes that
+        raced the cut-over are in the tree and not in the handed-over
+        set, so the rebuild keeps them covered as strays.
+
+        Both rebuilds are safe against racing client inserts: the tree
+        mutation is applied at the head of ``execute_insert`` (before
+        any CPU is charged), so an insert acked before the scan is *in*
+        the scan, and one applied after it re-grows the shared live map
+        via the client's ``note_insert`` at ack time.  Without the
+        final rebuild the former hot shard's stale stray cover keeps
+        attracting queries over the region it migrated away."""
         shard_map = self.shard_map
         stats = self.stats
         source_server = self.stacks[source].server
         if self.config.drain_s > 0:
             yield self.sim.timeout(self.config.drain_s)
-        for rect, data_id in moved:
-            yield from source_server.execute_delete(rect, data_id)
+        pending = self.handed_over[source]
+        pending.update(moved)
+        self._rebuild_summary(source)
+        for pair in moved:
+            yield from source_server.execute_delete(*pair)
+            pending.discard(pair)
             self._migration_ops[source] += 1
             stats.items_migrated += 1
         # Sweep stragglers: an insert that scattered against the old
@@ -396,10 +446,8 @@ class RebalanceController:
         # every instant), so no permanent stray keeps the source in
         # the region's scatter set.
         moved_ids = {data_id for _rect, data_id in moved}
-        for rect, data_id in self._shard_items(source):
+        for rect, data_id in self._tile_items(source, tile_rect):
             if data_id in moved_ids:
-                continue
-            if not tile_contains(tile_rect, *rect.center()):
                 continue
             owner = shard_map.owner_of(rect)
             if owner == source:
@@ -408,8 +456,7 @@ class RebalanceController:
             # yield in between, and the insert mutates the destination
             # tree before its first yield): a foreground delete that
             # completed since the snapshot scan must not be resurrected.
-            if not any(d == data_id
-                       for _r, d in self._shard_items(source)):
+            if (rect, data_id) not in source_server.tree.search(rect).matches:
                 continue
             yield from self.stacks[owner].server.execute_insert(
                 rect, data_id)
@@ -418,8 +465,7 @@ class RebalanceController:
             yield from source_server.execute_delete(rect, data_id)
             self._migration_ops[source] += 1
             stats.items_migrated += 1
-        shard_map.rebuild_shard_summary(source, self._shard_items(source))
-        stats.epoch_bumps += 1
+        self._rebuild_summary(source)
         stats.migrations_completed += 1
         window[1] = self.sim.now
 

@@ -12,8 +12,10 @@ import random
 import pytest
 
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
+from repro.cluster.deployment import Deployment
 from repro.rtree.geometry import Rect
 from repro.shard.deploy import ShardedExperimentRunner
+from repro.shard.partition import tile_contains
 from repro.shard.rebalance import RebalanceController, RebalanceStats
 from repro.shard.verify import verify_routed_results
 
@@ -137,7 +139,9 @@ class TestEndToEnd:
 
     def test_occupancy_tracks_migrations(self):
         """After migrations settle, the live map's counts agree with an
-        exact per-shard leaf walk, and the plane actually moved items."""
+        exact per-shard leaf walk, and the plane actually moved items;
+        every epoch bump was counted and no handed-over pair is left
+        pending."""
         runner = ShardedExperimentRunner(skewed_config())
         result = runner.run()
         walk = runner.shard_occupancy()
@@ -146,6 +150,9 @@ class TestEndToEnd:
         assert runner.live_map.counts() == walk
         reported = [int(result.extra[f"shard{k}_items"]) for k in range(4)]
         assert reported == walk
+        assert (int(runner.rebalance_stats.epoch_bumps)
+                == runner.live_map.epoch)
+        assert all(not pending for pending in runner.rebalancer.handed_over)
 
     def test_rebalance_off_keeps_static_plane(self):
         runner = ShardedExperimentRunner(skewed_config(rebalance=None))
@@ -169,3 +176,99 @@ class TestEndToEnd:
         assert a.extra == b.extra
         assert a.throughput_kops == b.throughput_kops
         assert first.live_map.epoch == second.live_map.epoch
+
+
+class TestHandOver:
+    """Reads over a migrated tile leave the source at the end of the
+    drain, not when its per-item deletes finish.  Each test drives an
+    idle deployment (no clients, no background machinery), so no write
+    races a cut-over."""
+
+    SOURCE, DEST, OTHER = 0, 1, 2
+
+    @staticmethod
+    def idle():
+        deployment = Deployment(skewed_config(), routed=True)
+        controller = RebalanceController(
+            deployment.sim, deployment.live_map, deployment.stacks, TUNING)
+        return deployment, controller
+
+    @staticmethod
+    def migrate(deployment, controller, source, dest):
+        """Split the source's busiest tile and start migrating its high
+        half to ``dest``; returns that half's tile index."""
+        index, axis, cut, low_mbr, high_mbr = controller._plan_split(source)
+        _low, high = deployment.live_map.split_tile(
+            index, axis, cut, low_mbr=low_mbr, high_mbr=high_mbr)
+        deployment.sim.process(controller._migrate(high, source, dest))
+        return high
+
+    @staticmethod
+    def run_until(deployment, done, step=1e-6):
+        """Advance the deployment in ``step`` slices until ``done()``
+        (bounded, so a migration that never finishes fails the test)."""
+        sim = deployment.sim
+        for _ in range(100_000):
+            if done():
+                return
+            sim.run(until=sim.now + step)
+        raise AssertionError("the migration did not get there")
+
+    def drain(self, deployment, high, dest):
+        """Run to the tile's cut-over, then just past its drain."""
+        live_map, sim = deployment.live_map, deployment.sim
+        self.run_until(deployment,
+                       lambda: live_map.tiles[high].owner == dest)
+        sim.run(until=sim.now + TUNING.drain_s + 1e-6)
+
+    def pending_probes(self, deployment, high, dest):
+        """Centre points of moved items the source still holds, away
+        from every tile cover of a shard other than ``dest``: only a
+        cover the source kept for the moved items reaches them."""
+        live_map = deployment.live_map
+        tile = live_map.tiles[high].rect
+        held = [rect for rect, _id in deployment.stacks[self.SOURCE]
+                .server.tree.search(tile).matches
+                if tile_contains(tile, *rect.center())]
+        assert held, "the source's deletes have all landed already"
+        others = [entry.mbr for entry in live_map.tiles
+                  if entry.owner != dest and entry.mbr is not None]
+        probes = [point for point in (Rect.point(*r.center()) for r in held)
+                  if not any(mbr.intersects(point) for mbr in others)]
+        assert probes
+        return probes
+
+    def test_drained_tile_reads_only_the_destination(self):
+        deployment, controller = self.idle()
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        self.drain(deployment, high, self.DEST)
+        for probe in self.pending_probes(deployment, high, self.DEST):
+            assert deployment.live_map.read_targets(probe) == [self.DEST]
+
+    def test_second_cleanup_keeps_the_first_tile_handed_over(self):
+        """The handed-over set is per shard: the second migration's
+        rebuilds of the source leave out the first one's pending pairs
+        too."""
+        deployment, controller = self.idle()
+        first = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        self.drain(deployment, first, self.DEST)
+        second = self.migrate(deployment, controller, self.SOURCE,
+                              self.OTHER)
+        self.drain(deployment, second, self.OTHER)
+        for probe in self.pending_probes(deployment, first, self.DEST):
+            assert deployment.live_map.read_targets(probe) == [self.DEST]
+
+    def test_final_rebuild_counts_an_item_outside_every_cover(self):
+        deployment, controller = self.idle()
+        live_map = deployment.live_map
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        planted = Rect(-5.0, -5.0, -4.99, -4.99)
+        assert not tile_contains(live_map.tiles[high].rect,
+                                 *planted.center())
+        assert live_map.read_targets(planted) == []
+        deployment.stacks[self.SOURCE].server.tree.insert(planted, 10**6)
+        self.run_until(deployment, lambda: controller.migration_windows
+                       and not controller.active_migrations)
+        assert controller.stats.migrations_completed == 1
+        assert live_map.counts() == deployment.shard_occupancy()
+        assert live_map.read_targets(planted) == [self.SOURCE]
