@@ -160,12 +160,6 @@ class NodeCache:
         self.stores += 1
         return True
 
-    def invalidate_all(self) -> None:
-        """Drop every entry (e.g. after an offload descriptor change)."""
-        count = len(self._entries)
-        self._entries.clear()
-        self.invalidations += count
-
     # -- metrics -------------------------------------------------------------
 
     def register_metrics(self, registry: MetricsRegistry,

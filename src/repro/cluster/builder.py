@@ -55,55 +55,30 @@ def _client_driver(
     synchronous client actually waited for it — and a group fails as one.
     """
     batch_exec = getattr(session, "execute_search_batch", None)
-    if batch_queries > 1 and batch_exec is not None:
-        for group in batch_runs(requests, batch_queries):
-            if injector is not None:
-                stall = injector.client_stall(client_id)
-                if stall > 0.0:
-                    yield sim.timeout(stall)
-            start = sim.now
-            try:
-                if len(group) == 1:
-                    outcomes = yield from session.execute(group[0])
-                else:
-                    outcomes = yield from batch_exec(group)
-            except (RequestTimeoutError, OffloadError) as exc:
-                failed += len(group)
-                if log is not None:
-                    for request in group:
-                        log.append((len(log), request, exc, sim.now))
-                continue
-            elapsed = sim.now - start
-            for request in group:
-                stats.requests_sent += 1
-                stats.latency.record(elapsed)
-                if request.op == OP_SEARCH:
-                    stats.search_latency.record(elapsed)
-            if log is not None:
-                if len(group) == 1:
-                    outcomes = [outcomes]
-                for request, outcome in zip(group, outcomes):
-                    log.append((len(log), request, outcome, sim.now))
-        return
-    for request in requests:
+    for group in batch_runs(requests, batch_queries if batch_exec else 1):
         if injector is not None:
             stall = injector.client_stall(client_id)
             if stall > 0.0:
                 yield sim.timeout(stall)
         start = sim.now
         try:
-            outcome = yield from session.execute(request)
+            if len(group) == 1:
+                outcomes = [(yield from session.execute(group[0]))]
+            else:
+                outcomes = yield from batch_exec(group)
         except (RequestTimeoutError, OffloadError) as exc:
-            failed += 1
-            outcome = exc
+            failed += len(group)
+            outcomes = [exc] * len(group)
         else:
             elapsed = sim.now - start
-            stats.requests_sent += 1
-            stats.latency.record(elapsed)
-            if request.op == OP_SEARCH:
-                stats.search_latency.record(elapsed)
+            for request in group:
+                stats.requests_sent += 1
+                stats.latency.record(elapsed)
+                if request.op == OP_SEARCH:
+                    stats.search_latency.record(elapsed)
         if log is not None:
-            log.append((len(log), request, outcome, sim.now))
+            for request, outcome in zip(group, outcomes):
+                log.append((len(log), request, outcome, sim.now))
 
 
 class ClosedLoopRunner:

@@ -26,12 +26,9 @@ class RebalanceConfig:
     default of ``rebalance=None`` (no controller, static plane).
     """
 
-    #: Master switch; a config carrying a disabled block behaves as None.
-    enabled: bool = True
-    #: Controller cycle period (simulated seconds between load reads).
+    #: Controller cycle period (simulated seconds between load reads,
+    #: and before the first cycle).
     interval: float = 0.05e-3
-    #: Simulated delay before the first cycle (let load windows fill).
-    warmup: float = 0.0
     #: A shard is "hot" when its per-cycle load exceeds
     #: ``split_ratio`` x the mean per-shard load.
     split_ratio: float = 1.5
@@ -45,9 +42,6 @@ class RebalanceConfig:
     #: epoch-aware re-scatter is the safety net if a straggler outlives
     #: even this window.)
     drain_s: float = 0.3e-3
-    #: Opportunistic merging of adjacent same-owner tiles (at most one
-    #: merge per controller cycle).
-    merge_enabled: bool = True
 
     def __post_init__(self):
         if self.interval <= 0:
@@ -146,7 +140,7 @@ class ExperimentConfig:
     #: routes the run through ``repro.shard.deploy``.
     n_shards: Optional[int] = None
 
-    #: Elastic shard plane: when set (and enabled), the sharded runner
+    #: Elastic shard plane: when set, the sharded runner
     #: shares one live epoch-versioned shard map across all clients,
     #: routes reads epoch-aware, and starts a
     #: :class:`~repro.shard.rebalance.RebalanceController` driving tile

@@ -231,7 +231,7 @@ class Deployment:
             from ..shard.partition import partition_str
             self.partition = partition_str(items, self.n_shards)
             rb = config.rebalance
-            if rb is not None and rb.enabled:
+            if rb is not None:
                 self.rebalance_cfg = rb
                 self.live_map = self.partition.shard_map.copy()
             # All shard-side randomness comes from ``rngs.shard(k)`` — a

@@ -134,10 +134,6 @@ class Nic:
         self._early.clear()
 
     @property
-    def outstanding_reads(self) -> int:
-        return self._reads_held
-
-    @property
     def read_claims_waiting(self) -> bool:
         """Whether a release now would hand the slot over (and queue the
         grant) rather than free it."""

@@ -4,9 +4,7 @@ from .batch import (
     HAVE_NUMPY,
     BatchSearchEngine,
     QueryBatch,
-    forced_kernel,
     kernel_name,
-    set_kernel,
 )
 from .bulk import bulk_load
 from .geometry import Rect
@@ -35,9 +33,7 @@ __all__ = [
     "HAVE_NUMPY",
     "BatchSearchEngine",
     "QueryBatch",
-    "forced_kernel",
     "kernel_name",
-    "set_kernel",
     "bulk_load",
     "Rect",
     "RWLock",

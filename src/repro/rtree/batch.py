@@ -11,26 +11,23 @@ concurrent searches shares one frontier traversal, testing a whole
 
 Three layers live here:
 
-* **kernel selection** — ``CATFISH_SCAN_KERNEL`` picks ``auto``
-  (default), ``numpy`` or ``python``; :func:`forced_kernel` switches it
-  per-test.  ``python`` is the no-numpy fallback and must stay green
-  (the tier-1 CI leg runs without numpy installed).  **``auto`` is
-  measured, not dogmatic**: the batched ``(Q x E)`` kernels use numpy —
-  one broadcast serves a whole query group — but single-query scans of
-  a <=64-entry node keep the tight Python loop, because a numpy call
-  carries ~1µs of fixed dispatch overhead and a short-circuiting loop
-  over 64 floats beats four array ops plus ``flatnonzero`` (~2µs vs
-  ~5µs measured on the bench tree).  ``numpy`` forces the broadcast
-  form everywhere, which is what the single-query vectorized-scan
-  property tests pin against the loop.
+* **kernel selection** — one kernel per platform, fixed at import: the
+  batched ``(Q x E)`` kernels are numpy broadcasts if and only if numpy
+  can be imported (the ``[accel]`` extra), else pure-Python loops that
+  must stay green (the tier-1 CI matrix runs without numpy).
+  Single-query scans and MINDIST always run the tight Python loop: at
+  the <=64-entry node size a numpy call's ~1µs of fixed dispatch
+  overhead makes a broadcast lose to the short-circuiting loop (~5µs vs
+  ~2µs measured on the bench tree), while one batched broadcast serves
+  a whole query group.
 * **scan kernels** — :func:`node_scan_indices` /
   :func:`view_scan_indices` (single-query intersection over one node),
   :func:`node_min_dist2` / :func:`view_min_dist2` (kNN MINDIST), and
   :func:`batch_leaf_hits` / :func:`batch_child_sets` (the ``(Q x E)``
-  matrix test).  All flavours implement the exact closed-interval
+  matrix test).  All of them implement the exact closed-interval
   predicate and float operation order of ``Rect.intersects`` /
-  ``Rect.min_dist2_point``, so results are bit-identical regardless of
-  which kernel runs.
+  ``Rect.min_dist2_point``, so the numpy and Python batch kernels
+  return bit-identical results.
 * **the batch engine** — :class:`BatchSearchEngine` runs a shared
   depth-first frontier (node -> the set of still-interested queries)
   and returns per-query :class:`~repro.rtree.rstar.SearchResult`
@@ -53,17 +50,15 @@ the numpy batch kernels: per node a ``(4, E)`` matrix ``[minx, miny,
 broadcast plus one ``all`` reduction — two array ops per node instead
 of eleven, which matters when interest sets are small.  Negation is
 exact in IEEE-754, so the packed form decides exactly the same
-predicate.  The numpy mirrors are cached per node keyed on
-``Node.mut_seq`` (and built once per immutable
+predicate.  The packed matrix is the only numpy mirror: it is cached
+per node keyed on ``Node.mut_seq`` (and built once per immutable
 :class:`~repro.rtree.serialize.NodeView`), so a static tree pays the
 list-to-ndarray conversion once per node, not per query.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .geometry import Rect
 
@@ -80,127 +75,51 @@ except ImportError:  # pragma: no cover
 #: True when numpy importable at all (the ``[accel]`` extra is present).
 HAVE_NUMPY = _np is not None
 
-KERNEL_AUTO = "auto"
-KERNEL_NUMPY = "numpy"
-KERNEL_PYTHON = "python"
-
-#: Environment override: "auto"/unset | "numpy" | "python".
-_ENV_VAR = "CATFISH_SCAN_KERNEL"
-
-
-def _resolve_kernel(name: str) -> str:
-    """Validate a kernel name; returns the canonical mode string."""
-    name = (name or KERNEL_AUTO).strip().lower()
-    if name == "":
-        name = KERNEL_AUTO
-    if name == KERNEL_NUMPY and not HAVE_NUMPY:
-        raise RuntimeError(
-            f"{_ENV_VAR}={KERNEL_NUMPY!r} but numpy is not importable; "
-            f"install the [accel] extra or drop the override"
-        )
-    if name not in (KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON):
-        raise ValueError(
-            f"unknown scan kernel {name!r}; expected "
-            f"{KERNEL_AUTO!r}, {KERNEL_NUMPY!r} or {KERNEL_PYTHON!r}"
-        )
-    return name
-
-
-def _apply_mode(mode: str) -> None:
-    """Set the per-kernel use-numpy flags from a canonical mode."""
-    global _mode, _np_single, _np_batch
-    _mode = mode
-    # Single-query scans: numpy only when explicitly forced (see the
-    # module docstring — the broadcast loses to the short-circuiting
-    # loop at node size 64).  Batch kernels: numpy whenever available.
-    _np_single = mode == KERNEL_NUMPY
-    _np_batch = HAVE_NUMPY and mode != KERNEL_PYTHON
-
-
-_mode = KERNEL_AUTO
-_np_single = False
-_np_batch = False
-_apply_mode(_resolve_kernel(os.environ.get(_ENV_VAR, KERNEL_AUTO)))
+#: Whether the batch kernels run as numpy broadcasts.  Private seam:
+#: the fallback-equivalence tests and the claims ``fallback`` column
+#: flip it to ``False`` inside a ``try``/``finally``.
+_np_batch = HAVE_NUMPY
 
 
 def kernel_name() -> str:
-    """The active scan-kernel flavour: ``"numpy"`` when the vectorized
-    (batched) kernels run as numpy broadcasts, else ``"python"``."""
-    return KERNEL_NUMPY if _np_batch else KERNEL_PYTHON
+    """The active scan-kernel flavour: ``"numpy"`` when the batched
+    kernels run as numpy broadcasts, else ``"python"``."""
+    return "numpy" if _np_batch else "python"
 
 
-def kernel_mode() -> str:
-    """The configured mode: ``"auto"``, ``"numpy"`` or ``"python"``."""
-    return _mode
-
-
-def set_kernel(name: str) -> str:
-    """Force the scan kernel at runtime; returns the previous mode.
-
-    Used by the fallback-equivalence tests and the benchmark harness;
-    production code selects once at import via ``CATFISH_SCAN_KERNEL``.
-    """
-    previous = _mode
-    _apply_mode(_resolve_kernel(name))
-    return previous
-
-
-@contextmanager
-def forced_kernel(name: str) -> Iterator[None]:
-    """Context manager pinning the scan kernel (test helper)."""
-    previous = set_kernel(name)
-    try:
-        yield
-    finally:
-        set_kernel(previous)
-
-
-# -- coordinate-column mirrors ------------------------------------------------
+# -- packed-matrix mirrors ----------------------------------------------------
 #
-# The numpy kernels operate on per-node mirrors derived from the
-# existing flat coordinate lists: four contiguous per-axis column
-# arrays (axis-at-a-time forms) plus the packed (4, E) matrix described
-# in the module docstring.  Nodes key theirs on ``mut_seq`` so any
-# structural mutation invalidates the ndarray mirror exactly like the
-# list mirror; NodeView snapshots are immutable, so theirs is built at
-# most once.
+# The numpy batch kernels scan a per-node packed (4, E) matrix derived
+# from the existing flat coordinate list (see the module docstring).
+# Nodes key theirs on ``mut_seq`` so any structural mutation
+# invalidates the ndarray mirror exactly like the list mirror; NodeView
+# snapshots are immutable, so theirs is built at most once.
 
 
-def _columns_from_coords(coords: List[float], count: int):
-    """(minx, miny, maxx, maxy, packed) arrays from a flat mirror."""
-    if count == 0:
-        empty = _np.empty(0, dtype=_np.float64)
-        return (empty, empty, empty, empty,
-                _np.empty((4, 0), dtype=_np.float64))
-    arr = _np.asarray(coords, dtype=_np.float64).reshape(count, 4)
-    minx = _np.ascontiguousarray(arr[:, 0])
-    miny = _np.ascontiguousarray(arr[:, 1])
-    maxx = _np.ascontiguousarray(arr[:, 2])
-    maxy = _np.ascontiguousarray(arr[:, 3])
-    packed = _np.empty((4, count), dtype=_np.float64)
-    packed[0] = minx
-    packed[1] = miny
-    _np.negative(maxx, out=packed[2])
-    _np.negative(maxy, out=packed[3])
-    return (minx, miny, maxx, maxy, packed)
+def _packed_from_coords(coords: List[float], count: int):
+    """The ``(4, E)`` matrix ``[minx, miny, -maxx, -maxy]``."""
+    rows = _np.asarray(coords, dtype=_np.float64).reshape(count, 4)
+    packed = rows.T.copy()
+    _np.negative(packed[2:], out=packed[2:])
+    return packed
 
 
-def node_columns(node: "Node"):
-    """The node's numpy column mirror, rebuilt when ``mut_seq`` moved."""
-    if node._np_seq != node.mut_seq or node._npcols is None:
+def node_packed(node: "Node"):
+    """The node's packed mirror, rebuilt when ``mut_seq`` moved."""
+    if node._np_seq != node.mut_seq or node._np_packed is None:
         coords = node._coords if node._coords_ok else node.scan_coords()
-        node._npcols = _columns_from_coords(coords, len(node.entries))
+        node._np_packed = _packed_from_coords(coords, len(node.entries))
         node._np_seq = node.mut_seq
-    return node._npcols
+    return node._np_packed
 
 
-def view_columns(view: "NodeView"):
-    """The view's numpy column mirror (views are immutable: built once)."""
-    cols = view._npcols
-    if cols is None:
-        cols = _columns_from_coords(view.scan_coords(), len(view.entries))
-        view._npcols = cols
-    return cols
+def view_packed(view: "NodeView"):
+    """The view's packed mirror (views are immutable: built once)."""
+    packed = view._np_packed
+    if packed is None:
+        packed = _packed_from_coords(view.scan_coords(), len(view.entries))
+        view._np_packed = packed
+    return packed
 
 
 # -- single-query scan kernels ------------------------------------------------
@@ -224,26 +143,10 @@ def _scan_indices_py(coords: List[float], count: int,
     return out
 
 
-def _scan_indices_np(cols, qminx: float, qminy: float,
-                     qmaxx: float, qmaxy: float) -> List[int]:
-    """One-broadcast single-query scan over a column mirror."""
-    minx, miny, maxx, maxy, _packed = cols
-    mask = (minx <= qmaxx) & (maxx >= qminx)
-    mask &= miny <= qmaxy
-    mask &= maxy >= qminy
-    return _np.flatnonzero(mask).tolist()
-
-
 def node_scan_indices(node: "Node", qminx: float, qminy: float,
                       qmaxx: float, qmaxy: float) -> List[int]:
-    """Entry indices of ``node`` intersecting the query window.
-
-    Same predicate, same ascending entry order, bit-identical output
-    from either kernel flavour.
-    """
-    if _np_single:
-        return _scan_indices_np(node_columns(node),
-                                qminx, qminy, qmaxx, qmaxy)
+    """Entry indices of ``node`` intersecting the query window, in
+    ascending entry order."""
     coords = node._coords if node._coords_ok else node.scan_coords()
     return _scan_indices_py(coords, len(node.entries),
                             qminx, qminy, qmaxx, qmaxy)
@@ -252,9 +155,6 @@ def node_scan_indices(node: "Node", qminx: float, qminy: float,
 def view_scan_indices(view: "NodeView", qminx: float, qminy: float,
                       qmaxx: float, qmaxy: float) -> List[int]:
     """Entry indices of a :class:`NodeView` intersecting the window."""
-    if _np_single:
-        return _scan_indices_np(view_columns(view),
-                                qminx, qminy, qmaxx, qmaxy)
     return _scan_indices_py(view.scan_coords(), len(view.entries),
                             qminx, qminy, qmaxx, qmaxy)
 
@@ -272,29 +172,14 @@ def _min_dist2_py(coords: List[float], count: int,
     return out
 
 
-def _min_dist2_np(cols, x: float, y: float) -> List[float]:
-    minx, miny, maxx, maxy, _packed = cols
-    dx = _np.maximum(minx - x, 0.0)
-    _np.maximum(dx, x - maxx, out=dx)
-    dy = _np.maximum(miny - y, 0.0)
-    _np.maximum(dy, y - maxy, out=dy)
-    # dx/dy only differ from the scalar path in the sign of a zero
-    # (max(-0.0, 0.0) keeps -0.0 in Python); squaring erases it.
-    return (dx * dx + dy * dy).tolist()
-
-
 def node_min_dist2(node: "Node", x: float, y: float) -> List[float]:
     """Squared MINDIST from ``(x, y)`` to every entry of ``node``."""
-    if _np_single:
-        return _min_dist2_np(node_columns(node), x, y)
     coords = node._coords if node._coords_ok else node.scan_coords()
     return _min_dist2_py(coords, len(node.entries), x, y)
 
 
 def view_min_dist2(view: "NodeView", x: float, y: float) -> List[float]:
     """Squared MINDIST from ``(x, y)`` to every entry of a view."""
-    if _np_single:
-        return _min_dist2_np(view_columns(view), x, y)
     return _min_dist2_py(view.scan_coords(), len(view.entries), x, y)
 
 
@@ -343,17 +228,14 @@ class QueryBatch:
         return qsel if isinstance(qsel, list) else qsel.tolist()
 
 
-def _batch_mask(source, qb: QueryBatch, qsel):
+def _batch_mask(packed, qb: QueryBatch, qsel):
     """The (|qsel|, E) boolean intersection matrix (numpy kernel).
 
-    ``node_packed[:, e] <= qb.packed[q]`` in all four slots is exactly
-    the closed-interval intersection test (see module docstring): one
+    ``packed[:, e] <= qb.packed[q]`` in all four slots is exactly the
+    closed-interval intersection test (see module docstring): one
     gather, one broadcast compare, one reduction.
     """
-    node_packed = source[4]
-    return (node_packed[None, :, :] <= qb.packed[qsel][:, :, None]).all(
-        axis=1
-    )
+    return (packed[None, :, :] <= qb.packed[qsel][:, :, None]).all(axis=1)
 
 
 def batch_leaf_hits(source, count: int, qb: QueryBatch,
@@ -364,7 +246,7 @@ def batch_leaf_hits(source, count: int, qb: QueryBatch,
     ascending; each row's entry indices are ascending too — exactly
     sequential per-query match order, ready for one ``extend`` per
     (query, leaf) pair instead of per-hit Python work.  ``source`` is
-    the node's column tuple (numpy kernel) or flat coordinate list
+    the node's packed matrix (numpy kernel) or flat coordinate list
     (python kernel).
     """
     if _np_batch:
@@ -471,14 +353,14 @@ def node_leaf_payload(node: "Node") -> List[Tuple[Rect, int]]:
 def node_scan_source(node: "Node"):
     """What the batch kernels scan for a live node (kernel-dependent)."""
     if _np_batch:
-        return node_columns(node)
+        return node_packed(node)
     return node._coords if node._coords_ok else node.scan_coords()
 
 
 def view_scan_source(view: "NodeView"):
     """What the batch kernels scan for a node view (kernel-dependent)."""
     if _np_batch:
-        return view_columns(view)
+        return view_packed(view)
     return view.scan_coords()
 
 

@@ -89,7 +89,7 @@ class Node(VersionedChunk):
         "mut_seq",
         "_coords",
         "_coords_ok",
-        "_npcols",
+        "_np_packed",
         "_np_seq",
         "_payload",
         "_payload_seq",
@@ -114,11 +114,11 @@ class Node(VersionedChunk):
         #: ``entry.rect`` per entry.  Rebuilt lazily via ``scan_coords()``.
         self._coords: List[float] = []
         self._coords_ok = False
-        #: Numpy column mirror (minx/miny/maxx/maxy arrays) built on demand
-        #: by ``repro.rtree.batch.node_columns`` and keyed on ``mut_seq``
-        #: via ``_np_seq`` — no extra invalidation sites needed, any
-        #: mutation that bumps ``mut_seq`` implicitly stales it.
-        self._npcols = None
+        #: Packed ``(4, E)`` numpy mirror the batch kernels scan, built on
+        #: demand by ``repro.rtree.batch.node_packed`` and keyed on
+        #: ``mut_seq`` via ``_np_seq`` — no extra invalidation sites
+        #: needed, any mutation that bumps ``mut_seq`` implicitly stales it.
+        self._np_packed = None
         self._np_seq = -1
         #: Per-entry ``(rect, data_id)`` match payloads for leaves, built
         #: by ``repro.rtree.batch.node_leaf_payload`` and keyed on

@@ -136,11 +136,9 @@ class RStarTree:
         """All data ids whose rectangles intersect ``query``.
 
         The per-entry test goes through the shared scan kernel
-        (``repro.rtree.batch.node_scan_indices``): one numpy broadcast
-        over the node's coordinate mirror, or the flat-list loop when
-        numpy is absent.  Same closed-interval predicate, same entry
-        order, same results either way — see ``search_via_rects`` for
-        the reference loop.
+        (``repro.rtree.batch.node_scan_indices``): a flat-list loop over
+        the node's coordinate mirror, with the closed-interval predicate
+        and entry order of ``search_via_rects``, the reference loop.
         """
         result = SearchResult()
         matches = result.matches

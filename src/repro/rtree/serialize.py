@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from . import batch as _batch
 from .geometry import Rect
@@ -148,9 +148,9 @@ class NodeView:
     _coords: Optional[List[float]] = field(
         default=None, repr=False, compare=False
     )
-    #: lazy numpy column mirror (minx/miny/maxx/maxy arrays), built at
-    #: most once per view by ``repro.rtree.batch.view_columns``
-    _npcols: Optional[tuple] = field(
+    #: lazy packed ``(4, E)`` numpy mirror for the batch kernels, built
+    #: at most once per view by ``repro.rtree.batch.view_packed``
+    _np_packed: Optional[Any] = field(
         default=None, repr=False, compare=False
     )
 
@@ -174,8 +174,8 @@ class NodeView:
     def intersecting_refs(self, query: Rect) -> List[int]:
         """Child chunk ids (or data ids at leaves) intersecting ``query``.
 
-        Routed through the shared scan kernel (one numpy broadcast over
-        the view's column mirror, or the flat-list fallback loop).
+        Routed through the shared single-query scan kernel (the
+        flat-list loop over the view's coordinate mirror).
         """
         entries = self.entries
         return [

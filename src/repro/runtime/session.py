@@ -90,15 +90,11 @@ class PolicySession:
             span.annotate("decide", path=PATH_OFFLOAD,
                           **policy.offload_annotations())
             start = self.sim.now
-            if breaker is None:
-                # Seed behaviour: offload failures propagate.
-                result = yield from self.engine.read(request)
-                policy.observe(request, PATH_OFFLOAD, self.sim.now - start)
-                span.end(path=PATH_OFFLOAD)
-                return result
             try:
                 result = yield from self.engine.read(request)
             except OffloadError:
+                if breaker is None:
+                    raise  # seed behaviour: offload failures propagate
                 # Torn-read/restart storm: record it and fail over — the
                 # server-side path serves the same request under locks.
                 breaker.record_failure()
@@ -110,7 +106,8 @@ class PolicySession:
                                self.sim.now - start, failed_over=True)
                 span.end(path="fm-failover")
                 return result
-            breaker.record_success()
+            if breaker is not None:
+                breaker.record_success()
             policy.observe(request, PATH_OFFLOAD, self.sim.now - start)
             span.end(path=PATH_OFFLOAD)
         else:
@@ -177,16 +174,11 @@ class PolicySession:
         span.annotate("decide", path=PATH_OFFLOAD,
                       **policy.offload_annotations())
         start = self.sim.now
-        if breaker is None:
-            results = yield from engine_batch(rects)
-            elapsed = self.sim.now - start
-            for request in requests:
-                policy.observe(request, PATH_OFFLOAD, elapsed)
-            span.end(path=PATH_OFFLOAD, queries=len(requests))
-            return results
         try:
             results = yield from engine_batch(rects)
         except OffloadError:
+            if breaker is None:
+                raise
             breaker.record_failure()
             policy.note_failover()
             span.annotate("failover", reason="offload-error",
@@ -201,7 +193,8 @@ class PolicySession:
                                failed_over=True)
             span.end(path="fm-failover", queries=len(requests))
             return results
-        breaker.record_success()
+        if breaker is not None:
+            breaker.record_success()
         elapsed = self.sim.now - start
         for request in requests:
             policy.observe(request, PATH_OFFLOAD, elapsed)

@@ -434,9 +434,6 @@ class RTreeServer(TreeService):
     def execute_nearest(self, x: float, y: float, k: int) -> Generator:
         return (yield from execute_plan(self, self.plan_nearest(x, y, k)))
 
-    def execute_count(self, rect: Rect) -> Generator:
-        return (yield from execute_plan(self, self.plan_count(rect)))
-
     def execute_insert(self, rect: Rect, data_id: int) -> Generator:
         return (yield from execute_plan(self,
                                         self.plan_insert(rect, data_id)))

@@ -148,8 +148,6 @@ class RebalanceController:
         return any(end is None for _start, end in self.migration_windows)
 
     def _run(self):
-        if self.config.warmup > 0:
-            yield self.sim.timeout(self.config.warmup)
         while not self._stopped:
             yield self.sim.timeout(self.config.interval)
             if self._stopped:
@@ -474,8 +472,6 @@ class RebalanceController:
     def _maybe_merge(self) -> bool:
         """Merge one pair of adjacent same-owner tiles, if any (keeps the
         routing table from growing monotonically as load moves around)."""
-        if not self.config.merge_enabled:
-            return False
         tiles = self.shard_map.tiles
         for i in range(len(tiles)):
             for j in range(i + 1, len(tiles)):

@@ -133,10 +133,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put_discard(self, item: Any) -> None:
         """Deposit ``item``; the oldest waiting getter gets it (its wake-up
         is a queue entry at this instant).  No acknowledgement event: the

@@ -142,10 +142,6 @@ class ConnectionMux:
     def queue_depth(self) -> int:
         return len(self.queue)
 
-    @property
-    def shed_total(self) -> int:
-        return self.shed_watermark + self.shed_admission
-
     # -- admission ---------------------------------------------------------
 
     def offer(self, job: TrafficJob) -> bool:

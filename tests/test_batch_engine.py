@@ -13,9 +13,7 @@ from repro.rtree import (
     RStarTree,
     Rect,
     bulk_load,
-    forced_kernel,
     kernel_name,
-    set_kernel,
 )
 from repro.rtree import batch as batch_mod
 from repro.server import RTreeServer
@@ -29,30 +27,48 @@ from repro.workloads.mixes import batch_runs
 
 
 def test_kernel_selection_roundtrip():
-    before = batch_mod.kernel_mode()
+    # One kernel per platform: the batch kernels are numpy broadcasts
+    # iff numpy imports; the private flag flips and restores cleanly.
+    expected = "numpy" if batch_mod.HAVE_NUMPY else "python"
+    assert kernel_name() == expected
+    saved = batch_mod._np_batch
     try:
-        assert set_kernel("python") == before
+        batch_mod._np_batch = False
         assert kernel_name() == "python"
-        assert batch_mod.kernel_mode() == "python"
-        with forced_kernel("auto"):
-            assert batch_mod.kernel_mode() == "auto"
-            # auto engages the numpy batch kernels iff numpy exists.
-            expected = "numpy" if batch_mod.HAVE_NUMPY else "python"
-            assert kernel_name() == expected
-        assert batch_mod.kernel_mode() == "python"
+        batch_mod._np_batch = saved
+        assert kernel_name() == expected
     finally:
-        set_kernel(before)
+        batch_mod._np_batch = saved
+    assert kernel_name() == expected
 
 
 def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError):
-        set_kernel("simd")
+    # No runtime kernel switch is left to reject a name: the package
+    # exports only the read-only ``kernel_name``, and the kernel module
+    # reads no environment variable.
+    import repro.rtree as rtree
+
+    assert {n for n in rtree.__all__ if "kernel" in n} == {"kernel_name"}
+    public = {n for n in dir(batch_mod)
+              if "kernel" in n and not n.startswith("_")}
+    assert public == {"kernel_name"}
+    with open(batch_mod.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    assert "environ" not in source and "getenv" not in source
 
 
 @pytest.mark.skipif(batch_mod.HAVE_NUMPY, reason="numpy is installed")
 def test_numpy_kernel_without_numpy_raises():
-    with pytest.raises(RuntimeError):
-        set_kernel("numpy")
+    # Without numpy the platform kernel is the Python one, and the batch
+    # engine still equals the sequential oracle.
+    assert kernel_name() == "python"
+    tree, _items = _grid_tree()
+    queries = [Rect(0.1, 0.1, 0.4, 0.4), Rect(0.3, 0.0, 0.35, 1.0)]
+    for query, got in zip(queries, BatchSearchEngine(tree).search_batch(
+            queries)):
+        oracle = tree.search_via_rects(query)
+        assert got.matches == oracle.matches
+        assert got.visited_chunks == oracle.visited_chunks
 
 
 # -- the batch engine ---------------------------------------------------------

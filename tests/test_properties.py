@@ -251,10 +251,21 @@ class TestBatchKernelEquivalence:
     _coord = st.floats(0.0, 1.0, allow_nan=False, width=32)
 
     @staticmethod
-    def _kernels():
-        from repro.rtree.batch import HAVE_NUMPY
+    def _per_kernel(run):
+        """``[(np_batch, run()), ...]`` for each batch-kernel setting
+        the platform has (numpy only when importable), restoring the
+        module flag afterwards."""
+        from repro.rtree import batch
 
-        return ("python", "auto", "numpy") if HAVE_NUMPY else ("python",)
+        saved = batch._np_batch
+        out = []
+        try:
+            for value in (False, True) if batch.HAVE_NUMPY else (False,):
+                batch._np_batch = value
+                out.append((value, run()))
+        finally:
+            batch._np_batch = saved
+        return out
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -267,23 +278,24 @@ class TestBatchKernelEquivalence:
     ):
         """Random batch sizes (including empty) and overlapping query
         groups: per-query batched results — matches in order, visited
-        chunks, visit counters — equal ``search_via_rects``."""
-        from repro.rtree import BatchSearchEngine, forced_kernel
+        chunks, visit counters — equal ``search_via_rects`` on both
+        the numpy and the Python batch kernels."""
+        from repro.rtree import BatchSearchEngine
 
         if duplicate_first and queries:
             queries = queries + [queries[0]]  # identical windows share
         tree = bulk_load([(rect, i) for i, rect in enumerate(rects)])
-        for kernel in self._kernels():
-            with forced_kernel(kernel):
-                results = BatchSearchEngine(tree).search_batch(queries)
+        engine = BatchSearchEngine(tree)
+        for np_batch, results in self._per_kernel(
+                lambda: engine.search_batch(queries)):
             assert len(results) == len(queries)
             for query, got in zip(queries, results):
                 oracle = tree.search_via_rects(query)
-                assert got.matches == oracle.matches, kernel
-                assert got.visited_chunks == oracle.visited_chunks, kernel
-                assert got.nodes_visited == oracle.nodes_visited, kernel
+                assert got.matches == oracle.matches, np_batch
+                assert got.visited_chunks == oracle.visited_chunks, np_batch
+                assert got.nodes_visited == oracle.nodes_visited, np_batch
                 assert (got.leaf_nodes_visited
-                        == oracle.leaf_nodes_visited), kernel
+                        == oracle.leaf_nodes_visited), np_batch
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -291,19 +303,13 @@ class TestBatchKernelEquivalence:
         _rects(_coord),
     )
     def test_vectorized_single_scan_equals_python_loop(self, rects, query):
-        """The forced-numpy single-query broadcast and the fallback loop
-        agree with the oracle on the same tree."""
-        from repro.rtree import forced_kernel
-        from repro.rtree.batch import HAVE_NUMPY
-
+        """Single-query ``search`` equals the oracle whichever batch
+        kernel the platform runs."""
         tree = bulk_load([(rect, i) for i, rect in enumerate(rects)])
         oracle = tree.search_via_rects(query)
-        kernels = ("python", "numpy") if HAVE_NUMPY else ("python",)
-        for kernel in kernels:
-            with forced_kernel(kernel):
-                got = tree.search(query)
-            assert got.matches == oracle.matches, kernel
-            assert got.visited_chunks == oracle.visited_chunks, kernel
+        for np_batch, got in self._per_kernel(lambda: tree.search(query)):
+            assert got.matches == oracle.matches, np_batch
+            assert got.visited_chunks == oracle.visited_chunks, np_batch
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -312,15 +318,12 @@ class TestBatchKernelEquivalence:
         st.floats(0.0, 1.0, allow_nan=False, width=32),
     )
     def test_nearest_agrees_across_kernels(self, rects, x, y):
-        """kNN MINDIST pruning returns the same neighbor under the
-        numpy and python kernels."""
-        from repro.rtree import forced_kernel
-        from repro.rtree.batch import HAVE_NUMPY
-
+        """kNN MINDIST pruning returns a nearest rectangle (the brute
+        force minimum distance) whichever batch kernel the platform
+        runs."""
         tree = bulk_load([(rect, i) for i, rect in enumerate(rects)])
-        answers = []
-        kernels = ("python", "numpy") if HAVE_NUMPY else ("python",)
-        for kernel in kernels:
-            with forced_kernel(kernel):
-                answers.append(tree.nearest(x, y))
-        assert all(a == answers[0] for a in answers)
+        best = min(rect.min_dist2_point(x, y) for rect in rects)
+        for np_batch, got in self._per_kernel(lambda: tree.nearest(x, y)):
+            [(rect, data_id)] = got.matches
+            assert rects[data_id] == rect, np_batch
+            assert rect.min_dist2_point(x, y) == best, np_batch

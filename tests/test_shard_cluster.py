@@ -123,10 +123,10 @@ class TestRoutedDeletes:
         assert counts == held
 
     def test_elastic_plane_counts_every_found_delete(self):
-        # A warm-up past the run keeps the controller from revising the
-        # map while the deletes are routed.
+        # A first cycle past the run keeps the controller from revising
+        # the map while the deletes are routed.
         acks, counts, held = self._delete_twice(
-            rebalance=RebalanceConfig(warmup=1.0))
+            rebalance=RebalanceConfig(interval=1.0))
         assert acks == [True] * 5 + [False]
         assert sum(held) == 1995
         assert counts == held
