@@ -88,6 +88,13 @@ class OneSidedReader:
     A chunk is requested as ``(chunk_id, expected)``, where ``expected``
     is what the image check needs to accept it (the R-tree's level, the
     B+tree's leafness, nothing for a cuckoo bucket).
+
+    An image check may also note the image's entry-loss stamp in
+    :attr:`_lost_seq` (the R-tree's, see :attr:`~repro.rtree.node.Node
+    .lost_seq`).  A traversal reads a parent before its children, so a
+    child that lost entries after the parent was read hides them: an
+    attempt that accepted an image stamped after its meta read's mutation
+    mark restarts, whichever traversal ran it.
     """
 
     #: Counters summed over all clients into the ``offload.*`` metrics.
@@ -121,6 +128,11 @@ class OneSidedReader:
         self.meta_reads = Counter("offload.meta_reads")
         self.stale_root_detections = Counter("offload.stale_root_detections")
         self.chunks_fetched = Counter("offload.chunks_fetched")
+        self.moved_entry_restarts = Counter("offload.moved_entry_restarts")
+        #: The current attempt's meta-read mutation mark, and the newest
+        #: entry-loss stamp among the images it accepted (-1: none).
+        self._read_seq = -1
+        self._lost_seq = -1
         #: The R-tree's node cache, and its single-flight table: chunk id
         #: -> follower events sharing the leader's in-flight read.  Both
         #: stay None without a cache, so the cache-less engine stays
@@ -186,6 +198,7 @@ class OneSidedReader:
             self.stale_root_detections += 1
         self._cached_root = meta.root_chunk
         self._cached_height = meta.height
+        self._read_seq = meta.mut_seq
         cache = self.cache
         advanced = (cache is not None and meta.mut_seq >= 0
                     and cache.note_server_hwm(meta.mut_seq))
@@ -408,7 +421,8 @@ class OneSidedReader:
 
         Runs ``attempt(*args)`` until it returns a result (not None) —
         None means a stale root or a chunk whose reads kept failing —
-        at most :attr:`max_restarts` times, then raises
+        and accepted no image that lost entries after its meta read, at
+        most :attr:`max_restarts` times, then raises
         :class:`OffloadError`.  ``found(result)`` results are counted.
         """
         span = self._span = self.tracer.span("offload", op)
@@ -416,7 +430,11 @@ class OneSidedReader:
         error: Optional[str] = None
         try:
             for restart in range(self.max_restarts):
+                self._lost_seq = -1
                 result = yield from attempt(*args)
+                if result is not None and self._lost_seq > self._read_seq:
+                    self.moved_entry_restarts += 1
+                    result = None
                 if result is not None:
                     results = found(result)
                     self.stats.results_received += results
@@ -449,7 +467,7 @@ class OffloadEngine(OneSidedReader):
     """One-sided R-tree traversal: search, count, kNN and batched search."""
 
     counter_fields = ("meta_reads", "stale_root_detections",
-                      "chunks_fetched")
+                      "chunks_fetched", "moved_entry_restarts")
 
     def __init__(self, *args, cache: Optional[NodeCache] = None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -475,6 +493,8 @@ class OffloadEngine(OneSidedReader):
             view = data
             ok = validate_snapshot(view)
         if ok and view.level == level:
+            if view.lost_seq > self._lost_seq:
+                self._lost_seq = view.lost_seq
             return view
         if ok:
             # Valid image at the wrong level: a recycled chunk or a stale

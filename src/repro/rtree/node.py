@@ -87,6 +87,7 @@ class Node(VersionedChunk):
         "entries",
         "parent",
         "mut_seq",
+        "lost_seq",
         "_coords",
         "_coords_ok",
         "_np_packed",
@@ -109,6 +110,13 @@ class Node(VersionedChunk):
         #: flat coordinate scan cache below, the server's packed-chunk
         #: byte cache).
         self.mut_seq = 0
+        #: The tree's mutation mark (``RStarTree.mut_hwm``) of the last
+        #: mutation that moved entries out of this node other than by
+        #: deleting them: a split, a forced reinsert, or a condense that
+        #: dropped a child.  A one-sided traversal that read the parent
+        #: before that mutation does not know where the entries went, so
+        #: it restarts when it reads a stamp newer than its meta read.
+        self.lost_seq = 0
         #: Flat ``[minx, miny, maxx, maxy] * count`` scan cache so search
         #: and ChooseSubtree read local floats instead of chasing
         #: ``entry.rect`` per entry.  Rebuilt lazily via ``scan_coords()``.

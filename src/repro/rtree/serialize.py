@@ -6,11 +6,13 @@ chunk size can fetch any node with a single RDMA Read.
 
 Layout (little-endian)::
 
-    header:   level:u32  count:u32  chunk_id:u64
+    header:   level:u32  count:u32  chunk_id:u32  lost_seq:u32
     entries:  count x { minx:f64 miny:f64 maxx:f64 maxy:f64 ref:u64 }
     versions: one u8 per 64-byte cache line of the chunk (FaRM style)
 
 ``ref`` is a data id in leaves and a child chunk id in internal nodes.
+``lost_seq`` is the node's entry-loss stamp (:attr:`Node.lost_seq`, low
+32 bits), which a one-sided traversal compares with its meta read.
 The byte codec is exercised by the test suite for round-trip fidelity; the
 simulation's hot path moves :class:`NodeView` snapshots instead of bytes
 (equivalent content, no per-read pack cost) and charges the wire for
@@ -27,7 +29,7 @@ from . import batch as _batch
 from .geometry import Rect
 from .node import DEFAULT_MAX_ENTRIES, Node
 
-HEADER_FORMAT = "<IIQ"
+HEADER_FORMAT = "<IIII"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 16
 ENTRY_FORMAT = "<ddddQ"
 ENTRY_SIZE = struct.calcsize(ENTRY_FORMAT)  # 40
@@ -59,7 +61,8 @@ def pack_node(node: Node, max_entries: int = DEFAULT_MAX_ENTRIES) -> bytes:
         )
     out = bytearray(chunk_size(max_entries))
     struct.pack_into(HEADER_FORMAT, out, 0, node.level, node.count,
-                     node.chunk_id if node.chunk_id >= 0 else 0)
+                     node.chunk_id if node.chunk_id >= 0 else 0,
+                     node.lost_seq & 0xFFFFFFFF)
     offset = HEADER_SIZE
     for entry in node.entries:
         ref = entry.data_id if entry.is_leaf_entry else entry.child.chunk_id
@@ -88,6 +91,7 @@ class UnpackedNode:
     chunk_id: int
     entries: List[UnpackedEntry]
     versions: Tuple[int, ...]
+    lost_seq: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -106,7 +110,8 @@ def unpack_node(
     expected = chunk_size(max_entries)
     if len(data) != expected:
         raise ValueError(f"chunk is {len(data)} bytes, expected {expected}")
-    level, count, chunk_id = struct.unpack_from(HEADER_FORMAT, data, 0)
+    level, count, chunk_id, lost_seq = struct.unpack_from(HEADER_FORMAT,
+                                                          data, 0)
     if count > max_entries:
         raise ValueError(f"corrupt chunk: count {count} > {max_entries}")
     entries = []
@@ -119,7 +124,7 @@ def unpack_node(
         offset += ENTRY_SIZE
     base = payload_size(max_entries)
     versions = tuple(data[base + i] for i in range(version_bytes(max_entries)))
-    return UnpackedNode(level, chunk_id, entries, versions)
+    return UnpackedNode(level, chunk_id, entries, versions, lost_seq)
 
 
 @dataclass
@@ -129,6 +134,7 @@ class NodeView:
     ``torn`` is True when the snapshot was taken while a server thread was
     mutating the node — the client's version check will reject it and
     retry, exactly like FaRM's per-cache-line version validation.
+    ``lost_seq`` is the node's entry-loss stamp (:attr:`Node.lost_seq`).
 
     The entry MBRs are additionally mirrored into a flat coordinate list
     (built lazily, once per view) so the client's per-node intersection
@@ -144,6 +150,7 @@ class NodeView:
     entries: Tuple[Tuple[Rect, int], ...]  # (mbr, ref) pairs
     version: int
     torn: bool
+    lost_seq: int = 0
     #: lazy [minx, miny, maxx, maxy] * count mirror of the entry MBRs
     _coords: Optional[List[float]] = field(
         default=None, repr=False, compare=False
@@ -242,6 +249,7 @@ def view_from_bytes(
         entries=tuple((e.rect, e.ref) for e in img.entries),
         version=img.versions[0] if img.versions else 0,
         torn=False,
+        lost_seq=img.lost_seq,
     )
 
 
@@ -256,4 +264,5 @@ def snapshot_node(node: Node, now: Optional[float] = None) -> NodeView:
         ),
         version=node.version,
         torn=node.active_writers > 0,
+        lost_seq=node.lost_seq,
     )

@@ -59,6 +59,15 @@ class TestInvariantsFast:
         assert report.counters["workers-restarted"] >= 1
         assert report.completed == report.issued
 
+    def test_offloaded_read_racing_a_migration_copy_misses_nothing(self):
+        """Regression, seed 12 at default size: during the copy of
+        migration 1 -> 0, a one-sided read on shard 0 read a parent, then
+        a child that a copy insert had just split, and missed item 1834,
+        which shard 0 held all along.  The entry-loss stamp restarts such
+        a traversal."""
+        report = run_scenario("rebalance-under-fault", seed=12)
+        assert report.ok, report.failures
+
 
 class TestDeterministicReplay:
     def test_same_seed_same_fingerprint(self):

@@ -204,6 +204,85 @@ def test_root_split_triggers_meta_refresh_and_restart():
     assert stats.search_restarts >= 1
 
 
+def split_at_first_leaf_read(server):
+    """Make the server's next read of a leaf chunk first grow that leaf
+    until it loses entries (a split or forced reinsert), as a concurrent
+    insert landing between a traversal's parent read and child read."""
+    tree = server.tree
+    fired = []
+
+    def before(chunk_id):
+        node = tree.nodes.get(chunk_id)
+        if fired or node is None or not node.is_leaf:
+            return
+        fired.append(chunk_id)
+        anchor = node.entries[0].rect
+        for i in range(64):
+            held = node.count
+            tree.insert(anchor, 30_000_000 + i)
+            if node.count <= held:
+                return
+        raise AssertionError("the leaf never lost an entry")
+
+    if server.byte_target is not None:
+        target = server.byte_target
+        read = target.rdma_read
+
+        def byte_read(address, length, now):
+            before(server.allocator.chunk_of(address))
+            return read(address, length, now)
+
+        target.rdma_read = byte_read
+    else:
+        read_chunk = server.reader.read_chunk
+
+        def object_read(chunk_id, now):
+            before(chunk_id)
+            return read_chunk(chunk_id, now)
+
+        server.reader.read_chunk = object_read
+    return fired
+
+
+@pytest.mark.parametrize("byte_mode", [False, True])
+@pytest.mark.parametrize("multi_issue", [False, True])
+def test_split_between_parent_and_child_read_restarts(multi_issue,
+                                                      byte_mode):
+    """A leaf that loses entries after its parent was read hides them
+    from the traversal; the entry-loss stamp, newer than the meta read,
+    makes it restart, and every item held throughout is found."""
+    sim = Simulator()
+    net = Network(sim, IB_100G)
+    server_host = Host(sim, "server", IB_100G, cores=4)
+    net.attach_server(server_host)
+    items = uniform_dataset(40, seed=7)  # a root over six leaves
+    server = RTreeServer(sim, server_host, items, max_entries=8,
+                         byte_mode=byte_mode)
+    root = server.tree.root
+    client_host = Host(sim, "client", IB_100G, cores=2)
+    client_qp, _server_qp = connect(sim, net, client_host, server_host)
+    stats = ClientStats()
+    engine = OffloadEngine(sim, client_qp, server.offload_descriptor(),
+                           server.costs, stats, multi_issue=multi_issue)
+    query = Rect(0, 0, 1, 1)
+
+    def client():
+        yield from engine.search(query)  # warm the cached root
+        fired = split_at_first_leaf_read(server)
+        matches = yield from engine.search(query)
+        return fired, matches
+
+    p = sim.process(client())
+    sim.run()
+    fired, matches = p.value
+    assert fired
+    assert server.tree.root is root  # the meta read cannot tell
+    found = {data_id for _rect, data_id in matches}
+    assert {data_id for _rect, data_id in items} <= found
+    assert engine.moved_entry_restarts == 1
+    assert stats.search_restarts == 1
+
+
 def test_offload_session_routes_writes_to_fast_messaging():
     sim = Simulator()
     net = Network(sim, IB_100G)
