@@ -42,6 +42,7 @@ from ..rtree.bulk import bulk_load
 from ..rtree.geometry import Rect
 from ..rtree.locks import TreeLockManager
 from ..rtree.node import DEFAULT_MAX_ENTRIES
+from ..rtree.rstar import MutationResult
 from ..rtree.serialize import (
     chunk_size,
     garbage_chunk,
@@ -396,6 +397,32 @@ class RTreeServer(TreeService):
             result.ok, self.costs.mutation_cost(result),
             result.mutated_nodes, "deletes_served")
 
+    def plan_insert_group(self, items: Sequence[Tuple[Rect, int]]) -> OpPlan:
+        """Insert ``items`` in order as one op; the result is True.
+
+        Charged as one request (:meth:`CostModel.mutation_cost`): one
+        parse, one visit per distinct node, the write charges per item,
+        under write locks on the union of the mutated chunks."""
+        tree = self.tree
+        result = MutationResult(items=len(items), visited=set())
+        for rect, data_id in items:
+            tree.insert(rect, data_id, result)
+        return self._mutation(
+            True, self.costs.mutation_cost(result), result.mutated_nodes,
+            "inserts_served")
+
+    def plan_delete_group(self, items: Sequence[Tuple[Rect, int]]) -> OpPlan:
+        """Delete ``items`` in order as one op, charged as
+        :meth:`plan_insert_group`; the result is how many existed."""
+        tree = self.tree
+        held = tree.size
+        result = MutationResult(items=len(items), visited=set())
+        for rect, data_id in items:
+            tree.delete(rect, data_id, result)
+        return self._mutation(
+            held - tree.size, self.costs.mutation_cost(result),
+            result.mutated_nodes, "deletes_served")
+
     def plan_update(self, old_rect: Rect, new_rect: Rect,
                     data_id: int) -> OpPlan:
         """Atomically relocate one rectangle (delete + insert under one
@@ -419,9 +446,9 @@ class RTreeServer(TreeService):
             + self.costs.mutation_cost(insert_result),
             mutated, "updates_served")
 
-    def _mutation(self, ok: bool, cost: float, mutated_nodes,
+    def _mutation(self, result, cost: float, mutated_nodes,
                   counter: str) -> OpPlan:
-        return mutation_plan(ok, cost * self.service_inflation,
+        return mutation_plan(result, cost * self.service_inflation,
                              mutated_nodes,
                              [n.chunk_id for n in mutated_nodes],
                              self.costs, counter)
@@ -441,6 +468,12 @@ class RTreeServer(TreeService):
     def execute_delete(self, rect: Rect, data_id: int) -> Generator:
         return (yield from execute_plan(self,
                                         self.plan_delete(rect, data_id)))
+
+    def execute_insert_group(self, items) -> Generator:
+        return (yield from execute_plan(self, self.plan_insert_group(items)))
+
+    def execute_delete_group(self, items) -> Generator:
+        return (yield from execute_plan(self, self.plan_delete_group(items)))
 
     def execute_update(self, old_rect: Rect, new_rect: Rect,
                        data_id: int) -> Generator:

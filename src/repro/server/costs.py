@@ -68,11 +68,17 @@ class CostModel:
         )
 
     def mutation_cost(self, result: MutationResult) -> float:
-        """Server CPU seconds to execute one insert/delete."""
+        """Server CPU seconds to execute one insert/delete, or one group
+        of them as a single op: one parse, one visit per distinct node
+        the group visited, the write charges per item and per split or
+        reinserted entry (the write window, per mutated node, is
+        :meth:`write_window`)."""
+        visits = (result.nodes_visited if result.visited is None
+                  else len(result.visited))
         return (
             self.request_parse
-            + result.nodes_visited * self.node_visit
-            + self.insert_write
+            + visits * self.node_visit
+            + result.items * self.insert_write
             + result.splits * self.split
             + result.reinserted_entries * self.reinsert_entry
         )

@@ -14,7 +14,13 @@ import pytest
 
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
 from repro.cluster.deployment import Deployment
+from repro.hw import Host
+from repro.net import IB_100G
 from repro.rtree.geometry import Rect
+from repro.rtree.rstar import MutationResult
+from repro.server import RTreeServer
+from repro.sim import Simulator
+from repro.workloads import uniform_dataset
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.shard.partition import tile_contains
 from repro.shard.rebalance import RebalanceController, RebalanceStats
@@ -259,6 +265,35 @@ class TestHandOver:
         for probe in self.pending_probes(deployment, first, self.DEST):
             assert deployment.live_map.read_targets(probe) == [self.DEST]
 
+    def test_one_insert_op_and_one_delete_op_per_source_leaf_run(self):
+        deployment, controller = self.idle()
+        source, dest = self.SOURCE, self.DEST
+        servers = [stack.server for stack in deployment.stacks]
+        inserts = servers[dest].inserts_served
+        deletes = servers[source].deletes_served
+        high = self.migrate(deployment, controller, source, dest)
+        runs = controller._tile_runs(
+            source, deployment.live_map.tiles[high].rect)
+        assert max(map(len, runs)) > 1
+        self.run_until(deployment, lambda: controller.migration_windows
+                       and not controller.active_migrations)
+        assert servers[dest].inserts_served - inserts == len(runs)
+        assert servers[source].deletes_served - deletes == len(runs)
+        assert controller.stats.items_migrated == sum(map(len, runs))
+
+    def test_cycle_after_a_migration_reads_foreground_load_only(self):
+        """A group counts once in ``requests_served`` and once in the
+        controller's own-traffic tally, so an idle deployment reads no
+        load after a whole migration."""
+        deployment, controller = self.idle()
+        assert controller._loads() == [0, 0, 0, 0]
+        self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        self.run_until(deployment, lambda: controller.migration_windows
+                       and not controller.active_migrations)
+        assert controller._migration_ops[self.SOURCE] > 0
+        assert controller._migration_ops[self.DEST] > 0
+        assert controller._loads() == [0, 0, 0, 0]
+
     def test_final_rebuild_counts_an_item_outside_every_cover(self):
         deployment, controller = self.idle()
         live_map = deployment.live_map
@@ -273,3 +308,79 @@ class TestHandOver:
         assert controller.stats.migrations_completed == 1
         assert live_map.counts() == deployment.shard_occupancy()
         assert live_map.read_targets(planted) == [self.SOURCE]
+
+
+class TestGroupPlan:
+    """A migration run as one server op: the cost rule of a search (one
+    parse, one visit per distinct node) plus the per-item write charges,
+    and the tree the one-by-one calls would leave."""
+
+    #: Twenty clustered items: they share leaves and split some.
+    RUN = [(Rect(0.3 + 0.001 * i, 0.3, 0.3005 + 0.001 * i, 0.3005),
+            50_000 + i) for i in range(20)]
+
+    @staticmethod
+    def server():
+        sim = Simulator()
+        host = Host(sim, "server", IB_100G, cores=1)
+        return RTreeServer(sim, host, uniform_dataset(300, seed=3),
+                           max_entries=16)
+
+    @staticmethod
+    def dump(node):
+        """The subtree as nested (chunk id, entries) tuples."""
+        if node.is_leaf:
+            return (node.chunk_id, [(e.rect, e.data_id)
+                                    for e in node.entries])
+        return (node.chunk_id, [(e.rect, TestGroupPlan.dump(e.child))
+                                for e in node.entries])
+
+    def check(self, plan, server, reference, apply, items):
+        """Apply ``items`` singly to ``reference`` through ``apply`` and
+        hold ``plan`` (the group op on ``server``) to the result."""
+        visited, mutated = set(), []
+        visits = splits = reinserted = 0
+        for rect, data_id in items:
+            result = apply(rect, data_id, MutationResult(visited=set()))
+            visited |= result.visited
+            visits += result.nodes_visited
+            splits += result.splits
+            reinserted += result.reinserted_entries
+            mutated += [n for n in result.mutated_nodes if n not in mutated]
+        assert len(visited) < visits  # the shared nodes are charged once
+        costs = server.costs
+        expected = (costs.request_parse
+                    + len(visited) * costs.node_visit
+                    + len(items) * costs.insert_write
+                    + splits * costs.split
+                    + reinserted * costs.reinsert_entry)
+        assert plan.cost + plan.window == pytest.approx(expected)
+        assert plan.window == pytest.approx(
+            costs.write_window(len(mutated)))
+        assert plan.write
+        assert sorted(set(plan.chunks)) == sorted(
+            {n.chunk_id for n in mutated})
+        assert self.dump(server.tree.root) == self.dump(reference.root)
+        assert server.tree.size == reference.size
+        server.tree.validate()
+        return splits
+
+    def test_insert_group(self):
+        server, reference = self.server(), self.server()
+        plan = server.plan_insert_group(self.RUN)
+        assert plan.result is True
+        assert plan.counter == "inserts_served"
+        splits = self.check(plan, server, reference.tree,
+                            reference.tree.insert, self.RUN)
+        assert splits > 0
+
+    def test_delete_group(self):
+        server, reference = self.server(), self.server()
+        for target in (server, reference):
+            for rect, data_id in self.RUN:
+                target.tree.insert(rect, data_id)
+        run = self.RUN + [(Rect(0.9, 0.9, 0.91, 0.91), 1)]  # not held
+        plan = server.plan_delete_group(run)
+        assert plan.result == len(self.RUN)
+        assert plan.counter == "deletes_served"
+        self.check(plan, server, reference.tree, reference.tree.delete, run)
