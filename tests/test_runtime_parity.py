@@ -85,11 +85,16 @@ GOLDEN_CHAOS = {
     # drain instead of the end of its cleanup (b4222c4c38b1bacc and
     # 4da09f454ef412f4 before): the source's covers drop the moved items
     # one rebuild earlier, which changes scatter sets, splits and
-    # latencies.  Every other pin is unchanged.
-    "migration-racing-writes": (120, "13e6c110317854fe"),
+    # latencies.  They were re-pinned once more when a migration began
+    # copying and deleting a tile as one server op per source leaf
+    # (13e6c110317854fe and 68ac406b074036c2 before): a run of items is
+    # charged one parse and one visit per distinct node instead of one
+    # request per item, which changes server CPU time, hence latencies,
+    # load samples and splits.  Every other pin is unchanged both times.
+    "migration-racing-writes": (120, "aad3feaa3f1b05aa"),
     "nic-read-stall": (150, "bf09582663aab900"),
     "overload-shed": (150, "ac2207ff8a41daca"),
-    "rebalance-under-fault": (120, "68ac406b074036c2"),
+    "rebalance-under-fault": (120, "c5cc98b5c5fa085d"),
     "shard-loss": (150, "c09891cfab5165d1"),
     "slow-client": (150, "5b84965a96fcbbf6"),
     "worker-crash": (150, "a783fcc0bff5186f"),
@@ -295,8 +300,9 @@ GOLDEN_OPEN_OVERLOAD = "9367d42accd99e26"
 #: A small closed-shard-skew run: K=4 fast messaging over a hot corner,
 #: with splits and live migrations firing.  Re-pinned (was
 #: 9de83b132adf5613) when migrations began handing reads over at the end
-#: of the drain; see GOLDEN_CHAOS.
-GOLDEN_ROUTED_REBALANCE = "85209a0d9c77f795"
+#: of the drain, and again (was 85209a0d9c77f795) when they began moving
+#: a tile as one server op per source leaf; see GOLDEN_CHAOS.
+GOLDEN_ROUTED_REBALANCE = "22c6fada4dfe950f"
 
 
 def _benchmark_config(seed, **fields):
