@@ -18,7 +18,7 @@ from .offload import (
     KvRequest,
 )
 from .serialize import BNodeSnapshot, snapshot_bnode
-from .service import BTreeService, BTreeSnapshotReader
+from .service import BTreeService
 
 __all__ = [
     "BInner",
@@ -36,6 +36,5 @@ __all__ = [
     "KvRequest",
     "BNodeSnapshot",
     "BTreeService",
-    "BTreeSnapshotReader",
     "snapshot_bnode",
 ]

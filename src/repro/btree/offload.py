@@ -78,17 +78,14 @@ class BTreeOffloadEngine(OneSidedReader):
     """One-sided B+tree traversal over the shared reader: a chunk image is
     accepted when it is untorn and of the expected leafness."""
 
-    def _check(self, data, expect_leaf: bool) -> Optional[BNodeSnapshot]:
-        if isinstance(data, (bytes, bytearray)):
-            view = snapshot_from_bytes(data, self.desc.max_entries)
-            ok = view is not None
-        else:
-            view = data
-            ok = not view.torn
-        if ok and view.is_leaf == expect_leaf:
-            return view
+    def _decode(self, data: bytes) -> Optional[BNodeSnapshot]:
+        return snapshot_from_bytes(data, self.desc.max_entries)
+
+    def _fits(self, view: BNodeSnapshot, expect_leaf: bool) -> bool:
+        if view.is_leaf == expect_leaf:
+            return True
         self.stats.torn_retries += 1
-        return None
+        return False
 
     # -- operations -------------------------------------------------------------
 

@@ -10,7 +10,8 @@ The object image is a :class:`BNodeSnapshot`.  The on-chunk byte layout
     versions: one u8 per 64-byte cache line (FaRM validation)
 
 Inner nodes store ``count`` separator keys and ``count+1`` child refs;
-leaves store ``count`` key/value pairs.
+leaves store ``count`` key/value pairs.  The version framing is the
+R-tree codec's (:mod:`repro.rtree.serialize`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..rtree.serialize import CACHE_LINE
+from ..rtree.serialize import (
+    agreed_version,
+    chunk_footprint,
+    stamp_versions,
+    torn_image,
+)
 from .bptree import BNode
 
 HEADER_FORMAT = "<IIQq"
@@ -78,14 +84,8 @@ def payload_size(capacity: int) -> int:
     return HEADER_SIZE + capacity * PAIR_SIZE + 8
 
 
-def version_bytes(capacity: int) -> int:
-    payload = payload_size(capacity)
-    return (payload + CACHE_LINE - 1) // CACHE_LINE
-
-
 def chunk_size(capacity: int) -> int:
-    raw = payload_size(capacity) + version_bytes(capacity)
-    return ((raw + CACHE_LINE - 1) // CACHE_LINE) * CACHE_LINE
+    return chunk_footprint(payload_size(capacity))
 
 
 def pack_bnode(node: BNode, capacity: int) -> bytes:
@@ -118,31 +118,14 @@ def pack_bnode(node: BNode, capacity: int) -> bytes:
         # trailing child (children = count + 1)
         struct.pack_into("<Q", out, offset, node.children[-1].chunk_id
                          if node.children else 0)
-    version = node.version & 0xFF
-    base = payload_size(capacity)
-    for i in range(version_bytes(capacity)):
-        out[base + i] = version
+    stamp_versions(out, payload_size(capacity), node.version)
     return bytes(out)
 
 
 def pack_bnode_torn(node: BNode, capacity: int) -> bytes:
     """A mid-write image: leading cache lines carry the in-flight stamp."""
-    data = bytearray(pack_bnode(node, capacity))
-    base = payload_size(capacity)
-    n_versions = version_bytes(capacity)
-    new_version = (node.version + 1) & 0xFF
-    for i in range(max(1, n_versions // 2)):
-        data[base + i] = new_version
-    return bytes(data)
-
-
-def garbage_bchunk(capacity: int) -> bytes:
-    """Recycled-memory bytes whose versions can never validate."""
-    data = bytearray(chunk_size(capacity))
-    base = payload_size(capacity)
-    for i in range(version_bytes(capacity)):
-        data[base + i] = i & 0xFF or 1
-    return bytes(data)
+    return torn_image(pack_bnode(node, capacity), payload_size(capacity),
+                      node.version)
 
 
 def snapshot_from_bytes(
@@ -156,9 +139,8 @@ def snapshot_from_bytes(
     )
     if count > capacity:
         return None
-    base = payload_size(capacity)
-    versions = {data[base + i] for i in range(version_bytes(capacity))}
-    if len(versions) > 1:
+    version = agreed_version(data, payload_size(capacity))
+    if version is None:
         return None  # torn
     is_leaf = bool(flags & FLAG_LEAF)
     keys = []
@@ -178,6 +160,6 @@ def snapshot_from_bytes(
         keys=tuple(keys),
         refs=tuple(refs),
         next_leaf=(next_leaf if is_leaf and next_leaf >= 0 else None),
-        version=next(iter(versions)),
+        version=version,
         torn=False,
     )

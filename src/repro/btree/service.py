@@ -5,12 +5,12 @@ plugs into the *same* fast-messaging / TCP machinery — the paper's §VI
 framework claim made concrete: nothing in
 ``repro.server.fast_messaging``, the client session or its path policies
 knows which index lives behind the ring buffer.  This module supplies the
-structure, the two chunk images and the plans.
+structure, its chunk images (object and byte) and the plans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..hw.host import Host
 from ..msg.codec import (
@@ -19,68 +19,19 @@ from ..msg.codec import (
     KvPutRequest,
     KvScanRequest,
 )
-from ..server.base import (
-    ACK,
-    OFFLOAD_CHUNK_BYTES,
-    RESULTS,
-    ReadOnlyTarget,
-    TreeService,
-)
+from ..rtree.serialize import garbage_image
+from ..server.base import ACK, OFFLOAD_CHUNK_BYTES, RESULTS, TreeService
 from ..server.costs import DEFAULT_COSTS, CostModel
-from ..server.plan import OpPlan, execute_plan, mutation_plan
+from ..server.plan import OpPlan, mutation_plan
 from ..sim.kernel import Simulator
-from .bptree import DEFAULT_CAPACITY, BNode, BPlusTree
+from .bptree import DEFAULT_CAPACITY, BPlusTree
 from .serialize import (
     BNodeSnapshot,
-    garbage_bchunk,
     pack_bnode,
     pack_bnode_torn,
+    payload_size,
     snapshot_bnode,
 )
-
-
-class BTreeSnapshotReader:
-    """One-sided chunk reads with torn-read injection (as for the R-tree)."""
-
-    def __init__(self, nodes: Dict[int, BNode]):
-        self._nodes = nodes
-        self.reads = 0
-        self.torn_reads = 0
-
-    def read_chunk(self, chunk_id: int, now: float) -> BNodeSnapshot:
-        self.reads += 1
-        node = self._nodes.get(chunk_id)
-        if node is None:
-            self.torn_reads += 1
-            return BNodeSnapshot(chunk_id, True, (), (), None, -1, True)
-        view = snapshot_bnode(node)
-        if view.torn:
-            self.torn_reads += 1
-        return view
-
-
-class ByteBTreeChunkTarget(ReadOnlyTarget):
-    """Full-fidelity variant: reads return real packed chunk bytes with
-    genuinely inconsistent version stamps for mid-write images."""
-
-    def __init__(self, service: "BTreeService"):
-        super().__init__(self._read)
-        self._service = service
-        self.reads = 0
-        self.torn_reads = 0
-
-    def _read(self, address, length, now):
-        chunk_id = self._service.allocator.chunk_of(address)
-        node = self._service.tree.nodes.get(chunk_id)
-        capacity = self._service.max_entries
-        self.reads += 1
-        if node is None:
-            self.torn_reads += 1
-            return garbage_bchunk(capacity)
-        if node.active_writers > 0:
-            self.torn_reads += 1
-            return pack_bnode_torn(node, capacity)
-        return pack_bnode(node, capacity)
 
 
 class BTreeService(TreeService):
@@ -88,8 +39,6 @@ class BTreeService(TreeService):
 
     region_name = "btree"
     meta_name = "btree-meta"
-    reader_class = BTreeSnapshotReader
-    byte_target_class = ByteBTreeChunkTarget
 
     PLANS = {
         KvGetRequest: (lambda s, r: s.plan_get(r.key), RESULTS),
@@ -122,6 +71,16 @@ class BTreeService(TreeService):
         return BPlusTree.bulk_load(list(items), capacity=self.max_entries,
                                    alloc_chunk=self.allocator.alloc,
                                    free_chunk=self.allocator.free)
+
+    def _images(self, byte_mode: bool) -> Dict[str, Any]:
+        if not byte_mode:
+            return dict(image=snapshot_bnode,
+                        garbage=BNodeSnapshot(-1, True, (), (), None, -1,
+                                              True))
+        capacity = self.max_entries
+        return dict(image=lambda node: pack_bnode(node, capacity),
+                    torn_image=lambda node: pack_bnode_torn(node, capacity),
+                    garbage=garbage_image(payload_size(capacity)))
 
     # -- execution ---------------------------------------------------------------
 
@@ -165,9 +124,6 @@ class BTreeService(TreeService):
     def plan_delete(self, key: int) -> OpPlan:
         result = self.tree.delete(key)
         return self._mutation(result.ok, result, "deletes_served")
-
-    def execute_put(self, key: int, value: int) -> Generator:
-        return (yield from execute_plan(self, self.plan_put(key, value)))
 
     # -- the served-work counters every service reports ------------------------
 

@@ -6,6 +6,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..msg.codec import (
+    CountRequest,
+    DeleteRequest,
+    InsertRequest,
+    NearestRequest,
+    SearchRequest,
+    UpdateRequest,
+)
 from ..obs.registry import Counter, LatencyView, MetricsRegistry
 from ..rtree.geometry import Rect
 from ..sim.monitor import LatencyRecorder
@@ -49,6 +57,27 @@ class Request:
             raise ValueError("nearest request needs k >= 1")
         if self.op == OP_UPDATE and self.new_rect is None:
             raise ValueError("update request needs new_rect")
+
+
+def encode_request(req_id: int, request: Request):
+    """The wire message of ``request`` under ``req_id`` (every transport
+    sends the same one)."""
+    op = request.op
+    if op == OP_SEARCH:
+        return SearchRequest(req_id, request.rect)
+    if op == OP_NEAREST:
+        cx, cy = request.rect.center()
+        return NearestRequest(req_id, cx, cy, request.k)
+    if op == OP_COUNT:
+        return CountRequest(req_id, request.rect)
+    if op == OP_INSERT:
+        return InsertRequest(req_id, request.rect, request.data_id)
+    if op == OP_DELETE:
+        return DeleteRequest(req_id, request.rect, request.data_id)
+    if op == OP_UPDATE:
+        return UpdateRequest(req_id, request.rect, request.new_rect,
+                             request.data_id)
+    raise ValueError(op)  # pragma: no cover - Request validates
 
 
 #: The counter fields of :class:`ClientStats`, in registration order.

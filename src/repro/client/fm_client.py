@@ -24,16 +24,7 @@ from __future__ import annotations
 import random
 from typing import Generator, List, Optional, Set, Tuple
 
-from ..msg.codec import (
-    CountRequest,
-    DeleteRequest,
-    Heartbeat,
-    InsertRequest,
-    NearestRequest,
-    ResponseSegment,
-    SearchRequest,
-    UpdateRequest,
-)
+from ..msg.codec import Heartbeat, ResponseSegment
 from ..msg.ringbuffer import RingBufferFullError
 from ..rtree.geometry import Rect
 from ..server.fast_messaging import FmConnection
@@ -41,15 +32,12 @@ from ..sim.kernel import Simulator, any_of
 from ..sim.resources import Mailbox
 from .base import (
     OP_COUNT,
-    OP_DELETE,
-    OP_INSERT,
-    OP_NEAREST,
     OP_SEARCH,
-    OP_UPDATE,
     READ_OPS,
     ClientStats,
     Request,
     RequestIdAllocator,
+    encode_request,
 )
 from .resilience import RequestTimeoutError, RetryPolicy
 
@@ -118,23 +106,7 @@ class FmSession:
 
     def _make_wire(self, request: Request):
         """Encode ``request`` under a fresh request id."""
-        if request.op == OP_SEARCH:
-            return SearchRequest(self._ids.next_id(), request.rect)
-        if request.op == OP_NEAREST:
-            cx, cy = request.rect.center()
-            return NearestRequest(self._ids.next_id(), cx, cy, request.k)
-        if request.op == OP_COUNT:
-            return CountRequest(self._ids.next_id(), request.rect)
-        if request.op == OP_INSERT:
-            return InsertRequest(self._ids.next_id(), request.rect,
-                                 request.data_id)
-        if request.op == OP_DELETE:
-            return DeleteRequest(self._ids.next_id(), request.rect,
-                                 request.data_id)
-        if request.op == OP_UPDATE:
-            return UpdateRequest(self._ids.next_id(), request.rect,
-                                 request.new_rect, request.data_id)
-        raise ValueError(request.op)  # pragma: no cover - Request validates
+        return encode_request(self._ids.next_id(), request)
 
     def execute(self, request: Request) -> Generator:
         """Run one request through fast messaging; returns the results."""

@@ -7,8 +7,9 @@ The paper's second design (§III-B) plus the multi-issue enhancement
 * :class:`OneSidedReader` is the one-sided protocol every offload engine
   shares: the meta read, the validated chunk read with re-reads and
   backoff, the concurrent wave of reads, and the restart-and-span loop
-  every offloaded read returns.  An index supplies only its address map,
-  its image check and its traversal — :class:`OffloadEngine` (below),
+  every offloaded read returns, and the one image check.  An index
+  supplies only its address map, its image decode and fit, and its
+  traversal — :class:`OffloadEngine` (below),
   :class:`~repro.btree.offload.BTreeOffloadEngine` and
   :class:`~repro.cuckoo.service.CuckooOffloadEngine`;
 * the R-tree client fetches the root chunk with an RDMA Read, intersects
@@ -49,7 +50,6 @@ from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
 from ..rtree.serialize import NodeView, view_from_bytes
-from ..rtree.versioning import validate_snapshot
 from ..server.costs import CostModel
 from ..sim.kernel import Event, Simulator
 from ..sim.resources import Mailbox
@@ -80,16 +80,18 @@ class OneSidedReader:
     A subclass supplies three things:
 
     * its address map, :meth:`_address_map`;
-    * its image check, :meth:`_check`, which turns one fetched image into
-      a view, or into None (counted) when it must be re-read;
+    * its image: :meth:`_decode`, which decodes and FaRM-validates the
+      bytes a byte-mode server returns, and :meth:`_fits`, which accepts
+      a valid view as the one the traversal expected (counted when not);
+      :meth:`_check` runs both, once for every index;
     * its traversal: attempts that return a result, or None to restart,
       run through :meth:`_restarting`.
 
     A chunk is requested as ``(chunk_id, expected)``, where ``expected``
-    is what the image check needs to accept it (the R-tree's level, the
+    is what :meth:`_fits` needs to accept it (the R-tree's level, the
     B+tree's leafness, nothing for a cuckoo bucket).
 
-    An image check may also note the image's entry-loss stamp in
+    :meth:`_fits` may also note the image's entry-loss stamp in
     :attr:`_lost_seq` (the R-tree's, see :attr:`~repro.rtree.node.Node
     .lost_seq`).  A traversal reads a parent before its children, so a
     child that lost entries after the parent was read hides them: an
@@ -147,8 +149,29 @@ class OneSidedReader:
 
     def _check(self, data, expected):
         """The image check: the view ``data`` holds, or None (counted in
-        the client stats) when it must be re-read."""
+        the client stats) when it must be re-read.
+
+        A server serves object images (the fast path) or raw chunk bytes
+        (byte mode, the reference path); bytes run the real decode and
+        per-cache-line version comparison, an object image its ``torn``
+        flag.  Either rejection counts as a torn read."""
+        if isinstance(data, (bytes, bytearray)):
+            view = self._decode(data)
+        else:
+            view = None if data.torn else data
+        if view is None:
+            self.stats.torn_retries += 1
+            return None
+        return view if self._fits(view, expected) else None
+
+    def _decode(self, data: bytes):
+        """The view chunk bytes hold, or None when they do not validate."""
         raise NotImplementedError
+
+    def _fits(self, view, expected) -> bool:
+        """Whether a valid view is the chunk the traversal expected
+        (counting the mismatch when it is not)."""
+        return True
 
     # -- low-level reads -----------------------------------------------------
 
@@ -479,31 +502,19 @@ class OffloadEngine(OneSidedReader):
         self.cache = cache
         self._inflight_reads = {}
 
-    def _check(self, data, level: int) -> Optional[NodeView]:
-        """Accept a valid :class:`NodeView` at ``level``.
+    def _decode(self, data: bytes) -> Optional[NodeView]:
+        return view_from_bytes(data, self.desc.max_entries)
 
-        The server serves either :class:`NodeView` snapshots (fast path)
-        or raw chunk bytes (full-fidelity byte mode); the byte path runs
-        the real decode + per-cache-line version comparison.
-        """
-        if isinstance(data, (bytes, bytearray)):
-            view = view_from_bytes(data, self.desc.max_entries)
-            ok = view is not None
-        else:
-            view = data
-            ok = validate_snapshot(view)
-        if ok and view.level == level:
-            if view.lost_seq > self._lost_seq:
-                self._lost_seq = view.lost_seq
-            return view
-        if ok:
+    def _fits(self, view: NodeView, level: int) -> bool:
+        if view.level != level:
             # Valid image at the wrong level: a recycled chunk or a stale
             # root, not a torn snapshot — keep the diagnosis streams
             # separate.
             self.stats.level_mismatch_retries += 1
-        else:
-            self.stats.torn_retries += 1
-        return None
+            return False
+        if view.lost_seq > self._lost_seq:
+            self._lost_seq = view.lost_seq
+        return True
 
     # -- search ------------------------------------------------------------------
 

@@ -4,29 +4,17 @@ from __future__ import annotations
 
 from typing import Generator, List, Tuple
 
-from ..msg.codec import (
-    CountRequest,
-    DeleteRequest,
-    InsertRequest,
-    NearestRequest,
-    SearchRequest,
-    UpdateRequest,
-    message_size,
-)
+from ..msg.codec import message_size
 from ..rtree.geometry import Rect
 from ..sim.kernel import Simulator
 from ..transport.tcp import TcpConnection
 from .base import (
     OP_COUNT,
-    OP_DELETE,
-    OP_INSERT,
-    OP_NEAREST,
-    OP_SEARCH,
-    OP_UPDATE,
     READ_OPS,
     ClientStats,
     Request,
     RequestIdAllocator,
+    encode_request,
 )
 
 
@@ -49,24 +37,7 @@ class TcpSession:
         """Run one request; returns the matches or count (reads) or the
         ack (writes)."""
         self.stats.fast_messaging_requests += 1  # server-side execution
-        if request.op == OP_SEARCH:
-            wire = SearchRequest(self._ids.next_id(), request.rect)
-        elif request.op == OP_NEAREST:
-            cx, cy = request.rect.center()
-            wire = NearestRequest(self._ids.next_id(), cx, cy, request.k)
-        elif request.op == OP_COUNT:
-            wire = CountRequest(self._ids.next_id(), request.rect)
-        elif request.op == OP_INSERT:
-            wire = InsertRequest(self._ids.next_id(), request.rect,
-                                 request.data_id)
-        elif request.op == OP_DELETE:
-            wire = DeleteRequest(self._ids.next_id(), request.rect,
-                                 request.data_id)
-        elif request.op == OP_UPDATE:
-            wire = UpdateRequest(self._ids.next_id(), request.rect,
-                                 request.new_rect, request.data_id)
-        else:  # pragma: no cover - Request validates op
-            raise ValueError(request.op)
+        wire = encode_request(self._ids.next_id(), request)
         yield from self.conn.client_send(wire, message_size(wire))
         message = yield self.conn.client_recv()
         response = message.payload

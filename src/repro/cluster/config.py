@@ -121,7 +121,8 @@ class ExperimentConfig:
     #: Serve one-sided reads as real packed chunk bytes (full-fidelity
     #: FaRM validation on the client; slower to simulate).  The
     #: reference the default snapshot path is checked against
-    #: (``test_byte_mode_experiment``).
+    #: (``test_byte_mode_experiment``).  Trees only: a cuckoo bucket has
+    #: no byte image.
     byte_mode: bool = False
 
     # Hardware / costs.
@@ -225,6 +226,8 @@ class ExperimentConfig:
                     f"{self.index} index runs closed-loop")
             if self.index == "cuckoo" and self.kv.scan_fraction > 0:
                 raise ValueError("cuckoo hashing has no range scans")
+            if self.index == "cuckoo" and self.byte_mode:
+                raise ValueError("a cuckoo bucket has no byte image")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
         if self.batch_queries < 0:

@@ -18,9 +18,9 @@ from typing import Generator, Optional, Sequence, Tuple
 from ..client.offload_client import OneSidedReader
 from ..hw.host import Host
 from ..msg.codec import KvDeleteRequest, KvGetRequest, KvPutRequest
-from ..server.base import ACK, RESULTS, IndexService
+from ..server.base import ACK, RESULTS, ChunkReads, IndexService
 from ..server.costs import DEFAULT_COSTS, CostModel
-from ..server.plan import OpPlan, execute_plan, mutation_plan
+from ..server.plan import OpPlan, mutation_plan
 from ..sim.kernel import Simulator
 from .table import Bucket, CuckooFullError, CuckooHashTable
 
@@ -83,10 +83,11 @@ class CuckooService(IndexService):
     ):
         super().__init__(sim, host, costs)
         self.table = CuckooHashTable(n_buckets, seed=seed)
+        #: Buckets are never freed, so no read sees garbage.
+        self.chunk_reads = ChunkReads(self._bucket_at, snapshot_bucket,
+                                      garbage=None)
         self.region = self._register_read_only(
-            n_buckets * BUCKET_BYTES, "cuckoo", self._read_bucket)
-        self.one_sided_reads = 0
-        self.torn_reads = 0
+            n_buckets * BUCKET_BYTES, "cuckoo", self.chunk_reads)
         self.gets_served = 0
         self.puts_served = 0
         self.deletes_served = 0
@@ -94,14 +95,9 @@ class CuckooService(IndexService):
         for key, value in items:
             self.table.put(key, value)
 
-    def _read_bucket(self, address: int, length: int,
-                     now: float) -> BucketSnapshot:
-        self.one_sided_reads += 1
-        view = snapshot_bucket(
-            self.table.buckets[(address - self.region.base) // BUCKET_BYTES])
-        if view.torn:
-            self.torn_reads += 1
-        return view
+    def _bucket_at(self, address: int) -> Tuple[int, Bucket]:
+        index = (address - self.region.base) // BUCKET_BYTES
+        return index, self.table.buckets[index]
 
     def offload_descriptor(self) -> CuckooDescriptor:
         return CuckooDescriptor(
@@ -153,9 +149,6 @@ class CuckooService(IndexService):
         result = self.table.delete(key)
         return self._write(result.ok, result, "deletes_served")
 
-    def execute_put(self, key: int, value: int) -> Generator:
-        return (yield from execute_plan(self, self.plan_put(key, value)))
-
     # -- the served-work counters every service reports ----------------------
 
     @property
@@ -197,13 +190,6 @@ class CuckooOffloadEngine(OneSidedReader):
     def buckets_fetched(self):
         """Bucket reads landed (the reader's ``chunks_fetched``)."""
         return self.chunks_fetched
-
-    def _check(self, view: BucketSnapshot,
-               _expected) -> Optional[BucketSnapshot]:
-        if not view.torn:
-            return view
-        self.stats.torn_retries += 1
-        return None
 
     def read(self, request) -> Generator:
         """Serve one read request — GET is the table's only read."""

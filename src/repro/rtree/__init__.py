@@ -22,12 +22,7 @@ from .serialize import (
     snapshot_node,
     unpack_node,
 )
-from .versioning import (
-    SnapshotReader,
-    VersionValidationError,
-    WriteTracker,
-    validate_snapshot,
-)
+from .versioning import WriteTracker
 
 __all__ = [
     "HAVE_NUMPY",
@@ -54,8 +49,5 @@ __all__ = [
     "pack_node",
     "snapshot_node",
     "unpack_node",
-    "SnapshotReader",
-    "VersionValidationError",
     "WriteTracker",
-    "validate_snapshot",
 ]

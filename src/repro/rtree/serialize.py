@@ -13,6 +13,11 @@ Layout (little-endian)::
 ``ref`` is a data id in leaves and a child chunk id in internal nodes.
 ``lost_seq`` is the node's entry-loss stamp (:attr:`Node.lost_seq`, low
 32 bits), which a one-sided traversal compares with its meta read.
+
+The FaRM framing after the payload is shared by every index's codec (the
+B+tree's too): :func:`version_lines`, :func:`chunk_footprint`,
+:func:`stamp_versions`, :func:`torn_image`, :func:`garbage_image` and
+:func:`agreed_version` are its only home.
 The byte codec is exercised by the test suite for round-trip fidelity; the
 simulation's hot path moves :class:`NodeView` snapshots instead of bytes
 (equivalent content, no per-read pack cost) and charges the wire for
@@ -36,21 +41,59 @@ ENTRY_SIZE = struct.calcsize(ENTRY_FORMAT)  # 40
 CACHE_LINE = 64
 
 
+def version_lines(payload: int) -> int:
+    """One version byte per cache line touched by ``payload`` bytes."""
+    return (payload + CACHE_LINE - 1) // CACHE_LINE
+
+
+def chunk_footprint(payload: int) -> int:
+    """Payload plus its version bytes, rounded up to whole cache lines."""
+    raw = payload + version_lines(payload)
+    return ((raw + CACHE_LINE - 1) // CACHE_LINE) * CACHE_LINE
+
+
+def stamp_versions(out: bytearray, payload: int, version: int) -> None:
+    """Write ``version`` (low byte) into every version byte of ``out``."""
+    lines = version_lines(payload)
+    out[payload:payload + lines] = bytes((version & 0xFF,)) * lines
+
+
+def torn_image(data: bytes, payload: int, version: int) -> bytes:
+    """``data`` as a concurrent writer exposes it mid-write: the first
+    half of the cache lines carry the writer's in-flight stamp
+    ``version + 1``, the rest still carry ``version`` — exactly the
+    inconsistency FaRM's validation exists to catch."""
+    out = bytearray(data)
+    torn_at = max(1, version_lines(payload) // 2)
+    out[payload:payload + torn_at] = bytes(((version + 1) & 0xFF,)) * torn_at
+    return bytes(out)
+
+
+def garbage_image(payload: int) -> bytes:
+    """Recycled-memory bytes: version numbers that can never validate."""
+    out = bytearray(chunk_footprint(payload))
+    for i in range(version_lines(payload)):
+        out[payload + i] = i & 0xFF or 1  # alternating, never uniform
+    return bytes(out)
+
+
+def agreed_version(data: bytes, payload: int) -> Optional[int]:
+    """FaRM validation: the version every cache line carries, or None
+    when they disagree (a torn read)."""
+    lines = data[payload:payload + version_lines(payload)]
+    if lines.count(lines[0]) != len(lines):
+        return None
+    return lines[0]
+
+
 def payload_size(max_entries: int) -> int:
     """Bytes of header + full entry array (before version bytes)."""
     return HEADER_SIZE + max_entries * ENTRY_SIZE
 
 
-def version_bytes(max_entries: int) -> int:
-    """One version byte per cache line touched by the payload."""
-    payload = payload_size(max_entries)
-    return (payload + CACHE_LINE - 1) // CACHE_LINE
-
-
 def chunk_size(max_entries: int = DEFAULT_MAX_ENTRIES) -> int:
     """Total chunk footprint, rounded up to a cache-line multiple."""
-    raw = payload_size(max_entries) + version_bytes(max_entries)
-    return ((raw + CACHE_LINE - 1) // CACHE_LINE) * CACHE_LINE
+    return chunk_footprint(payload_size(max_entries))
 
 
 def pack_node(node: Node, max_entries: int = DEFAULT_MAX_ENTRIES) -> bytes:
@@ -72,10 +115,7 @@ def pack_node(node: Node, max_entries: int = DEFAULT_MAX_ENTRIES) -> bytes:
             entry.rect.maxx, entry.rect.maxy, ref,
         )
         offset += ENTRY_SIZE
-    version = node.version & 0xFF
-    base = payload_size(max_entries)
-    for i in range(version_bytes(max_entries)):
-        out[base + i] = version
+    stamp_versions(out, payload_size(max_entries), node.version)
     return bytes(out)
 
 
@@ -123,7 +163,7 @@ def unpack_node(
         entries.append(UnpackedEntry(Rect(minx, miny, maxx, maxy), ref))
         offset += ENTRY_SIZE
     base = payload_size(max_entries)
-    versions = tuple(data[base + i] for i in range(version_bytes(max_entries)))
+    versions = tuple(data[base:base + version_lines(base)])
     return UnpackedNode(level, chunk_id, entries, versions, lost_seq)
 
 
@@ -141,7 +181,7 @@ class NodeView:
     scans compare floats directly instead of calling ``Rect.intersects``
     per entry — the same flat-scan technique the server tree uses.
     Snapshots of quiescent nodes are cached and shared across reads (see
-    :class:`~repro.rtree.versioning.SnapshotReader`), so one coordinate
+    :class:`~repro.server.base.ChunkReads`), so one coordinate
     build amortizes over every read of the node between mutations.
     """
 
@@ -203,30 +243,12 @@ class NodeView:
         ]
 
 
-def pack_node_torn(node: Node, max_entries: int = DEFAULT_MAX_ENTRIES,
-                   torn_at: int = 0) -> bytes:
-    """Serialize a node as a concurrent writer would expose it mid-write:
-    cache lines before ``torn_at`` carry the new version number, the rest
-    still carry the old one — exactly the inconsistency FaRM's validation
-    exists to catch."""
-    data = bytearray(pack_node(node, max_entries))
-    base = payload_size(max_entries)
-    n_versions = version_bytes(max_entries)
-    torn_at = max(1, min(torn_at if torn_at > 0 else n_versions // 2,
-                         n_versions - 1))
-    new_version = (node.version + 1) & 0xFF  # the writer's in-flight stamp
-    for i in range(torn_at):
-        data[base + i] = new_version
-    return bytes(data)
-
-
-def garbage_chunk(max_entries: int = DEFAULT_MAX_ENTRIES) -> bytes:
-    """Recycled-memory bytes: version numbers that can never validate."""
-    data = bytearray(chunk_size(max_entries))
-    base = payload_size(max_entries)
-    for i in range(version_bytes(max_entries)):
-        data[base + i] = i & 0xFF or 1  # alternating, never uniform
-    return bytes(data)
+def pack_node_torn(node: Node,
+                   max_entries: int = DEFAULT_MAX_ENTRIES) -> bytes:
+    """A node as a concurrent writer exposes it mid-write
+    (:func:`torn_image`)."""
+    return torn_image(pack_node(node, max_entries), payload_size(max_entries),
+                      node.version)
 
 
 def view_from_bytes(
@@ -241,13 +263,14 @@ def view_from_bytes(
         img = unpack_node(data, max_entries)
     except ValueError:
         return None
-    if not img.versions_consistent:
+    version = agreed_version(data, payload_size(max_entries))
+    if version is None:
         return None
     return NodeView(
         level=img.level,
         chunk_id=img.chunk_id,
         entries=tuple((e.rect, e.ref) for e in img.entries),
-        version=img.versions[0] if img.versions else 0,
+        version=version,
         torn=False,
         lost_seq=img.lost_seq,
     )

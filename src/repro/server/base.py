@@ -6,7 +6,8 @@
   manager and the write tracker that opens torn-read windows for the
   versioning model;
 * read-only registered regions (:class:`ReadOnlyTarget`): clients
-  RDMA-Read them, every write goes through the server (§III-B);
+  RDMA-Read them, every write goes through the server (§III-B), and every
+  chunk region answers through one rule, :class:`ChunkReads`;
 * ``plan(request)``, the transport-agnostic entry point: the request's
   plan method, looked up by type in the class's ``PLANS`` table, and its
   reply segments (:mod:`repro.server.plan` runs the plan).
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..hw.host import Host
 from ..hw.memory import ChunkAllocator, MemoryRegion
@@ -44,15 +46,18 @@ from ..rtree.locks import TreeLockManager
 from ..rtree.node import DEFAULT_MAX_ENTRIES
 from ..rtree.rstar import MutationResult
 from ..rtree.serialize import (
+    NodeView,
     chunk_size,
-    garbage_chunk,
+    garbage_image,
     pack_node,
     pack_node_torn,
+    payload_size,
+    snapshot_node,
 )
-from ..rtree.versioning import SnapshotReader, WriteTracker
+from ..rtree.versioning import WriteTracker
 from ..sim.kernel import Simulator
 from .costs import DEFAULT_COSTS, CostModel
-from .plan import OpPlan, execute_plan, mutation_plan
+from .plan import OpPlan, mutation_plan
 
 #: Meta region layout: root chunk id (u64) + tree height (u32) + the
 #: tree-wide mutation high-water mark (u32, wrapping) in the former pad
@@ -107,8 +112,8 @@ class TreeMeta:
 class ReadOnlyTarget:
     """RDMA target of a region clients may read but never write.
 
-    ``read(address, length, now)`` serves the reads.  The byte-mode chunk
-    targets subclass it for the write rejection.
+    ``read(address, length, now)`` serves the reads; :class:`ChunkReads`
+    is the one subclass.
     """
 
     def __init__(self, read: Callable[[int, int, float], Any]):
@@ -121,64 +126,56 @@ class ReadOnlyTarget:
         )
 
 
-class ByteTreeChunkTarget(ReadOnlyTarget):
-    """Full-fidelity variant: reads return real packed chunk *bytes*.
+class ChunkReads(ReadOnlyTarget):
+    """What a one-sided read of one chunk returns, for every index (§III-B).
 
-    A read that overlaps a server mutation returns an image whose
-    per-cache-line version numbers genuinely disagree (half old, half
-    new); a read of a freed chunk returns recycled-memory garbage.  The
-    client must run the actual FaRM validation on the bytes — nothing is
-    signalled out of band.  Used to verify that the chunk codec carries
-    everything the offloaded traversal needs.
-
-    Packed images are cached per chunk, stamped with the node identity
-    and its ``(version, mut_seq)`` pair, so repeated quiescent reads of
-    the same node return the same bytes without re-packing.  ``version``
-    alone cannot key the cache: the tree mutates *before* the simulated
-    write window closes (which is when ``version`` bumps), so ``mut_seq``
-    — bumped at the mutation itself — covers that gap.  Keeping the node
-    object in the stamp guards against a freed chunk id being recycled
-    for a new node whose counters happen to collide.  Torn and garbage
-    reads bypass the cache entirely.
+    ``chunk_at(address)`` names the chunk: its id and the live chunk, or
+    None when it is free.  A free chunk reads as ``garbage`` (recycled
+    memory whose versions never validate), a chunk inside a write window
+    as ``torn_image(chunk)`` (in byte mode cache-line versions straddling
+    the write; by default ``image``, whose ``torn`` flag is then set), any
+    other chunk as ``image(chunk)``.  With a ``stamp``, quiescent images
+    are cached under the chunk's identity and stamp (the identity guards
+    a recycled chunk id whose stamp collides); torn and garbage reads
+    bypass the cache.  Nothing is signalled out of band: the client's
+    image check alone decides.
     """
 
-    def __init__(self, server: "RTreeServer"):
+    def __init__(self, chunk_at: Callable[[int], Tuple[int, Any]],
+                 image: Callable[[Any], Any], garbage: Any,
+                 torn_image: Optional[Callable[[Any], Any]] = None,
+                 stamp: Optional[Callable[[Any], Any]] = None):
         super().__init__(self._read)
-        self._server = server
+        self._chunk_at = chunk_at
+        self._image = image
+        self._garbage = garbage
+        self._torn_image = torn_image or image
+        self._stamp = stamp
         self.reads = 0
         self.torn_reads = 0
         self.cached_reads = 0
-        self._cache: Dict[int, Tuple[object, int, int, bytes]] = {}
-        self._garbage: Optional[bytes] = None
+        self._cache: Dict[int, Tuple[Any, Any, Any]] = {}
 
-    def _read(self, address: int, length: int, now: float) -> bytes:
-        chunk_id = self._server.allocator.chunk_of(address)
-        node = self._server.tree.nodes.get(chunk_id)
+    def _read(self, address: int, length: int, now: float):
+        chunk_id, chunk = self._chunk_at(address)
         self.reads += 1
-        max_entries = self._server.max_entries
-        if node is None:
+        if chunk is None:
             self.torn_reads += 1
-            # Recycled-memory garbage is deterministic per chunk size.
-            garbage = self._garbage
-            if garbage is None:
-                garbage = self._garbage = garbage_chunk(max_entries)
-            return garbage
-        if node.active_writers > 0:
+            return self._garbage
+        if chunk.active_writers > 0:
             self.torn_reads += 1
-            # Mid-write image: version numbers straddle the update.
-            return pack_node_torn(node, max_entries)
+            return self._torn_image(chunk)
+        stamp = self._stamp
+        if stamp is None:
+            return self._image(chunk)
+        key = stamp(chunk)
         cached = self._cache.get(chunk_id)
-        if (
-            cached is not None
-            and cached[0] is node
-            and cached[1] == node.version
-            and cached[2] == node.mut_seq
-        ):
+        if cached is not None and cached[0] is chunk and cached[1] == key:
             self.cached_reads += 1
-            return cached[3]
-        data = pack_node(node, max_entries)
-        self._cache[chunk_id] = (node, node.version, node.mut_seq, data)
-        return data
+            return cached[2]
+        image = self._image(chunk)
+        self._cache[chunk_id] = (chunk, key, image)
+        return image
 
 
 class IndexService:
@@ -203,11 +200,10 @@ class IndexService:
         self.write_tracker = WriteTracker(sim)
 
     def _register_read_only(self, size: int, name: str,
-                            read: Callable[[int, int, float], Any]
-                            ) -> MemoryRegion:
-        """Register ``size`` bytes that clients read through ``read``."""
+                            target: ReadOnlyTarget) -> MemoryRegion:
+        """Register ``size`` bytes that clients read through ``target``."""
         region = self.host.memory.register(size, name=name)
-        self.host.memory.bind(region.rkey, ReadOnlyTarget(read))
+        self.host.memory.bind(region.rkey, target)
         return region
 
     def plan(self, request) -> OpPlan:
@@ -240,43 +236,43 @@ class TreeService(IndexService):
 
     The tree region is registered once, big enough for ``node_estimate``
     nodes plus growth, then the meta region; a client addresses a node as
-    ``tree_base + chunk_id * chunk_bytes``.  A subclass supplies
-    ``_build(items)``, its object-mode image (``reader_class``, whose
-    ``read_chunk`` snapshots one chunk), its byte-mode image
-    (``byte_target_class``) and the names its two regions register under.
+    ``tree_base + chunk_id * chunk_bytes`` and its reads are served by one
+    :class:`ChunkReads`, :attr:`chunk_reads`.  A subclass supplies
+    ``_build(items)``, its chunk images (``_images(byte_mode)``) and the
+    names its two regions register under.
     """
 
     region_name: str
     meta_name: str
-    reader_class: type
-    byte_target_class: type
 
     def __init__(self, sim: Simulator, host: Host, items, max_entries: int,
                  costs: CostModel, byte_mode: bool, chunk_bytes: int,
                  node_estimate: int):
         super().__init__(sim, host, costs)
         self.max_entries = max_entries
-        self.byte_mode = byte_mode
         self.chunk_bytes = chunk_bytes
-        self.tree_region = host.memory.register(
-            (node_estimate + 4096) * chunk_bytes, name=self.region_name
-        )
+        self.chunk_reads = ChunkReads(self._chunk_at,
+                                      **self._images(byte_mode))
+        self.tree_region = self._register_read_only(
+            (node_estimate + 4096) * chunk_bytes, self.region_name,
+            self.chunk_reads)
         self.allocator = ChunkAllocator(self.tree_region, chunk_bytes)
         self.tree = self._build(items)
-        self.reader = self.reader_class(self.tree.nodes)
-        self.byte_target = (self.byte_target_class(self) if byte_mode
-                            else None)
-        host.memory.bind(self.tree_region.rkey,
-                         self.byte_target or ReadOnlyTarget(self._read_chunk))
         self.meta_region = self._register_read_only(
-            META_REGION_SIZE, self.meta_name, self._read_meta)
+            META_REGION_SIZE, self.meta_name, ReadOnlyTarget(self._read_meta))
 
     def _build(self, items):
         """The structure, bulk-loaded into the allocator's chunks."""
         raise NotImplementedError
 
-    def _read_chunk(self, address: int, length: int, now: float):
-        return self.reader.read_chunk(self.allocator.chunk_of(address), now)
+    def _images(self, byte_mode: bool) -> Dict[str, Any]:
+        """The :class:`ChunkReads` images of one node: ``image`` and
+        ``garbage``, in byte mode ``torn_image``, optionally ``stamp``."""
+        raise NotImplementedError
+
+    def _chunk_at(self, address: int) -> Tuple[int, Any]:
+        chunk_id = self.allocator.chunk_of(address)
+        return chunk_id, self.tree.nodes.get(chunk_id)
 
     def _read_meta(self, address: int, length: int, now: float) -> TreeMeta:
         tree = self.tree
@@ -304,8 +300,6 @@ class RTreeServer(TreeService):
 
     region_name = "rtree"
     meta_name = "meta"
-    reader_class = SnapshotReader
-    byte_target_class = ByteTreeChunkTarget
 
     PLANS = {
         SearchRequest: (lambda s, r: s.plan_search(r.rect), RESULTS),
@@ -346,6 +340,24 @@ class RTreeServer(TreeService):
         return bulk_load(items, max_entries=self.max_entries,
                          alloc_chunk=self.allocator.alloc,
                          free_chunk=self.allocator.free)
+
+    def _images(self, byte_mode: bool) -> Dict[str, Any]:
+        """Node images, cached under ``(version, mut_seq)``.
+
+        ``version`` alone cannot key the cache: the tree mutates *before*
+        the simulated write window closes (which is when ``version``
+        bumps), so ``mut_seq``, bumped at the mutation itself, covers
+        that gap."""
+        stamp = attrgetter("version", "mut_seq")
+        if not byte_mode:
+            return dict(image=snapshot_node, stamp=stamp,
+                        garbage=NodeView(level=0, chunk_id=-1, entries=(),
+                                         version=-1, torn=True))
+        max_entries = self.max_entries
+        return dict(image=lambda node: pack_node(node, max_entries),
+                    torn_image=lambda node: pack_node_torn(node, max_entries),
+                    garbage=garbage_image(payload_size(max_entries)),
+                    stamp=stamp)
 
     def _read_meta(self, address: int, length: int, now: float) -> TreeMeta:
         tree = self.tree
@@ -452,33 +464,6 @@ class RTreeServer(TreeService):
                              mutated_nodes,
                              [n.chunk_id for n in mutated_nodes],
                              self.costs, counter)
-
-    # -- the same operations from a process (rebalancer, tests) ----------------
-
-    def execute_search(self, rect: Rect) -> Generator:
-        return (yield from execute_plan(self, self.plan_search(rect)))
-
-    def execute_nearest(self, x: float, y: float, k: int) -> Generator:
-        return (yield from execute_plan(self, self.plan_nearest(x, y, k)))
-
-    def execute_insert(self, rect: Rect, data_id: int) -> Generator:
-        return (yield from execute_plan(self,
-                                        self.plan_insert(rect, data_id)))
-
-    def execute_delete(self, rect: Rect, data_id: int) -> Generator:
-        return (yield from execute_plan(self,
-                                        self.plan_delete(rect, data_id)))
-
-    def execute_insert_group(self, items) -> Generator:
-        return (yield from execute_plan(self, self.plan_insert_group(items)))
-
-    def execute_delete_group(self, items) -> Generator:
-        return (yield from execute_plan(self, self.plan_delete_group(items)))
-
-    def execute_update(self, old_rect: Rect, new_rect: Rect,
-                       data_id: int) -> Generator:
-        return (yield from execute_plan(
-            self, self.plan_update(old_rect, new_rect, data_id)))
 
     # -- reporting ------------------------------------------------------------
 

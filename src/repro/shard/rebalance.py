@@ -63,6 +63,7 @@ from typing import List, Optional, Set, Tuple
 from ..cluster.config import RebalanceConfig
 from ..obs.registry import Counter, MetricsRegistry
 from ..rtree.geometry import Rect
+from ..server.plan import execute_plan
 from ..sim.kernel import Simulator
 from .partition import ShardMap, tile_contains
 
@@ -377,7 +378,8 @@ class RebalanceController:
         self._pre_cutover = True
         try:
             for run in runs:
-                yield from dest_server.execute_insert_group(run)
+                yield from execute_plan(dest_server,
+                                        dest_server.plan_insert_group(run))
                 self._migration_ops[dest] += 1
                 moved_count += len(run)
                 for rect, _data_id in run:
@@ -431,8 +433,8 @@ class RebalanceController:
         set, so the rebuild keeps them covered as strays.
 
         Both rebuilds are safe against racing client inserts: the tree
-        mutation is applied at the head of ``execute_insert`` (before
-        any CPU is charged), so an insert acked before the scan is *in*
+        mutation is applied when its plan is made (before any CPU is
+        charged), so an insert acked before the scan is *in*
         the scan, and one applied after it re-grows the shared live map
         via the client's ``note_insert`` at ack time.  Without the
         final rebuild the former hot shard's stale stray cover keeps
@@ -446,7 +448,8 @@ class RebalanceController:
         pending.update(chain.from_iterable(runs))
         self._rebuild_summary(source)
         for run in runs:
-            yield from source_server.execute_delete_group(run)
+            yield from execute_plan(source_server,
+                                    source_server.plan_delete_group(run))
             pending.difference_update(run)
             self._migration_ops[source] += 1
             stats.items_migrated += len(run)
@@ -470,11 +473,13 @@ class RebalanceController:
             # completed since the snapshot scan must not be resurrected.
             if (rect, data_id) not in source_server.tree.search(rect).matches:
                 continue
-            yield from self.stacks[owner].server.execute_insert(
-                rect, data_id)
+            owner_server = self.stacks[owner].server
+            yield from execute_plan(owner_server,
+                                    owner_server.plan_insert(rect, data_id))
             self._migration_ops[owner] += 1
             shard_map.note_insert(owner, rect)
-            yield from source_server.execute_delete(rect, data_id)
+            yield from execute_plan(
+                source_server, source_server.plan_delete(rect, data_id))
             self._migration_ops[source] += 1
             stats.items_migrated += 1
         self._rebuild_summary(source)

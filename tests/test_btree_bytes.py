@@ -7,15 +7,16 @@ import pytest
 from repro.btree import BPlusTree, BTreeOffloadEngine, BTreeService
 from repro.btree.serialize import (
     chunk_size,
-    garbage_bchunk,
     pack_bnode,
     pack_bnode_torn,
+    payload_size,
     snapshot_from_bytes,
 )
 from repro.client import ClientStats
 from repro.hw import Host
 from repro.net import IB_100G, Network
-from repro.rtree.serialize import CACHE_LINE
+from repro.rtree.serialize import CACHE_LINE, garbage_image
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 
@@ -67,7 +68,7 @@ class TestCodec:
         assert snapshot_from_bytes(pack_bnode_torn(tree.root, 8), 8) is None
 
     def test_garbage_rejected(self):
-        assert snapshot_from_bytes(garbage_bchunk(8), 8) is None
+        assert snapshot_from_bytes(garbage_image(payload_size(8)), 8) is None
 
     def test_wrong_size_rejected(self):
         assert snapshot_from_bytes(b"\x00" * 7, 8) is None
@@ -111,7 +112,7 @@ class TestByteModeBTree:
         sim.run()
         for k, items in zip(sample, p.value):
             assert items == [(k, k + 1)]
-        assert service.byte_target.reads > 0
+        assert service.chunk_reads.reads > 0
 
     def test_scan_correct_over_bytes(self):
         sim, sh, service, engine, stats, keys = self._stack()
@@ -133,7 +134,8 @@ class TestByteModeBTree:
 
         def writer():
             for i in range(400):
-                yield from service.execute_put(base + i, i)
+                yield from execute_plan(service,
+                                        service.plan_put(base + i, i))
                 yield sim.timeout(rng.uniform(0, 3e-6))
 
         def reader():
@@ -147,7 +149,7 @@ class TestByteModeBTree:
         sim.process(reader())
         sim.run()
         assert stats.torn_retries > 0
-        assert service.byte_target.torn_reads > 0
+        assert service.chunk_reads.torn_reads > 0
 
     def test_zero_server_cpu_over_bytes(self):
         sim, sh, service, engine, stats, keys = self._stack(n=400)

@@ -23,6 +23,7 @@ from repro.runtime import (
     PolicySession,
 )
 from repro.server import EVENT, FastMessagingServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 
 
@@ -194,7 +195,8 @@ class TestOffloadPath:
         def writer():
             for i in range(600):
                 # fresh keys near a hot spot: splits touch several nodes
-                yield from service.execute_put(keys[50] * 10 + i, i)
+                yield from execute_plan(
+                    service, service.plan_put(keys[50] * 10 + i, i))
                 yield sim.timeout(rng.uniform(0, 3e-6))
 
         def reader():
@@ -219,7 +221,8 @@ class TestOffloadPath:
             first = yield from engine.get(keys[0])
             i = 0
             while service.tree.height == old_height:
-                yield from service.execute_put(10**6 + i, i)
+                yield from execute_plan(service,
+                                        service.plan_put(10**6 + i, i))
                 i += 1
             second = yield from engine.get(10**6)
             return first, second

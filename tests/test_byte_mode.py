@@ -14,11 +14,13 @@ from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect, pack_node, unpack_node
 from repro.rtree.serialize import (
-    garbage_chunk,
+    garbage_image,
     pack_node_torn,
+    payload_size,
     view_from_bytes,
 )
 from repro.server import RTreeServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 from repro.workloads import uniform_dataset
@@ -60,7 +62,7 @@ class TestCodecHelpers:
         assert view_from_bytes(pack_node_torn(node, 8), 8) is None
 
     def test_view_from_garbage_is_rejected(self):
-        assert view_from_bytes(garbage_chunk(8), 8) is None
+        assert view_from_bytes(garbage_image(payload_size(8)), 8) is None
 
     def test_torn_image_differs_only_in_versions(self):
         from repro.rtree import Entry, Node
@@ -112,7 +114,7 @@ class TestByteModeTraversal:
         sim.process(client())
         sim.run()
         assert sh.cpu.total_work_seconds == 0.0
-        assert server.byte_target.reads > 0
+        assert server.chunk_reads.reads > 0
 
     def test_real_version_validation_triggers_retries(self):
         sim, sh, server, engine, stats = make_byte_stack()
@@ -120,8 +122,8 @@ class TestByteModeTraversal:
 
         def writer():
             for i in range(400):
-                yield from server.execute_insert(
-                    Rect(0.4, 0.4, 0.4001, 0.4001), 10**7 + i)
+                yield from execute_plan(server, server.plan_insert(
+                    Rect(0.4, 0.4, 0.4001, 0.4001), 10**7 + i))
                 yield sim.timeout(rng.uniform(0, 3e-6))
 
         def reader():
@@ -133,7 +135,7 @@ class TestByteModeTraversal:
         sim.process(reader())
         sim.run()
         assert stats.torn_retries > 0
-        assert server.byte_target.torn_reads > 0
+        assert server.chunk_reads.torn_reads > 0
 
     def test_search_correct_despite_concurrent_inserts(self):
         sim, sh, server, engine, stats = make_byte_stack(n_items=600)
@@ -145,8 +147,8 @@ class TestByteModeTraversal:
             # inserts far away from the query region
             for i in range(150):
                 x = rng.uniform(0.7, 0.98)
-                yield from server.execute_insert(
-                    Rect(x, x, x + 0.001, x + 0.001), 10**8 + i)
+                yield from execute_plan(server, server.plan_insert(
+                    Rect(x, x, x + 0.001, x + 0.001), 10**8 + i))
                 yield sim.timeout(rng.uniform(0, 4e-6))
 
         def reader():

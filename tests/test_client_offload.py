@@ -10,6 +10,7 @@ from repro.net import IB_100G, Network
 from repro.rtree import Rect
 from repro.runtime import AlwaysOffloadPolicy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 from repro.workloads import uniform_dataset
@@ -156,9 +157,9 @@ def test_torn_read_is_retried_during_concurrent_insert():
     def writer():
         # Stream inserts so write windows stay open a lot of the time.
         for i in range(200):
-            yield from server.execute_insert(
+            yield from execute_plan(server, server.plan_insert(
                 Rect(0.5, 0.5, 0.5001, 0.5001), 10_000_000 + i
-            )
+            ))
 
     def reader():
         for _ in range(50):
@@ -185,11 +186,11 @@ def test_root_split_triggers_meta_refresh_and_restart():
         # Grow the tree until the root splits (height increases).
         i = 0
         while server.tree.height == old_height:
-            yield from server.execute_insert(
+            yield from execute_plan(server, server.plan_insert(
                 Rect(0.001 * i, 0.001 * i, 0.001 * i + 0.0001,
                      0.001 * i + 0.0001),
                 20_000_000 + i,
-            )
+            ))
             i += 1
         # The cached root is now stale; the search must still be correct.
         second = yield from engine.search(query)
@@ -224,23 +225,14 @@ def split_at_first_leaf_read(server):
                 return
         raise AssertionError("the leaf never lost an entry")
 
-    if server.byte_target is not None:
-        target = server.byte_target
-        read = target.rdma_read
+    target = server.chunk_reads
+    read = target.rdma_read
 
-        def byte_read(address, length, now):
-            before(server.allocator.chunk_of(address))
-            return read(address, length, now)
+    def hooked_read(address, length, now):
+        before(server.allocator.chunk_of(address))
+        return read(address, length, now)
 
-        target.rdma_read = byte_read
-    else:
-        read_chunk = server.reader.read_chunk
-
-        def object_read(chunk_id, now):
-            before(chunk_id)
-            return read_chunk(chunk_id, now)
-
-        server.reader.read_chunk = object_read
+    target.rdma_read = hooked_read
     return fired
 
 

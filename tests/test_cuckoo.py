@@ -18,6 +18,7 @@ from repro.msg import Heartbeat
 from repro.net import IB_100G, Network
 from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 
@@ -205,7 +206,7 @@ class TestService:
         sim.process(client())
         sim.run()
         assert sh.cpu.total_work_seconds == 0.0
-        assert service.one_sided_reads >= 50
+        assert service.chunk_reads.reads >= 50
 
     def test_offload_is_single_round_trip(self):
         """Both bucket reads overlap: latency ~= one read RTT."""
@@ -231,7 +232,8 @@ class TestService:
 
         def writer():
             for i in range(120):
-                yield from service.execute_put(10**7 + i, i)
+                yield from execute_plan(service,
+                                        service.plan_put(10**7 + i, i))
 
         def reader():
             for _ in range(800):
@@ -284,7 +286,7 @@ class TestService:
         def client():
             failures = 0
             for k in range(60):
-                ok = yield from service.execute_put(k, k)
+                ok = yield from execute_plan(service, service.plan_put(k, k))
                 if not ok:
                     failures += 1
             return failures

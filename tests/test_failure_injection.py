@@ -22,6 +22,7 @@ from repro.server import (
     HeartbeatService,
     RTreeServer,
 )
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
 
@@ -142,9 +143,11 @@ class TestStaleMemory:
             # delete then reinsert everything, twice
             for _round in range(2):
                 for rect, data_id in items:
-                    yield from server.execute_delete(rect, data_id)
+                    yield from execute_plan(
+                        server, server.plan_delete(rect, data_id))
                 for rect, data_id in items:
-                    yield from server.execute_insert(rect, data_id)
+                    yield from execute_plan(
+                        server, server.plan_insert(rect, data_id))
 
         def reader():
             failures = 0
@@ -178,10 +181,12 @@ class TestStaleMemory:
         def scenario():
             before = yield from engine.search(Rect(0, 0, 1, 1))
             for rect, data_id in items:
-                yield from server.execute_delete(rect, data_id)
+                yield from execute_plan(
+                    server, server.plan_delete(rect, data_id))
             empty = yield from engine.search(Rect(0, 0, 1, 1))
             for rect, data_id in items:
-                yield from server.execute_insert(rect, data_id)
+                yield from execute_plan(
+                    server, server.plan_insert(rect, data_id))
             after = yield from engine.search(Rect(0, 0, 1, 1))
             return len(before), len(empty), len(after)
 

@@ -103,6 +103,9 @@ LEGALITY = {
                            build_runner, "no root"),
     "cuckoo-scans": (dict(index="cuckoo", kv=KvMix(scan_fraction=0.1)),
                      build_runner, "no range scans"),
+    "cuckoo-byte-mode": (dict(index="cuckoo", byte_mode=True,
+                              scheme="rdma-offloading"),
+                         build_runner, "no byte image"),
     **{f"legal-{index}-{scheme}": (dict(index=index, scheme=scheme),
                                    build_runner, None)
        for index in ("btree", "cuckoo") for scheme in KV_CAPABLE},

@@ -14,6 +14,7 @@ from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import RStarTree, Rect, bulk_load
 from repro.server import EVENT, FastMessagingServer, RTreeServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 from repro.workloads import uniform_dataset
@@ -169,7 +170,8 @@ class TestServerAndTransports:
 
         def client():
             offloaded = yield from engine.nearest(0.3, 0.7, k=5)
-            served = yield from server.execute_nearest(0.3, 0.7, 5)
+            served = yield from execute_plan(
+                server, server.plan_nearest(0.3, 0.7, 5))
             return offloaded, served
 
         p = sim.process(client())

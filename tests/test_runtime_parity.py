@@ -484,20 +484,26 @@ def test_duplicated_assembly_paths_are_gone():
     assert not offenders, offenders
 
 
-#: The per-index service plumbing the shared skeleton replaced.
+#: The per-index service plumbing the shared skeleton replaced, and the
+#: per-index chunk-read rules one ``ChunkReads`` replaced.
 RETIRED_SERVICE_CLASSES = {
     "TreeChunkTarget", "MetaTarget", "BTreeChunkTarget", "_KvMetaTarget",
     "_CuckooTarget", "KvMeta", "KvOffloadDescriptor",
+    "SnapshotReader", "ByteTreeChunkTarget", "BTreeSnapshotReader",
+    "ByteBTreeChunkTarget", "VersionValidationError",
 }
 
 
 def test_index_service_plumbing_lives_once():
     # One skeleton under the R-tree, B+tree and cuckoo servers: the
-    # read-only target's write rejection, the plan dispatch and the
-    # versioned-chunk protocol each have one home in src/repro.
+    # read-only target's write rejection, the plan dispatch, the
+    # versioned-chunk protocol, the chunk-read rule, the FaRM framing
+    # and the client's image check each have one home in src/repro.
     raises, plans, begin_writes, utilizations, classes = [], [], [], [], []
+    read_targets, framings, checks = [], set(), []
     for path in _python_files(SRC):
         rel = path.relative_to(SRC).as_posix()
+        package = rel.split("/")[0]
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = (node.exc.func if isinstance(node.exc, ast.Call)
@@ -505,20 +511,34 @@ def test_index_service_plumbing_lives_once():
                 if getattr(exc, "id", None) == "PermissionError":
                     raises.append(rel)
             elif isinstance(node, ast.FunctionDef):
-                if node.name == "plan" and rel.split("/")[0] in (
+                if node.name == "plan" and package in (
                         "server", "btree", "cuckoo"):
                     plans.append(rel)
                 elif node.name == "begin_write":
                     begin_writes.append(rel)
                 elif node.name == "cpu_utilization":
                     utilizations.append(rel)
+                elif node.name == "_check" and package in (
+                        "client", "btree", "cuckoo"):
+                    checks.append(rel)
             elif isinstance(node, ast.ClassDef):
                 classes.append(node.name)
+                if any(getattr(base, "id", None) == "ReadOnlyTarget"
+                       for base in node.bases):
+                    read_targets.append(node.name)
+            elif isinstance(node, ast.BinOp) and any(
+                    getattr(side, "id", None) == "CACHE_LINE"
+                    for side in (node.left, node.right)):
+                # Cache-line version arithmetic: lines, footprint.
+                framings.add(rel)
     assert raises == ["server/base.py"]
     assert plans == ["server/base.py"]
     assert begin_writes == ["rtree/node.py"]
     assert not utilizations, utilizations
     assert not RETIRED_SERVICE_CLASSES & set(classes)
+    assert read_targets == ["ChunkReads"]
+    assert framings == {"rtree/serialize.py"}
+    assert checks == ["client/offload_client.py"]
 
 
 def test_chaos_is_one_registry_above_the_runners():

@@ -10,6 +10,7 @@ from repro.rtree import Rect
 from repro.rtree.rstar import MutationResult, SearchResult
 from repro.server import CostModel, RTreeServer
 from repro.server.base import TreeMeta
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
 
@@ -138,7 +139,8 @@ class TestExecution:
         query = Rect(0, 0, 1, 1)
 
         def proc():
-            matches = yield from server.execute_search(query)
+            matches = yield from execute_plan(server,
+                                              server.plan_search(query))
             return matches
 
         p = sim.process(proc())
@@ -152,7 +154,8 @@ class TestExecution:
         query = Rect(0.2, 0.2, 0.4, 0.4)
 
         def proc():
-            matches = yield from server.execute_search(query)
+            matches = yield from execute_plan(server,
+                                              server.plan_search(query))
             return matches
 
         p = sim.process(proc())
@@ -165,8 +168,8 @@ class TestExecution:
         rect = Rect(0.5, 0.5, 0.50001, 0.50001)
 
         def proc():
-            yield from server.execute_insert(rect, 999_999)
-            matches = yield from server.execute_search(rect)
+            yield from execute_plan(server, server.plan_insert(rect, 999_999))
+            matches = yield from execute_plan(server, server.plan_search(rect))
             return matches
 
         p = sim.process(proc())
@@ -179,8 +182,9 @@ class TestExecution:
         rect, data_id = items[0]
 
         def proc():
-            ok = yield from server.execute_delete(rect, data_id)
-            matches = yield from server.execute_search(rect)
+            ok = yield from execute_plan(server,
+                                         server.plan_delete(rect, data_id))
+            matches = yield from execute_plan(server, server.plan_search(rect))
             return ok, matches
 
         p = sim.process(proc())
@@ -194,8 +198,8 @@ class TestExecution:
         sim, net, host, server, items = make_server(n_items=50)
 
         def proc():
-            ok = yield from server.execute_delete(Rect(0, 0, 0.1, 0.1),
-                                                  12345678)
+            ok = yield from execute_plan(
+                server, server.plan_delete(Rect(0, 0, 0.1, 0.1), 12345678))
             return ok
 
         p = sim.process(proc())
@@ -209,7 +213,7 @@ class TestExecution:
         observations = []
 
         def writer():
-            yield from server.execute_insert(rect, 77777)
+            yield from execute_plan(server, server.plan_insert(rect, 77777))
 
         def prober():
             # The window opens during the trailing store burst; sample
@@ -232,7 +236,7 @@ class TestExecution:
         query = Rect(0, 0, 0.01, 0.01)
 
         def proc():
-            yield from server.execute_search(query)
+            yield from execute_plan(server, server.plan_search(query))
 
         sim.process(proc())
         sim.run()
@@ -242,7 +246,7 @@ class TestExecution:
         server2.service_inflation = 2.0
 
         def proc2():
-            yield from server2.execute_search(query)
+            yield from execute_plan(server2, server2.plan_search(query))
 
         sim2.process(proc2())
         sim2.run()
@@ -252,7 +256,8 @@ class TestExecution:
         sim, net, host, server, items = make_server(n_items=2000, cores=2)
 
         def proc():
-            yield from server.execute_search(Rect(0, 0, 1, 1))
+            yield from execute_plan(server,
+                                    server.plan_search(Rect(0, 0, 1, 1)))
 
         for _ in range(4):
             sim.process(proc())

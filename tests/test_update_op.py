@@ -9,6 +9,7 @@ from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
 from repro.server import EVENT, FastMessagingServer, RTreeServer
+from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
 
@@ -50,10 +51,12 @@ class TestServerUpdate:
         new_rect = Rect(0.91, 0.91, 0.92, 0.92)
 
         def scenario():
-            ok = yield from server.execute_update(old_rect, new_rect,
-                                                  data_id)
-            here = yield from server.execute_search(new_rect)
-            there = yield from server.execute_search(old_rect)
+            ok = yield from execute_plan(
+                server, server.plan_update(old_rect, new_rect, data_id))
+            here = yield from execute_plan(server,
+                                           server.plan_search(new_rect))
+            there = yield from execute_plan(server,
+                                            server.plan_search(old_rect))
             return ok, here, there
 
         p = sim.process(scenario())
@@ -73,8 +76,8 @@ class TestServerUpdate:
 
         def scenario():
             for rect, data_id in items[:3]:
-                yield from server.execute_update(
-                    rect, Rect(0.5, 0.5, 0.51, 0.51), data_id)
+                yield from execute_plan(server, server.plan_update(
+                    rect, Rect(0.5, 0.5, 0.51, 0.51), data_id))
 
         sim.process(scenario())
         sim.run()
@@ -85,10 +88,10 @@ class TestServerUpdate:
         sim, server, fm, items = make_stack()
 
         def scenario():
-            ok = yield from server.execute_update(
+            ok = yield from execute_plan(server, server.plan_update(
                 Rect(0.5, 0.5, 0.6, 0.6), Rect(0.7, 0.7, 0.8, 0.8),
                 987654321,
-            )
+            ))
             return ok
 
         p = sim.process(scenario())
@@ -103,8 +106,8 @@ class TestServerUpdate:
         observed = []
 
         def updater():
-            yield from server.execute_update(
-                old_rect, Rect(0.8, 0.8, 0.81, 0.81), data_id)
+            yield from execute_plan(server, server.plan_update(
+                old_rect, Rect(0.8, 0.8, 0.81, 0.81), data_id))
 
         def prober():
             for _ in range(4000):
