@@ -63,6 +63,15 @@ def bulk_load(
     return tree
 
 
+def pack_leaves(tree: RStarTree,
+                items: Sequence[Tuple[Rect, int]]) -> List[Node]:
+    """STR-pack ``items`` (at least ``tree.min_entries``) into full leaves
+    of ``tree``, not yet linked under a parent: one leaf when they fit
+    in one node."""
+    entries = [Entry(rect, data_id=data_id) for rect, data_id in items]
+    return _pack_level(tree, entries, level=0, per_node=tree.max_entries)
+
+
 def _pack_level(
     tree: RStarTree, entries: List[Entry], level: int, per_node: int
 ) -> List[Node]:

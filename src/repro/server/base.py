@@ -40,7 +40,7 @@ from ..msg.codec import (
     UpdateRequest,
     segment_results,
 )
-from ..rtree.bulk import bulk_load
+from ..rtree.bulk import bulk_load, pack_leaves
 from ..rtree.geometry import Rect
 from ..rtree.locks import TreeLockManager
 from ..rtree.node import DEFAULT_MAX_ENTRIES
@@ -410,27 +410,50 @@ class RTreeServer(TreeService):
             result.mutated_nodes, "deletes_served")
 
     def plan_insert_group(self, items: Sequence[Tuple[Rect, int]]) -> OpPlan:
-        """Insert ``items`` in order as one op; the result is True.
+        """Insert ``items`` as one op; the result is True.
 
-        Charged as one request (:meth:`CostModel.mutation_cost`): one
-        parse, one visit per distinct node, the write charges per item,
-        under write locks on the union of the mutated chunks."""
+        A group of at least ``min_entries`` items, into a tree whose root
+        is above the leaves, is STR-packed into whole leaves
+        (:func:`~repro.rtree.bulk.pack_leaves`; a run from one source
+        leaf packs to one) and each leaf is grafted at level 1
+        (:meth:`~repro.rtree.rstar.RStarTree.graft_leaf`).  Any other
+        group is inserted item by item, in order.  Charged as one request
+        (:meth:`CostModel.mutation_cost`): one parse, one visit per
+        distinct node, ``insert_write`` per item inserted singly, under
+        write locks on the union of the mutated chunks."""
         tree = self.tree
-        result = MutationResult(items=len(items), visited=set())
-        for rect, data_id in items:
-            tree.insert(rect, data_id, result)
+        if len(items) >= tree.min_entries and not tree.root.is_leaf:
+            result = MutationResult(items=0, visited=set())
+            for leaf in pack_leaves(tree, items):
+                tree.graft_leaf(leaf, result)
+        else:
+            result = MutationResult(items=len(items), visited=set())
+            for rect, data_id in items:
+                tree.insert(rect, data_id, result)
         return self._mutation(
             True, self.costs.mutation_cost(result), result.mutated_nodes,
             "inserts_served")
 
-    def plan_delete_group(self, items: Sequence[Tuple[Rect, int]]) -> OpPlan:
-        """Delete ``items`` in order as one op, charged as
-        :meth:`plan_insert_group`; the result is how many existed."""
+    def plan_delete_group(self, items: Sequence[Tuple[Rect, int]],
+                          leaf: Optional[int] = None) -> OpPlan:
+        """Delete ``items`` as one op, charged as
+        :meth:`plan_insert_group`; the result is how many existed.
+
+        When ``leaf`` names a live non-root leaf that holds exactly
+        ``items``, the leaf is unlinked whole
+        (:meth:`~repro.rtree.rstar.RStarTree.unlink_leaf`); otherwise (the
+        leaf changed since it was named, or none was) the items are
+        deleted one by one, in order."""
         tree = self.tree
         held = tree.size
-        result = MutationResult(items=len(items), visited=set())
-        for rect, data_id in items:
-            tree.delete(rect, data_id, result)
+        node = None if leaf is None else tree.leaf_holding(leaf, items)
+        if node is not None:
+            result = MutationResult(items=0, visited=set())
+            tree.unlink_leaf(node, result)
+        else:
+            result = MutationResult(items=len(items), visited=set())
+            for rect, data_id in items:
+                tree.delete(rect, data_id, result)
         return self._mutation(
             held - tree.size, self.costs.mutation_cost(result),
             result.mutated_nodes, "deletes_served")

@@ -70,9 +70,10 @@ class CostModel:
     def mutation_cost(self, result: MutationResult) -> float:
         """Server CPU seconds to execute one insert/delete, or one group
         of them as a single op: one parse, one visit per distinct node
-        the group visited, the write charges per item and per split or
-        reinserted entry (the write window, per mutated node, is
-        :meth:`write_window`)."""
+        the group visited, the write charges per item inserted or deleted
+        singly (``result.items``; none for a grafted or unlinked leaf)
+        and per split or reinserted entry (the write window, per mutated
+        node, is :meth:`write_window`)."""
         visits = (result.nodes_visited if result.visited is None
                   else len(result.visited))
         return (

@@ -275,6 +275,75 @@ def test_split_between_parent_and_child_read_restarts(multi_issue,
     assert stats.search_restarts == 1
 
 
+def unlink_at_first_leaf_read(server):
+    """Make the server's next read of a leaf chunk first unlink another
+    whole leaf of the same parent, one the traversal has not read yet (a
+    migration cleanup landing between a traversal's parent read and its
+    child reads)."""
+    tree = server.tree
+    unlinked = []
+
+    def before(chunk_id):
+        node = tree.nodes.get(chunk_id)
+        if unlinked or node is None or not node.is_leaf:
+            return
+        victim = next(entry.child for entry in node.parent.entries
+                      if entry.child is not node)
+        run = [(entry.rect, entry.data_id) for entry in victim.entries]
+        assert server.plan_delete_group(run, victim.chunk_id).result == len(
+            run)
+        assert victim.chunk_id not in tree.nodes  # unlinked, not per item
+        unlinked.extend(run)
+
+    target = server.chunk_reads
+    read = target.rdma_read
+
+    def hooked_read(address, length, now):
+        before(server.allocator.chunk_of(address))
+        return read(address, length, now)
+
+    target.rdma_read = hooked_read
+    return unlinked
+
+
+@pytest.mark.parametrize("byte_mode", [False, True])
+@pytest.mark.parametrize("multi_issue", [False, True])
+def test_unlink_between_parent_and_child_read_misses_nothing(multi_issue,
+                                                             byte_mode):
+    """A traversal whose parent image predates a whole-leaf unlink
+    follows the entry to a freed chunk: it restarts, and every item held
+    throughout is found, none of the unlinked ones invented."""
+    sim = Simulator()
+    net = Network(sim, IB_100G)
+    server_host = Host(sim, "server", IB_100G, cores=4)
+    net.attach_server(server_host)
+    items = uniform_dataset(40, seed=7)  # a root over six leaves
+    server = RTreeServer(sim, server_host, items, max_entries=8,
+                         byte_mode=byte_mode)
+    client_host = Host(sim, "client", IB_100G, cores=2)
+    client_qp, _server_qp = connect(sim, net, client_host, server_host)
+    stats = ClientStats()
+    engine = OffloadEngine(sim, client_qp, server.offload_descriptor(),
+                           server.costs, stats, multi_issue=multi_issue)
+    query = Rect(0, 0, 1, 1)
+
+    def client():
+        yield from engine.search(query)  # warm the cached root
+        unlinked = unlink_at_first_leaf_read(server)
+        matches = yield from engine.search(query)
+        return unlinked, matches
+
+    p = sim.process(client())
+    sim.run()
+    unlinked, matches = p.value
+    assert unlinked
+    found = {data_id for _rect, data_id in matches}
+    gone = {data_id for _rect, data_id in unlinked}
+    assert {data_id for _rect, data_id in items} - gone <= found
+    assert not found & gone
+    assert stats.search_restarts >= 1
+
+
 def test_offload_session_routes_writes_to_fast_messaging():
     sim = Simulator()
     net = Network(sim, IB_100G)

@@ -11,11 +11,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
 from repro.cluster.deployment import Deployment
 from repro.hw import Host
 from repro.net import IB_100G
+from repro.rtree.bulk import pack_leaves
 from repro.rtree.geometry import Rect
 from repro.rtree.rstar import MutationResult
 from repro.server import RTreeServer
@@ -258,6 +260,11 @@ class TestHandOver:
         too."""
         deployment, controller = self.idle()
         first = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        # The source is the hot shard: its cleanup deletes queue behind
+        # foreground work, so the first tile is still pending when the
+        # second drain ends.
+        deployment.stacks[self.SOURCE].server.host.cpu.charge(
+            2e-3, lambda: None)
         self.drain(deployment, first, self.DEST)
         second = self.migrate(deployment, controller, self.SOURCE,
                               self.OTHER)
@@ -272,8 +279,8 @@ class TestHandOver:
         inserts = servers[dest].inserts_served
         deletes = servers[source].deletes_served
         high = self.migrate(deployment, controller, source, dest)
-        runs = controller._tile_runs(
-            source, deployment.live_map.tiles[high].rect)
+        runs = [run for _leaf, run in controller._tile_runs(
+            source, deployment.live_map.tiles[high].rect)]
         assert max(map(len, runs)) > 1
         self.run_until(deployment, lambda: controller.migration_windows
                        and not controller.active_migrations)
@@ -311,9 +318,10 @@ class TestHandOver:
 
 
 class TestGroupPlan:
-    """A migration run as one server op: the cost rule of a search (one
-    parse, one visit per distinct node) plus the per-item write charges,
-    and the tree the one-by-one calls would leave."""
+    """A migration run that takes the per-item path, as one server op:
+    the cost rule of a search (one parse, one visit per distinct node)
+    plus the per-item write charges, and the tree the one-by-one calls
+    would leave.  (Whole-leaf grafts and unlinks: TestGraftAndUnlink.)"""
 
     #: Twenty clustered items: they share leaves and split some.
     RUN = [(Rect(0.3 + 0.001 * i, 0.3, 0.3005 + 0.001 * i, 0.3005),
@@ -366,12 +374,15 @@ class TestGroupPlan:
         return splits
 
     def test_insert_group(self):
+        """A run below ``min_entries`` is inserted item by item."""
         server, reference = self.server(), self.server()
-        plan = server.plan_insert_group(self.RUN)
+        run = self.RUN[:5]
+        assert len(run) < server.tree.min_entries
+        plan = server.plan_insert_group(run)
         assert plan.result is True
         assert plan.counter == "inserts_served"
         splits = self.check(plan, server, reference.tree,
-                            reference.tree.insert, self.RUN)
+                            reference.tree.insert, run)
         assert splits > 0
 
     def test_delete_group(self):
@@ -384,3 +395,148 @@ class TestGroupPlan:
         assert plan.result == len(self.RUN)
         assert plan.counter == "deletes_served"
         self.check(plan, server, reference.tree, reference.tree.delete, run)
+
+
+class TestGraftAndUnlink:
+    """Whole-leaf group ops against a per-item reference.  A copy run of
+    at least ``min_entries`` items is STR-packed and grafted at level 1,
+    a run that is still one whole live non-root leaf is unlinked, and
+    every other run takes the per-item path.  A twin server, built the
+    same way and driven through the tree methods the rule names, holds
+    the exact structure and the accounting each op must produce."""
+
+    #: Run lengths with ``max_entries=16`` (``min_entries`` 6).
+    SIZES = {"below-min": (1, 5), "one-node": (6, 16), "longer": (17, 40)}
+
+    @staticmethod
+    def server(items):
+        sim = Simulator()
+        host = Host(sim, "server", IB_100G, cores=1)
+        return RTreeServer(sim, host, items, max_entries=16)
+
+    @staticmethod
+    def contents(tree):
+        return set(tree.search(Rect(-1.0, -1.0, 2.0, 2.0)).matches)
+
+    def expect(self, plan, server, result):
+        """``plan`` is charged by the rule: one parse, one visit per
+        distinct node, ``insert_write`` only per item inserted or
+        deleted singly, splits and reinserts as they occurred, and the
+        write window per node written."""
+        costs = server.costs
+        expected = (costs.request_parse
+                    + len(result.visited) * costs.node_visit
+                    + result.items * costs.insert_write
+                    + result.splits * costs.split
+                    + result.reinserted_entries * costs.reinsert_entry)
+        assert plan.cost + plan.window == pytest.approx(expected)
+        assert plan.window == pytest.approx(
+            costs.write_window(len(result.mutated_nodes)))
+        assert sorted(set(plan.chunks)) == sorted(
+            {n.chunk_id for n in result.mutated_nodes})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 300), st.integers(0, 10**6), st.data())
+    def test_group_ops_match_the_per_item_reference(self, n, seed, data):
+        items = uniform_dataset(n, seed=seed)
+        server, twin = self.server(items), self.server(items)
+        tree, shadow = server.tree, twin.tree
+        reference = set(items)
+        rng = random.Random(seed)
+        next_id = 10**6
+        for _ in range(data.draw(st.integers(1, 4), label="ops")):
+            leaves = sorted(chunk for chunk, node in tree.nodes.items()
+                            if node.is_leaf and node.entries)
+            kind = data.draw(st.sampled_from(
+                ["insert", "whole", "partial", "stale", "no-leaf"]
+                if reference else ["insert"]), label="kind")
+            result = MutationResult(items=0, visited=set())
+            if kind == "insert":
+                low, high = self.SIZES[data.draw(
+                    st.sampled_from(sorted(self.SIZES)), label="size")]
+                cx, cy = rng.random(), rng.random()
+                run = []
+                for _ in range(rng.randint(low, high)):
+                    x = cx + rng.uniform(-0.02, 0.02)
+                    y = cy + rng.uniform(-0.02, 0.02)
+                    run.append((Rect(x, y, x + 0.001, y + 0.001), next_id))
+                    next_id += 1
+                plan = server.plan_insert_group(run)
+                assert plan.result is True
+                if len(run) >= shadow.min_entries and not shadow.root.is_leaf:
+                    for leaf in pack_leaves(shadow, run):
+                        shadow.graft_leaf(leaf, result)
+                    if len(run) <= shadow.max_entries:
+                        assert any(tree.leaf_holding(chunk, run)
+                                   for chunk in tree.nodes)
+                else:
+                    result.items = len(run)
+                    for rect, data_id in run:
+                        shadow.insert(rect, data_id, result)
+                reference |= set(run)
+            else:
+                chunk = data.draw(st.sampled_from(leaves), label="leaf")
+                held = [(e.rect, e.data_id)
+                        for e in tree.nodes[chunk].entries]
+                leaf = chunk
+                if kind == "whole":
+                    run = rng.sample(held, len(held))
+                elif kind == "partial":
+                    run = held[:rng.randint(0, len(held) - 1)] or held[:1]
+                    leaf = chunk if len(run) < len(held) else None
+                elif kind == "stale":
+                    others = [c for c in leaves if c != chunk]
+                    leaf = rng.choice(others) if others else None
+                    run = held
+                else:
+                    leaf = None
+                    run = rng.sample(sorted(reference, key=repr),
+                                     min(len(reference), rng.randint(1, 20)))
+                    run.append((Rect(5.0, 5.0, 5.1, 5.1), -1))  # not held
+                unlink = (kind == "whole"
+                          and shadow.nodes[chunk] is not shadow.root)
+                path = []
+                node = shadow.nodes[chunk]
+                while node is not None:
+                    path.append(node)
+                    node = node.parent
+                plan = server.plan_delete_group(run, leaf)
+                assert plan.result == len(reference & set(run))
+                if unlink:
+                    shadow.unlink_leaf(shadow.nodes[chunk], result)
+                    assert set(path) <= result.visited
+                    assert chunk not in tree.nodes
+                else:
+                    result.items = len(run)
+                    for rect, data_id in run:
+                        shadow.delete(rect, data_id, result)
+                reference -= set(run)
+            self.expect(plan, server, result)
+            assert TestGroupPlan.dump(tree.root) == TestGroupPlan.dump(
+                shadow.root)
+            tree.validate()
+            assert tree.size == len(reference)
+            assert self.contents(tree) == reference
+            for _ in range(3):
+                x, y = rng.random(), rng.random()
+                query = Rect(x, y, x + 0.1, y + 0.1)
+                assert set(tree.search(query).matches) == {
+                    item for item in reference if item[0].intersects(query)}
+
+    def test_an_insert_into_the_source_leaf_forces_the_per_item_path(self):
+        """A foreground insert that lands in a source leaf between the
+        copy and the cleanup changes the leaf: the cleanup deletes the
+        run item by item and the raced item survives."""
+        server = self.server(uniform_dataset(300, seed=3))
+        tree = server.tree
+        leaf = next(node for node in tree.nodes.values()
+                    if node.is_leaf and node.count < tree.max_entries)
+        run = [(e.rect, e.data_id) for e in leaf.entries]
+        raced = (leaf.entries[0].rect, 10**6)
+        tree.insert(*raced)
+        assert raced in [(e.rect, e.data_id) for e in leaf.entries]
+        plan = server.plan_delete_group(run, leaf.chunk_id)
+        assert plan.result == len(run)
+        assert self.contents(tree) == (
+            set(uniform_dataset(300, seed=3)) - set(run)) | {raced}
+        tree.validate()
