@@ -122,15 +122,25 @@ def _seal(run: Run, records: List[Record], counters: Dict[str, int],
     )
 
 
-def _elastic_plane_checks(runner) -> Tuple[Check, Check]:
-    """Both rebalance scenarios: migrations ran to completion and the
-    live map survived every revision structurally intact."""
+def _elastic_plane_checks(runner) -> Tuple[Check, Check, Check]:
+    """Both rebalance scenarios: migrations ran to completion, the live
+    map survived every revision structurally intact, and so did every
+    shard tree the migrations grafted leaves into and unlinked them
+    from."""
     stats = runner.rebalance_stats
     try:
         runner.live_map.check_invariants()
         invariants_hold, invariant_detail = True, "tiles disjoint + covering"
     except ValueError as exc:
         invariants_hold, invariant_detail = False, str(exc)
+    trees_hold, tree_detail = True, (
+        f"{len(runner.shards)} shard trees: fill, levels, MBRs, size")
+    for shard_id, stack in enumerate(runner.shards):
+        try:
+            stack.server.tree.validate()
+        except AssertionError as exc:
+            trees_hold, tree_detail = False, f"shard {shard_id}: {exc}"
+            break
     return (
         ("migrations-completed",
          int(stats.migrations_completed) > 0
@@ -138,6 +148,7 @@ def _elastic_plane_checks(runner) -> Tuple[Check, Check]:
          f"{int(stats.migrations_completed)} migrations completed, "
          f"{int(stats.items_migrated)} items moved"),
         ("map-invariants", invariants_hold, invariant_detail),
+        ("tree-invariants", trees_hold, tree_detail),
     )
 
 
@@ -202,7 +213,8 @@ def judge_rebalance_under_fault(run: Run) -> ScenarioReport:
     counters["packets-dropped"] = int(runner.injector.packets_dropped)
     splits = int(runner.rebalance_stats.splits)
     occupancy = runner.shard_occupancy()
-    migrations, map_invariants = _elastic_plane_checks(runner)
+    migrations, map_invariants, tree_invariants = _elastic_plane_checks(
+        runner)
     issued, completed = cfg.total_requests, len(records)
     return _seal(
         run, records, counters,
@@ -222,6 +234,7 @@ def judge_rebalance_under_fault(run: Run) -> ScenarioReport:
              f"final occupancy {occupancy} sums to {sum(occupancy)} "
              f"(dataset {cfg.dataset_size})"),
             map_invariants,
+            tree_invariants,
             fired_check("packets-dropped", counters["packets-dropped"]),
         ])
 
@@ -283,7 +296,8 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
     counters = _rebalance_counters(runner)
     counters["acked-inserts"] = len(acked_inserts)
     counters["inserts-in-migration-window"] = inserts_in_window
-    migrations, map_invariants = _elastic_plane_checks(runner)
+    migrations, map_invariants, tree_invariants = _elastic_plane_checks(
+        runner)
     issued, completed = run.cfg.total_requests, len(records)
     return _seal(run, records, counters, 0 if conserved else 1, [
         ("completed", completed == issued,
@@ -300,4 +314,5 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
         ("reads-exactly-once", duplicate_read_ids == 0,
          f"{duplicate_read_ids} duplicate ids delivered to clients"),
         map_invariants,
+        tree_invariants,
     ])
