@@ -218,22 +218,20 @@ class Deployment:
             )
 
         self.partition = None
-        self.rebalance_cfg = None
-        #: Elastic shard plane (PR 10): when rebalancing is on, every
-        #: router shares ONE live epoch-versioned map that a
-        #: RebalanceController revises in the background; otherwise each
-        #: router keeps its own static copy (the PR 4 behaviour all
-        #: golden fingerprints are pinned on).
+        self.rebalance_cfg = config.rebalance if routed else None
+        #: A routed deployment's one shard map: every router routes by
+        #: it and every server checks its writes against it, so a write
+        #: acked through one router grows the covers every other router
+        #: reads by.  When rebalancing is on, a RebalanceController
+        #: revises it in the background; a revision reaches every server
+        #: in the instant it is made.
         self.live_map = None
         self.rebalancer = None
         self.rebalance_stats = None
         if routed:
             from ..shard.partition import partition_str
             self.partition = partition_str(items, self.n_shards)
-            rb = config.rebalance
-            if rb is not None:
-                self.rebalance_cfg = rb
-                self.live_map = self.partition.shard_map.copy()
+            self.live_map = self.partition.shard_map.copy()
             # All shard-side randomness comes from ``rngs.shard(k)`` — a
             # function of (seed, shard id) only — so changing the shard
             # count never perturbs another shard's streams.
@@ -246,6 +244,9 @@ class Deployment:
                 for shard_id, slice_items
                 in enumerate(self.partition.assignments)
             ]
+            for shard_id, stack in enumerate(self.stacks):
+                stack.server.tiles = self.live_map
+                stack.server.shard_id = shard_id
         else:
             self.stacks = [ServerStack(
                 self.sim, self.profile, self.spec, config, self.rngs, items,
@@ -284,27 +285,17 @@ class Deployment:
         rebuild a session.
         """
         if self.routed:
-            from ..shard.partition import ShardMap
             from ..shard.router import ScatterGatherRouter
             sessions = [
                 self.factory.build(index, stack, host, stats,
                                    self.rngs.shard(k).fork(salt))
                 for k, stack in enumerate(self.stacks)
             ]
-            # Static plane: each router gets its own map copy —
-            # note_insert is client-local routing state, like a real
-            # client cache.  Under rebalancing every router shares the
-            # ONE live map and routes reads across epoch cuts
-            # (re-scatter + dedup = exactly-once).
-            shard_map = (
-                self.live_map if self.live_map is not None
-                else ShardMap(list(self.partition.shard_map))
-            )
             endpoint = ScatterGatherRouter(
-                self.sim, shard_map, sessions, stats,
+                self.sim, self.live_map, sessions, stats,
                 breaker_params=self.config.breaker,
                 record=self._record_results,
-                epoch_aware=self.live_map is not None,
+                epoch_aware=self.rebalance_cfg is not None,
             )
         else:
             endpoint = self.factory.build(

@@ -80,6 +80,10 @@ RESULTS = "results"
 COUNT = "count"
 ACK = "ack"
 
+#: The ack of a write a shard refused: its rect's tile is not one the
+#: shard holds (see :meth:`RTreeServer.refuses`).
+REFUSED = "refused"
+
 
 @dataclass(frozen=True)
 class OffloadDescriptor:
@@ -335,6 +339,11 @@ class RTreeServer(TreeService):
         #: load sample the rebalance controller plans splits from.  Pure
         #: observability: appending charges no CPU and draws no RNG.
         self.recent_queries = deque(maxlen=RECENT_QUERY_WINDOW)
+        #: A shard's tile table — its deployment's shard map — and its id
+        #: in it; None on an unsharded server, which applies every write.
+        self.tiles = None
+        self.shard_id = 0
+        self.writes_refused = 0
 
     def _build(self, items):
         return bulk_load(items, max_entries=self.max_entries,
@@ -395,15 +404,39 @@ class RTreeServer(TreeService):
         return OpPlan(result.count, cost, result.visited_chunks,
                       counter="searches_served", query=rect)
 
+    def refuses(self, rect: Rect, insert: bool = False) -> bool:
+        """Whether this shard refuses a write of ``rect``: an insert
+        unless it owns the tile of the rect's centre, a delete or update
+        unless it owns that tile or is its second holder."""
+        tiles = self.tiles
+        if tiles is None:
+            return False
+        if insert:
+            return tiles.owner_of(rect) != self.shard_id
+        return self.shard_id not in tiles.holders(rect)
+
+    def _refusal(self) -> OpPlan:
+        """A refused write: a parse, no lock, no mutation."""
+        self.writes_refused += 1
+        return OpPlan(REFUSED, self.costs.request_parse
+                      * self.service_inflation)
+
     def plan_insert(self, rect: Rect, data_id: int) -> OpPlan:
-        """One insert; the result is True."""
+        """One insert; the result is True (:data:`REFUSED` when this
+        shard does not own the rect's tile)."""
+        if self.refuses(rect, insert=True):
+            return self._refusal()
         result = self.tree.insert(rect, data_id)
         return self._mutation(
             True, self.costs.mutation_cost(result), result.mutated_nodes,
             "inserts_served")
 
     def plan_delete(self, rect: Rect, data_id: int) -> OpPlan:
-        """One delete; the result is whether the entry existed."""
+        """One delete; the result is whether the entry existed
+        (:data:`REFUSED` when this shard does not hold the rect's
+        tile)."""
+        if self.refuses(rect):
+            return self._refusal()
         result = self.tree.delete(rect, data_id)
         return self._mutation(
             result.ok, self.costs.mutation_cost(result),
@@ -463,6 +496,8 @@ class RTreeServer(TreeService):
         """Atomically relocate one rectangle (delete + insert under one
         lock scope); the result is False when the old entry was not
         found."""
+        if self.refuses(old_rect) or self.refuses(new_rect):
+            return self._refusal()
         delete_result = self.tree.delete(old_rect, data_id)
         if not delete_result.ok:
             # Nothing changed; still charge the failed lookup.

@@ -5,44 +5,44 @@ servers.  The partitioner reuses the STR idea the bulk loader is built on
 (sort by center x, slice into columns, sort each column by center y, cut
 into tiles), but at the *cluster* level: one tile = one shard.
 
-Two rectangles describe each shard:
+The :class:`ShardMap` is the deployment's one routing table: every
+router and every server of a deployment reads the same object.  Its
+entries are *tiles* — disjoint routing cells that partition the whole
+plane (outer tiles extend to infinity), so every point belongs to
+exactly one tile.  Each tile names
 
-* its **tile** — the disjoint routing cell.  Tiles partition the whole
-  plane (outer tiles extend to infinity), so every point belongs to
-  exactly one tile and write routing (by rectangle center) is total and
-  unambiguous;
-* its **MBR** — the minimum bounding rectangle of the shard's *contents*.
-  Items are assigned by center, so an item may overhang its tile; the MBR
-  covers the overhang.  Read queries scatter to every shard whose MBR
-  intersects the query, which is exact: each item lives in exactly one
-  shard, and that shard's MBR covers it entirely.
+* its **owner** — the shard that holds the items whose centres lie in
+  the tile.  Write routing by rectangle centre is total and
+  unambiguous, and a server applies an insert only if it owns the
+  centre's tile;
+* its **cover** — the MBR of every item whose centre lies in the tile,
+  on whichever shard that item lives.  Items are assigned by centre, so
+  an item may overhang its tile; the cover includes the overhang.  A
+  read scatters to the owner of every tile whose cover intersects the
+  query (:meth:`ShardMap.read_targets`), which is exact: each item's
+  tile owner holds it and that tile's cover contains it.  Routed
+  inserts and updates grow the cover at ack time, so a write acked
+  through one router is visible to every other;
+* its **second holder** while the tile migrates — the destination
+  during the copy.  Deletes and updates go to the owner and then to the
+  second holder; reads do not (the owner still holds everything).
 
-The map is compact — tiles + K MBRs + K counts — which is what the
-router consults per query (RDMAvisor's thin-routing-layer argument: keep
-the per-query routing state small enough to live client-side).
+The map is compact — tiles with their covers plus K counts — which is
+what the router consults per query (RDMAvisor's thin-routing-layer
+argument: keep one small, authoritative routing table).
 
-Under rebalancing the routing granularity tightens: each tile carries
-the MBR of the items whose centers it contains, and each shard a
-*stray* cover for items it holds outside its owned tiles (writes that
-raced a cut-over, and a source's copies until its drain ends).  The
-epoch-aware read scatter (:meth:`ShardMap.read_targets`) unions
-tile-MBR hits with stray hits — a shard-level box over disjoint
-migrated regions would grow uselessly fat and drag the old owner into
-every query forever.
-
-The map is also *versioned*: every revision (tile split, tile merge,
-tile reassignment, shard-content update) bumps ``epoch``.  The static
-case never revises, so ``epoch`` stays 0 and routing is exactly the
-PR 4 behaviour; under rebalancing (see :mod:`repro.shard.rebalance`)
-the epoch is the router's cheap "did the plane move under me?" probe —
-a query that scatters at epoch E and gathers at epoch E' > E re-reads
-the map and re-scatters to any shard that newly covers its region.
+The map is also *versioned*: every split, merge and reassignment bumps
+``epoch``.  The static plane never revises, so ``epoch`` stays 0; under
+rebalancing (see :mod:`repro.shard.rebalance`) the epoch is the
+router's cheap "did the plane move under me?" probe — a query that
+scatters at epoch E and gathers at epoch E' > E re-reads the map and
+re-scatters to any shard that newly covers its region.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..rtree.geometry import Rect
@@ -74,9 +74,11 @@ class ShardInfo:
     #: per shard and diverges under split/merge/reassign); this rect is
     #: kept for construction and introspection.
     tile: Rect
-    #: MBR of the shard's current contents; None while the shard is empty.
+    #: MBR of the shard's contents at partition time (None while empty):
+    #: it seeds the home tile's cover and is never updated after that.
     mbr: Optional[Rect]
-    #: Items assigned at partition time (grows with routed inserts).
+    #: Items the shard's tree holds, kept incrementally: routed writes
+    #: at ack time, migration copies and cleanups when they are planned.
     count: int
 
 
@@ -86,12 +88,15 @@ class TileEntry:
 
     rect: Rect
     owner: int
-    #: MBR of the owner's items whose *centers* lie in this tile (items
-    #: are assigned by center, so rects overhang the tile; the MBR covers
-    #: the overhang).  None while no item is known to live here.  Kept
-    #: conservative: grown by routed writes and tile handoffs, recomputed
-    #: exactly only by the migration cleanup's rebuilds.
+    #: The tile's cover: MBR of every item whose *centre* lies in this
+    #: tile, on whichever shard it lives (items are assigned by centre,
+    #: so rects overhang the tile; the cover includes the overhang).
+    #: None while no item is known to live here.  Conservative: grown by
+    #: routed inserts and updates, never shrunk by deletes.
     mbr: Optional[Rect] = None
+    #: While the tile migrates, the destination of its copy: deletes and
+    #: updates go to the owner and then to it, reads do not.
+    second: Optional[int] = None
 
 
 class ShardMap:
@@ -99,8 +104,7 @@ class ShardMap:
 
     def __init__(self, shards: Sequence[ShardInfo],
                  tiles: Optional[Sequence[TileEntry]] = None,
-                 epoch: int = 0,
-                 stray_mbrs: Optional[Sequence[Optional[Rect]]] = None):
+                 epoch: int = 0):
         if not shards:
             raise ValueError("a shard map needs at least one shard")
         self._shards: List[ShardInfo] = list(shards)
@@ -122,19 +126,8 @@ class ShardMap:
                 raise ValueError(
                     f"tile owner {entry.owner} outside shard range"
                 )
-        #: Per-shard cover of *stray* items — items the shard holds whose
-        #: center lies outside its owned tiles (writes that raced a
-        #: cut-over, and a source's copies until its drain ends).  None
-        #: when no stray can exist; the epoch-aware read scatter unions
-        #: it in.
-        self._stray_mbrs: List[Optional[Rect]] = (
-            list(stray_mbrs) if stray_mbrs is not None
-            else [None] * len(self._shards)
-        )
-        if len(self._stray_mbrs) != len(self._shards):
-            raise ValueError("stray_mbrs must have one entry per shard")
-        #: Revision counter: bumped by every split/merge/reassign/content
-        #: update.  0 means the plane never moved (the static case).
+        #: Revision counter: bumped by every split/merge/reassign.  0
+        #: means the plane never moved (the static case).
         self.epoch = epoch
 
     def __len__(self) -> int:
@@ -157,12 +150,7 @@ class ShardMap:
     def copy(self) -> "ShardMap":
         """Epoch-preserving deep-enough copy (entries are frozen)."""
         return ShardMap(list(self._shards), tiles=list(self._tiles),
-                        epoch=self.epoch,
-                        stray_mbrs=list(self._stray_mbrs))
-
-    def stray_mbr(self, shard_id: int) -> Optional[Rect]:
-        """The shard's stray-item cover (None when no stray can exist)."""
-        return self._stray_mbrs[shard_id]
+                        epoch=self.epoch)
 
     def owned_tiles(self, shard_id: int) -> List[Tuple[int, TileEntry]]:
         """The ``(index, entry)`` tiles currently owned by a shard."""
@@ -175,102 +163,79 @@ class ShardMap:
 
     # -- read routing ------------------------------------------------------
 
-    def shards_for(self, rect: Rect) -> List[int]:
-        """Shards whose contents may intersect ``rect`` (exact superset)."""
-        return [
-            info.shard_id
-            for info in self._shards
-            if info.mbr is not None and info.mbr.intersects(rect)
-        ]
-
     def read_targets(self, rect: Rect) -> List[int]:
-        """Tile-granular read scatter set (the epoch-aware router's).
+        """The read scatter set: owners of the tiles whose cover
+        intersects ``rect``.  Exact: every item's tile owner holds it,
+        and that tile's cover contains the item's whole rect."""
+        return sorted({entry.owner for entry in self._tiles
+                       if entry.mbr is not None
+                       and entry.mbr.intersects(rect)})
 
-        A shard-level MBR turns into a uselessly fat bounding box once
-        migrations hand a shard disjoint regions of the plane; routing
-        by per-tile content MBRs keeps the scatter set tight.  Exact:
-        every item either has its center in some tile owned by its
-        shard (that tile's MBR covers the whole rect, overhang
-        included) or is a stray covered by its shard's stray cover.
-        """
-        out = set()
-        for entry in self._tiles:
-            if entry.mbr is not None and entry.mbr.intersects(rect):
-                out.add(entry.owner)
-        for shard_id, stray in enumerate(self._stray_mbrs):
-            if stray is not None and stray.intersects(rect):
-                out.add(shard_id)
-        return sorted(out)
+    #: The pre-tile name of :meth:`read_targets`, which one benchmark
+    #: basket still calls.
+    shards_for = read_targets
 
     def nonempty_shards(self) -> List[int]:
-        """Shards holding at least one item (kNN scatters to all of them)."""
-        return [info.shard_id for info in self._shards
-                if info.mbr is not None]
+        """Shards owning a tile with a cover (kNN scatters to them)."""
+        return sorted({entry.owner for entry in self._tiles
+                       if entry.mbr is not None})
 
     # -- write routing -----------------------------------------------------
 
-    def owner_of(self, rect: Rect) -> int:
-        """The single shard owning ``rect`` (tile containing its center)."""
+    def tile_index(self, rect: Rect) -> int:
+        """The index of the tile containing ``rect``'s centre."""
         cx, cy = rect.center()
-        for entry in self._tiles:
+        for index, entry in enumerate(self._tiles):
             # Half-open on the max edges so tile borders are unambiguous
             # (the outermost tiles are unbounded, so every point matches).
             if tile_contains(entry.rect, cx, cy):
-                return entry.owner
+                return index
         # Unreachable: the tiles cover the plane.
         raise AssertionError(f"no tile covers center ({cx}, {cy})")
 
-    def _grow_cover(self, shard_id: int, rect: Rect) -> None:
-        """Grow the tile (or stray) cover for an item landing on a shard:
-        the tile the shard owns containing the rect's center, else the
-        shard's stray cover (the write raced a cut-over)."""
-        cx, cy = rect.center()
-        for index, entry in enumerate(self._tiles):
-            if entry.owner == shard_id and tile_contains(entry.rect, cx, cy):
-                mbr = rect if entry.mbr is None else entry.mbr.union(rect)
-                self._tiles[index] = TileEntry(entry.rect, entry.owner, mbr)
-                return
-        stray = self._stray_mbrs[shard_id]
-        self._stray_mbrs[shard_id] = (
-            rect if stray is None else stray.union(rect)
-        )
+    def owner_of(self, rect: Rect) -> int:
+        """The single shard owning ``rect`` (tile containing its center):
+        the one shard that applies an insert of it."""
+        return self._tiles[self.tile_index(rect)].owner
+
+    def holders(self, rect: Rect) -> List[int]:
+        """The shards that apply a delete or update of ``rect``, in the
+        order it is sent: the owner of its centre's tile, then the
+        tile's second holder, if any."""
+        entry = self._tiles[self.tile_index(rect)]
+        if entry.second is None:
+            return [entry.owner]
+        return [entry.owner, entry.second]
+
+    def _grow_cover(self, rect: Rect) -> None:
+        """Grow the cover of the tile containing ``rect``'s centre."""
+        index = self.tile_index(rect)
+        entry = self._tiles[index]
+        mbr = rect if entry.mbr is None else entry.mbr.union(rect)
+        self._tiles[index] = replace(entry, mbr=mbr)
+
+    def add_count(self, shard_id: int, delta: int) -> None:
+        """Account ``delta`` items entering (or leaving) a shard's tree."""
+        info = self._shards[shard_id]
+        self._shards[shard_id] = replace(info, count=info.count + delta)
 
     def note_insert(self, shard_id: int, rect: Rect) -> None:
-        """Grow a shard's MBR after routing an insert to it.
-
-        Keeping the map in sync with the writes routed through it is what
-        keeps later reads exact (an insert overhanging the shard MBR must
-        widen the scatter set).
-        """
-        info = self._shards[shard_id]
-        mbr = rect if info.mbr is None else info.mbr.union(rect)
-        self._shards[shard_id] = ShardInfo(
-            shard_id=shard_id, tile=info.tile, mbr=mbr,
-            count=info.count + 1,
-        )
-        self._grow_cover(shard_id, rect)
+        """Account an insert a shard acked, and grow its tile's cover so
+        every router's later reads reach the new item."""
+        self.add_count(shard_id, 1)
+        self._grow_cover(rect)
 
     def note_delete(self, shard_id: int) -> None:
-        """Account a routed delete.  The MBR cannot shrink exactly without
-        the shard's contents, so it only collapses when the count hits 0;
-        otherwise it stays a (conservative, still exact) superset."""
-        info = self._shards[shard_id]
-        count = max(0, info.count - 1)
-        self._shards[shard_id] = ShardInfo(
-            shard_id=shard_id, tile=info.tile,
-            mbr=info.mbr if count else None, count=count,
-        )
+        """Account a routed delete that found its item on a shard.  No
+        cover shrinks: it cannot without the tile's contents, and a
+        larger cover stays exact."""
+        self.add_count(shard_id, -1)
 
-    def note_update(self, shard_id: int, new_rect: Rect) -> None:
-        """Widen a shard's MBR after a routed in-place update."""
-        info = self._shards[shard_id]
-        mbr = new_rect if info.mbr is None else info.mbr.union(new_rect)
-        self._shards[shard_id] = ShardInfo(
-            shard_id=shard_id, tile=info.tile, mbr=mbr, count=info.count,
-        )
-        self._grow_cover(shard_id, new_rect)
+    def note_update(self, new_rect: Rect) -> None:
+        """Grow the tile cover after a routed in-place update."""
+        self._grow_cover(new_rect)
 
-    # -- revisions (each bumps the epoch) ----------------------------------
+    # -- revisions ---------------------------------------------------------
 
     def split_tile(self, index: int, axis: str, cut: float,
                    low_mbr: Optional[Rect] = None,
@@ -278,10 +243,10 @@ class ShardMap:
         """Split tile ``index`` at ``cut`` along ``axis`` ("x"/"y").
 
         Both halves keep the owner.  ``low_mbr``/``high_mbr`` are the
-        halves' content MBRs when the caller knows the contents (the
+        halves' covers when the caller knows the contents (the
         rebalance controller scanned them to plan the cut); when omitted
-        both halves inherit the parent's MBR — conservative, still
-        exact.  Returns ``(low_index, high_index)``.
+        both halves inherit the parent's cover — conservative, still
+        exact.  Bumps the epoch; returns ``(low_index, high_index)``.
         """
         entry = self._tiles[index]
         r = entry.rect
@@ -311,8 +276,9 @@ class ShardMap:
     def merge_tiles(self, index_a: int, index_b: int) -> int:
         """Merge two same-owner tiles whose union is an exact rectangle.
 
-        Returns the surviving tile index (the lower of the two; the
-        higher slot is removed, shifting later indices down by one).
+        Bumps the epoch.  Returns the surviving tile index (the lower of
+        the two; the higher slot is removed, shifting later indices down
+        by one).
         """
         a, b = self._tiles[index_a], self._tiles[index_b]
         if index_a == index_b:
@@ -338,15 +304,18 @@ class ShardMap:
         self.epoch += 1
         return keep
 
-    def reassign_tile(self, index: int, new_owner: int,
-                      moved_count: int = 0,
-                      moved_mbr: Optional[Rect] = None) -> int:
+    def set_second(self, index: int, second: Optional[int]) -> None:
+        """Name (or, with None, clear) tile ``index``'s second holder.
+        Reads never go to it, so the epoch stays."""
+        self._tiles[index] = replace(self._tiles[index], second=second)
+
+    def reassign_tile(self, index: int, new_owner: int) -> int:
         """Hand tile ``index`` to ``new_owner`` (the migration cut-over).
 
-        ``moved_count``/``moved_mbr`` describe the items crossing with
-        the tile: the source's count drops, the destination's count and
-        MBR grow, so reads target the destination from this epoch on.
-        Returns the previous owner.
+        The cover stays with the tile and the second holder is cleared:
+        from this instant the new owner alone applies the tile's writes
+        and answers its reads.  Counts stay with the trees.  Bumps the
+        epoch; returns the previous owner.
         """
         entry = self._tiles[index]
         old_owner = entry.owner
@@ -354,71 +323,9 @@ class ShardMap:
             raise ValueError(f"no shard {new_owner} in this map")
         if new_owner == old_owner:
             raise ValueError(f"tile {index} already owned by {new_owner}")
-        # The tile's content MBR travels with it (the destination holds
-        # copies of everything it covered).  The source still holds
-        # items under this tile — its copies, which in-flight queries
-        # that scattered before this revision may still read, plus
-        # writes that raced the cut-over — so the tile MBR also joins
-        # the source's stray cover until a rebuild recomputes it.
         self._tiles[index] = TileEntry(entry.rect, new_owner, entry.mbr)
-        if entry.mbr is not None:
-            stray = self._stray_mbrs[old_owner]
-            self._stray_mbrs[old_owner] = (
-                entry.mbr if stray is None else stray.union(entry.mbr)
-            )
-        if moved_count or moved_mbr is not None:
-            src = self._shards[old_owner]
-            self._shards[old_owner] = ShardInfo(
-                old_owner, src.tile, src.mbr,
-                max(0, src.count - moved_count),
-            )
-            dst = self._shards[new_owner]
-            mbr = dst.mbr
-            if moved_mbr is not None:
-                mbr = moved_mbr if mbr is None else mbr.union(moved_mbr)
-            self._shards[new_owner] = ShardInfo(
-                new_owner, dst.tile, mbr, dst.count + moved_count,
-            )
         self.epoch += 1
         return old_owner
-
-    def rebuild_shard_summary(
-        self, shard_id: int, items: Sequence[Tuple[Rect, int]]
-    ) -> None:
-        """Exact recompute of one shard's routing state from a scan of
-        the contents it serves: per-owned-tile MBRs, the stray cover, the
-        shard MBR and count — the migration cleanup's hand-over and final
-        steps.  One epoch bump.  Safe against racing inserts because the
-        caller scans the tree (mutations apply before any CPU is charged,
-        so the scan sees at least everything acked; later writes re-grow
-        the covers through ``note_insert``/``note_update`` at ack
-        time)."""
-        owned = self.owned_tiles(shard_id)
-        tile_mbrs: dict = {index: None for index, _entry in owned}
-        stray: Optional[Rect] = None
-        shard_mbr: Optional[Rect] = None
-        for rect, _data_id in items:
-            shard_mbr = rect if shard_mbr is None else shard_mbr.union(rect)
-            cx, cy = rect.center()
-            for index, entry in owned:
-                if tile_contains(entry.rect, cx, cy):
-                    held = tile_mbrs[index]
-                    tile_mbrs[index] = (
-                        rect if held is None else held.union(rect)
-                    )
-                    break
-            else:
-                stray = rect if stray is None else stray.union(rect)
-        for index, entry in owned:
-            self._tiles[index] = TileEntry(
-                entry.rect, entry.owner, tile_mbrs[index]
-            )
-        self._stray_mbrs[shard_id] = stray
-        info = self._shards[shard_id]
-        self._shards[shard_id] = ShardInfo(
-            shard_id, info.tile, shard_mbr, len(items)
-        )
-        self.epoch += 1
 
     def check_invariants(self) -> None:
         """Raise ``ValueError`` unless the tiles are pairwise disjoint and

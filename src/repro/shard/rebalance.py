@@ -10,46 +10,45 @@ median when no load sample exists) and migrates one half to the coldest
 shard — as *simulated background work* that competes with foreground
 traffic for the very server CPUs it is trying to relieve.
 
-Migration follows a three-phase epoch-cut protocol (diagrammed in
-docs/architecture.md):
+Migration follows an epoch-cut protocol over the deployment's one shard
+map (diagrammed in docs/architecture.md).  Every server checks its
+writes against that map, which the controller revises in one instant —
+the model assumes it reaches every server's tile table then:
 
-1. **copy** — every moving item is inserted into the destination tree
-   while the source keeps serving it, one server op per run of items
-   that share a source leaf (a run of at least ``min_entries`` items is
-   grafted as a packed leaf).  An item is in >= 1 tree at every
-   instant; transiently in two, which the router's exactly-once dedup
-   merge absorbs.
-2. **cut-over** — one atomic map revision: the tile's owner flips, the
-   destination's MBR/count grow, the epoch bumps.  Queries scattered
-   *after* this instant target the destination; queries straddling it
-   detect the bump at gather time and re-scatter
-   (:meth:`~repro.shard.router.ScatterGatherRouter` with
-   ``epoch_aware=True``).
-3. **hand-over + cleanup** — after ``drain_s`` of simulated time
-   (covering in-flight queries that scattered against the old plane)
-   the destination holds every moved item and no pre-cut-over scatter
-   is left for the source to answer, so reads are handed over *before*
-   the source's copies are gone: the moved (rect, id) pairs join the
-   source's handed-over set and its routing summary is rebuilt from its
-   tree without them (second epoch bump; writes that raced the
-   cut-over stay covered as strays).  Then the moved items are deleted
-   from the source, one server op per copy run (a run that is still its
-   whole source leaf unlinks that leaf), each run's pairs leaving the
-   set as its delete lands, stragglers are swept to the tile's owner
-   and the summary is rebuilt once more (third bump).  Every rebuild
-   of a shard leaves out the pairs still pending on it — the set is per
-   shard, so a second cleanup from the same source cannot re-cover the
-   first one's pending items.  Cleanup runs as a detached background
-   process: its deletes queue behind the hot shard's foreground traffic
-   and must not freeze the control loop.
+1. **copy** — the tile names the destination its *second holder*:
+   deletes and updates go to the owner and then to it, reads do not.
+   Every moving item is inserted into the destination tree while the
+   source keeps serving it, one server op per run of items that share a
+   source leaf (a run of at least ``min_entries`` items is grafted as a
+   packed leaf).  Each run is copied only after checking, with no yield
+   between the check and the plan, that its pairs are still on the
+   source, so a delete acked before its run is copied stays deleted.
+   An item is in >= 1 tree at every instant; transiently in two, which
+   the router's exactly-once dedup merge absorbs.
+2. **cut-over** — in one instant the source's tile items whose ids
+   the destination lacks (inserts and updates that landed on the source
+   after the snapshot) are copied, and the tile's owner flips with its
+   second holder cleared (one epoch bump).  From then on the source
+   refuses the tile's writes and leaves its read set; queries
+   straddling the instant detect the bump at gather time and re-scatter
+   (:meth:`~repro.shard.router.ScatterGatherRouter._execute_read`).
+3. **cleanup** — after ``drain_s`` of simulated time (covering
+   in-flight queries that scattered against the old plane) the source's
+   copies — its tile contents at the cut-over, which no write can
+   change after it — are deleted, one server op per run (a run that is
+   still its whole source leaf unlinks that leaf).  Cleanup runs as a
+   detached background process: its deletes queue behind the hot
+   shard's foreground traffic and must not freeze the control loop.
 
-Writes racing a migration stay exactly-once: an insert routed to the old
-owner after the copy snapshot simply stays there (readable through the
-source MBR the router widened); an insert routed after the cut-over
-lands on the new owner.  Deletes are broadcast by the epoch-aware router
-to every shard whose MBR covers the rect, so a copy can never resurrect
-a deleted item; a source copy the hand-over left uncovered is deleted
-by the cleanup itself, and no later scan carries it anywhere.
+Writes racing a migration stay exactly-once.  An insert that reaches the
+source before the cut-over is carried by the cut-over's copy; one that
+reaches it after is refused and re-sent by the router to the new
+owner.  A delete reaches the owner first and the
+second holder after it, so a run copied after the owner's delete no
+longer holds the pair and one copied before it is deleted at the
+second holder.  The counts in the map follow the trees: the controller
+adds each copy to the destination's and takes each cleanup from the
+source's.
 
 Determinism contract: the controller draws no randomness — every
 decision is a pure function of (map state, served-request counters, sim
@@ -59,7 +58,7 @@ the two rebalance chaos scenarios can pin fingerprints.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..cluster.config import RebalanceConfig
 from ..obs.registry import Counter, MetricsRegistry
@@ -132,12 +131,6 @@ class RebalanceController:
         #: (end None while active) — the racing-writes scenario checks
         #: foreground writes landed inside one.
         self.migration_windows: List[List[Optional[float]]] = []
-        #: Per shard, the (rect, id) pairs handed over to another shard
-        #: whose delete from this shard has not landed yet.  Every
-        #: rebuild of the shard's summary leaves them out.
-        self.handed_over: List[Set[Tuple[Rect, int]]] = [
-            set() for _ in range(k)
-        ]
         self.process = None
         self._stopped = False
 
@@ -179,11 +172,9 @@ class RebalanceController:
         return loads
 
     def _shard_items(self, shard_id: int) -> List[Tuple[Rect, int]]:
-        """The shard tree's current contents, in search (DFS) order.
-
-        One unbounded search: the map's covers leave out the pairs
-        handed over to another shard, and an item the map never learnt
-        of is still in the tree, so no map rect bounds the contents."""
+        """The shard tree's current contents, in search (DFS) order:
+        one unbounded search, so copies a cleanup has not deleted yet
+        are listed too."""
         return list(self.stacks[shard_id].server.tree.search(_PLANE).matches)
 
     def _tile_runs(self, shard_id: int, tile_rect: Rect) -> List[Run]:
@@ -200,17 +191,6 @@ class RebalanceController:
                 whole = len(run) == leaf.count
                 runs.append((leaf.chunk_id if whole else None, run))
         return runs
-
-    def _rebuild_summary(self, shard_id: int) -> None:
-        """Rebuild one shard's routing summary from its tree, leaving out
-        the pairs still pending in its handed-over set (one epoch
-        bump)."""
-        pending = self.handed_over[shard_id]
-        items = self._shard_items(shard_id)
-        if pending:
-            items = [item for item in items if item not in pending]
-        self.shard_map.rebuild_shard_summary(shard_id, items)
-        self.stats.epoch_bumps += 1
 
     # -- the control loop --------------------------------------------------
 
@@ -357,8 +337,8 @@ class RebalanceController:
     def _migrate(self, tile_index: int, source: int, dest: int):
         shard_map = self.shard_map
         stats = self.stats
-        entry = shard_map.tiles[tile_index]
-        runs = self._tile_runs(source, entry.rect)
+        tile_rect = shard_map.tiles[tile_index].rect
+        runs = self._tile_runs(source, tile_rect)
         if not runs:
             # Nothing to carry: flip the (empty) tile so future writes
             # land on the cold shard.
@@ -370,6 +350,7 @@ class RebalanceController:
         stats.migrations_started += 1
         window = [self.sim.now, None]
         self.migration_windows.append(window)
+        source_tree = self.stacks[source].server.tree
         dest_server = self.stacks[dest].server
 
         # Phase 1 — copy.  The source keeps serving every moved item;
@@ -377,119 +358,76 @@ class RebalanceController:
         # exactly-once dedup merge.  Each run is one real CPU-charged,
         # lock-guarded server op: migration *competes* with foreground
         # traffic on the destination.
-        moved_mbr: Optional[Rect] = None
-        moved_count = 0
+        shard_map.set_second(tile_index, dest)
         self._pre_cutover = True
         try:
             for _leaf, run in runs:
-                yield from execute_plan(dest_server,
-                                        dest_server.plan_insert_group(run))
-                self._migration_ops[dest] += 1
-                moved_count += len(run)
-                for rect, _data_id in run:
-                    moved_mbr = (rect if moved_mbr is None
-                                 else moved_mbr.union(rect))
+                present = set(source_tree.search(
+                    Rect.union_of(rect for rect, _id in run)).matches)
+                held = [item for item in run if item in present]
+                if held:
+                    yield from self._copy(dest, held)
 
-            # Phase 2 — cut-over: one atomic map revision (tile owner,
-            # dest MBR/count, epoch).  In-flight queries that scattered
-            # against the old plane observe the bump at gather time and
-            # re-scatter.
-            shard_map.reassign_tile(tile_index, dest,
-                                    moved_count=moved_count,
-                                    moved_mbr=moved_mbr)
+            # Phase 2 — cut-over, in one instant: copy what the source
+            # took in after the snapshot, then flip the owner.
+            runs = self._tile_runs(source, tile_rect)
+            copied = set(dest_server.tree.search(tile_rect).data_ids)
+            missing = [item for _leaf, run in runs for item in run
+                       if item[1] not in copied]
+            catch_up = self._copy(dest, missing) if missing else None
+            shard_map.reassign_tile(tile_index, dest)
             stats.tiles_reassigned += 1
             stats.epoch_bumps += 1
         finally:
             self._pre_cutover = False
+        if catch_up is not None:
+            yield from catch_up
 
-        # Phase 3 — drain, hand reads over, then delete from the source —
-        # detached as its own process.  The source is by construction the
-        # *hot* shard, so its cleanup deletes queue behind saturated
-        # foreground traffic; serializing the control loop on them would
-        # freeze further splits for the whole cleanup (observed: tens of
+        # Phase 3 — drain, then delete from the source — detached as its
+        # own process.  The source is by construction the *hot* shard,
+        # so its cleanup deletes queue behind saturated foreground
+        # traffic; serializing the control loop on them would freeze
+        # further splits for the whole cleanup (observed: tens of
         # milliseconds at one core).  The migration window stays open
         # until the cleanup finishes, so ``Deployment.settle`` still
         # guarantees no run ends with an item on two shards.  Cleanups
         # from successive migrations cannot collide: each deletes only
-        # items whose centres lie in its own (disjoint) migrated tile,
-        # and each rebuild leaves out every pair still pending on the
-        # shard, whichever cleanup handed it over.
+        # items whose centres lie in its own (disjoint) migrated tile.
         self.sim.process(
-            self._cleanup(source, entry.rect, runs, window),
+            self._cleanup(source, runs, window),
             name=f"rebalance-cleanup-{source}",
         )
 
-    def _cleanup(self, source: int, tile_rect: Rect, runs: List[Run],
-                 window):
-        """Drain, hand the moved items' reads over to their new owner,
-        delete them from the source tree (one op per copy run), sweep any
-        write that raced the cut-over to its current owner, and rebuild
-        the source's routing summary exactly.
+    def _copy(self, dest: int, items: List[Tuple[Rect, int]]):
+        """Insert ``items`` into the destination as one server op.  The
+        tree takes them when this is called; the returned generator
+        spends the op's locks and CPU."""
+        plan = self.stacks[dest].server.plan_insert_group(items)
+        self.shard_map.add_count(dest, len(items))
+        return self._spend(dest, plan)
+
+    def _spend(self, shard_id: int, plan):
+        """Run a migration op's plan on its shard, counted as the
+        controller's own traffic."""
+        yield from execute_plan(self.stacks[shard_id].server, plan)
+        self._migration_ops[shard_id] += 1
+
+    def _cleanup(self, source: int, runs: List[Run], window):
+        """Drain, then delete the tile's items from the source tree, one
+        op per run.
 
         The drain keeps the source exact for queries that scattered
-        pre-cut-over; the epoch-aware re-scatter is the net under any
-        straggler.  Once it ends the destination holds every moved item,
-        so the hand-over rebuild drops the source's covers of them right
-        away instead of after its deletes, which queue behind the hot
-        shard's saturated foreground traffic — until then every query
-        over the migrated tile would read both shards.  Writes that
-        raced the cut-over are in the tree and not in the handed-over
-        set, so the rebuild keeps them covered as strays.
-
-        Both rebuilds are safe against racing client inserts: the tree
-        mutation is applied when its plan is made (before any CPU is
-        charged), so an insert acked before the scan is *in*
-        the scan, and one applied after it re-grows the shared live map
-        via the client's ``note_insert`` at ack time.  Without the
-        final rebuild the former hot shard's stale stray cover keeps
-        attracting queries over the region it migrated away."""
-        shard_map = self.shard_map
+        before the cut-over; the epoch-aware re-scatter is the net under
+        any straggler."""
         stats = self.stats
         source_server = self.stacks[source].server
         if self.config.drain_s > 0:
             yield self.sim.timeout(self.config.drain_s)
-        pending = self.handed_over[source]
-        pending.update(item for _leaf, run in runs for item in run)
-        self._rebuild_summary(source)
         for leaf, run in runs:
-            yield from execute_plan(
-                source_server, source_server.plan_delete_group(run, leaf))
-            pending.difference_update(run)
-            self._migration_ops[source] += 1
+            plan = source_server.plan_delete_group(run, leaf)
+            self.shard_map.add_count(source, -plan.result)
+            yield from self._spend(source, plan)
             stats.items_migrated += len(run)
-        # Sweep stragglers: an insert that scattered against the old
-        # plane landed on the source *inside* the migrated tile after
-        # the copy snapshot.  Carry each to the region's current owner
-        # (copy first, delete after — the item is on >= 1 shard at
-        # every instant), so no permanent stray keeps the source in
-        # the region's scatter set.
-        moved_ids = {data_id for _leaf, run in runs
-                     for _rect, data_id in run}
-        stragglers = [item for _leaf, run in self._tile_runs(source,
-                                                             tile_rect)
-                      for item in run]
-        for rect, data_id in stragglers:
-            if data_id in moved_ids:
-                continue
-            owner = shard_map.owner_of(rect)
-            if owner == source:
-                continue
-            # Re-check the item still exists right before copying (no
-            # yield in between, and the insert mutates the destination
-            # tree before its first yield): a foreground delete that
-            # completed since the snapshot scan must not be resurrected.
-            if (rect, data_id) not in source_server.tree.search(rect).matches:
-                continue
-            owner_server = self.stacks[owner].server
-            yield from execute_plan(owner_server,
-                                    owner_server.plan_insert(rect, data_id))
-            self._migration_ops[owner] += 1
-            shard_map.note_insert(owner, rect)
-            yield from execute_plan(
-                source_server, source_server.plan_delete(rect, data_id))
-            self._migration_ops[source] += 1
-            stats.items_migrated += 1
-        self._rebuild_summary(source)
         stats.migrations_completed += 1
         window[1] = self.sim.now
 

@@ -2,7 +2,8 @@
 
 The router is the client-active half of the sharded design (RFP's
 paradigm extended to a fleet): it consults the shard map, fans a read out
-*only* to the shards whose MBR intersects the query, runs the per-shard
+*only* to the owners of the tiles whose cover intersects the query, sends
+a write to the shards that hold its tile, runs the per-shard
 sub-queries concurrently (each through that shard's own adaptive Catfish
 session, so every shard's heartbeat independently drives its own
 Algorithm 1 back-off state), and merges the replies.
@@ -38,6 +39,7 @@ from ..client.resilience import (
     RequestTimeoutError,
 )
 from ..obs.registry import Counter, MetricsRegistry
+from ..server.base import REFUSED
 from ..sim.kernel import Simulator, all_of
 from .partition import ShardMap
 
@@ -46,9 +48,11 @@ OK = "ok"
 TIMEOUT = "timeout"
 OFFLOAD_ERROR = "offload-error"
 SKIPPED = "skipped"          # per-shard breaker open: not even attempted
+# And REFUSED: a write the shard still refused in the last send round.
 
-#: Bound on scatter rounds per read (a runaway revision storm degrades to
-#: a best-effort answer instead of livelocking).
+#: Bound on scatter rounds per read and send rounds per write (a runaway
+#: revision storm degrades to a best-effort answer instead of
+#: livelocking).
 MAX_RESCATTER_ROUNDS = 4
 
 
@@ -192,12 +196,9 @@ class ScatterGatherRouter:
         self.record = record
         self.log: List[Tuple[int, Request, PartialResult, float]] = []
         self._index = 0
-        #: Routing across an epoch cut: when the shared live map's epoch
-        #: bumps between a read's scatter and its gather, re-consult the
-        #: map and query any shard that newly covers the region (the
-        #: dedup merge keeps the union exactly-once).  Off by default —
-        #: the static plane never bumps, and the fingerprint-pinned
-        #: non-rebalance paths stay byte-identical.
+        #: Set on an elastic plane, where an item transiently lives in
+        #: two trees: COUNT then runs as an id-deduplicated search.  Off
+        #: on the static plane, whose pinned counts stay sums.
         self.epoch_aware = epoch_aware
 
     # -- scatter target selection ------------------------------------------
@@ -208,13 +209,7 @@ class ScatterGatherRouter:
             # one of the k nearest.  (A two-phase radius refinement is a
             # possible optimization; correctness first.)
             return self.shard_map.nonempty_shards()
-        if self.epoch_aware:
-            # Tile-granular scatter: once migrations hand a shard
-            # disjoint regions, its shard-level MBR is a uselessly fat
-            # box; per-tile content MBRs plus the stray covers keep the
-            # fan-out tight (see ShardMap.read_targets).
-            return self.shard_map.read_targets(request.rect)
-        return self.shard_map.shards_for(request.rect)
+        return self.shard_map.read_targets(request.rect)
 
     # -- execution ---------------------------------------------------------
 
@@ -235,53 +230,61 @@ class ScatterGatherRouter:
         return result
 
     def _execute_write(self, request: Request) -> Generator:
-        """Writes go to exactly one shard: the tile owning the rect center.
+        """Send a write to the shards that hold its tile, in order.
 
-        Epoch-aware deletes are the exception — they broadcast to every
-        shard whose MBR covers the rect, because during a migration's
-        copy window the item transiently lives in two trees (and a write
-        that raced an earlier cut-over may have left it overhanging its
-        owner tile); deleting it everywhere is what keeps a copy from
-        resurrecting it.
+        An insert goes to the owner of its centre's tile; a delete or
+        update to the owner and then the tile's second holder (see
+        :meth:`ShardMap.holders`).  A shard that does not hold the tile
+        any more refuses the write.  After each round the router re-reads
+        the map: a refused insert goes to the current owner, and a delete
+        or update to every current holder it has not reached, so a
+        write that raced a migration still lands on each shard that
+        holds the item.  An update whose centre would cross into another
+        tile is rejected before it is sent.
         """
-        if self.epoch_aware and request.op == OP_DELETE:
-            return (yield from self._execute_delete_broadcast(request))
-        owner = self.shard_map.owner_of(request.rect)
-        status, reply = yield from self._sub_query(owner, request)
-        if status == OK:
+        shard_map = self.shard_map
+        if request.op == OP_UPDATE and (
+                shard_map.tile_index(request.rect)
+                != shard_map.tile_index(request.new_rect)):
+            raise ValueError(
+                f"update of {request.data_id} moves its centre into "
+                "another tile; route it as a delete and an insert")
+        statuses: Dict[int, str] = {}
+        applied: List[int] = []
+        for _round in range(MAX_RESCATTER_ROUNDS):
             if request.op == OP_INSERT:
-                self.shard_map.note_insert(owner, request.rect)
+                # One copy: an insert is re-sent only while refused.
+                targets = ([] if statuses
+                           else [shard_map.owner_of(request.rect)])
+            else:
+                targets = [s for s in shard_map.holders(request.rect)
+                           if s not in statuses]
+            if not targets:
+                break
+            refused = []
+            for shard_id in targets:
+                status, reply = yield from self._sub_query(shard_id, request)
+                if status == OK and reply is REFUSED:
+                    refused.append(shard_id)
+                    continue
+                statuses[shard_id] = status
+                if status == OK and reply:
+                    applied.append(shard_id)
+        else:
+            for shard_id in refused:
+                statuses.setdefault(shard_id, REFUSED)
+        for shard_id in applied:
+            if request.op == OP_INSERT:
+                shard_map.note_insert(shard_id, request.rect)
             elif request.op == OP_DELETE:
                 # Only a delete that found its item shrinks the count.
-                if reply:
-                    self.shard_map.note_delete(owner)
-            elif request.op == OP_UPDATE and request.new_rect is not None:
-                self.shard_map.note_update(owner, request.new_rect)
+                shard_map.note_delete(shard_id)
+            else:
+                shard_map.note_update(request.new_rect)
+        ok = any(status == OK for status in statuses.values())
         return PartialResult(
             op=request.op,
-            results=(reply if status == OK else None),
-            statuses={owner: status},
-        )
-
-    def _execute_delete_broadcast(self, request: Request) -> Generator:
-        """Delete from every shard that may hold the item (see above)."""
-        owner = self.shard_map.owner_of(request.rect)
-        targets = self.shard_map.shards_for(request.rect)
-        if owner not in targets:
-            targets.append(owner)
-        statuses: Dict[int, str] = {}
-        found_on = []
-        for shard_id in targets:
-            status, reply = yield from self._sub_query(shard_id, request)
-            statuses[shard_id] = status
-            if status == OK and reply:
-                found_on.append(shard_id)
-        for shard_id in found_on:
-            self.shard_map.note_delete(shard_id)
-        ok = any(statuses[s] == OK for s in targets)
-        return PartialResult(
-            op=request.op,
-            results=(bool(found_on) if ok else None),
+            results=(bool(applied) if ok else None),
             statuses=statuses,
         )
 
@@ -304,8 +307,8 @@ class ScatterGatherRouter:
         Capture the map epoch at scatter; after the gather barrier, if
         the epoch moved, re-read the map and query any shard that now
         covers the region and was not queried yet (a migration's
-        cut-over hands a tile — and the moved items' MBR cover — to a
-        new owner mid-flight).  The dedup merge keeps the union of all
+        cut-over hands a tile and its cover to a new owner
+        mid-flight).  The dedup merge keeps the union of all
         rounds exactly-once.  A static map never bumps its epoch, so
         there a read is the one round.  On a live map COUNT runs its
         sub-queries as searches: during a migration's copy window an

@@ -7,12 +7,15 @@ import dataclasses
 import pytest
 
 from repro.chaos import SCENARIOS, ChaosConfig, run_scenario
-from repro.client.base import OP_DELETE, ClientStats, Request
+from repro.client.base import (
+    OP_DELETE, OP_INSERT, OP_SEARCH, ClientStats, Request,
+)
 from repro.cluster.builder import run_experiment
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
 from repro.cluster.deployment import Deployment
 from repro.faults.plan import ShardLoss
 from repro.hw.host import Host
+from repro.rtree.geometry import Rect
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.shard.verify import verify_routed_results
 from repro.sim.rng import RngRegistry
@@ -130,6 +133,33 @@ class TestRoutedDeletes:
         assert acks == [True] * 5 + [False]
         assert sum(held) == 1995
         assert counts == held
+
+
+class TestOneMapPerDeployment:
+    def test_an_insert_through_one_router_is_read_through_another(self):
+        """Every router of a deployment shares one map: an insert acked
+        through client A that overhangs its shard's partition-time cover
+        is found by client B's probe over the overhang."""
+        deployment = Deployment(small_config(dataset_size=2000),
+                                routed=True)
+        host = Host(deployment.sim, "client", deployment.profile, cores=2)
+        a = deployment.endpoint(0, host, ClientStats(), "a")
+        b = deployment.endpoint(1, host, ClientStats(), "b")
+        deployment.start()
+        item = Rect(0.4910, 0.2, 0.4912, 0.2002)
+        probe = Rect(0.49110, 0.2, 0.49115, 0.2001)
+        found = []
+
+        def client():
+            result = yield from a.execute(
+                Request(OP_INSERT, item, data_id=10**7))
+            assert result.results is True
+            result = yield from b.execute(Request(OP_SEARCH, probe))
+            found.extend(data_id for _rect, data_id in result.results)
+
+        deployment.sim.run_until_triggered(
+            deployment.sim.process(client()))
+        assert found == [10**7]
 
 
 class TestDeterminism:

@@ -148,9 +148,11 @@ class TestShardMap:
         before = shard_map[owner].count
         shard_map.note_insert(owner, outlier)
         assert shard_map[owner].count == before + 1
-        assert shard_map[owner].mbr.maxy >= 10.1
-        # The widened MBR now scatters reads for the outlier's region.
-        assert owner in shard_map.shards_for(outlier)
+        tile = shard_map.tiles[shard_map.tile_index(outlier)]
+        assert tile.mbr.maxy >= 10.1
+        # The widened tile cover now scatters reads for the outlier's
+        # region.
+        assert owner in shard_map.read_targets(outlier)
 
     def test_rejects_empty_map(self):
         with pytest.raises(ValueError):
@@ -226,15 +228,17 @@ class TestEpochRevisions:
             shard_map.merge_tiles(0, 1)
 
     def test_reassign_moves_ownership_and_counts(self):
+        """The owner flips and the second holder clears; the counts stay
+        with the trees, which a migration's copies and cleanup move."""
         shard_map = partition_str(random_items(200), 4).shard_map
         index, entry = shard_map.owned_tiles(2)[0]
-        moved = shard_map[2].count
-        old = shard_map.reassign_tile(index, 0, moved_count=moved,
-                                      moved_mbr=entry.mbr)
+        counts = shard_map.counts()
+        shard_map.set_second(index, 0)
+        old = shard_map.reassign_tile(index, 0)
         assert old == 2
         assert shard_map.tiles[index].owner == 0
-        assert shard_map[2].count == 0
-        assert shard_map[0].count == moved + 50  # its own ~50 items
+        assert shard_map.tiles[index].second is None
+        assert shard_map.counts() == counts
         # Center routing follows the new owner immediately.
         cx, cy = entry.mbr.center()
         assert shard_map.owner_of(Rect(cx, cy, cx, cy)) == 0
@@ -299,7 +303,7 @@ class TestEpochRevisions:
 
 
 class TestReadTargets:
-    """Tile-granular read scatter: exact, pruned, stray-aware."""
+    """Tile-granular read scatter: exact and pruned."""
 
     def test_matches_shards_for_on_static_plane(self):
         items = random_items(200)
@@ -312,20 +316,17 @@ class TestReadTargets:
                     == sorted(part.shard_map.shards_for(q)))
 
     def test_exact_superset_after_reassign(self):
-        """After a tile hand-off, every item's own rect must still reach
-        the shard that *holds* it — destination via the travelling tile
-        MBR, source via its stray cover until cleanup rebuilds."""
+        """After a tile hand-off, every item's own rect reaches the
+        tile's new owner through the cover that travelled with the tile,
+        and the old owner drops out of the tile's reads."""
         items = random_items(200)
         part = partition_str(items, 4)
         shard_map = part.shard_map
         index, _entry = shard_map.owned_tiles(3)[0]
         shard_map.reassign_tile(index, 0)
-        # Items remain physically on shard 3 (no migration ran); the
-        # stray cover must keep shard 3 in the scatter set.
         for rect, data_id in part.assignments[3]:
-            assert 3 in shard_map.read_targets(rect), data_id
-        # And the new owner is targeted too (it may hold racing writes).
-        assert shard_map.stray_mbr(3) is not None
+            assert 0 in shard_map.read_targets(rect), data_id
+        assert 3 not in shard_map.nonempty_shards()
 
     def test_prunes_empty_tiles(self):
         items = [(Rect(0.1 + i * 0.01, 0.1, 0.11 + i * 0.01, 0.11), i)
@@ -346,27 +347,6 @@ class TestReadTargets:
         assert tile_contains(tile, -1e300, 1e300)
         assert tile_contains(tile, 0.0, 0.0)
 
-    def test_rebuild_shard_summary_recomputes_exactly(self):
-        items = random_items(120)
-        part = partition_str(items, 4)
-        shard_map = part.shard_map
-        index, entry = shard_map.owned_tiles(1)[0]
-        shard_map.reassign_tile(index, 2)
-        # Cleanup done: shard 1 holds nothing now; shard 2 holds both
-        # bucket 1 and bucket 2.
-        shard_map.rebuild_shard_summary(1, [])
-        merged = list(part.assignments[2]) + list(part.assignments[1])
-        shard_map.rebuild_shard_summary(2, merged)
-        assert shard_map.stray_mbr(1) is None
-        assert shard_map[1].count == 0
-        assert shard_map[1].mbr is None
-        assert shard_map[2].count == len(merged)
-        # Scatter sets are tight again: shard 1 never targeted.
-        for rect, _d in merged:
-            targets = shard_map.read_targets(rect)
-            assert 1 not in targets
-            assert 2 in targets
-
     def test_note_insert_grows_tile_cover(self):
         part = partition_str(random_items(100), 4)
         shard_map = part.shard_map
@@ -375,15 +355,51 @@ class TestReadTargets:
         shard_map.note_insert(owner, outlier)
         assert owner in shard_map.read_targets(outlier)
 
-    def test_raced_write_lands_in_stray_cover(self):
-        """An insert acked by a shard that no longer owns the center's
-        tile (the write raced a cut-over) must still be readable."""
+    def test_a_cover_grows_for_every_shard_that_acks_a_write(self):
+        """A tile's cover holds every item whose centre lies in it,
+        whichever shard acked the write, and an update grows it too."""
         part = partition_str(random_items(100), 4)
         shard_map = part.shard_map
         index, entry = shard_map.owned_tiles(0)[0]
-        shard_map.reassign_tile(index, 1)
-        mbr = entry.mbr
-        cx, cy = mbr.center()
-        raced = Rect(cx, cy, cx, cy)
-        shard_map.note_insert(0, raced)  # shard 0 applied it anyway
-        assert 0 in shard_map.read_targets(raced)
+        shard_map.set_second(index, 1)
+        cx, cy = entry.mbr.center()
+        # Centred in the tile, overhanging far beyond every item.
+        shard_map.note_insert(1, Rect(cx, cy - 20.0, cx, cy + 20.0))
+        assert shard_map.read_targets(Rect.point(cx, cy + 15.0)) == [0]
+        shard_map.note_update(Rect(cx - 20.0, cy, cx + 20.0, cy))
+        assert shard_map.read_targets(Rect.point(cx + 15.0, cy)) == [0]
+
+
+class TestHolders:
+    """Who applies a write: the owner of the centre's tile for an
+    insert, the owner and then the second holder for a delete."""
+
+    def test_static_plane_holder_is_the_owner(self):
+        part = partition_str(random_items(100), 4)
+        shard_map = part.shard_map
+        for rect, _data_id in random_items(50, seed=5):
+            assert shard_map.holders(rect) == [shard_map.owner_of(rect)]
+
+    def test_second_holder_follows_the_owner_and_takes_no_reads(self):
+        part = partition_str(random_items(100), 4)
+        shard_map = part.shard_map
+        index, entry = shard_map.owned_tiles(2)[0]
+        cx, cy = entry.mbr.center()
+        probe = Rect(cx, cy, cx, cy)
+        shard_map.set_second(index, 3)
+        assert shard_map.epoch == 0
+        assert shard_map.holders(probe) == [2, 3]
+        assert shard_map.owner_of(probe) == 2
+        assert 3 not in shard_map.read_targets(probe)
+        shard_map.reassign_tile(index, 3)
+        assert shard_map.holders(probe) == [3]
+        assert shard_map.read_targets(probe) == [3]
+
+    def test_nonempty_shards_come_from_the_tile_covers(self):
+        items = [(Rect(0.1 + i * 0.01, 0.1, 0.11 + i * 0.01, 0.11), i)
+                 for i in range(8)]
+        shard_map = partition_str(items, 4).shard_map
+        index, _entry = shard_map.owned_tiles(1)[0]
+        assert 1 in shard_map.nonempty_shards()
+        shard_map.reassign_tile(index, 0)
+        assert 1 not in shard_map.nonempty_shards()

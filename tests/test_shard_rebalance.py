@@ -13,6 +13,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.client.base import (
+    OP_DELETE, OP_INSERT, OP_SEARCH, OP_UPDATE, ClientStats, Request,
+)
 from repro.cluster.config import ExperimentConfig, RebalanceConfig
 from repro.cluster.deployment import Deployment
 from repro.hw import Host
@@ -149,8 +152,7 @@ class TestEndToEnd:
     def test_occupancy_tracks_migrations(self):
         """After migrations settle, the live map's counts agree with an
         exact per-shard leaf walk, and the plane actually moved items;
-        every epoch bump was counted and no handed-over pair is left
-        pending."""
+        every epoch bump was counted."""
         runner = ShardedExperimentRunner(skewed_config())
         result = runner.run()
         walk = runner.shard_occupancy()
@@ -161,13 +163,15 @@ class TestEndToEnd:
         assert reported == walk
         assert (int(runner.rebalance_stats.epoch_bumps)
                 == runner.live_map.epoch)
-        assert all(not pending for pending in runner.rebalancer.handed_over)
 
     def test_rebalance_off_keeps_static_plane(self):
         runner = ShardedExperimentRunner(skewed_config(rebalance=None))
         result = runner.run()
         assert runner.rebalancer is None
-        assert runner.live_map is None
+        assert runner.live_map.epoch == 0
+        assert ([(t.rect, t.owner) for t in runner.live_map.tiles]
+                == [(t.rect, t.owner)
+                    for t in runner.partition.shard_map.tiles])
         assert "rebalance_splits" not in result.extra
         assert runner.shard_occupancy() == runner.initial_occupancy()
 
@@ -188,10 +192,9 @@ class TestEndToEnd:
 
 
 class TestHandOver:
-    """Reads over a migrated tile leave the source at the end of the
-    drain, not when its per-item deletes finish.  Each test drives an
-    idle deployment (no clients, no background machinery), so no write
-    races a cut-over."""
+    """One migration on an idle deployment (no background machinery):
+    reads over the tile leave the source at the cut-over, and writes sent
+    through one router race each phase of the migration."""
 
     SOURCE, DEST, OTHER = 0, 1, 2
 
@@ -223,12 +226,11 @@ class TestHandOver:
             sim.run(until=sim.now + step)
         raise AssertionError("the migration did not get there")
 
-    def drain(self, deployment, high, dest):
-        """Run to the tile's cut-over, then just past its drain."""
-        live_map, sim = deployment.live_map, deployment.sim
+    def cut_over(self, deployment, high, dest):
+        """Run to the tile's cut-over."""
+        live_map = deployment.live_map
         self.run_until(deployment,
                        lambda: live_map.tiles[high].owner == dest)
-        sim.run(until=sim.now + TUNING.drain_s + 1e-6)
 
     def pending_probes(self, deployment, high, dest):
         """Centre points of moved items the source still holds, away
@@ -248,28 +250,12 @@ class TestHandOver:
         return probes
 
     def test_drained_tile_reads_only_the_destination(self):
+        """From the cut-over on, while the source still holds its copies
+        of the tile, reads over them go to the destination alone."""
         deployment, controller = self.idle()
         high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
-        self.drain(deployment, high, self.DEST)
+        self.cut_over(deployment, high, self.DEST)
         for probe in self.pending_probes(deployment, high, self.DEST):
-            assert deployment.live_map.read_targets(probe) == [self.DEST]
-
-    def test_second_cleanup_keeps_the_first_tile_handed_over(self):
-        """The handed-over set is per shard: the second migration's
-        rebuilds of the source leave out the first one's pending pairs
-        too."""
-        deployment, controller = self.idle()
-        first = self.migrate(deployment, controller, self.SOURCE, self.DEST)
-        # The source is the hot shard: its cleanup deletes queue behind
-        # foreground work, so the first tile is still pending when the
-        # second drain ends.
-        deployment.stacks[self.SOURCE].server.host.cpu.charge(
-            2e-3, lambda: None)
-        self.drain(deployment, first, self.DEST)
-        second = self.migrate(deployment, controller, self.SOURCE,
-                              self.OTHER)
-        self.drain(deployment, second, self.OTHER)
-        for probe in self.pending_probes(deployment, first, self.DEST):
             assert deployment.live_map.read_targets(probe) == [self.DEST]
 
     def test_one_insert_op_and_one_delete_op_per_source_leaf_run(self):
@@ -301,20 +287,154 @@ class TestHandOver:
         assert controller._migration_ops[self.DEST] > 0
         assert controller._loads() == [0, 0, 0, 0]
 
-    def test_final_rebuild_counts_an_item_outside_every_cover(self):
-        deployment, controller = self.idle()
-        live_map = deployment.live_map
-        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
-        planted = Rect(-5.0, -5.0, -4.99, -4.99)
-        assert not tile_contains(live_map.tiles[high].rect,
-                                 *planted.center())
-        assert live_map.read_targets(planted) == []
-        deployment.stacks[self.SOURCE].server.tree.insert(planted, 10**6)
+    # -- writes racing the migration, through one router -----------------
+
+    def router(self, deployment, index=0):
+        host = Host(deployment.sim, f"client{index}", deployment.profile,
+                    cores=2)
+        return deployment.endpoint(index, host, ClientStats(), f"c{index}")
+
+    def issue(self, deployment, router, request, when=None):
+        """Send ``request`` through ``router`` now; returns a dict that
+        gets its PartialResult and the tile owner ``when(...)`` saw at
+        the ack."""
+        out = {}
+
+        def client():
+            result = yield from router.execute(request)
+            out["result"] = result
+            if when is not None:
+                out["seen"] = when()
+
+        deployment.sim.process(client())
+        return out
+
+    def settle(self, deployment, controller):
+        """Run until the migration has finished; the counts in the map
+        then equal the trees' occupancy."""
         self.run_until(deployment, lambda: controller.migration_windows
                        and not controller.active_migrations)
-        assert controller.stats.migrations_completed == 1
-        assert live_map.counts() == deployment.shard_occupancy()
-        assert live_map.read_targets(planted) == [self.SOURCE]
+        assert deployment.live_map.counts() == deployment.shard_occupancy()
+
+    @staticmethod
+    def holders_of(deployment, data_id):
+        """The shard of every copy of ``data_id``, one entry per copy."""
+        plane = Rect(-1e9, -1e9, 1e9, 1e9)
+        return [k for k, stack in enumerate(deployment.stacks)
+                for held in stack.server.tree.search(plane).data_ids
+                if held == data_id]
+
+    def test_a_delete_acked_during_the_copy_stays_deleted(self):
+        """The last item of the last copy run, deleted before that run
+        is copied, is on no shard once the migration has settled."""
+        deployment, controller = self.idle()
+        router = self.router(deployment)
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        live_map = deployment.live_map
+        _leaf, last_run = controller._tile_runs(
+            self.SOURCE, live_map.tiles[high].rect)[-1]
+        rect, data_id = last_run[-1]
+        out = self.issue(deployment, router,
+                         Request(OP_DELETE, rect, data_id=data_id),
+                         when=lambda: live_map.tiles[high].owner)
+        self.run_until(deployment, lambda: "result" in out)
+        assert out["result"].results is True
+        assert out["seen"] == self.SOURCE
+        self.settle(deployment, controller)
+        assert self.holders_of(deployment, data_id) == []
+
+    def test_an_insert_before_the_cut_over_is_carried_once(self):
+        """An insert the source takes after the tile snapshot is copied
+        at the cut-over: a read issued after it finds the item, which
+        ends up on the destination alone."""
+        deployment, controller = self.idle()
+        router = self.router(deployment)
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        live_map = deployment.live_map
+        cx, cy = live_map.tiles[high].mbr.center()
+        rect, data_id = Rect(cx, cy, cx + 1e-4, cy + 1e-4), 10**6
+        out = self.issue(deployment, router,
+                         Request(OP_INSERT, rect, data_id=data_id),
+                         when=lambda: live_map.tiles[high].owner)
+        self.run_until(deployment, lambda: "result" in out)
+        assert out["result"].results is True
+        assert out["seen"] == self.SOURCE
+        self.cut_over(deployment, high, self.DEST)
+        found = self.issue(deployment, router, Request(OP_SEARCH, rect))
+        self.run_until(deployment, lambda: "result" in found)
+        assert data_id in [d for _r, d in found["result"].results]
+        self.settle(deployment, controller)
+        assert self.holders_of(deployment, data_id) == [self.DEST]
+
+    def test_an_insert_after_the_cut_over_is_refused_and_resent(self):
+        """An insert routed to the source that reaches it after the
+        cut-over is refused there, re-sent to the destination, acked
+        once, and lands on the destination alone."""
+        deployment, controller = self.idle()
+        router = self.router(deployment)
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        live_map = deployment.live_map
+        cx, cy = live_map.tiles[high].mbr.center()
+        rect, data_id = Rect(cx, cy, cx + 1e-4, cy + 1e-4), 10**6
+        # The source's thread for this router's connection is down, so
+        # the insert waits in its ring until after the cut-over.
+        fm = deployment.stacks[self.SOURCE].fm_server
+        fm.crash_worker(fm.connections[0])
+        out = self.issue(deployment, router,
+                         Request(OP_INSERT, rect, data_id=data_id))
+        self.cut_over(deployment, high, self.DEST)
+        assert "result" not in out
+        fm.restart_worker(fm.connections[0])
+        self.run_until(deployment, lambda: "result" in out)
+        result = out["result"]
+        assert result.results is True
+        assert result.statuses == {self.DEST: "ok"}
+        source = deployment.stacks[self.SOURCE].server
+        assert source.writes_refused == 1
+        assert deployment.stacks[self.DEST].server.writes_refused == 0
+        self.settle(deployment, controller)
+        assert self.holders_of(deployment, data_id) == [self.DEST]
+
+    def test_updates_during_the_copy_end_as_one_moved_copy(self):
+        """An in-tile update goes to the owner and then the second
+        holder: an item updated before its run is copied and one updated
+        after it each end up once on the destination, at the new
+        rect."""
+        deployment, controller = self.idle()
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        live_map = deployment.live_map
+        runs = controller._tile_runs(self.SOURCE, live_map.tiles[high].rect)
+        dest_tree = deployment.stacks[self.DEST].server.tree
+        first, last = runs[0][1][0], runs[-1][1][-1]
+        outs, moved = [], {}
+        for index, (rect, data_id) in enumerate((last, first)):
+            if (rect, data_id) == first:
+                self.run_until(deployment, lambda: data_id in dest_tree
+                               .search(rect).data_ids)
+            assert live_map.tiles[high].owner == self.SOURCE
+            new_rect = Rect(rect.minx, rect.miny,
+                            rect.minx + 1e-5, rect.miny + 1e-5)
+            outs.append(self.issue(
+                deployment, self.router(deployment, index),
+                Request(OP_UPDATE, rect, data_id=data_id,
+                        new_rect=new_rect)))
+            moved[data_id] = new_rect
+        self.settle(deployment, controller)
+        assert [out["result"].results for out in outs] == [True, True]
+        for data_id, new_rect in moved.items():
+            assert self.holders_of(deployment, data_id) == [self.DEST]
+            assert data_id in dest_tree.search(new_rect).data_ids
+
+    def test_an_update_across_tiles_is_rejected(self):
+        deployment, _controller = self.idle()
+        router = self.router(deployment)
+        rect, data_id = deployment.dataset[0]
+        live_map = deployment.live_map
+        far = next(r for r, _d in deployment.dataset
+                   if live_map.tile_index(r) != live_map.tile_index(rect))
+        with pytest.raises(ValueError, match="another tile"):
+            next(router.execute(Request(OP_UPDATE, rect, data_id=data_id,
+                                        new_rect=far)))
 
 
 class TestGroupPlan:
