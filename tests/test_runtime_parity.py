@@ -95,12 +95,19 @@ GOLDEN_CHAOS = {
     # and unlinking a whole source leaf at the source (aad3feaa3f1b05aa
     # and c5cc98b5c5fa085d before): no per-item insert_write, fewer node
     # visits and a differently shaped destination tree, which change
-    # server CPU time, search paths, latencies and splits.  Every other
-    # pin is unchanged all three times.
-    "migration-racing-writes": (120, "91a47e9caf67fce9"),
+    # server CPU time, search paths, latencies and splits.  They were
+    # re-pinned a fourth time when every deployment began sharing one
+    # shard map whose servers refuse writes into tiles they do not hold
+    # (91a47e9caf67fce9 and a54cd845762418d5 before): the source leaves
+    # a migrated tile's reads at the cut-over instead of at the end of
+    # its drain, no summary rebuild bumps the epoch, and the cleanup
+    # deletes the source's tile contents of the cut-over instant, which
+    # change scatter sets, re-scatters, server CPU time, latencies and
+    # splits.  Every other pin is unchanged all four times.
+    "migration-racing-writes": (120, "98e034e9324f01cd"),
     "nic-read-stall": (150, "bf09582663aab900"),
     "overload-shed": (150, "ac2207ff8a41daca"),
-    "rebalance-under-fault": (120, "a54cd845762418d5"),
+    "rebalance-under-fault": (120, "ca749b88479b0b11"),
     "shard-loss": (150, "c09891cfab5165d1"),
     "slow-client": (150, "5b84965a96fcbbf6"),
     "worker-crash": (150, "a783fcc0bff5186f"),
@@ -307,10 +314,11 @@ GOLDEN_OPEN_OVERLOAD = "9367d42accd99e26"
 #: with splits and live migrations firing.  Re-pinned (was
 #: 9de83b132adf5613) when migrations began handing reads over at the end
 #: of the drain, again (was 85209a0d9c77f795) when they began moving a
-#: tile as one server op per source leaf, and again (was
-#: 22c6fada4dfe950f) when those ops began grafting and unlinking whole
-#: leaves; see GOLDEN_CHAOS.
-GOLDEN_ROUTED_REBALANCE = "50bbb794104223c8"
+#: tile as one server op per source leaf, again (was 22c6fada4dfe950f)
+#: when those ops began grafting and unlinking whole leaves, and again
+#: (was 50bbb794104223c8) when the source began leaving a tile's reads
+#: at the cut-over; see GOLDEN_CHAOS.
+GOLDEN_ROUTED_REBALANCE = "507e9fd0791245b9"
 
 
 def _benchmark_config(seed, **fields):
