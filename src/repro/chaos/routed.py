@@ -17,10 +17,12 @@ Two further scenarios stress the *elastic* plane:
   complete result must still match the single-tree oracle exactly and
   every degraded result must stay sound (epoch-cut exactly-once under
   fault pressure);
-* **migration-racing-writes** — a hybrid write workload races the
-  migration copy/cut-over/drain windows; after settling, every dataset
-  id and every acked insert must live in exactly one shard tree
-  (conservation: migration neither loses nor duplicates racing writes).
+* **migration-racing-writes** — a churn workload (searches, inserts and
+  deletes of the client's own inserts) races the migration
+  copy/cut-over/drain windows; after settling, every dataset id and
+  every acked insert that no acked delete removed must live in exactly
+  one shard tree, and every acked delete's id in none (conservation:
+  migration neither loses, duplicates nor resurrects racing writes).
 
 The records are the routers' own logs; the read oracle is
 :func:`repro.shard.verify.verify_routed_results`.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..client.base import OP_INSERT, READ_OPS
+from ..client.base import OP_DELETE, OP_INSERT, READ_OPS
 from ..cluster.config import ExperimentConfig, RebalanceConfig
 from ..faults.plan import FaultPlan
 from ..shard.rebalance import RebalanceStats
@@ -240,13 +242,15 @@ def judge_rebalance_under_fault(run: Run) -> ScenarioReport:
 
 
 def judge_migration_racing_writes(run: Run) -> ScenarioReport:
-    """Hybrid writes raced the migration copy/cut-over/drain windows."""
+    """Churn writes raced the migration copy/cut-over/drain windows."""
     runner = run.runner
     records = _records(runner)
     windows = runner.rebalancer.migration_windows
 
     acked_inserts: List[int] = []
     unacked_inserts: List[int] = []
+    acked_deletes: List[int] = []
+    unacked_deletes: List[int] = []
     inserts_in_window = 0
     duplicate_read_ids = 0
     for router in runner.routers:
@@ -262,14 +266,19 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
                     # A timed-out insert may still have been applied
                     # server-side before the ack was lost: ambiguous.
                     unacked_inserts.append(request.data_id)
+            elif request.op == OP_DELETE:
+                # Likewise a timed-out delete may or may not have landed.
+                (acked_deletes if result.complete
+                 else unacked_deletes).append(request.data_id)
             elif request.op in READ_OPS and isinstance(result.results,
                                                        list):
                 ids = [d for _r, d in result.results]
                 duplicate_read_ids += len(ids) - len(set(ids))
 
     # Conservation: after settling, the union of the shard trees must
-    # hold the dataset plus every acked insert exactly once each.
-    # Unacked (timed-out) insert attempts are ambiguous — the server
+    # hold the dataset plus every acked insert exactly once each, less
+    # the acked deletes, whose ids it must not hold at all.  Unacked
+    # (timed-out) insert and delete attempts are ambiguous — the server
     # may have applied them before the reply was lost — so their ids
     # are allowed to appear at most once, but nothing else may.
     held: List[int] = []
@@ -281,11 +290,15 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
             for entry in node.entries
         )
     held_counts = Counter(held)
+    deleted = set(acked_deletes)
+    ambiguous = set(unacked_inserts + unacked_deletes) - deleted
     expected_ids = sorted(
-        [data_id for _rect, data_id in runner.dataset] + acked_inserts
+        data_id for data_id in ([d for _rect, d in runner.dataset]
+                                + acked_inserts)
+        if data_id not in deleted and data_id not in ambiguous
     )
+    resurrected = sorted(d for d in deleted if d in held_counts)
     expected_set = set(expected_ids)
-    ambiguous = set(unacked_inserts) - expected_set
     missing = [d for d in expected_ids if held_counts.get(d, 0) != 1]
     extras = [
         d for d, n in held_counts.items()
@@ -308,9 +321,13 @@ def judge_migration_racing_writes(run: Run) -> ScenarioReport:
          f"landed inside a migration window"),
         ("conservation-exact", conserved,
          f"{len(held)} items across final trees vs "
-         f"{len(expected_ids)} expected (dataset + acked inserts, "
+         f"{len(expected_ids)} expected (dataset + acked inserts - "
+         f"acked deletes, "
          f"{len(ambiguous)} unacked attempts ambiguous), "
          f"{'exact' if conserved else 'MISMATCH'}"),
+        ("deletes-stay-deleted", not resurrected,
+         f"{len(resurrected)} of {len(deleted)} acked deletes' ids "
+         f"still held after settling"),
         ("reads-exactly-once", duplicate_read_ids == 0,
          f"{duplicate_read_ids} duplicate ids delivered to clients"),
         map_invariants,

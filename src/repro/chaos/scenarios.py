@@ -174,9 +174,10 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             "migration-racing-writes",
-            "hybrid writes race live migration windows; conservation "
-            "(no lost or duplicated item) must hold after settling",
-            routed.config("hybrid", rebalance=routed.REBALANCE_TUNING),
+            "inserts and deletes race live migration windows; "
+            "conservation (no lost, duplicated or resurrected item) must "
+            "hold after settling",
+            routed.config("churn", rebalance=routed.REBALANCE_TUNING),
             routed.judge_migration_racing_writes,
         ),
         plain.row(
