@@ -43,12 +43,11 @@ the model assumes it reaches every server's tile table then:
 Writes racing a migration stay exactly-once.  An insert that reaches the
 source before the cut-over is carried by the cut-over's copy; one that
 reaches it after is refused and re-sent by the router to the new
-owner.  A delete reaches the owner first and the
-second holder after it, so a run copied after the owner's delete no
-longer holds the pair and one copied before it is deleted at the
-second holder.  The counts in the map follow the trees: the controller
-adds each copy to the destination's and takes each cleanup from the
-source's.
+owner.  A delete reaches the owner first and the second holder after
+it, so a run copied after the owner's delete no longer holds the pair
+and one copied before it is deleted at the second holder.  The counts
+in the map follow the trees: the controller adds each copy to the
+destination's and takes each cleanup from the source's.
 
 Determinism contract: the controller draws no randomness — every
 decision is a pure function of (map state, served-request counters, sim

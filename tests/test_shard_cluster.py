@@ -160,6 +160,9 @@ class TestOneMapPerDeployment:
         deployment.sim.run_until_triggered(
             deployment.sim.process(client()))
         assert found == [10**7]
+        # Ownership never changes on the static plane: nothing refused.
+        assert [s.server.writes_refused for s in deployment.stacks] == [
+            0, 0, 0, 0]
 
 
 class TestDeterminism:

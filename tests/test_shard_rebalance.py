@@ -258,6 +258,24 @@ class TestHandOver:
         for probe in self.pending_probes(deployment, high, self.DEST):
             assert deployment.live_map.read_targets(probe) == [self.DEST]
 
+    def test_second_cleanup_keeps_the_first_tile_handed_over(self):
+        """A second migration from the same source, while the first
+        tile's copies still wait there for their cleanup, leaves the
+        first tile's reads with its destination alone."""
+        deployment, controller = self.idle()
+        first = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        # The source is the hot shard: its cleanup deletes queue behind
+        # foreground work, so the first tile's copies are still there
+        # when the second migration cuts over.
+        deployment.stacks[self.SOURCE].server.host.cpu.charge(
+            2e-3, lambda: None)
+        self.cut_over(deployment, first, self.DEST)
+        second = self.migrate(deployment, controller, self.SOURCE,
+                              self.OTHER)
+        self.cut_over(deployment, second, self.OTHER)
+        for probe in self.pending_probes(deployment, first, self.DEST):
+            assert deployment.live_map.read_targets(probe) == [self.DEST]
+
     def test_one_insert_op_and_one_delete_op_per_source_leaf_run(self):
         deployment, controller = self.idle()
         source, dest = self.SOURCE, self.DEST
@@ -294,7 +312,7 @@ class TestHandOver:
                     cores=2)
         return deployment.endpoint(index, host, ClientStats(), f"c{index}")
 
-    def issue(self, deployment, router, request, when=None):
+    def send(self, deployment, router, request, when=None):
         """Send ``request`` through ``router`` now; returns a dict that
         gets its PartialResult and the tile owner ``when(...)`` saw at
         the ack."""
@@ -334,7 +352,7 @@ class TestHandOver:
         _leaf, last_run = controller._tile_runs(
             self.SOURCE, live_map.tiles[high].rect)[-1]
         rect, data_id = last_run[-1]
-        out = self.issue(deployment, router,
+        out = self.send(deployment, router,
                          Request(OP_DELETE, rect, data_id=data_id),
                          when=lambda: live_map.tiles[high].owner)
         self.run_until(deployment, lambda: "result" in out)
@@ -345,7 +363,7 @@ class TestHandOver:
 
     def test_an_insert_before_the_cut_over_is_carried_once(self):
         """An insert the source takes after the tile snapshot is copied
-        at the cut-over: a read issued after it finds the item, which
+        at the cut-over: a read sent after it finds the item, which
         ends up on the destination alone."""
         deployment, controller = self.idle()
         router = self.router(deployment)
@@ -353,14 +371,14 @@ class TestHandOver:
         live_map = deployment.live_map
         cx, cy = live_map.tiles[high].mbr.center()
         rect, data_id = Rect(cx, cy, cx + 1e-4, cy + 1e-4), 10**6
-        out = self.issue(deployment, router,
+        out = self.send(deployment, router,
                          Request(OP_INSERT, rect, data_id=data_id),
                          when=lambda: live_map.tiles[high].owner)
         self.run_until(deployment, lambda: "result" in out)
         assert out["result"].results is True
         assert out["seen"] == self.SOURCE
         self.cut_over(deployment, high, self.DEST)
-        found = self.issue(deployment, router, Request(OP_SEARCH, rect))
+        found = self.send(deployment, router, Request(OP_SEARCH, rect))
         self.run_until(deployment, lambda: "result" in found)
         assert data_id in [d for _r, d in found["result"].results]
         self.settle(deployment, controller)
@@ -380,7 +398,7 @@ class TestHandOver:
         # the insert waits in its ring until after the cut-over.
         fm = deployment.stacks[self.SOURCE].fm_server
         fm.crash_worker(fm.connections[0])
-        out = self.issue(deployment, router,
+        out = self.send(deployment, router,
                          Request(OP_INSERT, rect, data_id=data_id))
         self.cut_over(deployment, high, self.DEST)
         assert "result" not in out
@@ -414,7 +432,7 @@ class TestHandOver:
             assert live_map.tiles[high].owner == self.SOURCE
             new_rect = Rect(rect.minx, rect.miny,
                             rect.minx + 1e-5, rect.miny + 1e-5)
-            outs.append(self.issue(
+            outs.append(self.send(
                 deployment, self.router(deployment, index),
                 Request(OP_UPDATE, rect, data_id=data_id,
                         new_rect=new_rect)))
@@ -424,6 +442,34 @@ class TestHandOver:
         for data_id, new_rect in moved.items():
             assert self.holders_of(deployment, data_id) == [self.DEST]
             assert data_id in dest_tree.search(new_rect).data_ids
+
+    def test_an_update_straddling_the_cut_over_is_applied_once(self):
+        """An update the source applied before the cut-over and the
+        destination's copy takes after it: the cut-over compares ids,
+        so it does not copy the new rect beside the old one."""
+        deployment, controller = self.idle()
+        router = self.router(deployment)
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        live_map = deployment.live_map
+        rect, data_id = controller._tile_runs(
+            self.SOURCE, live_map.tiles[high].rect)[0][1][0]
+        dest_tree = deployment.stacks[self.DEST].server.tree
+        self.run_until(deployment,
+                       lambda: data_id in dest_tree.search(rect).data_ids)
+        # The destination's thread for this router's connection is down,
+        # so the update reaches the copy only after the cut-over.
+        fm = deployment.stacks[self.DEST].fm_server
+        fm.crash_worker(fm.connections[0])
+        new_rect = Rect(rect.minx, rect.miny,
+                        rect.minx + 1e-5, rect.miny + 1e-5)
+        out = self.send(deployment, router, Request(
+            OP_UPDATE, rect, data_id=data_id, new_rect=new_rect))
+        self.cut_over(deployment, high, self.DEST)
+        fm.restart_worker(fm.connections[0])
+        self.settle(deployment, controller)
+        assert out["result"].results is True
+        assert self.holders_of(deployment, data_id) == [self.DEST]
+        assert data_id in dest_tree.search(new_rect).data_ids
 
     def test_an_update_across_tiles_is_rejected(self):
         deployment, _controller = self.idle()
