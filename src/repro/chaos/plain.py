@@ -138,7 +138,7 @@ def judge_write_storm(run: Run) -> ScenarioReport:
     cached root is not re-read, so with a cache whether any offload
     errors at all is luck of the back-off draw — not something the
     scenario can guarantee."""
-    cached = run.cfg.node_cache is not None and run.cfg.node_cache.enabled
+    cached = run.cfg.node_cache is not None
     torn_root = () if cached else ("breaker-trips", "failovers")
     return judge("write-storms", *torn_root)(run)
 

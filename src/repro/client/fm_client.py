@@ -14,9 +14,8 @@ a timed-out attempt is *abandoned* (its request id is remembered so
 late-arriving segments are suppressed as duplicates, never delivered) and
 the request is re-sent under a fresh id.  Ring reservations become
 bounded waits (``reserve_within``) so a wedged server cannot block the
-client forever.  Without a policy the original always-blocking behaviour
-is preserved bit-for-bit — the resilience layer costs nothing unless
-requested.
+client forever.  Without a policy a request is one attempt that blocks
+on ring space and waits for its response with no deadline.
 """
 
 from __future__ import annotations
@@ -113,28 +112,34 @@ class FmSession:
         self.stats.fast_messaging_requests += 1
         policy = self.retry
         if policy is None:
-            result = yield from self._execute_blocking(request)
-            return result
-        attempts = policy.attempts_for(request.op, self.read_ops)
+            attempts, deadline_s = 1, None
+        else:
+            attempts = policy.attempts_for(request.op, self.read_ops)
+            deadline_s = policy.deadline_s
+        ring = self.conn.request_ring
         for attempt in range(attempts):
             wire = self._make_wire(request)
-            try:
-                yield from self.conn.request_ring.reserve_within(
-                    wire, policy.reserve_timeout
-                )
-            except RingBufferFullError:
-                self.stats.ring_full_timeouts += 1
-                if attempt + 1 >= attempts:
-                    raise RequestTimeoutError(
-                        f"{request.op}: request ring still full after "
-                        f"{attempts} bounded reservation(s)"
-                    ) from None
-                self.stats.request_retries += 1
-                yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
-                continue
+            # Ring-buffer flow control, then the actual RDMA Write (w/ IMM
+            # in event mode); the client continues once the write is
+            # acknowledged.
+            if policy is None:
+                yield from ring.reserve(wire)
+            else:
+                try:
+                    yield from ring.reserve_within(wire, deadline_s)
+                except RingBufferFullError:
+                    self.stats.ring_full_timeouts += 1
+                    if attempt + 1 >= attempts:
+                        raise RequestTimeoutError(
+                            f"{request.op}: request ring still full after "
+                            f"{attempts} bounded reservation(s)"
+                        ) from None
+                    self.stats.request_retries += 1
+                    yield self.sim.timeout(policy.backoff_s(attempt,
+                                                            self.rng))
+                    continue
             yield self.conn.client_post_request(wire)
-            outcome = yield from self._collect(request, wire,
-                                               policy.deadline_s)
+            outcome = yield from self._collect(request, wire, deadline_s)
             if outcome is not _TIMED_OUT:
                 return outcome
             self.stats.request_timeouts += 1
@@ -143,19 +148,20 @@ class FmSession:
                 yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
         raise RequestTimeoutError(
             f"{request.op} got no response within {attempts} attempt(s) "
-            f"of {policy.deadline_s * 1e6:.0f} us each"
+            f"of {deadline_s * 1e6:.0f} us each"
         )
 
     def _collect(self, request: Request, wire,
-                 deadline_s: float) -> Generator:
-        """Gather segments for ``wire`` until END, or ``_TIMED_OUT``."""
+                 deadline_s: Optional[float]) -> Generator:
+        """Gather segments for ``wire`` until END, or ``_TIMED_OUT`` once
+        ``deadline_s`` (None: no deadline) has passed."""
         sim = self.sim
-        deadline = sim.now + deadline_s
+        deadline = None if deadline_s is None else sim.now + deadline_s
         results: List[Tuple[Rect, int]] = []
         count: Optional[int] = None
         while True:
             get = self._segments.get()
-            if get._ok is not None:
+            if get._ok is not None or deadline is None:
                 segment = yield get
             else:
                 remaining = deadline - sim.now
@@ -177,35 +183,6 @@ class FmSession:
                 if segment.last:
                     self._abandoned.discard(segment.req_id)
                 continue
-            results.extend(segment.results)
-            if segment.count is not None:
-                count = segment.count
-            if segment.last:
-                break
-        return self._finish(request, results, count, segment.ok)
-
-    def _execute_blocking(self, request: Request) -> Generator:
-        """The no-policy path: block on the ring, wait unboundedly.
-
-        Kept separate (and identical to the pre-resilience behaviour, a
-        strict mismatch still being an error) so fault-free experiments
-        pay nothing for the retry machinery.
-        """
-        wire = self._make_wire(request)
-        # Ring-buffer flow control, then the actual RDMA Write (w/ IMM in
-        # event mode).  The client continues once the write is acknowledged.
-        yield from self.conn.request_ring.reserve(wire)
-        yield self.conn.client_post_request(wire)
-
-        results: List[Tuple[Rect, int]] = []
-        count: Optional[int] = None
-        while True:
-            segment: ResponseSegment = yield self._segments.get()
-            if segment.req_id != wire.req_id:
-                raise RuntimeError(
-                    f"segment for {segment.req_id} while awaiting "
-                    f"{wire.req_id} (clients are synchronous)"
-                )
             results.extend(segment.results)
             if segment.count is not None:
                 count = segment.count

@@ -46,7 +46,8 @@ HWM_UNKNOWN = -1
 
 @dataclass(frozen=True)
 class NodeCacheConfig:
-    """Tunables for the client-side node cache (disabled by default).
+    """Tunables for the client-side node cache; a deployment without a
+    config (``node_cache=None``) runs without a cache.
 
     ``max_nodes`` bounds client memory; the upper levels of even a
     large tree are small (fanout 64: height-4 holds the whole non-leaf
@@ -54,7 +55,6 @@ class NodeCacheConfig:
     them while LRU evicts cold subtrees under pressure.
     """
 
-    enabled: bool = True
     max_nodes: int = 512
 
     def __post_init__(self):

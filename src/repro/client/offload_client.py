@@ -492,11 +492,6 @@ class OffloadEngine(OneSidedReader):
     counter_fields = ("meta_reads", "stale_root_detections",
                       "chunks_fetched", "moved_entry_restarts")
 
-    def __init__(self, *args, cache: Optional[NodeCache] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        if cache is not None:
-            self.attach_cache(cache)
-
     def attach_cache(self, cache: NodeCache) -> None:
         """Enable the client-side node cache (and read coalescing)."""
         self.cache = cache

@@ -16,6 +16,12 @@ heartbeat stream:
 
 from __future__ import annotations
 
+#: Weight of the newest heartbeat in :class:`EwmaPredictor`'s average.
+EWMA_ALPHA = 0.5
+#: Multiple of the last heartbeat-to-heartbeat change that
+#: :class:`TrendPredictor` adds to the newest reading.
+TREND_GAIN = 1.0
+
 
 def most_recent(u_serv: float) -> float:
     """The paper's default: predict with the latest reading."""
@@ -23,12 +29,10 @@ def most_recent(u_serv: float) -> float:
 
 
 class EwmaPredictor:
-    """Exponentially weighted moving average of the heartbeat stream."""
+    """Exponentially weighted moving average of the heartbeat stream
+    (weight :data:`EWMA_ALPHA` on the newest reading)."""
 
-    def __init__(self, alpha: float = 0.5):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self):
         self._estimate: float = 0.0
         self._seen_any = False
 
@@ -38,7 +42,7 @@ class EwmaPredictor:
             self._seen_any = True
         else:
             self._estimate = (
-                self.alpha * u_serv + (1.0 - self.alpha) * self._estimate
+                EWMA_ALPHA * u_serv + (1.0 - EWMA_ALPHA) * self._estimate
             )
         return self._estimate
 
@@ -48,17 +52,14 @@ class EwmaPredictor:
 
 
 class TrendPredictor:
-    """Linear extrapolation: ``u + gain * (u - previous)``, clamped.
+    """Linear extrapolation: ``u + TREND_GAIN * (u - previous)``, clamped.
 
     A rising utilization curve predicts *above* the latest reading, so
     clients start offloading one heartbeat earlier; a falling curve
     predicts below, so they return to fast messaging sooner.
     """
 
-    def __init__(self, gain: float = 1.0):
-        if gain < 0.0:
-            raise ValueError(f"gain must be >= 0, got {gain}")
-        self.gain = gain
+    def __init__(self):
         self._previous: float = 0.0
         self._seen_any = False
 
@@ -67,7 +68,7 @@ class TrendPredictor:
             self._seen_any = True
             prediction = u_serv
         else:
-            prediction = u_serv + self.gain * (u_serv - self._previous)
+            prediction = u_serv + TREND_GAIN * (u_serv - self._previous)
         self._previous = u_serv
         return min(max(prediction, 0.0), 1.0)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from ..obs.registry import Counter
 from ..sim.kernel import Simulator
@@ -42,20 +41,27 @@ OFFLOAD_SEARCH_RESTARTS = 8
 OFFLOAD_RETRY_BACKOFF = 1e-6
 
 
+#: Growth of the fast-messaging retry backoff per failed attempt, and
+#: its relative jitter: the wait after failed attempt ``n`` is
+#: ``backoff_base_s * BACKOFF_FACTOR**n``, scaled by a uniform draw from
+#: ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]``.
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deadline + retry tunables for fast-messaging requests.
 
-    One *attempt* is: reserve ring space (bounded by
-    :attr:`reserve_timeout_s`), post the write, then wait up to
-    :attr:`deadline_s` for the complete response.  A failed attempt backs
-    off ``backoff_base_s * backoff_factor**attempt``, jittered by
-    ``+/- backoff_jitter`` relative, before the next try.
+    One *attempt* is: reserve ring space and post the write, then wait
+    for the complete response; the reservation and the wait are each
+    bounded by :attr:`deadline_s`.  A failed attempt backs off (see
+    :data:`BACKOFF_FACTOR`) before the next try.
 
-    Writes are not retried unless :attr:`retry_writes` is set: a timed-out
-    insert may have executed on the server (the response, not the request,
-    may be what got delayed), and blindly re-sending would double-apply
-    it.  Reads are idempotent, so they always get the full budget.
+    A write gets one attempt: a timed-out insert may have executed on
+    the server (the response, not the request, may be what got delayed),
+    and blindly re-sending would double-apply it.  Reads are idempotent,
+    so they get the full budget.
 
     The offload path's budgets live here too, so a bounded-retry
     invariant reads every bound from one object: a scenario that wants
@@ -66,12 +72,6 @@ class RetryPolicy:
     deadline_s: float = 2e-3
     max_attempts: int = 4
     backoff_base_s: float = 50e-6
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5
-    retry_writes: bool = False
-    #: Bound on the ring-space wait per attempt; None means "use
-    #: ``deadline_s``" (the reservation is part of the attempt).
-    reserve_timeout_s: Optional[float] = None
     #: Re-reads of one torn chunk before the traversal restarts.
     offload_read_retries: int = OFFLOAD_READ_RETRIES
     #: Restarts from the root before the request fails (``OffloadError``).
@@ -84,12 +84,9 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
-        if not 0.0 <= self.backoff_jitter < 1.0:
+        if self.backoff_base_s < 0:
             raise ValueError(
-                f"jitter must be in [0, 1), got {self.backoff_jitter}"
-            )
+                f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
         if self.offload_read_retries < 1 or self.offload_search_restarts < 1:
             raise ValueError(
                 f"offload budgets must be >= 1, got "
@@ -97,23 +94,14 @@ class RetryPolicy:
                 f"{self.offload_search_restarts} search restarts"
             )
 
-    @property
-    def reserve_timeout(self) -> float:
-        return (self.reserve_timeout_s if self.reserve_timeout_s is not None
-                else self.deadline_s)
-
     def attempts_for(self, op: str, read_ops=READ_OPS) -> int:
-        """Retry budget for ``op`` (writes get one shot by default)."""
-        if op in read_ops or self.retry_writes:
-            return self.max_attempts
-        return 1
+        """Retry budget for ``op``: a write gets one attempt."""
+        return self.max_attempts if op in read_ops else 1
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """Jittered exponential delay before attempt ``attempt + 1``."""
-        base = self.backoff_base_s * self.backoff_factor ** attempt
-        if self.backoff_jitter:
-            base *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return base
+        base = self.backoff_base_s * BACKOFF_FACTOR ** attempt
+        return base * (1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
 
 # Circuit-breaker states.

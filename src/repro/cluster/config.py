@@ -14,6 +14,7 @@ from ..rtree.node import DEFAULT_MAX_ENTRIES
 from ..server.costs import DEFAULT_COSTS, CostModel
 from ..server.heartbeat import DEFAULT_HEARTBEAT_INTERVAL
 from ..traffic.config import TrafficConfig
+from ..workloads.mixes import WORKLOAD_KINDS
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ class ExperimentConfig:
     kv: KvMix = KvMix()
 
     # Workload.
-    # search | search-skewed | hybrid | churn | hybrid-skewed | mixed
-    # | queries
+    #: One of :data:`~repro.workloads.mixes.WORKLOAD_KINDS`.
     workload_kind: str = "search"
     scale: str = "0.00001"         # "0.00001" | "0.01" | "powerlaw"
     insert_fraction: float = 0.1
@@ -179,7 +179,7 @@ class ExperimentConfig:
     max_queue_depth: Optional[int] = None
 
     #: Client-side cache of internal node views for the offload path
-    #: (RDMAbox-style; see repro.client.node_cache).  None/disabled keeps
+    #: (RDMAbox-style; see repro.client.node_cache).  None keeps
     #: the engine byte-identical to the cache-less seed — the golden
     #: fingerprints are pinned on that default.
     node_cache: Optional[NodeCacheConfig] = None
@@ -208,9 +208,7 @@ class ExperimentConfig:
                 f"requests_per_client must be >= 1, got "
                 f"{self.requests_per_client}"
             )
-        if self.workload_kind not in ("search", "search-skewed", "hybrid",
-                                      "churn", "hybrid-skewed", "mixed",
-                                      "queries"):
+        if self.workload_kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload {self.workload_kind!r}")
         if self.index not in INDEXES:
             raise ValueError(

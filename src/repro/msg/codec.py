@@ -10,7 +10,7 @@ CONT/END type flags (paper Fig 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..rtree.geometry import Rect
@@ -38,6 +38,8 @@ RECT_SIZE = 32
 REQ_ID_SIZE = 8
 #: Result entry: rectangle + data id.
 RESULT_SIZE = RECT_SIZE + 8
+#: Wire footprint of a key-value PUT's value (the token itself is opaque).
+KV_VALUE_SIZE = 32
 #: Ring-buffer message header: size (u32) + type (u32).
 MSG_HEADER_SIZE = 8
 #: Maximum payload carried by one ring-buffer message; larger responses are
@@ -171,13 +173,11 @@ class KvPutRequest:
     req_id: int
     key: int
     value: int
-    #: Wire footprint of the value (the token itself is opaque).
-    value_size: int = 32
 
     msg_type = MSG_KV_PUT
 
     def payload_size(self) -> int:
-        return REQ_ID_SIZE + 8 + self.value_size
+        return REQ_ID_SIZE + 8 + KV_VALUE_SIZE
 
 
 @dataclass(frozen=True)

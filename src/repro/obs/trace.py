@@ -6,17 +6,16 @@ records the loss).  Instrumentation sites open a :class:`Span` per request
 and annotate its phases — for the adaptive client the canonical sequence
 is ``decide -> issue -> rtt* -> validate -> retry/restart -> end``.
 
-Tracing is opt-in twice over: components default to the no-op
-:data:`NULL_TRACER`, and a real tracer only records components that were
-:meth:`Tracer.enable`-d — so the hot path costs one set-membership test
-when tracing is off.
+Tracing is opt-in: components default to the no-op :data:`NULL_TRACER`,
+whose spans absorb every annotation, and a real tracer records every
+component.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 
 class TraceEvent:
@@ -112,51 +111,21 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Bounded collector of trace events, togglable per component."""
+    """Bounded collector of trace events."""
 
-    def __init__(self, sim, max_events: int = 65536,
-                 components: Tuple[str, ...] = ()):
+    def __init__(self, sim, max_events: int = 65536):
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.sim = sim
         self.max_events = max_events
         self._events: deque = deque(maxlen=max_events)
-        #: None means "every component"; otherwise the enabled set.
-        self._enabled: Optional[set] = set(components) if components else None
         self._span_ids = itertools.count(1)
         self.total_events = 0
-
-    # -- toggles -----------------------------------------------------------
-
-    def enable(self, *components: str) -> None:
-        """Restrict tracing to ``components`` (adds to the current set).
-
-        With no arguments, enables every component."""
-        if not components:
-            self._enabled = None
-            return
-        if self._enabled is None:
-            self._enabled = set()
-        self._enabled.update(components)
-
-    def disable(self, *components: str) -> None:
-        """Stop tracing ``components`` (all of them when called bare)."""
-        if not components:
-            self._enabled = set()
-            return
-        if self._enabled is None:
-            return  # "everything" minus a name is not representable; keep all
-        self._enabled.difference_update(components)
-
-    def is_enabled(self, component: str) -> bool:
-        return self._enabled is None or component in self._enabled
 
     # -- recording ---------------------------------------------------------
 
     def span(self, component: str, name: str, **attrs: Any):
-        """Open a span; returns :data:`NULL_SPAN` for disabled components."""
-        if not self.is_enabled(component):
-            return NULL_SPAN
+        """Open a span and record its ``begin`` event."""
         span = Span(self, component, next(self._span_ids), name)
         span.annotate("begin", op=name, **attrs)
         return span
@@ -203,15 +172,6 @@ class NullTracer:
     max_events = 0
     total_events = 0
     dropped_events = 0
-
-    def enable(self, *components: str) -> None:
-        pass
-
-    def disable(self, *components: str) -> None:
-        pass
-
-    def is_enabled(self, component: str) -> bool:
-        return False
 
     def span(self, component: str, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN

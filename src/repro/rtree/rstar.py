@@ -89,22 +89,13 @@ class RStarTree:
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_entries_override: Optional[int] = None,
         alloc_chunk: Optional[Callable[[], int]] = None,
         free_chunk: Optional[Callable[[int], None]] = None,
     ):
         if max_entries < 4:
             raise ValueError(f"max_entries must be >= 4, got {max_entries}")
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries_override
-            if min_entries_override is not None
-            else min_entries(max_entries)
-        )
-        if not 2 <= self.min_entries <= max_entries // 2:
-            raise ValueError(
-                f"min_entries {self.min_entries} outside [2, {max_entries // 2}]"
-            )
+        self.min_entries = min_entries(max_entries)
         self._counter = itertools.count()
         self._alloc_chunk = alloc_chunk or (lambda: next(self._counter))
         self._free_chunk = free_chunk or (lambda chunk_id: None)

@@ -78,8 +78,7 @@ class SessionFactory:
             tracer=self.tracer,
         )
         cache_cfg = getattr(config, "node_cache", None)
-        if (isinstance(engine, OffloadEngine) and cache_cfg is not None
-                and cache_cfg.enabled):
+        if isinstance(engine, OffloadEngine) and cache_cfg is not None:
             cache = NodeCache(cache_cfg)
             engine.attach_cache(cache)
             # Heartbeat-piggybacked invalidation hints land in this

@@ -45,6 +45,12 @@ PATH_OFFLOAD = "offload"
 FAST_MESSAGING = "fm"
 OFFLOADING = "offload"
 
+#: :class:`BanditPolicy`'s exploration rate (share of decisions that
+#: pick an arm at random), and the weight of the newest sample in each
+#: arm's latency average.
+BANDIT_EPSILON = 0.1
+BANDIT_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class AdaptiveParams:
@@ -305,21 +311,11 @@ class BanditPolicy(PathPolicy):
     name = "bandit"
     trace_component = "bandit"
 
-    def __init__(
-        self,
-        epsilon: float = 0.1,
-        alpha: float = 0.3,
-        rng: Optional[random.Random] = None,
-    ):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.epsilon = epsilon
+    def __init__(self, rng: Optional[random.Random] = None):
         self.rng = rng or random.Random(0)
         self.estimates = {
-            FAST_MESSAGING: LatencyEstimate(alpha),
-            OFFLOADING: LatencyEstimate(alpha),
+            FAST_MESSAGING: LatencyEstimate(BANDIT_ALPHA),
+            OFFLOADING: LatencyEstimate(BANDIT_ALPHA),
         }
         self.explorations = 0
         self.mode_counts = {FAST_MESSAGING: 0, OFFLOADING: 0}
@@ -334,7 +330,7 @@ class BanditPolicy(PathPolicy):
             return FAST_MESSAGING
         if off_est.value is None:
             return OFFLOADING
-        if self.rng.random() < self.epsilon:
+        if self.rng.random() < BANDIT_EPSILON:
             self.explorations += 1
             return self.rng.choice((FAST_MESSAGING, OFFLOADING))
         return (FAST_MESSAGING if fm_est.value <= off_est.value

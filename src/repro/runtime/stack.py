@@ -107,8 +107,7 @@ class ServerStack:
                 # are pinned on it).
                 mut_seq_fn = (
                     (lambda: self.server.tree.mut_hwm)
-                    if cache_cfg is not None and cache_cfg.enabled
-                    and spec.index == "rtree"
+                    if cache_cfg is not None and spec.index == "rtree"
                     else None
                 )
                 self.heartbeats = HeartbeatService(

@@ -289,7 +289,8 @@ class ScatterGatherRouter:
         )
 
     def _sub_query(self, shard_id: int, request: Request) -> Generator:
-        """One direct sub-query (the write path); returns (status, reply)."""
+        """One sub-query to ``shard_id``; returns (status, reply), a
+        timeout or offload error being a status, not an exception."""
         self.router_stats.subqueries_issued += 1
         try:
             reply = yield from self.sessions[shard_id].execute(request)
@@ -369,29 +370,18 @@ class ScatterGatherRouter:
     def _gather(self, shard_id: int, request: Request,
                 statuses: Dict[int, str],
                 replies: List[Tuple[int, object]]) -> Generator:
-        """One shard's sub-query; outcomes are data, not exceptions."""
-        self.router_stats.subqueries_issued += 1
-        session = self.sessions[shard_id]
-        breaker = (self.breakers[shard_id]
-                   if self.breakers is not None else None)
-        try:
-            reply = yield from session.execute(request)
-        except RequestTimeoutError:
-            statuses[shard_id] = TIMEOUT
-            self.router_stats.shard_timeouts += 1
-            if breaker is not None:
+        """One shard's scattered sub-query: record its status and reply,
+        and feed the shard's breaker."""
+        status, reply = yield from self._sub_query(shard_id, request)
+        statuses[shard_id] = status
+        if status == OK:
+            replies.append((shard_id, reply))
+        if self.breakers is not None:
+            breaker = self.breakers[shard_id]
+            if status == OK:
+                breaker.record_success()
+            else:
                 breaker.record_failure()
-            return
-        except OffloadError:
-            statuses[shard_id] = OFFLOAD_ERROR
-            self.router_stats.shard_offload_errors += 1
-            if breaker is not None:
-                breaker.record_failure()
-            return
-        statuses[shard_id] = OK
-        replies.append((shard_id, reply))
-        if breaker is not None:
-            breaker.record_success()
 
     # -- merge --------------------------------------------------------------
 

@@ -13,6 +13,10 @@ from typing import Optional, Tuple
 
 ARRIVAL_KINDS = ("poisson", "diurnal", "flash-crowd")
 
+#: Depth of the mux admission token bucket: arrivals it admits back to
+#: back at ``admit_rate`` before the bucket runs dry.
+ADMIT_BURST = 64
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -48,10 +52,10 @@ class TrafficConfig:
     #: Shared sessions (QPs) the connection mux multiplexes every
     #: aggregate onto, per deployment (RDMAvisor-style).
     sessions: int = 4
-    #: Token-bucket admission rate at the mux front-end; None disables
-    #: the bucket (watermark-only admission).
+    #: Token-bucket admission rate at the mux front-end (bucket depth
+    #: :data:`ADMIT_BURST`); None disables the bucket (watermark-only
+    #: admission).
     admit_rate: Optional[float] = None
-    admit_burst: int = 64
     #: Mux queue-depth shed threshold (jobs waiting for a session).
     queue_watermark: int = 512
 
@@ -98,9 +102,6 @@ class TrafficConfig:
         if self.admit_rate is not None and self.admit_rate <= 0:
             raise ValueError(
                 f"admit_rate must be > 0 or None, got {self.admit_rate}")
-        if self.admit_burst < 1:
-            raise ValueError(
-                f"admit_burst must be >= 1, got {self.admit_burst}")
         if self.queue_watermark < 1:
             raise ValueError(
                 f"queue_watermark must be >= 1, got {self.queue_watermark}")

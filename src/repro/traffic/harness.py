@@ -38,7 +38,7 @@ from ..sim.monitor import LatencyRecorder
 from ..workloads.scales import scale_generator
 from .aggregate import AggregateClient
 from .arrivals import aggregate_generator
-from .config import TrafficConfig
+from .config import ADMIT_BURST, TrafficConfig
 from .mux import ConnectionMux, TokenBucket
 
 #: Simulated slack past the offered window for the backlog to drain.
@@ -173,8 +173,7 @@ class TrafficRunner:
 
         bucket = None
         if self.traffic.admit_rate is not None:
-            bucket = TokenBucket(self.traffic.admit_rate,
-                                 self.traffic.admit_burst)
+            bucket = TokenBucket(self.traffic.admit_rate, ADMIT_BURST)
         self.mux = ConnectionMux(
             self.sim, self.sessions, self.traffic.queue_watermark,
             bucket=bucket, record=record,

@@ -174,14 +174,13 @@ class QpEndpoint:
         network: Network,
         local: Host,
         remote: Host,
-        cq: Optional[CompletionQueue] = None,
         name: str = "qp",
     ):
         self.sim = sim
         self.network = network
         self.local = local
         self.remote = remote
-        self.cq = cq or CompletionQueue(sim, name=f"{name}.cq")
+        self.cq = CompletionQueue(sim, name=f"{name}.cq")
         self.name = name
         profile = network.profile
         #: Software cost of one doorbell (WQE build + MMIO), seconds.

@@ -9,12 +9,11 @@ from .datasets import (
 )
 from .mixes import (
     INSERT_ID_BASE,
-    churn_mix,
+    WORKLOAD_KINDS,
     make_workload,
     query_stream,
-    search_insert_mix,
-    search_only,
-    skewed_hybrid_mix,
+    search_stream,
+    write_mix,
 )
 from .skew import (
     HotspotQueries,
@@ -46,12 +45,11 @@ __all__ = [
     "skewed_insert_rect",
     "uniform_dataset",
     "INSERT_ID_BASE",
-    "churn_mix",
+    "WORKLOAD_KINDS",
     "make_workload",
     "query_stream",
-    "search_insert_mix",
-    "search_only",
-    "skewed_hybrid_mix",
+    "search_stream",
+    "write_mix",
     "HotspotQueries",
     "ZipfSampler",
     "zipf_sample",

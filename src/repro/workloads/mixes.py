@@ -12,6 +12,7 @@ The §VI B+tree and cuckoo indexes run :func:`kv_mix` instead.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, List, Sequence
 
 from ..btree import OP_GET, OP_PUT, OP_SCAN, KvRequest
@@ -26,7 +27,7 @@ from ..client.base import (
 from ..rtree.geometry import Rect
 from .datasets import skewed_insert_rect
 from .scales import scale_generator
-from .skew import ZipfSampler
+from .skew import HotspotQueries, ZipfSampler
 
 #: Inserted rectangles get ids far above any dataset id.
 INSERT_ID_BASE = 1 << 40
@@ -35,79 +36,50 @@ INSERT_ID_BASE = 1 << 40
 SCAN_SPAN = 200
 
 
-def search_only(
-    rng: random.Random, scale_gen, n_requests: int
-) -> List[Request]:
-    """The 100%-search workload."""
-    return [
-        Request(OP_SEARCH, scale_gen.next_rect(rng))
-        for _ in range(n_requests)
-    ]
+#: One rectangle per call, drawn from the client's generator.
+RectSource = Callable[[random.Random], Rect]
 
 
-def skewed_search_only(
-    rng: random.Random, scale_gen, hotspots, n_requests: int
-) -> List[Request]:
-    """100% search with Zipf-hotspot query centres.
+def search_stream(rng: random.Random, next_rect: RectSource,
+                  n_requests: int) -> List[Request]:
+    """100% search over rectangles drawn from ``next_rect``.
 
-    The skew regime of the paper's intro ("further aggravated by skew
-    access patterns in real workloads"): a few regions absorb most of the
-    load, which on a sharded plane melts the shard owning them — the
-    workload the rebalance controller exists for.
+    With Zipf-hotspot centres this is the skew regime of the paper's
+    intro ("further aggravated by skew access patterns in real
+    workloads"): a few regions absorb most of the load, which on a
+    sharded plane melts the shard owning them — the workload the
+    rebalance controller exists for.
     """
-    return [
-        Request(OP_SEARCH, hotspots.next_rect(rng, scale_gen))
-        for _ in range(n_requests)
-    ]
+    return [Request(OP_SEARCH, next_rect(rng)) for _ in range(n_requests)]
 
 
-def search_insert_mix(
+def write_mix(
     rng: random.Random,
     scale_gen,
+    next_rect: RectSource,
     n_requests: int,
     client_id: int,
     insert_fraction: float = 0.1,
+    delete_fraction: float = 0.0,
 ) -> List[Request]:
-    """The hybrid workload: 90% search, 10% skewed-location insert.
+    """Searches over ``next_rect`` mixed with inserts and deletes.
 
-    Per the paper, insert rectangles use the same scale distribution as
-    the searches, but their locations follow the corner power law.
+    Per the paper (Figs 12/13), an insert rectangle takes its size from
+    ``scale_gen`` but its location from the corner power law.  A delete
+    targets one of this client's own earlier inserts, so on a
+    synchronous client it is guaranteed to exist when it runs; with
+    deletes as frequent as inserts the tree size stays roughly stable
+    (the churn workload).  Each request draws one roll: below
+    ``insert_fraction`` it inserts, below ``insert_fraction +
+    delete_fraction`` it deletes, else it searches; a delete roll while
+    the client has no live insert also searches.
     """
-    if not 0.0 <= insert_fraction <= 1.0:
-        raise ValueError(f"insert_fraction {insert_fraction} outside [0, 1]")
-    requests: List[Request] = []
-    next_insert_id = INSERT_ID_BASE + (client_id << 24)
-    for _ in range(n_requests):
-        if rng.random() < insert_fraction:
-            template = scale_gen.next_rect(rng)
-            scale = max(template.width, template.height, 1e-9)
-            rect = skewed_insert_rect(rng, scale)
-            requests.append(Request(OP_INSERT, rect, data_id=next_insert_id))
-            next_insert_id += 1
-        else:
-            requests.append(Request(OP_SEARCH, scale_gen.next_rect(rng)))
-    return requests
-
-
-def churn_mix(
-    rng: random.Random,
-    scale_gen,
-    n_requests: int,
-    client_id: int,
-    insert_fraction: float = 0.1,
-    delete_fraction: float = 0.1,
-) -> List[Request]:
-    """Search/insert/delete churn: deletes target this client's own
-    earlier inserts (so they are guaranteed to exist at execution time on
-    a synchronous client), keeping the tree size roughly stable."""
     if insert_fraction < 0 or delete_fraction < 0 or (
         insert_fraction + delete_fraction > 1.0
     ):
         raise ValueError(
             f"bad fractions insert={insert_fraction} delete={delete_fraction}"
         )
-    from .datasets import skewed_insert_rect
-
     requests: List[Request] = []
     next_insert_id = INSERT_ID_BASE + (client_id << 24)
     live: List[Request] = []  # this client's not-yet-deleted inserts
@@ -127,43 +99,7 @@ def churn_mix(
                 Request(OP_DELETE, victim.rect, data_id=victim.data_id)
             )
         else:
-            requests.append(Request(OP_SEARCH, scale_gen.next_rect(rng)))
-    return requests
-
-
-def skewed_hybrid_mix(
-    rng: random.Random,
-    scale_gen,
-    n_requests: int,
-    client_id: int,
-    hotspots,
-    insert_fraction: float = 0.1,
-) -> List[Request]:
-    """Hybrid mix whose *searches* also cluster on Zipf hotspots.
-
-    The paper's intro: bottlenecks are "further aggravated by skew access
-    patterns in real workloads".  Searches here pile onto the same few
-    regions, colliding with the corner-skewed insert stream — which shows
-    up as lock contention on the server path and torn-read retries on the
-    offload path.
-    """
-    if not 0.0 <= insert_fraction <= 1.0:
-        raise ValueError(f"insert_fraction {insert_fraction} outside [0, 1]")
-    from .datasets import skewed_insert_rect
-
-    requests: List[Request] = []
-    next_insert_id = INSERT_ID_BASE + (client_id << 24)
-    for _ in range(n_requests):
-        if rng.random() < insert_fraction:
-            template = scale_gen.next_rect(rng)
-            scale = max(template.width, template.height, 1e-9)
-            rect = skewed_insert_rect(rng, scale)
-            requests.append(Request(OP_INSERT, rect, data_id=next_insert_id))
-            next_insert_id += 1
-        else:
-            requests.append(
-                Request(OP_SEARCH, hotspots.next_rect(rng, scale_gen))
-            )
+            requests.append(Request(OP_SEARCH, next_rect(rng)))
     return requests
 
 
@@ -257,6 +193,18 @@ def batch_runs(requests: Sequence[Request], batch_size: int):
 
 WorkloadFn = Callable[[int, random.Random], List[Request]]
 
+#: The rectangle workload kinds :func:`make_workload` builds, and what
+#: one client's stream holds.
+WORKLOAD_KINDS = {
+    "search": "100% search",
+    "search-skewed": "100% search centred on Zipf hotspots",
+    "hybrid": "search + insert_fraction corner-skewed inserts (Figs 12/13)",
+    "hybrid-skewed": "hybrid, its searches centred on Zipf hotspots",
+    "churn": "hybrid + as many deletes of the client's own inserts",
+    "mixed": "read-only range search, window count and kNN",
+    "queries": "searches sampled from a fixed query set (rea02, Fig 14)",
+}
+
 
 def make_workload(
     kind: str,
@@ -265,47 +213,32 @@ def make_workload(
     insert_fraction: float = 0.1,
     queries: Sequence[Rect] = (),
 ) -> WorkloadFn:
-    """Build a per-client workload factory.
+    """Build a per-client workload factory for one of
+    :data:`WORKLOAD_KINDS`.
 
-    ``kind`` is one of ``search`` (100% search), ``hybrid`` (90/10) or
-    ``queries`` (fixed query set).  The returned callable takes
-    ``(client_id, rng)`` and produces that client's request list.
+    The returned callable takes ``(client_id, rng)`` and produces that
+    client's request list.
     """
-    if kind == "search":
-        gen = scale_generator(scale_spec)
-        return lambda client_id, rng: search_only(rng, gen, n_requests)
-    if kind == "search-skewed":
-        from .skew import HotspotQueries
-        gen = scale_generator(scale_spec)
-        hotspots = HotspotQueries(seed=0)  # shared across all clients
-        return lambda client_id, rng: skewed_search_only(
-            rng, gen, hotspots, n_requests
-        )
-    if kind == "hybrid":
-        gen = scale_generator(scale_spec)
-        return lambda client_id, rng: search_insert_mix(
-            rng, gen, n_requests, client_id, insert_fraction
-        )
-    if kind == "churn":
-        gen = scale_generator(scale_spec)
-        return lambda client_id, rng: churn_mix(
-            rng, gen, n_requests, client_id, insert_fraction,
-            delete_fraction=insert_fraction,
-        )
-    if kind == "hybrid-skewed":
-        from .skew import HotspotQueries
-        gen = scale_generator(scale_spec)
-        hotspots = HotspotQueries(seed=0)  # shared across all clients
-        return lambda client_id, rng: skewed_hybrid_mix(
-            rng, gen, n_requests, client_id, hotspots, insert_fraction
-        )
-    if kind == "mixed":
-        gen = scale_generator(scale_spec)
-        return lambda client_id, rng: mixed_read_mix(rng, gen, n_requests)
+    if kind not in WORKLOAD_KINDS:
+        raise ValueError(f"unknown workload kind {kind!r}")
     if kind == "queries":
         frozen = list(queries)
         return lambda client_id, rng: query_stream(frozen, rng, n_requests)
-    raise ValueError(f"unknown workload kind {kind!r}")
+    gen = scale_generator(scale_spec)
+    if kind == "mixed":
+        return lambda client_id, rng: mixed_read_mix(rng, gen, n_requests)
+    next_rect: RectSource = gen.next_rect
+    if kind.endswith("-skewed"):
+        hotspots = HotspotQueries(seed=0)  # shared across all clients
+        next_rect = partial(hotspots.next_rect, scale_gen=gen)
+    if kind.startswith("search"):
+        return lambda client_id, rng: search_stream(rng, next_rect,
+                                                    n_requests)
+    delete_fraction = insert_fraction if kind == "churn" else 0.0
+    return lambda client_id, rng: write_mix(
+        rng, gen, next_rect, n_requests, client_id, insert_fraction,
+        delete_fraction,
+    )
 
 
 def make_kv_workload(keys: Sequence[int], mix,

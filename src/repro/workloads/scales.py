@@ -36,19 +36,13 @@ def power_law_sample(
     rng: random.Random,
     t_min: float = SCALE_SMALL,
     t_max: float = SCALE_LARGE,
-    alpha: float = POWER_LAW_ALPHA,
 ) -> float:
-    """Draw from the truncated power law ``f(t) ∝ t^-alpha`` on (t_min, t_max].
-
-    Uses inverse-CDF sampling; ``alpha != 1`` is assumed (the paper uses
-    0.99).
-    """
+    """Draw from the truncated power law ``f(t) ∝ t^-POWER_LAW_ALPHA`` on
+    (t_min, t_max], by inverse-CDF sampling."""
     if not 0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
-    if alpha == 1.0:
-        raise ValueError("alpha=1 needs the logarithmic form; use 0.99")
     u = rng.random()
-    exponent = 1.0 - alpha
+    exponent = 1.0 - POWER_LAW_ALPHA
     lo = t_min ** exponent
     hi = t_max ** exponent
     return (lo + u * (hi - lo)) ** (1.0 / exponent)
@@ -72,20 +66,14 @@ class FixedScale:
 class PowerLawScale:
     """The paper's skewed scale distribution f(t) ∝ t^-0.99."""
 
-    def __init__(
-        self,
-        t_min: float = SCALE_SMALL,
-        t_max: float = SCALE_LARGE,
-        alpha: float = POWER_LAW_ALPHA,
-    ):
+    def __init__(self, t_min: float = SCALE_SMALL, t_max: float = SCALE_LARGE):
         if not 0 < t_min < t_max:
             raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
         self.t_min = t_min
         self.t_max = t_max
-        self.alpha = alpha
 
     def next_rect(self, rng: random.Random) -> Rect:
-        scale = power_law_sample(rng, self.t_min, self.t_max, self.alpha)
+        scale = power_law_sample(rng, self.t_min, self.t_max)
         return uniform_scale_rect(rng, scale)
 
     def __repr__(self) -> str:

@@ -52,32 +52,30 @@ def zipf_sample(rng: random.Random, n: int, s: float = 1.0) -> int:
     return ZipfSampler(n, s).sample(rng)
 
 
-class HotspotQueries:
-    """Query rectangles clustered around Zipf-popular hotspots."""
+#: :class:`HotspotQueries` places this many hotspots, ranks their
+#: popularity by a Zipf law of this exponent, and scatters a query centre
+#: around its hotspot with this standard deviation (unit-square units).
+N_HOTSPOTS = 16
+HOTSPOT_ZIPF_S = 1.0
+HOTSPOT_SPREAD = 0.02
 
-    def __init__(
-        self,
-        n_hotspots: int = 16,
-        zipf_s: float = 1.0,
-        spread: float = 0.02,
-        seed: int = 0,
-    ):
-        if n_hotspots < 1:
-            raise ValueError(f"need >= 1 hotspot, got {n_hotspots}")
-        if spread <= 0:
-            raise ValueError(f"spread must be > 0, got {spread}")
+
+class HotspotQueries:
+    """Query rectangles clustered around Zipf-popular hotspots; ``seed``
+    places the hotspots."""
+
+    def __init__(self, seed: int = 0):
         placement = random.Random(seed)
         self.hotspots: List[Tuple[float, float]] = [
             (placement.random(), placement.random())
-            for _ in range(n_hotspots)
+            for _ in range(N_HOTSPOTS)
         ]
-        self.sampler = ZipfSampler(n_hotspots, zipf_s)
-        self.spread = spread
+        self.sampler = ZipfSampler(N_HOTSPOTS, HOTSPOT_ZIPF_S)
 
     def next_center(self, rng: random.Random) -> Tuple[float, float]:
         hx, hy = self.hotspots[self.sampler.sample(rng)]
-        x = min(max(rng.gauss(hx, self.spread), 0.0), 1.0)
-        y = min(max(rng.gauss(hy, self.spread), 0.0), 1.0)
+        x = min(max(rng.gauss(hx, HOTSPOT_SPREAD), 0.0), 1.0)
+        y = min(max(rng.gauss(hy, HOTSPOT_SPREAD), 0.0), 1.0)
         return x, y
 
     def next_rect(self, rng: random.Random, scale_gen) -> Rect:

@@ -7,15 +7,22 @@ import pytest
 from repro import AdaptiveParams, ExperimentConfig, run_experiment
 from repro.client.base import OP_DELETE, OP_INSERT, OP_SEARCH
 from repro.workloads import make_workload
-from repro.workloads.mixes import churn_mix
+from repro.workloads.mixes import write_mix
 from repro.workloads.scales import FixedScale
+
+
+def churn_mix(rng, n_requests, client_id, **fractions):
+    """A write mix (searches, inserts and deletes) at scale 0.001."""
+    gen = FixedScale(0.001)
+    return write_mix(rng, gen, gen.next_rect, n_requests, client_id,
+                     **fractions)
 
 
 class TestChurnMix:
     def test_fractions_roughly_hold(self):
         rng = random.Random(1)
-        reqs = churn_mix(rng, FixedScale(0.001), 3000, client_id=1,
-                         insert_fraction=0.15, delete_fraction=0.1)
+        reqs = churn_mix(rng, 3000, client_id=1, insert_fraction=0.15,
+                         delete_fraction=0.1)
         inserts = sum(1 for r in reqs if r.op == OP_INSERT)
         deletes = sum(1 for r in reqs if r.op == OP_DELETE)
         searches = sum(1 for r in reqs if r.op == OP_SEARCH)
@@ -25,7 +32,7 @@ class TestChurnMix:
 
     def test_every_delete_follows_its_insert(self):
         rng = random.Random(2)
-        reqs = churn_mix(rng, FixedScale(0.001), 2000, client_id=3,
+        reqs = churn_mix(rng, 2000, client_id=3,
                          insert_fraction=0.2, delete_fraction=0.2)
         live = set()
         for r in reqs:
@@ -37,7 +44,7 @@ class TestChurnMix:
 
     def test_no_double_deletes(self):
         rng = random.Random(3)
-        reqs = churn_mix(rng, FixedScale(0.001), 2000, client_id=3,
+        reqs = churn_mix(rng, 2000, client_id=3,
                          insert_fraction=0.2, delete_fraction=0.2)
         deleted = [r.data_id for r in reqs if r.op == OP_DELETE]
         assert len(deleted) == len(set(deleted))
@@ -45,7 +52,7 @@ class TestChurnMix:
     def test_fraction_validation(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            churn_mix(rng, FixedScale(0.001), 10, 0,
+            churn_mix(rng, 10, 0,
                       insert_fraction=0.6, delete_fraction=0.6)
 
     def test_make_workload_churn(self):

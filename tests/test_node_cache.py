@@ -47,8 +47,10 @@ def make_offload(n_items=1500, max_entries=16, cache=None, multi_issue=True,
     stats = ClientStats()
     engine = OffloadEngine(
         sim, client_qp, server.offload_descriptor(), server.costs, stats,
-        multi_issue=multi_issue, tracer=tracer, cache=cache,
+        multi_issue=multi_issue, tracer=tracer,
     )
+    if cache is not None:
+        engine.attach_cache(cache)
     return sim, server, engine, stats, client_qp
 
 
@@ -57,7 +59,7 @@ def make_offload(n_items=1500, max_entries=16, cache=None, multi_issue=True,
 def test_cache_config_validation():
     with pytest.raises(ValueError):
         NodeCacheConfig(max_nodes=0)
-    assert NodeCacheConfig().enabled
+    assert NodeCacheConfig().max_nodes == 512
 
 
 def test_cache_refuses_stores_before_first_hwm():

@@ -14,6 +14,7 @@ from repro.client import (
     most_recent,
 )
 from repro.client.base import READ_OPS
+from repro.client.predictors import EWMA_ALPHA, TREND_GAIN
 from repro.rtree import Rect
 from repro.runtime import (
     FAST_MESSAGING,
@@ -21,6 +22,7 @@ from repro.runtime import (
     BanditPolicy,
     PolicySession,
 )
+from repro.runtime.policy import BANDIT_ALPHA, BANDIT_EPSILON
 from repro.sim import Simulator
 
 RECT = Rect(0.1, 0.1, 0.2, 0.2)
@@ -31,51 +33,49 @@ class TestPredictors:
         assert most_recent(0.42) == 0.42
 
     def test_ewma_blends(self):
-        pred = EwmaPredictor(alpha=0.5)
+        pred = EwmaPredictor()
         assert pred(1.0) == 1.0          # first reading taken as-is
         assert pred(0.0) == 0.5          # 0.5*0 + 0.5*1
         assert pred(0.0) == 0.25
 
     def test_ewma_damps_spikes(self):
-        pred = EwmaPredictor(alpha=0.3)
+        pred = EwmaPredictor()
         for _ in range(10):
             pred(0.2)
         spiked = pred(1.0)
-        assert spiked < 0.5  # a single spike cannot cross a 0.95 threshold
+        assert spiked < 0.95  # a single spike cannot cross a 0.95 threshold
 
     def test_ewma_validation(self):
-        with pytest.raises(ValueError):
-            EwmaPredictor(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaPredictor(alpha=1.5)
+        """The smoothing weight stays in (0, 1]."""
+        assert 0.0 < EWMA_ALPHA <= 1.0
 
     def test_ewma_reset(self):
-        pred = EwmaPredictor(alpha=0.5)
+        pred = EwmaPredictor()
         pred(1.0)
         pred.reset()
         assert pred(0.4) == 0.4
 
     def test_trend_extrapolates_rising(self):
-        pred = TrendPredictor(gain=1.0)
+        pred = TrendPredictor()
         assert pred(0.5) == 0.5
         assert pred(0.7) == pytest.approx(0.9)  # 0.7 + (0.7 - 0.5)
 
     def test_trend_extrapolates_falling(self):
-        pred = TrendPredictor(gain=1.0)
+        pred = TrendPredictor()
         pred(0.9)
         assert pred(0.7) == pytest.approx(0.5)
 
     def test_trend_clamps(self):
-        pred = TrendPredictor(gain=2.0)
+        pred = TrendPredictor()
         pred(0.5)
-        assert pred(0.9) == 1.0
-        pred2 = TrendPredictor(gain=2.0)
+        assert pred(0.9) == 1.0     # 0.9 + 0.4
+        pred2 = TrendPredictor()
         pred2(0.5)
-        assert pred2(0.1) == 0.0
+        assert pred2(0.1) == 0.0    # 0.1 - 0.4
 
     def test_trend_validation(self):
-        with pytest.raises(ValueError):
-            TrendPredictor(gain=-1.0)
+        """A non-negative gain: a rising curve never predicts lower."""
+        assert TREND_GAIN >= 0.0
 
     def test_registry(self):
         assert make_predictor("latest") is most_recent
@@ -125,19 +125,16 @@ class TestBanditUnit:
         sim.run_until_triggered(done)
 
     def test_validation(self):
-        sim = Simulator()
-        fm = _FixedLatencyArm(sim, 1e-6)
-        engine = _FixedLatencyArm(sim, 1e-6)
-        with pytest.raises(ValueError):
-            bandit_session(sim, fm, engine, epsilon=1.5)
-        with pytest.raises(ValueError):
-            bandit_session(sim, fm, engine, alpha=0.0)
+        """The exploration rate is a probability; the smoothing weight
+        is in (0, 1]."""
+        assert 0.0 <= BANDIT_EPSILON <= 1.0
+        assert 0.0 < BANDIT_ALPHA <= 1.0
 
     def test_converges_to_faster_arm(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 100e-6)      # slow
         engine = _FixedLatencyArm(sim, 10e-6)   # fast
-        session = bandit_session(sim, fm, engine, epsilon=0.1,
+        session = bandit_session(sim, fm, engine,
                                  rng=random.Random(1))
         self._drive(session, sim, 200)
         assert session.policy.mode_counts[OFFLOADING] > \
@@ -147,7 +144,7 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = bandit_session(sim, fm, engine, epsilon=0.1,
+        session = bandit_session(sim, fm, engine,
                                  rng=random.Random(2))
         self._drive(session, sim, 200)
         assert session.policy.mode_counts[FAST_MESSAGING] > \
@@ -157,7 +154,7 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 10e-6)
-        session = bandit_session(sim, fm, engine, epsilon=0.3,
+        session = bandit_session(sim, fm, engine,
                                  rng=random.Random(3))
         self._drive(session, sim, 100)
         assert session.policy.mode_counts[FAST_MESSAGING] > 0
@@ -168,7 +165,7 @@ class TestBanditUnit:
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = bandit_session(sim, fm, engine, epsilon=0.15, alpha=0.5,
+        session = bandit_session(sim, fm, engine,
                                  rng=random.Random(4))
         self._drive(session, sim, 150)
         # flip the world: fm becomes slow

@@ -38,9 +38,7 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_jitter=1.0)
+            RetryPolicy(backoff_base_s=-1e-6)
         with pytest.raises(ValueError):
             RetryPolicy(offload_read_retries=0)
         with pytest.raises(ValueError):
@@ -55,12 +53,9 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=5)
         assert policy.attempts_for(OP_SEARCH) == 5
         assert policy.attempts_for(OP_INSERT) == 1
-        assert RetryPolicy(max_attempts=5,
-                           retry_writes=True).attempts_for(OP_INSERT) == 5
 
     def test_backoff_is_exponential_and_jitter_bounded(self):
-        policy = RetryPolicy(backoff_base_s=10e-6, backoff_factor=2.0,
-                             backoff_jitter=0.5)
+        policy = RetryPolicy(backoff_base_s=10e-6)
         rng = random.Random(1)
         for attempt in range(4):
             base = 10e-6 * 2.0 ** attempt
@@ -69,9 +64,23 @@ class TestRetryPolicy:
                 assert 0.5 * base <= delay <= 1.5 * base
 
     def test_reserve_timeout_defaults_to_deadline(self):
-        assert RetryPolicy(deadline_s=1e-3).reserve_timeout == 1e-3
-        assert RetryPolicy(deadline_s=1e-3,
-                           reserve_timeout_s=2e-4).reserve_timeout == 2e-4
+        """A ring reservation waits at most the attempt's deadline."""
+        policy = RetryPolicy(deadline_s=40e-6, max_attempts=1)
+        sim, _server, _fm_server, conn, fm, stats = _stack(retry=policy)
+        filler = SearchRequest(0, Rect(0, 0, 1, 1))
+        while conn.request_ring.try_reserve(filler):
+            pass  # reservations that never complete: a wedged sender
+        failed_at = []
+
+        def client():
+            with pytest.raises(RequestTimeoutError):
+                yield from fm.search(Rect(0, 0, 1, 1))
+            failed_at.append(sim.now)
+
+        proc = sim.process(client())
+        sim.run_until_triggered(proc, limit=1.0)
+        assert failed_at == [pytest.approx(40e-6)]
+        assert int(stats.ring_full_timeouts) == 1
 
 
 class TestCircuitBreaker:

@@ -54,11 +54,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             RStarTree(max_entries=3)
 
-    def test_min_entries_override_validation(self):
-        with pytest.raises(ValueError):
-            RStarTree(max_entries=8, min_entries_override=5)
-        with pytest.raises(ValueError):
-            RStarTree(max_entries=8, min_entries_override=1)
+    def test_min_entries_within_bounds(self):
+        """The minimum fill is 40% of capacity, and always a legal
+        R*-tree bound: at least 2, at most half the capacity."""
+        assert RStarTree(max_entries=8).min_entries == 3
+        for max_entries in range(4, 257):
+            tree = RStarTree(max_entries=max_entries)
+            assert 2 <= tree.min_entries <= max_entries // 2
 
     def test_duplicate_rects_allowed(self):
         tree = RStarTree(max_entries=8)

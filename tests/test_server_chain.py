@@ -198,8 +198,7 @@ _script = st.lists(st.tuples(st.integers(0, 12), _specs), max_size=12)
        shed=st.one_of(st.none(), st.integers(1, 2)),
        retry=st.one_of(st.none(), st.builds(
            RetryPolicy, deadline_s=st.sampled_from([25e-6, 60e-6]),
-           max_attempts=st.integers(1, 3), backoff_base_s=st.just(3e-6),
-           retry_writes=st.booleans())),
+           max_attempts=st.integers(1, 3), backoff_base_s=st.just(3e-6))),
        beat=st.one_of(st.none(), st.integers(3, 40)),
        scripts=st.lists(_script, min_size=1, max_size=6),
        crashes=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3),

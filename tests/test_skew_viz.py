@@ -9,6 +9,8 @@ from repro import ExperimentConfig, run_experiment
 from repro.viz import bar_chart, render_timeline, sparkline
 from repro.workloads.scales import FixedScale
 from repro.workloads.skew import (
+    HOTSPOT_SPREAD,
+    N_HOTSPOTS,
     HotspotQueries,
     ZipfSampler,
     zipf_sample,
@@ -59,7 +61,7 @@ class TestHotspots:
 
     def test_queries_cluster(self):
         """Most queries land near some hotspot (within a few spreads)."""
-        hotspots = HotspotQueries(n_hotspots=8, spread=0.01, seed=5)
+        hotspots = HotspotQueries(seed=5)
         rng = random.Random(6)
         gen = FixedScale(0.001)
         near = 0
@@ -68,12 +70,12 @@ class TestHotspots:
             cx, cy = r.center()
             d2 = min((cx - hx) ** 2 + (cy - hy) ** 2
                      for hx, hy in hotspots.hotspots)
-            if d2 < (4 * 0.01) ** 2:
+            if d2 < (4 * HOTSPOT_SPREAD) ** 2:
                 near += 1
         assert near / 500 > 0.9
 
     def test_top_hotspot_dominates(self):
-        hotspots = HotspotQueries(n_hotspots=8, spread=0.005, seed=7)
+        hotspots = HotspotQueries(seed=7)
         rng = random.Random(8)
         gen = FixedScale(0.0001)
         hits = Counter()
@@ -81,7 +83,7 @@ class TestHotspots:
             r = hotspots.next_rect(rng, gen)
             cx, cy = r.center()
             nearest = min(
-                range(8),
+                range(N_HOTSPOTS),
                 key=lambda i: (cx - hotspots.hotspots[i][0]) ** 2
                 + (cy - hotspots.hotspots[i][1]) ** 2,
             )
@@ -90,10 +92,9 @@ class TestHotspots:
         assert top_two / 2000 > 0.4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HotspotQueries(n_hotspots=0)
-        with pytest.raises(ValueError):
-            HotspotQueries(spread=0)
+        """The hotspot constants stay in the range a hotspot set needs."""
+        assert N_HOTSPOTS >= 1 and HOTSPOT_SPREAD > 0
+        assert len(HotspotQueries(seed=1).hotspots) == N_HOTSPOTS
 
     def test_skewed_hybrid_experiment_runs(self):
         result = run_experiment(ExperimentConfig(

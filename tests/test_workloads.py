@@ -1,5 +1,6 @@
 """Tests for workload and dataset generators."""
 
+import hashlib
 import math
 import random
 
@@ -15,12 +16,12 @@ from repro.workloads import (
     make_workload,
     power_law_sample,
     scale_generator,
-    search_insert_mix,
-    search_only,
+    search_stream,
     skewed_insert_center,
     skewed_insert_rect,
     uniform_dataset,
     uniform_scale_rect,
+    write_mix,
 )
 
 
@@ -60,8 +61,6 @@ class TestScales:
         rng = random.Random(0)
         with pytest.raises(ValueError):
             power_law_sample(rng, 1e-2, 1e-5)
-        with pytest.raises(ValueError):
-            power_law_sample(rng, 1e-5, 1e-2, alpha=1.0)
 
     def test_scale_generator_parsing(self):
         assert isinstance(scale_generator("0.00001"), FixedScale)
@@ -184,17 +183,23 @@ class TestRea02:
         assert sum(1 for c in counts if c > 0) == len(counts)
 
 
+def hybrid_mix(rng, n_requests, client_id, **fractions):
+    """A write mix with searches and inserts at scale 0.001."""
+    gen = FixedScale(0.001)
+    return write_mix(rng, gen, gen.next_rect, n_requests, client_id,
+                     **fractions)
+
+
 class TestMixes:
     def test_search_only(self):
         rng = random.Random(1)
-        reqs = search_only(rng, FixedScale(0.001), 50)
+        reqs = search_stream(rng, FixedScale(0.001).next_rect, 50)
         assert len(reqs) == 50
         assert all(r.op == OP_SEARCH for r in reqs)
 
     def test_hybrid_fraction(self):
         rng = random.Random(2)
-        reqs = search_insert_mix(rng, FixedScale(0.001), 2000, client_id=3,
-                                 insert_fraction=0.1)
+        reqs = hybrid_mix(rng, 2000, client_id=3, insert_fraction=0.1)
         inserts = [r for r in reqs if r.op == OP_INSERT]
         assert 0.05 < len(inserts) / len(reqs) < 0.15
         ids = [r.data_id for r in inserts]
@@ -202,8 +207,8 @@ class TestMixes:
 
     def test_hybrid_ids_disjoint_across_clients(self):
         rng1, rng2 = random.Random(3), random.Random(3)
-        a = search_insert_mix(rng1, FixedScale(0.001), 500, client_id=1)
-        b = search_insert_mix(rng2, FixedScale(0.001), 500, client_id=2)
+        a = hybrid_mix(rng1, 500, client_id=1)
+        b = hybrid_mix(rng2, 500, client_id=2)
         ids_a = {r.data_id for r in a if r.op == OP_INSERT}
         ids_b = {r.data_id for r in b if r.op == OP_INSERT}
         assert not ids_a & ids_b
@@ -211,8 +216,7 @@ class TestMixes:
     def test_hybrid_fraction_validation(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            search_insert_mix(rng, FixedScale(0.001), 10, 0,
-                              insert_fraction=1.5)
+            hybrid_mix(rng, 10, 0, insert_fraction=1.5)
 
     def test_make_workload_kinds(self):
         search_fn = make_workload("search", scale_spec="0.01", n_requests=10)
@@ -235,3 +239,51 @@ class TestMixes:
         from repro.workloads import query_stream
         with pytest.raises(ValueError):
             query_stream([], random.Random(0), 5)
+
+
+def _stream_digest(requests) -> str:
+    """A digest of a request stream, exact to the last float bit."""
+    h = hashlib.sha256()
+    for r in requests:
+        rects = [r.rect] + ([r.new_rect] if r.new_rect is not None else [])
+        h.update(repr((
+            r.op, r.data_id, r.k,
+            [(q.minx.hex(), q.miny.hex(), q.maxx.hex(), q.maxy.hex())
+             for q in rects],
+        )).encode())
+    return h.hexdigest()[:16]
+
+
+#: (kind, scale spec) -> digests of ``make_workload(kind, ...)(client, rng)``
+#: for (seed, client) in STREAM_CASES.  A change to any mix's draw order,
+#: draw count or arithmetic moves a digest.
+STREAM_CASES = ((3, 0), (3, 5), (7, 0), (7, 5))
+STREAM_DIGESTS = {
+    ("search", "powerlaw"): ("04830af9239472ac", "04830af9239472ac",
+                             "731c58058820a553", "731c58058820a553"),
+    ("search-skewed", "0.001"): ("e99add8203900de8", "e99add8203900de8",
+                                 "ea9110408367ee90", "ea9110408367ee90"),
+    ("hybrid", "powerlaw"): ("606bb2f4e8a3f004", "6dd30c9e6f763ede",
+                             "3e613fd1b4641dea", "e51586c544ed001e"),
+    ("hybrid-skewed", "0.001"): ("863b0f1b786cc058", "159da60bc2b3bb7c",
+                                 "6382a79435595419", "d4306a6f7abb44fc"),
+    ("churn", "0.001"): ("550191404f11bf3c", "b38c12763ae78aa2",
+                         "9f397c431feea807", "3481e28f2a6bef4b"),
+    ("mixed", "0.02"): ("5b415068e7f796e8", "5b415068e7f796e8",
+                        "4f1bfd99ca5a4524", "4f1bfd99ca5a4524"),
+    ("queries", "0.00001"): ("8f619794ecca880b", "8f619794ecca880b",
+                             "6742798cd106a2e7", "6742798cd106a2e7"),
+}
+
+
+class TestStreamDigests:
+    @pytest.mark.parametrize("kind,scale", sorted(STREAM_DIGESTS))
+    def test_stream_is_pinned(self, kind, scale):
+        queries = [Rect(i / 10, i / 20, i / 10 + 0.05, i / 20 + 0.05)
+                   for i in range(7)]
+        workload = make_workload(kind, scale_spec=scale, n_requests=300,
+                                 insert_fraction=0.2, queries=queries)
+        digests = tuple(
+            _stream_digest(workload(client_id, random.Random(seed)))
+            for seed, client_id in STREAM_CASES)
+        assert digests == STREAM_DIGESTS[kind, scale]
