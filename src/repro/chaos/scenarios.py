@@ -68,8 +68,7 @@ SCENARIOS: Dict[str, Scenario] = {
             "nic-read-stall",
             "server NIC adds 10us to every one-sided read it serves",
             FaultPlan((
-                NicReadStall(FAULT_START, FAULT_END, host="server",
-                             stall_s=10e-6),
+                NicReadStall(FAULT_START, FAULT_END, stall_s=10e-6),
             )),
             plain.judge("nic-stalls"),
         ),
@@ -188,8 +187,7 @@ SCENARIOS: Dict[str, Scenario] = {
                           loss_prob=0.15, retransmit_delay_s=30e-6),
                 HeartbeatBlackout(FAULT_START, FAULT_START + 2 * _THIRD),
                 WorkerCrash(FAULT_START + _THIRD, FAULT_END, conn_ids=(0,)),
-                NicReadStall(FAULT_START + _THIRD, FAULT_END, host="server",
-                             stall_s=5e-6),
+                NicReadStall(FAULT_START + _THIRD, FAULT_END, stall_s=5e-6),
             )),
             plain.judge("packets-dropped", "beats-blacked-out",
                         "workers-crashed"),

@@ -14,7 +14,7 @@ from ..msg.codec import (
     SearchRequest,
     UpdateRequest,
 )
-from ..obs.registry import Counter, LatencyView, MetricsRegistry
+from ..obs.registry import Counter
 from ..rtree.geometry import Rect
 from ..sim.monitor import LatencyRecorder
 
@@ -106,7 +106,7 @@ class ClientStats:
     The counters are :class:`~repro.obs.registry.Counter` objects — they
     behave exactly like ints (``stats.torn_retries += 1`` and comparisons
     keep working) while a :class:`~repro.obs.registry.MetricsRegistry`
-    can adopt them via :meth:`register_into` and observe live values.
+    can adopt them and observe live values.
     """
 
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
@@ -136,21 +136,6 @@ class ClientStats:
     def offload_fraction(self) -> float:
         total = self.fast_messaging_requests + self.offloaded_requests
         return self.offloaded_requests / total if total else 0.0
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "client") -> None:
-        """Adopt every counter (and latency percentile views) into
-        ``registry`` under ``prefix``."""
-        for name in CLIENT_COUNTER_FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
-        registry.adopt(
-            f"{prefix}.latency_us",
-            LatencyView(self.latency, scale=1e6, unit="us"),
-        )
-        registry.adopt(
-            f"{prefix}.search_latency_us",
-            LatencyView(self.search_latency, scale=1e6, unit="us"),
-        )
 
 
 class RequestIdAllocator:

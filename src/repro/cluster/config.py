@@ -141,13 +141,14 @@ class ExperimentConfig:
     #: routes the run through ``repro.shard.deploy``.
     n_shards: Optional[int] = None
 
-    #: Elastic shard plane: when set, the sharded runner
-    #: shares one live epoch-versioned shard map across all clients,
-    #: routes reads epoch-aware, and starts a
-    #: :class:`~repro.shard.rebalance.RebalanceController` driving tile
-    #: split/merge and live item migration as background work.  None —
-    #: the default every scheme and chaos golden fingerprint is pinned
-    #: on — keeps the static per-client map copies of PR 4.
+    #: Elastic shard plane.  Every routed deployment shares one shard
+    #: map across all routers and servers; when this is set, routers
+    #: read epoch-aware and a
+    #: :class:`~repro.shard.rebalance.RebalanceController` revises that
+    #: map (tile split/merge, live item migration) as background work.
+    #: None — the default every scheme and chaos golden fingerprint is
+    #: pinned on — keeps the map's tiles as partitioned (writes still
+    #: grow their covers).
     rebalance: Optional[RebalanceConfig] = None
 
     #: Batched reads: group up to this many consecutive searches of a

@@ -43,7 +43,13 @@ from typing import List, Optional
 
 from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
 from ..faults.injector import FaultInjector
-from ..faults.plan import ShardLoss, WriteStorm
+from ..faults.plan import (
+    EMPTY_PLAN,
+    ClientStall,
+    ShardLoss,
+    WorkerCrash,
+    WriteStorm,
+)
 from ..hw.host import Host
 from ..net.fabric import profile_by_name
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -69,34 +75,6 @@ ADAPTIVE_AGGREGATE_FIELDS = (
     "decisions_offload", "decisions_fm",
     "stale_resets", "offload_failovers",
 )
-
-
-class _ShardHeartbeatHook:
-    """Per-shard heartbeat suppression hook.
-
-    A lost shard's heartbeat must go silent (the machine is gone), while
-    global :class:`~repro.faults.plan.HeartbeatBlackout` windows keep
-    applying to every shard — this hook composes the two on behalf of one
-    shard's :class:`~repro.server.heartbeat.HeartbeatService`.
-    """
-
-    def __init__(self, sim: Simulator, shard_id: int,
-                 loss_windows, injector: FaultInjector):
-        self.sim = sim
-        self.shard_id = shard_id
-        self.loss_windows = [
-            w for w in loss_windows
-            if not w.shard_ids or shard_id in w.shard_ids
-        ]
-        self.injector = injector
-
-    def heartbeat_suppressed(self) -> bool:
-        now = self.sim.now
-        for window in self.loss_windows:
-            if window.active(now):
-                self.injector.beats_blacked_out += 1
-                return True
-        return self.injector.heartbeat_suppressed()
 
 
 def register_session_aggregates(metrics: MetricsRegistry,
@@ -178,11 +156,22 @@ class Deployment:
                 f"scheme {config.scheme!r} runs a {self.spec.index} index; "
                 "the shard plane partitions rectangles (R-tree only)"
             )
-        if (self.spec.index == "cuckoo" and config.fault_plan
-                and config.fault_plan.of_type(WriteStorm)):
+        plan = config.fault_plan or EMPTY_PLAN
+        if self.spec.index == "cuckoo" and plan.of_type(WriteStorm):
             raise ValueError(
                 "a WriteStorm holds the tree root in a write window; "
                 "a cuckoo table has no root"
+            )
+        if self.spec.transport == TRANSPORT_TCP and (
+                plan.of_type(WorkerCrash) or plan.of_type(ShardLoss)):
+            raise ValueError(
+                f"scheme {config.scheme!r} is TCP-based; WorkerCrash and "
+                "ShardLoss crash fast-messaging workers"
+            )
+        if config.traffic is not None and plan.of_type(ClientStall):
+            raise ValueError(
+                "a ClientStall delays a closed-loop client's next request; "
+                "open-loop arrivals do not wait on a client"
             )
         self.n_shards = (config.n_shards or self.spec.shards) if routed else 1
 
@@ -252,14 +241,8 @@ class Deployment:
                 self.sim, self.profile, self.spec, config, self.rngs, items,
             )]
         if self.injector is not None:
-            loss_windows = config.fault_plan.of_type(ShardLoss)
             for shard_id, stack in enumerate(self.stacks):
-                stack.attach_injector(
-                    self.injector,
-                    heartbeat_hook=_ShardHeartbeatHook(
-                        self.sim, shard_id, loss_windows, self.injector,
-                    ) if routed else None,
-                )
+                self.injector.attach(stack, shard_id)
 
         self.factory = SessionFactory(
             self.sim, self.spec, config, self.tracer,
@@ -323,11 +306,9 @@ class Deployment:
         """
         if self.injector is not None:
             self.injector.start(
-                fm_server=None if self.routed else self.stacks[0].fm_server,
+                [s.fm_server for s in self.stacks],
                 storm_targets=lambda: [s.server.tree.root
                                        for s in self.stacks],
-                shard_fm_servers=([s.fm_server for s in self.stacks]
-                                  if self.routed else None),
             )
         for stack in self.stacks:
             stack.start_heartbeats()

@@ -4,12 +4,16 @@ Two kinds of faults exist:
 
 * **passive** faults are consulted from hooks on the hot paths — the
   link asks for a transfer penalty, the NIC for a read stall, the
-  heartbeat service whether it is blacked out, the client driver for a
+  heartbeat service whether it is silenced, the client driver for a
   stall.  Each hook is a single attribute check when no injector is
   attached, so the fault machinery costs nothing in fault-free runs.
-* **active** faults are driven by injector-owned processes — worker
-  crash/restart windows and write storms do things *to* the cluster on a
+* **active** faults are driven by injector-owned processes — crash /
+  restart windows and write storms do things *to* the cluster on a
   schedule.
+
+Servers are named by shard: their index in the deployment's stack
+list, a plain (unsharded) deployment being shard 0.  Every fault type
+therefore means the same thing on every deployment shape.
 
 All stochastic choices (packet loss) draw from one seeded stream, so a
 plan replays bit-identically under a fixed seed.
@@ -18,7 +22,7 @@ plan replays bit-identically under a fixed seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List, Optional, Sequence, Union
 
 from ..obs.registry import Counter, MetricsRegistry
 from ..sim.kernel import Simulator
@@ -54,6 +58,7 @@ class FaultInjector:
             plan.of_type(HeartbeatBlackout)
         )
         self._client_stalls: List[ClientStall] = plan.of_type(ClientStall)
+        self._shard_losses: List[ShardLoss] = plan.of_type(ShardLoss)
         self._started = False
         self.packets_dropped = Counter("faults.packets_dropped")
         self.latency_injections = Counter("faults.latency_injections")
@@ -111,20 +116,28 @@ class FaultInjector:
                     self.packets_dropped += 1
         return penalty
 
-    def nic_read_stall(self, host_name: str) -> float:
-        """Extra seconds ``host_name``'s NIC takes to serve one read."""
+    def nic_read_stall(self) -> float:
+        """Extra seconds a server NIC takes to serve one read."""
         now = self.sim.now
         stall = 0.0
         for fault in self._nic_stalls:
-            if fault.active(now) and fault.host == host_name:
+            if fault.active(now):
                 stall += fault.stall_s
         if stall:
             self.nic_stalls_injected += 1
         return stall
 
-    def heartbeat_suppressed(self) -> bool:
-        """True when the current heartbeat must be silently skipped."""
+    def heartbeat_suppressed(self, shard_id: int) -> bool:
+        """True when shard ``shard_id``'s current heartbeat must be
+        silently skipped: the shard is lost (its machine is gone) or a
+        blackout silences every heartbeat."""
         now = self.sim.now
+        for fault in self._shard_losses:
+            if fault.active(now) and (
+                not fault.shard_ids or shard_id in fault.shard_ids
+            ):
+                self.beats_blacked_out += 1
+                return True
         for fault in self._blackouts:
             if fault.active(now):
                 self.beats_blacked_out += 1
@@ -146,101 +159,80 @@ class FaultInjector:
 
     # -- attachment --------------------------------------------------------
 
-    def attach_network(self, network) -> None:
-        """Install the loss/latency hook on the server's access link."""
-        network.attach_injector(self)
+    def attach(self, stack, shard_id: int) -> None:
+        """Hook server ``shard_id``'s stack: its access link's
+        loss/latency, its NIC's read stalls and its heartbeat service's
+        silences.
 
-    def attach_host(self, host) -> None:
-        """Install the read-stall hook on ``host``'s NIC."""
-        host.nic.fault_injector = self
-
-    def attach_heartbeats(self, service) -> None:
-        """Install the blackout hook on the heartbeat service."""
-        service.fault_injector = self
+        ``stack`` is a :class:`~repro.runtime.stack.ServerStack`.
+        """
+        stack.network.attach_injector(self)
+        stack.host.nic.fault_injector = self
+        if stack.heartbeats is not None:
+            stack.heartbeats.suppressed = (
+                lambda: self.heartbeat_suppressed(shard_id))
 
     # -- active drivers ----------------------------------------------------
 
-    def start(
-        self,
-        fm_server=None,
-        storm_targets: Optional[Callable[[], list]] = None,
-        shard_fm_servers: Optional[list] = None,
-    ) -> None:
+    def start(self, fm_servers: Sequence,
+              storm_targets: Callable[[], list]) -> None:
         """Spawn the driver processes for the plan's active faults.
 
-        ``fm_server`` is required if the plan contains
-        :class:`WorkerCrash` faults; ``storm_targets`` (a callable
-        returning the nodes to poison — re-evaluated per window, so tree
-        restructuring is tolerated) is required for :class:`WriteStorm`;
-        ``shard_fm_servers`` (one fast-messaging server per shard, dense
-        by shard id) is required for :class:`ShardLoss`.
+        ``fm_servers`` holds one fast-messaging server per shard, dense
+        by shard id; :class:`WorkerCrash` and :class:`ShardLoss` crash
+        their workers.  ``storm_targets`` (a callable returning the nodes
+        to poison — re-evaluated per window, so tree restructuring is
+        tolerated) drives :class:`WriteStorm`.
         """
         if self._started:
             raise RuntimeError("injector already started")
         self._started = True
         for fault in self.plan.of_type(WorkerCrash):
-            if fm_server is None:
-                raise ValueError("WorkerCrash fault needs fm_server")
-            self.sim.process(self._crash_driver(fault, fm_server),
+            self.sim.process(self._crash_driver(fault, fm_servers),
                              name="fault-crash")
         for fault in self.plan.of_type(WriteStorm):
-            if storm_targets is None:
-                raise ValueError("WriteStorm fault needs storm_targets")
             self.sim.process(self._storm_driver(fault, storm_targets),
                              name="fault-storm")
-        for fault in self.plan.of_type(ShardLoss):
-            if shard_fm_servers is None:
-                raise ValueError("ShardLoss fault needs shard_fm_servers")
-            self.sim.process(
-                self._shard_loss_driver(fault, shard_fm_servers),
-                name="fault-shard-loss",
-            )
+        for fault in self._shard_losses:
+            self.sim.process(self._crash_driver(fault, fm_servers),
+                             name="fault-shard-loss")
 
-    def _crash_driver(self, fault: WorkerCrash, fm_server) -> Generator:
-        sim = self.sim
-        if fault.start > sim.now:
-            yield sim.timeout(fault.start - sim.now)
-        crashed = []
-        for conn in fm_server.connections:
-            if fault.conn_ids and conn.conn_id not in fault.conn_ids:
-                continue
-            fm_server.crash_worker(conn)
-            crashed.append(conn)
-            self.workers_crashed += 1
-        if fault.end > sim.now:
-            yield sim.timeout(fault.end - sim.now)
-        for conn in crashed:
-            fm_server.restart_worker(conn)
-            self.workers_restarted += 1
+    def _crash_driver(self, fault: Union[WorkerCrash, ShardLoss],
+                      fm_servers: Sequence) -> Generator:
+        """Crash workers at window start, restart them at window end.
 
-    def _shard_loss_driver(self, fault: ShardLoss,
-                           fm_servers: list) -> Generator:
-        """Crash every worker of the lost shards, restore at window end.
-
-        The shard's fabric, rings, and heartbeat service stay up — only
-        request service stops — so clients experience silence, the
-        hardest failure mode for a scatter-gather router to attribute.
+        A :class:`WorkerCrash` takes its ``conn_ids`` (all if empty) on
+        every server.  A :class:`ShardLoss` takes every worker of its
+        ``shard_ids`` (all shards if empty); the fabric, rings and NIC
+        stay up and :meth:`heartbeat_suppressed` silences the shard, so
+        clients experience silence — the hardest failure mode for a
+        scatter-gather router to attribute.
         """
         sim = self.sim
         if fault.start > sim.now:
             yield sim.timeout(fault.start - sim.now)
-        targets = (fault.shard_ids if fault.shard_ids
-                   else tuple(range(len(fm_servers))))
+        lost = isinstance(fault, ShardLoss)
+        shards = ((fault.shard_ids if lost else ())
+                  or range(len(fm_servers)))
+        conn_ids = () if lost else fault.conn_ids
         crashed = []
-        for shard_id in targets:
+        for shard_id in shards:
             fm_server = fm_servers[shard_id]
             for conn in fm_server.connections:
+                if conn_ids and conn.conn_id not in conn_ids:
+                    continue
                 fm_server.crash_worker(conn)
                 crashed.append((fm_server, conn))
                 self.workers_crashed += 1
-            self.shards_lost += 1
+            if lost:
+                self.shards_lost += 1
         if fault.end > sim.now:
             yield sim.timeout(fault.end - sim.now)
         for fm_server, conn in crashed:
             fm_server.restart_worker(conn)
             self.workers_restarted += 1
-        for _shard_id in targets:
-            self.shards_restored += 1
+        if lost:
+            self.shards_restored += len(shards)
 
     def _storm_driver(self, fault: WriteStorm,
                       storm_targets: Callable[[], list]) -> Generator:

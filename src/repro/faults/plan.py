@@ -73,14 +73,13 @@ class LinkFault(FaultWindow):
 
 @dataclass(frozen=True)
 class NicReadStall(FaultWindow):
-    """The named host's NIC stalls each one-sided read it serves.
+    """Every server NIC stalls each one-sided read it serves.
 
-    Models PCIe/DMA contention on the responder: every RDMA Read served
-    by ``host`` during the window takes ``stall_s`` longer at the remote
-    NIC, before the data leaves the server.
+    Models PCIe/DMA contention on the responder: every RDMA Read a
+    server serves during the window takes ``stall_s`` longer at its NIC,
+    before the data leaves the server.
     """
 
-    host: str = "server"
     stall_s: float = 5e-6
 
     def __post_init__(self):
@@ -93,8 +92,8 @@ class NicReadStall(FaultWindow):
 class WorkerCrash(FaultWindow):
     """Fail-stop crash of per-connection server workers for the window.
 
-    ``conn_ids`` selects which connections lose their worker; empty means
-    all.  Workers restart (and drain their backlog) at ``end``.  The
+    ``conn_ids`` selects which connections lose their worker on every
+    server; empty means all.  Workers restart (and drain their backlog) at ``end``.  The
     crash is delivered at a request boundary — a worker mid-request
     finishes it first — because the simulated worker holds locks and core
     slots that a mid-flight kill would leak (a real fail-stop process
@@ -137,15 +136,16 @@ class WriteStorm(FaultWindow):
 
 @dataclass(frozen=True)
 class ShardLoss(FaultWindow):
-    """Fail-stop loss of whole shards in a sharded cluster.
+    """Fail-stop loss of whole server machines, named by shard id.
 
     During the window every per-connection worker of the named shards is
     crashed (restarted at ``end``) and the shard's heartbeat service goes
     silent — the server machine is gone, not merely slow.  The fabric
-    stays up, so the router must notice via retry deadlines and heartbeat
-    staleness, not connection errors, and degrade to
-    :class:`~repro.shard.router.PartialResult`\\ s.  Empty ``shard_ids``
-    means every shard (a full outage).
+    stays up, so clients must notice via retry deadlines and heartbeat
+    staleness, not connection errors; a router degrades to
+    :class:`~repro.shard.router.PartialResult`\\ s.  A plain deployment's
+    one server is shard 0.  Empty ``shard_ids`` means every shard (a
+    full outage).
     """
 
     shard_ids: Tuple[int, ...] = ()

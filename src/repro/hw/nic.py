@@ -57,12 +57,12 @@ class Nic:
         #: reads served by this NIC consult it for a per-read stall.
         self.fault_injector = None
 
-    def read_stall_s(self, host_name: str) -> float:
+    def read_stall_s(self) -> float:
         """Extra responder-side delay for one RDMA Read (0.0 normally)."""
         injector = self.fault_injector
         if injector is None:
             return 0.0
-        return injector.nic_read_stall(host_name)
+        return injector.nic_read_stall()
 
     def claim_read_slot(self, granted: Callable[[Event], None]) -> bool:
         """Claim an outstanding-read slot now: True if one was free;

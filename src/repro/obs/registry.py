@@ -268,9 +268,6 @@ class Histogram:
                 return min(max(mid, self.minimum), self.maximum)
         return self.maximum
 
-    def percentiles(self, ps: Tuple[float, ...] = (50, 95, 99)):
-        return {p: self.percentile(p) for p in ps}
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "type": "histogram",

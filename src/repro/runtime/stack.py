@@ -119,22 +119,6 @@ class ServerStack:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def attach_injector(self, injector, heartbeat_hook=None) -> None:
-        """Wire a fault injector into this stack's network/NIC/heartbeat.
-
-        ``heartbeat_hook`` overrides the heartbeat suppression source
-        (the sharded runner composes per-shard loss windows with the
-        global blackout windows); by default the injector itself is
-        installed.
-        """
-        injector.attach_network(self.network)
-        injector.attach_host(self.host)
-        if self.heartbeats is not None:
-            if heartbeat_hook is not None:
-                self.heartbeats.fault_injector = heartbeat_hook
-            else:
-                injector.attach_heartbeats(self.heartbeats)
-
     def start_heartbeats(self) -> None:
         """Start the heartbeat broadcaster (after clients subscribed)."""
         if self.heartbeats is not None:

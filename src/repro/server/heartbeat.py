@@ -117,9 +117,10 @@ class HeartbeatService:
         self.beats_suppressed = Counter("heartbeat.beats_suppressed")
         self.last_utilization = 0.0
         self._proc = None
-        #: Optional fault injector (see repro.faults); when set, beats
-        #: inside a HeartbeatBlackout window are silently skipped.
-        self.fault_injector = None
+        #: Optional fault hook (see repro.faults): a zero-arg callable,
+        #: true when this tick's beat must be silently skipped (a
+        #: heartbeat blackout, or the shard is lost).
+        self.suppressed = None
 
     def subscribe(self, response_ring, send_fn) -> None:
         self._subscribers.append((response_ring, send_fn))
@@ -141,8 +142,7 @@ class HeartbeatService:
     def _run(self) -> Generator:
         while True:
             yield self.sim.timeout(self.interval)
-            if (self.fault_injector is not None
-                    and self.fault_injector.heartbeat_suppressed()):
+            if self.suppressed is not None and self.suppressed():
                 # Blackout: this tick sends nothing (and, unlike the
                 # ring-full drop below, not even samples).  The sequence
                 # number does not advance, so clients read the silence as

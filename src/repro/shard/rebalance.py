@@ -103,8 +103,8 @@ class RebalanceController:
     """Watches per-shard load and drives split/merge/migration.
 
     ``stacks[k]`` is shard ``k``'s :class:`~repro.runtime.stack.ServerStack`
-    and ``shard_map`` is the *live* map every router shares (a routed
-    deployment hands out one authoritative map when rebalancing is on).
+    and ``shard_map`` is the *live* map every router and server shares
+    (a routed deployment has exactly one).
     """
 
     def __init__(self, sim: Simulator, shard_map: ShardMap, stacks: List,
@@ -205,7 +205,7 @@ class RebalanceController:
         # chase noise (observed: split storms re-cutting a region before
         # the previous cut-over's load shift even lands).
         self._ewma = [
-            0.5 * e + 0.5 * l for e, l in zip(self._ewma, raw)
+            0.5 * e + 0.5 * load for e, load in zip(self._ewma, raw)
         ]
         loads = self._ewma
         if k < 2:

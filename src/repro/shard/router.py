@@ -38,7 +38,7 @@ from ..client.resilience import (
     CircuitBreaker,
     RequestTimeoutError,
 )
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..server.base import REFUSED
 from ..sim.kernel import Simulator, all_of
 from .partition import ShardMap
@@ -142,11 +142,6 @@ class RouterStats:
         "shard_skips", "duplicates_merged",
     )
     REBALANCE_FIELDS = ("epoch_rescatters", "rescattered_subqueries")
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "router") -> None:
-        for name in self.FIELDS + self.REBALANCE_FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
 
 
 class ScatterGatherRouter:

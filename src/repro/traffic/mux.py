@@ -23,7 +23,7 @@ error) are counted as ``failed`` — together with the server's own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..client.base import Request
@@ -137,10 +137,6 @@ class ConnectionMux:
             sim.process(self._dispatch(session), name=f"mux-session-{i}")
             for i, session in enumerate(sessions)
         ]
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
 
     # -- admission ---------------------------------------------------------
 

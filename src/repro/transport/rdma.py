@@ -471,7 +471,7 @@ class _Read:
             # Injected responder-side stall (PCIe/DMA contention); delays
             # the snapshot, so concurrent server writes get a larger
             # window to tear it.
-            stall = remote_nic.read_stall_s(qp.remote.name)
+            stall = remote_nic.read_stall_s()
             if stall > 0.0:
                 qp.sim.timeout(stall).callbacks.append(self._snapshot)
                 return

@@ -6,6 +6,8 @@ import pytest
 
 from repro.client import ClientStats
 from repro.client.fm_client import FmSession
+from repro.cluster import ExperimentConfig
+from repro.cluster.builder import build_runner
 from repro.faults import (
     ClientStall,
     FaultInjector,
@@ -14,6 +16,7 @@ from repro.faults import (
     HeartbeatBlackout,
     LinkFault,
     NicReadStall,
+    ShardLoss,
     WorkerCrash,
     WriteStorm,
 )
@@ -117,24 +120,35 @@ class TestPassiveHooks:
         assert inj.link_penalty(TX) == 5e-6
         assert inj.link_penalty(RX) == 0.0
 
-    def test_nic_stall_filters_by_host(self):
-        plan = FaultPlan((NicReadStall(0.0, 1.0, host="server",
-                                       stall_s=3e-6),))
-        inj = FaultInjector(Simulator(), plan)
-        assert inj.nic_read_stall("server") == 3e-6
-        assert inj.nic_read_stall("client-0") == 0.0
+    def test_nic_stall_window(self):
+        plan = FaultPlan((NicReadStall(0.5, 1.0, stall_s=3e-6),))
+        sim = Simulator()
+        inj = FaultInjector(sim, plan)
+        assert inj.nic_read_stall() == 0.0
+        sim.now = 0.7
+        assert inj.nic_read_stall() == 3e-6
         assert int(inj.nic_stalls_injected) == 1
 
     def test_heartbeat_suppression_window(self):
         plan = FaultPlan((HeartbeatBlackout(0.2, 0.4),))
         sim = Simulator()
         inj = FaultInjector(sim, plan)
-        assert not inj.heartbeat_suppressed()
+        assert not inj.heartbeat_suppressed(0)
         sim.now = 0.3
-        assert inj.heartbeat_suppressed()
-        assert int(inj.beats_blacked_out) == 1
+        assert inj.heartbeat_suppressed(0)
+        assert inj.heartbeat_suppressed(1)  # a blackout silences every shard
+        assert int(inj.beats_blacked_out) == 2
         sim.now = 0.4
-        assert not inj.heartbeat_suppressed()
+        assert not inj.heartbeat_suppressed(0)
+
+    def test_shard_loss_silences_only_its_shards(self):
+        plan = FaultPlan((ShardLoss(0.2, 0.4, shard_ids=(1,)),))
+        sim = Simulator()
+        inj = FaultInjector(sim, plan)
+        sim.now = 0.3
+        assert inj.heartbeat_suppressed(1)
+        assert not inj.heartbeat_suppressed(0)
+        assert int(inj.beats_blacked_out) == 1
 
     def test_client_stall_filters_by_id(self):
         plan = FaultPlan((ClientStall(0.0, 1.0, client_ids=(2,),
@@ -146,27 +160,17 @@ class TestPassiveHooks:
     def test_empty_plan_hooks_are_free(self):
         inj = FaultInjector(Simulator(), EMPTY_PLAN)
         assert inj.link_penalty("tx") == 0.0
-        assert inj.nic_read_stall("server") == 0.0
-        assert not inj.heartbeat_suppressed()
+        assert inj.nic_read_stall() == 0.0
+        assert not inj.heartbeat_suppressed(0)
         assert inj.client_stall(0) == 0.0
 
 
 class TestActiveDrivers:
     def test_start_twice_rejected(self):
         inj = FaultInjector(Simulator(), EMPTY_PLAN)
-        inj.start()
+        inj.start([], list)
         with pytest.raises(RuntimeError):
-            inj.start()
-
-    def test_worker_crash_requires_server(self):
-        plan = FaultPlan((WorkerCrash(0.0, 1.0),))
-        with pytest.raises(ValueError):
-            FaultInjector(Simulator(), plan).start()
-
-    def test_write_storm_requires_targets(self):
-        plan = FaultPlan((WriteStorm(0.0, 1.0),))
-        with pytest.raises(ValueError):
-            FaultInjector(Simulator(), plan).start()
+            inj.start([], list)
 
 
 def _fm_stack(n_items=500):
@@ -213,7 +217,7 @@ class TestWorkerCrashRestart:
         sim, server, fm_server, conn, fm, stats = _fm_stack()
         plan = FaultPlan((WorkerCrash(0.1e-3, 0.4e-3),))
         inj = FaultInjector(sim, plan)
-        inj.start(fm_server=fm_server)
+        inj.start([fm_server], list)
 
         done = []
 
@@ -236,3 +240,37 @@ class TestWorkerCrashRestart:
         last_before = max(t for t in done if t < 0.4e-3)
         first_after = min(t for t in done if t >= 0.4e-3)
         assert first_after - last_before > 0.2e-3
+
+
+#: One fault per row: (scheme, fault, the injector counter it advances).
+#: The NIC stall runs an always-offload scheme so reads reach a server NIC.
+_WINDOW = (20e-6, 200e-6)
+SHAPE_MATRIX = {
+    "WorkerCrash": ("catfish", WorkerCrash(*_WINDOW), "workers_crashed"),
+    "ShardLoss": ("catfish", ShardLoss(*_WINDOW), "shards_lost"),
+    "NicReadStall": ("rdma-offloading-multi", NicReadStall(*_WINDOW),
+                     "nic_stalls_injected"),
+    "HeartbeatBlackout": ("catfish", HeartbeatBlackout(*_WINDOW),
+                          "beats_blacked_out"),
+    "LinkFault": ("catfish", LinkFault(*_WINDOW, extra_latency_s=1e-6),
+                  "latency_injections"),
+}
+
+
+@pytest.mark.parametrize("n_shards", [1, 2], ids=["plain", "routed"])
+@pytest.mark.parametrize("scheme,fault,counter", SHAPE_MATRIX.values(),
+                         ids=list(SHAPE_MATRIX))
+def test_every_fault_fires_on_every_shape(scheme, fault, counter, n_shards):
+    """A fault names servers by shard, so it means the same thing on a
+    plain (K=1) and a routed (K=2) deployment."""
+    runner = build_runner(ExperimentConfig(
+        scheme=scheme, n_shards=n_shards, n_clients=2,
+        requests_per_client=10, dataset_size=200, server_cores=2,
+        heartbeat_interval=20e-6, seed=0, fault_plan=FaultPlan((fault,)),
+    ))
+    assert runner.deployment.n_shards == n_shards
+    runner.run()
+    injector = runner.injector
+    assert int(getattr(injector, counter)) > 0
+    assert int(injector.workers_restarted) == int(injector.workers_crashed)
+    assert int(injector.shards_restored) == int(injector.shards_lost)

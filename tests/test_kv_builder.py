@@ -18,7 +18,13 @@ from repro.cluster.schemes import (
     SchemeSpec,
     scheme_spec,
 )
-from repro.faults.plan import FaultPlan, WorkerCrash, WriteStorm
+from repro.faults.plan import (
+    ClientStall,
+    FaultPlan,
+    ShardLoss,
+    WorkerCrash,
+    WriteStorm,
+)
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.traffic.config import TrafficConfig
 
@@ -101,6 +107,14 @@ LEGALITY = {
                      build_runner, "draws rectangles"),
     "cuckoo-write-storm": (dict(index="cuckoo", fault_plan=STORM),
                            build_runner, "no root"),
+    **{f"tcp-{type(fault).__name__}": (
+        dict(scheme="tcp", fault_plan=FaultPlan((fault,))),
+        build_runner, "crash fast-messaging workers")
+       for fault in (WorkerCrash(40e-6, 200e-6), ShardLoss(40e-6, 200e-6))},
+    "traffic-client-stall": (
+        dict(traffic=TrafficConfig(rate=1e4, duration_s=1e-4),
+             fault_plan=FaultPlan((ClientStall(0.0, 1e-4),))),
+        build_runner, "open-loop arrivals"),
     "cuckoo-scans": (dict(index="cuckoo", kv=KvMix(scan_fraction=0.1)),
                      build_runner, "no range scans"),
     "cuckoo-byte-mode": (dict(index="cuckoo", byte_mode=True,

@@ -464,7 +464,7 @@ class RefQp(QpEndpoint):
             remote_nic.ops_processed += 1
             yield sim.timeout(wqe_s)
             if remote_nic.fault_injector is not None:
-                stall = remote_nic.read_stall_s(self.remote.name)
+                stall = remote_nic.read_stall_s()
                 if stall > 0.0:
                     yield sim.timeout(stall)
             try:
