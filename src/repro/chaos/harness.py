@@ -216,7 +216,7 @@ class Run:
     def total(self, counter: str) -> int:
         """One :class:`~repro.client.base.ClientStats` counter, summed
         over every endpoint."""
-        return sum(int(getattr(stats, counter))
+        return sum(getattr(stats, counter)
                    for stats in self.runner.deployment.client_stats)
 
     def report(self, issued: int, completed: int, mismatches: int,

@@ -58,17 +58,17 @@ def _counters(run: Run) -> Dict[str, int]:
     injector, fm_server = runner.injector, runner.stack.fm_server
     sessions = runner.sessions
     return {
-        "packets-dropped": int(injector.packets_dropped),
-        "latency-injected": int(injector.latency_injections),
-        "nic-stalls": int(injector.nic_stalls_injected),
-        "beats-blacked-out": int(injector.beats_blacked_out),
-        "client-stalls": int(injector.client_stalls_injected),
-        "write-storms": int(injector.write_storm_windows),
-        "workers-crashed": int(fm_server.workers_crashed),
-        "workers-restarted": int(fm_server.workers_restarted),
-        "requests-shed": int(fm_server.requests_shed),
-        "breaker-trips": sum(int(s.breaker.trips) for s in sessions),
-        "failovers": sum(int(s.policy.offload_failovers)
+        "packets-dropped": injector.packets_dropped,
+        "latency-injected": injector.latency_injections,
+        "nic-stalls": injector.nic_stalls_injected,
+        "beats-blacked-out": injector.beats_blacked_out,
+        "client-stalls": injector.client_stalls_injected,
+        "write-storms": injector.write_storm_windows,
+        "workers-crashed": fm_server.workers_crashed,
+        "workers-restarted": fm_server.workers_restarted,
+        "requests-shed": fm_server.requests_shed,
+        "breaker-trips": sum(s.breaker.trips for s in sessions),
+        "failovers": sum(s.policy.offload_failovers
                          for s in sessions),
         "duplicates-suppressed": run.total("duplicates_suppressed"),
     }

@@ -94,7 +94,7 @@ def _records(runner) -> List[Record]:
 
 def _router_counters(runner, fields) -> Dict[str, int]:
     return {
-        field.replace("_", "-"): sum(int(getattr(r, field))
+        field.replace("_", "-"): sum(getattr(r, field)
                                      for r in runner.router_stats)
         for field in fields
     }
@@ -104,9 +104,8 @@ def _rebalance_counters(runner) -> Dict[str, int]:
     counters = _router_counters(
         runner, RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS)
     for field in RebalanceStats.FIELDS:
-        counters["rebalance-" + field.replace("_", "-")] = int(
-            getattr(runner.rebalance_stats, field)
-        )
+        counters["rebalance-" + field.replace("_", "-")] = getattr(
+            runner.rebalance_stats, field)
     counters["map-epoch"] = runner.live_map.epoch
     counters["tiles"] = len(runner.live_map.tiles)
     return counters
@@ -145,10 +144,10 @@ def _elastic_plane_checks(runner) -> Tuple[Check, Check, Check]:
             break
     return (
         ("migrations-completed",
-         int(stats.migrations_completed) > 0
+         stats.migrations_completed > 0
          and not runner.rebalancer.active_migrations,
-         f"{int(stats.migrations_completed)} migrations completed, "
-         f"{int(stats.items_migrated)} items moved"),
+         f"{stats.migrations_completed} migrations completed, "
+         f"{stats.items_migrated} items moved"),
         ("map-invariants", invariants_hold, invariant_detail),
         ("tree-invariants", trees_hold, tree_detail),
     )
@@ -167,11 +166,11 @@ def judge_shard_loss(run: Run) -> ScenarioReport:
 
     injector = runner.injector
     counters: Dict[str, int] = {
-        "shards-lost": int(injector.shards_lost),
-        "shards-restored": int(injector.shards_restored),
-        "workers-crashed": int(injector.workers_crashed),
-        "workers-restarted": int(injector.workers_restarted),
-        "beats-blacked-out": int(injector.beats_blacked_out),
+        "shards-lost": injector.shards_lost,
+        "shards-restored": injector.shards_restored,
+        "workers-crashed": injector.workers_crashed,
+        "workers-restarted": injector.workers_restarted,
+        "beats-blacked-out": injector.beats_blacked_out,
     }
     counters.update(_router_counters(runner, RouterStats.FIELDS))
     issued, completed = run.cfg.total_requests, len(records)
@@ -212,8 +211,8 @@ def judge_rebalance_under_fault(run: Run) -> ScenarioReport:
     records = _records(runner)
     reads = verify_routed_results(runner)
     counters = _rebalance_counters(runner)
-    counters["packets-dropped"] = int(runner.injector.packets_dropped)
-    splits = int(runner.rebalance_stats.splits)
+    counters["packets-dropped"] = runner.injector.packets_dropped
+    splits = runner.rebalance_stats.splits
     occupancy = runner.shard_occupancy()
     migrations, map_invariants, tree_invariants = _elastic_plane_checks(
         runner)

@@ -238,10 +238,10 @@ def cmd_shard(args) -> int:
     print(f"\nshard map ({runner.n_shards} shards):")
     for line in runner.partition.shard_map.describe():
         print(f"  {line}")
-    routed = sum(int(s.queries_routed) for s in runner.router_stats)
-    issued = sum(int(s.subqueries_issued) for s in runner.router_stats)
-    pruned = sum(int(s.shards_pruned) for s in runner.router_stats)
-    partial = sum(int(s.partial_results) for s in runner.router_stats)
+    routed = sum(s.queries_routed for s in runner.router_stats)
+    issued = sum(s.subqueries_issued for s in runner.router_stats)
+    pruned = sum(s.shards_pruned for s in runner.router_stats)
+    partial = sum(s.partial_results for s in runner.router_stats)
     print(f"\nrouter: {routed} queries -> {issued} sub-queries "
           f"({pruned} shard visits pruned, {partial} partial results)")
     before = runner.initial_occupancy()
@@ -252,11 +252,10 @@ def cmd_shard(args) -> int:
         print(f"  shard {shard_id}: {b:>7} -> {a:>7} ({delta:+d})")
     if runner.rebalancer is not None:
         s = runner.rebalance_stats
-        rescattered = sum(int(r.epoch_rescatters)
-                          for r in runner.router_stats)
-        print(f"rebalance: {int(s.splits)} splits, {int(s.merges)} merges, "
-              f"{int(s.migrations_completed)} migrations "
-              f"({int(s.items_migrated)} items moved), "
+        rescattered = sum(r.epoch_rescatters for r in runner.router_stats)
+        print(f"rebalance: {s.splits} splits, {s.merges} merges, "
+              f"{s.migrations_completed} migrations "
+              f"({s.items_migrated} items moved), "
               f"map epoch {runner.live_map.epoch}, "
               f"{len(runner.live_map.tiles)} tiles, "
               f"{rescattered} epoch re-scatters")

@@ -14,7 +14,6 @@ from ..msg.codec import (
     SearchRequest,
     UpdateRequest,
 )
-from ..obs.registry import Counter
 from ..rtree.geometry import Rect
 from ..sim.monitor import LatencyRecorder
 
@@ -103,34 +102,33 @@ CLIENT_COUNTER_FIELDS = (
 class ClientStats:
     """Everything one client session records while running.
 
-    The counters are :class:`~repro.obs.registry.Counter` objects — they
-    behave exactly like ints (``stats.torn_retries += 1`` and comparisons
-    keep working) while a :class:`~repro.obs.registry.MetricsRegistry`
-    can adopt them and observe live values.
+    The counters are plain ints; a deployment exposes each
+    :data:`CLIENT_COUNTER_FIELDS` entry summed over every client
+    (:func:`~repro.obs.registry.expose_fields`).
     """
 
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     search_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    requests_sent: Counter = field(default_factory=Counter)
-    fast_messaging_requests: Counter = field(default_factory=Counter)
-    offloaded_requests: Counter = field(default_factory=Counter)
-    torn_retries: Counter = field(default_factory=Counter)
+    requests_sent: int = 0
+    fast_messaging_requests: int = 0
+    offloaded_requests: int = 0
+    torn_retries: int = 0
     #: Valid-but-wrong-level reads (recycled chunk / stale root) — a
     #: different failure than a torn snapshot, counted separately so the
     #: two diagnoses don't blur into one number.
-    level_mismatch_retries: Counter = field(default_factory=Counter)
-    search_restarts: Counter = field(default_factory=Counter)
-    results_received: Counter = field(default_factory=Counter)
+    level_mismatch_retries: int = 0
+    search_restarts: int = 0
+    results_received: int = 0
     #: Attempts abandoned because the response deadline expired.
-    request_timeouts: Counter = field(default_factory=Counter)
+    request_timeouts: int = 0
     #: Re-sends after a timed-out or ring-full attempt.
-    request_retries: Counter = field(default_factory=Counter)
+    request_retries: int = 0
     #: Bounded ring reservations that expired (RingBufferFullError).
-    ring_full_timeouts: Counter = field(default_factory=Counter)
+    ring_full_timeouts: int = 0
     #: Response segments of abandoned attempts, dropped on arrival.
-    duplicates_suppressed: Counter = field(default_factory=Counter)
+    duplicates_suppressed: int = 0
     #: Messages of an unknown type dropped by the receiver.
-    unexpected_messages: Counter = field(default_factory=Counter)
+    unexpected_messages: int = 0
 
     @property
     def offload_fraction(self) -> float:

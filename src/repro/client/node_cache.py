@@ -37,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..obs.registry import Counter, MetricsRegistry
 from ..rtree.serialize import NodeView
 
 #: ``server_hwm`` value before any meta read / heartbeat hint arrived.
@@ -65,6 +64,10 @@ class NodeCacheConfig:
 class NodeCache:
     """LRU cache of internal node views keyed by chunk id + HWM stamp."""
 
+    #: The int counts a deployment sums over every cache as ``cache.*``.
+    COUNTER_FIELDS = ("hits", "misses", "invalidations", "coalesced_reads",
+                      "stores", "evictions", "hint_flushes")
+
     def __init__(self, config: Optional[NodeCacheConfig] = None):
         self.config = config if config is not None else NodeCacheConfig()
         #: chunk_id -> (view, hwm stamp at fetch time), LRU-ordered.
@@ -73,13 +76,13 @@ class NodeCache:
         )
         #: Latest tree-wide mutation high-water mark this client knows.
         self.server_hwm = HWM_UNKNOWN
-        self.hits = Counter("cache.hits")
-        self.misses = Counter("cache.misses")
-        self.invalidations = Counter("cache.invalidations")
-        self.coalesced_reads = Counter("cache.coalesced_reads")
-        self.stores = Counter("cache.stores")
-        self.evictions = Counter("cache.evictions")
-        self.hint_flushes = Counter("cache.hint_flushes")
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+        self.coalesced_reads = 0
+        self.stores = 0
+        self.evictions = 0
+        self.hint_flushes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -159,18 +162,3 @@ class NodeCache:
             self.evictions += 1
         self.stores += 1
         return True
-
-    # -- metrics -------------------------------------------------------------
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "cache") -> None:
-        """Adopt the cache counters into ``registry``."""
-        registry.adopt(f"{prefix}.hits", self.hits)
-        registry.adopt(f"{prefix}.misses", self.misses)
-        registry.adopt(f"{prefix}.invalidations", self.invalidations)
-        registry.adopt(f"{prefix}.coalesced_reads", self.coalesced_reads)
-        registry.adopt(f"{prefix}.stores", self.stores)
-        registry.adopt(f"{prefix}.evictions", self.evictions)
-        registry.adopt(f"{prefix}.hint_flushes", self.hint_flushes)
-        registry.expose(f"{prefix}.resident_nodes", lambda: len(self))
-        registry.expose(f"{prefix}.server_hwm", lambda: self.server_hwm)

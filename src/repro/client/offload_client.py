@@ -45,7 +45,6 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
@@ -127,10 +126,10 @@ class OneSidedReader:
         self._cached_root: Optional[int] = None
         self._cached_height: Optional[int] = None
         self._span = NULL_SPAN
-        self.meta_reads = Counter("offload.meta_reads")
-        self.stale_root_detections = Counter("offload.stale_root_detections")
-        self.chunks_fetched = Counter("offload.chunks_fetched")
-        self.moved_entry_restarts = Counter("offload.moved_entry_restarts")
+        self.meta_reads = 0
+        self.stale_root_detections = 0
+        self.chunks_fetched = 0
+        self.moved_entry_restarts = 0
         #: The current attempt's meta-read mutation mark, and the newest
         #: entry-loss stamp among the images it accepted (-1: none).
         self._read_seq = -1

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 from .base import READ_OPS
 
@@ -158,10 +157,10 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._cooldown = params.cooldown_s
-        self.trips = Counter("breaker.trips")
-        self.probes = Counter("breaker.probes")
-        self.recoveries = Counter("breaker.recoveries")
-        self.short_circuits = Counter("breaker.short_circuits")
+        self.trips = 0
+        self.probes = 0
+        self.recoveries = 0
+        self.short_circuits = 0
 
     def allow(self) -> bool:
         """Whether the next offload may proceed (may move OPEN→HALF_OPEN)."""

@@ -15,70 +15,14 @@ from typing import Generator, List, Optional
 from ..client.base import OP_SEARCH, ClientStats, Request
 from ..client.offload_client import OffloadError
 from ..client.resilience import RequestTimeoutError
-from ..faults.injector import FaultInjector
 from ..hw.host import Host
-from ..obs import Counter, LatencyView, snapshot_document
-from ..sim.kernel import Simulator, all_of
+from ..obs import LatencyView, snapshot_document
+from ..sim.kernel import all_of
 from ..workloads.mixes import batch_runs, make_kv_workload, make_workload
 from .config import CLIENT_CORES, ExperimentConfig
 from .deployment import Deployment
 from .results import RunResult, merge_client_stats
 from .schemes import scheme_spec
-
-
-def _client_driver(
-    sim: Simulator,
-    session,
-    requests: List[Request],
-    stats: ClientStats,
-    failed: Counter,
-    injector: FaultInjector = None,
-    client_id: int = 0,
-    batch_queries: int = 0,
-    log: Optional[list] = None,
-) -> Generator:
-    """One synchronous client: issue every request back-to-back.
-
-    A request that exhausts its budget (every retry timed out, or the
-    one-sided traversal ran out of restarts with no breaker to fail it
-    over) is counted in ``failed`` and the client carries on with the
-    next one, as the router and the mux do;
-    it stays out of ``requests_sent`` and the latency recorders, which
-    describe answered requests.  With a ``log``, every request appends
-    ``(index, request, outcome, finish time)`` — the shape a router
-    logs — where a failed request's outcome is the exception it raised.
-
-    With ``batch_queries`` > 1 and a batch-capable session, runs of
-    consecutive searches are grouped (``workloads.mixes.batch_runs``)
-    and issued as one shared traversal; every request in a group
-    records the group's wall time as its latency — that is how long the
-    synchronous client actually waited for it — and a group fails as one.
-    """
-    batch_exec = getattr(session, "execute_search_batch", None)
-    for group in batch_runs(requests, batch_queries if batch_exec else 1):
-        if injector is not None:
-            stall = injector.client_stall(client_id)
-            if stall > 0.0:
-                yield sim.timeout(stall)
-        start = sim.now
-        try:
-            if len(group) == 1:
-                outcomes = [(yield from session.execute(group[0]))]
-            else:
-                outcomes = yield from batch_exec(group)
-        except (RequestTimeoutError, OffloadError) as exc:
-            failed += len(group)
-            outcomes = [exc] * len(group)
-        else:
-            elapsed = sim.now - start
-            for request in group:
-                stats.requests_sent += 1
-                stats.latency.record(elapsed)
-                if request.op == OP_SEARCH:
-                    stats.search_latency.record(elapsed)
-        if log is not None:
-            for request, outcome in zip(group, outcomes):
-                log.append((len(log), request, outcome, sim.now))
 
 
 class ClosedLoopRunner:
@@ -103,7 +47,7 @@ class ClosedLoopRunner:
         )
         #: Requests that exhausted their budget (plain endpoints only: a
         #: router degrades to a partial result instead of raising).
-        self.requests_failed = Counter()
+        self.requests_failed = 0
         #: With ``record_results``, one ``(index, request, outcome,
         #: finish time)`` log per client.  A router keeps its own
         #: (``routers[i].log``); a plain session has none, so the driver
@@ -147,7 +91,7 @@ class ClosedLoopRunner:
         )
         self.metrics.sampler(
             self.sim, "series.requests_completed",
-            lambda: sum(int(s.requests_sent) for s in stats_list),
+            lambda: sum(s.requests_sent for s in stats_list),
             interval=interval, while_fn=alive,
         )
 
@@ -199,16 +143,62 @@ class ClosedLoopRunner:
             # this line not diverging.
             rng = self.rngs.fork(name).stream("workload")
             requests = workload_fn(client_id, rng)
+            log = None if self.logs is None else self.logs[client_id]
             self._drivers.append(self.sim.process(
-                _client_driver(self.sim, endpoint, requests, stats,
-                               self.requests_failed,
-                               injector=self.injector,
-                               client_id=client_id,
-                               batch_queries=config.batch_queries,
-                               log=(None if self.logs is None
-                                    else self.logs[client_id])),
+                self._client_driver(endpoint, requests, stats, client_id,
+                                    log),
                 name=name,
             ))
+
+    def _client_driver(self, session, requests: List[Request],
+                       stats: ClientStats, client_id: int,
+                       log: Optional[list]) -> Generator:
+        """One synchronous client: issue every request back-to-back.
+
+        A request that exhausts its budget (every retry timed out, or the
+        one-sided traversal ran out of restarts with no breaker to fail it
+        over) is counted in ``requests_failed`` and the client carries on
+        with the next one, as the router and the mux do; it stays out of
+        ``requests_sent`` and the latency recorders, which describe
+        answered requests.  With a ``log``, every request appends
+        ``(index, request, outcome, finish time)`` — the shape a router
+        logs — where a failed request's outcome is the exception it
+        raised.
+
+        With ``batch_queries`` > 1 and a batch-capable session, runs of
+        consecutive searches are grouped (``workloads.mixes.batch_runs``)
+        and issued as one shared traversal; every request in a group
+        records the group's wall time as its latency — that is how long
+        the synchronous client actually waited for it — and a group fails
+        as one.
+        """
+        sim, injector = self.sim, self.injector
+        batch_exec = getattr(session, "execute_search_batch", None)
+        batch_queries = self.config.batch_queries if batch_exec else 1
+        for group in batch_runs(requests, batch_queries):
+            if injector is not None:
+                stall = injector.client_stall(client_id)
+                if stall > 0.0:
+                    yield sim.timeout(stall)
+            start = sim.now
+            try:
+                if len(group) == 1:
+                    outcomes = [(yield from session.execute(group[0]))]
+                else:
+                    outcomes = yield from batch_exec(group)
+            except (RequestTimeoutError, OffloadError) as exc:
+                self.requests_failed += len(group)
+                outcomes = [exc] * len(group)
+            else:
+                elapsed = sim.now - start
+                for request in group:
+                    stats.requests_sent += 1
+                    stats.latency.record(elapsed)
+                    if request.op == OP_SEARCH:
+                        stats.search_latency.record(elapsed)
+            if log is not None:
+                for request, outcome in zip(group, outcomes):
+                    log.append((len(log), request, outcome, sim.now))
 
     # -- execution ---------------------------------------------------------------
 
@@ -239,7 +229,7 @@ class ClosedLoopRunner:
         config, deployment = self.config, self.deployment
         elapsed = self.elapsed_s
         merged = merge_client_stats(self.client_stats)
-        total = int(merged.requests_sent)
+        total = merged.requests_sent
         throughput_kops = (total / elapsed / 1e3) if elapsed > 0 else 0.0
         to_us = 1e6
         self.metrics.adopt(
@@ -272,8 +262,8 @@ class ClosedLoopRunner:
             server_bandwidth_gbps=deployment.total_bandwidth_gbps(),
             server_bandwidth_utilization=deployment.bandwidth_utilization(),
             offload_fraction=merged.offload_fraction,
-            torn_retries=int(merged.torn_retries),
-            search_restarts=int(merged.search_restarts),
+            torn_retries=merged.torn_retries,
+            search_restarts=merged.search_restarts,
             heartbeats_sent=deployment.heartbeats_sent(),
             heartbeats_dropped=deployment.heartbeats_dropped(),
             searches_served_by_server=deployment.searches_served(),

@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
+from ..client.node_cache import NodeCache
 from ..faults.injector import FaultInjector
 from ..faults.plan import (
     EMPTY_PLAN,
@@ -52,7 +53,7 @@ from ..faults.plan import (
 )
 from ..hw.host import Host
 from ..net.fabric import profile_by_name
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, MetricsRegistry, Tracer, expose_fields
 from ..rtree import batch as _scan_kernel
 from ..runtime.factory import SessionFactory
 from ..runtime.policy import (
@@ -62,19 +63,13 @@ from ..runtime.policy import (
     BanditPolicy,
 )
 from ..runtime.stack import ServerStack
+from ..server.fast_messaging import FastMessagingServer
+from ..server.heartbeat import HeartbeatService
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..workloads.datasets import uniform_dataset
 from .config import ExperimentConfig
 from .schemes import TRANSPORT_TCP, scheme_spec
-
-#: Algorithm 1 introspection counters aggregated cluster-wide.
-ADAPTIVE_AGGREGATE_FIELDS = (
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-)
 
 
 def register_session_aggregates(metrics: MetricsRegistry,
@@ -89,39 +84,23 @@ def register_session_aggregates(metrics: MetricsRegistry,
     engines = [e for e in (getattr(s, "engine", None) for s in sessions)
                if e is not None]
     if engines:
-        for field in engines[0].counter_fields:
-            metrics.expose(
-                f"offload.{field}",
-                lambda f=field: sum(int(getattr(e, f)) for e in engines),
-            )
+        expose_fields(metrics, "offload", engines,
+                      engines[0].counter_fields)
     caches = [e.cache for e in engines
               if getattr(e, "cache", None) is not None]
     if caches:
-        for field in ("hits", "misses", "invalidations", "coalesced_reads",
-                      "stores", "evictions", "hint_flushes"):
-            metrics.expose(
-                f"cache.{field}",
-                lambda f=field: sum(int(getattr(c, f)) for c in caches),
-            )
+        expose_fields(metrics, "cache", caches, NodeCache.COUNTER_FIELDS)
         metrics.expose("cache.resident_nodes",
                        lambda: sum(len(c) for c in caches))
     policies = [p for p in (getattr(s, "policy", None) for s in sessions)
                 if p is not None]
     adaptive = [p for p in policies if type(p) is Algorithm1Policy]
     if adaptive:
-        for field in ADAPTIVE_AGGREGATE_FIELDS:
-            metrics.expose(
-                f"adaptive.{field}",
-                lambda f=field: sum(int(getattr(p, f)) for p in adaptive),
-            )
+        expose_fields(metrics, "adaptive", adaptive,
+                      Algorithm1Policy.COUNTER_FIELDS)
     bandits = [p for p in policies if type(p) is BanditPolicy]
     if bandits:
-        for field in ("offload_failovers", "breaker_demotions",
-                      "explorations"):
-            metrics.expose(
-                f"bandit.{field}",
-                lambda f=field: sum(int(getattr(p, f)) for p in bandits),
-            )
+        expose_fields(metrics, "bandit", bandits, BanditPolicy.COUNTER_FIELDS)
         metrics.expose(
             "bandit.mode_fm",
             lambda: sum(p.mode_counts[FAST_MESSAGING] for p in bandits),
@@ -358,22 +337,22 @@ class Deployment:
                 / (self.profile.bandwidth_bps * len(self.stacks)))
 
     def searches_served(self) -> int:
-        return sum(int(s.server.searches_served) for s in self.stacks)
+        return sum(s.server.searches_served for s in self.stacks)
 
     def inserts_served(self) -> int:
-        return sum(int(s.server.inserts_served) for s in self.stacks)
+        return sum(s.server.inserts_served for s in self.stacks)
 
     def heartbeats_sent(self) -> int:
-        return sum(int(s.heartbeats.beats_sent) for s in self.stacks
+        return sum(s.heartbeats.beats_sent for s in self.stacks
                    if s.heartbeats is not None)
 
     def heartbeats_dropped(self) -> int:
-        return sum(int(s.heartbeats.beats_dropped) for s in self.stacks
+        return sum(s.heartbeats.beats_dropped for s in self.stacks
                    if s.heartbeats is not None)
 
     def requests_shed(self) -> int:
         """Requests the servers' overload guards dropped."""
-        return sum(int(s.fm_server.requests_shed) for s in self.stacks
+        return sum(s.fm_server.requests_shed for s in self.stacks
                    if s.fm_server is not None)
 
     def initial_occupancy(self) -> List[int]:
@@ -398,26 +377,32 @@ class Deployment:
         """
         m = self.metrics
         if self.routed:
+            from ..shard.rebalance import RebalanceStats
+            from ..shard.router import RouterStats
             m.expose("shard.n_shards", lambda: self.n_shards)
             for shard_id, stack in enumerate(self.stacks):
                 stack.register_metrics(m, label=f"shard{shard_id}")
             # Cluster-wide aggregates keep the single-server names, so
             # dashboards and the compare harness read both layouts.
-            m.expose("server.searches_served", self.searches_served)
-            m.expose("server.inserts_served", self.inserts_served)
+            expose_fields(m, "server", [s.server for s in self.stacks],
+                          ("searches_served", "inserts_served"))
+            expose_fields(m, "server", [s.fm_server for s in self.stacks],
+                          FastMessagingServer.COUNTER_FIELDS)
+            m.expose("server.items_held",
+                     lambda: sum(self.shard_occupancy()))
+            heartbeats = [s.heartbeats for s in self.stacks
+                          if s.heartbeats is not None]
+            if heartbeats:
+                expose_fields(m, "heartbeat", heartbeats,
+                              HeartbeatService.COUNTER_FIELDS)
             m.expose("server.cpu_utilization", self.mean_cpu_utilization)
             m.expose("net.server_bandwidth_gbps", self.total_bandwidth_gbps)
-            router_stats = [r.router_stats for r in self.endpoints]
-            fields = (router_stats[0].FIELDS
-                      + router_stats[0].REBALANCE_FIELDS)
-            for field in fields:
-                m.expose(
-                    f"router.{field}",
-                    lambda f=field: sum(int(getattr(r, f))
-                                        for r in router_stats),
-                )
+            expose_fields(m, "router",
+                          [r.router_stats for r in self.endpoints],
+                          RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS)
             if self.rebalance_stats is not None:
-                self.rebalance_stats.register_into(m)
+                expose_fields(m, "rebalance", [self.rebalance_stats],
+                              RebalanceStats.FIELDS)
                 m.expose("shard.map_epoch", lambda: self.live_map.epoch)
                 m.expose("shard.tiles", lambda: len(self.live_map.tiles))
         else:
@@ -432,10 +417,5 @@ class Deployment:
             lambda: 1 if _scan_kernel.kernel_name() == "numpy" else 0,
         )
 
-        stats_list = self.client_stats
-        for field in CLIENT_COUNTER_FIELDS:
-            m.expose(
-                f"client.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in stats_list),
-            )
+        expose_fields(m, "client", self.client_stats, CLIENT_COUNTER_FIELDS)
         register_session_aggregates(m, self.leaf_sessions())

@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from ..client.base import ClientStats
+from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
+
 
 @dataclass
 class RunResult:
@@ -102,15 +103,12 @@ def result_fingerprint(result: RunResult) -> str:
 
 def merge_client_stats(all_stats: List[ClientStats]) -> ClientStats:
     """Combine per-client stats into one aggregate."""
-    from ..client.base import CLIENT_COUNTER_FIELDS
     merged = ClientStats()
     for stats in all_stats:
         for sample in stats.latency.samples:
             merged.latency.record(sample)
         for sample in stats.search_latency.samples:
             merged.search_latency.record(sample)
-        for name in CLIENT_COUNTER_FIELDS:
-            counter = getattr(merged, name)
-            counter += int(getattr(stats, name))
-            setattr(merged, name, counter)
+    for name in CLIENT_COUNTER_FIELDS:
+        setattr(merged, name, sum(getattr(s, name) for s in all_stats))
     return merged

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Generator, List, Optional, Sequence, Union
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import MetricsRegistry, expose_fields
 from ..sim.kernel import Simulator
 from .plan import (
     BOTH,
@@ -41,6 +41,14 @@ from .plan import (
 
 class FaultInjector:
     """Applies one plan to one simulated cluster."""
+
+    #: The int counts :meth:`register_metrics` exposes as ``faults.*``.
+    COUNTER_FIELDS = (
+        "packets_dropped", "latency_injections", "nic_stalls_injected",
+        "beats_blacked_out", "workers_crashed", "workers_restarted",
+        "write_storm_windows", "client_stalls_injected",
+        "shards_lost", "shards_restored",
+    )
 
     def __init__(
         self,
@@ -60,34 +68,13 @@ class FaultInjector:
         self._client_stalls: List[ClientStall] = plan.of_type(ClientStall)
         self._shard_losses: List[ShardLoss] = plan.of_type(ShardLoss)
         self._started = False
-        self.packets_dropped = Counter("faults.packets_dropped")
-        self.latency_injections = Counter("faults.latency_injections")
-        self.nic_stalls_injected = Counter("faults.nic_stalls_injected")
-        self.beats_blacked_out = Counter("faults.beats_blacked_out")
-        self.workers_crashed = Counter("faults.workers_crashed")
-        self.workers_restarted = Counter("faults.workers_restarted")
-        self.write_storm_windows = Counter("faults.write_storm_windows")
-        self.client_stalls_injected = Counter("faults.client_stalls_injected")
-        self.shards_lost = Counter("faults.shards_lost")
-        self.shards_restored = Counter("faults.shards_restored")
+        for name in self.COUNTER_FIELDS:
+            setattr(self, name, 0)
 
     def register_metrics(self, registry: MetricsRegistry,
                          prefix: str = "faults") -> None:
-        """Adopt the injection counters into ``registry``."""
-        registry.adopt(f"{prefix}.packets_dropped", self.packets_dropped)
-        registry.adopt(f"{prefix}.latency_injections",
-                       self.latency_injections)
-        registry.adopt(f"{prefix}.nic_stalls_injected",
-                       self.nic_stalls_injected)
-        registry.adopt(f"{prefix}.beats_blacked_out", self.beats_blacked_out)
-        registry.adopt(f"{prefix}.workers_crashed", self.workers_crashed)
-        registry.adopt(f"{prefix}.workers_restarted", self.workers_restarted)
-        registry.adopt(f"{prefix}.write_storm_windows",
-                       self.write_storm_windows)
-        registry.adopt(f"{prefix}.client_stalls_injected",
-                       self.client_stalls_injected)
-        registry.adopt(f"{prefix}.shards_lost", self.shards_lost)
-        registry.adopt(f"{prefix}.shards_restored", self.shards_restored)
+        """Expose the injection counters in ``registry``."""
+        expose_fields(registry, prefix, [self], self.COUNTER_FIELDS)
 
     # -- passive hooks -----------------------------------------------------
 

@@ -18,6 +18,7 @@ from .registry import (
     LatencyView,
     MetricsRegistry,
     WindowSampler,
+    expose_fields,
 )
 from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
@@ -36,6 +37,7 @@ __all__ = [
     "Tracer",
     "WindowSampler",
     "dumps",
+    "expose_fields",
     "load_metrics_json",
     "snapshot_document",
     "write_metrics_json",

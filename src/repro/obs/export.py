@@ -36,7 +36,7 @@ def _sanitize(value: Any) -> Any:
         return [_sanitize(v) for v in value]
     if isinstance(value, (str, int, bool)) or value is None:
         return value
-    # Counters and other int-likes.
+    # Integer scalars that are not ``int`` (numpy's, for one).
     if hasattr(value, "__int__"):
         return int(value)
     return repr(value)

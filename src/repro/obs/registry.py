@@ -1,19 +1,20 @@
-"""The metrics registry: counters, gauges, histograms, windowed samplers.
+"""The metrics registry: gauges, histograms, windowed samplers.
 
 Every component of the reproduction (server, clients, offload engine,
-heartbeat service, ring buffers, transport) registers its counters here so
-one :meth:`MetricsRegistry.snapshot` call captures the whole system — the
-substrate the benchmark JSON artifacts are built from.
+heartbeat service, ring buffers, transport) registers what it counts
+here so one :meth:`MetricsRegistry.snapshot` call captures the whole
+system — the substrate the benchmark JSON artifacts are built from.
 
 Design constraints:
 
 * **No wall-clock calls.**  Anything time-based (the windowed samplers) is
   driven by the simulation clock, so metrics are deterministic and
   reproducible for a given seed.
-* **Attribute access keeps working.**  :class:`Counter` implements the
-  numeric protocol, so a component field that used to be a plain ``int``
-  (``stats.torn_retries += 1``, ``assert stats.torn_retries == 3``) keeps
-  behaving identically after migrating to a registry-adoptable counter.
+* **A count is an int.**  Components keep plain ``int`` fields
+  (``stats.torn_retries += 1``) and the registry reads them one way:
+  :func:`expose_fields` registers each field as a pull gauge summed over
+  a live list of owners, so the hot path pays for an ``int`` add and
+  nothing else.
 * **Bounded memory.**  Histograms are HDR-style log-linear buckets (a few
   hundred buckets regardless of sample count); samplers keep a bounded
   ring of points.
@@ -23,157 +24,58 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
-
-
-def _coerce(other: Any) -> Any:
-    """Numeric value of ``other`` for arithmetic with :class:`Counter`."""
-    if isinstance(other, Counter):
-        return other._value
-    return other
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 class Counter:
-    """A monotonic counter that behaves like an ``int``.
+    """A named count object the registry can :meth:`~MetricsRegistry.adopt`.
 
-    Components keep these as plain attributes (``self.meta_reads``); the
-    numeric protocol below means every pre-existing ``+=`` / comparison /
-    format site keeps working unchanged while the registry can adopt the
-    *object* and see live updates.
+    No model component uses one (they keep ints and register them with
+    :func:`expose_fields`); it is kept for code that hands the registry
+    an object it goes on adding to in place with ``+=``.
     """
 
     kind = "counter"
-    __slots__ = ("name", "help", "_value")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name: str = "", help: str = "", value: int = 0):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.help = help
-        self._value = value
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self._value += amount
-
-    def reset(self) -> None:
         self._value = 0
+
+    def __iadd__(self, amount: int) -> "Counter":
+        self._value += amount
+        return self
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self._value}
 
-    # -- numeric protocol (so `stats.field += 1` etc. keep working) --------
-
-    def __int__(self) -> int:
-        return int(self._value)
-
-    __index__ = __int__
-
-    def __float__(self) -> float:
-        return float(self._value)
-
-    def __bool__(self) -> bool:
-        return bool(self._value)
-
-    def __eq__(self, other: Any) -> bool:
-        return self._value == _coerce(other)
-
-    def __ne__(self, other: Any) -> bool:
-        return self._value != _coerce(other)
-
-    def __lt__(self, other: Any) -> bool:
-        return self._value < _coerce(other)
-
-    def __le__(self, other: Any) -> bool:
-        return self._value <= _coerce(other)
-
-    def __gt__(self, other: Any) -> bool:
-        return self._value > _coerce(other)
-
-    def __ge__(self, other: Any) -> bool:
-        return self._value >= _coerce(other)
-
-    def __add__(self, other: Any):
-        return self._value + _coerce(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any):
-        return self._value - _coerce(other)
-
-    def __rsub__(self, other: Any):
-        return _coerce(other) - self._value
-
-    def __mul__(self, other: Any):
-        return self._value * _coerce(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Any):
-        return self._value / _coerce(other)
-
-    def __rtruediv__(self, other: Any):
-        return _coerce(other) / self._value
-
-    def __floordiv__(self, other: Any):
-        return self._value // _coerce(other)
-
-    def __mod__(self, other: Any):
-        return self._value % _coerce(other)
-
-    def __neg__(self):
-        return -self._value
-
-    def __iadd__(self, other: Any) -> "Counter":
-        self._value += _coerce(other)
-        return self
-
-    def __isub__(self, other: Any) -> "Counter":
-        self._value -= _coerce(other)
-        return self
-
-    def __hash__(self) -> int:
-        # Identity hash: counters are mutable registry objects.
-        return id(self)
-
-    def __format__(self, spec: str) -> str:
-        return format(self._value, spec)
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, value={self._value})"
-
-    def __str__(self) -> str:
-        return str(self._value)
-
 
 class Gauge:
-    """A point-in-time value: either set explicitly or pulled from ``fn``.
+    """A point-in-time value, pulled from ``fn`` on every snapshot.
 
-    Callback gauges are how pre-existing attributes (ring watermarks, QP
-    byte counts, CPU utilization) join the registry without changing the
-    component that owns them.
+    This is how every component attribute (a count, a ring watermark, a
+    QP byte count, a CPU utilization) joins the registry without the
+    component knowing about it.
     """
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_value", "_fn")
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str = "", help: str = "",
-                 fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         self.name = name
-        self.help = help
-        self._value = 0.0
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name!r} is callback-backed")
-        self._value = value
-
     def get(self) -> float:
-        return self._fn() if self._fn is not None else self._value
+        return self._fn()
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "gauge", "value": self.get()}
@@ -402,16 +304,9 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help), "counter"
-        )
-
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              help: str = "") -> Gauge:
-        return self._get_or_create(
-            name, lambda: Gauge(name, help, fn=fn), "gauge"
-        )
+    def expose(self, name: str, fn: Callable[[], float]) -> Gauge:
+        """Register a pull gauge over an existing attribute."""
+        return self._get_or_create(name, lambda: Gauge(name, fn), "gauge")
 
     def histogram(self, name: str, help: str = "",
                   unit: str = "") -> Histogram:
@@ -456,18 +351,10 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def expose(self, name: str, fn: Callable[[], float],
-               help: str = "") -> Gauge:
-        """Shorthand: register a pull gauge over an existing attribute."""
-        return self.gauge(name, fn=fn, help=help)
-
     # -- introspection -----------------------------------------------------
 
     def get(self, name: str):
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return list(self._metrics)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -479,3 +366,18 @@ class MetricsRegistry:
         """One JSON-ready dict capturing every registered metric now."""
         return {name: metric.snapshot()
                 for name, metric in self._metrics.items()}
+
+
+def expose_fields(registry: MetricsRegistry, prefix: str,
+                  objects: Sequence[Any], fields: Sequence[str]) -> None:
+    """Register ``prefix.<field>`` for each of ``fields``: the sum of that
+    int attribute over ``objects``.
+
+    ``objects`` is read on every snapshot, not copied, so an object
+    appended to a live list after registration is counted too.
+    """
+    for field in fields:
+        registry.expose(
+            f"{prefix}.{field}",
+            lambda f=field: sum(getattr(o, f) for o in objects),
+        )

@@ -32,7 +32,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 
 #: The two access paths of the paper (values match the historical trace
@@ -168,6 +167,13 @@ class Algorithm1Policy(PathPolicy):
 
     name = "algorithm1"
     trace_component = "adaptive"
+    #: Introspection counts, summed cluster-wide as ``adaptive.*``.
+    COUNTER_FIELDS = (
+        "busy_observations", "backoff_extensions",
+        "heartbeats_consumed", "heartbeats_missing",
+        "decisions_offload", "decisions_fm",
+        "stale_resets", "offload_failovers",
+    )
 
     def __init__(
         self,
@@ -199,14 +205,14 @@ class Algorithm1Policy(PathPolicy):
         self._last_seq = -1
         self._missing_streak = 0
         # Introspection counters.
-        self.busy_observations = Counter("adaptive.busy_observations")
-        self.backoff_extensions = Counter("adaptive.backoff_extensions")
-        self.heartbeats_consumed = Counter("adaptive.heartbeats_consumed")
-        self.heartbeats_missing = Counter("adaptive.heartbeats_missing")
-        self.decisions_offload = Counter("adaptive.decisions_offload")
-        self.decisions_fm = Counter("adaptive.decisions_fm")
-        self.stale_resets = Counter("adaptive.stale_resets")
-        self.offload_failovers = Counter("adaptive.offload_failovers")
+        self.busy_observations = 0
+        self.backoff_extensions = 0
+        self.heartbeats_consumed = 0
+        self.heartbeats_missing = 0
+        self.decisions_offload = 0
+        self.decisions_fm = 0
+        self.stale_resets = 0
+        self.offload_failovers = 0
 
     def decide_offload(self) -> bool:
         """One pass of lines 5-23; True means offload this search."""
@@ -310,6 +316,9 @@ class BanditPolicy(PathPolicy):
 
     name = "bandit"
     trace_component = "bandit"
+    #: Counts summed cluster-wide as ``bandit.*``.
+    COUNTER_FIELDS = ("offload_failovers", "breaker_demotions",
+                      "explorations")
 
     def __init__(self, rng: Optional[random.Random] = None):
         self.rng = rng or random.Random(0)
@@ -319,8 +328,8 @@ class BanditPolicy(PathPolicy):
         }
         self.explorations = 0
         self.mode_counts = {FAST_MESSAGING: 0, OFFLOADING: 0}
-        self.offload_failovers = Counter("bandit.offload_failovers")
-        self.breaker_demotions = Counter("bandit.breaker_demotions")
+        self.offload_failovers = 0
+        self.breaker_demotions = 0
 
     def _choose_mode(self) -> str:
         fm_est = self.estimates[FAST_MESSAGING]

@@ -26,7 +26,7 @@ from ..cuckoo.service import CuckooService
 from ..hw.cpu import SchedulerModel
 from ..hw.host import Host
 from ..net.fabric import FabricProfile, Network
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import MetricsRegistry, expose_fields
 from ..server.base import RTreeServer
 from ..server.fast_messaging import FastMessagingServer
 from ..server.heartbeat import HeartbeatService
@@ -134,7 +134,7 @@ class ServerStack:
 
     def register_metrics(self, metrics: MetricsRegistry,
                          label: Optional[str] = None) -> None:
-        """Adopt this stack's server-side metrics into ``metrics``.
+        """Expose this stack's server-side metrics in ``metrics``.
 
         With ``label`` (e.g. ``"shard3"``) every name is prefixed so K
         stacks coexist in one registry; without it the single-server
@@ -146,10 +146,8 @@ class ServerStack:
         if self.heartbeats is not None:
             self.heartbeats.register_metrics(metrics,
                                              prefix=f"{dot}heartbeat")
-        metrics.expose(f"{dot}server.searches_served",
-                       lambda: int(self.server.searches_served))
-        metrics.expose(f"{dot}server.inserts_served",
-                       lambda: int(self.server.inserts_served))
+        expose_fields(metrics, f"{dot}server", [self.server],
+                      ("searches_served", "inserts_served"))
         metrics.expose(f"{dot}server.items_held",
                        lambda: self.items_held())
         metrics.expose(f"{dot}server.cpu_utilization",

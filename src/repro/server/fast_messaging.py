@@ -24,7 +24,7 @@ from ..hw.host import Host
 from ..msg.codec import message_size
 from ..msg.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
 from ..net.fabric import Network
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import MetricsRegistry, expose_fields
 from ..sim.kernel import Event, Simulator
 from ..transport.rdma import CompletionChannel, QpEndpoint, connect
 from .base import RTreeServer
@@ -89,6 +89,10 @@ class FmConnection:
 class FastMessagingServer:
     """Per-connection server threads over ring buffers."""
 
+    #: The int counts :meth:`register_metrics` exposes as ``server.*``.
+    COUNTER_FIELDS = ("requests_handled", "requests_shed",
+                      "workers_crashed", "workers_restarted")
+
     def __init__(
         self,
         sim: Simulator,
@@ -115,10 +119,10 @@ class FastMessagingServer:
         #: shed request via their retry policy.
         self.max_queue_depth = max_queue_depth
         self.connections: List[FmConnection] = []
-        self.requests_handled = Counter("server.requests_handled")
-        self.requests_shed = Counter("server.requests_shed")
-        self.workers_crashed = Counter("server.workers_crashed")
-        self.workers_restarted = Counter("server.workers_restarted")
+        self.requests_handled = 0
+        self.requests_shed = 0
+        self.workers_crashed = 0
+        self.workers_restarted = 0
 
     @property
     def n_connections(self) -> int:
@@ -126,16 +130,13 @@ class FastMessagingServer:
 
     def register_metrics(self, registry: MetricsRegistry,
                          prefix: str = "server") -> None:
-        """Adopt server-side fast-messaging metrics into ``registry``.
+        """Expose server-side fast-messaging metrics in ``registry``.
 
         Ring and completion-channel numbers are pull gauges aggregated
         over every open connection, so late-opened connections are
         included automatically.
         """
-        registry.adopt(f"{prefix}.requests_handled", self.requests_handled)
-        registry.adopt(f"{prefix}.requests_shed", self.requests_shed)
-        registry.adopt(f"{prefix}.workers_crashed", self.workers_crashed)
-        registry.adopt(f"{prefix}.workers_restarted", self.workers_restarted)
+        expose_fields(registry, prefix, [self], self.COUNTER_FIELDS)
         registry.expose(f"{prefix}.connections", lambda: self.n_connections)
         registry.expose(
             f"{prefix}.workers_down",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Tuple
 
 from ..msg.codec import Heartbeat
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import MetricsRegistry, expose_fields
 from ..sim.kernel import Simulator
 
 #: The paper's heartbeat interval.
@@ -92,6 +92,9 @@ class HeartbeatMailbox:
 class HeartbeatService:
     """The server-side module broadcasting utilization to clients."""
 
+    #: The int counts :meth:`register_metrics` exposes as ``heartbeat.*``.
+    COUNTER_FIELDS = ("beats_sent", "beats_dropped", "beats_suppressed")
+
     def __init__(
         self,
         sim: Simulator,
@@ -112,9 +115,9 @@ class HeartbeatService:
         #: actual RDMA Write of a heartbeat into that client's ring.
         self._subscribers: List = []
         self._seq = 0
-        self.beats_sent = Counter("heartbeat.beats_sent")
-        self.beats_dropped = Counter("heartbeat.beats_dropped")
-        self.beats_suppressed = Counter("heartbeat.beats_suppressed")
+        self.beats_sent = 0
+        self.beats_dropped = 0
+        self.beats_suppressed = 0
         self.last_utilization = 0.0
         self._proc = None
         #: Optional fault hook (see repro.faults): a zero-arg callable,
@@ -131,10 +134,8 @@ class HeartbeatService:
 
     def register_metrics(self, registry: MetricsRegistry,
                          prefix: str = "heartbeat") -> None:
-        """Adopt the service counters into ``registry``."""
-        registry.adopt(f"{prefix}.beats_sent", self.beats_sent)
-        registry.adopt(f"{prefix}.beats_dropped", self.beats_dropped)
-        registry.adopt(f"{prefix}.beats_suppressed", self.beats_suppressed)
+        """Expose the service counters in ``registry``."""
+        expose_fields(registry, prefix, [self], self.COUNTER_FIELDS)
         registry.expose(f"{prefix}.last_utilization",
                         lambda: self.last_utilization)
         registry.expose(f"{prefix}.seq", lambda: self._seq)

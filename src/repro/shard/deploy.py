@@ -52,8 +52,7 @@ class ShardedExperimentRunner(ClosedLoopRunner):
         """The shard-plane report: router totals, per-shard occupancy
         and, on an elastic plane, the controller's counters."""
         def routed(field: str) -> float:
-            return float(sum(int(getattr(r, field))
-                             for r in self.router_stats))
+            return float(sum(getattr(r, field) for r in self.router_stats))
 
         extra = {
             "n_shards": float(self.n_shards),

@@ -60,7 +60,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..cluster.config import RebalanceConfig
-from ..obs.registry import Counter, MetricsRegistry
 from ..rtree.geometry import Rect
 from ..server.plan import execute_plan
 from ..sim.kernel import Simulator
@@ -88,15 +87,10 @@ class RebalanceStats:
 
     def __init__(self):
         for name in self.FIELDS:
-            setattr(self, name, Counter())
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "rebalance") -> None:
-        for name in self.FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
-        return {name: int(getattr(self, name)) for name in self.FIELDS}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 class RebalanceController:
@@ -160,7 +154,7 @@ class RebalanceController:
     def _loads(self) -> List[int]:
         """Per-shard served-request deltas since the previous cycle,
         with the controller's own migration traffic subtracted."""
-        served = [int(s.server.requests_served) for s in self.stacks]
+        served = [s.server.requests_served for s in self.stacks]
         loads = [
             max(0, served[k] - self._last_served[k]
                 - self._migration_ops[k])

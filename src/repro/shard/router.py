@@ -38,7 +38,6 @@ from ..client.resilience import (
     CircuitBreaker,
     RequestTimeoutError,
 )
-from ..obs.registry import Counter
 from ..server.base import REFUSED
 from ..sim.kernel import Simulator, all_of
 from .partition import ShardMap
@@ -119,19 +118,19 @@ def merge_search_replies(
 class RouterStats:
     """Per-client router accounting (aggregated into cluster metrics)."""
 
-    queries_routed: Counter = field(default_factory=Counter)
-    subqueries_issued: Counter = field(default_factory=Counter)
-    shards_pruned: Counter = field(default_factory=Counter)
-    partial_results: Counter = field(default_factory=Counter)
-    shard_timeouts: Counter = field(default_factory=Counter)
-    shard_offload_errors: Counter = field(default_factory=Counter)
-    shard_skips: Counter = field(default_factory=Counter)
-    duplicates_merged: Counter = field(default_factory=Counter)
+    queries_routed: int = 0
+    subqueries_issued: int = 0
+    shards_pruned: int = 0
+    partial_results: int = 0
+    shard_timeouts: int = 0
+    shard_offload_errors: int = 0
+    shard_skips: int = 0
+    duplicates_merged: int = 0
     #: Reads that detected an epoch bump between scatter and gather and
     #: went back to the map for newly-covering shards.
-    epoch_rescatters: Counter = field(default_factory=Counter)
+    epoch_rescatters: int = 0
     #: Extra sub-queries those re-scatters issued.
-    rescattered_subqueries: Counter = field(default_factory=Counter)
+    rescattered_subqueries: int = 0
 
     #: The PR 4 counter set.  The shard-loss chaos fingerprint digests
     #: exactly these, so rebalance-era counters live in

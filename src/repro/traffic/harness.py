@@ -32,7 +32,7 @@ from ..cluster.deployment import Deployment
 from ..cluster.results import RunResult, merge_client_stats
 from ..cluster.schemes import TRANSPORT_TCP, scheme_spec
 from ..hw.host import Host
-from ..obs import LatencyView, snapshot_document
+from ..obs import LatencyView, expose_fields, snapshot_document
 from ..sim.kernel import all_of
 from ..sim.monitor import LatencyRecorder
 from ..workloads.scales import scale_generator
@@ -209,12 +209,9 @@ class TrafficRunner:
 
     def _register_metrics(self) -> None:
         self.mux.register_metrics(self.metrics)
-        for name in ("arrivals", "shed_window", "users_touched",
-                     "in_flight"):
-            self.metrics.expose(
-                f"traffic.{name}",
-                lambda n=name: sum(getattr(a, n) for a in self.aggregates),
-            )
+        expose_fields(self.metrics, "traffic", self.aggregates,
+                      ("arrivals", "shed_window", "users_touched",
+                       "in_flight"))
 
     # -- execution ---------------------------------------------------------
 
@@ -315,8 +312,8 @@ class TrafficRunner:
             server_bandwidth_gbps=deployment.total_bandwidth_gbps(),
             server_bandwidth_utilization=deployment.bandwidth_utilization(),
             offload_fraction=merged.offload_fraction,
-            torn_retries=int(merged.torn_retries),
-            search_restarts=int(merged.search_restarts),
+            torn_retries=merged.torn_retries,
+            search_restarts=merged.search_restarts,
             per_tenant=per_tenant,
             metrics=doc,
         )

@@ -29,6 +29,7 @@ from typing import Callable, List, Optional
 from ..client.base import Request
 from ..client.offload_client import OffloadError
 from ..client.resilience import RequestTimeoutError
+from ..obs.registry import expose_fields
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
 
@@ -191,8 +192,7 @@ class ConnectionMux:
     # -- metrics -----------------------------------------------------------
 
     def register_metrics(self, metrics, prefix: str = "traffic") -> None:
-        for name in ("offered", "admitted", "completed", "failed",
-                     "shed_watermark", "shed_admission"):
-            metrics.expose(f"{prefix}.{name}",
-                           lambda n=name: getattr(self, n))
+        expose_fields(metrics, prefix, [self],
+                      ("offered", "admitted", "completed", "failed",
+                       "shed_watermark", "shed_admission"))
         metrics.expose(f"{prefix}.queue_depth", lambda: len(self.queue))

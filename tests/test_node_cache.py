@@ -16,7 +16,6 @@ from repro.client.node_cache import HWM_UNKNOWN, NodeCache, NodeCacheConfig
 from repro.hw import Host
 from repro.msg.codec import Heartbeat, message_size
 from repro.net import IB_100G, Network
-from repro.obs import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.rtree import Rect
 from repro.rtree.serialize import NodeView
@@ -117,15 +116,20 @@ def test_cache_lru_eviction_bound():
 
 
 def test_cache_metrics_registration():
-    cache = NodeCache()
-    cache.note_server_hwm(2)
-    cache.store(make_view())
-    registry = MetricsRegistry()
-    cache.register_metrics(registry)
-    snap = registry.snapshot()
-    assert snap["cache.stores"]["value"] == 1
-    assert snap["cache.resident_nodes"]["value"] == 1
-    assert snap["cache.server_hwm"]["value"] == 2
+    """A deployment sums every client's cache counts into ``cache.*``."""
+    from repro import ExperimentConfig, run_experiment
+    result = run_experiment(ExperimentConfig(
+        scheme="rdma-offloading-multi", n_clients=2,
+        requests_per_client=30, dataset_size=2_000,
+        node_cache=NodeCacheConfig(),
+    ))
+    metrics = result.metrics["metrics"]
+    for field in NodeCache.COUNTER_FIELDS:
+        assert metrics[f"cache.{field}"]["type"] == "gauge"
+    assert metrics["cache.stores"]["value"] > 0
+    assert metrics["cache.hits"]["value"] > 0
+    assert 0 < metrics["cache.resident_nodes"]["value"] \
+        <= metrics["cache.stores"]["value"]
 
 
 # -- heartbeat hint plumbing + wire compatibility ----------------------------

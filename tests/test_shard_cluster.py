@@ -93,6 +93,34 @@ class TestDispatchAndConfig:
             small_config(n_shards=0)
 
 
+class TestClusterWideMetrics:
+    """A routed document carries the single-server names too, each the
+    sum of its per-shard values."""
+
+    NAMES = (
+        "server.requests_handled", "server.requests_shed",
+        "server.workers_crashed", "server.workers_restarted",
+        "server.items_held",
+        "heartbeat.beats_sent", "heartbeat.beats_dropped",
+        "heartbeat.beats_suppressed",
+    )
+
+    def test_routed_aggregates_sum_the_shards(self):
+        shape = dict(scheme="catfish", heartbeat_interval=0.05e-3)
+        plain = run_experiment(small_config(**shape)).metrics["metrics"]
+        routed = run_experiment(
+            small_config(n_shards=2, **shape)).metrics["metrics"]
+        for name in self.NAMES:
+            assert name in plain, name
+            per_shard = [routed[f"shard{k}.{name}"]["value"]
+                         for k in range(2)]
+            assert routed[name]["value"] == sum(per_shard), name
+        assert routed["server.requests_handled"]["value"] > 0
+        assert routed["heartbeat.beats_sent"]["value"] > 0
+        assert (routed["server.items_held"]["value"]
+                == plain["server.items_held"]["value"])
+
+
 class TestRoutedDeletes:
     """A routed delete reports the server's ack, and only a delete that
     found its item shrinks the shard map's count."""
