@@ -445,53 +445,3 @@ class BPlusTree:
         while not node.is_leaf:
             node = node.children[0]
         return node.keys[0]
-
-    # -- invariants -----------------------------------------------------------------
-
-    def validate(self) -> None:
-        """Assert every structural invariant (used by the tests)."""
-        leaves: List[BLeaf] = []
-        count = self._validate_node(self.root, None, None, is_root=True,
-                                    leaves=leaves)
-        assert count == self.size, f"size {self.size} but {count} keys"
-        # Leaf chain covers every leaf, in order.
-        if leaves:
-            chain = []
-            node = leaves[0]
-            while node is not None:
-                chain.append(node)
-                node = node.next_leaf
-            assert chain == leaves, "broken leaf chain"
-            flat = [k for leaf in leaves for k in leaf.keys]
-            assert flat == sorted(flat), "leaf keys out of order"
-            assert len(flat) == len(set(flat)), "duplicate keys"
-
-    def _validate_node(self, node, lo, hi, is_root, leaves) -> int:
-        if node.is_leaf:
-            assert node.keys == sorted(node.keys)
-            assert len(node.keys) == len(node.values)
-            if not is_root:
-                assert len(node.keys) >= self.min_fill, (
-                    f"leaf #{node.chunk_id} underfull: {len(node.keys)}"
-                )
-            assert len(node.keys) <= self.capacity
-            for key in node.keys:
-                assert lo is None or key >= lo, f"key {key} below {lo}"
-                assert hi is None or key < hi, f"key {key} not below {hi}"
-            leaves.append(node)
-            return len(node.keys)
-        assert len(node.children) == len(node.keys) + 1
-        assert node.keys == sorted(node.keys)
-        if not is_root:
-            assert len(node.children) >= self.min_fill
-        else:
-            assert len(node.children) >= 2
-        assert len(node.children) <= self.capacity
-        total = 0
-        bounds = [lo] + list(node.keys) + [hi]
-        for i, child in enumerate(node.children):
-            assert child.parent is node, "broken parent pointer"
-            total += self._validate_node(
-                child, bounds[i], bounds[i + 1], is_root=False, leaves=leaves
-            )
-        return total

@@ -46,10 +46,6 @@ class EwmaPredictor:
             )
         return self._estimate
 
-    def reset(self) -> None:
-        self._seen_any = False
-        self._estimate = 0.0
-
 
 class TrendPredictor:
     """Linear extrapolation: ``u + TREND_GAIN * (u - previous)``, clamped.
@@ -71,10 +67,6 @@ class TrendPredictor:
             prediction = u_serv + TREND_GAIN * (u_serv - self._previous)
         self._previous = u_serv
         return min(max(prediction, 0.0), 1.0)
-
-    def reset(self) -> None:
-        self._seen_any = False
-        self._previous = 0.0
 
 
 PREDICTORS = {

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -70,35 +68,6 @@ class RunResult:
             f"{'Kops':>10} {'mean_us':>10} {'p99_us':>10} "
             f"{'cpu':>7} {'gbps':>8} {'offl':>7}"
         )
-
-
-def result_fingerprint(result: RunResult) -> str:
-    """A 16-hex digest over every numeric field of one run.
-
-    Two runs with the same fingerprint produced bit-identical simulated
-    timing and counters — the regression oracle behind the runtime-layer
-    determinism contract (floats are hashed via ``repr``, i.e. exactly,
-    not up to rounding).  The metrics snapshot document is deliberately
-    excluded so purely observational additions don't invalidate goldens.
-    """
-    fields = (
-        result.scheme, result.fabric, result.n_clients,
-        result.total_requests, result.elapsed_s, result.throughput_kops,
-        result.mean_latency_us, result.p50_latency_us, result.p99_latency_us,
-        result.mean_search_latency_us, result.server_cpu_utilization,
-        result.server_bandwidth_gbps, result.server_bandwidth_utilization,
-        result.offload_fraction, result.torn_retries, result.search_restarts,
-        result.heartbeats_sent, result.heartbeats_dropped,
-        result.searches_served_by_server, result.inserts_served,
-    )
-    parts = []
-    for value in fields:
-        if isinstance(value, float):
-            parts.append("nan" if math.isnan(value) else repr(value))
-        else:
-            parts.append(repr(value))
-    digest = hashlib.sha256("|".join(parts).encode("utf-8"))
-    return digest.hexdigest()[:16]
 
 
 def merge_client_stats(all_stats: List[ClientStats]) -> ClientStats:

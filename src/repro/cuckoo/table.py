@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..rtree.node import VersionedChunk
 
@@ -193,22 +193,3 @@ class CuckooHashTable:
                     return result
         result.ok = False
         return result
-
-    # -- invariants --------------------------------------------------------------
-
-    def validate(self) -> None:
-        seen: Dict[int, int] = {}
-        total = 0
-        for bucket in self.buckets:
-            assert len(bucket.entries) <= self.slots_per_bucket
-            for k, _v in bucket.entries:
-                assert k not in seen, f"key {k} in buckets {seen[k]} and " \
-                                      f"{bucket.chunk_id}"
-                seen[k] = bucket.chunk_id
-                h1, h2 = self.bucket_indices(k)
-                assert bucket.chunk_id in (h1, h2), (
-                    f"key {k} in bucket {bucket.chunk_id}, candidates "
-                    f"({h1}, {h2})"
-                )
-                total += 1
-        assert total == self.size, f"size {self.size} but {total} entries"

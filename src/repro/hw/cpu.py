@@ -64,14 +64,6 @@ class CorePool:
         self.tracker = UtilizationTracker(sim, capacity=capacity)
         self.total_work_seconds = 0.0
 
-    @property
-    def busy_cores(self) -> int:
-        return self._busy
-
-    @property
-    def run_queue_length(self) -> int:
-        return len(self._waiting)
-
     def charge(self, cost: float, then: Callable[[], None]) -> None:
         """Run ``cost`` seconds of work on one core, then call ``then()``
         (in the step the work ends, after the core is released)."""
@@ -182,13 +174,6 @@ class SchedulerModel:
         if ratio <= 1.0:
             return POLL_GRANULARITY
         return POLL_GRANULARITY + self.rng.uniform(0.0, ratio * ratio * self.quantum)
-
-    def mean_polling_wakeup_delay(self, n_threads: int) -> float:
-        """Expected value of :meth:`polling_wakeup_delay` (for tests)."""
-        ratio = self.oversubscription(n_threads)
-        if ratio <= 1.0:
-            return POLL_GRANULARITY
-        return POLL_GRANULARITY + ratio * ratio * self.quantum / 2.0
 
     def event_wakeup_delay(self) -> float:
         """Delay to wake a thread blocked on a completion channel."""

@@ -55,12 +55,6 @@ class MemoryRegistry:
         self._next_base += size + 4096
         return region
 
-    def deregister(self, rkey: int) -> None:
-        if rkey not in self._regions:
-            raise MemoryError_(f"rkey {rkey} is not registered")
-        del self._regions[rkey]
-        self._targets.pop(rkey, None)
-
     def bind(self, rkey: int, target: object) -> None:
         """Attach the object that services one-sided accesses to ``rkey``.
 
@@ -110,10 +104,6 @@ class ChunkAllocator:
         self._next_fresh = 0
         self._free: List[int] = []
         self._allocated: set = set()
-
-    @property
-    def allocated_count(self) -> int:
-        return len(self._allocated)
 
     def alloc(self) -> int:
         """Allocate a chunk; returns its chunk id."""

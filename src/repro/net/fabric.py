@@ -15,7 +15,7 @@ per 28-core client node and never reports client-side saturation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..sim.kernel import Event, Simulator
@@ -47,10 +47,6 @@ class FabricProfile:
         if self.rdma:
             return ib_wire_size(payload)
         return tcp_wire_size(payload)
-
-    def scaled(self, **changes) -> "FabricProfile":
-        """A copy with some constants replaced (for ablations)."""
-        return replace(self, **changes)
 
 
 #: 1 Gbps Ethernet with the TCP/IP stack (paper's "TCP/IP-1G").
@@ -138,14 +134,10 @@ class Network:
             )
         link.send(wire_bytes, then, on_arrival)
 
-    def server_bandwidth_utilization(self) -> float:
-        """Fraction of the server access link consumed (Fig 2's right axis)."""
-        return self.server_link.utilization()
-
     def server_bandwidth_gbps(self) -> float:
         """Average consumed bandwidth of the busier direction, in Gbps."""
         if self.sim.now <= 0:
             return 0.0
-        tx = self.server_link.tx.counter.total_bytes * 8.0 / self.sim.now
-        rx = self.server_link.rx.counter.total_bytes * 8.0 / self.sim.now
+        tx = self.server_link.tx.total_bytes * 8.0 / self.sim.now
+        rx = self.server_link.rx.total_bytes * 8.0 / self.sim.now
         return max(tx, rx) / 1e9

@@ -20,7 +20,6 @@ from collections import deque
 from typing import Callable, Deque
 
 from ..sim.kernel import Event, Simulator
-from ..sim.monitor import ByteCounter
 
 
 class Link:
@@ -46,21 +45,12 @@ class Link:
         #: its serialization, granted to waiters in FIFO order.
         self._busy = False
         self._waiting: Deque["_Send"] = deque()
-        self.counter = ByteCounter(sim)
+        #: Bytes whose serialization has finished (Fig 2's bandwidth).
+        self.total_bytes = 0
         #: Optional fault hook (see repro.faults): a zero-arg callable
         #: returning extra seconds this transfer waits before taking the
         #: transmitter (packet loss retransmits, latency spikes).
         self.fault_hook = None
-
-    @property
-    def bytes_per_second(self) -> float:
-        return self._bytes_per_s
-
-    def serialization_delay(self, nbytes: int) -> float:
-        """Time the transmitter is held for ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError(f"negative size {nbytes}")
-        return nbytes / self._bytes_per_s
 
     def send(self, nbytes: int, then: float,
              on_arrival: Callable[[Event], None]) -> None:
@@ -69,23 +59,6 @@ class Link:
         if nbytes < 0:
             raise ValueError(f"negative size {nbytes}")
         _Send(self, nbytes, then, on_arrival)
-
-    @property
-    def queue_length(self) -> int:
-        """Messages waiting for the transmitter (congestion signal)."""
-        return len(self._waiting)
-
-    def utilization(self) -> float:
-        """Average offered load since t=0 as a fraction of capacity."""
-        if self.sim.now <= 0:
-            return 0.0
-        return (
-            self.counter.total_bytes / self.bytes_per_second
-        ) / self.sim.now
-
-    def window_bandwidth_bps(self, reset: bool = True) -> float:
-        """Average bits/second over the last measurement window."""
-        return self.counter.window_bandwidth(reset=reset) * 8.0
 
 
 class _Send:
@@ -123,7 +96,7 @@ class _Send:
 
     def _serialized(self, _event) -> None:
         link = self.link
-        link.counter.record(self.nbytes)
+        link.total_bytes += self.nbytes
         sim = link.sim
         now = sim.now
         # Propagation overlaps with the next sender's serialization.
@@ -155,7 +128,3 @@ class DuplexLink:
     ):
         self.tx = Link(sim, bandwidth_bps, latency_s, name=f"{name}.tx")
         self.rx = Link(sim, bandwidth_bps, latency_s, name=f"{name}.rx")
-
-    def utilization(self) -> float:
-        """The busier direction's utilization (what Fig 2 reports)."""
-        return max(self.tx.utilization(), self.rx.utilization())

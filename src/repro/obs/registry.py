@@ -29,7 +29,6 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -267,9 +266,6 @@ class WindowSampler:
             yield self.sim.timeout(self.interval)
             self.points.append((self.sim.now, float(self._fn())))
 
-    def values(self) -> List[float]:
-        return [v for _t, v in self.points]
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "type": "series",
@@ -352,12 +348,6 @@ class MetricsRegistry:
         return metric
 
     # -- introspection -----------------------------------------------------
-
-    def get(self, name: str):
-        return self._metrics.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -162,9 +162,6 @@ class Tracer:
             "events": [e.as_dict() for e in events],
         }
 
-    def clear(self) -> None:
-        self._events.clear()
-
 
 class NullTracer:
     """The default: never records, never allocates."""
@@ -185,9 +182,6 @@ class NullTracer:
 
     def snapshot(self, limit: Optional[int] = None) -> Dict[str, Any]:
         return {"total_events": 0, "dropped_events": 0, "events": []}
-
-    def clear(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

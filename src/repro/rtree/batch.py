@@ -445,7 +445,3 @@ class BatchSearchEngine:
             result.leaf_nodes_visited = leaf_visits[q]
         self.shared_visits += shared_visits
         return results
-
-    def count_batch(self, queries: Sequence[Rect]) -> List[int]:
-        """Per-query intersection counts (aggregate-only batch)."""
-        return [r.count for r in self.search_batch(queries)]

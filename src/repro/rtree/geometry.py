@@ -32,15 +32,6 @@ class Rect:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_center(cls, cx: float, cy: float, width: float,
-                    height: float) -> "Rect":
-        """Rectangle of ``width x height`` centred on ``(cx, cy)``."""
-        if width < 0 or height < 0:
-            raise ValueError(f"negative extent {width} x {height}")
-        return cls(cx - width / 2, cy - height / 2,
-                   cx + width / 2, cy + height / 2)
-
-    @classmethod
     def point(cls, x: float, y: float) -> "Rect":
         return cls(x, y, x, y)
 
@@ -123,9 +114,6 @@ class Rect:
             and self.maxx >= other.maxx
             and self.maxy >= other.maxy
         )
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.minx <= x <= self.maxx and self.miny <= y <= self.maxy
 
     # -- combinations --------------------------------------------------------
 

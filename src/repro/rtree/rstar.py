@@ -142,7 +142,8 @@ class RStarTree:
         The per-entry test goes through the shared scan kernel
         (``repro.rtree.batch.node_scan_indices``): a flat-list loop over
         the node's coordinate mirror, with the closed-interval predicate
-        and entry order of ``search_via_rects``, the reference loop.
+        and entry order of the per-entry ``Rect.intersects`` reference
+        loop (``tests/rstar_reference.py``).
         """
         result = SearchResult()
         matches = result.matches
@@ -192,38 +193,6 @@ class RStarTree:
             else:
                 stack.extend(entries[j].child for j in hits)
         return runs
-
-    def search_batch(self, queries) -> List[SearchResult]:
-        """Batched search: one shared traversal for a group of queries.
-
-        Convenience wrapper over :class:`repro.rtree.batch
-        .BatchSearchEngine`; per-query results are identical to calling
-        :meth:`search` once per query.
-        """
-        return _batch.BatchSearchEngine(self).search_batch(queries)
-
-    def search_via_rects(self, query: Rect) -> SearchResult:
-        """Reference search: per-entry ``Rect.intersects``, no scan cache.
-
-        Kept as the oracle for the flat-scan property test; must return
-        byte-identical results to ``search``.
-        """
-        result = SearchResult()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            result.nodes_visited += 1
-            result.visited_chunks.append(node.chunk_id)
-            if node.is_leaf:
-                result.leaf_nodes_visited += 1
-                for entry in node.entries:
-                    if entry.rect.intersects(query):
-                        result.matches.append((entry.rect, entry.data_id))
-            else:
-                for entry in node.entries:
-                    if entry.rect.intersects(query):
-                        stack.append(entry.child)
-        return result
 
     def count_intersections(self, query: Rect) -> int:
         return self.search(query).count

@@ -130,9 +130,6 @@ class ShardMap:
         #: means the plane never moved (the static case).
         self.epoch = epoch
 
-    def __len__(self) -> int:
-        return len(self._shards)
-
     def __iter__(self):
         return iter(self._shards)
 

@@ -2,7 +2,6 @@
 
 from .kernel import (
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -11,10 +10,7 @@ from .kernel import (
     any_of,
 )
 from .monitor import (
-    ByteCounter,
     LatencyRecorder,
-    TallyStats,
-    TimeSeries,
     UtilizationTracker,
 )
 from .resources import (
@@ -27,17 +23,13 @@ from .rng import RngRegistry
 
 __all__ = [
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",
     "Timeout",
     "all_of",
     "any_of",
-    "ByteCounter",
     "LatencyRecorder",
-    "TallyStats",
-    "TimeSeries",
     "UtilizationTracker",
     "Container",
     "Mailbox",

@@ -12,9 +12,8 @@ between events; callbacks run at a single instant.
 Because every simulated RDMA op costs a handful of events, this module is
 the hottest code in the repository and is written accordingly: all event
 classes use ``__slots__``, the run loops are inlined (no per-event method
-dispatch), :class:`Timeout` objects for the pervasive fixed-delay case are
-pooled, and interrupt bookkeeping is O(1) (a tombstone check instead of a
-linear ``callbacks.remove``).
+dispatch), and :class:`Timeout` objects for the pervasive fixed-delay case
+are pooled.
 
 Hot paths spend fewer events without moving any timestamp through
 :meth:`Simulator.wake_at` (one queue entry at an absolute instant, for a
@@ -74,18 +73,6 @@ class SimulationError(Exception):
 
 class EventAlreadyTriggered(SimulationError):
     """Raised when succeeding/failing an event that already triggered."""
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -229,7 +216,7 @@ class Process(Event):
     exception.
     """
 
-    __slots__ = ("name", "_generator", "_target", "_interrupts")
+    __slots__ = ("name", "_generator", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
                  start_now: bool = False):
@@ -238,10 +225,8 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        #: Events whose wake-up this process still expects: the event it is
-        #: waiting on (``_target``) plus any pending interrupt deliveries.
-        #: Anything else calling back is a tombstoned (abandoned) event.
-        self._interrupts: List[Event] = []
+        # ``_target`` is the event the process waits on (``None`` once it
+        # has finished).
         if start_now:
             self._target = _STARTED
             self._resume(_STARTED)
@@ -253,60 +238,7 @@ class Process(Event):
         """True while the coroutine has not finished."""
         return self._ok is None
 
-    @property
-    def has_started(self) -> bool:
-        """True once the coroutine has executed its first step.
-
-        Interrupting a process that has not yet started throws the
-        :class:`Interrupt` at the generator's first instruction — before
-        any ``try`` it opens — so callers that interrupt cooperatively
-        (expecting the target to catch) must check this first.
-        """
-        return not isinstance(self._target, Initialize)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a dead process is an error; interrupting a process
-        twice before it handles the first is allowed (both are delivered).
-
-        The event the process was waiting on is *abandoned*, not edited:
-        its callback list keeps the stale ``_resume`` entry (a tombstone
-        discarded in O(1) when the event eventually fires) instead of
-        paying an O(n) ``callbacks.remove`` here.
-        """
-        if self._ok is not None:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        if self._target is self.sim._active_event:
-            raise SimulationError("a process cannot interrupt itself")
-        # Abandon the event we were waiting on; its later trigger is
-        # recognized as stale in _resume (tombstone, no list surgery).
-        self._target = None
-        event = Event(self.sim)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        event.callbacks.append(self._resume)
-        self._interrupts.append(event)
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        _heappush(sim._queue, (sim.now, seq << 1, event))
-
     def _resume(self, event: Event) -> None:
-        if self._ok is not None:
-            # Stale wake-up (e.g. the event we abandoned on interrupt).
-            if event._ok is False:
-                event.defused = True
-            return
-        if event is not self._target:
-            # Either a pending interrupt delivery or a stale wake-up from
-            # an event abandoned by interrupt().
-            try:
-                self._interrupts.remove(event)
-            except ValueError:
-                if event._ok is False:
-                    event.defused = True
-                return
         sim = self.sim
         generator = self._generator
         while True:
@@ -384,8 +316,6 @@ class Simulator:
         self._queue: List = []
         self._seq = 0
         self._timeout_pool: List[Timeout] = []
-        self._active_process: Optional[Process] = None
-        self._active_event: Optional[Event] = None
         self._pending_crash: Optional[BaseException] = None
         #: True while the code running is the last callback of the entry
         #: the run loop is processing, outside any :meth:`start` first
@@ -397,7 +327,7 @@ class Simulator:
     # -- scheduling ------------------------------------------------------
 
     def _crash(self, exc: BaseException) -> None:
-        """Record an unhandled process failure; re-raised by run()/step()."""
+        """Record an unhandled process failure; re-raised by the run loop."""
         if self._pending_crash is None:
             self._pending_crash = exc
 
@@ -448,7 +378,7 @@ class Simulator:
         if pool:
             timeout = pool.pop()
             # The pooled instance kept its (cleared) callbacks list — see
-            # the recycle sites in step()/run() — so no list is allocated.
+            # the recycle sites in the run loops — so no list is allocated.
             timeout._ok = True
             timeout._value = value
             timeout.defused = False
@@ -582,8 +512,8 @@ class Simulator:
 
     def urgent(self, callback: Callable[[Event], None]) -> Event:
         """Queue ``callback`` at this instant ahead of every normal-priority
-        entry: the slot a process start or an interrupt delivery takes,
-        for a callback object that stands in for a process."""
+        entry: the slot a process start takes, for a callback object
+        that stands in for a process."""
         event = Event(self)
         event._ok = True
         event.callbacks.append(callback)
@@ -604,12 +534,12 @@ class Simulator:
 
         The first step (up to its first ``yield``) executes inside this
         call, before it returns, and no ``Initialize`` entry is queued.
-        Use it only for processes nobody interrupts and whose first step
-        touches nothing the rest of the caller's step reads or writes:
-        that is what makes it equivalent to :meth:`process`.  An
-        exception raised by the first step surfaces from :meth:`run`
-        (nobody can be waiting on the process yet).  The first step may
-        not :meth:`hop`: its caller has not finished.
+        Use it only for processes whose first step touches nothing the
+        rest of the caller's step reads or writes: that is what makes it
+        equivalent to :meth:`process`.  An exception raised by the first
+        step surfaces from :meth:`run` (nobody can be waiting on the
+        process yet).  The first step may not :meth:`hop`: its caller has
+        not finished.
         """
         tail, self._tail = self._tail, False
         process = Process(self, generator, name=name, start_now=True)
@@ -617,33 +547,6 @@ class Simulator:
         return process
 
     # -- execution -------------------------------------------------------
-
-    @property
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        time, _key, event = heapq.heappop(self._queue)
-        self.now = time
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False:
-            if not event.defused:
-                self._crash(event._value)
-        elif (type(event) is Timeout
-              and len(self._timeout_pool) < _TIMEOUT_POOL_MAX):
-            callbacks.clear()
-            event.callbacks = callbacks
-            self._timeout_pool.append(event)
-        if self._pending_crash is not None:
-            exc, self._pending_crash = self._pending_crash, None
-            raise exc
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -657,7 +560,7 @@ class Simulator:
             # A process started (by start()) outside the loop failed.
             exc, self._pending_crash = self._pending_crash, None
             raise exc
-        # Hot loop: the body of step() is inlined (one method call per
+        # Hot loop: the dispatch body is inlined (one method call per
         # event otherwise dominates the kernel's own work).
         queue = self._queue
         pool = self._timeout_pool
@@ -712,7 +615,7 @@ class Simulator:
                 if queue[0][0] > limit:
                     raise SimulationError(
                         f"event not triggered by t={limit}")
-                # Inlined step() body (see run()).
+                # The dispatch body of run(), inlined again.
                 time, _key, current = heappop(queue)
                 self.now = time
                 callbacks = current.callbacks

@@ -1,52 +1,16 @@
-"""Measurement helpers: time-weighted statistics, utilization, rates.
+"""Measurement helpers: latency samples and time-weighted utilization.
 
-Every quantitative claim in the reproduction (CPU utilization heartbeats,
-NIC bandwidth in Fig 2, latency distributions in Figs 7-14) is computed by
-one of these trackers, so they are deliberately small and heavily tested.
+The CPU utilization heartbeats and the latency distributions of Figs 7-14
+are computed by these trackers, so they are deliberately small and
+heavily tested.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from .kernel import Simulator
-
-
-class TallyStats:
-    """Streaming mean / variance / min / max over observed samples."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0 if self.count else math.nan
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if var == var else math.nan
 
 
 class LatencyRecorder:
@@ -58,19 +22,18 @@ class LatencyRecorder:
 
     def __init__(self) -> None:
         self.samples: List[float] = []
-        self.stats = TallyStats()
+        self.count = 0
+        self._mean = 0.0
 
     def record(self, value: float) -> None:
         self.samples.append(value)
-        self.stats.record(value)
-
-    @property
-    def count(self) -> int:
-        return self.stats.count
+        self.count += 1
+        self._mean += (value - self._mean) / self.count
 
     @property
     def mean(self) -> float:
-        return self.stats.mean
+        """Streaming (Welford) mean of the samples; NaN before the first."""
+        return self._mean if self.count else math.nan
 
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
@@ -142,54 +105,3 @@ class UtilizationTracker:
             self._window_start = self.sim.now
             self._window_busy_time = 0.0
         return value
-
-
-class ByteCounter:
-    """Counts bytes moved through a link; reports average bandwidth."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.total_bytes = 0
-        self.total_messages = 0
-        self._window_start = sim.now
-        self._window_bytes = 0
-
-    def record(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative byte count {nbytes}")
-        self.total_bytes += nbytes
-        self._window_bytes += nbytes
-        self.total_messages += 1
-
-    def bandwidth_since_start(self) -> float:
-        """Average bytes/second since t=0."""
-        return self.total_bytes / self.sim.now if self.sim.now > 0 else 0.0
-
-    def window_bandwidth(self, reset: bool = True) -> float:
-        window = self.sim.now - self._window_start
-        value = self._window_bytes / window if window > 0 else 0.0
-        if reset:
-            self._window_start = self.sim.now
-            self._window_bytes = 0
-        return value
-
-
-class TimeSeries:
-    """Sparse (time, value) series for plotting experiment traces."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, value: float) -> None:
-        self.points.append((self.sim.now, value))
-
-    def values(self) -> Sequence[float]:
-        return [v for _t, v in self.points]
-
-    def mean(self) -> float:
-        vals = self.values()
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def last(self) -> Optional[float]:
-        return self.points[-1][1] if self.points else None

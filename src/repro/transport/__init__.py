@@ -12,7 +12,7 @@ from .rdma import (
     RdmaError,
     connect,
 )
-from .tcp import TcpConnection, TcpMessage, request_response
+from .tcp import TcpConnection, TcpMessage
 
 __all__ = [
     "READ",
@@ -27,5 +27,4 @@ __all__ = [
     "connect",
     "TcpConnection",
     "TcpMessage",
-    "request_response",
 ]

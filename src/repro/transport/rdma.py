@@ -188,7 +188,6 @@ class QpEndpoint:
         #: NIC processing per WQE, on each NIC an op crosses, seconds.
         self._wqe_s = profile.rdma_nic_processing_s
         self.peer: Optional["QpEndpoint"] = None
-        self.destroyed = False
         # Counters for experiment reporting.
         self.writes_posted = 0
         self.reads_posted = 0
@@ -284,8 +283,6 @@ class QpEndpoint:
     # -- internals ----------------------------------------------------------
 
     def _check_alive(self) -> None:
-        if self.destroyed:
-            raise RdmaError(f"QP {self.name} has been destroyed")
         if self.peer is None:
             raise RdmaError(f"QP {self.name} is not connected")
 
@@ -297,9 +294,6 @@ class QpEndpoint:
                 f"rkey {rkey} on {self.remote.name} has no bound target"
             )
         return target
-
-    def destroy(self) -> None:
-        self.destroyed = True
 
 
 class _Write:

@@ -57,7 +57,6 @@ class TcpConnection:
         self.server_inbox: Store = Store(sim)
         #: Messages awaiting the client application's recv().
         self.client_inbox: Store = Store(sim)
-        self.closed = False
 
     # -- internals --------------------------------------------------------
 
@@ -72,8 +71,6 @@ class TcpConnection:
         receive-side kernel processing on ``dst``, which continue
         asynchronously so the sender can pipeline (a non-blocking socket
         with a kernel buffer)."""
-        if self.closed:
-            raise ConnectionError(f"connection {self.name} is closed")
         message = TcpMessage(payload, size)
 
         def sent() -> None:
@@ -120,25 +117,3 @@ class TcpConnection:
     def server_recv(self):
         """Event yielding the next client->server message."""
         return self.server_inbox.get()
-
-    def close(self) -> None:
-        self.closed = True
-
-
-def request_response(
-    sim: Simulator,
-    conn: TcpConnection,
-    payload: Any,
-    request_size: int,
-    expect_responses: int = 1,
-) -> Generator:
-    """Client helper: send one request, collect ``expect_responses`` replies.
-
-    Returns the list of reply payloads (process generator).
-    """
-    yield from conn.client_send(payload, request_size)
-    replies = []
-    for _ in range(expect_responses):
-        message: TcpMessage = yield conn.client_recv()
-        replies.append(message.payload)
-    return replies

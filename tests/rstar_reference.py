@@ -10,7 +10,9 @@ were but for names: the per-``Rect`` candidate sort, the full overlap
 sum over every sibling, a ``Rect.union_of`` per split point, the
 ``center_distance2`` reinsert key and the per-entry ``Rect.intersects``
 descent.  ``tests/test_rstar_reference.py`` drives them beside the live
-code and asserts the same choices and the same trees.
+code and asserts the same choices and the same trees.  The read side's
+per-entry ``Rect.intersects`` search, :func:`search_via_rects`, is the
+oracle of the flat-scan and batch-search tests.
 """
 
 from typing import List, Optional, Tuple
@@ -18,7 +20,30 @@ from typing import List, Optional, Tuple
 from repro.rtree import rstar
 from repro.rtree.geometry import Rect
 from repro.rtree.node import Entry, Node
-from repro.rtree.rstar import MutationResult, RStarTree
+from repro.rtree.rstar import MutationResult, RStarTree, SearchResult
+
+
+def search_via_rects(tree: RStarTree, query: Rect) -> SearchResult:
+    """Reference search: per-entry ``Rect.intersects``, no scan cache.
+
+    ``tree.search`` must return byte-identical results.
+    """
+    result = SearchResult()
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        result.nodes_visited += 1
+        result.visited_chunks.append(node.chunk_id)
+        if node.is_leaf:
+            result.leaf_nodes_visited += 1
+            for entry in node.entries:
+                if entry.rect.intersects(query):
+                    result.matches.append((entry.rect, entry.data_id))
+        else:
+            for entry in node.entries:
+                if entry.rect.intersects(query):
+                    stack.append(entry.child)
+    return result
 
 
 def choose_leaf_parent_entry(node: Node, rect: Rect) -> Entry:

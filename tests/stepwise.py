@@ -9,8 +9,11 @@ receiver process per client draining the response ring into a ``Store``,
 and every lock grant a queued event.  That model is kept here as it was
 but for names; ``tests/test_server_chain.py`` drives it beside the
 callback chains and asserts the same results, instants and counters.
+Its worker crash interrupts a waiting thread, so the interrupt the
+kernel does not need (:class:`InterruptibleProcess`) lives here too.
 """
 
+import heapq
 import random
 from typing import Any, Generator, Set, Tuple
 
@@ -25,8 +28,85 @@ from repro.server.fast_messaging import (
     FastMessagingServer,
     FmConnection,
 )
-from repro.sim import Container, Interrupt, Resource, Store, any_of
+from repro.sim import Container, Resource, Store, any_of
+from repro.sim.kernel import Event, Initialize, Process, SimulationError
 from repro.transport.rdma import CompletionChannel, connect
+
+# -- interruptible processes -------------------------------------------------
+
+
+class Interrupt(SimulationError):
+    """Thrown into a process when another process interrupts it; ``cause``
+    carries the value passed to :meth:`InterruptibleProcess.interrupt`."""
+
+    def __init__(self, cause: Any = None):
+        super().__init__(cause)
+        self.cause = cause
+
+
+class InterruptibleProcess(Process):
+    """A :class:`Process` another process can throw :class:`Interrupt`
+    into: how the stepwise model crashes an idle fast-messaging worker.
+
+    The event the process was waiting on is *abandoned*, not edited: its
+    callback list keeps the stale ``_resume`` entry (a tombstone discarded
+    in O(1) when the event eventually fires).
+    """
+
+    __slots__ = ("_interrupts",)
+
+    def __init__(self, sim, generator: Generator, name: str = ""):
+        #: Pending interrupt deliveries; with ``_target``, every wake-up
+        #: this process still expects.  Anything else is a tombstone.
+        self._interrupts = []
+        super().__init__(sim, generator, name=name)
+
+    @property
+    def has_started(self) -> bool:
+        """True once the coroutine has executed its first step.
+
+        Interrupting a process that has not yet started throws the
+        :class:`Interrupt` at the generator's first instruction, before
+        any ``try`` it opens, so a cooperative interrupter checks this
+        first.
+        """
+        return not isinstance(self._target, Initialize)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current instant.
+
+        Interrupting a dead process is an error; interrupting a process
+        twice before it handles the first delivers both.
+        """
+        if self._ok is not None:
+            raise SimulationError(f"cannot interrupt dead process {self.name}")
+        self._target = None
+        event = Event(self.sim)
+        event._ok = False
+        event._value = Interrupt(cause)
+        event.defused = True
+        event.callbacks.append(self._resume)
+        self._interrupts.append(event)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heapq.heappush(sim._queue, (sim.now, seq << 1, event))
+
+    def _resume(self, event) -> None:
+        if self._ok is not None:
+            # Stale wake-up (e.g. the event abandoned on interrupt).
+            if event._ok is False:
+                event.defused = True
+            return
+        if event is not self._target:
+            # A pending interrupt delivery, or a stale wake-up from an
+            # event abandoned by interrupt().
+            try:
+                self._interrupts.remove(event)
+            except ValueError:
+                if event._ok is False:
+                    event.defused = True
+                return
+        Process._resume(self, event)
 
 # -- locks, cores, write windows --------------------------------------------
 
@@ -252,7 +332,7 @@ class StepwiseFastMessagingServer(FastMessagingServer):
         if self.mode == POLLING:
             self.server.service_inflation = (
                 server_host.scheduler.service_inflation(self.n_connections))
-        conn.worker = sim.process(self._worker(conn))
+        conn.worker = InterruptibleProcess(sim, self._worker(conn))
         return conn
 
     def crash_worker(self, conn: FmConnection) -> None:

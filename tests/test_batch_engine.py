@@ -22,6 +22,8 @@ from repro.transport import connect
 from repro.workloads import uniform_dataset
 from repro.workloads.mixes import batch_runs
 
+from .rstar_reference import search_via_rects
+
 
 # -- kernel selection ---------------------------------------------------------
 
@@ -66,7 +68,7 @@ def test_numpy_kernel_without_numpy_raises():
     queries = [Rect(0.1, 0.1, 0.4, 0.4), Rect(0.3, 0.0, 0.35, 1.0)]
     for query, got in zip(queries, BatchSearchEngine(tree).search_batch(
             queries)):
-        oracle = tree.search_via_rects(query)
+        oracle = search_via_rects(tree, query)
         assert got.matches == oracle.matches
         assert got.visited_chunks == oracle.visited_chunks
 
@@ -117,31 +119,15 @@ def test_engine_tracks_tree_mutation():
     engine = BatchSearchEngine(tree)
     first = engine.search_batch(queries)  # builds the mirrors
     for q, got in zip(queries, first):
-        assert got.matches == tree.search_via_rects(q).matches
+        assert got.matches == search_via_rects(tree, q).matches
     for i in range(120, 200):
         x, y = (i % 13) / 13, (i // 13) / 13
         tree.insert(Rect(x, y, x + 0.03, y + 0.03), i)
     second = engine.search_batch(queries)
     for q, got in zip(queries, second):
-        oracle = tree.search_via_rects(q)
+        oracle = search_via_rects(tree, q)
         assert got.matches == oracle.matches
         assert got.visited_chunks == oracle.visited_chunks
-
-
-def test_count_batch_matches_search():
-    tree, _items = _grid_tree(10)
-    queries = [Rect(0, 0, 0.3, 0.3), Rect(0.5, 0.5, 1, 1), Rect(2, 2, 3, 3)]
-    engine = BatchSearchEngine(tree)
-    assert engine.count_batch(queries) == [
-        tree.search(q).count for q in queries
-    ]
-
-
-def test_tree_search_batch_wrapper():
-    tree, _items = _grid_tree(8)
-    queries = [Rect(0.1, 0.1, 0.5, 0.5), Rect(0.6, 0.0, 0.9, 0.4)]
-    for got, q in zip(tree.search_batch(queries), queries):
-        assert got == tree.search(q)
 
 
 # -- offloaded batched search -------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.btree import BPlusTree
 
+from .kv_invariants import validate_bptree
+
 
 def build(n, capacity=8, seed=0):
     rng = random.Random(seed)
@@ -46,11 +48,11 @@ class TestBasics:
         for k in range(10):
             tree.put(k, k)
         assert tree.height >= 2
-        tree.validate()
+        validate_bptree(tree)
 
     def test_many_inserts_valid(self):
         tree, keys = build(2000, capacity=8, seed=1)
-        tree.validate()
+        validate_bptree(tree)
         assert tree.size == 2000
         for k in random.Random(2).sample(keys, 100):
             assert tree.get(k).items == [(k, k * 2)]
@@ -123,7 +125,7 @@ class TestDelete:
         tree, keys = build(800, capacity=8, seed=9)
         for k in keys[::2]:
             assert tree.delete(k).ok
-        tree.validate()
+        validate_bptree(tree)
         remaining = keys[1::2]
         result = tree.range_scan(min(keys), max(keys))
         assert [k for k, _v in result.items] == remaining
@@ -160,8 +162,8 @@ class TestDelete:
                 tree.put(k, k + 1)
                 live[k] = k + 1
             if step % 250 == 249:
-                tree.validate()
-        tree.validate()
+                validate_bptree(tree)
+        validate_bptree(tree)
         result = tree.range_scan(0, 100000)
         assert dict(result.items) == live
 
@@ -177,7 +179,7 @@ class TestBulkLoad:
         keys = rng.sample(range(n * 10 + 10), n)
         items = [(k, k * 3) for k in keys]
         tree = BPlusTree.bulk_load(items, capacity=8)
-        tree.validate()
+        validate_bptree(tree)
         assert tree.size == n
         for k in keys:
             assert tree.get(k).items == [(k, k * 3)]
@@ -191,7 +193,7 @@ class TestBulkLoad:
         tree = BPlusTree.bulk_load(items, capacity=8)
         for k in range(100):
             tree.put(k * 2 + 1, k)
-        tree.validate()
+        validate_bptree(tree)
         assert tree.size == 600
 
     def test_deletes_after_bulk(self):
@@ -199,7 +201,7 @@ class TestBulkLoad:
         tree = BPlusTree.bulk_load(items, capacity=8)
         for k in range(0, 400, 2):
             assert tree.delete(k).ok
-        tree.validate()
+        validate_bptree(tree)
         assert tree.size == 200
 
 
@@ -234,7 +236,7 @@ class TestHypothesis:
         for k in keys:
             tree.put(k, k * 7)
             oracle[k] = k * 7
-        tree.validate()
+        validate_bptree(tree)
         assert dict(tree.range_scan(0, 10_000).items) == oracle
 
     @settings(max_examples=30, deadline=None)
@@ -250,7 +252,7 @@ class TestHypothesis:
         for k in to_delete:
             assert tree.delete(k).ok == (k in oracle)
             oracle.pop(k, None)
-        tree.validate()
+        validate_bptree(tree)
         assert dict(tree.range_scan(0, 5000).items) == oracle
 
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Integration tests: full experiments across every scheme and fabric."""
 
+import dataclasses
 import math
 
 import pytest
@@ -211,7 +212,8 @@ class TestResourceShapes:
                       dataset_size=3000, max_entries=16, server_cores=28,
                       scale="0.01", seed=6)
         from repro.net.fabric import IB_100G, PROFILES
-        slow = IB_100G.scaled(name="ib-slow", bandwidth_bps=2e9)
+        slow = dataclasses.replace(IB_100G, name="ib-slow",
+                                   bandwidth_bps=2e9)
         PROFILES["ib-slow"] = slow
         try:
             fm = run_experiment(ExperimentConfig(

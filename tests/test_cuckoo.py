@@ -22,6 +22,8 @@ from repro.server.plan import execute_plan
 from repro.sim import Simulator
 from repro.transport import connect
 
+from .kv_invariants import validate_cuckoo
+
 
 class TestTable:
     def test_put_get(self):
@@ -65,7 +67,7 @@ class TestTable:
         n = int(table.capacity * 0.9)
         for k in range(n):
             table.put(k, k)
-        table.validate()
+        validate_cuckoo(table)
         assert table.load_factor == pytest.approx(0.9, abs=0.01)
         for k in random.Random(2).sample(range(n), 100):
             assert table.get(k).items == [(k, k)]
@@ -109,7 +111,7 @@ class TestTable:
                 expected = ([(key, oracle[key])]
                             if key in oracle else [])
                 assert table.get(key).items == expected
-        table.validate()
+        validate_cuckoo(table)
         assert table.size == len(oracle)
 
     @settings(max_examples=30, deadline=None)
@@ -120,7 +122,7 @@ class TestTable:
         for k in keys:
             table.put(k, k ^ 0xFF)
             oracle[k] = k ^ 0xFF
-        table.validate()
+        validate_cuckoo(table)
         for k in oracle:
             assert table.get(k).items == [(k, oracle[k])]
 

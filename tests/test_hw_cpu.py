@@ -13,6 +13,15 @@ from repro.hw import (
 from repro.sim import Simulator
 
 
+def mean_polling_wakeup_delay(model: SchedulerModel, n_threads: int) -> float:
+    """Expected value of ``model.polling_wakeup_delay(n_threads)``: the
+    poll granularity plus half the uniform oversubscription penalty."""
+    ratio = model.oversubscription(n_threads)
+    if ratio <= 1.0:
+        return POLL_GRANULARITY
+    return POLL_GRANULARITY + ratio * ratio * model.quantum / 2.0
+
+
 class TestCorePool:
     def test_parallel_execution_up_to_capacity(self):
         sim = Simulator()
@@ -76,25 +85,6 @@ class TestCorePool:
         with pytest.raises(ValueError):
             sim.run()
 
-    def test_run_queue_length(self):
-        sim = Simulator()
-        pool = CorePool(sim, capacity=1)
-        samples = []
-
-        def work(sim, pool):
-            yield from pool.execute(10.0)
-
-        def probe(sim, pool, samples):
-            yield sim.timeout(1.0)
-            samples.append((pool.busy_cores, pool.run_queue_length))
-
-        sim.process(work(sim, pool))
-        sim.process(work(sim, pool))
-        sim.process(work(sim, pool))
-        sim.process(probe(sim, pool, samples))
-        sim.run()
-        assert samples == [(1, 2)]
-
     def test_window_utilization_resets(self):
         sim = Simulator()
         pool = CorePool(sim, capacity=1)
@@ -120,8 +110,8 @@ class TestSchedulerModel:
 
     def test_oversubscribed_delay_grows_quadratically(self):
         model = SchedulerModel(cores=28, rng=random.Random(1))
-        mean_80 = model.mean_polling_wakeup_delay(80)
-        mean_320 = model.mean_polling_wakeup_delay(320)
+        mean_80 = mean_polling_wakeup_delay(model, 80)
+        mean_320 = mean_polling_wakeup_delay(model, 320)
         # 4x the threads -> ~16x the oversubscription penalty
         penalty_80 = mean_80 - POLL_GRANULARITY
         penalty_320 = mean_320 - POLL_GRANULARITY
@@ -139,7 +129,7 @@ class TestSchedulerModel:
         model = SchedulerModel(cores=4, quantum=1e-5, rng=random.Random(3))
         samples = [model.polling_wakeup_delay(16) for _ in range(5000)]
         mean = sum(samples) / len(samples)
-        assert mean == pytest.approx(model.mean_polling_wakeup_delay(16),
+        assert mean == pytest.approx(mean_polling_wakeup_delay(model, 16),
                                      rel=0.05)
 
     def test_event_wakeup_is_constant(self):

@@ -49,12 +49,6 @@ class TestPredictors:
         """The smoothing weight stays in (0, 1]."""
         assert 0.0 < EWMA_ALPHA <= 1.0
 
-    def test_ewma_reset(self):
-        pred = EwmaPredictor()
-        pred(1.0)
-        pred.reset()
-        assert pred(0.4) == 0.4
-
     def test_trend_extrapolates_rising(self):
         pred = TrendPredictor()
         assert pred(0.5) == 0.5

@@ -13,6 +13,8 @@ from repro.msg import (
 from repro.rtree import Rect, RStarTree, bulk_load
 from repro.sim import Simulator
 
+from .rstar_reference import search_via_rects
+
 
 class _SizedMsg:
     """A message with an arbitrary payload size."""
@@ -193,7 +195,7 @@ class TestFlatScanEquivalence:
         self, rects, delete_picks, queries
     ):
         """Random insert/delete schedules, random queries: the optimized
-        ``search`` equals the pre-cache ``search_via_rects`` loop."""
+        ``search`` equals the pre-cache ``search_via_rects`` reference loop."""
         from repro.rtree import RStarTree
 
         tree = RStarTree(max_entries=8)
@@ -208,7 +210,7 @@ class TestFlatScanEquivalence:
             tree.delete(rect, data_id)
         for query in queries:
             fast = tree.search(query)
-            oracle = tree.search_via_rects(query)
+            oracle = search_via_rects(tree, query)
             assert fast.matches == oracle.matches
             assert fast.visited_chunks == oracle.visited_chunks
             assert fast.nodes_visited == oracle.nodes_visited
@@ -239,7 +241,7 @@ class TestFlatScanEquivalence:
     def test_bulk_loaded_tree_search_matches_oracle(self, rects, query):
         tree = bulk_load([(rect, i) for i, rect in enumerate(rects)])
         fast = tree.search(query)
-        oracle = tree.search_via_rects(query)
+        oracle = search_via_rects(tree, query)
         assert fast.matches == oracle.matches
         assert fast.visited_chunks == oracle.visited_chunks
 
@@ -290,7 +292,7 @@ class TestBatchKernelEquivalence:
                 lambda: engine.search_batch(queries)):
             assert len(results) == len(queries)
             for query, got in zip(queries, results):
-                oracle = tree.search_via_rects(query)
+                oracle = search_via_rects(tree, query)
                 assert got.matches == oracle.matches, np_batch
                 assert got.visited_chunks == oracle.visited_chunks, np_batch
                 assert got.nodes_visited == oracle.nodes_visited, np_batch
@@ -306,7 +308,7 @@ class TestBatchKernelEquivalence:
         """Single-query ``search`` equals the oracle whichever batch
         kernel the platform runs."""
         tree = bulk_load([(rect, i) for i, rect in enumerate(rects)])
-        oracle = tree.search_via_rects(query)
+        oracle = search_via_rects(tree, query)
         for np_batch, got in self._per_kernel(lambda: tree.search(query)):
             assert got.matches == oracle.matches, np_batch
             assert got.visited_chunks == oracle.visited_chunks, np_batch

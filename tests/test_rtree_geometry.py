@@ -34,14 +34,6 @@ class TestConstruction:
         assert p.area() == 0
         assert p.center() == (1.5, 2.5)
 
-    def test_from_center(self):
-        r = Rect.from_center(5, 5, 2, 4)
-        assert (r.minx, r.miny, r.maxx, r.maxy) == (4, 3, 6, 7)
-
-    def test_from_center_negative_extent(self):
-        with pytest.raises(ValueError):
-            Rect.from_center(0, 0, -1, 1)
-
     def test_union_of_empty(self):
         with pytest.raises(ValueError):
             Rect.union_of([])
@@ -71,12 +63,6 @@ class TestPredicates:
         assert outer.contains(Rect(1, 1, 2, 2))
         assert outer.contains(outer)
         assert not Rect(1, 1, 2, 2).contains(outer)
-
-    def test_contains_point(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.contains_point(0.5, 0.5)
-        assert r.contains_point(1, 1)  # boundary
-        assert not r.contains_point(1.1, 0.5)
 
 
 class TestCombinations:

@@ -12,6 +12,7 @@ mismatch means the simulation's behaviour changed.
 import ast
 import dataclasses
 import hashlib
+import math
 import pathlib
 import random
 
@@ -26,7 +27,7 @@ from repro.client.resilience import BreakerParams, RetryPolicy
 from repro.cluster.builder import ExperimentRunner, run_experiment
 from repro.cluster.config import ExperimentConfig, KvMix, RebalanceConfig
 from repro.cluster.deployment import Deployment
-from repro.cluster.results import result_fingerprint
+from repro.cluster.results import RunResult
 from repro.cluster.schemes import SCHEMES
 from repro.hw.host import Host
 from repro.rtree.geometry import Rect
@@ -41,6 +42,36 @@ from repro.runtime import (
 from repro.shard.deploy import ShardedExperimentRunner
 from repro.traffic.config import TrafficConfig
 from repro.traffic.harness import TrafficRunner
+
+
+def result_fingerprint(result: RunResult) -> str:
+    """A 16-hex digest over every numeric field of one run.
+
+    Two runs with the same fingerprint produced bit-identical simulated
+    timing and counters — the regression oracle behind the runtime-layer
+    determinism contract (floats are hashed via ``repr``, i.e. exactly,
+    not up to rounding).  The metrics snapshot document is deliberately
+    excluded so purely observational additions don't invalidate goldens.
+    """
+    fields = (
+        result.scheme, result.fabric, result.n_clients,
+        result.total_requests, result.elapsed_s, result.throughput_kops,
+        result.mean_latency_us, result.p50_latency_us, result.p99_latency_us,
+        result.mean_search_latency_us, result.server_cpu_utilization,
+        result.server_bandwidth_gbps, result.server_bandwidth_utilization,
+        result.offload_fraction, result.torn_retries, result.search_restarts,
+        result.heartbeats_sent, result.heartbeats_dropped,
+        result.searches_served_by_server, result.inserts_served,
+    )
+    parts = []
+    for value in fields:
+        if isinstance(value, float):
+            parts.append("nan" if math.isnan(value) else repr(value))
+        else:
+            parts.append(repr(value))
+    digest = hashlib.sha256("|".join(parts).encode("utf-8"))
+    return digest.hexdigest()[:16]
+
 
 # -- golden fingerprints (captured at the pre-refactor seed commit) -------
 

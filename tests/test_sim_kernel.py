@@ -3,12 +3,13 @@
 import pytest
 
 from repro.sim import (
-    Interrupt,
     SimulationError,
     Simulator,
     all_of,
     any_of,
 )
+
+from .stepwise import Interrupt, InterruptibleProcess
 
 
 def test_timeout_advances_clock():
@@ -222,7 +223,7 @@ def test_interrupt_delivers_cause():
         yield sim.timeout(3.0)
         victim.interrupt(cause="wake-up")
 
-    victim = sim.process(sleeper(sim))
+    victim = InterruptibleProcess(sim, sleeper(sim))
     sim.process(interrupter(sim, victim))
     sim.run()
     assert log == [(3.0, "wake-up")]
@@ -234,7 +235,7 @@ def test_interrupt_dead_process_raises():
     def quick(sim):
         yield sim.timeout(1.0)
 
-    p = sim.process(quick(sim))
+    p = InterruptibleProcess(sim, quick(sim))
     sim.run()
     with pytest.raises(SimulationError):
         p.interrupt()
@@ -369,20 +370,6 @@ def test_yielding_already_processed_event_resumes_immediately():
     assert p.value == (5.0, "early")
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(4.0)
-    assert sim.peek == 4.0
-    sim2 = Simulator()
-    assert sim2.peek == float("inf")
-
-
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
 def test_interrupt_delivered_inside_resource_wait():
     """Interrupting a process waiting on a resource releases cleanly."""
     from repro.sim import Resource
@@ -409,7 +396,7 @@ def test_interrupt_delivered_inside_resource_wait():
         victim.interrupt()
 
     sim.process(holder(sim, res))
-    victim = sim.process(waiter(sim, res))
+    victim = InterruptibleProcess(sim, waiter(sim, res))
     sim.process(interrupter(sim, victim))
     sim.run()
     assert outcome == ["interrupted"]
@@ -429,7 +416,7 @@ def test_process_finishing_at_same_instant_as_interrupt():
         if victim.is_alive:
             victim.interrupt()
 
-    victim = sim.process(quick(sim))
+    victim = InterruptibleProcess(sim, quick(sim))
     sim.process(interrupter(sim, victim))
     sim.run()  # must simply not raise
     assert not victim.is_alive
@@ -486,7 +473,7 @@ def test_interrupt_at_same_instant_as_abandoned_trigger():
 
     holder = {}
     sim.process(interrupter(sim, lambda: holder["v"]))
-    holder["v"] = sim.process(victim(sim))
+    holder["v"] = InterruptibleProcess(sim, victim(sim))
     sim.run()
     assert events == [("interrupted", "now", 5.0), "done"]
 
@@ -683,7 +670,7 @@ def test_start_runs_the_first_step_before_returning():
 
     process = sim.start(proc())
     assert log == [("first", 0.0)]
-    assert process.has_started and process.is_alive
+    assert process.is_alive
     assert sim._seq == 1  # the timeout; no Initialize entry
     sim.run()
     assert log == [("first", 0.0), ("second", 1.0)]

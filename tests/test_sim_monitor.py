@@ -5,46 +5,18 @@ import math
 import pytest
 
 from repro.sim import (
-    ByteCounter,
     LatencyRecorder,
     Simulator,
-    TallyStats,
-    TimeSeries,
     UtilizationTracker,
 )
 
 
-class TestTallyStats:
-    def test_empty(self):
-        s = TallyStats()
-        assert s.count == 0
-        assert math.isnan(s.mean)
-
-    def test_mean_and_extremes(self):
-        s = TallyStats()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            s.record(v)
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-
-    def test_variance_matches_textbook(self):
-        s = TallyStats()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for v in data:
-            s.record(v)
-        mean = sum(data) / len(data)
-        var = sum((v - mean) ** 2 for v in data) / (len(data) - 1)
-        assert s.variance == pytest.approx(var)
-        assert s.stdev == pytest.approx(math.sqrt(var))
-
-    def test_single_sample_variance_zero(self):
-        s = TallyStats()
-        s.record(5.0)
-        assert s.variance == 0.0
-
-
 class TestLatencyRecorder:
+    def test_empty(self):
+        r = LatencyRecorder()
+        assert r.count == 0
+        assert math.isnan(r.mean)
+
     def test_percentiles(self):
         r = LatencyRecorder()
         for v in range(1, 101):
@@ -70,6 +42,17 @@ class TestLatencyRecorder:
         r.record(20.0)
         assert r.mean == pytest.approx(15.0)
         assert r.count == 2
+
+    def test_mean_is_the_streaming_welford_float(self):
+        """The mean is updated per sample, not summed at the end: the
+        reported float (and so every pinned digest) depends on it."""
+        data = [0.1, 0.7, 1e-6, 3.3, 0.2]
+        r = LatencyRecorder()
+        mean = 0.0
+        for n, v in enumerate(data, 1):
+            r.record(v)
+            mean += (v - mean) / n
+        assert r.mean == mean
 
 
 class TestUtilizationTracker:
@@ -134,65 +117,3 @@ class TestUtilizationTracker:
         assert u.busy == 2
         u.adjust(-1)
         assert u.busy == 1
-
-
-class TestByteCounter:
-    def test_bandwidth_since_start(self):
-        sim = Simulator()
-        c = ByteCounter(sim)
-
-        def proc(sim, c):
-            c.record(1000)
-            yield sim.timeout(2.0)
-            c.record(1000)
-
-        sim.process(proc(sim, c))
-        sim.run()
-        assert c.bandwidth_since_start() == pytest.approx(1000.0)
-        assert c.total_messages == 2
-
-    def test_window_bandwidth_resets(self):
-        sim = Simulator()
-        c = ByteCounter(sim)
-
-        def proc(sim, c, out):
-            c.record(500)
-            yield sim.timeout(1.0)
-            out.append(c.window_bandwidth())
-            yield sim.timeout(1.0)
-            out.append(c.window_bandwidth())
-
-        out = []
-        sim.process(proc(sim, c, out))
-        sim.run()
-        assert out[0] == pytest.approx(500.0)
-        assert out[1] == pytest.approx(0.0)
-
-    def test_negative_bytes_rejected(self):
-        sim = Simulator()
-        c = ByteCounter(sim)
-        with pytest.raises(ValueError):
-            c.record(-1)
-
-
-class TestTimeSeries:
-    def test_records_time_value_pairs(self):
-        sim = Simulator()
-        ts = TimeSeries(sim)
-
-        def proc(sim, ts):
-            ts.record(1.0)
-            yield sim.timeout(2.0)
-            ts.record(3.0)
-
-        sim.process(proc(sim, ts))
-        sim.run()
-        assert ts.points == [(0.0, 1.0), (2.0, 3.0)]
-        assert ts.mean() == pytest.approx(2.0)
-        assert ts.last() == 3.0
-
-    def test_empty_series(self):
-        sim = Simulator()
-        ts = TimeSeries(sim)
-        assert math.isnan(ts.mean())
-        assert ts.last() is None
