@@ -246,7 +246,7 @@ def cmd_shard(args) -> int:
           f"({pruned} shard visits pruned, {partial} partial results)")
     before = runner.initial_occupancy()
     after = runner.shard_occupancy()
-    print(f"\nshard occupancy (items before -> after):")
+    print("\nshard occupancy (items before -> after):")
     for shard_id, (b, a) in enumerate(zip(before, after)):
         delta = a - b
         print(f"  shard {shard_id}: {b:>7} -> {a:>7} ({delta:+d})")

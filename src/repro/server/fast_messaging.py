@@ -206,7 +206,7 @@ class FastMessagingServer:
             conn.server_channel = CompletionChannel(
                 sim, name=f"chan-{conn_id}"
             )
-            conn.server_end.cq.attach_channel(conn.server_channel)
+            conn.server_end.channel = conn.server_channel
 
         self.connections.append(conn)
         if self.mode == POLLING:
@@ -288,7 +288,7 @@ class _Worker:
     loop's top from an urgent entry, like an interrupt.
     """
 
-    __slots__ = ("fm", "conn", "started", "_target", "_request",
+    __slots__ = ("fm", "conn", "started", "_awaited", "_request",
                  "_segments", "_written")
 
     def __init__(self, fm: "FastMessagingServer", conn: FmConnection):
@@ -297,7 +297,7 @@ class _Worker:
         self.started = False
         #: The event the idle thread waits on; anything else calling back
         #: is one a crash abandoned.
-        self._target: Optional[Event] = None
+        self._awaited: Optional[Event] = None
         #: (polling) The request consumed, until the thread notices it.
         self._request = None
         #: The response being written, and how many segments are out.
@@ -311,11 +311,11 @@ class _Worker:
 
     def crash(self) -> None:
         """A crash delivered at the idle wait (see ``crash_worker``)."""
-        self._target = None
+        self._awaited = None
         self.fm.sim.urgent(self._idle)
 
     def _wait(self, event: Event, then: Callable[[Event], None]) -> None:
-        self._target = event
+        self._awaited = event
         if event.callbacks is None:  # already processed: go on now
             then(event)
         else:
@@ -333,7 +333,7 @@ class _Worker:
             self._wait(conn.request_ring.consume(), self._consumed)
 
     def _notified(self, event: Event) -> None:
-        if event is not self._target:
+        if event is not self._awaited:
             return
         delay = self.fm.server.host.scheduler.event_wakeup_delay()
         self._wait(self.fm.sim.timeout(delay), self._awake)
@@ -341,9 +341,9 @@ class _Worker:
     def _awake(self, event: Event) -> None:
         """Woken (event mode) or restarted: drain the ring, or (polling)
         go back to consuming it."""
-        if event is not self._target:
+        if event is not self._awaited:
             return
-        self._target = None
+        self._awaited = None
         if self.fm.mode == EVENT:
             # After a restart: requests piled up while the worker was
             # down.  The crash also abandoned any in-flight channel wait,
@@ -370,7 +370,7 @@ class _Worker:
         self._idle()
 
     def _consumed(self, event: Event) -> None:
-        if event is not self._target:
+        if event is not self._awaited:
             return
         # The message is in the ring, but the polling thread must be
         # scheduled onto a core to notice it.
@@ -381,9 +381,9 @@ class _Worker:
         self._wait(fm.sim.timeout(delay), self._noticed)
 
     def _noticed(self, event: Event) -> None:
-        if event is not self._target:
+        if event is not self._awaited:
             return
-        self._target = None
+        self._awaited = None
         request, self._request = self._request, None
         if self.conn.worker_down:
             # Crashed between consume and dispatch: the request dies with

@@ -216,7 +216,7 @@ class Process(Event):
     exception.
     """
 
-    __slots__ = ("name", "_generator", "_target")
+    __slots__ = ("name", "_generator")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
                  start_now: bool = False):
@@ -225,13 +225,10 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        # ``_target`` is the event the process waits on (``None`` once it
-        # has finished).
         if start_now:
-            self._target = _STARTED
             self._resume(_STARTED)
         else:
-            self._target = Initialize(sim, self)
+            Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
@@ -280,11 +277,9 @@ class Process(Event):
                 event = target
                 continue
             target_callbacks.append(self._resume)
-            self._target = target
             break
 
     def _finish(self, ok: bool, value: Any) -> None:
-        self._target = None
         self._ok = ok
         self._value = value
         if not self.callbacks:

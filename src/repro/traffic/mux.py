@@ -84,7 +84,7 @@ class TrafficJob:
     t_start: float = float("nan")   # picked up by a session
     t_done: float = float("nan")
     results: object = None
-    #: Completion callback (set by the owning aggregate).
+    #: Called once the job is done (set by the owning aggregate).
     on_done: Optional[Callable[["TrafficJob"], None]] = None
 
     @property

@@ -1,4 +1,4 @@
-"""RDMA verbs model: queue pairs, one-sided Read/Write, completion queues.
+"""RDMA verbs model: queue pairs, one-sided Read/Write, completion channels.
 
 This is the substrate the whole paper stands on.  The crucial property is
 enforced structurally: **one-sided operations never touch the remote CPU**.
@@ -10,9 +10,15 @@ Modelled verbs (all on a reliable connection, as in the paper §II-B):
 
 * ``post_write(...)``            — RDMA Write
 * ``post_write(imm=...)``        — RDMA Write with Immediate Data: also
-  generates a work completion in the *remote* CQ, which is what wakes the
-  event-based server threads (paper §IV-B, Fig 6b)
+  notifies the *remote* end's completion channel when the data lands,
+  which is what wakes the event-based server threads (paper §IV-B, Fig 6b)
 * ``post_read(...)``             — RDMA Read; returns the remote data
+
+A work completion is modelled only by what the paper reads of it: the
+op's done event, and a ``notify()`` of the completion channel attached
+to the end it completes on (if any) — the RECV_IMM on the peer, a
+write's ACK and a read's data on the poster.  There is no completion
+queue to poll, since nothing in the system polls one.
 
 Remote memory is addressed by ``(rkey, address)`` validated against the
 remote host's :class:`~repro.hw.memory.MemoryRegistry`.  The *content* of a
@@ -52,7 +58,6 @@ same-instant hop.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..hw.host import Host
@@ -60,11 +65,6 @@ from ..net.fabric import Network
 from ..net.wire import IB_ACK_SIZE, IB_READ_REQUEST_SIZE, ib_wire_size
 from ..sim.kernel import Event, Simulator
 from ..sim.resources import Store
-
-WRITE = "write"
-WRITE_IMM = "write_imm"
-READ = "read"
-RECV_IMM = "recv_imm"
 
 #: Sentinel deposited into a CompletionChannel's store per notification
 #: (the woken thread never inspects it).
@@ -75,77 +75,12 @@ class RdmaError(Exception):
     """Raised for verb misuse (posting on a torn-down QP, etc.)."""
 
 
-class Completion:
-    """A work completion (WC) delivered to a completion queue."""
-
-    __slots__ = ("wr_id", "opcode", "ok", "imm", "value", "length", "error")
-
-    def __init__(
-        self,
-        wr_id: int,
-        opcode: str,
-        ok: bool = True,
-        imm: Optional[int] = None,
-        value: Any = None,
-        length: int = 0,
-        error: Optional[BaseException] = None,
-    ):
-        self.wr_id = wr_id
-        self.opcode = opcode
-        self.ok = ok
-        self.imm = imm
-        self.value = value
-        self.length = length
-        self.error = error
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else f"err({self.error!r})"
-        return f"<WC {self.opcode} wr_id={self.wr_id} {status}>"
-
-
-class CompletionQueue:
-    """Queue of work completions; optionally notifies an event channel."""
-
-    def __init__(self, sim: Simulator, name: str = "cq"):
-        self.sim = sim
-        self.name = name
-        self._store: Store = Store(sim)
-        self._channel: Optional["CompletionChannel"] = None
-        self.total_completions = 0
-
-    def attach_channel(self, channel: "CompletionChannel") -> None:
-        """Register an event channel notified on every new completion."""
-        self._channel = channel
-
-    def push(self, completion: Completion) -> None:
-        # A push queues nothing unless it hands the WC to a waiter.
-        self.total_completions += 1
-        self._store.put_discard(completion)
-        if self._channel is not None:
-            self._channel.notify()
-
-    def poll(self) -> Optional[Completion]:
-        """Non-blocking: the oldest completion, or None."""
-        items = self._store.items
-        if items:
-            # Direct dequeue; a Store.get here would trigger synchronously
-            # and leave a no-op event on the queue.
-            return items.popleft()
-        return None
-
-    def wait(self):
-        """Event yielding the next completion (blocking consume)."""
-        return self._store.get()
-
-    def __len__(self) -> int:
-        return len(self._store.items)
-
-
 class CompletionChannel:
     """The blocking notification path used by event-based fast messaging.
 
     A server thread yields :meth:`wait` and is descheduled; the NIC
-    ``notify()``-s it when a completion lands (Fig 6b step 2).
+    ``notify()``-s it when a work completion lands on its queue pair's
+    end (Fig 6b step 2).
     """
 
     def __init__(self, sim: Simulator, name: str = "channel"):
@@ -166,8 +101,6 @@ class CompletionChannel:
 class QpEndpoint:
     """One side of a reliable-connection queue pair."""
 
-    _wr_ids = itertools.count(1)
-
     def __init__(
         self,
         sim: Simulator,
@@ -180,20 +113,16 @@ class QpEndpoint:
         self.network = network
         self.local = local
         self.remote = remote
-        self.cq = CompletionQueue(sim, name=f"{name}.cq")
         self.name = name
+        #: Notified on every work completion at this end (see the module
+        #: docstring); attached by an event-mode server.
+        self.channel: Optional[CompletionChannel] = None
         profile = network.profile
         #: Software cost of one doorbell (WQE build + MMIO), seconds.
         self._post_s = profile.rdma_post_overhead_s
         #: NIC processing per WQE, on each NIC an op crosses, seconds.
         self._wqe_s = profile.rdma_nic_processing_s
         self.peer: Optional["QpEndpoint"] = None
-        # Counters for experiment reporting.
-        self.writes_posted = 0
-        self.reads_posted = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
-        self.read_batches = 0
 
     # -- verbs -------------------------------------------------------------
 
@@ -204,25 +133,18 @@ class QpEndpoint:
         payload: Any,
         length: int,
         imm: Optional[int] = None,
-        wr_id: Optional[int] = None,
-        signaled: bool = True,
     ) -> Event:
         """Post an RDMA Write (w/ IMM if ``imm`` given).
 
-        Returns an event that succeeds (with the local completion) once the
-        write is acknowledged.  The remote CPU is never involved; if ``imm``
-        is set, the remote *NIC* places a RECV_IMM completion in the peer
-        CQ when the data lands.
+        Returns an event that succeeds once the write is acknowledged.  The
+        remote CPU is never involved; if ``imm`` is set, the remote *NIC*
+        notifies the peer's completion channel when the data lands.
         """
         self._check_alive()
         if length < 0:
             raise ValueError(f"negative length {length}")
-        wr_id = wr_id if wr_id is not None else next(self._wr_ids)
-        self.writes_posted += 1
-        self.bytes_written += length
         done = self.sim.event()
-        _Write(self, rkey, remote_addr, payload, length, imm, wr_id,
-               signaled, done)
+        _Write(self, rkey, remote_addr, payload, length, imm, done)
         return done
 
     def post_read(
@@ -230,7 +152,6 @@ class QpEndpoint:
         rkey: int,
         remote_addr: int,
         length: int,
-        wr_id: Optional[int] = None,
     ) -> Event:
         """Post an RDMA Read; the returned event's value is the data read.
 
@@ -240,11 +161,8 @@ class QpEndpoint:
         self._check_alive()
         if length <= 0:
             raise ValueError(f"read length must be > 0, got {length}")
-        wr_id = wr_id if wr_id is not None else next(self._wr_ids)
-        self.reads_posted += 1
-        self.bytes_read += length
         done = self.sim.event()
-        _Read(self, rkey, remote_addr, length, wr_id, done).post(spare=0)
+        _Read(self, rkey, remote_addr, length, done).post(spare=0)
         return done
 
     def post_read_batch(
@@ -265,14 +183,9 @@ class QpEndpoint:
         for _rkey, _remote_addr, length in reads:
             if length <= 0:
                 raise ValueError(f"read length must be > 0, got {length}")
-        ops = []
-        for rkey, remote_addr, length in reads:
-            self.reads_posted += 1
-            self.bytes_read += length
-            ops.append(_Read(self, rkey, remote_addr, length,
-                             next(self._wr_ids), self.sim.event()))
+        ops = [_Read(self, rkey, remote_addr, length, self.sim.event())
+               for rkey, remote_addr, length in reads]
         if ops:
-            self.read_batches += 1
             chained = len(ops) - 1
             self.local.nic.make_room(chained)
             ops[0].post(spare=chained)
@@ -300,20 +213,17 @@ class _Write:
     """One posted RDMA Write (w/ IMM): post overhead + local WQE, the data
     on the wire, remote WQE + landing, the ACK back, the completion."""
 
-    __slots__ = ("qp", "rkey", "addr", "payload", "length", "imm", "wr_id",
-                 "signaled", "done", "error")
+    __slots__ = ("qp", "rkey", "addr", "payload", "length", "imm", "done",
+                 "error")
 
     def __init__(self, qp: QpEndpoint, rkey: int, addr: int, payload: Any,
-                 length: int, imm: Optional[int], wr_id: int,
-                 signaled: bool, done: Event):
+                 length: int, imm: Optional[int], done: Event):
         self.qp = qp
         self.rkey = rkey
         self.addr = addr
         self.payload = payload
         self.length = length
         self.imm = imm
-        self.wr_id = wr_id
-        self.signaled = signaled
         self.done = done
         self.error: Optional[BaseException] = None
         sim = qp.sim
@@ -337,7 +247,7 @@ class _Write:
         # ring hands a landed message on by same-instant hops).
         qp.network.send(qp.remote, qp.local, IB_ACK_SIZE, 0.0, self._acked)
         imm = self.imm
-        if imm is not None:  # the RECV_IMM completion comes after it
+        if imm is not None:  # the RECV_IMM notification comes after it
             tail, sim._tail = sim._tail, False
         try:
             target = qp._validated_target(self.rkey, self.addr,
@@ -346,23 +256,17 @@ class _Write:
         except Exception as exc:  # protection fault -> failed completion
             self.error = exc
         else:
-            if imm is not None:
-                qp.peer.cq.push(Completion(self.wr_id, RECV_IMM,
-                                           imm=imm, length=self.length))
+            if imm is not None and qp.peer.channel is not None:
+                qp.peer.channel.notify()
         if imm is not None:
             sim._tail = tail
 
     def _acked(self, _event) -> None:
+        qp = self.qp
+        if qp.channel is not None:  # failed or not, the write completes
+            qp.channel.notify()
         if self.error is None:
-            opcode = WRITE_IMM if self.imm is not None else WRITE
-            completion = Completion(self.wr_id, opcode, length=self.length)
-        else:
-            completion = Completion(self.wr_id, WRITE, ok=False,
-                                    error=self.error)
-        if self.signaled:
-            self.qp.cq.push(completion)
-        if completion.ok:
-            self.qp.sim.hop(self.done, completion)
+            qp.sim.hop(self.done, None)
         else:
             self.done.fail(self.error)
 
@@ -371,16 +275,15 @@ class _Read:
     """One posted RDMA Read: a read slot, the request on the wire, remote
     WQE + DMA snapshot, the data back, local WQE, the completion."""
 
-    __slots__ = ("qp", "rkey", "addr", "length", "wr_id", "done", "early",
-                 "due", "wake", "on_time", "result")
+    __slots__ = ("qp", "rkey", "addr", "length", "done", "early", "due",
+                 "wake", "on_time", "result")
 
     def __init__(self, qp: QpEndpoint, rkey: int, addr: int, length: int,
-                 wr_id: int, done: Event):
+                 done: Event):
         self.qp = qp
         self.rkey = rkey
         self.addr = addr
         self.length = length
-        self.wr_id = wr_id
         self.done = done
         #: Holds a slot claimed at post time (see post()).
         self.early = False
@@ -490,8 +393,8 @@ class _Read:
         nic = qp.local.nic
         nic.ops_processed += 1
         data = self.result
-        qp.cq.push(Completion(self.wr_id, READ, value=data,
-                              length=self.length))
+        if qp.channel is not None:
+            qp.channel.notify()
         if nic.read_claims_waiting:
             # The slot goes to the oldest claim, whose grant is queued
             # behind the completion.

@@ -50,16 +50,43 @@ class InterruptibleProcess(Process):
 
     The event the process was waiting on is *abandoned*, not edited: its
     callback list keeps the stale ``_resume`` entry (a tombstone discarded
-    in O(1) when the event eventually fires).
+    in O(1) when the event eventually fires).  The kernel does not note
+    which event a process waits on, so this class runs its generator
+    through :meth:`_tracked`, which does.
     """
 
-    __slots__ = ("_interrupts",)
+    __slots__ = ("_interrupts", "_awaited")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
-        #: Pending interrupt deliveries; with ``_target``, every wake-up
+        if not hasattr(generator, "throw"):
+            raise TypeError(f"{generator!r} is not a generator")
+        Event.__init__(self, sim)
+        self.name = name or getattr(generator, "__name__", "process")
+        self._generator = self._tracked(generator)
+        #: Pending interrupt deliveries; with ``_awaited``, every wake-up
         #: this process still expects.  Anything else is a tombstone.
         self._interrupts = []
-        super().__init__(sim, generator, name=name)
+        #: The event the process waits on: its ``Initialize`` until it
+        #: starts, ``None`` once interrupted (until it yields again).
+        self._awaited = Initialize(sim, self)
+
+    def _tracked(self, generator: Generator) -> Generator:
+        """Run ``generator``, noting each event it yields in ``_awaited``."""
+        step, value = generator.send, None
+        while True:
+            try:
+                target = step(value)
+            except StopIteration as stop:
+                return stop.value
+            self._awaited = target
+            try:
+                step, value = generator.send, (yield target)
+            except GeneratorExit:
+                generator.close()
+                raise
+            except BaseException as exc:  # noqa: BLE001
+                # Thrown in: forward it, as ``yield from`` would.
+                step, value = generator.throw, exc
 
     @property
     def has_started(self) -> bool:
@@ -70,7 +97,7 @@ class InterruptibleProcess(Process):
         any ``try`` it opens, so a cooperative interrupter checks this
         first.
         """
-        return not isinstance(self._target, Initialize)
+        return not isinstance(self._awaited, Initialize)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
@@ -80,7 +107,7 @@ class InterruptibleProcess(Process):
         """
         if self._ok is not None:
             raise SimulationError(f"cannot interrupt dead process {self.name}")
-        self._target = None
+        self._awaited = None
         event = Event(self.sim)
         event._ok = False
         event._value = Interrupt(cause)
@@ -97,7 +124,7 @@ class InterruptibleProcess(Process):
             if event._ok is False:
                 event.defused = True
             return
-        if event is not self._target:
+        if event is not self._awaited:
             # A pending interrupt delivery, or a stale wake-up from an
             # event abandoned by interrupt().
             try:
@@ -327,7 +354,7 @@ class StepwiseFastMessagingServer(FastMessagingServer):
             name=f"fm-{conn_id}")
         if self.mode == EVENT:
             conn.server_channel = CompletionChannel(sim)
-            conn.server_end.cq.attach_channel(conn.server_channel)
+            conn.server_end.channel = conn.server_channel
         self.connections.append(conn)
         if self.mode == POLLING:
             self.server.service_inflation = (

@@ -23,6 +23,7 @@ from repro.server import RTreeServer
 from repro.server.heartbeat import HeartbeatMailbox
 from repro.sim import Simulator
 from repro.transport import connect
+from repro.transport.rdma import _Read
 from repro.workloads import uniform_dataset
 
 
@@ -311,8 +312,24 @@ def test_cache_disabled_engine_has_no_single_flight_table():
 
 # -- doorbell batching -------------------------------------------------------
 
-def test_post_read_batch_counts_and_completes():
+def _spy_doorbells(monkeypatch):
+    """Count each read's post: its doorbell (``_Read.post``, which pays
+    the post overhead) or its claim as a chained WQE (``_Read.claim``)."""
+    posts = {"doorbell": 0, "chained": 0}
+    for name, kind in (("post", "doorbell"), ("claim", "chained")):
+        method = getattr(_Read, name)
+
+        def spy(self, *args, _method=method, _kind=kind, **kwargs):
+            posts[_kind] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Read, name, spy)
+    return posts
+
+
+def test_post_read_batch_counts_and_completes(monkeypatch):
     sim, server, engine, stats, qp = make_offload()
+    posts = _spy_doorbells(monkeypatch)
     desc = engine.desc
     reads = [
         (desc.tree_rkey, desc.tree_base + cid * desc.chunk_bytes,
@@ -332,16 +349,16 @@ def test_post_read_batch_counts_and_completes():
     p = sim.process(client())
     sim.run()
     assert len(p.value) == 3
-    assert qp.read_batches == 1
-    assert qp.reads_posted == 3
+    assert posts == {"doorbell": 1, "chained": 2}
 
 
-def test_post_read_batch_rejects_bad_length_and_empty():
+def test_post_read_batch_rejects_bad_length_and_empty(monkeypatch):
     sim, server, engine, stats, qp = make_offload()
+    posts = _spy_doorbells(monkeypatch)
     with pytest.raises(ValueError):
         qp.post_read_batch([(1, 0, 0)])
     assert qp.post_read_batch([]) == []
-    assert qp.read_batches == 0
+    assert posts == {"doorbell": 0, "chained": 0}
 
 
 def test_batched_reads_charge_one_post_overhead():

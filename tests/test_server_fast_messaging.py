@@ -105,6 +105,32 @@ def test_event_mode_uses_immediate_data():
     assert conn.server_channel.wakeups >= 1
 
 
+#: ``server.channel_wakeups`` of two small event-mode runs: request IMMs
+#: plus the server's own response and heartbeat send completions, so
+#: dropping or adding a notification anywhere moves them.  The catfish
+#: run is loaded enough (one core) that Algorithm 1 offloads about 5 % of
+#: its requests.
+CHANNEL_WAKEUPS = {
+    "fast-messaging-event": (dict(n_clients=4, requests_per_client=40,
+                                  server_cores=4), 319),
+    "catfish": (dict(n_clients=16, requests_per_client=60, server_cores=1,
+                     scale="0.01"), 1838),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CHANNEL_WAKEUPS))
+def test_channel_wakeups_are_pinned(scheme):
+    from repro import ExperimentConfig, run_experiment
+
+    fields, wakeups = CHANNEL_WAKEUPS[scheme]
+    result = run_experiment(ExperimentConfig(
+        scheme=scheme, dataset_size=2000, seed=0, **fields))
+    metrics = result.metrics["metrics"]
+    assert metrics["server.channel_wakeups"]["value"] == wakeups
+    if scheme == "catfish":
+        assert metrics["client.offloaded_requests"]["value"] > 0
+
+
 def test_polling_mode_sets_service_inflation():
     sim, net, server_host, rtree_server, fm_server, items = make_fm(
         POLLING, cores=2

@@ -229,6 +229,27 @@ def test_interrupt_delivers_cause():
     assert log == [(3.0, "wake-up")]
 
 
+def test_interrupt_before_start_is_thrown_at_the_first_instruction():
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        log.append("ran")
+        yield sim.timeout(1.0)
+
+    started = InterruptibleProcess(sim, victim(sim))
+    assert not started.has_started
+    sim.run(until=0.5)
+    assert started.has_started and log == ["ran"]
+    # Interrupted before its Initialize fires: that wake-up is stale, and
+    # the Interrupt reaches the generator before its first instruction.
+    early = InterruptibleProcess(sim, victim(sim))
+    early.interrupt(cause="early")
+    with pytest.raises(Interrupt):
+        sim.run()
+    assert log == ["ran"]
+
+
 def test_interrupt_dead_process_raises():
     sim = Simulator()
 

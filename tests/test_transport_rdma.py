@@ -8,16 +8,8 @@ from repro.hw import Host, MemoryError_, Nic
 from repro.net import IB_100G, Network
 from repro.net.wire import IB_ACK_SIZE, IB_READ_REQUEST_SIZE, ib_wire_size
 from repro.sim import Resource, Simulator
-from repro.transport import (
-    READ,
-    RECV_IMM,
-    WRITE,
-    WRITE_IMM,
-    CompletionChannel,
-    RdmaError,
-    connect,
-)
-from repro.transport.rdma import Completion, QpEndpoint
+from repro.transport import CompletionChannel, RdmaError, connect
+from repro.transport.rdma import QpEndpoint
 
 
 class FakeMemoryTarget:
@@ -35,6 +27,18 @@ class FakeMemoryTarget:
     def rdma_read(self, address, length, now):
         self.read_log.append((address, length, now))
         return self.cells.get(address, b"\x00" * length)
+
+
+class LoggedChannel(CompletionChannel):
+    """A completion channel that notes the instant of every notification."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.log = []
+
+    def notify(self):
+        self.log.append(self.sim.now)
+        super().notify()
 
 
 def make_rdma_pair():
@@ -61,65 +65,53 @@ def test_write_lands_at_remote_target():
     assert target.cells[region.base] == b"hello"
 
 
-def test_write_completion_opcode():
+def test_write_completion_notifies_the_poster():
     sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
+    cqp.channel = LoggedChannel(sim)
 
     def proc():
-        wc = yield cqp.post_write(region.rkey, region.base, b"x", 1)
-        return wc.opcode
+        value = yield cqp.post_write(region.rkey, region.base, b"x", 1)
+        return value, sim.now
 
     p = sim.process(proc())
     sim.run()
-    assert p.value == WRITE
-    assert len(cqp.cq) == 1  # the signaled completion is also in the CQ
+    value, acked = p.value
+    assert value is None
+    assert cqp.channel.log == [acked]
 
 
-def test_unsignaled_write_skips_local_cq():
+def test_write_with_imm_notifies_remote_channel():
     sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
+    cqp.channel, sqp.channel = LoggedChannel(sim), LoggedChannel(sim)
 
     def proc():
-        yield cqp.post_write(region.rkey, region.base, b"x", 1,
-                             signaled=False)
+        yield cqp.post_write(region.rkey, region.base, b"req", 3, imm=77)
+        return sim.now
 
-    sim.process(proc())
+    p = sim.process(proc())
     sim.run()
-    assert len(cqp.cq) == 0
-
-
-def test_write_with_imm_notifies_remote_cq():
-    sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
-
-    def client_proc():
-        wc = yield cqp.post_write(region.rkey, region.base, b"req", 3,
-                                  imm=77)
-        return wc.opcode
-
-    def server_proc():
-        wc = yield sqp.cq.wait()
-        return (wc.opcode, wc.imm, wc.length)
-
-    p_client = sim.process(client_proc())
-    p_server = sim.process(server_proc())
-    sim.run()
-    assert p_client.value == WRITE_IMM
-    assert p_server.value == (RECV_IMM, 77, 3)
+    landed = target.write_log[0][3]
+    assert sqp.channel.log == [landed]  # the RECV_IMM, as the data lands
+    assert cqp.channel.log == [p.value]  # then the ACK, at home
+    assert landed < p.value
 
 
 def test_plain_write_does_not_notify_remote():
     sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
+    sqp.channel = LoggedChannel(sim)
 
     def proc():
         yield cqp.post_write(region.rkey, region.base, b"silent", 6)
 
     sim.process(proc())
     sim.run()
-    assert len(sqp.cq) == 0
+    assert sqp.channel.log == []
 
 
 def test_imm_write_wakes_completion_channel():
     sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
     channel = CompletionChannel(sim)
-    sqp.cq.attach_channel(channel)
+    sqp.channel = channel
     woken = []
 
     def server_proc():
@@ -132,8 +124,46 @@ def test_imm_write_wakes_completion_channel():
     sim.process(server_proc())
     sim.process(client_proc())
     sim.run()
-    assert len(woken) == 1
+    assert woken == [target.write_log[0][3]]
     assert channel.wakeups == 1
+
+
+def test_read_notifies_the_posting_end_when_its_data_arrives():
+    sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
+    cqp.channel, sqp.channel = LoggedChannel(sim), LoggedChannel(sim)
+
+    def proc():
+        yield cqp.post_read(region.rkey, region.base, 64)
+        return sim.now
+
+    p = sim.process(proc())
+    sim.run()
+    assert cqp.channel.log == [p.value]
+    assert sqp.channel.log == []  # a read never involves the remote side
+
+
+def test_faulted_verbs_notify_as_the_work_completion_rule_says():
+    # A write that faults at the target still completes (in error) at the
+    # poster when the ACK arrives, but lands no RECV_IMM on the peer; a
+    # read that faults fails its event and completes nothing.
+    sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
+    cqp.channel, sqp.channel = LoggedChannel(sim), LoggedChannel(sim)
+
+    def proc():
+        outcomes = []
+        for post in (lambda: cqp.post_write(999, region.base, b"x", 1, imm=5),
+                     lambda: cqp.post_read(region.rkey, region.end, 64)):
+            try:
+                yield post()
+            except MemoryError_:
+                outcomes.append(sim.now)
+        return outcomes
+
+    p = sim.process(proc())
+    sim.run()
+    write_failed, _read_failed = p.value
+    assert cqp.channel.log == [write_failed]
+    assert sqp.channel.log == []
 
 
 def test_read_returns_remote_data():
@@ -275,21 +305,6 @@ def test_outstanding_read_limit_serializes_excess():
     assert times[-1] > times[0]
 
 
-def test_counters_track_traffic():
-    sim, net, server, client, region, target, cqp, sqp = make_rdma_pair()
-
-    def proc():
-        yield cqp.post_write(region.rkey, region.base, b"abc", 3)
-        yield cqp.post_read(region.rkey, region.base, 128)
-
-    sim.process(proc())
-    sim.run()
-    assert cqp.writes_posted == 1
-    assert cqp.reads_posted == 1
-    assert cqp.bytes_written == 3
-    assert cqp.bytes_read == 128
-
-
 def test_concurrent_reads_pipeline():
     """Multi-issue foundation: k concurrent reads finish much faster than
     k sequential reads (paper Fig 8)."""
@@ -334,7 +349,8 @@ def test_concurrent_reads_pipeline():
 # The verbs used to run as one process per op over a generator link
 # transfer, one queue entry per delay.  That model is kept here, verbatim
 # but for names, as the reference: the callback chains must reproduce its
-# completion times, CQ order, DMA instants and link byte counts exactly.
+# completion times, channel notification instants, DMA instants and
+# link byte counts exactly.
 
 def ref_link_transfer(link, nbytes):
     """The generator ``Link.transfer`` (completes on last-byte arrival),
@@ -366,45 +382,34 @@ def ref_transfer(network, src, dst, wire_bytes):
 class RefQp(QpEndpoint):
     """A queue pair whose verbs run the stepwise generator model."""
 
-    def post_write(self, rkey, remote_addr, payload, length, imm=None,
-                   wr_id=None, signaled=True):
+    def post_write(self, rkey, remote_addr, payload, length, imm=None):
         self._check_alive()
-        wr_id = wr_id if wr_id is not None else next(self._wr_ids)
-        self.writes_posted += 1
-        self.bytes_written += length
         done = self.sim.event()
         self.sim.process(self._do_write(rkey, remote_addr, payload, length,
-                                        imm, wr_id, signaled, done))
+                                        imm, done))
         return done
 
-    def post_read(self, rkey, remote_addr, length, wr_id=None):
+    def post_read(self, rkey, remote_addr, length):
         self._check_alive()
-        wr_id = wr_id if wr_id is not None else next(self._wr_ids)
-        self.reads_posted += 1
-        self.bytes_read += length
         done = self.sim.event()
-        self.sim.process(self._do_read(rkey, remote_addr, length, wr_id,
-                                       done))
+        self.sim.process(self._do_read(rkey, remote_addr, length, done))
         return done
 
     def post_read_batch(self, reads):
         self._check_alive()
         events = []
         for i, (rkey, remote_addr, length) in enumerate(reads):
-            wr_id = next(self._wr_ids)
-            self.reads_posted += 1
-            self.bytes_read += length
             done = self.sim.event()
-            self.sim.process(self._do_read(rkey, remote_addr, length, wr_id,
-                                           done,
+            self.sim.process(self._do_read(rkey, remote_addr, length, done,
                                            charge_post_overhead=(i == 0)))
             events.append(done)
-        if events:
-            self.read_batches += 1
         return events
 
-    def _do_write(self, rkey, remote_addr, payload, length, imm, wr_id,
-                  signaled, done):
+    def _notify(self):
+        if self.channel is not None:
+            self.channel.notify()
+
+    def _do_write(self, rkey, remote_addr, payload, length, imm, done):
         sim = self.sim
         profile = self.network.profile
         wqe_s = profile.rdma_nic_processing_s
@@ -415,28 +420,23 @@ class RefQp(QpEndpoint):
                                 ib_wire_size(length))
         self.remote.nic.ops_processed += 1
         yield sim.timeout(wqe_s)
-        completion = None
+        error = None
         try:
             target = self._validated_target(rkey, remote_addr, max(length, 1))
             target.rdma_write(remote_addr, length, payload, sim.now)
         except Exception as exc:
-            completion = Completion(wr_id, WRITE, ok=False, error=exc)
-        if completion is None and imm is not None:
-            self.peer.cq.push(
-                Completion(wr_id, RECV_IMM, imm=imm, length=length))
+            error = exc
+        if error is None and imm is not None:
+            self.peer._notify()
         yield from ref_transfer(self.network, self.remote, self.local,
                                 IB_ACK_SIZE)
-        if completion is None:
-            opcode = WRITE_IMM if imm is not None else WRITE
-            completion = Completion(wr_id, opcode, length=length)
-        if signaled:
-            self.cq.push(completion)
-        if completion.ok:
-            done.succeed(completion)
+        self._notify()
+        if error is None:
+            done.succeed()
         else:
-            done.fail(completion.error)
+            done.fail(error)
 
-    def _do_read(self, rkey, remote_addr, length, wr_id, done,
+    def _do_read(self, rkey, remote_addr, length, done,
                  charge_post_overhead=True):
         sim = self.sim
         profile = self.network.profile
@@ -473,7 +473,7 @@ class RefQp(QpEndpoint):
                                     ib_wire_size(length))
             local_nic.ops_processed += 1
             yield sim.timeout(wqe_s)
-            self.cq.push(Completion(wr_id, READ, value=data, length=length))
+            self._notify()
             done.succeed(data)
         finally:
             slot.release()
@@ -542,9 +542,10 @@ def run_verbs(qp_type, schedule, n_qps=1, shared_nic=True, budget=16,
     """Post ``schedule`` — ``[(gap, op), ...]``, gaps in ``quantum``
     units, with ``op`` one of
     ``("read", qp, length, bad)``, ``("batch", qp, lengths)``,
-    ``("write", qp, length, imm, signaled)`` — and report everything
-    observable: per-op outcomes with completion instants, every CQ in
-    order, the memory target's DMA log, link byte counts, the clock."""
+    ``("write", qp, length, imm)`` — and report everything observable:
+    per-op outcomes with completion instants, the notification instants
+    of a channel on every QP end, the memory target's DMA log, link byte
+    counts, the clock."""
     sim = Simulator()
     net = Network(sim, profile)
     server = Host(sim, "server", profile)
@@ -560,6 +561,9 @@ def run_verbs(qp_type, schedule, n_qps=1, shared_nic=True, budget=16,
         hosts.append(host)
     pairs = [_connect(qp_type, sim, net, hosts[i % len(hosts)], server,
                       f"qp{i}") for i in range(n_qps)]
+    for pair in pairs:
+        for end in pair:
+            end.channel = LoggedChannel(sim)
     if penalties:
         net.server_link.rx.fault_hook = _Faults(0.3571279e-6, penalties)
         net.server_link.tx.fault_hook = _Faults(0.4933517e-6,
@@ -571,10 +575,7 @@ def run_verbs(qp_type, schedule, n_qps=1, shared_nic=True, budget=16,
     def record(index, part):
         def done(event):
             if event._ok:
-                value = event._value
-                if isinstance(value, Completion):  # a write (wr_ids differ)
-                    value = (value.opcode, value.imm, value.length)
-                outcomes.append((index, part, sim.now, "ok", value))
+                outcomes.append((index, part, sim.now, "ok", event._value))
             else:
                 event.defused = True
                 outcomes.append((index, part, sim.now,
@@ -596,24 +597,17 @@ def run_verbs(qp_type, schedule, n_qps=1, shared_nic=True, budget=16,
                     (region.rkey, address + 4096 * j, length)
                     for j, length in enumerate(op[2])])
             else:
-                _kind, _qp, length, imm, signaled = op
+                _kind, _qp, length, imm = op
                 events = [qp.post_write(region.rkey, address, index, length,
-                                        imm=imm, signaled=signaled)]
+                                        imm=imm)]
             for part, event in enumerate(events):
                 event.callbacks.append(record(index, part))
 
     sim.process(driver())
     sim.run()
-
-    def drain(cq):
-        out = []
-        while (wc := cq.poll()) is not None:
-            out.append((wc.opcode, wc.ok, wc.imm, wc.value, wc.length))
-        return out
-
     return dict(
         outcomes=outcomes,
-        cqs=[(drain(a.cq), drain(b.cq)) for a, b in pairs],
+        notified=[(a.channel.log, b.channel.log) for a, b in pairs],
         dma=target.log,
         link_bytes=(net.server_link.rx.total_bytes,
                     net.server_link.tx.total_bytes),
@@ -638,7 +632,7 @@ _ops = st.one_of(
     st.tuples(st.just("batch"), st.integers(0, 2),
               st.lists(st.integers(1, 4096), min_size=1, max_size=5)),
     st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 4096),
-              st.one_of(st.none(), st.integers(1, 99)), st.booleans()),
+              st.one_of(st.none(), st.integers(1, 99))),
 )
 #: Which fault-hook calls inject (see ``_Faults``).
 _faults = st.one_of(st.none(), st.lists(st.booleans(), min_size=1,
@@ -660,8 +654,8 @@ def test_verbs_match_the_stepwise_generator_model(schedule, n_qps,
 
 
 def test_each_verb_spends_five_queue_entries_on_an_idle_fabric():
-    for op in (("read", 0, 64, False), ("write", 0, 64, None, True),
-               ("write", 0, 64, 7, True)):
+    for op in (("read", 0, 64, False), ("write", 0, 64, None),
+               ("write", 0, 64, 7)):
         new_events, ref_events = assert_equivalent([(0, op)])
         # The driver's Initialize is the sixth entry on both sides.  The
         # completion event wakes its waiter by a same-instant hop, since
@@ -715,7 +709,7 @@ def test_doorbell_batch_inside_an_early_claim_window():
     # reaches the wire ahead of the write posted right after it.
     done_x = _first_read_done_ns()
     schedule = [(0, _READ), (done_x - 150, _READ),
-                (0, ("write", 0, 64, None, True)),
+                (0, ("write", 0, 64, None)),
                 (100, ("batch", 0, [64, 64]))]
     assert_equivalent(schedule, budget=2, profile=IB_100G, quantum=1e-9)
 
@@ -725,7 +719,7 @@ def test_ops_posted_after_a_stepwise_read_stay_behind_it():
     # read claims stepwise and what follows is fused: a write, or a read
     # on a second client's NIC.
     done_a = _first_read_done_ns()
-    for tail in (("write", 0, 64, None, True), ("read", 1, 64, False)):
+    for tail in (("write", 0, 64, None), ("read", 1, 64, False)):
         schedule = [(0, _READ), (done_a - 100, _READ), (0, tail)]
         assert_equivalent(schedule, n_qps=2, shared_nic=False, budget=1,
                           profile=IB_100G, quantum=1e-9)
