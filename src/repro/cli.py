@@ -84,7 +84,6 @@ def _config_from(args, scheme: str) -> ExperimentConfig:
                                 Inv=heartbeat),
         seed=args.seed,
         batch_queries=getattr(args, "batch_queries", 0),
-        collect_timeline=getattr(args, "timeline", False),
         trace=getattr(args, "trace", False),
         n_shards=getattr(args, "shards", None),
         rebalance=_rebalance_from(args),
@@ -124,11 +123,6 @@ def cmd_run(args) -> int:
     print(RunResult.header())
     print(result.row())
     _write_metrics(args, [result.metrics])
-    if getattr(args, "timeline", False):
-        from .viz import render_timeline
-        print()
-        for line in render_timeline(result.timeline):
-            print(line)
     if args.verbose:
         print(f"\nelapsed (simulated): {result.elapsed_s * 1e3:.3f} ms")
         print(f"p50/p99 latency: {result.p50_latency_us:.1f} / "
@@ -139,10 +133,6 @@ def cmd_run(args) -> int:
               f"{result.heartbeats_dropped}")
         print(f"server-side searches/inserts: "
               f"{result.searches_served_by_server}/{result.inserts_served}")
-        from .viz import render_metrics
-        print()
-        for line in render_metrics(result.metrics):
-            print(line)
     return 0
 
 
@@ -385,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheme", default="catfish",
                        choices=sorted(SCHEMES))
     p_run.add_argument("--verbose", "-v", action="store_true")
-    p_run.add_argument("--timeline", action="store_true",
-                       help="collect and render a cpu/offload timeline")
     p_run.add_argument("--shards", type=int, default=None,
                        help="shard the server across N machines "
                             "(RDMA schemes only; default: the scheme's "

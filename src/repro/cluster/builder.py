@@ -72,50 +72,9 @@ class ClosedLoopRunner:
         #: is taken over this, not over any background settling after).
         self.elapsed_s = 0.0
         self._drivers = []
-        self._timeline: List[tuple] = []
         self._build_clients(workload_fn)
         deployment.start()
         deployment.register_metrics()
-        if config.collect_timeline:
-            self._register_series()
-            self.sim.process(self._timeline_sampler(), name="timeline")
-
-    def _register_series(self) -> None:
-        alive = lambda: any(d.is_alive for d in self._drivers)
-        stats_list = self.client_stats
-        interval = self.config.heartbeat_interval
-        self.metrics.sampler(
-            self.sim, "series.cpu_utilization",
-            self.deployment.window_cpu_utilization,
-            interval=interval, while_fn=alive,
-        )
-        self.metrics.sampler(
-            self.sim, "series.requests_completed",
-            lambda: sum(s.requests_sent for s in stats_list),
-            interval=interval, while_fn=alive,
-        )
-
-    def _timeline_sampler(self) -> Generator:
-        """Sample (t, cpu_util, window offload fraction) periodically."""
-        interval = self.config.heartbeat_interval
-        prev_offload = prev_total = 0
-        while any(d.is_alive for d in self._drivers):
-            yield self.sim.timeout(interval)
-            offload = sum(s.offloaded_requests for s in self.client_stats)
-            total = sum(
-                s.offloaded_requests + s.fast_messaging_requests
-                for s in self.client_stats
-            )
-            window_total = total - prev_total
-            window_offload = offload - prev_offload
-            fraction = (window_offload / window_total
-                        if window_total else 0.0)
-            self._timeline.append(
-                (self.sim.now,
-                 self.deployment.window_cpu_utilization(),
-                 fraction)
-            )
-            prev_offload, prev_total = offload, total
 
     # -- construction ----------------------------------------------------------
 
@@ -269,7 +228,6 @@ class ClosedLoopRunner:
             searches_served_by_server=deployment.searches_served(),
             inserts_served=deployment.inserts_served(),
             extra=self._extra(),
-            timeline=list(self._timeline),
             metrics=snapshot_document(
                 self.metrics,
                 tracer=self.tracer if config.trace else None,

@@ -192,11 +192,6 @@ class ExperimentConfig:
     #: ``repro.traffic.harness`` instead.
     traffic: Optional[TrafficConfig] = None
 
-    #: When True, the runner samples (time, cpu_util, offload_fraction)
-    #: every heartbeat interval into ``RunResult.timeline`` and registers
-    #: windowed samplers with the metrics registry.
-    collect_timeline: bool = False
-
     #: Structured tracing (per-request spans).  Off by default: a real
     #: tracer costs one bounded ring of events; NULL_TRACER costs nothing.
     trace: bool = False

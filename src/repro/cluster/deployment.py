@@ -324,11 +324,6 @@ class Deployment:
         return (sum(s.host.cpu.utilization() for s in self.stacks)
                 / len(self.stacks))
 
-    def window_cpu_utilization(self) -> float:
-        """Mean CPU utilization over the current heartbeat window."""
-        return (sum(s.host.cpu.tracker.window_utilization(reset=False)
-                    for s in self.stacks) / len(self.stacks))
-
     def total_bandwidth_gbps(self) -> float:
         return sum(s.network.server_bandwidth_gbps() for s in self.stacks)
 

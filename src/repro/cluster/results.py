@@ -41,10 +41,6 @@ class RunResult:
     searches_served_by_server: int = 0
     inserts_served: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
-    #: Optional per-window trace: (time_s, cpu_utilization,
-    #: offload_fraction_in_window); filled when
-    #: ``ExperimentConfig.collect_timeline`` is set.
-    timeline: List[tuple] = field(default_factory=list)
     #: Full observability snapshot (``catfish-metrics/v1`` document):
     #: registry counters/gauges/histograms plus optional trace events.
     #: See docs/observability.md.

@@ -98,9 +98,9 @@ class CorePool:
         """Busy fraction since t=0 (for end-of-run reporting)."""
         return self.tracker.utilization_since_start()
 
-    def window_utilization(self, reset: bool = True) -> float:
+    def window_utilization(self) -> float:
         """Busy fraction since the previous heartbeat window."""
-        return self.tracker.window_utilization(reset=reset)
+        return self.tracker.window_utilization()
 
 
 class _Work:

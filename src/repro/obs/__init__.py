@@ -17,7 +17,6 @@ from .registry import (
     Histogram,
     LatencyView,
     MetricsRegistry,
-    WindowSampler,
     expose_fields,
 )
 from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
@@ -35,7 +34,6 @@ __all__ = [
     "Span",
     "TraceEvent",
     "Tracer",
-    "WindowSampler",
     "dumps",
     "expose_fields",
     "load_metrics_json",

@@ -6,8 +6,7 @@ comparable across schemes, presets and PRs::
     {
       "schema": "catfish-metrics/v1",
       "meta": {"scheme": "catfish", "fabric": "ib-100g", ...},
-      "metrics": {"<name>": {"type": "counter"|"gauge"|"histogram"|"series",
-                              ...}},
+      "metrics": {"<name>": {"type": "counter"|"gauge"|"histogram", ...}},
       "trace": {"total_events": N, "dropped_events": D, "events": [...]}
     }
 

@@ -1,4 +1,4 @@
-"""The metrics registry: gauges, histograms, windowed samplers.
+"""The metrics registry: gauges and histograms.
 
 Every component of the reproduction (server, clients, offload engine,
 heartbeat service, ring buffers, transport) registers what it counts
@@ -7,32 +7,22 @@ system — the substrate the benchmark JSON artifacts are built from.
 
 Design constraints:
 
-* **No wall-clock calls.**  Anything time-based (the windowed samplers) is
-  driven by the simulation clock, so metrics are deterministic and
-  reproducible for a given seed.
+* **No wall-clock calls.**  Every metric reads simulation state, so
+  metrics are deterministic and reproducible for a given seed.
 * **A count is an int.**  Components keep plain ``int`` fields
   (``stats.torn_retries += 1``) and the registry reads them one way:
   :func:`expose_fields` registers each field as a pull gauge summed over
   a live list of owners, so the hot path pays for an ``int`` add and
   nothing else.
 * **Bounded memory.**  Histograms are HDR-style log-linear buckets (a few
-  hundred buckets regardless of sample count); samplers keep a bounded
-  ring of points.
+  hundred buckets regardless of sample count).
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 
 class Counter:
@@ -225,55 +215,6 @@ class LatencyView:
         return snap
 
 
-class WindowSampler:
-    """Bounded (time, value) series sampled on the simulation clock.
-
-    ``while_fn`` (when given) stops the sampling process once it returns
-    False — e.g. "while any client driver is alive" — so an experiment's
-    event queue still drains.
-    """
-
-    kind = "series"
-
-    def __init__(
-        self,
-        sim,
-        fn: Callable[[], float],
-        interval: float,
-        name: str = "",
-        max_points: int = 1024,
-        while_fn: Optional[Callable[[], bool]] = None,
-    ):
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.sim = sim
-        self.name = name
-        self.interval = interval
-        self._fn = fn
-        self._while = while_fn
-        self.points: deque = deque(maxlen=max_points)
-        self._proc = None
-
-    def start(self) -> "WindowSampler":
-        if self._proc is None:
-            self._proc = self.sim.process(
-                self._run(), name=f"sampler-{self.name or 'anon'}"
-            )
-        return self
-
-    def _run(self) -> Generator:
-        while self._while is None or self._while():
-            yield self.sim.timeout(self.interval)
-            self.points.append((self.sim.now, float(self._fn())))
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": "series",
-            "interval": self.interval,
-            "points": [[t, v] for t, v in self.points],
-        }
-
-
 class MetricsRegistry:
     """Name -> metric map with get-or-create factories.
 
@@ -309,23 +250,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, lambda: Histogram(name, help, unit=unit), "histogram"
         )
-
-    def sampler(
-        self,
-        sim,
-        name: str,
-        fn: Callable[[], float],
-        interval: float,
-        max_points: int = 1024,
-        while_fn: Optional[Callable[[], bool]] = None,
-    ) -> WindowSampler:
-        sampler = self._get_or_create(
-            name,
-            lambda: WindowSampler(sim, fn, interval, name=name,
-                                  max_points=max_points, while_fn=while_fn),
-            "series",
-        )
-        return sampler.start()
 
     # -- adoption ----------------------------------------------------------
 

@@ -94,14 +94,14 @@ class UtilizationTracker:
         total = self.sim.now * self.capacity
         return self._busy_time / total if total > 0 else 0.0
 
-    def window_utilization(self, reset: bool = True) -> float:
-        """Utilization since the last window reset (the heartbeat reading)."""
+    def window_utilization(self) -> float:
+        """Utilization since the last reading, which starts a new window
+        (the heartbeat reading)."""
         self._accumulate()
         window = self.sim.now - self._window_start
         if window <= 0:
             return float(self._busy) / self.capacity
         value = self._window_busy_time / (window * self.capacity)
-        if reset:
-            self._window_start = self.sim.now
-            self._window_busy_time = 0.0
+        self._window_start = self.sim.now
+        self._window_busy_time = 0.0
         return value

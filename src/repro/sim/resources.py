@@ -1,7 +1,8 @@
 """Shared-resource primitives built on the DES kernel.
 
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``
-  (completion queues, event channels, socket inboxes, the mux queue).
+  (the RDMA completion channel, the two TCP socket inboxes, the ring
+  buffer's inbox and the mux queue).
 * :class:`Mailbox` — a store with one reader whose deliveries wake it by
   same-instant hops (a fast-messaging client's response segments, the
   reads of one offloaded traversal).

@@ -73,7 +73,8 @@ class AggregateClient:
         self.issued = 0
         self.in_flight = 0
         self.shed_window = 0
-        #: Timestamps of window sheds (phase analysis, like the mux's).
+        #: Timestamps of window sheds, kept when the mux records (phase
+        #: analysis, like the mux's).
         self.shed_times = []
 
     def _touch(self, user_id: int) -> None:
@@ -85,6 +86,7 @@ class AggregateClient:
     def run(self, duration: float) -> Generator:
         """The arrival loop: one sim process per aggregate."""
         sim = self.sim
+        record = self.mux.record
         for t, tenant in self.generator.arrivals(duration, start=sim.now):
             delay = t - sim.now
             if delay > 0.0:
@@ -94,7 +96,8 @@ class AggregateClient:
             self._touch(user_id)
             if self.in_flight >= self.window:
                 self.shed_window += 1
-                self.shed_times.append(sim.now)
+                if record:
+                    self.shed_times.append(sim.now)
                 continue
             job = TrafficJob(
                 aggregate_id=self.aggregate_id,

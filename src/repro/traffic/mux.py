@@ -130,7 +130,8 @@ class ConnectionMux:
         self.failed = 0
         self.shed_watermark = 0
         self.shed_admission = 0
-        #: Simulated timestamps of every front-end shed (phase analysis).
+        #: With ``record``, the simulated time of every front-end shed
+        #: (phase analysis).
         self.shed_times: List[float] = []
         self.finished_jobs: List[TrafficJob] = []
         self._closed = False
@@ -149,12 +150,14 @@ class ConnectionMux:
         if len(self.queue) >= self.watermark:
             job.status = SHED_WATERMARK
             self.shed_watermark += 1
-            self.shed_times.append(self.sim.now)
+            if self.record:
+                self.shed_times.append(self.sim.now)
             return False
         if self.bucket is not None and not self.bucket.try_take(self.sim.now):
             job.status = SHED_ADMISSION
             self.shed_admission += 1
-            self.shed_times.append(self.sim.now)
+            if self.record:
+                self.shed_times.append(self.sim.now)
             return False
         self.admitted += 1
         self.queue.put_discard(job)

@@ -141,6 +141,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kv"])
 
+    def test_timeline_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--timeline"] + self.SMALL)
+        assert exc.value.code == 2
+        assert "--timeline" in capsys.readouterr().err
+
 
 class TestChaosSubcommand:
     FAST = ["--clients", "2", "--requests", "120", "--dataset-size", "1000"]

@@ -16,7 +16,6 @@ from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
-    WindowSampler,
     dumps,
     expose_fields,
     load_metrics_json,
@@ -118,34 +117,6 @@ class TestLatencyView:
         assert snap["unit"] == "us"
 
 
-class TestWindowSampler:
-    def test_samples_on_sim_clock(self):
-        sim = Simulator()
-        sampler = WindowSampler(sim, lambda: sim.now * 10.0,
-                                interval=1e-3).start()
-        sim.run(until=5.5e-3)
-        times = [t for t, _v in sampler.points]
-        assert times == pytest.approx([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
-
-    def test_while_fn_stops_sampling(self):
-        sim = Simulator()
-        sampler = WindowSampler(sim, lambda: 1.0, interval=1e-3,
-                                while_fn=lambda: sim.now < 3e-3).start()
-        sim.run(until=0.1)
-        assert len(sampler.points) <= 4
-
-    def test_bounded_points(self):
-        sim = Simulator()
-        sampler = WindowSampler(sim, lambda: 0.0, interval=1e-4,
-                                max_points=16).start()
-        sim.run(until=0.1)
-        assert len(sampler.points) == 16
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            WindowSampler(Simulator(), lambda: 0.0, interval=0.0)
-
-
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         m = MetricsRegistry()
@@ -158,7 +129,7 @@ class TestRegistry:
         m = MetricsRegistry()
         m.expose("a", lambda: 0)
         with pytest.raises(ValueError):
-            m.sampler(Simulator(), "a", lambda: 0.0, interval=1e-3)
+            m.histogram("a")
 
     def test_adopt_external_counter(self):
         m = MetricsRegistry()
@@ -348,13 +319,13 @@ class TestEndToEnd:
 
     def test_adaptive_hybrid_artifact_round_trip(self, tmp_path):
         # The fields every downstream consumer of the artifact reads, on
-        # a run long enough to send heartbeats and fill the timeline.
+        # a run long enough to send heartbeats.
         from repro import ExperimentConfig, run_experiment
         result = run_experiment(ExperimentConfig(
             scheme="catfish", fabric="ib-100g", n_clients=4,
             requests_per_client=100, workload_kind="hybrid",
             dataset_size=5_000, heartbeat_interval=0.1e-3,
-            collect_timeline=True, trace=True, seed=1,
+            trace=True, seed=1,
         ))
         path = str(tmp_path / "metrics.json")
         write_metrics_json(path, result.metrics)
@@ -375,9 +346,8 @@ class TestEndToEnd:
         # The heartbeat service ran and clients consumed beats.
         assert metrics["heartbeat.beats_sent"]["value"] > 0
         assert metrics["adaptive.heartbeats_consumed"]["value"] > 0
-        # Server-side accounting and the sim-clock series.
+        # Server-side accounting.
         assert metrics["server.requests_handled"]["value"] > 0
-        assert len(metrics["series.cpu_utilization"]["points"]) > 0
         # Trace spans recorded; bounded-ring accounting holds.
         assert doc["trace"]["total_events"] > 0
         assert doc["trace"]["dropped_events"] >= 0

@@ -1,4 +1,4 @@
-"""Tests for Zipf/hotspot skew generators and the ASCII viz helpers."""
+"""Tests for the Zipf/hotspot skew generators."""
 
 import random
 from collections import Counter
@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from repro import ExperimentConfig, run_experiment
-from repro.viz import bar_chart, render_timeline, sparkline
 from repro.workloads.scales import FixedScale
 from repro.workloads.skew import (
     HOTSPOT_SPREAD,
@@ -110,60 +109,3 @@ class TestHotspots:
         assert result.total_requests == 200
         assert result.inserts_served > 0
 
-
-class TestViz:
-    def test_sparkline_empty(self):
-        assert sparkline([]) == ""
-
-    def test_sparkline_flat(self):
-        assert sparkline([3, 3, 3]) == "▁▁▁"
-
-    def test_sparkline_ramp(self):
-        line = sparkline([0, 0.5, 1.0], 0.0, 1.0)
-        assert len(line) == 3
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-        assert line[0] < line[1] < line[2]
-
-    def test_sparkline_respects_pinned_scale(self):
-        # values near the middle of a pinned [0, 1] scale
-        line = sparkline([0.5], 0.0, 1.0)
-        assert line not in ("▁", "█")
-
-    def test_bar_chart(self):
-        lines = bar_chart([("catfish", 100.0), ("tcp", 25.0)], width=20)
-        assert len(lines) == 2
-        assert lines[0].count("#") == 20
-        assert 4 <= lines[1].count("#") <= 6
-        assert "100.0" in lines[0]
-
-    def test_bar_chart_empty(self):
-        assert bar_chart([]) == []
-
-    def test_render_timeline_empty(self):
-        assert render_timeline([]) == ["(no timeline collected)"]
-
-    def test_render_timeline_basic(self):
-        timeline = [(i * 1e-3, i / 10, 1 - i / 10) for i in range(10)]
-        lines = render_timeline(timeline)
-        assert len(lines) == 3
-        assert "server cpu" in lines[1]
-        assert "offload frac" in lines[2]
-
-    def test_render_timeline_downsamples(self):
-        timeline = [(i * 1e-3, 0.5, 0.5) for i in range(1000)]
-        lines = render_timeline(timeline, max_points=50)
-        assert "50 windows" in lines[0]
-
-    def test_cli_timeline_flag(self, capsys):
-        from repro.cli import main
-        code = main([
-            "run", "--scheme", "catfish", "--timeline",
-            "--clients", "4", "--requests", "30",
-            "--dataset-size", "800", "--server-cores", "2",
-            "--heartbeat-ms", "0.1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "server cpu" in out
-        assert "offload frac" in out

@@ -210,13 +210,21 @@ class TestAdmission:
     def test_token_bucket_sheds_are_labelled(self):
         sim = Simulator()
         mux = ConnectionMux(sim, [_StuckSession(sim)], watermark=100,
-                            bucket=TokenBucket(rate=1000.0, burst=1))
+                            bucket=TokenBucket(rate=1000.0, burst=1),
+                            record=True)
         jobs = [_job(i) for i in range(3)]
         accepted = [mux.offer(j) for j in jobs]
         assert accepted == [True, False, False]
         assert [j.status for j in jobs[1:]] == [SHED_ADMISSION] * 2
         assert mux.shed_admission == 2
         assert len(mux.shed_times) == 2
+
+    def test_shed_times_kept_only_when_recording(self):
+        sim = Simulator()
+        mux = ConnectionMux(sim, [_StuckSession(sim)], watermark=1)
+        assert [mux.offer(_job(i)) for i in range(3)] == [True, False, False]
+        assert mux.shed_watermark == 2
+        assert mux.shed_times == []
 
     def test_window_sheds_count_and_never_block(self):
         result = run_traffic(_config(rate=400_000.0, window=1,
