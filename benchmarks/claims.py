@@ -1429,7 +1429,8 @@ PLATEAU_FACTOR = 1.25
 MILLION_USER_WALL_S = 30.0
 
 #: Offered rates (arrivals/s).  The 4-session deployment saturates
-#: around ~300k/s, so the sweep brackets the knee.
+#: around ~650k/s (~290k/s before the mux batched queued searches), so
+#: the sweep brackets the knee.
 SWEEP_RATES = (50_000.0, 150_000.0, 600_000.0, 1_200_000.0)
 SWEEP_SUBSATURATED = 2  # first N rates must track offered
 

@@ -152,11 +152,12 @@ class ExperimentConfig:
     rebalance: Optional[RebalanceConfig] = None
 
     #: Batched reads: group up to this many consecutive searches of a
-    #: client's stream into one shared offload traversal
-    #: (``OffloadEngine.search_batch``).  0/1 disables batching — the
-    #: default, on which all scheme and chaos golden fingerprints are
-    #: pinned.  Sessions without a batch-capable engine (TCP,
-    #: fast-messaging-only, the sharded router) silently degrade to
+    #: client's stream into one batch (``PolicySession
+    #: .execute_search_batch``: one shared offload traversal, or one
+    #: fast-messaging request the server runs as one shared traversal;
+    #: the sharded router sends one sub-batch per shard).  0/1 disables
+    #: batching — the default, on which all scheme and chaos golden
+    #: fingerprints are pinned.  TCP sessions silently degrade to
     #: sequential execution.
     batch_queries: int = 0
 

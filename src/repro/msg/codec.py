@@ -31,6 +31,8 @@ MSG_KV_SCAN = 10
 MSG_NEAREST = 11
 MSG_COUNT = 12
 MSG_UPDATE = 13
+#: Several range searches in one message, answered as one response.
+MSG_SEARCH_BATCH = 14
 
 #: Bytes of a rectangle: four doubles.
 RECT_SIZE = 32
@@ -38,6 +40,9 @@ RECT_SIZE = 32
 REQ_ID_SIZE = 8
 #: Result entry: rectangle + data id.
 RESULT_SIZE = RECT_SIZE + 8
+#: A u32 count: queries in a batched search, or one query's match count
+#: in its response.
+COUNT_SIZE = 4
 #: Wire footprint of a key-value PUT's value (the token itself is opaque).
 KV_VALUE_SIZE = 32
 #: Ring-buffer message header: size (u32) + type (u32).
@@ -57,6 +62,20 @@ class SearchRequest:
 
     def payload_size(self) -> int:
         return REQ_ID_SIZE + RECT_SIZE
+
+
+@dataclass(frozen=True)
+class SearchBatchRequest:
+    """Q range searches in one ring message (a shared session's batch);
+    the response carries each query's matches in query order."""
+
+    req_id: int
+    rects: Tuple[Rect, ...]
+
+    msg_type = MSG_SEARCH_BATCH
+
+    def payload_size(self) -> int:
+        return REQ_ID_SIZE + COUNT_SIZE + len(self.rects) * RECT_SIZE
 
 
 @dataclass(frozen=True)
@@ -94,6 +113,9 @@ class ResponseSegment:
     ok: bool = True
     #: For count responses: the aggregate (no rectangles shipped).
     count: Optional[int] = None
+    #: On the END segment of a batched search's response: each query's
+    #: match count, in query order, to split the concatenated results.
+    splits: Optional[Tuple[int, ...]] = None
 
     @property
     def msg_type(self) -> int:
@@ -102,7 +124,9 @@ class ResponseSegment:
     def payload_size(self) -> int:
         size = REQ_ID_SIZE + 1 + len(self.results) * RESULT_SIZE
         if self.count is not None:
-            size += 4
+            size += COUNT_SIZE
+        if self.splits is not None:
+            size += COUNT_SIZE * len(self.splits)
         return size
 
 
@@ -239,6 +263,13 @@ def message_size(message) -> int:
     return MSG_HEADER_SIZE + message.payload_size()
 
 
+def query_count(message) -> int:
+    """How many queries a request message carries (a batch carries Q)."""
+    if isinstance(message, SearchBatchRequest):
+        return len(message.rects)
+    return 1
+
+
 def segment_results(
     req_id: int,
     results: List[Tuple[Rect, int]],
@@ -259,6 +290,41 @@ def segment_results(
     last = segments[-1]
     segments[-1] = ResponseSegment(req_id, last.results, last=True, ok=ok)
     return segments
+
+
+def segment_batch_results(
+    req_id: int,
+    per_query: List[List[Tuple[Rect, int]]],
+) -> List[ResponseSegment]:
+    """A batched search's response: every query's matches concatenated
+    in query order and segmented as one result set, the END segment
+    carrying the per-query match counts (:func:`split_batch_results`
+    inverts it)."""
+    results = [match for matches in per_query for match in matches]
+    splits = tuple(len(matches) for matches in per_query)
+    # Every segment leaves room for the counts, so the END one fits.
+    segments = segment_results(
+        req_id, results,
+        max_payload=MAX_SEGMENT_PAYLOAD - COUNT_SIZE * len(splits))
+    last = segments[-1]
+    segments[-1] = ResponseSegment(req_id, last.results, last=True,
+                                   splits=splits)
+    return segments
+
+
+def split_batch_results(results: List[Tuple[Rect, int]],
+                        splits: Tuple[int, ...]
+                        ) -> List[List[Tuple[Rect, int]]]:
+    """The per-query match lists of a batched search's response."""
+    if sum(splits) != len(results):
+        raise ValueError(
+            f"splits {splits} do not cover {len(results)} results")
+    out = []
+    start = 0
+    for n in splits:
+        out.append(results[start:start + n])
+        start += n
+    return out
 
 
 def reassemble(segments: List[ResponseSegment]) -> List[Tuple[Rect, int]]:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from ..sim.kernel import Event, Simulator, any_of
 from ..sim.resources import Store
-from .codec import MSG_HEADER_SIZE, message_size
+from .codec import MSG_HEADER_SIZE, message_size, query_count
 
 #: The paper allocates a 256 KB ring buffer per connection pair (§V-B).
 DEFAULT_RING_CAPACITY = 256 * 1024
@@ -280,6 +280,12 @@ class RingBuffer:
     @property
     def pending_messages(self) -> int:
         return len(self._inbox.items)
+
+    @property
+    def pending_queries(self) -> int:
+        """Queries the pending messages carry (a batched search, Q)."""
+        return sum(query_count(message)
+                   for message, _footprint in self._inbox.items)
 
     @property
     def free_bytes(self) -> int:

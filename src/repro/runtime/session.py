@@ -121,82 +121,79 @@ class PolicySession:
         return result
 
     def execute_search_batch(self, requests) -> Generator:
-        """Run a group of search requests as one batched offload.
+        """Run a group of search requests as one batch.
 
         One policy decision covers the whole group (a batched client
         commits the group to a path up front); the ``note_*`` /
         ``observe`` hooks still fire once per request so the policy's
         request-level accounting stays aligned with its counters — each
         request observes the batch wall time, which is exactly how long
-        a synchronous batched client waited for it.  Falls back to
-        per-request :meth:`execute` when the group is trivial or the
-        engine has no ``search_batch`` (TCP / fast-messaging-only
-        schemes, the sharded router).
+        a synchronous batched client waited for it.  Fast messaging
+        sends the group as one request message
+        (:meth:`~repro.client.fm_client.FmSession.search_batch`), the
+        offload path runs one shared one-sided traversal
+        (``engine.search_batch``), and an offload failure under a
+        breaker fails the group over to one batched message.  A group
+        of one runs :meth:`execute`.
         """
-        engine_batch = getattr(self.engine, "search_batch", None)
-        if len(requests) <= 1 or engine_batch is None:
+        if len(requests) <= 1:
             results = []
             for request in requests:
                 result = yield from self.execute(request)
                 results.append(result)
             return results
         policy = self.policy
+        breaker = self.breaker
         span = self.tracer.span(self.trace_component, "search-batch")
         rects = [request.rect for request in requests]
-
-        def fm_all() -> Generator:
-            out = []
-            for request in requests:
-                start = self.sim.now
-                result = yield from self.fm.execute(request)
-                policy.observe(request, PATH_FM, self.sim.now - start)
-                out.append(result)
-            return out
-
         if not policy.decide_offload():
             for request in requests:
                 policy.note_fm()
             span.annotate("decide", path=PATH_FM,
                           **policy.fm_annotations())
-            results = yield from fm_all()
-            span.end(path=PATH_FM, queries=len(requests))
-            return results
-        breaker = self.breaker
-        if breaker is not None and not breaker.allow():
+            path = PATH_FM
+        elif breaker is not None and not breaker.allow():
             for request in requests:
                 policy.note_fm(forced=True)
             span.annotate("decide", path=PATH_FM, reason="breaker-open")
-            results = yield from fm_all()
+            path = PATH_FM
+        else:
+            path = PATH_OFFLOAD
+        start = self.sim.now
+        if path == PATH_FM:
+            results = yield from self.fm.search_batch(rects)
+            self._observe_all(requests, PATH_FM, start)
             span.end(path=PATH_FM, queries=len(requests))
             return results
         for request in requests:
             policy.note_offload()
         span.annotate("decide", path=PATH_OFFLOAD,
                       **policy.offload_annotations())
-        start = self.sim.now
         try:
-            results = yield from engine_batch(rects)
+            results = yield from self.engine.search_batch(rects)
         except OffloadError:
             if breaker is None:
                 raise
             breaker.record_failure()
-            policy.note_failover()
+            for request in requests:
+                policy.note_failover()
             span.annotate("failover", reason="offload-error",
                           breaker=breaker.state)
-            results = []
-            for request in requests:
-                result = yield from self.fm.execute(request)
-                results.append(result)
-            elapsed = self.sim.now - start
-            for request in requests:
-                policy.observe(request, PATH_OFFLOAD, elapsed,
-                               failed_over=True)
+            results = yield from self.fm.search_batch(rects)
+            self._observe_all(requests, PATH_OFFLOAD, start,
+                              failed_over=True)
             span.end(path="fm-failover", queries=len(requests))
             return results
         if breaker is not None:
             breaker.record_success()
-        elapsed = self.sim.now - start
-        for request in requests:
-            policy.observe(request, PATH_OFFLOAD, elapsed)
+        self._observe_all(requests, PATH_OFFLOAD, start)
         span.end(path=PATH_OFFLOAD, queries=len(requests))
         return results
+
+    def _observe_all(self, requests, path: str, start: float,
+                     failed_over: bool = False) -> None:
+        """Report the batch wall time since ``start`` for each request."""
+        elapsed = self.sim.now - start
+        for request in requests:
+            self.policy.observe(request, path, elapsed,
+                                failed_over=failed_over)

@@ -36,10 +36,13 @@ from ..msg.codec import (
     InsertRequest,
     NearestRequest,
     ResponseSegment,
+    SearchBatchRequest,
     SearchRequest,
     UpdateRequest,
+    segment_batch_results,
     segment_results,
 )
+from ..rtree.batch import BatchSearchEngine
 from ..rtree.bulk import bulk_load, pack_leaves
 from ..rtree.geometry import Rect
 from ..rtree.locks import TreeLockManager
@@ -74,9 +77,11 @@ OFFLOAD_CHUNK_BYTES = 4096
 #: a stale sample ages out within a few intervals.
 RECENT_QUERY_WINDOW = 256
 
-#: Reply shapes of a plan: its matches as CONT/END segments, an
-#: aggregate count, or a write's ack.
+#: Reply shapes of a plan: its matches as CONT/END segments, each
+#: query's matches of a batch as one such response, an aggregate count,
+#: or a write's ack.
 RESULTS = "results"
+BATCH = "batch"
 COUNT = "count"
 ACK = "ack"
 
@@ -226,6 +231,8 @@ class IndexService:
         req_id = request.req_id
         if shape == RESULTS:
             plan.segments = segment_results(req_id, plan.result)
+        elif shape == BATCH:
+            plan.segments = segment_batch_results(req_id, plan.result)
         elif shape == COUNT:
             plan.segments = [ResponseSegment(req_id, (), last=True,
                                              count=plan.result)]
@@ -307,6 +314,8 @@ class RTreeServer(TreeService):
 
     PLANS = {
         SearchRequest: (lambda s, r: s.plan_search(r.rect), RESULTS),
+        SearchBatchRequest: (lambda s, r: s.plan_search_batch(r.rects),
+                             BATCH),
         NearestRequest: (lambda s, r: s.plan_nearest(r.x, r.y, r.k),
                          RESULTS),
         CountRequest: (lambda s, r: s.plan_count(r.rect), COUNT),
@@ -380,7 +389,28 @@ class RTreeServer(TreeService):
         return OpPlan(
             result.matches,
             self.costs.search_cost(result) * self.service_inflation,
-            result.visited_chunks, counter="searches_served", query=rect)
+            result.visited_chunks, counter="searches_served",
+            queries=(rect,))
+
+    def plan_search_batch(self, rects: Sequence[Rect]) -> OpPlan:
+        """Q searches as one op; the result is each query's matches.
+
+        One shared traversal (:class:`~repro.rtree.batch.BatchSearchEngine`)
+        serves the batch, so each query's matches and order are
+        :meth:`plan_search`'s.  It is charged
+        :meth:`~repro.server.costs.CostModel.search_batch_cost` under
+        read locks on the union of the visited chunks, and bumps
+        ``searches_served`` once per query."""
+        results = BatchSearchEngine(self.tree).search_batch(rects)
+        chunks = {chunk for result in results
+                  for chunk in result.visited_chunks}
+        cost = self.costs.search_batch_cost(
+            len(results), len(chunks),
+            sum(result.count for result in results))
+        return OpPlan(
+            [result.matches for result in results],
+            cost * self.service_inflation, chunks,
+            counter="searches_served", queries=tuple(rects))
 
     def plan_nearest(self, x: float, y: float, k: int) -> OpPlan:
         """One kNN query; the result is the matches, nearest first."""
@@ -389,7 +419,7 @@ class RTreeServer(TreeService):
             result.matches,
             self.costs.search_cost(result) * self.service_inflation,
             result.visited_chunks, counter="searches_served",
-            query=Rect(x, y, x, y))
+            queries=(Rect(x, y, x, y),))
 
     def plan_count(self, rect: Rect) -> OpPlan:
         """One aggregate-only search; the result is the intersection count.
@@ -402,7 +432,7 @@ class RTreeServer(TreeService):
             + result.nodes_visited * self.costs.node_visit
         ) * self.service_inflation
         return OpPlan(result.count, cost, result.visited_chunks,
-                      counter="searches_served", query=rect)
+                      counter="searches_served", queries=(rect,))
 
     def refuses(self, rect: Rect, insert: bool = False) -> bool:
         """Whether this shard refuses a write of ``rect``: an insert

@@ -67,6 +67,19 @@ class CostModel:
             + result.count * self.per_result
         )
 
+    def search_batch_cost(self, n_queries: int, shared_visits: int,
+                          n_results: int) -> float:
+        """Server CPU seconds to execute Q searches as one shared
+        traversal: a parse per query, one visit per distinct node the
+        batch visited (each node is scanned once for every query that
+        reaches it, as one ``(Q x E)`` test) and the copy per match.  A
+        batch of one is :meth:`search_cost`."""
+        return (
+            n_queries * self.request_parse
+            + shared_visits * self.node_visit
+            + n_results * self.per_result
+        )
+
     def mutation_cost(self, result: MutationResult) -> float:
         """Server CPU seconds to execute one insert/delete, or one group
         of them as a single op: one parse, one visit per distinct node

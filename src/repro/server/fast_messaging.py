@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..hw.host import Host
-from ..msg.codec import message_size
+from ..msg.codec import message_size, query_count
 from ..msg.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
 from ..net.fabric import Network
 from ..obs.registry import MetricsRegistry, expose_fields
@@ -113,10 +113,11 @@ class FastMessagingServer:
         self.network = network
         self.mode = mode
         self.ring_capacity = ring_capacity
-        #: Overload guard: a consumed request is shed (dropped, counted)
-        #: when this many requests are still queued behind it.  None
-        #: disables shedding (the seed behaviour).  Clients recover the
-        #: shed request via their retry policy.
+        #: Overload guard: a consumed request is shed (dropped, counted
+        #: once per query it carries) when this many queries are still
+        #: queued behind it.  None disables shedding (the seed
+        #: behaviour).  Clients recover the shed request via their retry
+        #: policy.
         self.max_queue_depth = max_queue_depth
         self.connections: List[FmConnection] = []
         self.requests_handled = 0
@@ -257,17 +258,19 @@ class FastMessagingServer:
 
     # -- the server thread ------------------------------------------------------
 
-    def _shed(self, conn: FmConnection) -> bool:
+    def _shed(self, conn: FmConnection, request) -> bool:
         """Overload guard: True when the consumed request must be dropped.
 
         Measured *after* consumption: with more than ``max_queue_depth``
-        requests still waiting behind this one, the backlog has outrun
-        the deadline any client would still be waiting on — executing it
-        would waste server time on an answer nobody accepts.
+        queries still waiting behind this one (a batched search counts
+        each of its queries), the backlog has outrun the deadline any
+        client would still be waiting on — executing it would waste
+        server time on an answer nobody accepts.  A shed request adds
+        its query count to ``requests_shed``.
         """
         cap = self.max_queue_depth
-        if cap is not None and conn.request_ring.pending_messages >= cap:
-            self.requests_shed += 1
+        if cap is not None and conn.request_ring.pending_queries >= cap:
+            self.requests_shed += query_count(request)
             return True
         return False
 
@@ -363,7 +366,7 @@ class _Worker:
             found, request = conn.request_ring.try_consume()
             if not found:
                 break
-            if self.fm._shed(conn):
+            if self.fm._shed(conn, request):
                 continue
             self._serve(request)
             return
@@ -388,9 +391,9 @@ class _Worker:
         if self.conn.worker_down:
             # Crashed between consume and dispatch: the request dies with
             # the thread (fail-stop).
-            self.fm.requests_shed += 1
+            self.fm.requests_shed += query_count(request)
             self._idle()
-        elif self.fm._shed(self.conn):
+        elif self.fm._shed(self.conn, request):
             self._idle()
         else:
             self._serve(request)

@@ -30,12 +30,12 @@ class OpPlan:
     """What one dispatched request still costs the server thread."""
 
     __slots__ = ("result", "cost", "chunks", "write", "window",
-                 "window_nodes", "counter", "query", "segments")
+                 "window_nodes", "counter", "queries", "segments")
 
     def __init__(self, result: Any, cost: Optional[float],
                  chunks: Sequence[int] = (), write: bool = False,
                  window: Optional[float] = None, window_nodes=(),
-                 counter: Optional[str] = None, query=None):
+                 counter: Optional[str] = None, queries: Sequence = ()):
         #: What the operation returns (matches, a count, an ack).
         self.result = result
         #: Core seconds before the write window; None charges nothing.
@@ -48,9 +48,10 @@ class OpPlan:
         self.window = window
         self.window_nodes = window_nodes
         #: The service's served-work counter bumped once the locks are
-        #: released, and the read rect the R-tree keeps as load sample.
+        #: released, once per read rect (once for a plan with none), and
+        #: the read rects the R-tree keeps as load sample.
         self.counter = counter
-        self.query = query
+        self.queries = queries
         #: The response, as ring-buffer segments.
         self.segments: list = []
 
@@ -136,7 +137,8 @@ class _PlanRun:
                 lock.release_read()
         if plan.counter is not None:
             setattr(service, plan.counter,
-                    getattr(service, plan.counter) + 1)
-        if plan.query is not None:
-            service.recent_queries.append(plan.query)
+                    getattr(service, plan.counter)
+                    + max(1, len(plan.queries)))
+        if plan.queries:
+            service.recent_queries.extend(plan.queries)
         self.then()

@@ -143,6 +143,20 @@ class RouterStats:
     REBALANCE_FIELDS = ("epoch_rescatters", "rescattered_subqueries")
 
 
+class _ReadState:
+    """One routed read's scatter so far: the per-shard statuses, the
+    replies, the shards queried, and the map epoch of its last round
+    (None before the first)."""
+
+    __slots__ = ("epoch", "statuses", "replies", "queried")
+
+    def __init__(self, epoch: Optional[int]):
+        self.epoch = epoch
+        self.statuses: Dict[int, str] = {}
+        self.replies: List[Tuple[int, object]] = []
+        self.queried: set = set()
+
+
 class ScatterGatherRouter:
     """Routes one client's requests across the shard sessions.
 
@@ -214,6 +228,62 @@ class ScatterGatherRouter:
             result = yield from self._execute_write(request)
         else:
             result = yield from self._execute_read(request)
+        self._account(request, result)
+        return result
+
+    def execute_search_batch(self, requests: List[Request]) -> Generator:
+        """Route a group of searches; returns one :class:`PartialResult`
+        per request, in order.
+
+        The first scatter is shared: each target shard gets the requests
+        that cover it as one sub-batch, through its session's
+        ``execute_search_batch``, all shards concurrently.  Each request
+        then goes on in :meth:`_execute_read` from that round's
+        statuses and replies, so an epoch move re-scatters it per
+        request, and a skipped or failed shard makes it partial, exactly
+        as when it is routed alone.  Counters keep their per-request
+        meaning: one ``queries_routed`` per request, one
+        ``subqueries_issued`` per (request, shard) pair.
+        """
+        if len(requests) <= 1:
+            results = []
+            for request in requests:
+                result = yield from self.execute(request)
+                results.append(result)
+            return results
+        epoch = self.shard_map.epoch
+        reads: List[_ReadState] = []
+        by_shard: Dict[int, List[int]] = {}
+        for i, request in enumerate(requests):
+            self.router_stats.queries_routed += 1
+            read = _ReadState(epoch)
+            for shard_id in self._read_targets(request):
+                read.queried.add(shard_id)
+                if not self._allow(shard_id):
+                    read.statuses[shard_id] = SKIPPED
+                    self.router_stats.shard_skips += 1
+                    continue
+                by_shard.setdefault(shard_id, []).append(i)
+            reads.append(read)
+        procs = [
+            self.sim.start(
+                self._gather_batch(shard_id,
+                                   [requests[i] for i in jobs],
+                                   [reads[i] for i in jobs]),
+                name=f"scatter-s{shard_id}")
+            for shard_id, jobs in by_shard.items()
+        ]
+        if procs:
+            yield all_of(self.sim, procs)
+        results = []
+        for request, read in zip(requests, reads):
+            result = yield from self._execute_read(request, read)
+            self._account(request, result)
+            results.append(result)
+        return results
+
+    def _account(self, request: Request, result: PartialResult) -> None:
+        """Log (with ``record``) and count one routed request's result."""
         if self.record:
             self.log.append((self._index, request, result, self.sim.now))
         self._index += 1
@@ -221,7 +291,11 @@ class ScatterGatherRouter:
             self.router_stats.duplicates_merged += result.duplicates_dropped
         if not result.complete:
             self.router_stats.partial_results += 1
-        return result
+
+    def _allow(self, shard_id: int) -> bool:
+        """Whether the router-level breaker lets a sub-query reach
+        ``shard_id`` (always, without breakers)."""
+        return self.breakers is None or self.breakers[shard_id].allow()
 
     def _execute_write(self, request: Request) -> Generator:
         """Send a write to the shards that hold its tile, in order.
@@ -296,7 +370,8 @@ class ScatterGatherRouter:
             return OFFLOAD_ERROR, None
         return OK, reply
 
-    def _execute_read(self, request: Request) -> Generator:
+    def _execute_read(self, request: Request,
+                      read: Optional["_ReadState"] = None) -> Generator:
         """Scatter-gather, across epoch cuts if the map has any.
 
         Capture the map epoch at scatter; after the gather barrier, if
@@ -308,16 +383,19 @@ class ScatterGatherRouter:
         there a read is the one round.  On a live map COUNT runs its
         sub-queries as searches: during a migration's copy window an
         item transiently lives in two trees, so only an id-level dedup
-        count is exact.
+        count is exact.  ``read`` is a first round already scattered
+        (by :meth:`execute_search_batch`); the rounds go on from it.
         """
         live_count = self.epoch_aware and request.op == OP_COUNT
         sub_request = (Request(OP_SEARCH, request.rect) if live_count
                        else request)
-        statuses: Dict[int, str] = {}
-        replies: List[Tuple[int, object]] = []
-        queried: set = set()
-        rounds = 0
-        while rounds < MAX_RESCATTER_ROUNDS:
+        if read is None:
+            read = _ReadState(None)
+        statuses, replies, queried = read.statuses, read.replies, read.queried
+        epoch = read.epoch
+        rounds = 0 if epoch is None else 1
+        while (rounds < MAX_RESCATTER_ROUNDS
+               and self.shard_map.epoch != epoch):
             epoch = self.shard_map.epoch
             targets = [s for s in self._read_targets(request)
                        if s not in queried]
@@ -330,9 +408,7 @@ class ScatterGatherRouter:
             skipped: List[int] = []
             for shard_id in targets:
                 queried.add(shard_id)
-                breaker = (self.breakers[shard_id]
-                           if self.breakers is not None else None)
-                if breaker is not None and not breaker.allow():
+                if not self._allow(shard_id):
                     skipped.append(shard_id)
                     continue
                 procs.append(self.sim.start(
@@ -345,8 +421,6 @@ class ScatterGatherRouter:
             if procs:
                 yield all_of(self.sim, procs)
             rounds += 1
-            if self.shard_map.epoch == epoch:
-                break
         pruned = self.shard_map.n_shards - len(queried)
         if pruned > 0:
             self.router_stats.shards_pruned += pruned
@@ -367,6 +441,34 @@ class ScatterGatherRouter:
         """One shard's scattered sub-query: record its status and reply,
         and feed the shard's breaker."""
         status, reply = yield from self._sub_query(shard_id, request)
+        self._gathered(shard_id, status, reply, statuses, replies)
+
+    def _gather_batch(self, shard_id: int, requests: List[Request],
+                      reads: List["_ReadState"]) -> Generator:
+        """One shard's scattered sub-batch: ``requests[i]``'s status and
+        reply go to ``reads[i]``, the shard's breaker is fed once per
+        request, and a timeout or offload error fails every request of
+        the sub-batch."""
+        stats = self.router_stats
+        stats.subqueries_issued += len(requests)
+        status = OK
+        try:
+            batch = yield from self.sessions[shard_id].execute_search_batch(
+                requests)
+        except RequestTimeoutError:
+            stats.shard_timeouts += len(requests)
+            status, batch = TIMEOUT, [None] * len(requests)
+        except OffloadError:
+            stats.shard_offload_errors += len(requests)
+            status, batch = OFFLOAD_ERROR, [None] * len(requests)
+        for read, reply in zip(reads, batch):
+            self._gathered(shard_id, status, reply, read.statuses,
+                           read.replies)
+
+    def _gathered(self, shard_id: int, status: str, reply,
+                  statuses: Dict[int, str],
+                  replies: List[Tuple[int, object]]) -> None:
+        """Record one sub-query's outcome and feed the shard's breaker."""
         statuses[shard_id] = status
         if status == OK:
             replies.append((shard_id, reply))

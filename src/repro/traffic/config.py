@@ -50,7 +50,9 @@ class TrafficConfig:
     window: int = 256
 
     #: Shared sessions (QPs) the connection mux multiplexes every
-    #: aggregate onto, per deployment (RDMAvisor-style).
+    #: aggregate onto, per deployment (RDMAvisor-style).  A session
+    #: carries one batch at a time: one job, or under load up to
+    #: ``mux.MAX_BATCH`` queued searches.
     sessions: int = 4
     #: Token-bucket admission rate at the mux front-end (bucket depth
     #: :data:`ADMIT_BURST`); None disables the bucket (watermark-only

@@ -14,6 +14,14 @@ touches a session:
 * an optional **token bucket** — a hard ceiling on the admitted rate
   regardless of queue state.
 
+A session carries one *batch* at a time: a dispatcher that takes a
+search job also takes the searches queued behind it, oldest first, up
+to :data:`MAX_BATCH`, and runs them as one
+``session.execute_search_batch`` (one fast-messaging request or one
+shared offload traversal per shard; RDMAvisor's few shared QPs
+carrying many requests).  Jobs queue only while every session is busy,
+so below the knee every group is one job and runs ``session.execute``.
+
 Shed jobs are counted, never blocked on: the offered load stays
 open-loop.  Jobs that a session fails (retry budget exhausted, offload
 error) are counted as ``failed`` — together with the server's own
@@ -26,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..client.base import Request
+from ..client.base import OP_SEARCH, Request
 from ..client.offload_client import OffloadError
 from ..client.resilience import RequestTimeoutError
 from ..obs.registry import expose_fields
@@ -96,6 +104,10 @@ class TrafficJob:
 #: Dispatcher shutdown sentinel (queued behind all real jobs).
 _CLOSE = object()
 
+#: Most jobs one session carries at once: the batch size of the
+#: ``batch-search`` claims row.
+MAX_BATCH = 8
+
 
 class ConnectionMux:
     """Shared-session front-end: one queue, ``len(sessions)`` consumers.
@@ -130,6 +142,10 @@ class ConnectionMux:
         self.failed = 0
         self.shed_watermark = 0
         self.shed_admission = 0
+        #: Groups of two or more jobs dispatched as one batch, and the
+        #: jobs they carried.
+        self.batches = 0
+        self.batched_jobs = 0
         #: With ``record``, the simulated time of every front-end shed
         #: (phase analysis).
         self.shed_times: List[float] = []
@@ -173,29 +189,59 @@ class ConnectionMux:
 
     # -- dispatch ----------------------------------------------------------
 
+    def _harvest(self, job: TrafficJob, limit: int) -> List[TrafficJob]:
+        """``job`` and the searches queued right behind it, oldest
+        first, up to ``limit`` jobs (none unless ``job`` is one)."""
+        group = [job]
+        waiting = self.queue.items
+        if limit > 1 and waiting and job.request.op == OP_SEARCH:
+            while (len(group) < limit and waiting
+                   and waiting[0] is not _CLOSE
+                   and waiting[0].request.op == OP_SEARCH):
+                group.append(waiting.popleft())
+        return group
+
     def _dispatch(self, session):
+        # A session that cannot batch carries one job at a time.
+        limit = (MAX_BATCH if hasattr(session, "execute_search_batch")
+                 else 1)
         while True:
             job = yield self.queue.get()
             if job is _CLOSE:
                 return
-            job.t_start = self.sim.now
+            group = self._harvest(job, limit)
+            now = self.sim.now
+            for member in group:
+                member.t_start = now
             try:
-                job.results = yield from session.execute(job.request)
-                job.status = OK
-                self.completed += 1
+                if len(group) == 1:
+                    outcomes = [(yield from session.execute(job.request))]
+                else:
+                    self.batches += 1
+                    self.batched_jobs += len(group)
+                    outcomes = yield from session.execute_search_batch(
+                        [member.request for member in group])
+                status = OK
+                self.completed += len(group)
             except (RequestTimeoutError, OffloadError):
-                job.status = FAILED
-                self.failed += 1
-            job.t_done = self.sim.now
-            if self.record:
-                self.finished_jobs.append(job)
-            if job.on_done is not None:
-                job.on_done(job)
+                outcomes = [None] * len(group)
+                status = FAILED
+                self.failed += len(group)
+            now = self.sim.now
+            for member, outcome in zip(group, outcomes):
+                member.results = outcome
+                member.status = status
+                member.t_done = now
+                if self.record:
+                    self.finished_jobs.append(member)
+                if member.on_done is not None:
+                    member.on_done(member)
 
     # -- metrics -----------------------------------------------------------
 
     def register_metrics(self, metrics, prefix: str = "traffic") -> None:
         expose_fields(metrics, prefix, [self],
                       ("offered", "admitted", "completed", "failed",
-                       "shed_watermark", "shed_admission"))
+                       "shed_watermark", "shed_admission", "batches",
+                       "batched_jobs"))
         metrics.expose(f"{prefix}.queue_depth", lambda: len(self.queue))

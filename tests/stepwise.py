@@ -20,7 +20,12 @@ from typing import Any, Generator, Set, Tuple
 from repro.btree.offload import KvFmSession
 from repro.client.base import RequestIdAllocator
 from repro.client.fm_client import FmSession
-from repro.msg.codec import Heartbeat, ResponseSegment, message_size
+from repro.msg.codec import (
+    Heartbeat,
+    ResponseSegment,
+    message_size,
+    query_count,
+)
 from repro.msg.ringbuffer import RingBufferFullError
 from repro.server.fast_messaging import (
     EVENT,
@@ -222,9 +227,10 @@ def run_plan(service, plan) -> Generator:
             yield from guard(service.locks, plan.chunks, False,
                              execute(cpu, plan.cost))
     if plan.counter is not None:
-        setattr(service, plan.counter, getattr(service, plan.counter) + 1)
-    if plan.query is not None:
-        service.recent_queries.append(plan.query)
+        setattr(service, plan.counter,
+                getattr(service, plan.counter) + max(1, len(plan.queries)))
+    if plan.queries:
+        service.recent_queries.extend(plan.queries)
     return plan.segments
 
 
@@ -322,6 +328,11 @@ class RingBuffer:
     def pending_messages(self) -> int:
         return len(self._inbox.items)
 
+    @property
+    def pending_queries(self) -> int:
+        return sum(query_count(message)
+                   for message, _footprint in self._inbox.items)
+
 
 # -- the server thread: a process per connection ----------------------------
 
@@ -387,7 +398,7 @@ class StepwiseFastMessagingServer(FastMessagingServer):
                         found, request = conn.request_ring.try_consume()
                         if not found:
                             break
-                        if self._shed(conn):
+                        if self._shed(conn, request):
                             continue
                         conn.worker_busy = True
                         try:
@@ -407,9 +418,9 @@ class StepwiseFastMessagingServer(FastMessagingServer):
                     yield self.sim.timeout(
                         scheduler.polling_wakeup_delay(self.n_connections))
                     if conn.worker_down:
-                        self.requests_shed += 1
+                        self.requests_shed += query_count(request)
                         continue
-                    if self._shed(conn):
+                    if self._shed(conn, request):
                         continue
                     conn.worker_busy = True
                     try:
