@@ -31,7 +31,7 @@ the model assumes it reaches every server's tile table then:
    second holder cleared (one epoch bump).  From then on the source
    refuses the tile's writes and leaves its read set; queries
    straddling the instant detect the bump at gather time and re-scatter
-   (:meth:`~repro.shard.router.ScatterGatherRouter._execute_read`).
+   (:meth:`~repro.shard.router.ScatterGatherRouter.execute_search_batch`).
 3. **cleanup** — after ``drain_s`` of simulated time (covering
    in-flight queries that scattered against the old plane) the source's
    copies — its tile contents at the cut-over, which no write can

@@ -6,7 +6,10 @@ paradigm extended to a fleet): it consults the shard map, fans a read out
 a write to the shards that hold its tile, runs the per-shard
 sub-queries concurrently (each through that shard's own adaptive Catfish
 session, so every shard's heartbeat independently drives its own
-Algorithm 1 back-off state), and merges the replies.
+Algorithm 1 back-off state), and merges the replies.  Reads travel in
+groups (a lone read is a group of one) scattered in shared rounds: each
+shard gets one sub-batch per round, so a shard session needs
+``execute_search_batch`` only when groups of two or more are routed.
 
 Partial failure is a result, not an exception: a shard that exhausts its
 retry deadline, leaks an :class:`~repro.client.offload_client.OffloadError`,
@@ -144,15 +147,18 @@ class RouterStats:
 
 
 class _ReadState:
-    """One routed read's scatter so far: the per-shard statuses, the
-    replies, the shards queried, the map epoch of its last round (None
-    before the first), and how many of its shared first round's
-    sub-batches are still in flight."""
+    """One routed read: the request, what it sends each shard (COUNT
+    runs as a search on a live map), the per-shard statuses and
+    replies, the shards asked, the map epoch of its latest round, and
+    how many of that round's sub-queries are still in flight."""
 
-    __slots__ = ("epoch", "statuses", "replies", "queried", "pending")
+    __slots__ = ("request", "sub", "epoch", "statuses", "replies",
+                 "queried", "pending")
 
-    def __init__(self, epoch: Optional[int]):
-        self.epoch = epoch
+    def __init__(self, request: Request, sub: Request):
+        self.request = request
+        self.sub = sub
+        self.epoch: Optional[int] = None
         self.statuses: Dict[int, str] = {}
         self.replies: List[Tuple[int, object]] = []
         self.queried: set = set()
@@ -161,17 +167,16 @@ class _ReadState:
 
 class _Batch:
     """One :meth:`ScatterGatherRouter.execute_search_batch` call: its
-    requests and their reads, the results finished so far, the indices
-    deferred to a re-scatter, and the per-request callback."""
+    reads, the results settled so far, how many are still open, whether
+    the round in flight is the last, and the per-request callback."""
 
-    __slots__ = ("requests", "reads", "results", "deferred", "on_done")
+    __slots__ = ("reads", "results", "open", "last", "on_done")
 
-    def __init__(self, requests: List[Request],
-                 on_done: Optional[Callable[[int, PartialResult], None]]):
-        self.requests = requests
+    def __init__(self, on_done: Optional[Callable]):
         self.reads: List[_ReadState] = []
-        self.results: List[Optional[PartialResult]] = [None] * len(requests)
-        self.deferred: List[int] = []
+        self.results: List[Optional[PartialResult]] = []
+        self.open = 0
+        self.last = False
         self.on_done = on_done
 
 
@@ -180,9 +185,10 @@ class ScatterGatherRouter:
 
     ``sessions[k]`` must expose ``execute(request)`` (any of the client
     session types works; the sharded builder wires a full PolicySession
-    per shard so each shard keeps the paper's adaptive machinery).  The
-    router presents the same ``execute`` generator protocol, so the
-    standard cluster driver runs unchanged on top of it.
+    per shard so each shard keeps the paper's adaptive machinery), and
+    ``execute_search_batch(requests)`` if groups of two or more searches
+    are routed.  The router presents the same ``execute`` generator
+    protocol, so the standard cluster driver runs unchanged on top of it.
     """
 
     def __init__(
@@ -240,82 +246,154 @@ class ScatterGatherRouter:
     # -- execution ---------------------------------------------------------
 
     def execute(self, request: Request) -> Generator:
-        """Route one request; returns a :class:`PartialResult`."""
-        self.router_stats.queries_routed += 1
+        """Route one request; returns a :class:`PartialResult`.  A read
+        is routed as a group of one."""
         if request.op in (OP_INSERT, OP_DELETE, OP_UPDATE):
+            self.router_stats.queries_routed += 1
             result = yield from self._execute_write(request)
-        else:
-            result = yield from self._execute_read(request)
-        self._account(request, result)
-        return result
+            self._account(request, result)
+            return result
+        results = yield from self.execute_search_batch((request,))
+        return results[0]
 
     def execute_search_batch(
         self, requests: List[Request],
         on_done: Optional[Callable[[int, PartialResult], None]] = None,
     ) -> Generator:
-        """Route a group of searches; returns one :class:`PartialResult`
-        per request, in order.
+        """Route a group of reads (searches, if there are two or more);
+        returns one :class:`PartialResult` per request, in order.
 
-        The first scatter is shared: each target shard gets the requests
-        that cover it as one sub-batch, through its session's
-        ``execute_search_batch``, all shards concurrently.  A request
-        finishes at the instant the last of its own sub-batches lands:
-        it is merged and accounted there, and ``on_done(i, result)``
-        fires for ``requests[i]``, while the call itself returns once
-        every request has finished.  A request whose map epoch moved by
-        then is deferred: once the whole first round has returned it
-        goes on in :meth:`_execute_read`, so it re-scatters per request,
-        never while a shard still carries a sub-batch of this call (a
-        shard session has one request outstanding).  A skipped or
-        failed shard makes a request partial, exactly as when it is
-        routed alone.  Counters keep their per-request meaning: one
+        The group scatters in rounds.  In each round every request still
+        open asks the shards that cover it now and that it has not asked
+        yet.  Each shard gets that round's requests for it as one
+        sub-batch, through its session's ``execute_search_batch`` (a
+        sub-batch of one is a plain ``execute``), all shards
+        concurrently.  A request finishes at the instant the last of its
+        round's sub-queries lands: it is merged and accounted there, and
+        ``on_done(i, result)`` fires for ``requests[i]``.  A request
+        whose map epoch moved by then (a migration's cut-over hands a
+        tile and its cover to a new owner mid-flight) stays open for the
+        next round, which starts once the whole round has returned, so
+        a shard session never carries two sub-batches of this call at
+        once (a fast-messaging session has one request outstanding).  A
+        request with no shard left to ask finishes at once, and after
+        :data:`MAX_RESCATTER_ROUNDS` rounds one finishes with what it
+        has.  The dedup merge keeps the union of all rounds
+        exactly-once; a static map never bumps its epoch, so there a
+        read is the one round.  A skipped or failed shard makes a
+        request partial.  Counters keep their per-request meaning: one
         ``queries_routed`` per request, one ``subqueries_issued`` per
-        (request, shard) pair.
+        (request, shard) pair.  The call returns once every request has
+        finished.
         """
-        if len(requests) <= 1:
-            results = []
-            for i, request in enumerate(requests):
-                result = yield from self.execute(request)
-                if on_done is not None:
-                    on_done(i, result)
-                results.append(result)
-            return results
-        batch = _Batch(requests, on_done)
-        reads = batch.reads
-        epoch = self.shard_map.epoch
-        by_shard: Dict[int, List[int]] = {}
-        for i, request in enumerate(requests):
-            self.router_stats.queries_routed += 1
-            read = _ReadState(epoch)
-            for shard_id in self._read_targets(request):
-                read.queried.add(shard_id)
-                if not self._allow(shard_id):
-                    read.statuses[shard_id] = SKIPPED
-                    self.router_stats.shard_skips += 1
+        stats = self.router_stats
+        shard_map = self.shard_map
+        batch = _Batch(on_done)
+        reads, results = batch.reads, batch.results
+        for request in requests:
+            stats.queries_routed += 1
+            # On a live map COUNT runs its sub-queries as searches:
+            # during a migration's copy window an item transiently lives
+            # in two trees, so only an id-level dedup count is exact.
+            reads.append(_ReadState(request, (
+                Request(OP_SEARCH, request.rect)
+                if self.epoch_aware and request.op == OP_COUNT
+                else request)))
+            results.append(None)
+        batch.open = len(reads)
+        rounds = 0
+        while batch.open:
+            rounds += 1
+            batch.last = rounds == MAX_RESCATTER_ROUNDS
+            epoch = shard_map.epoch
+            by_shard: Dict[int, List[int]] = {}
+            for i, read in enumerate(reads):
+                if results[i] is not None:
                     continue
-                by_shard.setdefault(shard_id, []).append(i)
-                read.pending += 1
-            reads.append(read)
-        for i, read in enumerate(reads):
-            if not read.pending:
-                # Nothing to wait for: pruned or skipped everywhere.
-                self._settle(batch, i, self._read_result(requests[i], read))
-        procs = [
-            self.sim.start(self._gather_batch(shard_id, batch, jobs),
-                           name=f"scatter-s{shard_id}")
-            for shard_id, jobs in by_shard.items()
-        ]
-        if procs:
-            yield all_of(self.sim, procs)
-        for i in sorted(batch.deferred):
-            result = yield from self._execute_read(requests[i], reads[i])
-            self._settle(batch, i, result)
-        return batch.results
+                read.epoch = epoch
+                queried = read.queried
+                asked = 0
+                for shard_id in self._read_targets(read.request):
+                    if shard_id in queried:
+                        continue
+                    queried.add(shard_id)
+                    asked += 1
+                    if not self._allow(shard_id):
+                        read.statuses[shard_id] = SKIPPED
+                        stats.shard_skips += 1
+                        continue
+                    by_shard.setdefault(shard_id, []).append(i)
+                    read.pending += 1
+                if asked and rounds > 1:
+                    stats.epoch_rescatters += 1
+                    stats.rescattered_subqueries += asked
+            for i, read in enumerate(reads):
+                if not read.pending and results[i] is None:
+                    # Nothing to wait for: every shard that covers it
+                    # was pruned, skipped or asked already.
+                    self._settle(batch, i)
+            procs = []
+            for shard_id, jobs in by_shard.items():
+                procs.append(self.sim.start(
+                    self._sub_batch(shard_id, jobs, batch),
+                    name=f"scatter-s{shard_id}"))
+            if procs:
+                yield all_of(self.sim, procs)
+        return results
 
-    def _settle(self, batch: _Batch, i: int, result: PartialResult) -> None:
-        """Account ``batch.requests[i]``'s result and hand it over."""
-        self._account(batch.requests[i], result)
+    def _sub_batch(self, shard_id: int, jobs: List[int],
+                   batch: _Batch) -> Generator:
+        """One shard's sub-batch of a round, ``batch.reads[i]`` for ``i``
+        in ``jobs``: each one's status and reply go to its read and feed
+        the shard's breaker, and a timeout or offload error fails the
+        whole sub-batch.  A read whose round this sub-batch ends settles
+        here, unless its epoch moved and a round is left."""
+        reads = batch.reads
+        if len(jobs) == 1:
+            status, reply = yield from self._sub_query(
+                shard_id, reads[jobs[0]].sub)
+            replies = (reply,)
+        else:
+            stats = self.router_stats
+            stats.subqueries_issued += len(jobs)
+            status = OK
+            try:
+                replies = yield from self.sessions[
+                    shard_id].execute_search_batch(
+                        [reads[i].sub for i in jobs])
+            except RequestTimeoutError:
+                stats.shard_timeouts += len(jobs)
+                status, replies = TIMEOUT, [None] * len(jobs)
+            except OffloadError:
+                stats.shard_offload_errors += len(jobs)
+                status, replies = OFFLOAD_ERROR, [None] * len(jobs)
+        breaker = (None if self.breakers is None
+                   else self.breakers[shard_id])
+        for i, reply in zip(jobs, replies):
+            read = reads[i]
+            read.statuses[shard_id] = status
+            if status == OK:
+                read.replies.append((shard_id, reply))
+                if breaker is not None:
+                    breaker.record_success()
+            elif breaker is not None:
+                breaker.record_failure()
+            read.pending -= 1
+            if not read.pending and (
+                    batch.last or self.shard_map.epoch == read.epoch):
+                self._settle(batch, i)
+
+    def _settle(self, batch: _Batch, i: int) -> None:
+        """Merge ``batch.reads[i]``, account the result, hand it over."""
+        read = batch.reads[i]
+        request = read.request
+        pruned = self.shard_map.n_shards - len(read.queried)
+        if pruned > 0:
+            self.router_stats.shards_pruned += pruned
+        result = self._merge(request, read.statuses, read.replies)
+        self._account(request, result)
         batch.results[i] = result
+        batch.open -= 1
         if batch.on_done is not None:
             batch.on_done(i, result)
 
@@ -407,140 +485,17 @@ class ScatterGatherRouter:
             return OFFLOAD_ERROR, None
         return OK, reply
 
-    def _execute_read(self, request: Request,
-                      read: Optional["_ReadState"] = None) -> Generator:
-        """Scatter-gather, across epoch cuts if the map has any.
-
-        Capture the map epoch at scatter; after the gather barrier, if
-        the epoch moved, re-read the map and query any shard that now
-        covers the region and was not queried yet (a migration's
-        cut-over hands a tile and its cover to a new owner
-        mid-flight).  The dedup merge keeps the union of all
-        rounds exactly-once.  A static map never bumps its epoch, so
-        there a read is the one round.  On a live map COUNT runs its
-        sub-queries as searches: during a migration's copy window an
-        item transiently lives in two trees, so only an id-level dedup
-        count is exact.  ``read`` is a first round already scattered
-        (by :meth:`execute_search_batch`); the rounds go on from it.
-        """
-        sub_request = (Request(OP_SEARCH, request.rect)
-                       if self.epoch_aware and request.op == OP_COUNT
-                       else request)
-        if read is None:
-            read = _ReadState(None)
-        statuses, replies, queried = read.statuses, read.replies, read.queried
-        epoch = read.epoch
-        rounds = 0 if epoch is None else 1
-        while (rounds < MAX_RESCATTER_ROUNDS
-               and self.shard_map.epoch != epoch):
-            epoch = self.shard_map.epoch
-            targets = [s for s in self._read_targets(request)
-                       if s not in queried]
-            if not targets:
-                break
-            if rounds:
-                self.router_stats.epoch_rescatters += 1
-                self.router_stats.rescattered_subqueries += len(targets)
-            procs = []
-            skipped: List[int] = []
-            for shard_id in targets:
-                queried.add(shard_id)
-                if not self._allow(shard_id):
-                    skipped.append(shard_id)
-                    continue
-                procs.append(self.sim.start(
-                    self._gather(shard_id, sub_request, statuses, replies),
-                    name=f"scatter-s{shard_id}",
-                ))
-            for shard_id in skipped:
-                statuses[shard_id] = SKIPPED
-                self.router_stats.shard_skips += 1
-            if procs:
-                yield all_of(self.sim, procs)
-            rounds += 1
-        return self._read_result(request, read)
-
-    def _read_result(self, request: Request,
-                     read: "_ReadState") -> PartialResult:
-        """The merged answer of a read whose rounds are all in."""
-        queried = read.queried
-        pruned = self.shard_map.n_shards - len(queried)
-        if pruned > 0:
-            self.router_stats.shards_pruned += pruned
-        if not queried:
-            empty = 0 if request.op == OP_COUNT else []
-            return PartialResult(op=request.op, results=empty, statuses={})
-        if self.epoch_aware and request.op == OP_COUNT:
-            merged, duplicates = merge_search_replies(read.replies)
-            return PartialResult(
-                op=request.op, results=len(merged), statuses=read.statuses,
-                duplicates_dropped=duplicates,
-            )
-        return self._merge(request, read.statuses, read.replies)
-
-    def _gather(self, shard_id: int, request: Request,
-                statuses: Dict[int, str],
-                replies: List[Tuple[int, object]]) -> Generator:
-        """One shard's scattered sub-query: record its status and reply,
-        and feed the shard's breaker."""
-        status, reply = yield from self._sub_query(shard_id, request)
-        self._gathered(shard_id, status, reply, statuses, replies)
-
-    def _gather_batch(self, shard_id: int, batch: _Batch,
-                      jobs: List[int]) -> Generator:
-        """One shard's scattered sub-batch of ``batch.requests[i]`` for
-        ``i`` in ``jobs``: each one's status and reply go to its read,
-        the shard's breaker is fed once per request, and a timeout or
-        offload error fails every request of the sub-batch.  A request
-        whose last sub-batch this was finishes here."""
-        stats = self.router_stats
-        stats.subqueries_issued += len(jobs)
-        status = OK
-        try:
-            replies = yield from self.sessions[shard_id].execute_search_batch(
-                [batch.requests[i] for i in jobs])
-        except RequestTimeoutError:
-            stats.shard_timeouts += len(jobs)
-            status, replies = TIMEOUT, [None] * len(jobs)
-        except OffloadError:
-            stats.shard_offload_errors += len(jobs)
-            status, replies = OFFLOAD_ERROR, [None] * len(jobs)
-        reads = batch.reads
-        for i, reply in zip(jobs, replies):
-            read = reads[i]
-            self._gathered(shard_id, status, reply, read.statuses,
-                           read.replies)
-            read.pending -= 1
-            if read.pending:
-                continue
-            # Its last sub-batch is in: finish it now, unless the map
-            # moved since its scatter; then it re-scatters after the
-            # first round.
-            if self.shard_map.epoch != read.epoch:
-                batch.deferred.append(i)
-            else:
-                self._settle(batch, i,
-                             self._read_result(batch.requests[i], read))
-
-    def _gathered(self, shard_id: int, status: str, reply,
-                  statuses: Dict[int, str],
-                  replies: List[Tuple[int, object]]) -> None:
-        """Record one sub-query's outcome and feed the shard's breaker."""
-        statuses[shard_id] = status
-        if status == OK:
-            replies.append((shard_id, reply))
-        if self.breakers is not None:
-            breaker = self.breakers[shard_id]
-            if status == OK:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-
     # -- merge --------------------------------------------------------------
 
     def _merge(self, request: Request, statuses: Dict[int, str],
                replies: List[Tuple[int, object]]) -> PartialResult:
         if request.op == OP_COUNT:
+            if self.epoch_aware:
+                # The sub-queries ran as searches: count distinct ids.
+                merged, duplicates = merge_search_replies(replies)
+                return PartialResult(op=request.op, results=len(merged),
+                                     statuses=statuses,
+                                     duplicates_dropped=duplicates)
             # Shard contents are disjoint: the global count is the sum.
             total = sum(reply for _shard, reply in replies)
             return PartialResult(op=request.op, results=total,
