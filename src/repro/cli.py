@@ -50,7 +50,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="Algorithm 1 busy threshold T")
     parser.add_argument("--batch-queries", type=int, default=0,
                         help="group up to N consecutive searches into one "
-                             "shared offload traversal (0 = off, the "
+                             "batch: one shared offload traversal, or one "
+                             "fast-messaging message the server runs as "
+                             "one traversal; a sharded router sends one "
+                             "sub-batch per shard (0 = off, the "
                              "fingerprint-pinned default)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
