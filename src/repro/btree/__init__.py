@@ -10,7 +10,6 @@ from .bptree import (
 )
 from .offload import (
     OP_GET,
-    OP_KV_DELETE,
     OP_PUT,
     OP_SCAN,
     BTreeOffloadEngine,
@@ -28,7 +27,6 @@ __all__ = [
     "KvMutationResult",
     "KvSearchResult",
     "OP_GET",
-    "OP_KV_DELETE",
     "OP_PUT",
     "OP_SCAN",
     "BTreeOffloadEngine",

@@ -6,7 +6,6 @@ B+tree itself: a textbook implementation with
 
 * fixed-capacity nodes tied to registered-memory chunks (like the R-tree);
 * a sorted leaf chain (``next_leaf``) for range scans;
-* full deletion with borrow/merge rebalancing;
 * the same write-window versioning hooks the R-tree nodes expose, so
   FaRM-style one-sided reads validate identically.
 
@@ -28,14 +27,11 @@ DEFAULT_CAPACITY = 64
 
 @dataclass
 class KvMutationResult:
-    """Accounting for one put/delete (mirrors the R-tree's version)."""
+    """Accounting for one put (mirrors the R-tree's version)."""
 
-    ok: bool = True
     nodes_visited: int = 0
     mutated_nodes: List["BNode"] = field(default_factory=list)
     splits: int = 0
-    merges: int = 0
-    borrows: int = 0
 
     def note(self, node: "BNode") -> None:
         if node not in self.mutated_nodes:
@@ -156,10 +152,6 @@ class BPlusTree:
             height += 1
         return height
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     # -- lookup ---------------------------------------------------------------
 
     def _descend(self, key: int, result) -> BLeaf:
@@ -270,105 +262,6 @@ class BPlusTree:
         result.note(parent)
         if len(parent.children) > self.capacity:
             self._split_inner(parent, result)
-
-    # -- deletion -----------------------------------------------------------------
-
-    def delete(self, key: int) -> KvMutationResult:
-        """Remove ``key``; ``ok=False`` when absent."""
-        result = KvMutationResult()
-        leaf = self._descend(key, result)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index >= len(leaf.keys) or leaf.keys[index] != key:
-            result.ok = False
-            return result
-        leaf.keys.pop(index)
-        leaf.values.pop(index)
-        self.size -= 1
-        result.note(leaf)
-        self._rebalance(leaf, result)
-        return result
-
-    def _node_size(self, node: BNode) -> int:
-        return len(node.children) if not node.is_leaf else len(node.keys)
-
-    def _rebalance(self, node: BNode, result: KvMutationResult) -> None:
-        if node is self.root:
-            if not node.is_leaf and len(node.children) == 1:
-                # Root collapse.
-                self.root = node.children[0]
-                self.root.parent = None
-                self._drop(node)
-                result.note(self.root)
-            return
-        if self._node_size(node) >= self.min_fill:
-            return
-        parent = node.parent
-        index = parent.children.index(node)
-        left = parent.children[index - 1] if index > 0 else None
-        right = (parent.children[index + 1]
-                 if index + 1 < len(parent.children) else None)
-        if left is not None and self._node_size(left) > self.min_fill:
-            self._borrow_from_left(parent, index, left, node, result)
-            return
-        if right is not None and self._node_size(right) > self.min_fill:
-            self._borrow_from_right(parent, index, node, right, result)
-            return
-        if left is not None:
-            self._merge(parent, index - 1, left, node, result)
-        else:
-            self._merge(parent, index, node, right, result)
-
-    def _borrow_from_left(self, parent, index, left, node, result) -> None:
-        result.borrows += 1
-        if node.is_leaf:
-            node.keys.insert(0, left.keys.pop())
-            node.values.insert(0, left.values.pop())
-            parent.keys[index - 1] = node.keys[0]
-        else:
-            child = left.children.pop()
-            node.children.insert(0, child)
-            node.adopt(child)
-            node.keys.insert(0, parent.keys[index - 1])
-            parent.keys[index - 1] = left.keys.pop()
-        result.note(left)
-        result.note(node)
-        result.note(parent)
-
-    def _borrow_from_right(self, parent, index, node, right, result) -> None:
-        result.borrows += 1
-        if node.is_leaf:
-            node.keys.append(right.keys.pop(0))
-            node.values.append(right.values.pop(0))
-            parent.keys[index] = right.keys[0]
-        else:
-            child = right.children.pop(0)
-            node.children.append(child)
-            node.adopt(child)
-            node.keys.append(parent.keys[index])
-            parent.keys[index] = right.keys.pop(0)
-        result.note(right)
-        result.note(node)
-        result.note(parent)
-
-    def _merge(self, parent, left_index, left, right, result) -> None:
-        """Fold ``right`` into ``left`` and drop it."""
-        result.merges += 1
-        if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
-            left.next_leaf = right.next_leaf
-        else:
-            left.keys.append(parent.keys[left_index])
-            left.keys.extend(right.keys)
-            for child in right.children:
-                left.children.append(child)
-                left.adopt(child)
-        parent.keys.pop(left_index)
-        parent.children.pop(left_index + 1)
-        self._drop(right)
-        result.note(left)
-        result.note(parent)
-        self._rebalance(parent, result)
 
     # -- bulk loading ------------------------------------------------------------
 

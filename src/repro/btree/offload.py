@@ -1,6 +1,6 @@
 """Client-side B+tree access over the Catfish framework.
 
-* :class:`KvFmSession` — get/put/delete/scan through the ring buffer
+* :class:`KvFmSession` — get/put/scan through the ring buffer
   (the generic :class:`FmSession` with the KV wire codec);
 * :class:`BTreeOffloadEngine` — one-sided traversal over the shared
   :class:`~repro.client.offload_client.OneSidedReader`: point lookups
@@ -21,7 +21,6 @@ from typing import Generator, List, Optional, Tuple
 from ..client.fm_client import FmSession
 from ..client.offload_client import OneSidedReader
 from ..msg.codec import (
-    KvDeleteRequest,
     KvGetRequest,
     KvPutRequest,
     KvScanRequest,
@@ -30,7 +29,6 @@ from .serialize import BNodeSnapshot, snapshot_from_bytes
 
 OP_GET = "get"
 OP_PUT = "put"
-OP_KV_DELETE = "kv_delete"
 OP_SCAN = "scan"
 
 
@@ -41,9 +39,9 @@ class KvRequest:
 
     def __init__(self, op, key=None, value=None, lo=None, hi=None,
                  max_results=None):
-        if op not in (OP_GET, OP_PUT, OP_KV_DELETE, OP_SCAN):
+        if op not in (OP_GET, OP_PUT, OP_SCAN):
             raise ValueError(f"unknown kv op {op!r}")
-        if op in (OP_GET, OP_PUT, OP_KV_DELETE) and key is None:
+        if op in (OP_GET, OP_PUT) and key is None:
             raise ValueError(f"{op} needs a key")
         if op == OP_PUT and value is None:
             raise ValueError("put needs a value")
@@ -68,8 +66,6 @@ class KvFmSession(FmSession):
             return KvGetRequest(req_id, request.key)
         if request.op == OP_PUT:
             return KvPutRequest(req_id, request.key, request.value)
-        if request.op == OP_KV_DELETE:
-            return KvDeleteRequest(req_id, request.key)
         return KvScanRequest(req_id, request.lo, request.hi,
                              request.max_results)
 

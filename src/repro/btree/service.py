@@ -14,7 +14,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..hw.host import Host
 from ..msg.codec import (
-    KvDeleteRequest,
     KvGetRequest,
     KvPutRequest,
     KvScanRequest,
@@ -45,7 +44,6 @@ class BTreeService(TreeService):
         KvScanRequest: (lambda s, r: s.plan_scan(r.lo, r.hi, r.max_results),
                         RESULTS),
         KvPutRequest: (lambda s, r: s.plan_put(r.key, r.value), ACK),
-        KvDeleteRequest: (lambda s, r: s.plan_delete(r.key), ACK),
     }
 
     def __init__(
@@ -64,7 +62,6 @@ class BTreeService(TreeService):
         )
         self.gets_served = 0
         self.puts_served = 0
-        self.deletes_served = 0
         self.scans_served = 0
 
     def _build(self, items):
@@ -96,8 +93,7 @@ class BTreeService(TreeService):
             self.costs.request_parse
             + result.nodes_visited * self.costs.node_visit
             + self.costs.insert_write
-            + (result.splits + result.merges + result.borrows)
-            * self.costs.split
+            + result.splits * self.costs.split
         ) * self.service_inflation
 
     def plan_get(self, key: int) -> OpPlan:
@@ -111,19 +107,14 @@ class BTreeService(TreeService):
         return OpPlan(result.items, self._search_cost(result),
                       result.visited_chunks, counter="scans_served")
 
-    def _mutation(self, ok: bool, result, counter: str) -> OpPlan:
+    def _mutation(self, result, counter: str) -> OpPlan:
         nodes = result.mutated_nodes
-        return mutation_plan(ok, self._mutation_cost(result), nodes,
+        return mutation_plan(True, self._mutation_cost(result), nodes,
                              [n.chunk_id for n in nodes], self.costs,
                              counter)
 
     def plan_put(self, key: int, value: int) -> OpPlan:
-        return self._mutation(True, self.tree.put(key, value),
-                              "puts_served")
-
-    def plan_delete(self, key: int) -> OpPlan:
-        result = self.tree.delete(key)
-        return self._mutation(result.ok, result, "deletes_served")
+        return self._mutation(self.tree.put(key, value), "puts_served")
 
     # -- the served-work counters every service reports ------------------------
 

@@ -17,7 +17,7 @@ from typing import Generator, Optional, Sequence, Tuple
 
 from ..client.offload_client import OneSidedReader
 from ..hw.host import Host
-from ..msg.codec import KvDeleteRequest, KvGetRequest, KvPutRequest
+from ..msg.codec import KvGetRequest, KvPutRequest
 from ..server.base import ACK, RESULTS, ChunkReads, IndexService
 from ..server.costs import DEFAULT_COSTS, CostModel
 from ..server.plan import OpPlan, mutation_plan
@@ -64,12 +64,11 @@ class CuckooDescriptor:
 
 
 class CuckooService(IndexService):
-    """Server side: executes gets/puts/deletes with CPU costs + windows."""
+    """Server side: executes gets/puts with CPU costs + windows."""
 
     PLANS = {
         KvGetRequest: (lambda s, r: s.plan_get(r.key), RESULTS),
         KvPutRequest: (lambda s, r: s.plan_put(r.key, r.value), ACK),
-        KvDeleteRequest: (lambda s, r: s.plan_delete(r.key), ACK),
     }
 
     def __init__(
@@ -90,7 +89,6 @@ class CuckooService(IndexService):
             n_buckets * BUCKET_BYTES, "cuckoo", self.chunk_reads)
         self.gets_served = 0
         self.puts_served = 0
-        self.deletes_served = 0
         self.failed_puts = 0
         for key, value in items:
             self.table.put(key, value)
@@ -130,9 +128,9 @@ class CuckooService(IndexService):
         return OpPlan(result.items, self._read_cost(result),
                       result.visited_chunks, counter="gets_served")
 
-    def _write(self, ok: bool, result, counter: str) -> OpPlan:
+    def _write(self, result, counter: str) -> OpPlan:
         buckets = result.mutated_nodes
-        return mutation_plan(ok, self._write_cost(result), buckets,
+        return mutation_plan(True, self._write_cost(result), buckets,
                              [b.chunk_id for b in buckets], self.costs,
                              counter)
 
@@ -143,11 +141,7 @@ class CuckooService(IndexService):
         except CuckooFullError:
             self.failed_puts += 1
             return OpPlan(False, None)
-        return self._write(True, result, "puts_served")
-
-    def plan_delete(self, key: int) -> OpPlan:
-        result = self.table.delete(key)
-        return self._write(result.ok, result, "deletes_served")
+        return self._write(result, "puts_served")
 
     # -- the served-work counters every service reports ----------------------
 

@@ -64,7 +64,6 @@ class Bucket(VersionedChunk):
 class CuckooOpResult:
     """Accounting for one table operation."""
 
-    ok: bool = True
     items: List[Tuple[int, int]] = field(default_factory=list)
     buckets_probed: int = 0
     kicks: int = 0
@@ -178,18 +177,3 @@ class CuckooHashTable:
             f"insert of {key} exceeded {self.max_kicks} kicks at load "
             f"{self.load_factor:.2f}"
         )
-
-    def delete(self, key: int) -> CuckooOpResult:
-        result = CuckooOpResult()
-        h1, h2 = self.bucket_indices(key)
-        for index in dict.fromkeys((h1, h2)):
-            result.buckets_probed += 1
-            bucket = self.buckets[index]
-            for i, (k, _v) in enumerate(bucket.entries):
-                if k == key:
-                    bucket.entries.pop(i)
-                    result.note(bucket)
-                    self.size -= 1
-                    return result
-        result.ok = False
-        return result

@@ -25,7 +25,6 @@ MSG_HEARTBEAT = 6
 # Key-value requests for the §VI framework extensions (B+tree, cuckoo).
 MSG_KV_GET = 7
 MSG_KV_PUT = 8
-MSG_KV_DELETE = 9
 MSG_KV_SCAN = 10
 # Additional spatial operations.
 MSG_NEAREST = 11
@@ -202,17 +201,6 @@ class KvPutRequest:
 
     def payload_size(self) -> int:
         return REQ_ID_SIZE + 8 + KV_VALUE_SIZE
-
-
-@dataclass(frozen=True)
-class KvDeleteRequest:
-    req_id: int
-    key: int
-
-    msg_type = MSG_KV_DELETE
-
-    def payload_size(self) -> int:
-        return REQ_ID_SIZE + 8
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""B+tree correctness: puts, gets, scans, deletes, bulk load, invariants."""
+"""B+tree correctness: puts, gets, scans, bulk load, invariants."""
 
 import random
 
@@ -107,67 +107,6 @@ class TestRangeScan:
         assert all(v == k * 2 for k, v in result.items)
 
 
-class TestDelete:
-    def test_delete_existing(self):
-        tree = BPlusTree(capacity=4)
-        tree.put(1, 1)
-        assert tree.delete(1).ok
-        assert tree.size == 0
-        assert tree.get(1).items == []
-
-    def test_delete_missing(self):
-        tree = BPlusTree(capacity=4)
-        tree.put(1, 1)
-        assert not tree.delete(2).ok
-        assert tree.size == 1
-
-    def test_delete_half(self):
-        tree, keys = build(800, capacity=8, seed=9)
-        for k in keys[::2]:
-            assert tree.delete(k).ok
-        validate_bptree(tree)
-        remaining = keys[1::2]
-        result = tree.range_scan(min(keys), max(keys))
-        assert [k for k, _v in result.items] == remaining
-
-    def test_delete_everything_collapses(self):
-        tree, keys = build(300, capacity=6, seed=10)
-        for k in keys:
-            assert tree.delete(k).ok
-        assert tree.size == 0
-        assert tree.height == 1
-        assert tree.node_count == 1
-
-    def test_merges_and_borrows_counted(self):
-        tree, keys = build(400, capacity=6, seed=11)
-        merges = borrows = 0
-        for k in keys[:350]:
-            result = tree.delete(k)
-            merges += result.merges
-            borrows += result.borrows
-        assert merges > 0
-        assert borrows > 0
-
-    def test_churn_keeps_invariants(self):
-        tree = BPlusTree(capacity=6)
-        rng = random.Random(12)
-        live = {}
-        for step in range(2000):
-            if live and rng.random() < 0.45:
-                k = rng.choice(list(live))
-                del live[k]
-                assert tree.delete(k).ok
-            else:
-                k = rng.randrange(100000)
-                tree.put(k, k + 1)
-                live[k] = k + 1
-            if step % 250 == 249:
-                validate_bptree(tree)
-        validate_bptree(tree)
-        result = tree.range_scan(0, 100000)
-        assert dict(result.items) == live
-
-
 class TestBulkLoad:
     def test_empty(self):
         tree = BPlusTree.bulk_load([])
@@ -195,14 +134,6 @@ class TestBulkLoad:
             tree.put(k * 2 + 1, k)
         validate_bptree(tree)
         assert tree.size == 600
-
-    def test_deletes_after_bulk(self):
-        items = [(k, k) for k in range(400)]
-        tree = BPlusTree.bulk_load(items, capacity=8)
-        for k in range(0, 400, 2):
-            assert tree.delete(k).ok
-        validate_bptree(tree)
-        assert tree.size == 200
 
 
 class TestVersioning:
@@ -238,22 +169,6 @@ class TestHypothesis:
             oracle[k] = k * 7
         validate_bptree(tree)
         assert dict(tree.range_scan(0, 10_000).items) == oracle
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=150),
-           st.data())
-    def test_delete_matches_oracle(self, keys, data):
-        tree = BPlusTree(capacity=5)
-        oracle = {}
-        for k in keys:
-            tree.put(k, k)
-            oracle[k] = k
-        to_delete = data.draw(st.sets(st.sampled_from(keys)))
-        for k in to_delete:
-            assert tree.delete(k).ok == (k in oracle)
-            oracle.pop(k, None)
-        validate_bptree(tree)
-        assert dict(tree.range_scan(0, 5000).items) == oracle
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 3000), min_size=2, max_size=120,

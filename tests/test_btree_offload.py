@@ -90,21 +90,6 @@ class TestFastMessagingPath:
         assert p.value == expected
         assert service.scans_served == 1
 
-    def test_delete_round_trip(self):
-        from repro.btree import OP_KV_DELETE
-        sim, sh, service, fm, engine, stats, keys = make_kv()
-        k = keys[5]
-
-        def client():
-            yield from fm.execute(KvRequest(OP_KV_DELETE, key=k))
-            items = yield from fm.execute(KvRequest(OP_GET, key=k))
-            return items
-
-        p = sim.process(client())
-        sim.run()
-        assert p.value == []
-        assert service.deletes_served == 1
-
 
 class TestOffloadPath:
     @pytest.mark.parametrize("multi_issue", [False, True])

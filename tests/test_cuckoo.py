@@ -39,13 +39,6 @@ class TestTable:
         assert table.size == 1
         assert table.get(1).items == [(1, 20)]
 
-    def test_delete(self):
-        table = CuckooHashTable(64)
-        table.put(1, 10)
-        assert table.delete(1).ok
-        assert table.size == 0
-        assert not table.delete(1).ok
-
     def test_validation_args(self):
         with pytest.raises(ValueError):
             CuckooHashTable(1)
@@ -98,15 +91,12 @@ class TestTable:
         table = CuckooHashTable(512, seed=6)
         oracle = {}
         rng = random.Random(7)
-        for _ in range(3000):
+        for step in range(3000):
             key = rng.randrange(1200)
-            op = rng.random()
-            if op < 0.5:
-                table.put(key, key * 3)
-                oracle[key] = key * 3
-            elif op < 0.8:
-                assert table.delete(key).ok == (key in oracle)
-                oracle.pop(key, None)
+            if rng.random() < 0.6:
+                # Overwrites a held key or inserts a new one.
+                table.put(key, step)
+                oracle[key] = step
             else:
                 expected = ([(key, oracle[key])]
                             if key in oracle else [])
@@ -162,22 +152,23 @@ class TestService:
         assert p.value == [(k, k + 1)]
         assert service.gets_served == 1
 
-    def test_fm_put_and_delete(self):
-        from repro.btree import OP_KV_DELETE
+    def test_fm_put_round_trip(self):
         sim, sh, service, fm, engine, stats, keys = make_cuckoo()
 
         def client():
             yield from fm.execute(KvRequest(OP_PUT, key=99, value=1))
             got = yield from fm.execute(KvRequest(OP_GET, key=99))
-            yield from fm.execute(KvRequest(OP_KV_DELETE, key=99))
-            gone = yield from fm.execute(KvRequest(OP_GET, key=99))
-            return got, gone
+            yield from fm.execute(KvRequest(OP_PUT, key=99, value=2))
+            overwritten = yield from fm.execute(KvRequest(OP_GET, key=99))
+            return got, overwritten
 
         p = sim.process(client())
         sim.run()
-        got, gone = p.value
+        got, overwritten = p.value
         assert got == [(99, 1)]
-        assert gone == []
+        assert overwritten == [(99, 2)]
+        assert service.puts_served == 2
+        assert service.items_held() == len(keys) + 1
 
     def test_offload_get_correct(self):
         sim, sh, service, fm, engine, stats, keys = make_cuckoo()

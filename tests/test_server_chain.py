@@ -4,10 +4,11 @@ The server thread runs each request's op plan and its response writes as
 kernel callbacks, and a client's response ring hands each message on as
 it lands.  ``tests/stepwise.py`` keeps the generator model they replaced;
 here both run the same scripted clients — searches, counts, kNN, inserts,
-deletes, updates (some of which find nothing), cuckoo puts into a full
-table — under worker crashes and restarts, overload shedding, tiny rings,
-heartbeats and request deadlines, and must agree on every result, every
-completion instant and every counter.
+deletes, updates (some of which find nothing), cuckoo gets, puts into a
+full table and overwrites of held keys — under worker crashes and
+restarts, overload shedding, tiny rings, heartbeats and request
+deadlines, and must agree on every result, every completion instant and
+every counter.
 """
 
 import random
@@ -16,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.btree.offload import (
     OP_GET,
-    OP_KV_DELETE,
     OP_PUT,
     KvFmSession,
     KvRequest,
@@ -67,7 +67,7 @@ def _request(index, client, k, spec):
             return KvRequest(OP_GET, key=a % 40)
         if kind % 3 == 1:
             return KvRequest(OP_PUT, key=100 + 50 * client + k, value=b)
-        return KvRequest(OP_KV_DELETE, key=a % 40)
+        return KvRequest(OP_PUT, key=a % 10, value=b)
     x, y = (a % 97) / 97.0, (b % 89) / 89.0
     side = 0.02 + (a * b % 7) / 10.0
     rect = Rect(x, y, min(1.0, x + side), min(1.0, y + side))

@@ -6,9 +6,10 @@ against the code objects that actually ran in two sets of invocations:
 
 * **production** — the six bench workloads (seed 3, untraced: the traced
   pass's cProfile would replace the hook), ``repro chaos --seed 0``, the
-  CI smoke-kv command, the two shard-oracle commands, the migration chaos
-  pair at seed 3, ``repro traffic``, ``compare``, ``schemes`` and ``run``,
-  the six examples and ``benchmarks/paper.py``;
+  two CI smoke-kv runs (cuckoo and B+tree), the two shard-oracle
+  commands, the migration chaos pair at seed 3, ``repro traffic``,
+  ``compare``, ``schemes`` and ``run``, the six examples and
+  ``benchmarks/paper.py``;
 * **tests** — tier-1, ``-m chaos`` and ``bench/test_bench.py``.
 
 A temporary ``sitecustomize`` installs a ``sys.setprofile`` and
@@ -84,6 +85,10 @@ PRODUCTION = (
        _REPRO + ["run", "--index", "cuckoo", "--scheme", "catfish-bandit",
                  "--clients", "4", "--requests", "50", "--dataset-size", "2000",
                  "--server-cores", "2", "--trace", "--metrics-out", "{tmp}/kv.json"],
+       _REPRO + ["run", "--index", "btree", "--scheme", "catfish",
+                 "--clients", "4", "--requests", "50", "--dataset-size", "2000",
+                 "--server-cores", "2", "--get-fraction", "0.5",
+                 "--scan-fraction", "0.3", "--metrics-out", "{tmp}/bt.json"],
        _REPRO + ["shard", "--shards", "4", "--clients", "4", "--requests", "50",
                  "--dataset-size", "3000", "--server-cores", "2", "--scale", "0.02"],
        _REPRO + ["shard", "--shards", "4", "--rebalance", "--workload",
