@@ -300,14 +300,21 @@ class Deployment:
             self.rebalancer.start()
 
     def settle(self) -> None:
-        """Let an in-flight migration finish after the drivers are done.
+        """Let open crash windows close and an in-flight migration finish
+        after the drivers are done.
 
         Foreground accounting is the driver's and is frozen before this
-        is called; this only runs the controller's remaining
-        copy/drain/delete work so no run ends with an item transiently
-        on two shards (the conservation checks depend on that).  A
-        deployment without a rebalancer has nothing to settle.
+        is called; this only runs the simulation on until every crashed
+        worker has restarted, so no run ends with a worker down, and then
+        the controller's remaining copy/drain/delete work, so no run ends
+        with an item transiently on two shards (the conservation checks
+        depend on that).  A deployment with neither has nothing to
+        settle.
         """
+        if self.injector is not None:
+            until = self.injector.open_until()
+            if until is not None:
+                self.sim.run(until=until)
         if self.rebalancer is None:
             return
         self.rebalancer.stop()

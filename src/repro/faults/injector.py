@@ -68,6 +68,8 @@ class FaultInjector:
         self._client_stalls: List[ClientStall] = plan.of_type(ClientStall)
         self._shard_losses: List[ShardLoss] = plan.of_type(ShardLoss)
         self._started = False
+        #: The end of every crash window whose workers are down right now.
+        self._open_windows: List[float] = []
         for name in self.COUNTER_FIELDS:
             setattr(self, name, 0)
 
@@ -144,6 +146,11 @@ class FaultInjector:
             self.client_stalls_injected += 1
         return stall
 
+    def open_until(self) -> Optional[float]:
+        """When the last crash window now open restarts its workers (None
+        when no worker is down)."""
+        return max(self._open_windows, default=None)
+
     # -- attachment --------------------------------------------------------
 
     def attach(self, stack, shard_id: int) -> None:
@@ -213,8 +220,10 @@ class FaultInjector:
                 self.workers_crashed += 1
             if lost:
                 self.shards_lost += 1
+        self._open_windows.append(fault.end)
         if fault.end > sim.now:
             yield sim.timeout(fault.end - sim.now)
+        self._open_windows.remove(fault.end)
         for fm_server, conn in crashed:
             fm_server.restart_worker(conn)
             self.workers_restarted += 1

@@ -13,7 +13,8 @@ into small policy objects implementing one protocol:
   (the "RDMA offloading" baseline);
 * :class:`Algorithm1Policy` — the paper's adaptive back-off rule
   (Algorithm 1), including the predictor hook and the stale-heartbeat
-  guard;
+  guard, plus a latency guard that takes the measured-faster arm while
+  the heartbeat is live;
 * :class:`BanditPolicy` — the ε-greedy latency learner (paper §V-B
   future work).
 
@@ -29,8 +30,10 @@ few client-side defaults are resolved lazily.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from statistics import median_high
+from typing import Callable, Deque, Dict, Optional
 
 from ..sim.kernel import Simulator
 
@@ -49,6 +52,13 @@ OFFLOADING = "offload"
 #: arm's latency average.
 BANDIT_EPSILON = 0.1
 BANDIT_ALPHA = 0.3
+
+#: :class:`Algorithm1Policy`'s latency guard: each arm's estimate is the
+#: median of its last ``GUARD_WINDOW`` observed latencies, and every
+#: ``GUARD_PROBE_PERIOD``-th guard decision takes the arm the medians do
+#: not prefer, so that arm's estimate stays fresh.
+GUARD_WINDOW = 9
+GUARD_PROBE_PERIOD = 16
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,16 @@ class Algorithm1Policy(PathPolicy):
       the value — a server that is genuinely idle still counts as a
       (non-busy) observation.
 
+    Lines 5-23 only ever say "offload" when the server is past ``T``.
+    Below that, a **latency guard** may still offload: when the last
+    heartbeat check found a fresh heartbeat (the link is live, so the
+    missing-heartbeat rule does not apply) and the median of the client's
+    last ``GUARD_WINDOW`` offload latencies is below that of its last
+    ``GUARD_WINDOW`` fast-messaging latencies.  Every
+    ``GUARD_PROBE_PERIOD``-th guard decision takes the other arm, so both
+    estimates stay fresh.  The guard draws no RNG and leaves ``r_busy``
+    and ``r_off`` alone.
+
     ``mailbox`` is the ``u_serv`` heartbeat mailbox of the session's
     fast-messaging endpoint.
     """
@@ -173,6 +193,7 @@ class Algorithm1Policy(PathPolicy):
         "heartbeats_consumed", "heartbeats_missing",
         "decisions_offload", "decisions_fm",
         "stale_resets", "offload_failovers",
+        "guard_offloads", "guard_probes",
     )
 
     def __init__(
@@ -204,6 +225,15 @@ class Algorithm1Policy(PathPolicy):
         self._t0 = sim.now
         self._last_seq = -1
         self._missing_streak = 0
+        # Latency-guard state: each arm's recent latencies, the guard's
+        # decision count (for the probe period), and why the last offload
+        # decision offloaded.
+        self._latencies: Dict[str, Deque[float]] = {
+            PATH_FM: deque(maxlen=GUARD_WINDOW),
+            PATH_OFFLOAD: deque(maxlen=GUARD_WINDOW),
+        }
+        self._guard_decisions = 0
+        self._reason = "budget"
         # Introspection counters.
         self.busy_observations = 0
         self.backoff_extensions = 0
@@ -213,9 +243,12 @@ class Algorithm1Policy(PathPolicy):
         self.decisions_fm = 0
         self.stale_resets = 0
         self.offload_failovers = 0
+        self.guard_offloads = 0
+        self.guard_probes = 0
 
     def decide_offload(self) -> bool:
-        """One pass of lines 5-23; True means offload this search."""
+        """One pass of lines 5-23, then the latency guard if they chose
+        fast messaging; True means offload this search."""
         params = self.params
         utilization = 0.0
         now = self.sim.now
@@ -264,8 +297,33 @@ class Algorithm1Policy(PathPolicy):
         # Lines 18-23: drain the offload budget.
         if self.r_off > 0:
             self.r_off -= 1
+            self._reason = "budget"
             return True
-        return False
+        return self._guard()
+
+    def _guard(self) -> bool:
+        """Offload a read Algorithm 1 sent to fast messaging when a live
+        heartbeat vouches for the link and offloading measured faster."""
+        if not self.heartbeats_consumed or self._missing_streak:
+            return False
+        fm = self._latencies[PATH_FM]
+        off = self._latencies[PATH_OFFLOAD]
+        if not fm:
+            return False
+        if not off:
+            offload = probe = True  # one offload sample to compare with
+        else:
+            self._guard_decisions += 1
+            offload = median_high(off) < median_high(fm)
+            probe = self._guard_decisions % GUARD_PROBE_PERIOD == 0
+            if probe:
+                offload = not offload
+        if probe:
+            self.guard_probes += 1
+        if offload:
+            self.guard_offloads += 1
+            self._reason = "guard"
+        return offload
 
     def note_offload(self) -> None:
         self.decisions_offload += 1
@@ -276,8 +334,13 @@ class Algorithm1Policy(PathPolicy):
     def note_failover(self) -> None:
         self.offload_failovers += 1
 
+    def observe(self, request, path: str, elapsed: float,
+                failed_over: bool = False) -> None:
+        self._latencies[path].append(elapsed)
+
     def offload_annotations(self) -> Dict[str, object]:
-        return {"r_busy": self.r_busy, "r_off": self.r_off}
+        return {"reason": self._reason, "r_busy": self.r_busy,
+                "r_off": self.r_off}
 
     def fm_annotations(self) -> Dict[str, object]:
         return {"r_busy": self.r_busy}

@@ -274,3 +274,22 @@ def test_every_fault_fires_on_every_shape(scheme, fault, counter, n_shards):
     assert int(getattr(injector, counter)) > 0
     assert int(injector.workers_restarted) == int(injector.workers_crashed)
     assert int(injector.shards_restored) == int(injector.shards_lost)
+
+
+def test_settle_restarts_workers_the_drivers_outlived():
+    """Offloading clients never wait on a crashed worker, so a run can
+    finish inside a crash window; settling restarts the workers before
+    the run reports, and no later than the window's end."""
+    end = 5e-3
+    runner = build_runner(ExperimentConfig(
+        scheme="rdma-offloading", n_clients=2, requests_per_client=10,
+        dataset_size=200, server_cores=2, seed=0,
+        fault_plan=FaultPlan((WorkerCrash(20e-6, end),)),
+    ))
+    runner.run()
+    injector = runner.injector
+    assert runner.elapsed_s < end
+    assert int(injector.workers_crashed) > 0
+    assert int(injector.workers_restarted) == int(injector.workers_crashed)
+    assert injector.open_until() is None
+    assert runner.sim.now == end
