@@ -103,8 +103,28 @@ GOLDEN_RUNS = {
 #: all nine previous digests (``a0c84b80ec25e8f1`` for chaos-combo, ...;
 #: see this table's history) reproduced through the one runner, in the
 #: commit before the re-pin.
+#:
+#: Every row but flash-crowd (fast-messaging-event, no Algorithm 1) was
+#: re-pinned once more when Algorithm 1 gained its latency guard: once a
+#: fresh heartbeat is consumed, catfish and catfish-sharded clients
+#: offload the reads lines 5-23 send to the server whenever offloading
+#: measured faster, which changes paths, server CPU time, latencies,
+#: retries and every completion time.  Was -> now: chaos-combo
+#: 13deb819b0041a32 -> 9bee4d0d1a719a1c, heartbeat-blackout
+#: 084c81e27f2444c6 -> 0a7837121ffe41b8, latency-spike d4aa2e334ac8e507
+#: -> 371202397f3ad66b, link-loss 02bae078af460c23 -> 8b713d18592c7e09,
+#: migration-racing-writes 29f1fd4828c94ef9 -> 51d3cc45e2688931,
+#: nic-read-stall bf09582663aab900 -> 1d0a216ae2312866, overload-shed
+#: ac2207ff8a41daca -> b79892532caff414, rebalance-under-fault
+#: ca749b88479b0b11 -> 59d002c695f364ab, shard-loss c09891cfab5165d1 ->
+#: 3d2b9eff2d87c515, slow-client 5b84965a96fcbbf6 -> 8172f25cde205e08,
+#: worker-crash a783fcc0bff5186f -> ff7ca3e2a446153a, write-storm
+#: 98eec06d992bd46f -> a198ee972bf70b40.  The scheme fingerprints and
+#: GOLDEN_ROUTED_REBALANCE did not move: their runs end before the first
+#: 10 ms heartbeat interval elapses, so no client ever consumes a
+#: heartbeat and the guard never runs.
 GOLDEN_CHAOS = {
-    "chaos-combo": (150, "13deb819b0041a32"),
+    "chaos-combo": (150, "9bee4d0d1a719a1c"),
     # The scenario pins its own deployment shape through its tweaks, so
     # this digest is independent of the sizing overrides.
     # Re-pinned (was 95d90656ca53e494) when the mux began carrying the
@@ -112,9 +132,9 @@ GOLDEN_CHAOS = {
     # rides as batched fast-messaging requests, which changes service
     # times, retries, server sheds and every job's completion time.
     "flash-crowd": (150, "efde6075d342df05"),
-    "heartbeat-blackout": (150, "084c81e27f2444c6"),
-    "latency-spike": (150, "d4aa2e334ac8e507"),
-    "link-loss": (150, "02bae078af460c23"),
+    "heartbeat-blackout": (150, "0a7837121ffe41b8"),
+    "latency-spike": (150, "371202397f3ad66b"),
+    "link-loss": (150, "8b713d18592c7e09"),
     # The two rebalance rows and GOLDEN_ROUTED_REBALANCE were re-pinned
     # once when a migration started handing reads over at the end of its
     # drain instead of the end of its cleanup (b4222c4c38b1bacc and
@@ -143,18 +163,18 @@ GOLDEN_CHAOS = {
     # workload switched from hybrid to churn, so deletes race the
     # migrations too (98e034e9324f01cd before): a different request
     # stream, hence different records, counters and timing.
-    "migration-racing-writes": (120, "29f1fd4828c94ef9"),
-    "nic-read-stall": (150, "bf09582663aab900"),
-    "overload-shed": (150, "ac2207ff8a41daca"),
-    "rebalance-under-fault": (120, "ca749b88479b0b11"),
-    "shard-loss": (150, "c09891cfab5165d1"),
-    "slow-client": (150, "5b84965a96fcbbf6"),
-    "worker-crash": (150, "a783fcc0bff5186f"),
+    "migration-racing-writes": (120, "51d3cc45e2688931"),
+    "nic-read-stall": (150, "1d0a216ae2312866"),
+    "overload-shed": (150, "b79892532caff414"),
+    "rebalance-under-fault": (120, "59d002c695f364ab"),
+    "shard-loss": (150, "3d2b9eff2d87c515"),
+    "slow-client": (150, "8172f25cde205e08"),
+    "worker-crash": (150, "ff7ca3e2a446153a"),
     # The one scenario that exhausts offload read retries, and the one
     # row that tightens the offload budgets (4 read retries / 3
     # restarts): with the default 8/8 the other eight single-server
     # digests are unchanged and only this one moves.
-    "write-storm": (150, "98eec06d992bd46f"),
+    "write-storm": (150, "a198ee972bf70b40"),
 }
 
 #: What each scenario checks and counts, captured at the same sizing as
@@ -248,15 +268,19 @@ EXPECTED_INVARIANTS = {
 #: The §VI extension's pins: (index, scheme) -> fingerprint, captured
 #: while the KV harness still hand-built its own cluster.  The two
 #: served-op counters are masked: that harness reported them as hard 0,
-#: the shared assembler reports the KV service's real counts.
+#: the shared assembler reports the KV service's real counts.  The two
+#: catfish rows were re-pinned (btree 52574c51a374b0f0, cuckoo
+#: f1404d0e7a4cfd45 before) when Algorithm 1 gained its latency guard:
+#: at idle their clients now offload 60 % and 24 % of requests instead
+#: of none, which changes every latency and the server's work.
 GOLDEN_KV = {
     ("btree", "fast-messaging"): "77bab29ce3b44e36",
     ("btree", "rdma-offloading"): "9c1c751d30880370",
-    ("btree", "catfish"): "52574c51a374b0f0",
+    ("btree", "catfish"): "ff8cc1f36c9d9a2a",
     ("btree", "catfish-bandit"): "e7e9b6cdb416c050",
     ("cuckoo", "fast-messaging"): "a9393e3c6c29ea05",
     ("cuckoo", "rdma-offloading"): "0f181bcfc491917e",
-    ("cuckoo", "catfish"): "f1404d0e7a4cfd45",
+    ("cuckoo", "catfish"): "7f004a72feb6e33f",
     ("cuckoo", "catfish-bandit"): "e4a051afcb428692",
 }
 
@@ -347,20 +371,26 @@ def _digest(*parts) -> str:
 
 
 #: The open-shard-overload deployment (K=4 catfish, 2 cores per shard)
-#: at half its scoreboard length, past its knee.  Re-pinned (was
-#: 9367d42accd99e26 at 600 000/s) when the mux began carrying queued
-#: searches as one batch per session: the knee moved from about 400 to
-#: about 950 Kops, so the run now offers 1 200 000/s to stay past it.
-#: Re-pinned again (was e37b9e3c6595783d) when each batched job began
-#: completing as soon as its own shards answered, not when the slowest
-#: sub-batch of its batch did.
-GOLDEN_OPEN_OVERLOAD = "bdae2a9e4164e196"
+#: past its knee.  Re-pinned (was 9367d42accd99e26 at 600 000/s) when
+#: the mux began carrying queued searches as one batch per session: the
+#: knee moved from about 400 to about 950 Kops, so the run offered
+#: 1 200 000/s to stay past it.  Re-pinned again (was e37b9e3c6595783d)
+#: when each batched job began completing as soon as its own shards
+#: answered, not when the slowest sub-batch of its batch did.  Re-rated
+#: and re-pinned (was bdae2a9e4164e196 at 1 200 000/s for 13.5 ms) when
+#: Algorithm 1 gained its latency guard: clients offload about 90 % of
+#: reads, the knee moved to about 3.3 Mops (1 200 000/s ran with nothing
+#: shed), so the run now offers 4 800 000/s for 3.375 ms, the same
+#: number of arrivals, and sheds about a third of them.
+GOLDEN_OPEN_OVERLOAD = "b483092758f8bb7f"
 
 #: The same deployment at 150 000/s, below the knee: no
 #: job ever waits for a session, so the mux never forms a batch and the
 #: run is the one every request ran one at a time.  Pinned before the
-#: mux began batching queued searches.
-GOLDEN_OPEN_SUBKNEE = "c7bbe790cbabc345"
+#: mux began batching queued searches.  Re-pinned (was c7bbe790cbabc345)
+#: when Algorithm 1 gained its latency guard: about 90 % of reads now
+#: offload once the first heartbeat is consumed, p50 22.2 -> 15.25 µs.
+GOLDEN_OPEN_SUBKNEE = "fc6bd39dcdb58f3c"
 
 #: A small closed-shard-skew run: K=4 fast messaging over a hot corner,
 #: with splits and live migrations firing.  Re-pinned (was
@@ -384,7 +414,7 @@ def _benchmark_config(seed, **fields):
 
 def test_open_loop_overload_digest_matches_golden():
     traffic = TrafficConfig(
-        kind="poisson", rate=1_200_000.0, duration_s=0.0135, n_aggregates=4,
+        kind="poisson", rate=4_800_000.0, duration_s=3.375e-3, n_aggregates=4,
         users_per_aggregate=1000, sessions=16, queue_watermark=512,
         window=1024)
     runner = TrafficRunner(_benchmark_config(
