@@ -353,11 +353,17 @@ class RebalanceController:
         # traffic on the destination.
         shard_map.set_second(tile_index, dest)
         self._pre_cutover = True
+        # Each id is carried once.  The source can hold an item twice:
+        # when the tile left it and came back before the first move's
+        # cleanup deleted its old copies, those copies sit beside the
+        # returned ones until that cleanup runs.
+        carried = set()
         try:
             for _leaf, run in runs:
                 present = set(source_tree.search(
                     Rect.union_of(rect for rect, _id in run)).matches)
-                held = [item for item in run if item in present]
+                held = _first_of_each_id(
+                    (item for item in run if item in present), carried)
                 if held:
                     yield from self._copy(dest, held)
 
@@ -365,8 +371,8 @@ class RebalanceController:
             # took in after the snapshot, then flip the owner.
             runs = self._tile_runs(source, tile_rect)
             copied = set(dest_server.tree.search(tile_rect).data_ids)
-            missing = [item for _leaf, run in runs for item in run
-                       if item[1] not in copied]
+            missing = _first_of_each_id(
+                (item for _leaf, run in runs for item in run), copied)
             catch_up = self._copy(dest, missing) if missing else None
             shard_map.reassign_tile(tile_index, dest)
             stats.tiles_reassigned += 1
@@ -442,3 +448,14 @@ class RebalanceController:
                 self.stats.epoch_bumps += 1
                 return True
         return False
+
+
+def _first_of_each_id(items, seen: set) -> List[Tuple[Rect, int]]:
+    """The items whose ids are not in ``seen``, one per id, in order;
+    adds their ids to ``seen``."""
+    out = []
+    for item in items:
+        if item[1] not in seen:
+            seen.add(item[1])
+            out.append(item)
+    return out

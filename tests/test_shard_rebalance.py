@@ -249,6 +249,26 @@ class TestHandOver:
         assert probes
         return probes
 
+    def test_a_tile_back_before_its_cleanup_is_carried_once(self):
+        """A tile that leaves a shard and comes back before the first
+        move's cleanup has run sits there twice (the old copies beside
+        the returned ones); moving it on carries each item once."""
+        deployment, controller = self.idle()
+        high = self.migrate(deployment, controller, self.SOURCE, self.DEST)
+        self.cut_over(deployment, high, self.DEST)
+        for source, dest in ((self.DEST, self.SOURCE),
+                             (self.SOURCE, self.OTHER)):
+            deployment.sim.process(controller._migrate(high, source, dest))
+            self.cut_over(deployment, high, dest)
+        self.run_until(deployment, lambda: all(
+            end is not None for _start, end in controller.migration_windows))
+        tile = deployment.live_map.tiles[high].rect
+        held = [data_id for stack in deployment.stacks
+                for rect, data_id in stack.server.tree.search(tile).matches
+                if tile_contains(tile, *rect.center())]
+        assert held
+        assert sorted(held) == sorted(set(held))
+
     def test_drained_tile_reads_only_the_destination(self):
         """From the cut-over on, while the source still holds its copies
         of the tile, reads over them go to the destination alone."""
